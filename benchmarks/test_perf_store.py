@@ -33,7 +33,7 @@ _RECORDS = 10_000
 #: Resume-scan repetitions per backend; best-of rides out jitter.
 _SCAN_ROUNDS = 3
 
-_PATHS = {"jsonl": "bench.jsonl", "sharded": "bench.d", "sqlite": "bench.sqlite"}
+_PATHS = {"jsonl": "bench.jsonl", "sqlite": "bench.sqlite"}
 
 
 def _record(payload: dict) -> None:

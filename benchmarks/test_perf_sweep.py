@@ -39,15 +39,13 @@ _JOBS = 2
 _ROUNDS = 3
 
 
-def _fresh_run(jobs: int, specs, cache_dir=None, telemetry=False,
-               exec_mode="process"):
+def _fresh_run(jobs: int, specs, cache_dir=None, telemetry=False):
     """Run the grid with cold per-process tiers (the cross-run state the
     former module-global app cache leaked between measurements)."""
     clear_process_caches()
     reset_telemetry()
     return CampaignRunner(
         jobs=jobs, cache_dir=cache_dir, telemetry=telemetry,
-        exec_mode=exec_mode,
     ).run(specs)
 
 
@@ -72,12 +70,11 @@ def _payloads(records):
 
 
 def _sweep_row(report, *, cache: str, scenario: str = "steady",
-               fmt: str = "darwin", exec_mode: str = "process",
+               fmt: str = "darwin",
                benchmark: str = "sweep_table1_test_2seeds") -> dict:
-    # Every sweep row names its scenario pack, tournament format, and
-    # executor mode, so trajectory entries from dynamic-conditions,
-    # alternate-shape, or mega-batched sweeps are never mistaken for the
-    # baseline grid (see ROADMAP "Performance").
+    # Every sweep row names its scenario pack and tournament format, so
+    # trajectory entries from dynamic-conditions or alternate-shape sweeps
+    # are never mistaken for the baseline grid (see ROADMAP "Performance").
     return {
         "benchmark": benchmark,
         "date": time.strftime("%Y-%m-%d"),
@@ -85,7 +82,6 @@ def _sweep_row(report, *, cache: str, scenario: str = "steady",
         "cache": cache,
         "scenario": scenario,
         "format": fmt,
-        "exec_mode": exec_mode,
         "campaigns": report.executed,
         "retries": report.retries,
         "wall_seconds": round(report.wall_seconds, 3),
@@ -207,54 +203,6 @@ def test_sweep_telemetry_overhead_within_noise(tmp_path):
     assert on_best.wall_seconds <= 1.05 * off_best.wall_seconds, (
         f"telemetry-on sweep ({on_best.wall_seconds:.2f}s) slower than "
         f"telemetry-off ({off_best.wall_seconds:.2f}s) beyond noise"
-    )
-
-
-@pytest.mark.benchmark
-def test_sweep_stacked_matches_process_and_throughput():
-    """ISSUE 10 acceptance: the mega-batched executor must reproduce the
-    process-mode sweep bit for bit and must not be slower on 1 core.
-
-    Serial and stacked runs are interleaved (best-of, like the warm-cache
-    row) so machine drift hits both equally; both rows land in BENCH.jsonl
-    with their ``exec_mode`` so the trajectory can compare them directly.
-    """
-    grid = table1_grid(scale="test", seeds=(0, 1), eval_runs=50)
-    specs = list(grid.specs())
-    assert len(specs) == 8
-
-    serial_best = stacked_best = None
-    reference = None
-    ratios = []
-    for _ in range(_ROUNDS):
-        serial = _fresh_run(1, specs)
-        stacked = _fresh_run(1, specs, exec_mode="stacked")
-        if reference is None:
-            reference = _payloads(serial.records)
-        # Fused rounds must change nothing: stacked == process, bit for bit.
-        assert _payloads(serial.records) == reference
-        assert _payloads(stacked.records) == reference
-        ratios.append(stacked.wall_seconds / serial.wall_seconds)
-        if serial_best is None or serial.wall_seconds < serial_best.wall_seconds:
-            serial_best = serial
-        if stacked_best is None or stacked.wall_seconds < stacked_best.wall_seconds:
-            stacked_best = stacked
-    assert stacked_best.executed == len(specs)
-
-    _record(_sweep_row(serial_best, cache="cold"))
-    _record(_sweep_row(stacked_best, cache="cold", exec_mode="stacked"))
-
-    # Gate: stacked >= serial on 1 core.  Fusion amortises the per-kernel
-    # overhead of concurrent rounds; at test scale that margin is a few
-    # percent, which this machine's run-to-run drift (±5-6%) can swamp.
-    # Comparing the two modes *within* each back-to-back round cancels that
-    # drift, so gate on the best paired ratio with the same 5% noise
-    # allowance the warm-cache and telemetry rows use (the recorded
-    # best-of rows carry the honest absolute numbers).
-    assert min(ratios) <= 1.05, (
-        f"stacked sweep slower than process-mode serial beyond noise in "
-        f"every round (stacked/serial wall ratios: "
-        f"{', '.join(f'{r:.3f}' for r in ratios)})"
     )
 
 

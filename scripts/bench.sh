@@ -5,9 +5,8 @@
 # under — the visible core count ("cores", ROADMAP's 1-core caveat made
 # machine-readable), the surface-cache state ("cache": cold/warm), and for
 # sweep rows the scenario pack ("scenario") — so trajectory rows are
-# comparable without reading prose.  Legacy per-date BENCH_<date>.json
-# files (the pre-ISSUE-2 format) are migrated into BENCH.jsonl on sight.
-# Extra arguments are passed through to pytest.
+# comparable without reading prose.  Extra arguments are passed through to
+# pytest.
 #
 # Measurements are staged in a temp file and appended to BENCH.jsonl only
 # after the whole pytest run succeeds: a failing or crashing benchmark run
@@ -20,15 +19,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="BENCH.jsonl"
-
-# One-time migration of the fragmented per-date trajectory files.
-shopt -s nullglob
-for legacy in BENCH_*.json; do
-    echo "migrating $legacy into $out"
-    cat "$legacy" >> "$out"
-    rm "$legacy"
-done
-shopt -u nullglob
 
 staging="$(mktemp "${TMPDIR:-/tmp}/bench.XXXXXX.jsonl")"
 cleanup() {
@@ -49,7 +39,7 @@ BENCH_JSON="$staging" PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 # Before/after report: compare each fresh row against the most recent prior
 # row of the same benchmark id (same benchmark + same conditions: cache,
-# jobs, scenario, format, exec mode, backend...) so a perf regression or win
+# jobs, scenario, format, backend...) so a perf regression or win
 # is visible in the run output, not just buried in the trajectory file.
 python - "$out" "$staging" <<'PYEOF'
 import json, sys
@@ -69,7 +59,9 @@ def rows(path):
         return []
 
 def bench_id(row):
-    # Rows written before the exec-mode axis existed ran the process path.
+    # New rows carry no executor axis; defaulting it to the process path
+    # keeps them comparable with historic serial rows and never with the
+    # rows of the removed stacked executor.
     row = dict(row)
     row.setdefault("exec_mode", "process")
     return tuple(sorted((k, row[k]) for k in row if k not in MEASURED))

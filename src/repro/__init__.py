@@ -40,7 +40,6 @@ from repro.campaigns import (
     CampaignSpec,
     CampaignStore,
     ResultStore,
-    ShardedStore,
     SqliteStore,
     SweepReport,
     SweepSummary,
@@ -79,11 +78,6 @@ from repro.tuners import (
     Tuner,
 )
 from repro.types import ChoiceEvaluation, TuningResult
-
-# The array-namespace facade of the simulation hot path and its backend
-# registry (numpy default; cupy/jax via REPRO_ARRAY_BACKEND/--array-backend).
-from repro import xp
-from repro.backend import active_backend, set_array_backend
 
 # The supported programmatic surface (repro.api.__all__); imported last so
 # the facade may lean on everything above.
@@ -141,7 +135,6 @@ __all__ = [
     "Scenario",
     "SchemaError",
     "SearchSpace",
-    "ShardedStore",
     "SqliteStore",
     "SurfaceCache",
     "SweepOptions",
@@ -151,7 +144,6 @@ __all__ = [
     "Tuner",
     "TuningResult",
     "VMSpec",
-    "active_backend",
     "api",
     "fetch_report",
     "iter_results",
@@ -168,11 +160,9 @@ __all__ = [
     "record_trace",
     "register_scenario",
     "render_report",
-    "set_array_backend",
     "split_subspaces",
     "submit_grid",
     "summarise",
     "validate_grid",
-    "xp",
     "__version__",
 ]

@@ -219,7 +219,6 @@ class SweepOptions:
 
     store: Optional[PathLike] = None
     store_backend: Optional[str] = None
-    shards: Optional[int] = None
     jobs: int = 1
     cache_dir: Optional[PathLike] = None
     max_retries: int = 2
@@ -228,15 +227,12 @@ class SweepOptions:
     telemetry: bool = False
     profile: bool = False
     fault_plan: Optional[FaultPlan] = None
-    exec_mode: str = "process"
 
     def open_store(self) -> Optional[ResultStore]:
         """The store these options describe (``None`` = in-memory run)."""
         if self.store is None:
             return None
-        return open_store(
-            self.store, backend=self.store_backend, shards=self.shards
-        )
+        return open_store(self.store, backend=self.store_backend)
 
 
 # -- job handles ---------------------------------------------------------
@@ -368,7 +364,6 @@ class JobHandle:
             fault_plan=options.fault_plan,
             telemetry=options.telemetry,
             profile=options.profile,
-            exec_mode=options.exec_mode,
         )
         try:
             report = runner.run(self.grid.specs(), grid=self.grid)
@@ -614,13 +609,11 @@ OPTIONS_SCHEMA = {
     "properties": {
         "jobs": {"type": "integer", "minimum": 1},
         "store_backend": {"type": "string", "enum": list(BACKEND_NAMES)},
-        "shards": {"type": "integer", "minimum": 1},
         "max_retries": {"type": "integer", "minimum": 0},
         "backoff": {"type": "number", "minimum": 0},
         "task_timeout": {"type": "number", "minimum": 0},
         "telemetry": {"type": "boolean"},
         "profile": {"type": "boolean"},
-        "exec_mode": {"type": "string", "enum": ["process", "stacked"]},
     },
 }
 

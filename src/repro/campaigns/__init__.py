@@ -6,9 +6,9 @@ independent campaign.  This subsystem executes such fleets: declare them
 with :class:`CampaignSpec` / :class:`CampaignGrid`, run them with
 :class:`CampaignRunner` (worker pool, failure isolation, deterministic
 parallelism), and checkpoint them in a :class:`ResultStore` backend —
-single-file JSONL (:class:`CampaignStore`, the default), a sharded JSONL
-directory (:class:`ShardedStore`), or SQLite (:class:`SqliteStore`) — so
-an interrupted sweep resumes instead of restarting.  :func:`open_store`
+single-file JSONL (:class:`CampaignStore`, the default) or SQLite
+(:class:`SqliteStore`) — so an interrupted sweep resumes instead of
+restarting.  :func:`open_store`
 picks the backend from what is on disk (or a path suffix);
 :func:`migrate_store` converts between them losslessly.
 
@@ -56,7 +56,6 @@ from repro.campaigns.store import (
     CampaignRecord,
     CampaignStore,
     ResultStore,
-    ShardedStore,
     SqliteStore,
     StoreLock,
     migrate_store,
@@ -78,7 +77,6 @@ __all__ = [
     "ResultStore",
     "ScenarioRow",
     "ScenarioSummary",
-    "ShardedStore",
     "SqliteStore",
     "StoreLock",
     "SweepReport",

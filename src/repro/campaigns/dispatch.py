@@ -105,8 +105,7 @@ def ledger_path_for(store_path: Union[str, Path]) -> Path:
     """The file-backend ``.ledger`` sidecar convention.
 
     Legacy helper: consumers that know their store should ask it via
-    ``store.sidecar_path(SIDECAR_LEDGER)``, which directory backends
-    resolve *inside* the store tree instead.
+    ``store.sidecar_path(SIDECAR_LEDGER)``.
     """
     store_path = Path(store_path)
     return store_path.with_name(store_path.name + ".ledger")

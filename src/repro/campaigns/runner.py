@@ -20,10 +20,10 @@ for the drivers' former hand-rolled loops:
   *completes*.  Inline execution (``jobs=1``) applies the same retry
   policy without a pool.
 * **Resume** — with a :class:`~repro.campaigns.store.base.ResultStore`
-  attached (any backend: single-file JSONL, sharded directory, SQLite),
-  every finished campaign is checkpointed immediately and specs whose IDs
-  are already stored as done are skipped, so an interrupted sweep
-  continues where it stopped.
+  attached (either backend: a JSONL file or SQLite), every finished
+  campaign is checkpointed immediately and specs whose IDs are already
+  stored as done are skipped, so an interrupted sweep continues where it
+  stopped.
 
 Chaos testing rides the same machinery: install a seeded
 :class:`repro.faults.FaultPlan` (``fault_plan=`` here, ``--inject-faults``
@@ -90,9 +90,6 @@ TRACEBACK_FRAMES = 20
 #: How many times a store append is tried before the failure propagates
 #: (checkpoint I/O blips — and injected store faults — are transient).
 STORE_APPEND_ATTEMPTS = 3
-
-#: Execution modes the runner understands (``--exec-mode`` on the CLI).
-EXEC_MODES = ("process", "stacked")
 
 
 def cached_application(name: str, scale):
@@ -303,13 +300,6 @@ class CampaignRunner:
         fault_plan: optional :class:`repro.faults.FaultPlan` injecting
             deterministic chaos into every attempt (installed inline and in
             every worker; restored afterwards).
-        exec_mode: ``"process"`` (default) executes inline or on the worker
-            pool as ``jobs`` dictates; ``"stacked"`` runs in-process on the
-            :class:`repro.core.stacked.StackedExecutor`, fusing concurrent
-            tournament rounds of same-key campaigns into one tensor pass
-            (``jobs`` is ignored — stacking is the 1-core parallelism).
-            Results are bit-identical across modes; retry, quarantine,
-            fault-injection, and resume semantics are unchanged.
         telemetry: record this sweep's event stream.  ``True`` journals to
             the store's ``.telemetry`` sidecar (requires a store); a path
             journals there explicitly.  Off (the default) the bus stays
@@ -333,7 +323,6 @@ class CampaignRunner:
         fault_plan: Optional[FaultPlan] = None,
         telemetry: Union[bool, str, Path] = False,
         profile: Union[bool, str, Path] = False,
-        exec_mode: str = "process",
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -341,12 +330,7 @@ class CampaignRunner:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
         if backoff < 0:
             raise ReproError(f"backoff must be >= 0, got {backoff}")
-        if exec_mode not in EXEC_MODES:
-            raise ReproError(
-                f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
-            )
         self.jobs = jobs
-        self.exec_mode = exec_mode
         self.store = store
         self.progress = progress
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -364,8 +348,8 @@ class CampaignRunner:
     def _sidecar(self, setting, what: str, kind: str) -> Optional[Path]:
         """Resolve a bool-or-path opt-in to its concrete location.
 
-        ``True`` asks the store's backend where its ``kind`` sidecar lives
-        (next to a store file; inside a sharded store's directory).
+        ``True`` asks the store where its ``kind`` sidecar lives (next to
+        the store file).
         """
         if not setting:
             return None
@@ -535,9 +519,6 @@ class CampaignRunner:
     def _execute(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         if not pending:
             return
-        if self.exec_mode == "stacked" and len(pending) > 1:
-            yield from self._execute_stacked(pending)
-            return
         if self.jobs == 1 or len(pending) == 1:
             yield from self._execute_inline(pending)
             return
@@ -564,22 +545,6 @@ class CampaignRunner:
                     break
                 if self.backoff > 0:
                     time.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    def _execute_stacked(self, pending: Sequence[Tuple[int, CampaignSpec]]):
-        """In-process mega-batched execution (``exec_mode="stacked"``).
-
-        Same semantics as the inline path — same retries, quarantine,
-        per-record checkpoints — but same-key campaigns advance in lockstep
-        and their concurrent rounds are fused into one stacked tensor pass
-        (see :mod:`repro.core.stacked`).  No ledger: like inline, there is
-        no second process to lease work to or reclaim it from.
-        """
-        from repro.core.stacked import StackedExecutor
-
-        executor = StackedExecutor(
-            max_retries=self.max_retries, backoff=self.backoff
-        )
-        yield from executor.run(pending)
 
     def _execute_dispatched(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None

@@ -8,21 +8,18 @@ skips every campaign ID already recorded as done and re-runs only the
 rest; reports aggregate over everything stored.
 
 Persistence is a *backend* behind one :class:`ResultStore` protocol
-(:mod:`~repro.campaigns.store.base`); three ship built in:
+(:mod:`~repro.campaigns.store.base`); two ship built in:
 
 * :class:`CampaignStore` (``jsonl``) — one append-only JSONL file, the
   zero-setup default; byte-compatible with every store written before
   backends existed.
-* :class:`ShardedStore` (``sharded``) — a directory of JSONL shards
-  hashed by campaign ID, per-shard append locks, merged read view; for
-  fleets whose writers contend on one file.
 * :class:`SqliteStore` (``sqlite``) — one indexed table in WAL mode;
   for stores big enough that reparsing JSONL on every
   resume/status/report hurts.
 
 :func:`open_store` picks the backend from what is on disk (or, for fresh
 paths, the suffix); :func:`migrate_store` moves a store between backends
-losslessly.  All backends persist identical JSON payloads, tolerate torn
+losslessly.  Both backends persist identical JSON payloads, tolerate torn
 writes, keep the first grid header, and resolve duplicate campaign IDs
 last-write-wins — the cross-backend contract suite in
 ``tests/test_store_backends.py`` holds them to it.
@@ -35,7 +32,6 @@ from repro.campaigns.store.base import (
     SIDECAR_PROFILES,
     SIDECAR_TELEMETRY,
     StoreLock,
-    iter_payloads,
 )
 from repro.campaigns.store.factory import (
     BACKEND_NAMES,
@@ -51,14 +47,12 @@ from repro.campaigns.store.record import (
     STATUS_FAILED,
     CampaignRecord,
 )
-from repro.campaigns.store.sharded import DEFAULT_SHARDS, ShardedStore
 from repro.campaigns.store.sqlite import SqliteStore
 
 __all__ = [
     "BACKEND_NAMES",
     "CampaignRecord",
     "CampaignStore",
-    "DEFAULT_SHARDS",
     "FORMAT_VERSION",
     "PathLike",
     "ResultStore",
@@ -68,10 +62,8 @@ __all__ = [
     "STATUS_DONE",
     "STATUS_FAILED",
     "STORE_BACKENDS",
-    "ShardedStore",
     "SqliteStore",
     "StoreLock",
-    "iter_payloads",
     "migrate_store",
     "open_store",
     "sniff_backend",

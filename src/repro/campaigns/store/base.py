@@ -21,7 +21,7 @@ backend must honour is fixed:
 
 Reads are memoised: :meth:`~ResultStore.load` parses the underlying
 storage once and caches the indexed snapshot keyed by a backend-provided
-freshness token (file stats for the JSONL backends), so the former
+freshness token (file stats for the JSONL backend), so the former
 quadratic resume/status/report pattern — ``completed_ids()`` then
 ``lookup()`` then ``__len__``, each a full reparse — now costs one pass
 however many views are taken, while an append (ours or another
@@ -31,11 +31,10 @@ process's) still invalidates the snapshot.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 try:
     import fcntl
@@ -55,10 +54,7 @@ PathLike = Union[str, Path]
 
 #: The sidecar kinds a store resolves for its consumers: the dispatcher's
 #: lease journal, the telemetry event journal, and the cProfile dump
-#: directory.  File backends place them next to the store file
-#: (``sweep.jsonl.ledger``); the sharded directory backend places them
-#: inside the store directory (``sweep.d/ledger``) so the store stays one
-#: self-contained tree.
+#: directory.  They live next to the store file (``sweep.jsonl.ledger``).
 SIDECAR_LEDGER = "ledger"
 SIDECAR_TELEMETRY = "telemetry"
 SIDECAR_PROFILES = "profiles"
@@ -73,43 +69,14 @@ def grid_header_payload(grid: CampaignGrid) -> dict:
     }
 
 
-def iter_payloads(path: PathLike) -> Iterator[dict]:
-    """Yield the parseable dict lines of a JSONL file, skipping damage.
-
-    The truncation-tolerant reader behind both JSONL backends: a journal
-    may be cut at *any* byte offset — mid-line, mid-first-line, even
-    mid-UTF-8-sequence (a crash mid-append stops wherever the kernel
-    stopped it) — and the surviving prefix of complete lines must still
-    parse.  Reading with ``errors="replace"`` keeps a torn multi-byte
-    character from raising ``UnicodeDecodeError`` before line splitting
-    even starts; the mangled line then fails JSON parsing and is skipped
-    like any other tear.
-    """
-    path = Path(path)
-    if not path.exists():
-        return
-    with path.open("r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict):
-                yield payload
-
-
 @contextlib.contextmanager
 def flocked(handle):
     """Hold an exclusive ``flock`` on an open file for one write.
 
     The fine-grained append lock (distinct from the sweep-level
     :class:`StoreLock`, which lives on a sidecar and is held for a whole
-    sweep): concurrent writers to *one file* serialise their appends and
-    header checks here, while writers to different files — different
-    shards of a sharded store — proceed without contending.
+    sweep): concurrent writers to one file serialise their appends and
+    header checks here.
     """
     if fcntl is not None:
         fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
@@ -143,20 +110,14 @@ class StoreLock:
     Two sweeps appending to the same store would interleave silently —
     each would skip-done against a snapshot the other is growing.  The lock
     turns that into a clear :class:`ReproError` up front.  It is ``flock``
-    on a sidecar file (``<store>.lock`` for file backends, ``store.lock``
-    inside the directory for sharded ones), so it is advisory (plain
-    readers like ``repro report`` are never blocked) and the kernel
-    releases it if the holding process dies — a stale lock *file* on disk
-    is harmless.
+    on a ``<store>.lock`` sidecar file, so it is advisory (plain readers
+    like ``repro report`` are never blocked) and the kernel releases it if
+    the holding process dies — a stale lock *file* on disk is harmless.
     """
 
-    def __init__(self, store_path: PathLike, lock_path: Optional[PathLike] = None):
+    def __init__(self, store_path: PathLike):
         self.store_path = Path(store_path)
-        self.path = (
-            Path(lock_path)
-            if lock_path is not None
-            else self.store_path.with_name(self.store_path.name + ".lock")
-        )
+        self.path = self.store_path.with_name(self.store_path.name + ".lock")
         self._handle = None
 
     @property
@@ -216,7 +177,7 @@ class ResultStore(ABC):
     direct queries.
     """
 
-    #: Registry name of this backend (``"jsonl"``/``"sharded"``/``"sqlite"``).
+    #: Registry name of this backend (``"jsonl"``/``"sqlite"``).
     backend: str = "abstract"
 
     def __init__(self, path: PathLike):
@@ -268,11 +229,7 @@ class ResultStore(ABC):
         return StoreLock(self.path)
 
     def sidecar_path(self, kind: str) -> Path:
-        """Where this store's ``kind`` sidecar lives (see module constants).
-
-        File backends keep sidecars as siblings (``sweep.jsonl.ledger``);
-        directory backends override to keep them inside the store tree.
-        """
+        """Where this store's ``kind`` sidecar lives (see module constants)."""
         return self.path.with_name(f"{self.path.name}.{kind}")
 
     # -- memoised read API ----------------------------------------------
@@ -332,4 +289,4 @@ class ResultStore(ABC):
         return len(self._indexed()[1])
 
     def close(self) -> None:
-        """Release any backend handles (no-op for plain-file backends)."""
+        """Release any backend handles (no-op for the plain-file backend)."""

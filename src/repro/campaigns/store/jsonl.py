@@ -10,9 +10,8 @@ old code.
 
 The file is the simplest possible store and the right default for
 single-host sweeps up to a few thousand campaigns; beyond that the full
-reparse on first read and the single append point start to cost, which is
-what the sharded and SQLite backends exist for (see
-:mod:`repro.campaigns.store.factory`).
+reparse on first read starts to cost, which is what the SQLite backend
+exists for (see :mod:`repro.campaigns.store.factory`).
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from repro.campaigns.store.base import (
     ResultStore,
     flocked,
     grid_header_payload,
-    iter_payloads,
     stat_token,
 )
 from repro.campaigns.store.record import KIND_GRID, KIND_RECORD, CampaignRecord
+from repro.telemetry.events import iter_jsonl_payloads
 
 
 class CampaignStore(ResultStore):
@@ -89,7 +88,7 @@ class CampaignStore(ResultStore):
     ) -> Tuple[Optional[CampaignGrid], Dict[str, CampaignRecord]]:
         grid: Optional[CampaignGrid] = None
         by_id: Dict[str, CampaignRecord] = {}
-        for payload in iter_payloads(self.path):
+        for payload in iter_jsonl_payloads(self.path):
             kind = payload.get("kind")
             if kind == KIND_GRID and grid is None:
                 grid = CampaignGrid.from_dict(payload["grid"])
@@ -107,7 +106,7 @@ class CampaignStore(ResultStore):
         """
         if self._snapshot is not None:
             return super().read_grid()
-        for payload in iter_payloads(self.path):
+        for payload in iter_jsonl_payloads(self.path):
             if payload.get("kind") == KIND_GRID:
                 return CampaignGrid.from_dict(payload["grid"])
         return None

@@ -2,7 +2,7 @@
 
 :class:`CampaignRecord` is the unit every :class:`~repro.campaigns.store.
 base.ResultStore` persists: backends differ in *where* the JSON payload
-lands (one file, a sharded directory, a SQLite table), never in *what* it
+lands (a JSONL file or a SQLite table), never in *what* it
 contains.  The payload codec is :mod:`repro.experiments.persistence` — the
 same pickle-free JSON representation of :class:`~repro.types.TuningResult`
 and :class:`~repro.types.ChoiceEvaluation` used by single-campaign

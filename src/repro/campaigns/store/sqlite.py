@@ -1,17 +1,17 @@
 """The SQLite backend — indexed reads for stores too big to reparse.
 
-One table keyed by campaign ID turns the JSONL backends' full-file parse
+One table keyed by campaign ID turns the JSONL backend's full-file parse
 into point and index lookups: ``completed_ids()`` is an indexed scan that
 never touches a payload, ``lookup()`` is a keyed select, ``len()`` is
-``COUNT(*)``.  The contract is identical to the line-oriented backends —
+``COUNT(*)``.  The contract is identical to the line-oriented backend —
 append-only with last-write-wins per ID (an upsert), a keep-first grid
 header (an ``INSERT OR IGNORE`` row), crash-tolerant appends (a torn
 transaction rolls back instead of leaving a torn line) — and WAL journal
 mode lets ``repro status``/``report`` read concurrently while a sweep
 writes.
 
-The payloads stored are byte-identical JSON to what the JSONL backends
-write per line, so ``repro store migrate`` between any two backends is a
+The payloads stored are byte-identical JSON to what the JSONL backend
+writes per line, so ``repro store migrate`` between the two backends is a
 plain copy.
 """
 

@@ -8,7 +8,7 @@ Subcommands::
     python -m repro table1
     python -m repro sweep --apps redis,lammps --seeds 0,1,2 --jobs 4 \
         --store sweep.jsonl --telemetry --progress
-    python -m repro sweep ... --store sweep.d --store-backend sharded
+    python -m repro sweep ... --store sweep.sqlite
     python -m repro resume sweep.jsonl --jobs 4
     python -m repro serve --port 8765 --data-root serve.d --telemetry
     python -m repro status sweep.jsonl --watch
@@ -27,7 +27,9 @@ logger (:mod:`repro.telemetry.log`), result tables through stdout.
 The CLI is a thin layer over the library: sweep/resume/status/report and
 the ``serve`` daemon all drive the stable :mod:`repro.api` facade, so
 anything a subcommand prints can be recomputed programmatically (and the
-rest through :mod:`repro.experiments` and :mod:`repro.campaigns`).
+rest through :mod:`repro.experiments` and :mod:`repro.campaigns`).  A
+:class:`~repro.errors.ReproError` from any subcommand — a store that cannot
+be opened, a grid that does not validate — prints one line and exits 2.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def _is_store(path: str) -> bool:
     from repro.campaigns.store.factory import SQLITE_MAGIC
 
     if os.path.isdir(path):
-        # Directories are sharded stores; single-campaign archives are files.
+        # Never an archive; opening it as a store explains the refusal.
         return True
     try:
         with open(path, "rb") as handle:
@@ -226,36 +228,12 @@ def _fault_plan_from_args(args: argparse.Namespace):
     return FaultPlan.parse(text) if text else None
 
 
-def _apply_array_backend(args: argparse.Namespace) -> None:
-    """Activate ``--array-backend`` (or ``REPRO_ARRAY_BACKEND``) process-wide.
-
-    Falling back (backend absent / probe failure) is the backend layer's
-    job and already logged there; the CLI only reports what was activated
-    when it differs from the request.
-    """
-    requested = getattr(args, "array_backend", "")
-    if not requested:
-        return
-    from repro.backend import set_array_backend
-
-    backend = set_array_backend(requested)
-    if backend.name != requested:
-        _LOG.warning(
-            "--array-backend %s unavailable; running on %s",
-            requested, backend.name,
-        )
-    else:
-        _LOG.info("array backend: %s", backend.name)
-
-
 def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
     """One :class:`repro.api.SweepOptions` from the shared CLI flags."""
     backend = getattr(args, "store_backend", "auto")
-    _apply_array_backend(args)
     return api.SweepOptions(
         store=store,
         store_backend=None if backend == "auto" else backend,
-        shards=getattr(args, "shards", 0) or None,
         jobs=args.jobs,
         cache_dir=args.cache_dir or None,
         max_retries=args.max_retries,
@@ -264,7 +242,6 @@ def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
         telemetry=args.telemetry,
         profile=args.profile,
         fault_plan=_fault_plan_from_args(args),
-        exec_mode=getattr(args, "exec_mode", "process"),
     )
 
 
@@ -324,32 +301,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         formats=csv(args.formats),
     )
     try:
-        # Catch the typo here: an unknown entry on any axis otherwise kills
-        # every worker that leases one of its campaigns, burning the whole
-        # retry budget.  Same gate the daemon and library use.
-        api.validate_grid(grid)
-    except ReproError as exc:
-        _LOG.error("%s", exc)
-        return 2
-    try:
         options = _options_from_args(args, args.store)
     except ReproError as exc:
         _LOG.error("bad --inject-faults plan: %s", exc)
-        return 2
-    try:
-        options.open_store()
-    except ReproError as exc:
-        _LOG.error("cannot open store %s: %s", args.store, exc)
         return 2
     return _run_sweep(grid, options, args.quiet, live_progress=args.progress)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    try:
-        store = open_store(args.store)
-    except ReproError as exc:
-        _LOG.error("cannot open store %s: %s", args.store, exc)
-        return 2
+    store = open_store(args.store)
     if not store.exists():
         _LOG.error(
             "no store at %s; start one with `repro sweep --store`", store.path
@@ -471,16 +431,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _store_disk_bytes(path) -> int:
-    """Bytes on disk for a store path (sums the tree for directory stores)."""
-    from pathlib import Path
-
-    root = Path(path)
-    if root.is_dir():
-        return sum(
-            p.stat().st_size for p in root.rglob("*") if p.is_file()
-        )
+    """Bytes on disk for a store path."""
     try:
-        return root.stat().st_size
+        return os.stat(path).st_size
     except OSError:
         return 0
 
@@ -511,20 +464,10 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    try:
-        source = open_store(args.source)
-    except ReproError as exc:
-        _LOG.error("cannot open source store %s: %s", args.source, exc)
-        return 2
+    source = open_store(args.source)
     backend = None if args.dst_backend == "auto" else args.dst_backend
-    try:
-        destination = open_store(
-            args.destination, backend=backend, shards=args.shards or None
-        )
-        copied = migrate_store(source, destination)
-    except ReproError as exc:
-        _LOG.error("migrate failed: %s", exc)
-        return 2
+    destination = open_store(args.destination, backend=backend)
+    copied = migrate_store(source, destination)
     print(
         f"migrated {copied} record(s): {source.path} ({source.backend}) "
         f"-> {destination.path} ({destination.backend})"
@@ -726,39 +669,16 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
         help="surface-cache directory: warm it before the sweep and prewarm "
              "every worker from it (empty = no persistent cache)",
     )
-    parser.add_argument(
-        "--exec-mode", default="process", choices=("process", "stacked"),
-        help="process (default): inline or worker-pool execution per --jobs; "
-             "stacked: run campaigns in lockstep in one process, fusing "
-             "concurrent tournament rounds of same-key campaigns into one "
-             "tensor pass — the 1-core throughput lever; results are "
-             "bit-identical across modes",
-    )
-    parser.add_argument(
-        "--array-backend", default="",
-        choices=("", "numpy", "cupy", "jax"),
-        help="array namespace for the simulation hot path (repro.xp): numpy "
-             "(default), or cupy/jax when installed; a backend that is "
-             "absent or fails its capability probe falls back to numpy "
-             "with a warning (env: REPRO_ARRAY_BACKEND)",
-    )
 
 
 def _add_store_backend(parser: argparse.ArgumentParser) -> None:
-    """The store-backend selection knobs (sweep, resume, serve)."""
+    """The store-backend selection knob (sweep, serve)."""
     parser.add_argument(
         "--store-backend", default="auto",
         choices=("auto",) + tuple(BACKEND_NAMES),
-        help="store backend: jsonl (single file, the default), sharded "
-             "(directory of per-shard JSONL files for parallel writers), "
-             "sqlite (indexed database); auto sniffs existing stores and "
-             "infers fresh ones from the path suffix (.d -> sharded, "
-             ".sqlite/.db -> sqlite)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count when creating a new sharded store (default: 8; "
-             "pinned in the store's meta.json thereafter)",
+        help="store backend: jsonl (single file, the default) or sqlite "
+             "(indexed database); auto sniffs existing stores and infers "
+             "fresh ones from the path suffix (.sqlite/.db -> sqlite)",
     )
 
 
@@ -1041,11 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dst-backend", default="auto",
         choices=("auto",) + tuple(BACKEND_NAMES),
         help="destination backend (auto infers from the path suffix: "
-             ".d -> sharded, .sqlite/.db -> sqlite, else jsonl)",
-    )
-    p_smigrate.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count when the destination is a new sharded store",
+             ".sqlite/.db -> sqlite, else jsonl)",
     )
     p_smigrate.set_defaults(func=_cmd_store_migrate)
 
@@ -1083,51 +999,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(args.verbose - args.log_quiet)
     try:
         return args.func(args)
+    except ReproError as exc:
+        # Refused input (an unopenable store, an invalid grid): one line
+        # naming the problem, not a traceback.
+        _LOG.error("%s", exc)
+        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (`repro status ... | head`).  Point
         # stdout at devnull so the interpreter's shutdown flush cannot
         # raise again, and exit quietly like any well-behaved filter.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-# -- deprecated aliases ---------------------------------------------------
-
-#: Names that used to live in (or be re-exported from) this module before
-#: the sweep path moved behind :mod:`repro.api`.  Importing them from here
-#: still works but warns; new code should use the canonical home.
-_MOVED = {
-    "CampaignRunner": ("repro.campaigns", "CampaignRunner"),
-    "ResultStore": ("repro.campaigns", "ResultStore"),
-    "snapshot": ("repro.telemetry", "snapshot"),
-    "summarise": ("repro.campaigns", "summarise"),
-    "summarise_by_format": ("repro.campaigns", "summarise_by_format"),
-    "summarise_by_scenario": ("repro.campaigns", "summarise_by_scenario"),
-    "summarise_failures": ("repro.campaigns", "summarise_failures"),
-    "summary_table": ("repro.campaigns", "summary_table"),
-    "scenario_table": ("repro.campaigns", "scenario_table"),
-    "format_table": ("repro.campaigns", "format_table"),
-    "failure_table": ("repro.campaigns", "failure_table"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _MOVED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"repro.cli.{name} is deprecated; import {attr} from {module_name} "
-        f"(or use the repro.api facade)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), attr)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -15,25 +15,20 @@ The game ends when the fastest player finishes, or — if early termination is
 enabled — when the fastest player is at least ``min_work`` done and leads the
 runner-up by more than the work-done deviation ``d`` (Fig. 5).
 
-The kernel is *round-shaped*: :func:`simulate_colocated_rounds` fuses any
-number of rounds — possibly from different campaigns, with different
-interference processes, start times, and early-termination settings — into
-stacked ``(games, segments, players)`` tensor passes.  Every game draws from
-its own generator and every per-game parameter rides along as a tensor row,
-so fusion never changes results; :func:`simulate_colocated_batch` is exactly
-the one-round case.  The heavy arithmetic runs on :mod:`repro.xp`, the
-pluggable array backend (numpy by default).
+The kernel is *round-shaped*: :func:`simulate_colocated_batch` simulates one
+round — every game on its own VM, all under the round's interference
+process, start time, and early-termination setting — as padded
+``(games, segments, players)`` tensor passes.  Every game draws from its own
+generator, so how a round is chunked never changes results, and
+:func:`simulate_colocated` is exactly the one-game round.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.xp as xp
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import VMSpec
 from repro.errors import CloudError
@@ -107,99 +102,27 @@ def simulate_colocated(
 _BATCH_ELEMENT_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
-class RoundRequest:
-    """One validated round of co-located games, ready to simulate.
-
-    Built by :func:`prepare_round` (which owns all input validation) and
-    consumed by :func:`simulate_colocated_rounds`.  ``work_deviation`` is
-    ``None`` when early termination is disabled for the round.  A request is
-    self-contained — it carries its own interference process, start time, and
-    termination settings — which is what lets rounds from *different
-    campaigns* fuse into one tensor pass.
-    """
-
-    games: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-    vm: VMSpec
-    interference: InterferenceProcess
-    start_time: float
-    rngs: Tuple[np.random.Generator, ...]
-    work_deviation: Optional[float]
-    min_work_for_termination: float
-    max_segments: int
-
-
-def prepare_round(
-    *,
-    games: Sequence[Tuple[np.ndarray, np.ndarray]],
-    vm: VMSpec,
-    interference: InterferenceProcess,
-    start_time: float,
-    rngs: Sequence[np.random.Generator],
-    work_deviation: Optional[float] = None,
-    min_work_for_termination: float = 0.25,
-    max_segments: int = 240,
-) -> RoundRequest:
-    """Validate one round's inputs into a :class:`RoundRequest`."""
-    if len(rngs) != len(games):
-        raise CloudError(
-            f"need one rng per game, got {len(rngs)} for {len(games)} games"
-        )
-    if work_deviation is not None and not 0.0 < work_deviation < 1.0:
-        raise CloudError(f"work deviation must be in (0, 1), got {work_deviation}")
-
-    prepared: List[Tuple[np.ndarray, np.ndarray]] = []
-    for true_times, sensitivities in games:
-        t_true = np.asarray(true_times, dtype=float)
-        sens = np.asarray(sensitivities, dtype=float)
-        if t_true.ndim != 1 or t_true.shape != sens.shape:
-            raise CloudError(
-                "true_times and sensitivities must be matching 1-D arrays"
-            )
-        if t_true.size == 0:
-            raise CloudError("a game needs at least one player")
-        if np.any(t_true <= 0):
-            raise CloudError("true execution times must be positive")
-        prepared.append((t_true, sens))
-
-    return RoundRequest(
-        games=tuple(prepared),
-        vm=vm,
-        interference=interference,
-        start_time=float(start_time),
-        rngs=tuple(rngs),
-        work_deviation=work_deviation,
-        min_work_for_termination=min_work_for_termination,
-        max_segments=max_segments,
-    )
-
-
 class _GameState:
-    """Mutable per-game simulation state threaded through horizon attempts.
-
-    Carries its own interference process, start time, and early-termination
-    thresholds (``dev`` is ``inf`` when early termination is disabled), so a
-    chunk may freely mix games from rounds with different settings.
-    """
+    """Mutable per-game simulation state threaded through horizon attempts."""
 
     __slots__ = (
         "t_true", "sens", "k", "shared", "unfairness", "horizon", "dt",
         "n_segments", "elapsed", "work", "early", "mean_levels", "rng",
-        "interference", "start", "dev", "min_work",
     )
 
     def __init__(
         self,
         t_true: np.ndarray,
         sens: np.ndarray,
-        request: RoundRequest,
+        vm: VMSpec,
+        interference: InterferenceProcess,
+        max_segments: int,
         rng: np.random.Generator,
     ) -> None:
         self.t_true = t_true
         self.sens = sens
         self.k = t_true.size
-        self.shared = contention_level(self.k, request.vm.vcpus)
-        interference = request.interference
+        self.shared = contention_level(self.k, vm.vcpus)
         # Sticky per-player luck for this game; partially sensitivity-scaled —
         # contention-heavy (sensitive) executions suffer more from bad
         # placement.
@@ -211,25 +134,15 @@ class _GameState:
                                     + 3.0 * interference.profile.fast_std
                                     + self.shared)
         self.horizon = float((t_true * pessimistic).max()) * 1.5
-        self.n_segments = int(
-            min(request.max_segments, max(48, self.horizon / 5.0))
-        )
+        self.n_segments = int(min(max_segments, max(48, self.horizon / 5.0)))
         self.dt = self.horizon / self.n_segments
         self.elapsed = 0.0
         self.work = np.zeros(self.k)
         self.early = False
         self.mean_levels: List[float] = []
         self.rng = rng
-        self.interference = interference
-        self.start = request.start_time
-        self.dev = (
-            float(request.work_deviation)
-            if request.work_deviation is not None
-            else float("inf")
-        )
-        self.min_work = float(request.min_work_for_termination)
 
-    def outcome(self) -> GameOutcome:
+    def outcome(self, start_time: float) -> GameOutcome:
         work = np.minimum(self.work, 1.0)
         finished = work >= 1.0 - 1e-9
         levels = self.mean_levels
@@ -238,30 +151,9 @@ class _GameState:
             work=tuple(work.tolist()),
             finished=tuple(finished.tolist()),
             early_terminated=self.early,
-            start_time=float(self.start),
+            start_time=start_time,
             mean_interference=float(sum(levels) / len(levels)),
         )
-
-
-# Per-thread stack channel.  When the stacked executor runs a campaign on a
-# worker thread it installs a channel here; `simulate_colocated_batch` then
-# *parks* the validated round on the channel instead of simulating, and the
-# coordinator fuses every parked round into one `simulate_colocated_rounds`
-# pass.  Threads without a channel (the default) simulate inline.
-_STACK_CHANNELS = threading.local()
-
-
-def install_stack_channel(channel) -> None:
-    """Install (or, with ``None``, remove) this thread's stack channel.
-
-    ``channel`` must expose ``simulate(request) -> List[GameOutcome]``; see
-    :class:`repro.core.stacked.StackedExecutor` for the only producer.
-    """
-    _STACK_CHANNELS.channel = channel
-
-
-def _stack_channel():
-    return getattr(_STACK_CHANNELS, "channel", None)
 
 
 def simulate_colocated_batch(
@@ -288,46 +180,36 @@ def simulate_colocated_batch(
     VMs).  The heavy arithmetic — slowdown fields, work cumsums, and the
     early-termination scan — runs once per horizon attempt on a padded
     ``(games, segments, players)`` tensor instead of once per game.
-
-    Under the stacked executor the validated round is handed to the calling
-    thread's stack channel, which fuses it with the concurrent rounds of
-    other campaigns; the fused pass produces bit-identical outcomes.
     """
-    request = prepare_round(
-        games=games,
-        vm=vm,
-        interference=interference,
-        start_time=start_time,
-        rngs=rngs,
-        work_deviation=work_deviation,
-        min_work_for_termination=min_work_for_termination,
-        max_segments=max_segments,
-    )
-    channel = _stack_channel()
-    if channel is not None:
-        return channel.simulate(request)
-    return simulate_colocated_rounds([request])[0]
+    if len(rngs) != len(games):
+        raise CloudError(
+            f"need one rng per game, got {len(rngs)} for {len(games)} games"
+        )
+    if work_deviation is not None and not 0.0 < work_deviation < 1.0:
+        raise CloudError(f"work deviation must be in (0, 1), got {work_deviation}")
 
+    prepared: List[Tuple[np.ndarray, np.ndarray]] = []
+    for true_times, sensitivities in games:
+        t_true = np.asarray(true_times, dtype=float)
+        sens = np.asarray(sensitivities, dtype=float)
+        if t_true.ndim != 1 or t_true.shape != sens.shape:
+            raise CloudError(
+                "true_times and sensitivities must be matching 1-D arrays"
+            )
+        if t_true.size == 0:
+            raise CloudError("a game needs at least one player")
+        if np.any(t_true <= 0):
+            raise CloudError("true execution times must be positive")
+        prepared.append((t_true, sens))
 
-def simulate_colocated_rounds(
-    requests: Sequence[RoundRequest],
-) -> List[List[GameOutcome]]:
-    """Simulate many rounds — one per request — in fused tensor passes.
-
-    The rounds may come from different campaigns: each request carries its
-    own interference process, start time, and termination thresholds, and
-    every per-game parameter becomes a tensor row.  Outcomes are returned
-    grouped per request, aligned with the input order, and are bit-identical
-    to simulating each request alone (on the numpy backend) because every
-    game draws only from its own generator and trajectory sampling is
-    grouped per interference process in stable request order.
-    """
-    states: List[_GameState] = []
-    counts: List[int] = []
-    for request in requests:
-        for (t_true, sens), rng in zip(request.games, request.rngs):
-            states.append(_GameState(t_true, sens, request, rng))
-        counts.append(len(request.games))
+    start = float(start_time)
+    # ``None`` leaves early termination off for the whole round.
+    dev = float(work_deviation) if work_deviation is not None else None
+    min_work = float(min_work_for_termination)
+    states = [
+        _GameState(t_true, sens, vm, interference, max_segments, rng)
+        for (t_true, sens), rng in zip(prepared, rngs)
+    ]
 
     # The horizon is a heuristic; extend (rarely) until the fastest finishes.
     active = list(range(len(states)))
@@ -336,17 +218,13 @@ def simulate_colocated_rounds(
             break
         still_active: List[int] = []
         for chunk in _budget_chunks(active, states):
-            still_active.extend(_simulate_attempt(chunk, states))
+            still_active.extend(_simulate_attempt(
+                chunk, states, interference, start, dev, min_work
+            ))
         active = still_active
     if active:  # pragma: no cover - would need pathological surfaces
         raise CloudError("co-located game failed to converge within 8 horizons")
-
-    rounds: List[List[GameOutcome]] = []
-    offset = 0
-    for count in counts:
-        rounds.append([state.outcome() for state in states[offset:offset + count]])
-        offset += count
-    return rounds
+    return [state.outcome(start) for state in states]
 
 
 def _budget_chunks(
@@ -376,47 +254,28 @@ def _budget_chunks(
     return chunks
 
 
-def _sample_chunk_trajectories(
-    chunk: List[int], states: List[_GameState]
+def _sample_trajectories(
+    chunk: List[int],
+    states: List[_GameState],
+    interference: InterferenceProcess,
+    start: float,
 ) -> List[np.ndarray]:
-    """Per-game trajectory draws for a chunk, grouped per interference process.
+    """Per-game trajectory draws for a chunk, each from its game's generator.
 
-    Games sharing a process (i.e. of the same campaign) are batched through
-    its ``sample_trajectories`` vectorised sampler when available; replayed
-    traces fall back to the per-game call.  Grouping preserves in-chunk order
-    within each group, and the walk-table extension behind ``epoch_mean`` is
-    query-order independent, so a fused multi-campaign chunk draws exactly
-    the numbers each campaign would draw alone.
+    Uses the process's vectorised ``sample_trajectories`` sampler when it
+    has one; replayed traces fall back to the per-game call.
     """
-    groups: Dict[int, Tuple[InterferenceProcess, List[int]]] = {}
-    for a, g in enumerate(chunk):
-        proc = states[g].interference
-        groups.setdefault(id(proc), (proc, []))[1].append(a)
-
-    trajectories: List[Optional[np.ndarray]] = [None] * len(chunk)
-    for proc, positions in groups.values():
-        batch_sampler = getattr(proc, "sample_trajectories", None)
-        if batch_sampler is not None:
-            sampled = batch_sampler(
-                [states[chunk[a]].start + states[chunk[a]].elapsed
-                 for a in positions],
-                [states[chunk[a]].horizon for a in positions],
-                [states[chunk[a]].n_segments for a in positions],
-                [states[chunk[a]].rng for a in positions],
-            )
-        else:
-            sampled = [
-                proc.sample_trajectory(
-                    states[chunk[a]].start + states[chunk[a]].elapsed,
-                    states[chunk[a]].horizon,
-                    states[chunk[a]].n_segments,
-                    states[chunk[a]].rng,
-                )
-                for a in positions
-            ]
-        for a, traj in zip(positions, sampled):
-            trajectories[a] = traj
-    return trajectories
+    starts = [start + states[g].elapsed for g in chunk]
+    horizons = [states[g].horizon for g in chunk]
+    counts = [states[g].n_segments for g in chunk]
+    rngs = [states[g].rng for g in chunk]
+    batch_sampler = getattr(interference, "sample_trajectories", None)
+    if batch_sampler is not None:
+        return batch_sampler(starts, horizons, counts, rngs)
+    return [
+        interference.sample_trajectory(t0, horizon, n_segments, rng)
+        for t0, horizon, n_segments, rng in zip(starts, horizons, counts, rngs)
+    ]
 
 
 # Segment block length of the stacked scan.  Games leave the computation as
@@ -426,7 +285,14 @@ def _sample_chunk_trajectories(
 _SEGMENT_BLOCK = 32
 
 
-def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
+def _simulate_attempt(
+    chunk: List[int],
+    states: List[_GameState],
+    interference: InterferenceProcess,
+    start: float,
+    dev: Optional[float],
+    min_work: float,
+) -> List[int]:
     """Advance every game of ``chunk`` by one horizon; return the unfinished."""
     n_games = len(chunk)
     seg_max = max(states[g].n_segments for g in chunk)
@@ -437,26 +303,21 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
         states[g].n_segments != seg_max or states[g].k != p_max for g in chunk
     )
 
-    levels = xp.zeros((n_games, seg_max))
-    t_true = xp.ones((n_games, p_max))
-    sens = xp.zeros((n_games, p_max))
-    unfairness = xp.zeros((n_games, p_max))
-    carry = xp.zeros((n_games, p_max))  # work done up to the current block
-    shared = xp.empty(n_games)
-    dt = xp.empty(n_games)
-    k_arr = xp.empty(n_games, dtype=np.int64)
-    # Per-row early-termination thresholds: ``inf`` disables the trigger for
-    # a row (``gap > inf`` is never true), so a chunk can mix rounds with and
-    # without early termination without changing either's results.
-    devs = xp.empty(n_games)
-    min_works = xp.empty(n_games)
+    levels = np.zeros((n_games, seg_max))
+    t_true = np.ones((n_games, p_max))
+    sens = np.zeros((n_games, p_max))
+    unfairness = np.zeros((n_games, p_max))
+    carry = np.zeros((n_games, p_max))  # work done up to the current block
+    shared = np.empty(n_games)
+    dt = np.empty(n_games)
+    k_arr = np.empty(n_games, dtype=np.int64)
     if padded:
-        mask_p = xp.zeros((n_games, p_max), dtype=bool)
-        mask_s = xp.zeros((n_games, seg_max), dtype=bool)
+        mask_p = np.zeros((n_games, p_max), dtype=bool)
+        mask_s = np.zeros((n_games, seg_max), dtype=bool)
 
-    # Per-game trajectory draws (batched per interference process); everything
-    # after is a stacked computation over the whole chunk.
-    trajectories = _sample_chunk_trajectories(chunk, states)
+    # Per-game trajectory draws; everything after is a stacked computation
+    # over the whole chunk.
+    trajectories = _sample_trajectories(chunk, states, interference, start)
     for a, g in enumerate(chunk):
         st = states[g]
         traj = trajectories[a]
@@ -469,14 +330,12 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
         shared[a] = st.shared
         dt[a] = st.dt
         k_arr[a] = st.k
-        devs[a] = st.dev
-        min_works[a] = st.min_work
         if padded:
             mask_p[a, : st.k] = True
             mask_s[a, : st.n_segments] = True
 
     levels += shared[:, None]  # level + co-location contention, per segment
-    early_any = bool((devs < np.inf).any()) and p_max >= 2
+    early_on = dev is not None and p_max >= 2
 
     # Scan the horizon in segment blocks.  A game whose stop segment falls
     # inside a block is finalised and leaves the scan, so later blocks only
@@ -485,12 +344,12 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
     # lazy drawing yields the same numbers as drawing the whole horizon
     # upfront; the undrawn tail of a stopped game's dedicated stream is
     # simply never consumed.
-    rows = xp.arange(n_games)
+    rows = np.arange(n_games)
     unfinished: List[int] = []
     for b0 in range(0, seg_max, _SEGMENT_BLOCK):
         b1 = min(b0 + _SEGMENT_BLOCK, seg_max)
         # Per-player scheduling jitter of the block, drawn per running game.
-        w = xp.zeros((rows.size, b1 - b0, p_max))
+        w = np.zeros((rows.size, b1 - b0, p_max))
         for r, a in enumerate(rows):
             st = states[chunk[int(a)]]
             hi = min(b1, st.n_segments)
@@ -507,40 +366,34 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
         # Nothing in a shared VM runs faster than on dedicated hardware:
         # lucky jitter/unfairness can only claw back toward the noise-free
         # rate, never beyond it.
-        xp.maximum(w, 1.0, out=w)
+        np.maximum(w, 1.0, out=w)
         w *= t_true[rows][:, None, :]
-        xp.reciprocal(w, out=w)       # rates: work fraction per second
+        np.reciprocal(w, out=w)       # rates: work fraction per second
         w *= dt[rows][:, None, None]  # work fraction per segment
         if padded:
             w *= mask_p[rows][:, None, :]
             w *= mask_s[rows, b0:b1][:, :, None]
-        cum = xp.cumsum(w, axis=1)
+        cum = np.cumsum(w, axis=1)
         cum += carry[rows][:, None, :]
 
         k_rows = k_arr[rows]
-        trig_any = xp.zeros(rows.size, dtype=bool)
-        trig_first = xp.zeros(rows.size, dtype=np.int64)
-        if early_any:
-            # The top-2 partition's ``best`` selects the same element as a
-            # plain ``max(axis=2)``, so rows whose threshold is ``inf`` (no
-            # early termination) still finish on exactly the same segment as
-            # they would on the max-only path below.
-            view = xp.where(mask_p[rows][:, None, :], cum, -np.inf) if padded else cum
-            top2 = xp.partition(view, p_max - 2, axis=2)[:, :, p_max - 2:]
+        trig_any = np.zeros(rows.size, dtype=bool)
+        trig_first = np.zeros(rows.size, dtype=np.int64)
+        if early_on:
+            view = np.where(mask_p[rows][:, None, :], cum, -np.inf) if padded else cum
+            top2 = np.partition(view, p_max - 2, axis=2)[:, :, p_max - 2:]
             best, second = top2[:, :, 1], top2[:, :, 0]
-            gap = (best - second) / xp.maximum(best, 1e-12)
-            triggered = (best >= min_works[rows][:, None]) & (
-                gap > devs[rows][:, None]
-            )
+            gap = (best - second) / np.maximum(best, 1e-12)
+            triggered = (best >= min_work) & (gap > dev)
             if padded:
                 triggered &= mask_s[rows, b0:b1]
-            if xp.any(k_rows < 2):
+            if np.any(k_rows < 2):
                 triggered &= (k_rows >= 2)[:, None]
             trig_any = triggered.any(axis=1)
             trig_first = triggered.argmax(axis=1)
         else:
             best = (
-                xp.where(mask_p[rows][:, None, :], cum, -np.inf) if padded else cum
+                np.where(mask_p[rows][:, None, :], cum, -np.inf) if padded else cum
             ).max(axis=2)
 
         # A frozen padded tail can never newly cross 1.0, so the first
@@ -549,7 +402,7 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
         done_any = done.any(axis=1)
         done_first = done.argmax(axis=1)
 
-        for r in xp.nonzero(trig_any | done_any)[0]:
+        for r in np.nonzero(trig_any | done_any)[0]:
             st = states[chunk[int(rows[r])]]
             stop_local: Optional[int] = None
             early = finished = False
@@ -565,7 +418,7 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
             prev = cum[r, stop_local - 1, : st.k] if stop_local > 0 else st.work
             step = w[r, stop_local, : st.k]  # work done in the stop segment
             if finished:
-                leader = int(xp.argmax(cum[r, stop_local, : st.k]))
+                leader = int(np.argmax(cum[r, stop_local, : st.k]))
                 need = 1.0 - prev[leader]
                 frac = float(np.clip(need / step[leader], 0.0, 1.0))
             else:
@@ -582,7 +435,7 @@ def _simulate_attempt(chunk: List[int], states: List[_GameState]) -> List[int]:
         # only read at block starts, so carry is the single source of truth
         # between blocks.)
         carry[rows[still]] = cum[still, -1, :]
-        for r in xp.nonzero(still)[0]:
+        for r in np.nonzero(still)[0]:
             a = int(rows[r])
             states[chunk[a]].work = carry[a, : k_arr[a]]
         rows = rows[still]

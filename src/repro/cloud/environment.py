@@ -204,7 +204,7 @@ class CloudEnvironment:
         """Run one *round* of co-located games, one parallel VM per game.
 
         All games start at the current simulated time and are simulated as
-        one stacked tensor computation (see
+        one batched tensor computation (see
         :func:`repro.cloud.colocation.simulate_colocated_batch`).  Each game
         draws from its own child generator spawned off the run stream and
         keyed by its position in ``games``, so a round is seed-deterministic

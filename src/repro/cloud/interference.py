@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 
-import repro.xp as xp
 from repro.cloud.vm import InterferenceProfile
 from repro.errors import CloudError
 from repro.rng import SeedLike, child, ensure_rng
@@ -52,15 +51,12 @@ def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
 
     ``rho`` must lie in ``[0, 1]`` (our decay/correlation coefficients
     always do); negative coefficients are rejected.
-
-    The scan runs on :mod:`repro.xp` (numpy unless an accelerator backend is
-    active), since it sits under every trajectory and walk-table draw.
     """
     if not 0.0 <= rho <= 1.0:
         raise CloudError(f"ar1_scan requires rho in [0, 1], got {rho}")
-    eps = xp.asarray(innovations, dtype=float)
+    eps = np.asarray(innovations, dtype=float)
     n = eps.size
-    out = xp.empty(n)
+    out = np.empty(n)
     if n == 0:
         return out
     if rho == 0.0:
@@ -73,8 +69,8 @@ def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
     pos = 0
     while pos < n:
         m = min(chunk, n - pos)
-        powers = rho ** xp.arange(1, m + 1)
-        seg = powers * (state + xp.cumsum(eps[pos:pos + m] / powers))
+        powers = rho ** np.arange(1, m + 1)
+        seg = powers * (state + np.cumsum(eps[pos:pos + m] / powers))
         out[pos:pos + m] = seg
         state = float(seg[-1])
         pos += m

@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.xp as xp
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
@@ -157,12 +156,11 @@ class MatchExecutor:
         if winner_pos is None:
             winner_pos = report.winner_position
         # The round already computed scores as an ndarray; sorting it directly
-        # skips the tuple->array re-copy this used to pay on every game, which
-        # multiplies under the stacked executor.
+        # skips a tuple->array re-copy on every game.
         scores = report.scores
         if scores is None:
             scores = np.asarray(report.execution_scores)
-        order = xp.argsort(-scores, kind="stable").tolist()
+        order = np.argsort(-scores, kind="stable").tolist()
         ranking = (winner_pos,) + tuple(i for i in order if i != winner_pos)
         return RecordedMatch(players=report.indices, ranking=ranking)
 

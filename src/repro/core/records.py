@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-import repro.xp as xp
 from repro.analysis.stats import rank_with_ties
 from repro.errors import TournamentError
 
@@ -111,9 +110,9 @@ class RecordBook:
         self._records: Dict[int, PlayerRecord] = {}
         self._slots: Dict[int, int] = {}
         cap = self._INITIAL_CAPACITY
-        self._score_sums = xp.zeros(cap)
-        self._rank_sums = xp.zeros(cap)
-        self._games = xp.zeros(cap, dtype=np.int64)
+        self._score_sums = np.zeros(cap)
+        self._rank_sums = np.zeros(cap)
+        self._games = np.zeros(cap, dtype=np.int64)
         self._total_evaluations = 0
 
     def __len__(self) -> int:
@@ -126,7 +125,7 @@ class RecordBook:
         cap = 2 * len(self._score_sums)
         for name in ("_score_sums", "_rank_sums", "_games"):
             old = getattr(self, name)
-            new = xp.zeros(cap, dtype=old.dtype)
+            new = np.zeros(cap, dtype=old.dtype)
             new[: len(old)] = old
             setattr(self, name, new)
 
@@ -192,9 +191,9 @@ class RecordBook:
         slot_arr = np.fromiter(
             map(slots.__getitem__, keys), dtype=np.int64, count=len(keys)
         )
-        xp.add.at(self._score_sums, slot_arr, scores)
-        xp.add.at(self._rank_sums, slot_arr, inverse)
-        xp.add.at(self._games, slot_arr, 1)
+        np.add.at(self._score_sums, slot_arr, scores)
+        np.add.at(self._rank_sums, slot_arr, inverse)
+        np.add.at(self._games, slot_arr, 1)
         records[keys[winner_pos]].wins += 1
         self._total_evaluations += len(keys)
         return winner_pos
@@ -223,11 +222,11 @@ class RecordBook:
 
     def mean_execution_scores(self, indices: Sequence[int]) -> np.ndarray:
         slots = self._gather_slots(indices)
-        return self._score_sums[slots] / xp.maximum(self._games[slots], 1)
+        return self._score_sums[slots] / np.maximum(self._games[slots], 1)
 
     def consistency_scores(self, indices: Sequence[int]) -> np.ndarray:
         slots = self._gather_slots(indices)
-        return self._rank_sums[slots] / xp.maximum(self._games[slots], 1)
+        return self._rank_sums[slots] / np.maximum(self._games[slots], 1)
 
     def combined_rank_order(
         self,

@@ -49,7 +49,7 @@ PathLike = Union[str, Path]
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: Store filename extension per backend (``None`` backend → jsonl).
-_BACKEND_EXT = {None: "jsonl", "jsonl": "jsonl", "sharded": "d", "sqlite": "sqlite"}
+_BACKEND_EXT = {None: "jsonl", "jsonl": "jsonl", "sqlite": "sqlite"}
 
 
 def validate_tenant(tenant: str) -> str:
@@ -234,11 +234,7 @@ class JobManager:
             handle = api.JobHandle(
                 grid=grid,
                 options=options,
-                store=api.open_store(
-                    store_path,
-                    backend=options.store_backend,
-                    shards=options.shards,
-                ),
+                store=api.open_store(store_path, backend=options.store_backend),
                 job_id=job_id,
             )
             job = ServiceJob(

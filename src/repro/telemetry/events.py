@@ -48,8 +48,7 @@ EVENT_KIND = "telemetry"
 TYPE_SPAN = "span"
 TYPE_COUNTER = "counter"
 TYPE_GAUGE = "gauge"
-TYPE_HISTOGRAM = "histogram"
-EVENT_TYPES = (TYPE_SPAN, TYPE_COUNTER, TYPE_GAUGE, TYPE_HISTOGRAM)
+EVENT_TYPES = (TYPE_SPAN, TYPE_COUNTER, TYPE_GAUGE)
 
 
 def telemetry_path_for(store_path: PathLike) -> Path:
@@ -57,8 +56,7 @@ def telemetry_path_for(store_path: PathLike) -> Path:
 
     The sibling of :func:`repro.campaigns.dispatch.ledger_path_for` — one
     store, one family of sidecars.  Legacy helper: consumers that know
-    their store should ask it via ``store.sidecar_path(SIDECAR_TELEMETRY)``,
-    which directory backends resolve inside the store tree instead.
+    their store should ask it via ``store.sidecar_path(SIDECAR_TELEMETRY)``.
     """
     store_path = Path(store_path)
     return store_path.with_name(store_path.name + ".telemetry")
@@ -280,18 +278,6 @@ def gauge(name: str, value: float, **kwargs: object) -> None:
     if not _EMITTER.enabled:
         return
     emit_event(name, type=TYPE_GAUGE, value=value, **kwargs)  # type: ignore[arg-type]
-
-
-def histogram(name: str, value: float, **kwargs: object) -> None:
-    """Emit one histogram observation (no-op while disabled).
-
-    Unlike a span — whose value is always elapsed seconds — a histogram
-    observes an arbitrary distribution (e.g. ``stack.width``: how many
-    campaign rounds each fused simulation pass carried).
-    """
-    if not _EMITTER.enabled:
-        return
-    emit_event(name, type=TYPE_HISTOGRAM, value=value, **kwargs)  # type: ignore[arg-type]
 
 
 @contextmanager

@@ -11,10 +11,7 @@ so the mapping from events to metrics lives in exactly one place,
 * ``counter`` events add their value to a counter of the same name;
 * ``gauge`` events set a gauge of the same name;
 * ``span`` events observe their duration into a ``<name>_seconds``
-  histogram (count / sum / min / max / log-spaced buckets);
-* ``histogram`` events observe their value into a histogram of the same
-  name (no unit suffix — e.g. ``stack_width``, the fused-round width
-  distribution of a stacked sweep).
+  histogram (count / sum / min / max / log-spaced buckets).
 
 Dumps use the Prometheus text exposition format (``# TYPE`` comments, one
 ``name value`` sample per line, ``{label="..."}`` selectors), so the output
@@ -181,13 +178,6 @@ class MetricsRegistry:
         metric_name = name.replace(".", "_")
         if event_type == "span":
             key = (metric_name + "_seconds", labels)
-            if key not in self._histograms:
-                self._histograms[key] = Histogram()
-            self._histograms[key].observe(value)
-        elif event_type == "histogram":
-            # Plain-value distributions (e.g. ``stack_width``): no unit
-            # suffix — the value is whatever the event observed, not time.
-            key = (metric_name, labels)
             if key not in self._histograms:
                 self._histograms[key] = Histogram()
             self._histograms[key].observe(value)

@@ -76,8 +76,6 @@ class StatusSnapshot:
     last_event_age: Optional[float]
     telemetry_events: int
     running_ids: List[str] = field(default_factory=list)
-    stacked_rounds: int = 0
-    stack_width_mean: Optional[float] = None
 
     @property
     def finished(self) -> int:
@@ -109,11 +107,6 @@ class StatusSnapshot:
                 if self.last_event_age is not None else None
             ),
             "telemetry_events": self.telemetry_events,
-            "stacked_rounds": self.stacked_rounds,
-            "stack_width_mean": (
-                round(self.stack_width_mean, 2)
-                if self.stack_width_mean is not None else None
-            ),
         }
 
 
@@ -133,8 +126,8 @@ def snapshot(store_path: PathLike, *, now: Optional[float] = None) -> StatusSnap
 
     now = time.time() if now is None else now
     # The backend is sniffed from disk, so `repro status` works unchanged
-    # on a JSONL file, a sharded directory, or a SQLite store — and asks
-    # the backend where its ledger/telemetry sidecars live.
+    # on a JSONL file or a SQLite store — and asks the backend where its
+    # ledger/telemetry sidecars live.
     store = open_store(store_path)
     grid, records = store.load()
 
@@ -186,19 +179,10 @@ def snapshot(store_path: PathLike, *, now: Optional[float] = None) -> StatusSnap
     # (jobs=1) sweep journals no ledger, but its campaign.* events carry
     # the same pace signal.
     telemetry_events = 0
-    stacked_rounds = 0
-    stack_width_sum = 0.0
     for payload in iter_jsonl_payloads(store.sidecar_path(SIDECAR_TELEMETRY)):
         if payload.get("kind") != "telemetry":
             continue
         telemetry_events += 1
-        name = str(payload.get("name", ""))
-        # Fusion accounting of stacked sweeps (`--exec-mode stacked`): how
-        # many fused rounds ran and how wide they were on average.
-        if name == "stacked.rounds":
-            stacked_rounds += int(payload.get("value", 1))
-        elif name == "stack.width":
-            stack_width_sum += float(payload.get("value", 0.0))
         wall = payload.get("wall")
         if isinstance(wall, (int, float)):
             last_wall = wall if last_wall is None else max(last_wall, wall)
@@ -236,10 +220,6 @@ def snapshot(store_path: PathLike, *, now: Optional[float] = None) -> StatusSnap
         last_event_age=(now - last_wall) if last_wall is not None else None,
         telemetry_events=telemetry_events,
         running_ids=sorted(running_ids),
-        stacked_rounds=stacked_rounds,
-        stack_width_mean=(
-            stack_width_sum / stacked_rounds if stacked_rounds else None
-        ),
     )
 
 
@@ -287,11 +267,6 @@ def render_status(snap: StatusSnapshot) -> str:
         detail += f", last event {_duration(snap.last_event_age)} ago"
     detail += f", telemetry events {snap.telemetry_events}"
     lines.append(detail)
-    if snap.stacked_rounds:
-        lines.append(
-            f"stacked: {snap.stacked_rounds} fused rounds, "
-            f"mean width {snap.stack_width_mean:.1f}"
-        )
     if snap.running_ids:
         shown = ", ".join(snap.running_ids[:4])
         if len(snap.running_ids) > 4:

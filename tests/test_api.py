@@ -175,8 +175,14 @@ class TestWireFormat:
         merged = api.options_from_payload({"jobs": 2}, defaults=defaults)
         assert merged.jobs == 2 and merged.telemetry is True
 
-    def test_options_payload_cannot_name_a_store(self):
-        with pytest.raises(api.SchemaError, match="unknown key"):
-            api.validate_payload(
-                {"store": "evil.jsonl"}, api.OPTIONS_SCHEMA
-            )
+    @pytest.mark.parametrize("payload, named", [
+        ({"store": "evil.jsonl"}, r"unknown key\(s\) \['store'\]"),
+        ({"exec_mode": "stacked"}, r"unknown key\(s\) \['exec_mode'\]"),
+        ({"shards": 4}, r"unknown key\(s\) \['shards'\]"),
+        ({"store_backend": "sharded"}, r"\$\.store_backend: 'sharded'"),
+    ], ids=["store", "exec_mode", "shards", "store_backend"])
+    def test_options_payload_cannot_name_a_store(self, payload, named):
+        """No wire option places a store, or selects a removed executor or
+        store backend."""
+        with pytest.raises(api.SchemaError, match=named):
+            api.validate_payload(payload, api.OPTIONS_SCHEMA)

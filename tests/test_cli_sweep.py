@@ -306,3 +306,32 @@ class TestCacheCli:
             "--cache-dir", self._dir(tmp_path),
         ]) == 0
         assert "executed 1, skipped 1" in capsys.readouterr().out
+
+
+class TestUnopenableStore:
+    """A store the CLI cannot open is one error line and exit 2."""
+
+    @pytest.fixture(params=["garbage-sqlite", "directory"])
+    def bad_store(self, request, tmp_path):
+        if request.param == "directory":
+            path = tmp_path / "sweep.d"
+            path.mkdir()
+            (path / "grid.jsonl").write_text("")
+        else:
+            path = tmp_path / "broken.sqlite"
+            path.write_bytes(b"SQLite format 3\x00 but then nonsense")
+        return path
+
+    @pytest.mark.parametrize(
+        "command", [["status"], ["report"], ["store", "info"], ["resume"]],
+        ids=["status", "report", "store-info", "resume"],
+    )
+    def test_one_line_and_exit_two(self, bad_store, command, capsys):
+        assert main(command + [str(bad_store)]) == 2
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert "Traceback" not in output
+        lines = output.strip().splitlines()
+        assert len(lines) == 1 and str(bad_store) in lines[0]
+        if bad_store.is_dir():
+            assert "awk 1 " in lines[0]

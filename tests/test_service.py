@@ -231,6 +231,13 @@ class TestErrors:
             tenant="alice",
         )
         assert status == 400 and "store" in body["error"]
+        # The removed executor option is an unknown key like any other.
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps",
+            {"grid": GRID, "options": {"exec_mode": "stacked"}},
+            tenant="alice",
+        )
+        assert status == 400 and "exec_mode" in body["error"]
 
 
 class TestQuota:

@@ -1,16 +1,16 @@
 """Cross-backend ``ResultStore`` contract: every backend, one behaviour.
 
-The backends differ in *where* bytes live (one JSONL file, a sharded
-directory, a SQLite table) — never in what a consumer observes.  These
-tests pin that: the parametrised contract class runs every store through
-the same appends, sweeps (serial, parallel, chaos-injected), and reads,
-and asserts identical stable payloads; migration round-trips across all
-three backends losslessly; and each backend's crash/race edge cases
-(torn lines, duplicate headers, racing header writers) degrade the same
-way.
+The backends differ in *where* bytes live (one JSONL file, a SQLite
+table) — never in what a consumer observes.  These tests pin that: the
+parametrised contract class runs every store through the same appends,
+sweeps (serial, parallel, chaos-injected), and reads, and asserts
+identical stable payloads; migration round-trips between the backends
+losslessly; and each backend's crash/race edge cases (torn lines,
+duplicate headers, racing header writers) degrade the same way.
 """
 
 import json
+import subprocess
 import threading
 
 import pytest
@@ -29,8 +29,6 @@ from repro.campaigns.store import (
     BACKEND_NAMES,
     SIDECAR_LEDGER,
     SIDECAR_TELEMETRY,
-    DEFAULT_SHARDS,
-    ShardedStore,
     SqliteStore,
 )
 from repro.errors import ReproError
@@ -39,7 +37,7 @@ from repro.faults import FaultPlan
 #: One store path convention per backend, matching the factory's fresh-path
 #: suffix sniffing — opening these with backend=None must pick the backend
 #: the test built them with.
-_PATHS = {"jsonl": "s.jsonl", "sharded": "s.d", "sqlite": "s.sqlite"}
+_PATHS = {"jsonl": "s.jsonl", "sqlite": "s.sqlite"}
 
 
 def _make(tmp_path, backend):
@@ -186,12 +184,9 @@ class TestContract:
             store.append(record)
         store.close()
         if backend == "jsonl":
+            # Cut inside a multi-byte UTF-8 character, the worst tear.
             with open(store.path, "ab") as handle:
-                handle.write(b'{"kind": "campaign_record", "status')
-        elif backend == "sharded":
-            for shard in store.shard_paths():
-                with open(shard, "ab") as handle:
-                    handle.write(b'{"kind": "campaign_rec\xc3')
+                handle.write(b'{"kind": "campaign_record", "status\xc3')
         else:
             return  # SQLite: a torn transaction rolls back; nothing to tear
         fresh = open_store(store.path)
@@ -202,15 +197,13 @@ class TestMigration:
     def test_round_trip_through_every_backend(
         self, tmp_path, small_grid, serial_records
     ):
-        """jsonl -> sharded -> sqlite -> jsonl, losslessly, header included."""
+        """jsonl -> sqlite -> jsonl, losslessly, header included."""
         origin = _make(tmp_path, "jsonl")
         origin.write_grid(small_grid)
         for record in serial_records:
             origin.append(record)
         chain = [origin]
-        for backend, name in (
-            ("sharded", "hop.d"), ("sqlite", "hop.sqlite"), ("jsonl", "hop.jsonl"),
-        ):
+        for backend, name in (("sqlite", "hop.sqlite"), ("jsonl", "hop.jsonl")):
             destination = open_store(tmp_path / name, backend=backend)
             copied = migrate_store(chain[-1], destination)
             assert copied == len(serial_records)
@@ -259,7 +252,7 @@ class TestSniffing:
     def test_fresh_paths_sniff_by_suffix(self, tmp_path):
         assert sniff_backend(tmp_path / "new.jsonl") == "jsonl"
         assert sniff_backend(tmp_path / "new.txt") == "jsonl"
-        assert sniff_backend(tmp_path / "new.d") == "sharded"
+        assert sniff_backend(tmp_path / "new.d") == "jsonl"
         assert sniff_backend(tmp_path / "new.sqlite") == "sqlite"
         assert sniff_backend(tmp_path / "new.sqlite3") == "sqlite"
         assert sniff_backend(tmp_path / "new.db") == "sqlite"
@@ -285,51 +278,53 @@ class TestSniffing:
             open_store(path).records()
 
 
-class TestShardedStore:
-    def test_routing_is_stable_and_pinned(self, tmp_path, serial_records):
-        store = ShardedStore(tmp_path / "s.d", shards=4)
+class TestRemovedShardedLayout:
+    def test_directory_converts_with_the_command_the_error_names(
+        self, tmp_path, small_grid, serial_records
+    ):
+        """A directory store of the removed sharded backend is refused with
+        one line whose command rebuilds it as an equivalent JSONL store."""
+        reference = CampaignStore(tmp_path / "reference.jsonl")
+        reference.write_grid(small_grid)
         for record in serial_records:
-            store.append(record)
-        assert store.shards == 4
-        # Reopening with a different count adopts the pinned meta.json one.
-        reopened = ShardedStore(tmp_path / "s.d", shards=16)
-        assert reopened.shards == 4
-        for record in serial_records:
-            index = reopened.shard_index(record.campaign_id)
-            assert index == store.shard_index(record.campaign_id)
-            assert record.campaign_id in reopened.shard_path(index).read_text()
+            reference.append(record)
+        header, *lines = reference.path.read_text().splitlines()
 
-    def test_default_shard_count(self, tmp_path, serial_records):
-        store = ShardedStore(tmp_path / "s.d")
-        store.append(serial_records[0])
-        assert store.shards == DEFAULT_SHARDS
+        # The on-disk layout that backend wrote: the grid header alone in
+        # grid.jsonl, records spread over shard files — every shard here
+        # ending in a tail torn inside a multi-byte UTF-8 character.
+        old = tmp_path / "sweep.d"
+        old.mkdir()
+        (old / "meta.json").write_text('{"kind": "sharded_store"}\n')
+        (old / "grid.jsonl").write_text(header + "\n")
+        for index in range(2):
+            shard_lines = "".join(line + "\n" for line in lines[index::2])
+            (old / f"shard-{index:02d}.jsonl").write_bytes(
+                shard_lines.encode("utf-8") + b'{"kind": "campaign_rec\xc3'
+            )
 
-    def test_bad_shard_count_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="shards"):
-            ShardedStore(tmp_path / "s.d", shards=0)
+        with pytest.raises(ReproError) as refused:
+            open_store(old)
+        message = str(refused.value)
+        assert "\n" not in message
+        assert str(old) in message and "sharded" in message
+        command = message.split("with: ", 1)[1]
+        assert command.startswith("awk 1 ")
+        subprocess.run(command, shell=True, check=True, cwd=tmp_path)
 
-    def test_readable_without_meta(self, tmp_path, serial_records):
-        """Losing meta.json degrades routing, never the read view."""
-        store = ShardedStore(tmp_path / "s.d", shards=4)
-        for record in serial_records:
-            store.append(record)
-        (store.path / "meta.json").unlink()
-        fresh = open_store(store.path)
-        assert _full(fresh.records()) == _full(serial_records)
+        converted = open_store(tmp_path / "sweep.jsonl")
+        assert converted.backend == "jsonl"
+        assert converted.read_grid() == small_grid
+        assert _full(converted.records()) == _full(serial_records)
 
-    def test_sidecars_live_inside_the_tree(self, tmp_path):
-        store = ShardedStore(tmp_path / "s.d")
-        assert store.sidecar_path(SIDECAR_LEDGER) == store.path / "ledger"
-        assert store.sidecar_path(SIDECAR_TELEMETRY) == store.path / "telemetry"
 
+class TestEdgeCases:
     def test_file_backends_keep_sibling_sidecars(self, tmp_path):
         store = CampaignStore(tmp_path / "s.jsonl")
         assert store.sidecar_path(SIDECAR_LEDGER).name == "s.jsonl.ledger"
         sq = SqliteStore(tmp_path / "s.sqlite")
         assert sq.sidecar_path(SIDECAR_TELEMETRY).name == "s.sqlite.telemetry"
 
-
-class TestEdgeCases:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_store_path_without_parent_dir(
         self, tmp_path, backend, serial_records
@@ -368,14 +363,13 @@ class TestEdgeCases:
 
 
 class TestHeaderRace:
-    @pytest.mark.parametrize("backend", ("jsonl", "sharded"))
-    def test_racing_writers_record_one_header(self, tmp_path, backend, small_grid):
+    def test_racing_writers_record_one_header(self, tmp_path, small_grid):
         """N threads race write_grid on a fresh store; exactly one line wins."""
-        path = tmp_path / _PATHS[backend]
+        path = tmp_path / _PATHS["jsonl"]
         barrier = threading.Barrier(8)
 
         def writer():
-            store = open_store(path, backend=backend)
+            store = open_store(path, backend="jsonl")
             barrier.wait()
             store.write_grid(small_grid)
 
@@ -384,10 +378,7 @@ class TestHeaderRace:
             thread.start()
         for thread in threads:
             thread.join()
-        header_file = path if backend == "jsonl" else path / "grid.jsonl"
-        lines = [
-            line for line in header_file.read_text().splitlines() if line.strip()
-        ]
+        lines = [line for line in path.read_text().splitlines() if line.strip()]
         assert len(lines) == 1
         assert open_store(path).read_grid() == small_grid
 
