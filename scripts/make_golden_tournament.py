@@ -24,22 +24,25 @@ from repro.core.tournament import DarwinGame
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-#: The snapshot workloads: app x (config seed, env seed) at test scale.
+#: The snapshot workloads: app x scale x (config seed, env seed).  The
+#: bench-scale redis run is the ROADMAP's performance baseline (3,491 games,
+#: 111,522 evaluations), so its bookkeeping is pinned at full size.
 WORKLOADS = (
-    ("redis", 1, 7),
-    ("lammps", 1, 7),
+    ("redis", "test", 1, 7),
+    ("lammps", "test", 1, 7),
+    ("redis", "bench", 1, 7),
 )
 
 
-def snapshot(app_name: str, config_seed: int, env_seed: int) -> dict:
-    app = make_application(app_name, scale="test")
+def snapshot(app_name: str, scale: str, config_seed: int, env_seed: int) -> dict:
+    app = make_application(app_name, scale=scale)
     env = CloudEnvironment(VMSpec.preset("m5.8xlarge"), seed=env_seed)
     result = DarwinGame(DarwinGameConfig(seed=config_seed)).tune(app, env)
     # JSON floats round-trip exactly (repr is the shortest exact form), so a
     # plain dump is a bit-exact record of result and ledger alike.
     return {
         "app": app_name,
-        "scale": "test",
+        "scale": scale,
         "config_seed": config_seed,
         "env_seed": env_seed,
         "vm": "m5.8xlarge",
@@ -63,9 +66,9 @@ def snapshot(app_name: str, config_seed: int, env_seed: int) -> dict:
 
 def main() -> None:
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    for app_name, config_seed, env_seed in WORKLOADS:
-        path = OUT_DIR / f"tournament_{app_name}_test.json"
-        payload = snapshot(app_name, config_seed, env_seed)
+    for app_name, scale, config_seed, env_seed in WORKLOADS:
+        path = OUT_DIR / f"tournament_{app_name}_{scale}.json"
+        payload = snapshot(app_name, scale, config_seed, env_seed)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} (best_index={payload['result']['best_index']})")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import mannwhitneyu
 
 from repro.errors import ReproError
 from repro.rng import SeedLike, ensure_rng
@@ -58,6 +57,9 @@ def mann_whitney(a, b, *, alpha: float = 0.05) -> ComparisonResult:
         a, b: samples (e.g. per-repeat execution times of two strategies).
         alpha: significance level for the ``significant`` flag.
     """
+    # Lazy: scipy.stats is slow to import and no engine path calls this.
+    from scipy.stats import mannwhitneyu
+
     x, y = _validate(a, b)
     if np.all(x == x[0]) and np.all(y == y[0]) and x[0] == y[0]:
         # Degenerate identical-constant samples: no evidence either way.

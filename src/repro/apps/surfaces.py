@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 import numpy as np
+# Eager: forked --jobs and serve workers inherit it; lazily, each pays ~0.35 s.
 from scipy.special import ndtri
 
 from repro.errors import CalibrationError, SpaceError

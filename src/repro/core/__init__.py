@@ -11,7 +11,7 @@ from repro.core.game import (
     play_game,
     play_round,
 )
-from repro.core.records import PlayerRecord, RecordBook
+from repro.core.records import RecordBook
 from repro.core.swiss import RegionalResult, SwissRegionalPhase
 from repro.core.tournament import DarwinGame
 from repro.core.trace import format_tournament_report
@@ -29,7 +29,6 @@ __all__ = [
     "GameReport",
     "GlobalResult",
     "MatchExecutor",
-    "PlayerRecord",
     "PlayoffResult",
     "RecordBook",
     "RegionalResult",

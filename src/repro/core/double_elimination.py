@@ -18,7 +18,7 @@ into the playoffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,22 +76,30 @@ class DoubleEliminationGlobalPhase:
         configured = cfg.players_per_game or min(32, self.env.vm.vcpus)
         return max(2, min(configured, self.env.vm.vcpus))
 
+    def _region_of(self, players: Sequence[int]) -> Callable[[int], int]:
+        """Source-region lookup for ``players``, read from the book at once.
+
+        Regions are assigned in the regional phase only, so one gather
+        serves every grouping of this phase.
+        """
+        players = list(players)
+        return dict(zip(players, self.records.region_ids(players).tolist())).__getitem__
+
     def _form_groups(
         self, players: Sequence[int], n_games: int, rng: np.random.Generator
     ) -> List[List[int]]:
         """Deal players into region-diverse groups (the scheduler's rule)."""
         return form_groups(
-            players, n_games, rng,
-            group_key=lambda p: self.records.get(p).region_id,
+            players, n_games, rng, group_key=self._region_of(players)
         )
 
-    def _format(self) -> GroupedDoubleElimination:
+    def _format(self, entrants: Sequence[int]) -> GroupedDoubleElimination:
         cfg = self.config
         return GroupedDoubleElimination(
             players_per_game=self._players_per_game(),
             target=cfg.main_bracket_target,
             double_elimination=cfg.double_elimination,
-            group_key=lambda p: self.records.get(p).region_id,
+            group_key=self._region_of(entrants),
             seed_order=lambda players: self.records.combined_rank_order(
                 players,
                 use_execution=cfg.use_execution_score,
@@ -132,7 +140,7 @@ class DoubleEliminationGlobalPhase:
         """Play the global phase and return the playoff qualifiers."""
         if not list(entrants):
             raise TournamentError("global phase needs at least one entrant")
-        run = self._format().schedule(entrants, rng)
+        run = self._format(entrants).schedule(entrants, rng)
         while (round_ := run.pairings()) is not None:
             in_groups = run.stage == "groups"
             results, reports = self.executor.play_scheduled(

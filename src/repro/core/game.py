@@ -75,8 +75,9 @@ def play_round(
     """Run one round of co-located games (one parallel VM each), book scores.
 
     The whole round is simulated as a single batched tensor computation
-    (:meth:`~repro.cloud.environment.CloudEnvironment.run_colocated_batch`);
-    scores and records are booked per game in lineup order.  With
+    (:meth:`~repro.cloud.environment.CloudEnvironment.run_colocated_batch`)
+    and booked, games in lineup order, with one
+    :meth:`~repro.core.records.RecordBook.record_round` call.  With
     ``advance_clock`` True the clock advances by the round's longest game.
 
     ``allow_early_termination`` is overridden to False for playoffs and the
@@ -102,20 +103,19 @@ def play_round(
         label=label,
         advance_clock=advance_clock,
     )
-    reports: List[GameReport] = []
-    for players, outcome in zip(validated, outcomes):
-        scores = execution_scores_from_work(outcome.work)
-        winner_pos = records.record_game(players, scores)
-        reports.append(
-            GameReport(
-                indices=tuple(players),
-                execution_scores=tuple(scores.tolist()),
-                winner_position=winner_pos,
-                outcome=outcome,
-                scores=scores,
-            )
+    scores = [execution_scores_from_work(outcome.work) for outcome in outcomes]
+    winners = records.record_round(validated, scores).tolist()
+    return [
+        GameReport(
+            indices=tuple(players),
+            execution_scores=tuple(game_scores.tolist()),
+            winner_position=winner_pos,
+            outcome=outcome,
+            scores=game_scores,
         )
-    return reports
+        for players, outcome, game_scores, winner_pos
+        in zip(validated, outcomes, scores, winners)
+    ]
 
 
 def play_game(

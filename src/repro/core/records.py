@@ -9,224 +9,197 @@ Two scores drive DarwinGame's decisions (Figs. 5 and 7):
   within each game.  High consistency means the configuration performs well
   repeatedly, under different noise and different opponents.
 
-Bookkeeping is incremental: :meth:`RecordBook.record_game` maintains flat
-running-sum arrays, so the vectorised score queries the selection loops
-issue on every draw are O(1) array gathers instead of re-averaging the full
-history, no matter how many games have been played.
+Layout: the book is one table of per-slot arrays — ``region_id``,
+``score_sum`` (summed execution scores), ``rank_sum`` (summed ``1 / rank``),
+``games`` and ``wins`` — plus a dict from configuration index to slot, the
+slot being the order in which the book first saw the player.  Both scores
+are running sums divided by the game count, so every score query is an
+array gather, no matter how many games have been played; no per-game
+history is kept.
+
+Writes come in bulk: :meth:`RecordBook.assign_region` registers a lineup's
+new players in one vectorised write, and :meth:`RecordBook.record_round`
+books a whole round — competition ranks segmented per game, then one
+unbuffered ``np.add.at`` per column, which applies a player's seats in
+lineup order and so accumulates exactly as booking the games one at a time
+(:meth:`RecordBook.record_game`) would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.analysis.stats import rank_with_ties
 from repro.errors import TournamentError
 
-
-class PlayerRecord:
-    """Everything the tournament remembers about one configuration.
-
-    The per-game history lists are the record's only state; the score
-    properties derive from them on read.  (Bulk reads go through the
-    :class:`RecordBook` flat arrays instead — per-record property reads are
-    off the hot path.  A plain ``__slots__`` class, because the tournament
-    creates one record per player it ever touches.)
-    """
-
-    __slots__ = (
-        "index", "region_id", "execution_scores", "inverse_ranks", "wins",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        region_id: int = -1,
-        execution_scores: Optional[List[float]] = None,
-        inverse_ranks: Optional[List[float]] = None,
-        wins: int = 0,
-    ) -> None:
-        self.index = index
-        self.region_id = region_id
-        self.execution_scores = execution_scores if execution_scores is not None else []
-        self.inverse_ranks = inverse_ranks if inverse_ranks is not None else []
-        self.wins = wins
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PlayerRecord(index={self.index!r}, region_id={self.region_id!r}, "
-            f"execution_scores={self.execution_scores!r}, "
-            f"inverse_ranks={self.inverse_ranks!r}, wins={self.wins!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlayerRecord):
-            return NotImplemented
-        return (
-            self.index == other.index
-            and self.region_id == other.region_id
-            and self.execution_scores == other.execution_scores
-            and self.inverse_ranks == other.inverse_ranks
-            and self.wins == other.wins
-        )
-
-    def add_result(self, execution_score: float, inverse_rank: float) -> None:
-        """Book one game's score and inverse rank."""
-        self.execution_scores.append(execution_score)
-        self.inverse_ranks.append(inverse_rank)
-
-    @property
-    def games_played(self) -> int:
-        return len(self.execution_scores)
-
-    @property
-    def mean_execution_score(self) -> float:
-        """Average execution score; 0.0 before the first game."""
-        if not self.execution_scores:
-            return 0.0
-        return sum(self.execution_scores) / len(self.execution_scores)
-
-    @property
-    def consistency_score(self) -> float:
-        """Mean of 1/rank over all games (Fig. 7); 0.0 before the first game."""
-        if not self.inverse_ranks:
-            return 0.0
-        return sum(self.inverse_ranks) / len(self.inverse_ranks)
+#: The per-slot columns: (attribute, dtype, value of a fresh slot).
+_COLUMNS = (
+    ("_region_id", np.int64, -1),
+    ("_score_sum", np.float64, 0.0),
+    ("_rank_sum", np.float64, 0.0),
+    ("_games", np.int64, 0),
+    ("_wins", np.int64, 0),
+)
 
 
 class RecordBook:
-    """Registry of :class:`PlayerRecord` keyed by configuration index.
+    """Scores of every configuration the tournament has touched.
 
-    Beside the per-player records, the book maintains flat score-sum /
-    game-count arrays indexed by insertion slot, which turn
-    :meth:`mean_execution_scores` and :meth:`consistency_scores` into pure
-    array gathers — the hot path of veteran selection and winner banding.
+    A player gets a slot the first time the book sees it — through a region
+    assignment, a booked game or a score query — and an unplayed player
+    reads as region ``-1`` with zero games, wins and scores.
     """
 
     _INITIAL_CAPACITY = 64
 
     def __init__(self) -> None:
-        self._records: Dict[int, PlayerRecord] = {}
         self._slots: Dict[int, int] = {}
-        cap = self._INITIAL_CAPACITY
-        self._score_sums = np.zeros(cap)
-        self._rank_sums = np.zeros(cap)
-        self._games = np.zeros(cap, dtype=np.int64)
+        for name, dtype, fresh in _COLUMNS:
+            setattr(self, name, np.full(self._INITIAL_CAPACITY, fresh, dtype=dtype))
         self._total_evaluations = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._slots)
 
     def __contains__(self, index: int) -> bool:
-        return int(index) in self._records
+        return int(index) in self._slots
 
-    def _grow(self) -> None:
-        cap = 2 * len(self._score_sums)
-        for name in ("_score_sums", "_rank_sums", "_games"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, name, new)
+    # -- slots ---------------------------------------------------------------
 
-    def _slot_of(self, key: int) -> int:
-        """Slot of (creating, like :meth:`get`) the record of ``key``."""
-        slot = self._slots.get(key)
-        if slot is None:
-            self.get(key)
-            slot = self._slots[key]
-        return slot
+    def _register(self, indices: Sequence[int]) -> None:
+        """Give every not-yet-seen index a slot, in first-appearance order."""
+        table = self._slots
+        new = [k for k in dict.fromkeys(map(int, indices)) if k not in table]
+        start = len(table)
+        table.update(zip(new, range(start, start + len(new))))
+        capacity = len(self._games)
+        if len(table) > capacity:
+            while capacity < len(table):
+                capacity *= 2
+            for name, dtype, fresh in _COLUMNS:
+                old = getattr(self, name)
+                grown = np.full(capacity, fresh, dtype=dtype)
+                grown[: len(old)] = old
+                setattr(self, name, grown)
 
-    def get(self, index: int) -> PlayerRecord:
-        """Fetch (creating if needed) the record of a configuration."""
-        key = int(index)
-        record = self._records.get(key)
-        if record is None:
-            record = PlayerRecord(index=key)
-            self._records[key] = record
-            slot = len(self._slots)
-            if slot >= len(self._score_sums):
-                self._grow()
-            self._slots[key] = slot
-        return record
+    def _slots_of(self, indices: Sequence[int]) -> np.ndarray:
+        """Slots of ``indices``, registering any the book has not seen.
 
-    def assign_region(self, index: int, region_id: int) -> None:
-        # Inlined fast path of get(): region assignment fires once for every
-        # player ever drawn into a lineup, which is most of the pool.
-        record = self._records.get(int(index))
-        if record is None:
-            record = self.get(index)
-        record.region_id = region_id
+        Registering may replace the column arrays, so take the slots before
+        indexing a column with them.
+        """
+        table = self._slots
+        try:
+            # C-level gather: the selection loops repeat this for the whole
+            # played list every round, so the per-element cost matters.  No
+            # int() per key — numpy integers hash like the plain-int keys.
+            return np.fromiter(
+                map(table.__getitem__, indices), dtype=np.int64, count=len(indices)
+            )
+        except KeyError:
+            self._register(indices)
+            return self._slots_of(indices)
+
+    # -- writes --------------------------------------------------------------
+
+    def assign_region(self, indices: Sequence[int], region_id: int) -> None:
+        """Record that ``indices`` were drawn from region ``region_id``."""
+        slots = self._slots_of(indices)
+        self._region_id[slots] = region_id
+
+    def record_round(
+        self,
+        lineups: Sequence[Sequence[int]],
+        execution_scores: Sequence[Sequence[float]],
+    ) -> np.ndarray:
+        """Book a round of games; returns each game's winner position.
+
+        The winner of a *game* (before consistency enters the picture) is the
+        player with the highest execution score, the first such seat on a
+        tie.  Ranks are competition ranks within each game (ties share the
+        better rank).
+        """
+        sizes = [len(players) for players in lineups]
+        if sizes != [len(scores) for scores in execution_scores]:
+            raise TournamentError("indices and execution_scores length mismatch")
+        if not sizes:
+            return np.zeros(0, dtype=np.int64)
+        if 0 in sizes:
+            raise TournamentError("cannot record an empty game")
+        scores = np.concatenate(execution_scores, dtype=np.float64)
+        if np.isnan(scores).any():
+            raise TournamentError("a NaN execution score has no rank")
+
+        # Segmented competition ranks: one stable sort by (game, -score);
+        # a tie group restarts at every game boundary and at every change
+        # of score, and a seat's rank is 1 + its group's first position
+        # within the game.
+        seats = scores.size
+        starts = np.zeros(len(sizes), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        game_start = np.repeat(starts, sizes)
+        order = np.lexsort((-scores, np.repeat(np.arange(len(sizes)), sizes)))
+        ordered = scores[order]
+        new_group = np.empty(seats, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+        new_group[starts] = True
+        group_first = np.maximum.accumulate(
+            np.where(new_group, np.arange(seats), 0)
+        )
+        ranks = np.empty(seats, dtype=np.int64)
+        ranks[order] = group_first - game_start + 1
+        winner_seats = order[starts]
+
+        slots = self._slots_of(list(chain.from_iterable(lineups)))
+        # ``np.add.at`` is unbuffered and applies duplicates in positional
+        # order — bit-for-bit the game-by-game accumulation.
+        np.add.at(self._score_sum, slots, scores)
+        np.add.at(self._rank_sum, slots, 1.0 / ranks)
+        np.add.at(self._games, slots, 1)
+        np.add.at(self._wins, slots[winner_seats], 1)
+        self._total_evaluations += seats
+        return winner_seats - starts
 
     def record_game(
         self, indices: Sequence[int], execution_scores: Sequence[float]
     ) -> int:
-        """Book one game's scores and ranks; returns the winner's position.
+        """Book one game's scores and ranks; returns the winner's position."""
+        return int(self.record_round([indices], [execution_scores])[0])
 
-        The winner of a *game* (before consistency enters the picture) is the
-        player with the highest execution score.
-        """
-        if len(indices) != len(execution_scores):
-            raise TournamentError("indices and execution_scores length mismatch")
-        if len(indices) == 0:
-            raise TournamentError("cannot record an empty game")
-        scores = np.asarray(execution_scores, dtype=float)
-        ranks = rank_with_ties(scores, descending=True)
-        winner_pos = int(np.argmax(scores))
-        inverse = 1.0 / np.asarray(ranks, dtype=float)
-        score_list = scores.tolist()
-        inverse_list = inverse.tolist()
-        records = self._records
-        keys = [int(i) for i in indices]
-        for pos, key in enumerate(keys):
-            record = records.get(key)
-            if record is None:
-                record = self.get(key)
-            record.execution_scores.append(score_list[pos])
-            record.inverse_ranks.append(inverse_list[pos])
-        # One scatter-add per flat array instead of three scalar updates per
-        # player.  ``np.add.at`` is unbuffered and applies duplicates in
-        # positional order — bit-for-bit the accumulation the scalar loop did.
-        slots = self._slots
-        slot_arr = np.fromiter(
-            map(slots.__getitem__, keys), dtype=np.int64, count=len(keys)
-        )
-        np.add.at(self._score_sums, slot_arr, scores)
-        np.add.at(self._rank_sums, slot_arr, inverse)
-        np.add.at(self._games, slot_arr, 1)
-        records[keys[winner_pos]].wins += 1
-        self._total_evaluations += len(keys)
-        return winner_pos
+    # -- reads ---------------------------------------------------------------
 
     @property
     def total_evaluations(self) -> int:
         """Application executions paid for (a k-player game counts k)."""
         return self._total_evaluations
 
-    def _gather_slots(self, indices: Sequence[int]) -> np.ndarray:
-        table = self._slots
-        try:
-            # C-level gather: the selection loops re-issue this for the whole
-            # played list every round, so the per-element cost matters.  No
-            # int() per key — numpy integers hash like the plain-int keys.
-            return np.fromiter(
-                map(table.__getitem__, indices),
-                dtype=np.int64,
-                count=len(indices),
-            )
-        except KeyError:
-            # Rare: some records do not exist yet — create them (like get()).
-            return np.array(
-                [self._slot_of(int(i)) for i in indices], dtype=np.int64
-            )
+    def region_ids(self, indices: Sequence[int]) -> np.ndarray:
+        """Region each player was drawn from (``-1``: none)."""
+        slots = self._slots_of(indices)
+        return self._region_id[slots]
+
+    def games_played(self, indices: Sequence[int]) -> np.ndarray:
+        """Games each player has been booked into."""
+        slots = self._slots_of(indices)
+        return self._games[slots]
+
+    def wins(self, indices: Sequence[int]) -> np.ndarray:
+        """Games each player won on execution score."""
+        slots = self._slots_of(indices)
+        return self._wins[slots]
 
     def mean_execution_scores(self, indices: Sequence[int]) -> np.ndarray:
-        slots = self._gather_slots(indices)
-        return self._score_sums[slots] / np.maximum(self._games[slots], 1)
+        """Average execution score; 0.0 before the first game."""
+        slots = self._slots_of(indices)
+        return self._score_sum[slots] / np.maximum(self._games[slots], 1)
 
     def consistency_scores(self, indices: Sequence[int]) -> np.ndarray:
-        slots = self._gather_slots(indices)
-        return self._rank_sums[slots] / np.maximum(self._games[slots], 1)
+        """Mean of 1/rank over all games (Fig. 7); 0.0 before the first game."""
+        slots = self._slots_of(indices)
+        return self._rank_sum[slots] / np.maximum(self._games[slots], 1)
 
     def combined_rank_order(
         self,

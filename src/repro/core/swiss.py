@@ -65,8 +65,8 @@ class _RegionDrive:
             region,
             rng,
             scores=phase.records.mean_execution_scores,
-            on_assign=lambda idx: phase.records.assign_region(
-                idx, region.region_id
+            on_assign=lambda new: phase.records.assign_region(
+                new, region.region_id
             ),
         )
 
@@ -186,7 +186,7 @@ class SwissRegionalPhase:
         """All players within deviation ``d`` of the champion's mean score."""
         if self.config.one_winner_per_region:
             return [champion]
-        champ_score = self.records.get(champion).mean_execution_score
+        champ_score = self.records.mean_execution_scores([champion])[0]
         threshold = (1.0 - self.config.work_deviation) * champ_score
         scores = self.records.mean_execution_scores(played)
         band = [p for p, s in zip(played, scores) if s >= threshold]

@@ -125,8 +125,7 @@ class DarwinGame:
         n = min(stop - start, self.config.no_regional_entrant_cap)
         block = Region(0, start, stop)
         entrants = [int(i) for i in block.sample(n, child(rng), replace=False)]
-        for index in entrants:
-            records.get(index)
+        records.assign_region(entrants, -1)  # entered from no region
         details["regional"] = {"regions": 0, "games": 0, "rounds": 0, "winners": n}
         return entrants
 

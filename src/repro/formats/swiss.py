@@ -175,7 +175,7 @@ class StreakSwissRun:
         rng: np.random.Generator,
         *,
         scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[int], None]] = None,
+        on_assign: Optional[Callable[[List[int]], None]] = None,
     ) -> None:
         self.pool = pool
         self.rng = rng
@@ -200,7 +200,7 @@ class StreakSwissRun:
         if pool.size == 1:
             # Degenerate single-player pool: the lone player advances unplayed.
             self.lone = pool.start
-            self._notify_assigned(self.lone)
+            self._notify_assigned([self.lone])
             self.done = True
             return
 
@@ -221,9 +221,10 @@ class StreakSwissRun:
 
     # -- drawing newcomers -------------------------------------------------
 
-    def _notify_assigned(self, player: int) -> None:
+    def _notify_assigned(self, players: List[int]) -> None:
+        """Announce players seen for the first time, one call per lineup."""
         if self.on_assign is not None:
-            self.on_assign(player)
+            self.on_assign(players)
 
     def _draw_new(self, n: int) -> List[int]:
         if self._fresh is not None:
@@ -299,10 +300,11 @@ class StreakSwissRun:
         if len(lineup) < 2:
             self.done = True
             return None
-        for idx in lineup:
-            if idx not in self._assigned:
-                self._assigned.add(idx)
-                self._notify_assigned(idx)
+        assigned = self._assigned
+        new = [idx for idx in lineup if idx not in assigned]
+        if new:
+            assigned.update(new)
+            self._notify_assigned(new)
         self._lineup = lineup
         return lineup
 
@@ -389,7 +391,7 @@ class StreakSwiss:
         rng: np.random.Generator,
         *,
         scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[int], None]] = None,
+        on_assign: Optional[Callable[[List[int]], None]] = None,
     ) -> StreakSwissRun:
         return StreakSwissRun(
             self, pool, rng, scores=scores, on_assign=on_assign

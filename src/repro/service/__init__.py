@@ -6,7 +6,7 @@ per-tenant stores and quotas, Prometheus ``/metrics``.  See
 :mod:`repro.service.server` for the route table.
 """
 
-from repro.service.jobs import JobManager, ServiceJob, validate_tenant
+from repro.service.jobs import JobManager, ServiceJob, UnknownJob, validate_tenant
 from repro.service.server import (
     DEFAULT_TENANT,
     ReproService,
@@ -26,6 +26,7 @@ __all__ = [
     "ServiceJob",
     "TENANT_HEADER",
     "TenantQuota",
+    "UnknownJob",
     "serve",
     "validate_tenant",
 ]

@@ -62,6 +62,13 @@ def validate_tenant(tenant: str) -> str:
     return tenant
 
 
+class UnknownJob(KeyError):
+    """No job with this ID for this tenant (the daemon's 404).
+
+    A :class:`KeyError`, so library callers catching that keep working.
+    """
+
+
 @dataclass
 class ServiceJob:
     """One submitted sweep as the service tracks it."""
@@ -252,7 +259,7 @@ class JobManager:
     # -- reads -----------------------------------------------------------
 
     def get(self, tenant: str, job_id: str) -> ServiceJob:
-        """The tenant's job, or :class:`KeyError` (the daemon's 404).
+        """The tenant's job, or :class:`UnknownJob` (the daemon's 404).
 
         Tenancy check included: another tenant's job ID is as invisible as
         a nonexistent one.
@@ -260,7 +267,7 @@ class JobManager:
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None or job.tenant != tenant:
-            raise KeyError(job_id)
+            raise UnknownJob(job_id)
         return job
 
     def list(self, tenant: str) -> List[ServiceJob]:

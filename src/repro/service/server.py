@@ -37,7 +37,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import api
 from repro.errors import ReproError
-from repro.service.jobs import JobManager
+from repro.service.jobs import JobManager, UnknownJob
 from repro.service.tenancy import QuotaExceeded, TenantQuota
 from repro.telemetry import get_logger
 
@@ -122,7 +122,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        # Digits only: int() would also take "-1", and rfile.read(-1) holds
+        # the handler thread until the client hangs up.
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's extent is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise _HttpError(
+                400, f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413, f"request body over {MAX_BODY_BYTES} bytes"
@@ -155,7 +165,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (api.SchemaError, ReproError) as exc:
             self.service.count_request(method, route, 400)
             self._send_error_json(400, str(exc))
-        except KeyError:
+        except UnknownJob:
             self.service.count_request(method, route, 404)
             self._send_error_json(404, "no such job for this tenant")
         except Exception as exc:  # noqa: BLE001 - the daemon must not die

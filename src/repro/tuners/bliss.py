@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
@@ -160,6 +159,9 @@ class BlissLike(Tuner):
     @staticmethod
     def _acquisition(kind: str, mu: np.ndarray, sigma: np.ndarray, y_best: float) -> np.ndarray:
         """Score candidates; larger is better (we minimise observed time)."""
+        # Lazy: importing scipy.stats would tax every `import repro`.
+        from scipy.stats import norm
+
         z = (y_best - mu) / sigma
         if kind == "ei":
             return (y_best - mu) * norm.cdf(z) + sigma * norm.pdf(z)

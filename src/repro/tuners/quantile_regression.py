@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
@@ -63,6 +62,9 @@ def fit_pinball(
     n, d = x.shape
     if n == 0:
         raise TunerError("cannot fit a quantile regression on zero samples")
+    # Lazy: importing scipy.optimize would tax every `import repro`.
+    from scipy.optimize import linprog
+
     design = np.column_stack([x, np.ones(n)])
     p = d + 1
 

@@ -65,7 +65,7 @@ class TestPlayoffs:
         # Each playoff game books the full duration of the faster player,
         # so ledger must be clearly nonzero and scores recorded for all.
         assert env.ledger.core_hours > before
-        assert all(records.get(q).games_played >= 1 for q in players)
+        assert all(records.games_played(players) >= 1)
 
 
 class TestFinal:

@@ -95,12 +95,17 @@ class TestBatchMatchesSingle:
             assert a.execution_scores == b.execution_scores
             assert a.winner_position == b.winner_position
             assert a.outcome == b.outcome
-        for lineup in lineups:
-            for p in lineup:
-                assert (
-                    records_round.get(p).execution_scores
-                    == records_seq.get(p).execution_scores
-                )
+        players = sorted({p for lineup in lineups for p in lineup})
+        for read in (
+            RecordBook.games_played,
+            RecordBook.wins,
+            RecordBook.mean_execution_scores,
+            RecordBook.consistency_scores,
+        ):
+            assert (
+                read(records_round, players).tolist()
+                == read(records_seq, players).tolist()
+            )
 
     def test_round_advances_clock_by_longest_game(self, app):
         lineups = [

@@ -21,7 +21,7 @@ def run_global(app, entrants, cfg=None, *, seed=0, env_seed=0, records=None):
     env = CloudEnvironment(seed=env_seed)
     records = records or RecordBook()
     for pos, e in enumerate(entrants):
-        records.assign_region(e, pos % 7)
+        records.assign_region([e], pos % 7)
     phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
     return phase.run(entrants, ensure_rng(seed)), records
 
@@ -91,12 +91,12 @@ class TestGroupDiversity:
         records = RecordBook()
         entrants = list(range(40))
         # Ten regions, four players each.
-        for e in entrants:
-            records.assign_region(e, e // 4)
+        for region in range(10):
+            records.assign_region(entrants[4 * region: 4 * region + 4], region)
         phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
         groups = phase._form_groups(entrants, 10, ensure_rng(0))
         for group in groups:
-            regions = [records.get(p).region_id for p in group]
+            regions = records.region_ids(group).tolist()
             assert len(set(regions)) == len(regions)
 
 

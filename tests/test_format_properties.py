@@ -195,12 +195,12 @@ class TestStreakSwissPool:
     def test_terminates_with_a_champion(self, size, seed):
         rng = np.random.default_rng(seed)
         fmt = StreakSwiss(players_per_game=4, win_streak=3)
-        assigned = []
+        batches = []
         run = fmt.schedule(
             Region(0, 0, size),
             rng,
             scores=lambda players: np.ones(len(players)),
-            on_assign=assigned.append,
+            on_assign=lambda new: batches.append(list(new)),
         )
         oracle = oracle_for(size, seed)
         rounds = drive_with_audit(run, oracle)
@@ -211,6 +211,10 @@ class TestStreakSwissPool:
         assert 0 <= run.champion < size
         assert run.games == rounds
         assert run.champion in run.played_players
-        # Every player who appeared in a lineup was announced exactly once.
+        # Every player who appeared in a lineup was announced exactly once,
+        # in one non-empty call per lineup that brought newcomers.
+        assigned = [p for batch in batches for p in batch]
+        assert all(batches)
+        assert len(batches) <= rounds
         assert sorted(set(assigned)) == sorted(assigned)
         assert set(run.played_players) <= set(assigned)

@@ -42,7 +42,7 @@ class TestPlayGame:
         report = play_game(env, app, players, DarwinGameConfig(), records)
         assert report.winner_index in players
         assert max(report.execution_scores) == pytest.approx(1.0)
-        assert all(records.get(p).games_played == 1 for p in players)
+        assert records.games_played(players).tolist() == [1] * len(players)
 
     def test_duplicate_players_rejected(self, app):
         env = CloudEnvironment(seed=0)

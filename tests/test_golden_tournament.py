@@ -5,8 +5,10 @@ The scheduler/executor refactor moved every pairing and bracket rule out of
 pin the default-format engine to snapshots taken from the *pre-refactor*
 phase drivers: the same ``TuningResult`` (down to float bits, including the
 per-phase details) and the same core-hour ledger, for redis and lammps at
-test scale.  Regenerate only deliberately, via
-``scripts/make_golden_tournament.py``.
+test scale.  The bench-scale redis baseline (3,491 games, 111,522
+evaluations) is pinned the same way, from a snapshot taken before the score
+book dropped its per-player history objects.  Regenerate only deliberately,
+via ``scripts/make_golden_tournament.py``.
 """
 
 import json
@@ -33,12 +35,18 @@ def _roundtrip(value):
     return json.loads(json.dumps(value))
 
 
-@pytest.mark.parametrize("app_name", ["redis", "lammps"])
-def test_default_format_matches_pre_refactor_snapshot(app_name):
-    path = GOLDEN_DIR / f"tournament_{app_name}_test.json"
-    golden = json.loads(path.read_text())
+@pytest.mark.parametrize(
+    "snapshot",
+    [
+        pytest.param("tournament_redis_test.json", id="redis"),
+        pytest.param("tournament_lammps_test.json", id="lammps"),
+        pytest.param("tournament_redis_bench.json", id="redis-bench"),
+    ],
+)
+def test_default_format_matches_pre_refactor_snapshot(snapshot):
+    golden = json.loads((GOLDEN_DIR / snapshot).read_text())
 
-    app = make_application(app_name, scale=golden["scale"])
+    app = make_application(golden["app"], scale=golden["scale"])
     env = CloudEnvironment(VMSpec.preset(golden["vm"]), seed=golden["env_seed"])
     result = DarwinGame(
         DarwinGameConfig(seed=golden["config_seed"])

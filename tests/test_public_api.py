@@ -1,5 +1,10 @@
 """The documented public API must stay importable from the package root."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
 
 
@@ -38,3 +43,24 @@ class TestPublicApi:
             obj = getattr(repro, name)
             if isinstance(obj, type) or callable(obj):
                 assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    """`import repro` and the CLI stay off the slow scipy submodules.
+
+    Runs in a fresh interpreter, since other tests load both into this one.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import sys, repro, repro.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,31 +3,41 @@
 import numpy as np
 import pytest
 
-from repro.core.records import PlayerRecord, RecordBook
+from repro.core.records import RecordBook
 from repro.errors import TournamentError
 
 
 class TestPlayerRecord:
+    """One player's row of the book, read through the vectorised accessors."""
+
     def test_defaults(self):
-        r = PlayerRecord(index=7)
-        assert r.games_played == 0
-        assert r.mean_execution_score == 0.0
-        assert r.consistency_score == 0.0
+        book = RecordBook()
+        assert book.games_played([7]).tolist() == [0]
+        assert book.wins([7]).tolist() == [0]
+        assert book.region_ids([7]).tolist() == [-1]
+        assert book.mean_execution_scores([7]).tolist() == [0.0]
+        assert book.consistency_scores([7]).tolist() == [0.0]
 
     def test_mean_execution_score(self):
-        r = PlayerRecord(index=0, execution_scores=[1.0, 0.5])
-        assert r.mean_execution_score == pytest.approx(0.75)
+        book = RecordBook()
+        book.record_game([0, 1], [1.0, 0.9])
+        book.record_game([0, 1], [0.5, 1.0])
+        assert book.mean_execution_scores([0])[0] == pytest.approx(0.75)
 
     def test_consistency_score_is_mean_inverse_rank(self):
-        r = PlayerRecord(index=0, inverse_ranks=[1.0, 0.5, 0.25])
-        assert r.consistency_score == pytest.approx((1 + 0.5 + 0.25) / 3)
+        book = RecordBook()
+        book.record_game([0, 1], [1.0, 0.5])              # rank 1
+        book.record_game([0, 1], [0.5, 1.0])              # rank 2
+        book.record_game([0, 1, 2, 3], [0.1, 1.0, 0.9, 0.8])  # rank 4
+        assert book.consistency_scores([0])[0] == pytest.approx(
+            (1 + 0.5 + 0.25) / 3
+        )
 
 
 class TestRecordBook:
-    def test_get_creates(self):
+    def test_query_creates_slot(self):
         book = RecordBook()
-        record = book.get(5)
-        assert record.index == 5
+        assert book.region_ids([5]).tolist() == [-1]
         assert 5 in book
         assert len(book) == 1
 
@@ -35,17 +45,16 @@ class TestRecordBook:
         book = RecordBook()
         winner = book.record_game([10, 20, 30], [1.0, 0.8, 0.4])
         assert winner == 0
-        assert book.get(10).inverse_ranks == [1.0]
-        assert book.get(20).inverse_ranks == [0.5]
-        assert book.get(30).inverse_ranks == [pytest.approx(1 / 3)]
-        assert book.get(10).wins == 1
-        assert book.get(20).wins == 0
+        assert book.consistency_scores([10, 20, 30]).tolist() == [
+            1.0, 0.5, pytest.approx(1 / 3)
+        ]
+        assert book.wins([10, 20]).tolist() == [1, 0]
 
     def test_consistency_across_games(self):
         book = RecordBook()
         book.record_game([1, 2], [1.0, 0.9])   # 1 ranks 1st
         book.record_game([1, 2], [0.7, 1.0])   # 1 ranks 2nd
-        assert book.get(1).consistency_score == pytest.approx((1.0 + 0.5) / 2)
+        assert book.consistency_scores([1])[0] == pytest.approx((1.0 + 0.5) / 2)
 
     def test_total_evaluations(self):
         book = RecordBook()
@@ -61,11 +70,70 @@ class TestRecordBook:
         with pytest.raises(TournamentError):
             RecordBook().record_game([1], [1.0, 0.5])
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(TournamentError):
+            RecordBook().record_game([1, 2], [1.0, float("nan")])
+
     def test_score_vectors(self):
         book = RecordBook()
         book.record_game([1, 2], [1.0, 0.5])
         assert np.allclose(book.mean_execution_scores([1, 2]), [1.0, 0.5])
         assert np.allclose(book.consistency_scores([1, 2]), [1.0, 0.5])
+
+    def test_assign_region_writes_every_index(self):
+        book = RecordBook()
+        book.assign_region([3, 1, 4], 2)
+        book.assign_region([np.int64(5)], 0)
+        assert book.region_ids([1, 3, 4, 5, 9]).tolist() == [2, 2, 2, 0, -1]
+        assert book.games_played([3, 1, 4]).tolist() == [0, 0, 0]
+
+    def test_grows_past_initial_capacity(self):
+        book = RecordBook()
+        book.assign_region(range(100), 1)
+        book.record_game([150, 3], [0.5, 1.0])
+        assert book.region_ids([0, 99, 150, 400]).tolist() == [1, 1, -1, -1]
+        assert book.wins([3, 150]).tolist() == [1, 0]
+        assert book.games_played([150, 3, 42]).tolist() == [1, 1, 0]
+        assert len(book) == 102
+
+
+class TestRecordRound:
+    def test_segmented_ranks_and_winners(self):
+        """Ranks restart per game; ties share the better rank and the
+        first tied seat wins."""
+        book = RecordBook()
+        winners = book.record_round(
+            [[1, 2, 3], [4, 5]], [[0.5, 1.0, 1.0], [1.0, 0.2]]
+        )
+        assert winners.tolist() == [1, 0]
+        assert book.consistency_scores([1, 2, 3, 4, 5]).tolist() == [
+            pytest.approx(1 / 3), 1.0, 1.0, 1.0, 0.5
+        ]
+        assert book.wins([1, 2, 3, 4, 5]).tolist() == [0, 1, 0, 1, 0]
+        assert book.total_evaluations == 5
+
+    def test_player_in_two_games_of_a_round(self):
+        book = RecordBook()
+        book.record_round([[1, 2], [1, 3]], [[1.0, 0.5], [0.25, 1.0]])
+        assert book.games_played([1]).tolist() == [2]
+        assert book.wins([1]).tolist() == [1]
+        assert book.mean_execution_scores([1])[0] == 0.625
+        assert book.consistency_scores([1])[0] == 0.75
+
+    def test_empty_round_books_nothing(self):
+        book = RecordBook()
+        assert book.record_round([], []).tolist() == []
+        assert len(book) == 0 and book.total_evaluations == 0
+
+    def test_round_validation(self):
+        book = RecordBook()
+        with pytest.raises(TournamentError):
+            book.record_round([[1, 2]], [])
+        with pytest.raises(TournamentError):
+            book.record_round([[1, 2], [3]], [[1.0, 0.5], [1.0, 0.5]])
+        with pytest.raises(TournamentError):
+            book.record_round([[1, 2], []], [[1.0, 0.5], []])
+        assert book.total_evaluations == 0
 
 
 class TestCombinedRanking:

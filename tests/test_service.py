@@ -1,6 +1,7 @@
 """End-to-end coverage for the ``repro serve`` tuning service."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -11,7 +12,13 @@ import pytest
 from repro import api
 from repro.campaigns import open_store
 from repro.cli import main
-from repro.service import ReproService, ServiceConfig, TENANT_HEADER, TenantQuota
+from repro.service import (
+    ReproService,
+    ServiceConfig,
+    TENANT_HEADER,
+    TenantQuota,
+    UnknownJob,
+)
 from repro.telemetry.events import iter_jsonl_payloads
 
 GRID = {
@@ -223,6 +230,36 @@ class TestErrors:
         status, _ = _request("GET", f"{base}/v1/sweeps/job-000", tenant="alice")
         assert status == 404
         _wait_done(base, job_id, "alice")
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service, declared):
+        """Not a 500 for "abc", and no handler stuck in rfile.read(-1)."""
+        host, port = service.address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /v1/sweeps HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {declared}\r\n\r\n{{}}".encode("ascii")
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after replying
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_unknown_job_is_a_key_error(self, service):
+        with pytest.raises(UnknownJob) as err:
+            service.manager.get("alice", "job-000")
+        assert isinstance(err.value, KeyError)
+
+    def test_internal_key_error_is_500_not_404(self, service, monkeypatch):
+        def broken():
+            raise KeyError("service_jobs")
+
+        monkeypatch.setattr(service.manager, "render_metrics", broken)
+        status, body = _request("GET", f"{service.url}/metrics")
+        assert status == 500
+        assert body["error"] == "internal error: KeyError"
 
     def test_options_cannot_smuggle_a_store_path(self, service):
         status, body = _request(
