@@ -7,8 +7,12 @@ phase drivers: the same ``TuningResult`` (down to float bits, including the
 per-phase details) and the same core-hour ledger, for redis and lammps at
 test scale.  The bench-scale redis baseline (3,491 games, 111,522
 evaluations) is pinned the same way, from a snapshot taken before the score
-book dropped its per-player history objects.  Regenerate only deliberately,
-via ``scripts/make_golden_tournament.py``.
+book dropped its per-player history objects.
+
+``tournament_variants_test.json`` pins, the same way, what the default
+workload leaves out: every other tournament recipe, every ablation, a
+2-vCPU VM, and the feedback and hybrid tuners that drive the engine.
+Regenerate only deliberately, via ``scripts/make_golden_tournament.py``.
 """
 
 import json
@@ -20,7 +24,10 @@ from repro.apps import make_application
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import VMSpec
 from repro.core.config import DarwinGameConfig
+from repro.core.dynamic import DynamicFeedbackDarwinGame
 from repro.core.tournament import DarwinGame
+from repro.tuners.active_harmony import ActiveHarmonyLike
+from repro.tuners.integration import HybridTuner
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -33,6 +40,25 @@ def _roundtrip(value):
     numeric difference is a real determinism break.
     """
     return json.loads(json.dumps(value))
+
+
+def _assert_matches(golden, result, env):
+    want = golden["result"]
+    assert result.tuner_name == want["tuner_name"]
+    assert result.best_index == want["best_index"]
+    assert _roundtrip(list(result.best_values)) == want["best_values"]
+    assert result.evaluations == want["evaluations"]
+    # Bit-identical floats: no approx, no tolerance.
+    assert result.core_hours == want["core_hours"]
+    assert result.tuning_seconds == want["tuning_seconds"]
+    assert _roundtrip(result.details) == want["details"]
+
+    ledger = golden["ledger"]
+    assert _roundtrip(env.ledger.core_hours_by_label()) \
+        == ledger["core_hours_by_label"]
+    assert env.ledger.core_hours == ledger["core_hours"]
+    assert env.ledger.wall_hours == ledger["wall_hours"]
+    assert env.now == golden["env_now"]
 
 
 @pytest.mark.parametrize(
@@ -51,20 +77,34 @@ def test_default_format_matches_pre_refactor_snapshot(snapshot):
     result = DarwinGame(
         DarwinGameConfig(seed=golden["config_seed"])
     ).tune(app, env)
+    _assert_matches(golden, result, env)
 
-    want = golden["result"]
-    assert result.tuner_name == want["tuner_name"]
-    assert result.best_index == want["best_index"]
-    assert _roundtrip(list(result.best_values)) == want["best_values"]
-    assert result.evaluations == want["evaluations"]
-    # Bit-identical floats: no approx, no tolerance.
-    assert result.core_hours == want["core_hours"]
-    assert result.tuning_seconds == want["tuning_seconds"]
-    assert _roundtrip(result.details) == want["details"]
 
-    ledger = golden["ledger"]
-    assert _roundtrip(env.ledger.core_hours_by_label()) \
-        == ledger["core_hours_by_label"]
-    assert env.ledger.core_hours == ledger["core_hours"]
-    assert env.ledger.wall_hours == ledger["wall_hours"]
-    assert env.now == golden["env_now"]
+VARIANTS = json.loads(
+    (GOLDEN_DIR / "tournament_variants_test.json").read_text()
+)
+
+
+def _variant_tuner(variant, config_seed):
+    config = DarwinGameConfig(seed=config_seed)
+    if "format" in variant:
+        config = config.with_format(variant["format"])
+    if "ablation" in variant:
+        config = config.with_ablation(variant["ablation"])
+    tuner = variant.get("tuner")
+    if tuner == "feedback":
+        return DynamicFeedbackDarwinGame(config)
+    if tuner == "hybrid":
+        return HybridTuner(ActiveHarmonyLike(seed=1), config, seed=1)
+    return DarwinGame(config)
+
+
+@pytest.mark.parametrize("key", sorted(VARIANTS))
+def test_variant_matches_snapshot(key):
+    golden = VARIANTS[key]
+    app = make_application(golden["app"], scale=golden["scale"])
+    env = CloudEnvironment(VMSpec.preset(golden["vm"]), seed=golden["env_seed"])
+    result = _variant_tuner(golden["variant"], golden["config_seed"]).tune(
+        app, env
+    )
+    _assert_matches(golden, result, env)
