@@ -115,6 +115,20 @@ class DarwinGameConfig:
                 "at least one of execution score and consistency score must be used"
             )
 
+    def game_width(self, vcpus: int, *, nominal: bool = False) -> int:
+        """Seats per regional/global game on a VM with ``vcpus`` vCPUs.
+
+        ``players_per_game``, by default the vCPU count capped at 32, and
+        never more than the VM has.  The "all 2-player games" ablation seats
+        two, unless ``nominal`` asks for the VM's nominal width: region
+        sizing uses it, so that ablation isolates the effect of game width
+        on tuning cost with the region structure held fixed (the paper keeps
+        ``n_r`` at 10,000 throughout).
+        """
+        if self.two_player_games_only and not nominal:
+            return 2
+        return max(2, min(self.players_per_game or min(32, vcpus), vcpus))
+
     def recipe(self) -> TournamentRecipe:
         """The registered phase-format recipe this config runs under."""
         return resolve_tournament_format(self.tournament_format)

@@ -26,11 +26,10 @@ import numpy as np
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.game import play_game
+from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
 from repro.core.tournament import DarwinGame
 from repro.errors import TournamentError
-from repro.rng import ensure_rng
 from repro.types import TuningResult
 
 
@@ -114,24 +113,20 @@ class DynamicFeedbackDarwinGame:
 
     def _feedback_loop(
         self,
-        app: ApplicationModel,
-        env: CloudEnvironment,
+        executor: MatchExecutor,
         start: int,
         dims: Sequence[int],
-        records: RecordBook,
         stats: dict,
     ) -> int:
         """Re-rank one late-phase player against its dynamic adjustments."""
         incumbent = int(start)
         for _ in range(self.feedback.rounds):
             improved = False
-            for candidate in self._adjustments(app, incumbent, dims):
+            for candidate in self._adjustments(executor.app, incumbent, dims):
                 wins = 0
                 for _duel in range(self.feedback.duels_per_adjustment):
-                    report = play_game(
-                        env, app, [incumbent, candidate], self.config, records,
-                        allow_early_termination=False, label="feedback",
-                        advance_clock=True,
+                    report = executor.duel(
+                        incumbent, candidate, label="feedback"
                     )
                     stats["games"] += 1
                     wins += report.winner_index == candidate
@@ -148,7 +143,7 @@ class DynamicFeedbackDarwinGame:
         base = DarwinGame(self.config).tune(app, env)
         dims = self._dynamic_dims(app)
         records = RecordBook()
-        _ = ensure_rng(self.config.seed)  # reserved for tie-breaking policies
+        executor = MatchExecutor(env, app, self.config, records)
 
         # Every configuration that survived into the playoffs is re-ranked
         # through its own feedback loop; the tournament winner always takes
@@ -162,7 +157,7 @@ class DynamicFeedbackDarwinGame:
         stats = {"games": 0, "replacements": 0}
         incumbents = list(
             dict.fromkeys(
-                self._feedback_loop(app, env, p, dims, records, stats)
+                self._feedback_loop(executor, p, dims, stats)
                 for p in field
             )
         )
@@ -175,11 +170,7 @@ class DynamicFeedbackDarwinGame:
             if len(pool) % 2 == 1:
                 nxt.append(pool[-1])
             for k in range(0, len(pool) - len(pool) % 2, 2):
-                report = play_game(
-                    env, app, [pool[k], pool[k + 1]], self.config, records,
-                    allow_early_termination=False, label="feedback",
-                    advance_clock=True,
-                )
+                report = executor.duel(pool[k], pool[k + 1], label="feedback")
                 stats["games"] += 1
                 nxt.append(report.winner_index)
             pool = nxt

@@ -1,36 +1,113 @@
-"""The executor half of the tournament engine's scheduler/executor split.
+"""The tournament engine: one executor playing every phase of Alg. 1.
 
 Format schedulers (:mod:`repro.formats`) decide *who meets whom*; the
-:class:`MatchExecutor` decides *what happens when they do*: every scheduled
-round is simulated through the batched ``(games, segments, players)`` tensor
-path (:func:`repro.core.game.play_round`), scores are booked into the one
-:class:`~repro.core.records.RecordBook`, early termination follows the
-config, and the core-hour ledger and simulated campaign clock advance in
-one place — games within a round run on parallel VMs, so the clock moves by
-the round's *longest* game while the ledger bills every game in full.
+:class:`MatchExecutor` decides *what happens when they do*.  A game
+co-locates several configurations on one VM (Sec. 3.2); every round of
+games is simulated as one batched ``(games, segments, players)`` tensor
+computation, work fractions become execution scores (work done relative to
+the fastest player, Fig. 5), the whole round is booked into the one
+:class:`~repro.core.records.RecordBook`, and early termination follows the
+config.  Games within a round run on parallel VMs, so the simulated clock
+moves by the round's *longest* game while the ledger bills every game in
+full.
 
-Phase adapters hand the executor a :class:`~repro.formats.scheduler.Round`
-plus a per-phase judging rule and get back the
-:class:`~repro.formats.match.RecordedMatch` es their scheduler consumes.
+The phase methods drive the schedulers through :meth:`MatchExecutor.play`:
+
+* :meth:`~MatchExecutor.play_regions` — Swiss regions in lockstep
+  (Sec. 3.3, Fig. 6);
+* :meth:`~MatchExecutor.play_global` — the grouped double elimination,
+  judged on execution plus consistency rank (Sec. 3.4, Fig. 7);
+* :meth:`~MatchExecutor.play_playoffs` — the recipe's playoff scheduler,
+  2-player games played to completion (Sec. 3.5);
+* :meth:`~MatchExecutor.play_final` — the two-player final.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import functools
+import time
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.game import GameReport, play_round
 from repro.core.records import RecordBook
+from repro.errors import TournamentError
+from repro.formats.barrage import Barrage
+from repro.formats.double_elimination import (
+    DoubleElimination,
+    GroupedDoubleElimination,
+    GroupedDoubleEliminationResult,
+)
 from repro.formats.match import RecordedMatch
+from repro.formats.round_robin import RoundRobin
 from repro.formats.scheduler import Round
+from repro.formats.single_elimination import SingleElimination
+from repro.formats.swiss import StreakSwiss, StreakSwissRun
+from repro.space.regions import Region
 from repro.telemetry.events import emit_event, telemetry_enabled
+from repro.types import GameOutcome
 
-#: Judging rule: (lineup, report) -> position of the game's winner.
-Judge = Callable[[Sequence[int], GameReport], int]
+
+@dataclass(frozen=True)
+class GameReport:
+    """One played game: who took part, their scores, and the raw outcome.
+
+    ``scores`` is the ndarray the execution scores were computed as; rankers
+    use it to sort without re-building an array from the float tuple.  It is
+    excluded from equality so reports still compare by value.
+    """
+
+    indices: Tuple[int, ...]
+    execution_scores: Tuple[float, ...]
+    winner_position: int
+    outcome: GameOutcome
+    scores: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @property
+    def winner_index(self) -> int:
+        return self.indices[self.winner_position]
+
+    @property
+    def elapsed(self) -> float:
+        return self.outcome.elapsed
+
+
+def execution_scores_from_work(work: Sequence[float]) -> np.ndarray:
+    """Execution score: work done relative to the fastest player (Fig. 5)."""
+    arr = np.asarray(work, dtype=float)
+    if arr.size == 0:
+        raise TournamentError("cannot score an empty game")
+    best = float(arr.max())
+    if best <= 0:
+        raise TournamentError("no player made progress in the game")
+    return arr / best
+
+
+@dataclass(frozen=True)
+class RegionalResult:
+    """Outcome of one region's Swiss tournament (one game per round)."""
+
+    region_id: int
+    winners: tuple
+    champion: int
+    games: int
+    elapsed: float  # simulated seconds this region's (sequential) rounds took
+
+    def __post_init__(self) -> None:
+        if self.champion not in self.winners:
+            raise TournamentError("champion must be among the region winners")
+
+
+@dataclass(frozen=True)
+class PlayoffResult:
+    """The two finalists and how many games the playoffs took."""
+
+    finalists: Tuple[int, int]
+    games: int
 
 
 class MatchExecutor:
@@ -48,7 +125,7 @@ class MatchExecutor:
         self.config = config
         self.records = records
 
-    # -- raw lineup rounds ---------------------------------------------------
+    # -- rounds --------------------------------------------------------------
 
     def play(
         self,
@@ -58,48 +135,65 @@ class MatchExecutor:
         allow_early_termination: bool = True,
         advance_clock: bool = False,
     ) -> List[GameReport]:
-        """One batched round of co-located games; scores booked per game.
+        """One round of co-located games (one parallel VM each), booked.
+
+        The round is simulated as one batched tensor computation and booked,
+        games in lineup order, with one
+        :meth:`~repro.core.records.RecordBook.record_round` call.  With
+        ``advance_clock`` True the clock advances by the round's longest
+        game.  ``allow_early_termination=False`` plays every game to
+        completion, as the paper does for the playoffs and the final.
 
         With telemetry on, each round emits a ``round.play`` span: host
         wall time as the span value, plus the round's shape (label, game
         count, early terminations, simulated seconds) as fields.  Off, the
         cost is one flag check.
         """
-        if not telemetry_enabled():
-            return play_round(
-                self.env,
+        t0 = time.perf_counter()
+        validated: List[List[int]] = []
+        for indices in lineups:
+            players = [int(i) for i in indices]
+            if len(players) < 1:
+                raise TournamentError("a game needs at least one player")
+            if len(set(players)) != len(players):
+                raise TournamentError(f"duplicate players in game: {players}")
+            validated.append(players)
+        reports: List[GameReport] = []
+        if validated:
+            early = allow_early_termination and self.config.early_termination
+            outcomes = self.env.run_colocated_batch(
                 self.app,
-                lineups,
-                self.config,
-                self.records,
-                allow_early_termination=allow_early_termination,
+                validated,
+                work_deviation=self.config.work_deviation if early else None,
+                min_work_for_termination=self.config.min_work_for_termination,
                 label=label,
                 advance_clock=advance_clock,
             )
-        import time as _time
-
-        t0 = _time.perf_counter()
-        reports = play_round(
-            self.env,
-            self.app,
-            lineups,
-            self.config,
-            self.records,
-            allow_early_termination=allow_early_termination,
-            label=label,
-            advance_clock=advance_clock,
-        )
-        emit_event(
-            "round.play",
-            type="span",
-            value=_time.perf_counter() - t0,
-            label=label,
-            games=len(reports),
-            early_terminated=sum(
-                1 for r in reports if r.outcome.early_terminated
-            ),
-            sim_seconds=round(self.round_elapsed(reports), 6),
-        )
+            scores = [execution_scores_from_work(o.work) for o in outcomes]
+            winners = self.records.record_round(validated, scores).tolist()
+            reports = [
+                GameReport(
+                    indices=tuple(players),
+                    execution_scores=tuple(game_scores.tolist()),
+                    winner_position=winner_pos,
+                    outcome=outcome,
+                    scores=game_scores,
+                )
+                for players, outcome, game_scores, winner_pos
+                in zip(validated, outcomes, scores, winners)
+            ]
+        if telemetry_enabled():
+            emit_event(
+                "round.play",
+                type="span",
+                value=time.perf_counter() - t0,
+                label=label,
+                games=len(reports),
+                early_terminated=sum(
+                    1 for r in reports if r.outcome.early_terminated
+                ),
+                sim_seconds=round(self.round_elapsed(reports), 6),
+            )
         return reports
 
     def duel(
@@ -113,45 +207,13 @@ class MatchExecutor:
             advance_clock=advance_clock,
         )[0]
 
-    # -- scheduler rounds ----------------------------------------------------
-
-    def play_scheduled(
-        self,
-        round_: Round,
-        *,
-        label: str,
-        judge: Optional[Judge] = None,
-        allow_early_termination: bool = True,
-        advance_clock: bool = False,
-    ) -> Tuple[List[RecordedMatch], List[GameReport]]:
-        """Play one scheduler round and judge each game into a result.
-
-        Without a ``judge`` the winner is the game's execution-score leader
-        (what :class:`~repro.core.records.RecordBook` booked); phases with a
-        richer criterion (the global phase's joint execution/consistency
-        rank, Fig. 7) pass their own.
-        """
-        reports = self.play(
-            round_.lineups,
-            label=label,
-            allow_early_termination=allow_early_termination,
-            advance_clock=advance_clock,
-        )
-        results = []
-        for match, report in zip(round_.matches, reports):
-            winner_pos = (
-                judge(match.players, report) if judge is not None
-                else report.winner_position
-            )
-            results.append(self.recorded(report, winner_pos))
-        return results, reports
-
     @staticmethod
     def recorded(report: GameReport, winner_pos: Optional[int] = None) -> RecordedMatch:
         """A game report as the finishing order schedulers consume.
 
-        The judged winner ranks first; everyone else follows in
-        execution-score order (stable, deterministic).
+        The judged winner (default: the execution-score leader the record
+        book booked) ranks first; everyone else follows in execution-score
+        order (stable, deterministic).
         """
         if winner_pos is None:
             winner_pos = report.winner_position
@@ -164,13 +226,247 @@ class MatchExecutor:
         ranking = (winner_pos,) + tuple(i for i in order if i != winner_pos)
         return RecordedMatch(players=report.indices, ranking=ranking)
 
-    # -- accounting ----------------------------------------------------------
-
-    def advance_clock(self, seconds: float) -> None:
-        """Advance the simulated campaign clock (once per parallel round)."""
-        self.env.advance(seconds)
-
     @staticmethod
     def round_elapsed(reports: Sequence[GameReport]) -> float:
         """A parallel round lasts as long as its longest game."""
         return max((r.elapsed for r in reports), default=0.0)
+
+    # -- phase I: regions ----------------------------------------------------
+
+    def play_regions(
+        self, regions: Sequence[Region], rngs: Sequence[np.random.Generator]
+    ) -> List[RegionalResult]:
+        """Play every region's Swiss tournament, in lockstep.
+
+        The playing style — score-proportional re-selection, newcomer seats,
+        champion-streak termination — is the
+        :class:`~repro.formats.swiss.StreakSwiss` scheduler.  Regions play on
+        parallel VMs, so round ``r`` of every still-open region is one
+        batched :meth:`play`; regions drop out as they terminate.  The clock
+        is *not* advanced here: each result carries its region's elapsed
+        time so the caller advances once by the slowest region.
+        """
+        if len(regions) != len(rngs):
+            raise TournamentError(
+                f"need one rng per region, got {len(rngs)} for {len(regions)}"
+            )
+        cfg = self.config
+        swiss = StreakSwiss(
+            players_per_game=cfg.game_width(self.env.vm.vcpus),
+            win_streak=cfg.regional_win_streak,
+            max_rounds=cfg.max_regional_rounds,
+            swiss_style=cfg.swiss_style,
+        )
+        runs = [
+            swiss.schedule(
+                region,
+                rng,
+                scores=self.records.mean_execution_scores,
+                on_assign=functools.partial(
+                    self.records.assign_region, region_id=region.region_id
+                ),
+            )
+            for region, rng in zip(regions, rngs)
+        ]
+        elapsed = [0.0] * len(runs)
+        open_runs = [k for k, run in enumerate(runs) if not run.done]
+        while open_runs:
+            pending = []
+            lineups = []
+            for k in open_runs:
+                lineup = runs[k].next_lineup()
+                if lineup is not None:
+                    pending.append(k)
+                    lineups.append(lineup)
+            if not pending:
+                break
+            reports = self.play(lineups, label="regional")
+            for k, report in zip(pending, reports):
+                elapsed[k] += report.elapsed
+                runs[k].advance([self.recorded(report)])
+            open_runs = [k for k in pending if not runs[k].done]
+        return [
+            self._regional_result(region, run, seconds)
+            for region, run, seconds in zip(regions, runs, elapsed)
+        ]
+
+    def _regional_result(
+        self, region: Region, run: StreakSwissRun, elapsed: float
+    ) -> RegionalResult:
+        if run.lone is not None:
+            return RegionalResult(
+                region_id=region.region_id, winners=(run.lone,),
+                champion=run.lone, games=0, elapsed=0.0,
+            )
+        if run.champion < 0:
+            raise TournamentError(
+                f"region {region.region_id} terminated without playing a game"
+            )
+        return RegionalResult(
+            region_id=region.region_id,
+            winners=tuple(self._winner_band(run.played_players, run.champion)),
+            champion=run.champion,
+            games=run.games,
+            elapsed=elapsed,
+        )
+
+    def _winner_band(self, played: List[int], champion: int) -> List[int]:
+        """Everyone whose mean execution score is within ``d`` of the
+        champion's advances, so strong regions send several winners."""
+        if self.config.one_winner_per_region:
+            return [champion]
+        champ_score = self.records.mean_execution_scores([champion])[0]
+        threshold = (1.0 - self.config.work_deviation) * champ_score
+        scores = self.records.mean_execution_scores(played)
+        band = [p for p, s in zip(played, scores) if s >= threshold]
+        if champion not in band:
+            band.insert(0, champion)
+        return band
+
+    # -- phase II: the global bracket ----------------------------------------
+
+    def play_global(
+        self, entrants: Sequence[int], rng: np.random.Generator
+    ) -> GroupedDoubleEliminationResult:
+        """Play the global phase and return its bracket outcome.
+
+        The :class:`~repro.formats.double_elimination.GroupedDoubleElimination`
+        scheduler deals region-diverse groups, keeps the loser pool and
+        seats the wild-card game.  Group rounds play on parallel VMs and the
+        clock advances by the slowest game; the wild-card game advances it
+        inline.  Each game is decided by :meth:`judge_game`.
+        """
+        entrants = list(entrants)
+        if not entrants:
+            raise TournamentError("global phase needs at least one entrant")
+        cfg = self.config
+        # Regions are assigned in the regional phase only, so one gather
+        # serves every grouping of this phase.
+        region_of = dict(
+            zip(entrants, self.records.region_ids(entrants).tolist())
+        ).__getitem__
+        run = GroupedDoubleElimination(
+            players_per_game=cfg.game_width(self.env.vm.vcpus),
+            target=cfg.main_bracket_target,
+            double_elimination=cfg.double_elimination,
+            group_key=region_of,
+            seed_order=lambda players: self.records.combined_rank_order(
+                players,
+                use_execution=cfg.use_execution_score,
+                use_consistency=cfg.use_consistency_score,
+            ),
+        ).schedule(entrants, rng)
+        while (round_ := run.pairings()) is not None:
+            in_groups = run.stage == "groups"
+            reports = self.play(
+                round_.lineups, label="global", advance_clock=not in_groups
+            )
+            run.advance([
+                self.recorded(
+                    r, self.judge_game(r.indices, r.execution_scores)
+                )
+                for r in reports
+            ])
+            if in_groups:
+                self.env.advance(self.round_elapsed(reports))
+        return run.result()
+
+    def judge_game(self, lineup: Sequence[int], game_scores: Sequence[float]) -> int:
+        """Winner = lowest sum of execution-score rank and consistency rank.
+
+        Ranks within the game use the *current game's* execution scores and
+        the accumulated consistency scores, per Fig. 7; the ablation flags
+        drop one of the two criteria.
+        """
+        from repro.analysis.stats import rank_with_ties
+
+        cfg = self.config
+        total = np.zeros(len(lineup), dtype=float)
+        if cfg.use_execution_score:
+            total += rank_with_ties(np.asarray(game_scores), descending=True)
+        if cfg.use_consistency_score:
+            total += rank_with_ties(
+                self.records.consistency_scores(list(lineup)), descending=True
+            )
+        best = int(np.argmin(total))
+        # Deterministic tie-break on the game's execution score.
+        ties = np.nonzero(total == total[best])[0]
+        if ties.size > 1:
+            best = int(ties[np.argmax(np.asarray(game_scores)[ties])])
+        return best
+
+    # -- phases III and IV: playoffs and the final ---------------------------
+
+    def play_playoffs(self, players: Sequence[int]) -> PlayoffResult:
+        """Determine the two finalists among the playoff qualifiers.
+
+        Players are seeded by average execution score.  The scheduler is the
+        config recipe's ``playoffs`` choice: ``barrage`` (the paper's; with
+        the repechage off it is the "w/o barrage" knockout),
+        ``single_elimination``, ``double_elimination`` or ``round_robin``,
+        each driven until two finalists remain.
+        """
+        pool = list(dict.fromkeys(int(p) for p in players))
+        if len(pool) < 2:
+            raise TournamentError(
+                f"playoffs need at least two distinct players, got {pool}"
+            )
+        # Seed by average execution score, highest first (Sec. 3.5).
+        order = self.records.combined_rank_order(
+            pool, use_execution=True, use_consistency=False
+        )
+        seeded: List[int] = [pool[int(p)] for p in order]
+        if len(seeded) == 2:
+            return PlayoffResult(finalists=(seeded[0], seeded[1]), games=0)
+
+        play = self._playoff_round
+        fmt = self.config.recipe().playoffs
+        if fmt == "barrage":
+            # The paper's playoffs seat at most four qualifiers (Sec. 3.5).
+            run = Barrage(
+                repechage=self.config.barrage_playoffs
+            ).schedule(seeded[:4])
+            while (round_ := run.pairings()) is not None:
+                run.advance(play(round_))
+            finalists = run.result().finalists
+        elif fmt == "single_elimination":
+            run = SingleElimination().schedule(seeded)
+            while len(run.alive) > 2:
+                run.advance(play(run.pairings()))
+            finalists = tuple(run.alive)
+        elif fmt == "double_elimination":
+            run = DoubleElimination().schedule(seeded)
+            while run.in_brackets:
+                run.advance(play(run.pairings()))
+            finalists = run.finalists
+        elif fmt == "round_robin":
+            run = RoundRobin().schedule(seeded)
+            while (round_ := run.pairings()) is not None:
+                run.advance(play(round_))
+            finalists = run.result().standings[:2]
+        else:  # pragma: no cover - recipes validate at registration
+            raise TournamentError(f"unknown playoff format {fmt!r}")
+
+        if len(finalists) < 2:
+            raise TournamentError(
+                f"playoff format {fmt!r} produced {len(finalists)} finalist(s)"
+            )
+        return PlayoffResult(
+            finalists=(int(finalists[0]), int(finalists[1])),
+            games=run.log.games,
+        )
+
+    def _playoff_round(self, round_: Round) -> List[RecordedMatch]:
+        """One playoff round: parallel VMs, full games, clock by the slowest."""
+        reports = self.play(
+            round_.lineups,
+            label="playoffs",
+            allow_early_termination=False,
+            advance_clock=True,
+        )
+        return [self.recorded(report) for report in reports]
+
+    def play_final(self, finalists: Tuple[int, int]) -> GameReport:
+        """Play the final; the faster configuration wins the tournament."""
+        a, b = finalists
+        return self.duel(a, b, label="final")

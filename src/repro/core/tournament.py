@@ -6,12 +6,11 @@ the simulated campaign clock advances by the *longest* game of a round, while
 the core-hour ledger bills every game in full — matching how the paper
 reports tuning time versus tuning cost.
 
-The orchestrator composes the scheduler/executor engine: each phase adapter
-drives a :mod:`repro.formats` scheduler through one shared
-:class:`~repro.core.executor.MatchExecutor`, and the config's
+One :class:`~repro.core.executor.MatchExecutor` plays every phase: its
+phase methods drive the :mod:`repro.formats` schedulers, and the config's
 :class:`~repro.formats.recipes.TournamentRecipe` (``tournament_format``)
-selects which schedulers — the paper's Alg. 1 is the default ``darwin``
-recipe, alternates swap the playoff bracket or drop the loser bracket.
+selects which ones — the paper's Alg. 1 is the default ``darwin`` recipe,
+alternates swap the playoff bracket or drop the loser bracket.
 """
 
 from __future__ import annotations
@@ -23,12 +22,9 @@ import numpy as np
 
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
-from repro.core.barrage import BarragePlayoffs
 from repro.core.config import DarwinGameConfig, auto_regions
-from repro.core.double_elimination import DoubleEliminationGlobalPhase
 from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
-from repro.core.swiss import SwissRegionalPhase
 from repro.errors import TournamentError
 from repro.rng import child, ensure_rng, spawn
 from repro.space.regions import Region, partition_range
@@ -68,33 +64,19 @@ class DarwinGame:
         cfg = self.config
         env = executor.env
         start, stop = index_range
-        # Region sizing follows the VM's nominal game width, *not* the
-        # "all 2-player games" ablation — so that ablation isolates the
-        # effect of game width on tuning cost with the region structure
-        # held fixed (the paper keeps n_r at 10,000 throughout).
-        game_width = max(
-            2, min(cfg.players_per_game or min(32, env.vm.vcpus), env.vm.vcpus)
-        )
+        # Nominal width: region sizing ignores the "all 2-player games"
+        # ablation (see DarwinGameConfig.game_width).
+        game_width = cfg.game_width(env.vm.vcpus, nominal=True)
         n_regions = max(1, cfg.n_regions or auto_regions(stop - start, game_width))
         regions = partition_range(
             start, stop, n_regions, interleaved=cfg.interleaved_regions
         )
-        swiss = SwissRegionalPhase(
-            env, executor.app, cfg, executor.records, executor=executor
-        )
-        region_rngs = spawn(rng, len(regions))
-
-        entrants: List[int] = []
-        durations: List[float] = []
-        games = 0
-        rounds = 0
         # Regions advance in lockstep: round r of every open region is
         # simulated as one batch (regions play on parallel VMs).
-        for result in swiss.run_all(regions, region_rngs):
-            entrants.extend(result.winners)
-            durations.append(result.elapsed)
-            games += result.games
-            rounds += result.rounds
+        results = executor.play_regions(regions, spawn(rng, len(regions)))
+        entrants = list(dict.fromkeys(w for r in results for w in r.winners))
+        durations = [r.elapsed for r in results]
+        games = sum(r.games for r in results)
         # Regions play in parallel on separate VMs (unbounded fleet); the
         # per-region durations are exposed so users can re-schedule the
         # phase onto a finite fleet with repro.cloud.fleet.
@@ -102,15 +84,15 @@ class DarwinGame:
         details["regional"] = {
             "regions": len(regions),
             "games": games,
-            "rounds": rounds,
-            "winners": len(set(entrants)),
+            "rounds": games,  # a Swiss region plays one game per round
+            "winners": len(entrants),
             "region_durations": durations,
         }
         logger.info(
             "regional phase: %d regions, %d games -> %d winners",
-            len(regions), games, len(set(entrants)),
+            len(regions), games, len(entrants),
         )
-        return list(dict.fromkeys(entrants))
+        return entrants
 
     def _direct_entrants(
         self,
@@ -137,12 +119,8 @@ class DarwinGame:
         details: dict,
     ) -> List[int]:
         cfg = self.config
-        env, app, records = executor.env, executor.app, executor.records
         if cfg.global_phase:
-            phase = DoubleEliminationGlobalPhase(
-                env, app, cfg, records, executor=executor
-            )
-            result = phase.run(entrants, child(rng))
+            result = executor.play_global(entrants, child(rng))
             details["global"] = {
                 "entrants": len(entrants),
                 "rounds": result.rounds,
@@ -159,12 +137,10 @@ class DarwinGame:
 
         # Ablation "w/o global": one game among the best regional winners
         # picks the playoff players directly.
-        per_game = 2 if cfg.two_player_games_only else max(
-            2, min(cfg.players_per_game or min(32, env.vm.vcpus), env.vm.vcpus)
-        )
+        per_game = cfg.game_width(executor.env.vm.vcpus)
         pool = list(dict.fromkeys(int(p) for p in entrants))
         if len(pool) > per_game:
-            order = records.combined_rank_order(
+            order = executor.records.combined_rank_order(
                 pool, use_execution=True, use_consistency=False
             )
             pool = [pool[int(p)] for p in order[:per_game]]
@@ -225,17 +201,14 @@ class DarwinGame:
                 winner = playoff_players[0]
                 details["playoffs"] = {"games": 0}
             else:
-                playoffs = BarragePlayoffs(
-                    env, app, cfg, records, executor=executor
-                )
-                playoff_result = playoffs.run(playoff_players)
-                final_result = playoffs.final(playoff_result.finalists)
-                winner = final_result.winner
+                playoffs = executor.play_playoffs(playoff_players)
+                final = executor.play_final(playoffs.finalists)
+                winner = final.winner_index
                 details["playoffs"] = {
                     "players": list(playoff_players),
-                    "games": playoff_result.games,
-                    "finalists": list(playoff_result.finalists),
-                    "runner_up": final_result.runner_up,
+                    "games": playoffs.games,
+                    "finalists": list(playoffs.finalists),
+                    "runner_up": final.indices[1 - final.winner_position],
                 }
 
         details["phase_core_hours"] = env.ledger.core_hours_by_label()

@@ -215,6 +215,14 @@ class GroupedDoubleEliminationResult:
     games: int
     loser_bracket_size: int
 
+    @property
+    def playoff_players(self) -> Tuple[int, ...]:
+        """The main bracket plus the wild card, if one was granted."""
+        players = list(self.main_bracket)
+        if self.wildcard >= 0 and self.wildcard not in players:
+            players.append(self.wildcard)
+        return tuple(players)
+
 
 def form_groups(
     players: Sequence[int],

@@ -21,8 +21,8 @@ from typing import Dict, Tuple
 
 from repro.errors import ReproError
 
-#: Playoff scheduler names a recipe may select (resolved by the playoff
-#: phase adapter in :mod:`repro.core.barrage`).
+#: Playoff scheduler names a recipe may select (resolved by
+#: :meth:`repro.core.executor.MatchExecutor.play_playoffs`).
 PLAYOFF_FORMATS = (
     "barrage",
     "single_elimination",

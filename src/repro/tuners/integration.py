@@ -24,9 +24,9 @@ import numpy as np
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
+from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
 from repro.core.tournament import DarwinGame
-from repro.core.barrage import BarragePlayoffs
 from repro.errors import TunerError
 from repro.rng import SeedLike, child, ensure_rng
 from repro.space.subspaces import split_subspaces, subspace_of
@@ -156,17 +156,11 @@ class HybridTuner:
         unique = list(dict.fromkeys(winners))
         if len(unique) == 1:
             return unique[0]
-        records = RecordBook()
-        playoffs = BarragePlayoffs(env, app, self.dg_config, records)
+        executor = MatchExecutor(env, app, self.dg_config, RecordBook())
         if len(unique) > 4:
             # Seed a 4-player playoff with one qualifying multi-player game.
-            from repro.core.game import play_game
-
-            report = play_game(
-                env, app, unique, self.dg_config, records,
-                label="playoffs", advance_clock=True,
-            )
+            report = executor.play([unique], label="playoffs", advance_clock=True)[0]
             order = np.argsort(-np.asarray(report.execution_scores), kind="stable")
             unique = [unique[int(p)] for p in order[:4]]
-        result = playoffs.run(unique)
-        return playoffs.final(result.finalists).winner
+        result = executor.play_playoffs(unique)
+        return executor.play_final(result.finalists).winner_index

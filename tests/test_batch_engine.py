@@ -4,7 +4,7 @@ The engine's contract: a round of games simulated as one stacked tensor
 computation books exactly what the same games would book one at a time,
 because every game draws from its own child generator keyed by its position
 in the round.  These tests pin that equivalence, the determinism of whole
-tunes, and the round semantics of ``play_round``.
+tunes, and the round semantics of ``MatchExecutor.play``.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.apps import make_application
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import PRESETS
 from repro.core.config import DarwinGameConfig
-from repro.core.game import play_game, play_round
+from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
 from repro.core.tournament import DarwinGame
 
@@ -73,8 +73,8 @@ class TestBatchMatchesSingle:
             env_split.ledger.core_hours
         )
 
-    def test_play_round_matches_play_game_sequence(self, app):
-        """One ``play_round`` books the same scores/records as the same
+    def test_round_matches_one_game_at_a_time(self, app):
+        """One executor round books the same scores/records as the same
         lineups played one game at a time."""
         cfg = DarwinGameConfig(seed=0)
         lineups = [
@@ -83,12 +83,12 @@ class TestBatchMatchesSingle:
         ]
         env_round, env_seq = env(7), env(7)
         records_round, records_seq = RecordBook(), RecordBook()
-        reports_round = play_round(
-            env_round, app, lineups, cfg, records_round, label="t"
+        reports_round = MatchExecutor(env_round, app, cfg, records_round).play(
+            lineups, label="t"
         )
+        one_at_a_time = MatchExecutor(env_seq, app, cfg, records_seq)
         reports_seq = [
-            play_game(env_seq, app, lineup, cfg, records_seq, label="t")
-            for lineup in lineups
+            one_at_a_time.play([lineup], label="t")[0] for lineup in lineups
         ]
         for a, b in zip(reports_round, reports_seq):
             assert a.indices == b.indices

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cloud.colocation import contention_level, simulate_colocated
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import PRESETS
-from repro.core.game import execution_scores_from_work
+from repro.core.executor import execution_scores_from_work
 from repro.rng import ensure_rng
 
 VM = PRESETS["m5.8xlarge"]

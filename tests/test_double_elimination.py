@@ -5,7 +5,7 @@ import pytest
 from repro.apps import make_application
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.double_elimination import DoubleEliminationGlobalPhase
+from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
 from repro.errors import TournamentError
 from repro.rng import ensure_rng
@@ -22,8 +22,8 @@ def run_global(app, entrants, cfg=None, *, seed=0, env_seed=0, records=None):
     records = records or RecordBook()
     for pos, e in enumerate(entrants):
         records.assign_region([e], pos % 7)
-    phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
-    return phase.run(entrants, ensure_rng(seed)), records
+    executor = MatchExecutor(env, app, cfg, records)
+    return executor.play_global(entrants, ensure_rng(seed)), records
 
 
 class TestGlobalPhase:
@@ -93,8 +93,19 @@ class TestGroupDiversity:
         # Ten regions, four players each.
         for region in range(10):
             records.assign_region(entrants[4 * region: 4 * region + 4], region)
-        phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
-        groups = phase._form_groups(entrants, 10, ensure_rng(0))
+        executor = MatchExecutor(env, app, cfg, records)
+        played = []
+        play = executor.play
+
+        def spy(lineups, **kwargs):
+            played.append(lineups)
+            return play(lineups, **kwargs)
+
+        executor.play = spy
+        executor.play_global(entrants, ensure_rng(0))
+        # The first round deals all 40 entrants into ten groups of four.
+        groups = played[0]
+        assert sorted(p for g in groups for p in g) == entrants
         for group in groups:
             regions = records.region_ids(group).tolist()
             assert len(set(regions)) == len(regions)
@@ -109,9 +120,9 @@ class TestJudging:
         # Pre-load history: player 1 consistent winner, player 2 erratic.
         records.record_game([1, 2, 3], [1.0, 0.95, 0.4])
         records.record_game([1, 2, 3], [1.0, 0.3, 0.6])
-        phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
+        executor = MatchExecutor(env, app, cfg, records)
         # Players 1 and 2 tie on execution this game; consistency decides.
-        winner_pos = phase._judge_game([1, 2, 3], [1.0, 1.0, 0.5])
+        winner_pos = executor.judge_game([1, 2, 3], [1.0, 1.0, 0.5])
         assert [1, 2, 3][winner_pos] == 1
 
     def test_execution_only_mode(self, app):
@@ -119,6 +130,6 @@ class TestJudging:
         env = CloudEnvironment(seed=0)
         records = RecordBook()
         records.record_game([1, 2], [0.5, 1.0])
-        phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
-        winner_pos = phase._judge_game([1, 2], [1.0, 0.9])
+        executor = MatchExecutor(env, app, cfg, records)
+        winner_pos = executor.judge_game([1, 2], [1.0, 0.9])
         assert [1, 2][winner_pos] == 1  # judged by this game's scores alone

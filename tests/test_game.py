@@ -1,4 +1,4 @@
-"""Unit tests for playing a single game."""
+"""Unit tests for playing a single game (a one-game executor round)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.apps import make_application
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.game import execution_scores_from_work, play_game
+from repro.core.executor import MatchExecutor, execution_scores_from_work
 from repro.core.records import RecordBook
 from repro.errors import TournamentError
 
@@ -14,6 +14,13 @@ from repro.errors import TournamentError
 @pytest.fixture(scope="module")
 def app():
     return make_application("redis", scale="test")
+
+
+def play_one(env, app, players, config, records, **kwargs):
+    """One game as a one-game round (``label`` defaults to ``"game"``)."""
+    kwargs.setdefault("label", "game")
+    executor = MatchExecutor(env, app, config, records)
+    return executor.play([players], **kwargs)[0]
 
 
 class TestExecutionScores:
@@ -39,7 +46,7 @@ class TestPlayGame:
         env = CloudEnvironment(seed=0)
         records = RecordBook()
         players = [int(i) for i in app.space.sample_indices(8, seed=1, replace=False)]
-        report = play_game(env, app, players, DarwinGameConfig(), records)
+        report = play_one(env, app, players, DarwinGameConfig(), records)
         assert report.winner_index in players
         assert max(report.execution_scores) == pytest.approx(1.0)
         assert records.games_played(players).tolist() == [1] * len(players)
@@ -47,12 +54,12 @@ class TestPlayGame:
     def test_duplicate_players_rejected(self, app):
         env = CloudEnvironment(seed=0)
         with pytest.raises(TournamentError):
-            play_game(env, app, [1, 1], DarwinGameConfig(), RecordBook())
+            play_one(env, app, [1, 1], DarwinGameConfig(), RecordBook())
 
     def test_empty_game_rejected(self, app):
         env = CloudEnvironment(seed=0)
         with pytest.raises(TournamentError):
-            play_game(env, app, [], DarwinGameConfig(), RecordBook())
+            play_one(env, app, [], DarwinGameConfig(), RecordBook())
 
     def test_early_termination_override(self, app):
         """Playoffs-style games must run to completion."""
@@ -62,7 +69,7 @@ class TestPlayGame:
         idx = np.arange(app.space.size)
         times = app.true_time(idx)
         fast, slow = int(np.argmin(times)), int(np.argmax(times))
-        report = play_game(
+        report = play_one(
             env, app, [fast, slow], DarwinGameConfig(), records,
             allow_early_termination=False,
         )
@@ -71,10 +78,10 @@ class TestPlayGame:
 
     def test_clock_advance_flag(self, app):
         env = CloudEnvironment(seed=0)
-        play_game(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
+        play_one(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
                   advance_clock=False)
         assert env.now == 0.0
-        play_game(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
+        play_one(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
                   advance_clock=True)
         assert env.now > 0.0
 
@@ -85,5 +92,5 @@ class TestPlayGame:
         times = app.true_time(idx)
         fast, slow = int(np.argmin(times)), int(np.argmax(times))
         cfg = DarwinGameConfig(early_termination=False)
-        report = play_game(env, app, [fast, slow], cfg, records)
+        report = play_one(env, app, [fast, slow], cfg, records)
         assert not report.outcome.early_terminated

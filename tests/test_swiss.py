@@ -6,8 +6,8 @@ import pytest
 from repro.apps import make_application
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
+from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
-from repro.core.swiss import SwissRegionalPhase
 from repro.rng import ensure_rng
 from repro.space.regions import Region
 
@@ -21,9 +21,10 @@ def run_region(app, cfg=None, *, region=None, seed=0, env_seed=0):
     cfg = cfg or DarwinGameConfig()
     env = CloudEnvironment(seed=env_seed)
     records = RecordBook()
-    phase = SwissRegionalPhase(env, app, cfg, records)
+    executor = MatchExecutor(env, app, cfg, records)
     region = region or Region(0, 0, 256)
-    return phase.run_region(region, ensure_rng(seed)), records
+    (result,) = executor.play_regions([region], [ensure_rng(seed)])
+    return result, records
 
 
 class TestRegionalPhase:
