@@ -140,6 +140,8 @@ class DynamicFeedbackDarwinGame:
 
     def tune(self, app: ApplicationModel, env: CloudEnvironment) -> TuningResult:
         """Run the tournament, then feedback loops over the late-phase field."""
+        hours_before = env.ledger.snapshot()
+        time_before = env.now
         base = DarwinGame(self.config).tune(app, env)
         dims = self._dynamic_dims(app)
         records = RecordBook()
@@ -189,7 +191,8 @@ class DynamicFeedbackDarwinGame:
             best_index=int(winner),
             best_values=app.space.values_of(int(winner)),
             evaluations=base.evaluations + records.total_evaluations,
-            core_hours=env.ledger.snapshot(),  # includes the base tournament
-            tuning_seconds=base.tuning_seconds,
+            # Both include the base tournament and every feedback duel.
+            core_hours=env.ledger.snapshot() - hours_before,
+            tuning_seconds=env.now - time_before,
             details=details,
         )

@@ -48,6 +48,21 @@ class TestDynamicFeedback:
         fancy = DynamicFeedbackDarwinGame(DarwinGameConfig(seed=2)).tune(app, env_b)
         assert fancy.core_hours > plain.core_hours
 
+    def test_reports_its_own_cost_on_a_reused_environment(self, app):
+        """Core-hours and tuning time are this campaign's deltas, feedback
+        duels included, even after an earlier campaign on the same VM."""
+        cfg = DarwinGameConfig(seed=1)
+        env_plain, env = CloudEnvironment(seed=1), CloudEnvironment(seed=1)
+        for e in (env_plain, env):
+            DarwinGame(cfg).tune(app, e)  # an earlier campaign
+        plain = DarwinGame(cfg).tune(app, env_plain)
+        hours_before, time_before = env.ledger.snapshot(), env.now
+        result = DynamicFeedbackDarwinGame(cfg).tune(app, env)
+        assert result.details["feedback"]["games"] > 0
+        assert result.core_hours == env.ledger.snapshot() - hours_before
+        assert result.tuning_seconds == env.now - time_before
+        assert result.tuning_seconds > plain.tuning_seconds
+
     def test_limited_improvement(self, app):
         """The paper: the extra cost buys under ~5% improvement."""
         env_a = CloudEnvironment(seed=3)
