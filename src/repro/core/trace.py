@@ -8,13 +8,37 @@ reached the main bracket, who got the wild card, and what each phase cost.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
+from repro.formats.recipes import (
+    DEFAULT_FORMAT,
+    tournament_format,
+    tournament_format_names,
+)
 from repro.types import TuningResult
+
+
+def _phase_styles(name: str) -> Tuple[str, str, str]:
+    """Regional, global and playoff styles of the named recipe.
+
+    A recipe this process has not registered is named as-is.
+    """
+    if name not in tournament_format_names():
+        return name, name, name
+    recipe = tournament_format(name)
+    return (
+        "Swiss" if recipe.swiss_regional else "one game per region",
+        "double elimination" if recipe.double_elimination_global
+        else "single elimination",
+        recipe.playoffs.replace("_", " "),
+    )
 
 
 def format_tournament_report(result: TuningResult) -> str:
     """Render a phase-by-phase report of one DarwinGame run."""
+    regional_style, global_style, playoff_style = _phase_styles(
+        result.details.get("format", DEFAULT_FORMAT)
+    )
     lines: List[str] = [f"DarwinGame tournament report — winner {result.best_index}"]
     lines.append(
         f"  total: {result.evaluations} evaluations, "
@@ -25,7 +49,8 @@ def format_tournament_report(result: TuningResult) -> str:
     regional = result.details.get("regional")
     if regional:
         lines.append(
-            f"  phase I  (regional, Swiss): {regional['regions']} regions, "
+            f"  phase I  (regional, {regional_style}): "
+            f"{regional['regions']} regions, "
             f"{regional['games']} games -> {regional['winners']} winners"
         )
 
@@ -34,7 +59,7 @@ def format_tournament_report(result: TuningResult) -> str:
         main = global_phase.get("main_bracket")
         wildcard = global_phase.get("wildcard", -1)
         lines.append(
-            f"  phase II (global, double elimination): "
+            f"  phase II (global, {global_style}): "
             f"{global_phase.get('entrants', 0)} entrants, "
             f"{global_phase.get('rounds', 0)} rounds, "
             f"{global_phase.get('games', 0)} games"
@@ -50,7 +75,8 @@ def format_tournament_report(result: TuningResult) -> str:
     playoffs = result.details.get("playoffs")
     if playoffs:
         lines.append(
-            f"  phase III (playoffs, barrage): {playoffs.get('games', 0)} games"
+            f"  phase III (playoffs, {playoff_style}): "
+            f"{playoffs.get('games', 0)} games"
         )
         if "finalists" in playoffs:
             lines.append(f"           finalists: {playoffs['finalists']}")

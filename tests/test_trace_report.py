@@ -64,6 +64,71 @@ class TestTournamentReport:
         assert "phase II" in text
 
 
+def _synthetic(details):
+    return TuningResult(
+        tuner_name="DarwinGame", best_index=1, best_values=("x",),
+        evaluations=5000, core_hours=316.0, tuning_seconds=7200.0,
+        details=details,
+    )
+
+
+_PHASES = {
+    "regional": {"regions": 16, "games": 120, "rounds": 120, "winners": 40},
+    "global": {"entrants": 40, "rounds": 2, "games": 9,
+               "main_bracket": [1, 2, 3], "wildcard": 4,
+               "loser_bracket_size": 30},
+    "playoffs": {"players": [1, 2, 3, 4], "games": 3, "finalists": [1, 2],
+                 "runner_up": 2},
+    "phase_core_hours": {"regional": 300.0, "global": 10.0, "playoffs": 5.0,
+                         "final": 1.0},
+}
+
+
+class TestFormatLabels:
+    def test_default_report_text_unchanged(self):
+        assert format_tournament_report(_synthetic(_PHASES)) == "\n".join([
+            "DarwinGame tournament report \u2014 winner 1",
+            "  total: 5000 evaluations, 316 core-hours, 2.0 simulated hours",
+            "  phase I  (regional, Swiss): 16 regions, 120 games -> 40 winners",
+            "  phase II (global, double elimination): 40 entrants, 2 rounds, "
+            "9 games",
+            "           main bracket: [1, 2, 3]",
+            "           wild card (from loser bracket of 30): 4",
+            "  phase III (playoffs, barrage): 3 games",
+            "           finalists: [1, 2]",
+            "  phase IV (final): 1 beat 2",
+            "  core-hours by phase: final=1, global=10, playoffs=5, "
+            "regional=300",
+        ])
+
+    @pytest.mark.parametrize(
+        "fmt, global_style, playoff_style",
+        [
+            ("knockout", "double elimination", "single elimination"),
+            ("round_robin_playoffs", "double elimination", "round robin"),
+            ("single_elim", "single elimination", "single elimination"),
+        ],
+    )
+    def test_report_names_the_formats_that_ran(
+        self, fmt, global_style, playoff_style
+    ):
+        app = make_application("redis", scale="test")
+        config = DarwinGameConfig(seed=8).with_format(fmt)
+        result = DarwinGame(config).tune(app, CloudEnvironment(seed=8))
+        text = format_tournament_report(result)
+        assert result.details["format"] == fmt
+        assert "(regional, Swiss)" in text
+        assert f"phase II (global, {global_style}):" in text
+        assert f"phase III (playoffs, {playoff_style}):" in text
+
+    def test_unregistered_format_printed_as_is(self):
+        text = format_tournament_report(
+            _synthetic(dict(_PHASES, format="from_elsewhere"))
+        )
+        assert "phase II (global, from_elsewhere):" in text
+        assert "phase III (playoffs, from_elsewhere):" in text
+
+
 class TestLogging:
     def test_tournament_emits_phase_logs(self, caplog):
         import logging
