@@ -90,14 +90,9 @@ __all__ = [
 
 def _strategy_names() -> tuple:
     """Every strategy a grid may name (protocol set + extra tuners)."""
-    from repro.experiments import STRATEGY_NAMES
+    from repro.experiments.protocol import EXTRA_STRATEGY_NAMES, STRATEGY_NAMES
 
-    return tuple(STRATEGY_NAMES) + (
-        "QuantileRegression",
-        "ThompsonSampling",
-        "GeneticAlgorithm",
-        "SimulatedAnnealing",
-    )
+    return STRATEGY_NAMES + EXTRA_STRATEGY_NAMES
 
 
 class _StrategyNames(Sequence):

@@ -49,7 +49,6 @@ from repro.cloud.vm import PRESETS
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.experiments import (
-    STRATEGY_NAMES,
     render_table,
     run_format_power,
     run_headline,
@@ -78,13 +77,6 @@ _LOG = get_logger("cli")
 _EXPERIMENTS = (
     "fig10", "fig11", "fig12", "fig15", "stability", "sensitivity",
     "formats", "shift", "statistical", "scenarios",
-)
-#: Extra strategies selectable via ``tune``/``compare`` beyond the Fig. 10 set.
-_EXTRA_STRATEGIES = (
-    "QuantileRegression",
-    "ThompsonSampling",
-    "GeneticAlgorithm",
-    "SimulatedAnnealing",
 )
 
 
@@ -486,7 +478,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if _check_formats([args.format]):
         return 2
     strategies = tuple(s.strip() for s in args.strategies.split(","))
-    known = tuple(STRATEGY_NAMES) + _EXTRA_STRATEGIES
+    known = tuple(api.SUPPORTED_STRATEGIES)
     unknown = [s for s in strategies if s not in known]
     if unknown:
         _LOG.error("unknown strategies: %s; available: %s", unknown, list(known))
@@ -756,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--strategy",
         default="DarwinGame",
-        choices=tuple(STRATEGY_NAMES) + _EXTRA_STRATEGIES,
+        choices=tuple(api.SUPPORTED_STRATEGIES),
     )
     p_tune.add_argument(
         "--save", default="", help="archive the campaign to this JSON path"

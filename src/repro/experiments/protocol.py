@@ -72,25 +72,34 @@ class StrategyRun:
         return self.evaluation.cov_percent
 
 
+#: How each tuning strategy is built from its seed (``"Optimal"``, the
+#: oracle, tunes nothing).  Every name after the Fig. 10 set is an extra
+#: tuner that ``tune``/``compare`` and sweep grids may name.
+_FACTORIES: Dict[str, Callable[[int], object]] = {
+    "DarwinGame": lambda seed: DarwinGame(DarwinGameConfig(seed=seed)),
+    "Exhaustive": lambda seed: ExhaustiveSearch(seed=seed),
+    "BLISS": lambda seed: BlissLike(seed=seed),
+    "OpenTuner": lambda seed: OpenTunerLike(seed=seed),
+    "ActiveHarmony": lambda seed: ActiveHarmonyLike(seed=seed),
+    "QuantileRegression": lambda seed: QuantileRegressionTuner(seed=seed),
+    "ThompsonSampling": lambda seed: ThompsonSamplingTuner(seed=seed),
+    "GeneticAlgorithm": lambda seed: GeneticTuner(seed=seed),
+    "SimulatedAnnealing": lambda seed: SimulatedAnnealingTuner(seed=seed),
+}
+
+#: The extra tuners, beyond the figures' :data:`STRATEGY_NAMES`.
+EXTRA_STRATEGY_NAMES = tuple(n for n in _FACTORIES if n not in STRATEGY_NAMES)
+
+
 def _make_strategy(name: str, seed: int):
     """Instantiate a tuner-like object (``.tune(app, env)``) by figure name."""
-    factories: Dict[str, Callable] = {
-        "DarwinGame": lambda: DarwinGame(DarwinGameConfig(seed=seed)),
-        "Exhaustive": lambda: ExhaustiveSearch(seed=seed),
-        "BLISS": lambda: BlissLike(seed=seed),
-        "OpenTuner": lambda: OpenTunerLike(seed=seed),
-        "ActiveHarmony": lambda: ActiveHarmonyLike(seed=seed),
-        "QuantileRegression": lambda: QuantileRegressionTuner(seed=seed),
-        "ThompsonSampling": lambda: ThompsonSamplingTuner(seed=seed),
-        "GeneticAlgorithm": lambda: GeneticTuner(seed=seed),
-        "SimulatedAnnealing": lambda: SimulatedAnnealingTuner(seed=seed),
-    }
     try:
-        return factories[name]()
+        factory = _FACTORIES[name]
     except KeyError:
         raise ReproError(
-            f"unknown strategy {name!r}; available: {list(factories)} + 'Optimal'"
+            f"unknown strategy {name!r}; available: {list(_FACTORIES)} + 'Optimal'"
         ) from None
+    return factory(seed)
 
 
 def run_strategy(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
 
 
@@ -22,6 +23,11 @@ class TestParser:
     def test_experiment_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--name", "fig99"])
+
+    def test_tune_strategy_choices_are_the_supported_strategies(self):
+        tune = build_parser()._subparsers._group_actions[0].choices["tune"]
+        (strategy,) = [a for a in tune._actions if a.dest == "strategy"]
+        assert tuple(strategy.choices) == tuple(api.SUPPORTED_STRATEGIES)
 
 
 class TestCommands:

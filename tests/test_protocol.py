@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.apps import make_application
 from repro.errors import ReproError
 from repro.experiments.protocol import (
@@ -36,6 +37,13 @@ class TestStrategyFactory:
         for name in STRATEGY_NAMES:
             if name != "Optimal":
                 _make_strategy(name, seed=0)
+
+    def test_every_supported_strategy_constructible(self):
+        """The API's names and the factories cannot drift apart."""
+        names = [n for n in api.SUPPORTED_STRATEGIES if n != "Optimal"]
+        assert len(names) == len(api.SUPPORTED_STRATEGIES) - 1
+        for name in names:
+            assert hasattr(_make_strategy(name, seed=0), "tune")
 
 
 class TestRunStrategy:
