@@ -196,15 +196,12 @@ class MatchExecutor:
             )
         return reports
 
-    def duel(
-        self, a: int, b: int, *, label: str, advance_clock: bool = True
-    ) -> GameReport:
-        """A two-player game played to completion (playoffs and the final)."""
+    def duel(self, a: int, b: int, *, label: str) -> GameReport:
+        """A two-player game played to completion; the clock advances by it
+        (the final and the feedback loop)."""
         return self.play(
-            [[a, b]],
-            label=label,
-            allow_early_termination=False,
-            advance_clock=advance_clock,
+            [[a, b]], label=label, allow_early_termination=False,
+            advance_clock=True,
         )[0]
 
     @staticmethod

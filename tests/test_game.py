@@ -79,10 +79,10 @@ class TestPlayGame:
     def test_clock_advance_flag(self, app):
         env = CloudEnvironment(seed=0)
         play_one(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
-                  advance_clock=False)
+                 advance_clock=False)
         assert env.now == 0.0
         play_one(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
-                  advance_clock=True)
+                 advance_clock=True)
         assert env.now > 0.0
 
     def test_config_early_termination_flag(self, app):

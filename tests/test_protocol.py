@@ -20,10 +20,7 @@ def app():
 
 class TestStrategyFactory:
     @pytest.mark.parametrize(
-        "name",
-        ["DarwinGame", "Exhaustive", "BLISS", "OpenTuner", "ActiveHarmony",
-         "QuantileRegression", "ThompsonSampling", "GeneticAlgorithm",
-         "SimulatedAnnealing"],
+        "name", [n for n in api.SUPPORTED_STRATEGIES if n != "Optimal"]
     )
     def test_known_strategies_instantiate(self, name):
         tuner = _make_strategy(name, seed=0)
@@ -37,13 +34,6 @@ class TestStrategyFactory:
         for name in STRATEGY_NAMES:
             if name != "Optimal":
                 _make_strategy(name, seed=0)
-
-    def test_every_supported_strategy_constructible(self):
-        """The API's names and the factories cannot drift apart."""
-        names = [n for n in api.SUPPORTED_STRATEGIES if n != "Optimal"]
-        assert len(names) == len(api.SUPPORTED_STRATEGIES) - 1
-        for name in names:
-            assert hasattr(_make_strategy(name, seed=0), "tune")
 
 
 class TestRunStrategy:
