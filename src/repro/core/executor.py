@@ -147,7 +147,7 @@ class MatchExecutor:
         With telemetry on, each round emits a ``round.play`` span: host
         wall time as the span value, plus the round's shape (label, game
         count, early terminations, simulated seconds) as fields.  Off, the
-        cost is one flag check.
+        cost is one clock read and one flag check.
         """
         t0 = time.perf_counter()
         validated: List[List[int]] = []
