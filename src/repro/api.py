@@ -8,9 +8,9 @@ drives the four entry points here, so there is exactly one code path from
 * :func:`submit_grid` — validate a :class:`~repro.campaigns.spec.
   CampaignGrid`, open (or reuse) its :class:`~repro.campaigns.store.base.
   ResultStore`, and execute it through the
-  :class:`~repro.campaigns.runner.CampaignRunner`, returning a
-  :class:`JobHandle` (blocking by default; ``block=False`` runs the sweep
-  on a background thread — the daemon's submission path).
+  :class:`~repro.campaigns.runner.CampaignRunner` in the calling thread,
+  returning a terminal :class:`JobHandle`.  The daemon builds its handles
+  directly and runs them on its own executor thread.
 * :func:`job_status` — the live done/running/queued/failed view, reusing
   :func:`repro.telemetry.status.snapshot` over the store and its sidecars.
 * :func:`iter_results` — the stored records in deterministic (campaign-ID)
@@ -244,9 +244,9 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 class JobHandle:
     """Handle on one submitted sweep: its identity, store, and outcome.
 
-    Returned by :func:`submit_grid`.  For a blocking submission the handle
-    is already terminal; for ``block=False`` it tracks the background
-    thread.  The handle is also the argument every read-side facade call
+    Returned by :func:`submit_grid` already terminal; the daemon builds
+    one per job and runs it with :meth:`execute` on its executor thread.
+    The handle is also the argument every read-side facade call
     accepts, so ``submit → status → results → report`` composes without
     the caller ever touching store paths again.
     """
@@ -262,7 +262,6 @@ class JobHandle:
         self.options = options
         self.store = store
         self.job_id = job_id if job_id is not None else job_id_for(grid)
-        self._thread: Optional[threading.Thread] = None
         self._cancel = threading.Event()
         self._lock = threading.Lock()
         self._state = "queued"
@@ -300,20 +299,12 @@ class JobHandle:
         """
         self._cancel.set()
 
-    def wait(self, timeout: Optional[float] = None) -> "JobHandle":
-        """Block until the job is terminal (or ``timeout`` elapses)."""
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout)
-        return self
-
-    def result(self, timeout: Optional[float] = None) -> SweepReport:
+    def result(self) -> SweepReport:
         """The finished :class:`~repro.campaigns.runner.SweepReport`.
 
         Re-raises the job's exception if it failed; raises
         :class:`JobCancelled` if it was cancelled before finishing.
         """
-        self.wait(timeout)
         with self._lock:
             if self._report is not None:
                 return self._report
@@ -327,10 +318,10 @@ class JobHandle:
         """Run the sweep inline in the calling thread; the only place
         jobs execute.
 
-        :func:`submit_grid` calls this for you (directly, or on a daemon
-        thread with ``block=False``).  The service's job executor calls it
-        from its single worker thread so concurrently submitted jobs
-        execute one at a time against the shared warm engine."""
+        :func:`submit_grid` calls this for you.  The service's job
+        executor calls it from its single worker thread so concurrently
+        submitted jobs execute one at a time against the shared warm
+        engine.  A failure is recorded on the handle and re-raised."""
         if self._cancel.is_set():
             with self._lock:
                 self._state = "cancelled"
@@ -366,12 +357,11 @@ class JobHandle:
             with self._lock:
                 self._state = "cancelled"
                 self._error = exc
-        except BaseException as exc:  # noqa: BLE001 - surfaced via .result()
+        except BaseException as exc:
             with self._lock:
                 self._state = "failed"
                 self._error = exc
-            if self._thread is None:
-                raise
+            raise
         else:
             with self._lock:
                 self._state = "done"
@@ -409,7 +399,6 @@ def submit_grid(
     options: Optional[SweepOptions] = None,
     *,
     progress: Optional[ProgressFn] = None,
-    block: bool = True,
 ) -> JobHandle:
     """Validate and execute a campaign grid; the one sweep entry point.
 
@@ -419,26 +408,15 @@ def submit_grid(
     the store already holds as done, which is also how *resume* works:
     re-submit the stored grid against the same store.
 
-    With ``block=True`` (default) the call returns a terminal
-    :class:`JobHandle`; ``block=False`` starts a daemon thread and returns
-    immediately.  Note the runner installs process-global observability
-    state while executing, so concurrent *executing* jobs in one process
-    must be serialised by the caller (the service runs one executor).
+    The call returns a terminal :class:`JobHandle`.  The runner installs
+    process-global observability state while executing, so concurrent
+    *executing* jobs in one process must be serialised by the caller (the
+    service runs one executor).
     """
     options = options if options is not None else SweepOptions()
     validate_grid(grid)
     handle = JobHandle(grid=grid, options=options, store=options.open_store())
-    if block:
-        handle.execute(progress)
-    else:
-        thread = threading.Thread(
-            target=handle.execute,
-            args=(progress,),
-            name=f"repro-{handle.job_id}",
-            daemon=True,
-        )
-        handle._thread = thread
-        thread.start()
+    handle.execute(progress)
     return handle
 
 
@@ -513,14 +491,6 @@ _VIEW_SUMMARISERS = {
     "by-format": summarise_by_format,
     "failures": summarise_failures,
 }
-
-_VIEW_TABLES = {
-    "summary": summary_table,
-    "by-scenario": scenario_table,
-    "by-format": format_table,
-    "failures": failure_table,
-}
-
 
 def fetch_report(job: StoreLike, *, view: str = "summary"):
     """Aggregate a sweep into one of its summary views.

@@ -9,8 +9,8 @@ overhead.  This subsystem caches them at two tiers:
   (keyed by app, scale, surface fingerprint and calibration version),
   validated on open and written atomically; and
 * **memory** — :class:`ApplicationCache`, a bounded LRU of built
-  application models shared by every campaign in a process, plus a small
-  array tier inside :class:`SurfaceCache` itself.
+  application models (tables included) shared by every campaign in a
+  process.
 
 Quickstart::
 

@@ -107,11 +107,8 @@ def set_process_surface_cache(cache: Optional[SurfaceCache]) -> None:
 def clear_process_caches() -> None:
     """Reset both process-global handles (the test-fixture hook).
 
-    Drops every cached application, detaches the surface cache, and empties
-    its in-memory tier — disk entries are left alone, they are validated
-    on every open.
+    Drops every cached application and detaches the surface cache — disk
+    entries are left alone, they are validated on every open.
     """
     _PROCESS_APP_CACHE.clear()
-    if _PROCESS_SURFACE_CACHE is not None:
-        _PROCESS_SURFACE_CACHE.clear_memory()
     set_process_surface_cache(None)

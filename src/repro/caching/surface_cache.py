@@ -1,12 +1,13 @@
-"""The two-tier (memory + disk) cache of application surface tables.
+"""The on-disk cache of application surface tables.
 
 Campaign fleets tune the *same* four applications thousands of times; the
 surfaces those campaigns evaluate are deterministic functions of the
 application definition.  This module persists each application's full
 ``true_time``/``sensitivity`` tables as content-addressed ``.npz`` files so
 the expensive first-touch computation happens once per machine instead of
-once per process, and shares loaded tables through a small in-memory tier
-so repeated lookups within a process never touch the disk twice.
+once per process.  Within a process the loaded tables live on in the
+application model itself (:class:`~repro.caching.app_cache.
+ApplicationCache`), so each process reads an entry at most once per model.
 
 Correctness rests on content addressing: an entry's file name and embedded
 metadata carry the surface's :meth:`~repro.apps.surfaces.PerformanceSurface.
@@ -24,7 +25,6 @@ import json
 import os
 import tempfile
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.apps.model import ApplicationModel
 from repro.caching.keys import CALIBRATION_VERSION, SurfaceKey, surface_key
-from repro.errors import ReproError
 
 PathLike = Union[str, Path]
 Arrays = Tuple[np.ndarray, np.ndarray]
@@ -71,27 +70,16 @@ class SurfaceEntry:
 
 
 class SurfaceCache:
-    """Two-tier surface cache: bounded in-memory arrays over ``.npz`` files.
+    """Surface cache over content-addressed ``.npz`` files.
 
     Args:
-        directory: disk-tier location; defaults to :func:`default_cache_dir`.
-        memory_entries: how many applications' tables the in-memory tier
-            holds (LRU-evicted; a full-scale pair is ~128 MB, typical bench
-            pairs are a few MB).
+        directory: cache location; defaults to :func:`default_cache_dir`.
     """
 
-    def __init__(
-        self, directory: Optional[PathLike] = None, *, memory_entries: int = 8
-    ) -> None:
-        if memory_entries < 1:
-            raise ReproError(
-                f"memory_entries must be >= 1, got {memory_entries}"
-            )
+    def __init__(self, directory: Optional[PathLike] = None) -> None:
         self.directory = (
             Path(directory) if directory is not None else default_cache_dir()
         )
-        self.memory_entries = memory_entries
-        self._memory: "OrderedDict[str, Arrays]" = OrderedDict()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SurfaceCache({str(self.directory)!r})"
@@ -114,32 +102,20 @@ class SurfaceCache:
         app.set_surface_loader(lambda: self.fetch(key, app.space.size))
 
     def fetch(self, key: SurfaceKey, expected_points: int) -> Optional[Arrays]:
-        """Tables for ``key``: memory tier, then validated disk read.
+        """Tables for ``key`` from a validated disk read.
 
-        Each lookup lands one telemetry counter — ``cache.hit`` with the
-        tier that served it, or ``cache.miss`` — so a sweep's sidecar
-        answers "did the cache actually carry the fleet?" after the fact.
+        Each lookup lands one telemetry counter — ``cache.hit`` (labelled
+        ``tier="disk"``) or ``cache.miss`` — so a sweep's sidecar answers
+        "did the cache actually carry the fleet?" after the fact.
         """
         from repro.telemetry.events import counter as _telemetry_counter
 
-        hit = self._memory.get(key.fingerprint)
-        if hit is not None:
-            self._memory.move_to_end(key.fingerprint)
-            _telemetry_counter("cache.hit", tier="memory")
-            return hit
         arrays = self._read(key, expected_points)
         if arrays is not None:
-            self._remember(key.fingerprint, arrays)
             _telemetry_counter("cache.hit", tier="disk")
         else:
             _telemetry_counter("cache.miss")
         return arrays
-
-    def _remember(self, fingerprint: str, arrays: Arrays) -> None:
-        self._memory[fingerprint] = arrays
-        self._memory.move_to_end(fingerprint)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
 
     def _read(self, key: SurfaceKey, expected_points: int) -> Optional[Arrays]:
         """Validated disk read; any mismatch or corruption is a miss."""
@@ -192,9 +168,6 @@ class SurfaceCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        self._remember(
-            key.fingerprint, (arrays["true_time"], arrays["sensitivity"])
-        )
         return path
 
     # -- operations (CLI: repro cache warm / info / clear) ----------------
@@ -239,9 +212,9 @@ class SurfaceCache:
                 continue
             key = surface_key(app)
             path = self.path_for(key)
-            # Validate the *disk* entry, not the memory tier: warm's
-            # contract is that workers can read the persisted file, which
-            # another process may have cleared since we last loaded it.
+            # Validate the disk entry even when ``app`` already holds its
+            # tables: warm's contract is that workers can read the persisted
+            # file, which another process may have cleared since.
             if self._read(key, app.space.size) is not None:
                 status = WARM_REUSED
             else:
@@ -262,7 +235,7 @@ class SurfaceCache:
         return entries
 
     def info(self) -> List[SurfaceEntry]:
-        """Metadata of every entry in the disk tier (no table loads)."""
+        """Metadata of every cache entry (no table loads)."""
         entries: List[SurfaceEntry] = []
         if not self.directory.is_dir():
             return entries
@@ -286,18 +259,13 @@ class SurfaceCache:
         return entries
 
     def clear(self) -> int:
-        """Drop both tiers; returns how many disk entries were removed."""
-        self.clear_memory()
+        """Delete every entry; returns how many were removed."""
         removed = 0
         if self.directory.is_dir():
             for path in self.directory.glob("*.npz"):
                 path.unlink()
                 removed += 1
         return removed
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier only (disk entries stay warm)."""
-        self._memory.clear()
 
 
 def grid_app_pairs(specs: Sequence) -> List[Tuple[str, object]]:

@@ -24,7 +24,7 @@ or from the shell: ``python -m repro sweep --apps redis,lammps --seeds 0,1,2
 --scale test --jobs 4 --store sweep.jsonl``.
 """
 
-from repro.campaigns.dispatch import Dispatcher, TaskLedger, ledger_path_for
+from repro.campaigns.dispatch import Dispatcher, TaskLedger
 from repro.campaigns.report import (
     FailureRow,
     FailureSummary,
@@ -88,7 +88,6 @@ __all__ = [
     "execute_campaign",
     "failure_table",
     "format_table",
-    "ledger_path_for",
     "migrate_store",
     "open_store",
     "parallel_map",

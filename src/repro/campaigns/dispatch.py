@@ -60,7 +60,6 @@ from repro.telemetry.events import (
     emitter as _telemetry_emitter,
     iter_jsonl_payloads,
 )
-from repro.telemetry.metrics import metrics_registry
 
 #: Ledger lease states.  ``quarantined`` is terminal-failed: the campaign
 #: burned its whole retry budget and was surrendered to the store as a
@@ -99,16 +98,6 @@ def worker_lost_message(context: str) -> str:
         "WorkerLost: a worker process died without reporting back "
         f"(hard kill, OOM killer, or interpreter crash) {context}"
     )
-
-
-def ledger_path_for(store_path: Union[str, Path]) -> Path:
-    """The file-backend ``.ledger`` sidecar convention.
-
-    Legacy helper: consumers that know their store should ask it via
-    ``store.sidecar_path(SIDECAR_LEDGER)``.
-    """
-    store_path = Path(store_path)
-    return store_path.with_name(store_path.name + ".ledger")
 
 
 @dataclass
@@ -644,13 +633,12 @@ class Dispatcher:
             self.ledger.heartbeat(message[2], now)
         elif kind == "telemetry":
             # A worker's bus event arriving over its pipe: stamp the
-            # worker ID and merge it into the parent's sidecar + metrics.
+            # worker ID and merge it into the parent's sidecar.
             _, wid, payload = message
             payload.setdefault("worker", wid)
             active = _telemetry_emitter()
             if active.enabled:
                 active.emit_payload(payload)
-                metrics_registry().ingest(payload)
         elif kind == "result":
             _, _, index, record = message
             worker.lease = None

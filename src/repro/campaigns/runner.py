@@ -204,11 +204,6 @@ def execute_campaign(spec: CampaignSpec, attempt: int = 1) -> CampaignRecord:
             )
 
 
-def _execute_indexed(item: Tuple[int, CampaignSpec]) -> Tuple[int, CampaignRecord]:
-    index, spec = item
-    return index, execute_campaign(spec)
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of one :meth:`CampaignRunner.run` call.
@@ -587,10 +582,10 @@ def parallel_map(
     """Order-preserving map over a worker pool (``fn`` must be picklable).
 
     The generic sibling of :class:`CampaignRunner` for grid-shaped work
-    that is not a tuning campaign (Table 1 space construction, format-power
-    trial chunks).  Unlike campaigns, exceptions propagate — these jobs are
-    cheap to re-run and a hole would corrupt the aggregate.  A worker that
-    dies without reporting (hard kill, OOM) raises
+    that is not a tuning campaign (format-power trial chunks).  Unlike
+    campaigns, exceptions propagate — these jobs are cheap to re-run and a
+    hole would corrupt the aggregate.  A worker that dies without
+    reporting (hard kill, OOM) raises
     :class:`~repro.errors.WorkerLost` with the dispatcher's diagnosis
     instead of the pool's bare ``BrokenProcessPool``.
     """

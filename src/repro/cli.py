@@ -586,7 +586,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    rows = run_table1(jobs=args.jobs)
+    rows = run_table1()
     print(render_table(
         ["application", "app params", "system params", "space size"],
         [
@@ -977,9 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_t1 = sub.add_parser("table1", help="print Table 1")
-    p_t1.add_argument(
-        "--jobs", type=int, default=1, help="build spaces in parallel"
-    )
     p_t1.set_defaults(func=_cmd_table1)
     return parser
 

@@ -32,13 +32,7 @@ from repro.experiments.persistence import (
     evaluation_from_dict,
     jsonable,
     load_campaign,
-    load_evaluation,
-    load_trace,
-    load_tuning_result,
     save_campaign,
-    save_evaluation,
-    save_trace,
-    save_tuning_result,
     tuning_result_from_dict,
 )
 from repro.experiments.protocol import (
@@ -99,18 +93,12 @@ __all__ = [
     "evaluation_from_dict",
     "jsonable",
     "load_campaign",
-    "load_evaluation",
-    "load_trace",
-    "load_tuning_result",
     "paper_vs_measured",
     "render_table",
     "repeat_seed_plan",
     "repeat_strategy",
     "run_ablations",
     "save_campaign",
-    "save_evaluation",
-    "save_trace",
-    "save_tuning_result",
     "run_colocation_study",
     "run_fig1_left",
     "run_format_power",

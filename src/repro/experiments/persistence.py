@@ -1,15 +1,13 @@
-"""JSON persistence of tuning campaigns and their artefacts.
+"""JSON persistence of tuning campaigns.
 
 Tuning in the cloud is long-running and billed by the hour; users archive
-outcomes and compare campaigns across days.  This module round-trips the
-library's result records through plain JSON — no pickle, so the files are
-stable across library versions, auditable, and loadable by external tools:
-
-* :class:`~repro.types.TuningResult` — a tuner's outcome,
-* :class:`~repro.types.ChoiceEvaluation` — the 100-run quality measurement,
-* :class:`~repro.cloud.traces.InterferenceTrace` — a recorded noise
-  timeline,
-* a *campaign*: one tuning result plus its evaluation and metadata.
+outcomes and compare campaigns across days.  This module round-trips a
+*campaign* — one :class:`~repro.types.TuningResult` plus its
+:class:`~repro.types.ChoiceEvaluation` and metadata (``tune --save``,
+``report <archive>``) — through plain JSON: no pickle, so the files are
+stable across library versions, auditable, and loadable by external tools.
+The record codecs here (:func:`jsonable`, :func:`tuning_result_from_dict`,
+:func:`evaluation_from_dict`) are shared with the campaign store.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.cloud.traces import InterferenceTrace
 from repro.errors import ReproError
 from repro.types import ChoiceEvaluation, TuningResult
 
@@ -49,9 +46,6 @@ def jsonable(value):
     return value
 
 
-_jsonable = jsonable
-
-
 def tuning_result_from_dict(data: dict) -> TuningResult:
     """Rebuild a :class:`TuningResult` from its ``asdict`` representation."""
     data = dict(data)
@@ -68,7 +62,7 @@ def _dump(payload: dict, path: PathLike) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w") as handle:
-        json.dump(_jsonable(payload), handle, indent=2)
+        json.dump(jsonable(payload), handle, indent=2)
     return out
 
 
@@ -91,60 +85,6 @@ def _load(path: PathLike, expected_kind: str) -> dict:
             f"this library reads version {_FORMAT_VERSION}"
         )
     return payload
-
-
-# -- TuningResult -----------------------------------------------------------
-
-def save_tuning_result(result: TuningResult, path: PathLike) -> Path:
-    """Write a tuning result as JSON; returns the path written."""
-    payload = {
-        "kind": "tuning_result",
-        "version": _FORMAT_VERSION,
-        "data": asdict(result),
-    }
-    return _dump(payload, path)
-
-
-def load_tuning_result(path: PathLike) -> TuningResult:
-    """Read a tuning result written by :func:`save_tuning_result`."""
-    return tuning_result_from_dict(_load(path, "tuning_result")["data"])
-
-
-# -- ChoiceEvaluation ---------------------------------------------------------
-
-def save_evaluation(evaluation: ChoiceEvaluation, path: PathLike) -> Path:
-    """Write a choice evaluation as JSON."""
-    payload = {
-        "kind": "choice_evaluation",
-        "version": _FORMAT_VERSION,
-        "data": asdict(evaluation),
-    }
-    return _dump(payload, path)
-
-
-def load_evaluation(path: PathLike) -> ChoiceEvaluation:
-    """Read a choice evaluation written by :func:`save_evaluation`."""
-    return evaluation_from_dict(_load(path, "choice_evaluation")["data"])
-
-
-# -- InterferenceTrace --------------------------------------------------------
-
-def save_trace(trace: InterferenceTrace, path: PathLike) -> Path:
-    """Write an interference trace as JSON."""
-    payload = {
-        "kind": "interference_trace",
-        "version": _FORMAT_VERSION,
-        "data": {"levels": trace.levels.tolist(), "dt": trace.dt},
-    }
-    return _dump(payload, path)
-
-
-def load_trace(path: PathLike) -> InterferenceTrace:
-    """Read a trace written by :func:`save_trace`."""
-    data = _load(path, "interference_trace")["data"]
-    return InterferenceTrace(
-        levels=np.asarray(data["levels"], dtype=float), dt=float(data["dt"])
-    )
 
 
 # -- whole campaigns ----------------------------------------------------------

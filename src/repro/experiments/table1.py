@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.apps.registry import APPLICATION_NAMES, make_application
-from repro.campaigns.runner import parallel_map
 from repro.campaigns.spec import CampaignGrid, Scale
 
 #: The sizes Table 1 reports (paper rounds to 0.1 million).
@@ -54,13 +53,9 @@ def _build_row(name: str) -> Table1Row:
     )
 
 
-def run_table1(*, jobs: int = 1) -> List[Table1Row]:
-    """Build every application at full scale and report its Table 1 row.
-
-    The per-application grid goes through the campaign subsystem's worker
-    map, so ``jobs > 1`` constructs the paper-sized spaces in parallel.
-    """
-    return parallel_map(_build_row, APPLICATION_NAMES, jobs=jobs)
+def run_table1() -> List[Table1Row]:
+    """Build every application at full scale and report its Table 1 row."""
+    return [_build_row(name) for name in APPLICATION_NAMES]
 
 
 def table1_grid(

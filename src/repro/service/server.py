@@ -152,25 +152,18 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
         params = parse_qs(parsed.query)
-        route = "/".join(parts[:2]) or "/"
         try:
             self._route(method, parts, params)
-            self.service.count_request(method, route, 200)
         except _HttpError as exc:
-            self.service.count_request(method, route, exc.code)
             self._send_error_json(exc.code, str(exc))
         except QuotaExceeded as exc:
-            self.service.count_request(method, route, 429)
             self._send_error_json(429, str(exc))
         except (api.SchemaError, ReproError) as exc:
-            self.service.count_request(method, route, 400)
             self._send_error_json(400, str(exc))
         except UnknownJob:
-            self.service.count_request(method, route, 404)
             self._send_error_json(404, "no such job for this tenant")
         except Exception as exc:  # noqa: BLE001 - the daemon must not die
             _LOG.exception("unhandled error serving %s %s", method, self.path)
-            self.service.count_request(method, route, 500)
             self._send_error_json(500, f"internal error: {type(exc).__name__}")
 
     # -- routing ---------------------------------------------------------
@@ -283,8 +276,6 @@ class ReproService:
         )
         self._httpd.service = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
-        self._request_counts: dict = {}
-        self._counts_lock = threading.Lock()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -295,16 +286,6 @@ class ReproService:
     def url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
-
-    def count_request(self, method: str, route: str, code: int) -> None:
-        """Tally one served request for the ``/metrics`` exposition."""
-        key = (method, route, code)
-        with self._counts_lock:
-            self._request_counts[key] = self._request_counts.get(key, 0) + 1
-
-    def request_counts(self) -> dict:
-        with self._counts_lock:
-            return dict(self._request_counts)
 
     # -- lifecycle -------------------------------------------------------
 

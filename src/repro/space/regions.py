@@ -22,7 +22,7 @@ styles without ever materialising members:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -143,9 +143,3 @@ def region_of(regions: List[Region], index: int) -> Region:
         if index in region:
             return region
     raise SpaceError(f"index {index} not covered by the given regions")
-
-
-def iter_region_ids(regions: List[Region]) -> Iterator[int]:
-    """Yield the ids of ``regions`` in order (convenience for reports)."""
-    for region in regions:
-        yield region.region_id

@@ -5,7 +5,7 @@ the final summary table — observable only by tailing the ``.ledger``
 sidecar by hand.  This package is the instrumentation layer ROADMAP item 1
 calls "live progress/ETA reporting", built the way simulator-scale systems
 (gem5's stats framework is the canonical exemplar) earn trust: a typed
-event stream, an aggregating metrics registry, and a live status view —
+event stream, a metrics registry replayed from it, and a live status view —
 all demonstrably near-zero-cost when disabled and provably incapable of
 changing results.
 
@@ -18,8 +18,8 @@ Four modules, one contract:
   are merged by the parent.  Disabled (the default) the bus is a no-op
   emitter behind a single ``enabled`` flag check.
 * :mod:`repro.telemetry.metrics` — the **metrics registry**: counters,
-  gauges, and histograms fed live by the bus (or by replaying a sidecar),
-  dumped in text exposition format via ``repro report --metrics``.
+  gauges, and histograms replayed from a sidecar, dumped in text
+  exposition format via ``repro report --metrics`` and ``/metrics``.
 * :mod:`repro.telemetry.status` — the **live view**: fuses store + ledger
   + telemetry sidecar into done/running/queued/failed counts, throughput,
   and an EWMA-based ETA (``repro status``, ``sweep --progress``).
@@ -51,15 +51,9 @@ from repro.telemetry.events import (
     set_emitter,
     span,
     telemetry_enabled,
-    telemetry_path_for,
 )
 from repro.telemetry.log import configure_logging, get_logger, reset_logging
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    metrics_registry,
-    render_store_metrics,
-    reset_metrics,
-)
+from repro.telemetry.metrics import MetricsRegistry, render_store_metrics
 from repro.telemetry.profiling import (
     profile_dir,
     profile_dir_for,
@@ -90,14 +84,12 @@ __all__ = [
     "gauge",
     "get_logger",
     "iter_jsonl_payloads",
-    "metrics_registry",
     "profile_dir",
     "profile_dir_for",
     "read_telemetry",
     "render_status",
     "render_store_metrics",
     "reset_logging",
-    "reset_metrics",
     "reset_telemetry",
     "set_emitter",
     "set_profile_dir",
@@ -105,7 +97,6 @@ __all__ = [
     "snapshot",
     "span",
     "telemetry_enabled",
-    "telemetry_path_for",
     "watch",
 ]
 
@@ -114,14 +105,13 @@ def reset_telemetry() -> None:
     """Restore every process-global telemetry tier to its boot state.
 
     The sibling of :func:`repro.caching.clear_process_caches` for tests:
-    detaches the active emitter (closing it), clears the metrics registry,
-    drops any profile directory, and de-configures CLI logging.
+    detaches the active emitter (closing it), drops any profile
+    directory, and de-configures CLI logging.
     """
     from repro.telemetry import events, profiling
 
     previous = events.set_emitter(events.NULL_EMITTER)
     if previous is not events.NULL_EMITTER:
         previous.close()
-    reset_metrics()
     profiling.set_profile_dir(None)
     reset_logging()

@@ -23,7 +23,7 @@ Emitters:
   inspection.
 
 Events are plain JSON (``kind="telemetry"``), so a sidecar can be replayed
-into the metrics registry or the status view by any process, any time —
+into a metrics registry or the status view by any process, any time —
 no live sweep required.
 """
 
@@ -49,17 +49,6 @@ TYPE_SPAN = "span"
 TYPE_COUNTER = "counter"
 TYPE_GAUGE = "gauge"
 EVENT_TYPES = (TYPE_SPAN, TYPE_COUNTER, TYPE_GAUGE)
-
-
-def telemetry_path_for(store_path: PathLike) -> Path:
-    """The file-backend ``.telemetry`` sidecar convention.
-
-    The sibling of :func:`repro.campaigns.dispatch.ledger_path_for` — one
-    store, one family of sidecars.  Legacy helper: consumers that know
-    their store should ask it via ``store.sidecar_path(SIDECAR_TELEMETRY)``.
-    """
-    store_path = Path(store_path)
-    return store_path.with_name(store_path.name + ".telemetry")
 
 
 @dataclass(frozen=True)
@@ -242,11 +231,7 @@ def emit_event(
     worker: Optional[int] = None,
     **fields: object,
 ) -> None:
-    """Emit one event onto the bus (no-op while telemetry is disabled).
-
-    Also feeds the process's live metrics registry, so an in-process dump
-    at sweep end and a sidecar replay agree.
-    """
+    """Emit one event onto the bus (no-op while telemetry is disabled)."""
     if not _EMITTER.enabled:
         return
     payload = TelemetryEvent(
@@ -261,9 +246,6 @@ def emit_event(
         fields=fields,
     ).to_payload()
     _EMITTER.emit_payload(payload)
-    from repro.telemetry.metrics import metrics_registry
-
-    metrics_registry().ingest(payload)
 
 
 def counter(name: str, value: float = 1.0, **kwargs: object) -> None:

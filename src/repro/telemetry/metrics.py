@@ -2,10 +2,10 @@
 
 The registry is the aggregating half of the observability layer: the event
 bus journals *what happened*; the registry reduces it to *how much and how
-fast*.  It is fed two ways that must agree — live, by
-:func:`repro.telemetry.events.emit_event` as a sweep runs, and offline, by
-replaying a ``<store>.telemetry`` sidecar (``repro report --metrics``) —
-so the mapping from events to metrics lives in exactly one place,
+fast*.  It is built by replaying ``<store>.telemetry`` sidecars
+(``repro report --metrics``, the daemon's ``/metrics``), never fed while a
+sweep runs, so the bus stays as cheap as its journal write.  The mapping
+from events to metrics lives in exactly one place,
 :meth:`MetricsRegistry.ingest`:
 
 * ``counter`` events add their value to a counter of the same name;
@@ -20,7 +20,6 @@ is both human-scannable and scrapable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -124,37 +123,19 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The process's (or a replay's) named metrics, keyed by name+labels."""
+    """A replay's named metrics, keyed by name+labels."""
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
         self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
 
-    # -- direct instrument access ---------------------------------------
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        key = (name, _labels_of(labels))
-        if key not in self._counters:
-            self._counters[key] = Counter()
-        return self._counters[key]
-
     def gauge(self, name: str, **labels: object) -> Gauge:
+        """The gauge ``name{labels}``, created at 0 on first use."""
         key = (name, _labels_of(labels))
         if key not in self._gauges:
             self._gauges[key] = Gauge()
         return self._gauges[key]
-
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        key = (name, _labels_of(labels))
-        if key not in self._histograms:
-            self._histograms[key] = Histogram()
-        return self._histograms[key]
-
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
@@ -164,8 +145,8 @@ class MetricsRegistry:
     def ingest(self, payload: dict) -> None:
         """Fold one telemetry event payload into the registry.
 
-        Shared verbatim by the live bus and sidecar replay, so the two
-        views can never disagree about what an event means.
+        Shared verbatim by ``report --metrics`` and ``/metrics``, so the
+        two views can never disagree about what an event means.
         """
         if payload.get("kind") != "telemetry":
             return
@@ -250,7 +231,7 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_payload(self) -> dict:
-        """Plain-JSON snapshot (deterministic; used by tests and exports)."""
+        """Plain-JSON snapshot (deterministic; used by tests)."""
         return {
             "counters": {
                 name + _selector(labels): metric.value
@@ -269,30 +250,13 @@ class MetricsRegistry:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True)
-
-
-_REGISTRY = MetricsRegistry()
-
-
-def metrics_registry() -> MetricsRegistry:
-    """The process-global registry the live event bus feeds."""
-    return _REGISTRY
-
-
-def reset_metrics() -> None:
-    """Drop every live metric (test isolation)."""
-    _REGISTRY.clear()
-
 
 def render_store_metrics(store_path) -> str:
     """Replay a store's telemetry sidecar into text exposition format.
 
     The engine behind ``repro report <store> --metrics``: reads
     ``<store>.telemetry`` (truncation-tolerantly), folds every event
-    through the same :meth:`MetricsRegistry.ingest` mapping the live bus
-    uses, and dumps the result.  Returns an explanatory line instead when
+    through :meth:`MetricsRegistry.ingest`, and dumps the result.  Returns an explanatory line instead when
     the sweep ran without telemetry.
     """
     from repro.campaigns.store import SIDECAR_TELEMETRY, open_store

@@ -81,15 +81,6 @@ class TestSubmitGrid:
             )
         assert not store.exists()
 
-    def test_nonblocking_submit_returns_live_handle(self, tmp_path):
-        job = api.submit_grid(
-            _grid(seeds=(0,)),
-            api.SweepOptions(store=str(tmp_path / "s.jsonl")),
-            block=False,
-        )
-        report = job.result(timeout=120)
-        assert job.done and report.executed in (0, 1)
-
     def test_resubmission_resumes_from_the_store(self, tmp_path):
         store = tmp_path / "s.jsonl"
         options = api.SweepOptions(store=str(store))

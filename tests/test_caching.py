@@ -1,4 +1,4 @@
-"""The repro.caching subsystem: keys, disk tier, memory tier, memo soundness."""
+"""The repro.caching subsystem: keys, disk tier, app tier, memo soundness."""
 
 import json
 
@@ -110,7 +110,6 @@ class TestSurfaceCacheDisk:
         assert entry.status == WARM_COMPUTED
         assert entry.path.exists()
 
-        cache.clear_memory()
         app = make_application("ffmpeg", scale="test", cache=cache)
         fresh = make_application("ffmpeg", scale="test")
         idx = np.arange(app.space.size)
@@ -133,7 +132,6 @@ class TestSurfaceCacheDisk:
 
     def test_corrupted_entry_is_a_miss(self, cache):
         cache.warm([("redis", "test")])
-        cache.clear_memory()
         for path in cache.directory.glob("*.npz"):
             path.write_bytes(b"not a zip file")
         app = make_application("redis", scale="test", cache=cache)
@@ -143,7 +141,6 @@ class TestSurfaceCacheDisk:
 
     def test_mismatched_fingerprint_is_a_miss(self, cache):
         cache.warm([("redis", "test")])
-        cache.clear_memory()
         # A different surface seed yields a different key: nothing served.
         other = make_application("redis", scale="test", seed=999, cache=cache)
         key = surface_key(other)
@@ -161,21 +158,14 @@ class TestSurfaceCacheDisk:
         assert cache.info() == []
 
     def test_warm_repersists_after_external_clear(self, cache):
-        """A warm memory tier must not mask a cleared disk tier."""
+        """Tables already loaded in memory must not mask a cleared disk."""
         cache.warm([("redis", "test")])
         app = make_application("redis", scale="test", cache=cache)
-        assert app.load_cached_surfaces()  # memory tier now holds the arrays
+        assert app.load_cached_surfaces()  # the app now holds the tables
         SurfaceCache(cache.directory).clear()  # another process clears disk
         [entry] = cache.warm([("redis", "test")])
         assert entry.status == WARM_COMPUTED
         assert entry.path.exists()
-
-    def test_memory_tier_is_bounded_lru(self, tmp_path):
-        cache = SurfaceCache(tmp_path, memory_entries=1)
-        cache.warm([("redis", "test"), ("gromacs", "test")])
-        assert len(cache._memory) == 1
-        cache.clear_memory()
-        assert len(cache._memory) == 0
 
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))

@@ -10,7 +10,6 @@ from repro.campaigns import (
     CampaignSpec,
     CampaignStore,
     TaskLedger,
-    ledger_path_for,
     summarise_failures,
 )
 from repro.campaigns.dispatch import (
@@ -20,7 +19,7 @@ from repro.campaigns.dispatch import (
     quarantine_record,
     worker_lost_message,
 )
-from repro.campaigns.store import STATUS_FAILED, CampaignRecord
+from repro.campaigns.store import SIDECAR_LEDGER, STATUS_FAILED, CampaignRecord
 from repro.errors import ReproError, RetryExhausted
 from repro.faults import FaultPlan
 
@@ -176,7 +175,7 @@ class TestWorkerDeath:
         assert _stable(report.records) == _stable(clean_records)
         assert _stable(store.records()) == _stable(clean_records)
         # The worker-loss diagnosis reached the lease journal.
-        events = TaskLedger.read_events(ledger_path_for(store.path))
+        events = TaskLedger.read_events(store.sidecar_path(SIDECAR_LEDGER))
         requeues = [e for e in events if e["event"] == "requeued"]
         assert requeues and "WorkerLost" in requeues[0]["error"]
 
@@ -280,7 +279,7 @@ class TestLedgerSidecar:
     ):
         store = CampaignStore(tmp_path / "sweep.jsonl")
         CampaignRunner(jobs=2, store=store).run(small_grid.specs())
-        path = ledger_path_for(store.path)
+        path = store.sidecar_path(SIDECAR_LEDGER)
         assert path == tmp_path / "sweep.jsonl.ledger"
         events = TaskLedger.read_events(path)
         assert sum(1 for e in events if e["event"] == "completed") == 2

@@ -1,24 +1,15 @@
-"""Round-trip tests for the JSON persistence layer."""
+"""Round-trip tests for the JSON campaign archive."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.apps import make_application
 from repro.cloud.environment import CloudEnvironment
-from repro.cloud.traces import InterferenceTrace
 from repro.core.config import DarwinGameConfig
 from repro.core.tournament import DarwinGame
 from repro.errors import ReproError
-from repro.experiments.persistence import (
-    load_campaign,
-    load_evaluation,
-    load_trace,
-    load_tuning_result,
-    save_campaign,
-    save_evaluation,
-    save_trace,
-    save_tuning_result,
-)
+from repro.experiments.persistence import load_campaign, save_campaign
 
 
 @pytest.fixture(scope="module")
@@ -30,52 +21,27 @@ def campaign():
     return result, evaluation
 
 
-class TestTuningResultRoundTrip:
-    def test_round_trip(self, campaign, tmp_path):
-        result, _ = campaign
-        path = save_tuning_result(result, tmp_path / "result.json")
-        loaded = load_tuning_result(path)
-        assert loaded.best_index == result.best_index
-        assert loaded.best_values == result.best_values
-        assert loaded.core_hours == pytest.approx(result.core_hours)
-        assert loaded.tuner_name == result.tuner_name
+def _rewrite(path, **changes):
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))
 
+
+class TestTuningResultRoundTrip:
     def test_details_survive(self, campaign, tmp_path):
         result, _ = campaign
-        loaded = load_tuning_result(
-            save_tuning_result(result, tmp_path / "r.json")
+        loaded, _, _ = load_campaign(
+            save_campaign(result, None, tmp_path / "r.json")
         )
+        assert loaded.evaluations == result.evaluations
         assert loaded.details["regional"]["games"] == result.details["regional"]["games"]
 
     def test_wrong_kind_rejected(self, campaign, tmp_path):
-        _, evaluation = campaign
-        path = save_evaluation(evaluation, tmp_path / "eval.json")
-        with pytest.raises(ReproError):
-            load_tuning_result(path)
-
-
-class TestEvaluationRoundTrip:
-    def test_round_trip(self, campaign, tmp_path):
-        _, evaluation = campaign
-        loaded = load_evaluation(save_evaluation(evaluation, tmp_path / "e.json"))
-        assert loaded == evaluation
-
-
-class TestTraceRoundTrip:
-    def test_round_trip(self, tmp_path):
-        trace = InterferenceTrace(levels=np.array([0.1, 0.7, 0.3]), dt=30.0)
-        loaded = load_trace(save_trace(trace, tmp_path / "trace.json"))
-        np.testing.assert_allclose(loaded.levels, trace.levels)
-        assert loaded.dt == trace.dt
-
-    def test_replayable_after_load(self, tmp_path):
-        from repro.cloud.traces import ReplayedInterference
-        from repro.cloud.vm import DEFAULT_VM
-
-        trace = InterferenceTrace(levels=np.array([0.2, 0.4]), dt=60.0)
-        loaded = load_trace(save_trace(trace, tmp_path / "t.json"))
-        replay = ReplayedInterference(loaded, DEFAULT_VM.interference)
-        assert replay.epoch_mean(70.0)[0] == pytest.approx(0.4)
+        result, evaluation = campaign
+        path = save_campaign(result, evaluation, tmp_path / "eval.json")
+        _rewrite(path, kind="choice_evaluation")
+        with pytest.raises(ReproError, match="expected 'campaign'"):
+            load_campaign(path)
 
 
 class TestCampaignRoundTrip:
@@ -97,12 +63,8 @@ class TestCampaignRoundTrip:
         assert loaded_eval is None
 
     def test_version_check(self, campaign, tmp_path):
-        import json
-
         result, _ = campaign
-        path = save_tuning_result(result, tmp_path / "v.json")
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ReproError):
-            load_tuning_result(path)
+        path = save_campaign(result, None, tmp_path / "v.json")
+        _rewrite(path, version=99)
+        with pytest.raises(ReproError, match="format version 99"):
+            load_campaign(path)
