@@ -158,15 +158,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         from repro.experiments.persistence import save_campaign
         from repro.types import TuningResult
 
-        # Persist what the CLI knows: the choice, its quality, the cost.
-        result = TuningResult(
-            tuner_name=run.strategy,
-            best_index=run.best_index,
-            best_values=app.space.values_of(run.best_index),
-            evaluations=0,
-            core_hours=run.core_hours,
-            tuning_seconds=run.tuning_seconds,
-        )
+        result = run.tuning_result
+        if result is None:
+            # The Optimal oracle tunes nothing: record its pick and no cost.
+            result = TuningResult(
+                tuner_name=run.strategy,
+                best_index=run.best_index,
+                best_values=app.space.values_of(run.best_index),
+                evaluations=0,
+                core_hours=run.core_hours,
+                tuning_seconds=run.tuning_seconds,
+            )
         path = save_campaign(
             result, run.evaluation, args.save,
             app_name=app.name, vm_name=args.vm,

@@ -109,6 +109,25 @@ class TestCommands:
         assert code == 0
         assert "GeneticAlgorithm on redis" in out
 
+    def test_tune_save_archives_the_tuning_result(self, capsys, tmp_path):
+        from repro.apps import make_application
+        from repro.cloud.vm import PRESETS
+        from repro.experiments import load_campaign, run_strategy
+
+        archive = tmp_path / "campaign.json"
+        assert main([
+            "tune", "--app", "redis", "--scale", "test", "--seed", "1",
+            "--save", str(archive),
+        ]) == 0
+        result, _, _ = load_campaign(archive)
+        tuned = run_strategy(
+            make_application("redis", scale="test"), "DarwinGame",
+            vm=PRESETS["m5.8xlarge"], seed=1, scenario="steady",
+            tournament_format="darwin",
+        ).tuning_result
+        assert result.evaluations == tuned.evaluations > 0
+        assert result.details["regional"] == tuned.details["regional"]
+
     def test_tune_save_and_report(self, capsys, tmp_path):
         archive = str(tmp_path / "campaign.json")
         code = main([
