@@ -77,7 +77,6 @@ class ServiceJob:
     tenant: str
     handle: api.JobHandle
     submitted_unix: float
-    charged: bool = False
 
     @property
     def state(self) -> str:
@@ -190,11 +189,10 @@ class JobManager:
                 core_hours += record.core_hours
         except ReproError:
             pass
-        if not job.charged:
-            job.charged = self.ledger.charge(job.tenant, job.job_id, core_hours)
+        booked = self.ledger.charge(job.tenant, job.job_id, core_hours)
         _LOG.info(
             "job %s (%s) %s: %.6f core-hours booked, tenant total %.6f",
-            job.job_id, job.tenant, state, core_hours,
+            job.job_id, job.tenant, state, booked,
             self.ledger.spent(job.tenant),
         )
 

@@ -21,7 +21,8 @@ Routes (all JSON unless noted)::
 Tenancy rides an ``X-Repro-Tenant`` header (default tenant ``public``);
 error mapping is uniform: schema violations and unregistered axis entries
 are 400 with the reason, quota violations are 429, foreign or unknown job
-IDs are 404, and every error body is ``{"error": "..."}``.
+IDs are 404, a request body that stalls is 408, and every error body is
+``{"error": "..."}``.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: Socket timeout (seconds) for every read, so a client that stalls
+    #: mid-request cannot pin a handler thread; an idle keep-alive
+    #: connection is closed after the same wait.
+    timeout = 60
 
     # The ThreadingHTTPServer subclass carries the service reference.
     @property
@@ -137,7 +142,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(
                 413, f"request body over {MAX_BODY_BYTES} bytes"
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            # Part of the body may still arrive later, so the connection
+            # cannot be reused.
+            self.close_connection = True
+            raise _HttpError(
+                408, f"request body not received within {self.timeout} s"
+            ) from None
         if not raw:
             raise _HttpError(400, "empty request body; expected JSON")
         try:

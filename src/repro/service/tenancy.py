@@ -46,9 +46,9 @@ class QuotaLedger:
     """Thread-safe per-tenant core-hour accounting over CoreHourLedgers.
 
     One :class:`~repro.cloud.accounting.CoreHourLedger` per tenant, one
-    label per finished job — so double-charging a re-executed job is
-    structurally impossible (booking under an existing label is refused),
-    and a per-job cost breakdown falls out of
+    label per job holding everything billed for it so far — so a resumed
+    job is billed only for the campaigns it added, and a per-job cost
+    breakdown falls out of
     :meth:`~repro.cloud.accounting.CoreHourLedger.core_hours_by_label`.
     """
 
@@ -63,20 +63,21 @@ class QuotaLedger:
             ledger = self._ledgers[tenant] = CoreHourLedger()
         return ledger
 
-    def charge(self, tenant: str, job_id: str, core_hours: float) -> bool:
-        """Book one finished job's cost against its tenant, idempotently.
+    def charge(self, tenant: str, job_id: str, core_hours: float) -> float:
+        """Bill a job's tenant up to the job's total cost, idempotently.
 
-        Returns ``False`` (and books nothing) if this job was already
-        charged — the executor may observe one job's completion more than
-        once across resubmissions.
+        ``core_hours`` is everything the job's store holds so far.  A
+        resubmitted job keeps its ID and store, so only the part not yet
+        billed under ``job_id`` is booked; charging the same total again
+        books nothing.  Returns the core-hours booked.
         """
         with self._lock:
             ledger = self._ledger(tenant)
-            if job_id in ledger.core_hours_by_label():
-                return False
-            if core_hours > 0:
-                ledger.book(vcpus=1, seconds=core_hours * 3600.0, label=job_id)
-            return True
+            owed = core_hours - ledger.core_hours_by_label().get(job_id, 0.0)
+            if owed <= 0:
+                return 0.0
+            ledger.book(vcpus=1, seconds=owed * 3600.0, label=job_id)
+            return owed
 
     def spent(self, tenant: str) -> float:
         """Core-hours this tenant's finished jobs have consumed so far."""

@@ -10,15 +10,18 @@ import urllib.request
 import pytest
 
 from repro import api
-from repro.campaigns import open_store
+from repro.campaigns import open_store, runner
 from repro.cli import main
 from repro.service import (
+    JobManager,
+    QuotaLedger,
     ReproService,
     ServiceConfig,
     TENANT_HEADER,
     TenantQuota,
     UnknownJob,
 )
+from repro.service.server import _Handler
 from repro.telemetry.events import iter_jsonl_payloads
 
 GRID = {
@@ -247,6 +250,26 @@ class TestErrors:
         assert head.split()[1] == b"400"
         assert "Content-Length" in json.loads(body)["error"]
 
+    def test_stalled_body_is_408_and_frees_the_handler(
+        self, service, monkeypatch
+    ):
+        """A client that declares a body and stops sending gets a 408 and
+        a closed connection, not a handler thread held in rfile.read."""
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        host, port = service.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /v1/sweeps HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: 10\r\n\r\n{{}}".encode("ascii")
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after replying
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert "not received" in json.loads(body)["error"]
+        assert _request("GET", f"{service.url}/healthz")[0] == 200
+
     def test_unknown_job_is_a_key_error(self, service):
         with pytest.raises(UnknownJob) as err:
             service.manager.get("alice", "job-000")
@@ -322,6 +345,47 @@ class TestQuota:
             assert status == 429
             assert "active job" in body["error"]
             _wait_done(base, first["job"]["id"], "alice")
+
+
+class TestBilling:
+    def test_charge_books_only_the_unbilled_remainder(self):
+        ledger = QuotaLedger()
+        ledger.charge("alice", "job-1", 1.0)
+        ledger.charge("alice", "job-1", 3.0)
+        assert ledger.spent("alice") == 3.0
+        assert ledger.charge("alice", "job-1", 3.0) == 0.0
+        assert ledger.spent("alice") == 3.0
+
+    def test_resumed_job_is_billed_for_the_campaigns_it_adds(
+        self, tmp_path, monkeypatch
+    ):
+        """Cancel a job after its first campaign, resubmit it (the
+        service's resume path): the tenant pays for both campaigns."""
+        manager = JobManager(tmp_path, defaults=api.SweepOptions())
+
+        def run_inline(job):
+            manager._queue.put(None)  # the executor loop returns after job
+            manager._drain()
+            return job
+
+        first = manager.submit("alice", {"grid": GRID})
+        execute = runner.execute_campaign
+
+        def cancel_after_first(spec, attempt=1):
+            record = execute(spec, attempt)
+            first.handle.cancel()
+            return record
+
+        monkeypatch.setattr(runner, "execute_campaign", cancel_after_first)
+        assert run_inline(first).state == "cancelled"
+        monkeypatch.setattr(runner, "execute_campaign", execute)
+        second = run_inline(manager.submit("alice", {"grid": GRID}))
+        assert second.job_id == first.job_id and second.state == "done"
+        records = open_store(second.handle.store.path).records()
+        assert len(records) == 2
+        assert manager.ledger.spent("alice") == pytest.approx(
+            sum(r.core_hours for r in records)
+        )
 
 
 class TestOperations:
