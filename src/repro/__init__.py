@@ -39,11 +39,8 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
-    ResultStore,
-    SqliteStore,
     SweepReport,
     SweepSummary,
-    migrate_store,
     open_store,
     summarise,
 )
@@ -130,12 +127,10 @@ __all__ = [
     "QuantileRegressionTuner",
     "RandomSearch",
     "ReplayedInterference",
-    "ResultStore",
     "SCENARIO_NAMES",
     "Scenario",
     "SchemaError",
     "SearchSpace",
-    "SqliteStore",
     "SurfaceCache",
     "SweepOptions",
     "SweepReport",
@@ -154,7 +149,6 @@ __all__ = [
     "make_lammps",
     "make_redis",
     "get_scenario",
-    "migrate_store",
     "open_store",
     "partition_regions",
     "record_trace",

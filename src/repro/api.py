@@ -6,8 +6,8 @@ drives the four entry points here, so there is exactly one code path from
 "a declared grid" to "records in a store":
 
 * :func:`submit_grid` — validate a :class:`~repro.campaigns.spec.
-  CampaignGrid`, open (or reuse) its :class:`~repro.campaigns.store.base.
-  ResultStore`, and execute it through the
+  CampaignGrid`, open (or reuse) its :class:`~repro.campaigns.store.jsonl.
+  CampaignStore`, and execute it through the
   :class:`~repro.campaigns.runner.CampaignRunner` in the calling thread,
   returning a terminal :class:`JobHandle`.  The daemon builds its handles
   directly and runs them on its own executor thread.
@@ -56,14 +56,14 @@ from repro.campaigns.report import (
 )
 from repro.campaigns.runner import CampaignRunner, SweepReport
 from repro.campaigns.spec import CampaignGrid, CampaignSpec
-from repro.campaigns.store import BACKEND_NAMES, CampaignRecord, ResultStore, open_store
+from repro.campaigns.store import CampaignRecord, CampaignStore, open_store
 from repro.apps.scaling import level_cap
 from repro.cloud.vm import PRESETS
 from repro.errors import ReproError, SpaceError
 from repro.faults import FaultPlan
 
 PathLike = Union[str, Path]
-StoreLike = Union["JobHandle", ResultStore, str, Path]
+StoreLike = Union["JobHandle", CampaignStore, str, Path]
 ProgressFn = Callable[[int, int, CampaignRecord], None]
 
 __all__ = [
@@ -213,7 +213,6 @@ class SweepOptions:
     """
 
     store: Optional[PathLike] = None
-    store_backend: Optional[str] = None
     jobs: int = 1
     cache_dir: Optional[PathLike] = None
     max_retries: int = 2
@@ -223,11 +222,11 @@ class SweepOptions:
     profile: bool = False
     fault_plan: Optional[FaultPlan] = None
 
-    def open_store(self) -> Optional[ResultStore]:
+    def open_store(self) -> Optional[CampaignStore]:
         """The store these options describe (``None`` = in-memory run)."""
         if self.store is None:
             return None
-        return open_store(self.store, backend=self.store_backend)
+        return open_store(self.store)
 
 
 # -- job handles ---------------------------------------------------------
@@ -255,7 +254,7 @@ class JobHandle:
         self,
         grid: CampaignGrid,
         options: SweepOptions,
-        store: Optional[ResultStore] = None,
+        store: Optional[CampaignStore] = None,
         job_id: Optional[str] = None,
     ):
         self.grid = grid
@@ -423,7 +422,7 @@ def submit_grid(
 # -- read side -----------------------------------------------------------
 
 
-def _store_of(job: StoreLike) -> ResultStore:
+def _store_of(job: StoreLike) -> CampaignStore:
     """Resolve any facade argument to its concrete store."""
     if isinstance(job, JobHandle):
         if job.store is None:
@@ -432,7 +431,7 @@ def _store_of(job: StoreLike) -> ResultStore:
                 f"SweepOptions(store=...) to read results back"
             )
         return job.store
-    if isinstance(job, ResultStore):
+    if isinstance(job, CampaignStore):
         return job
     return open_store(job)
 
@@ -573,7 +572,6 @@ OPTIONS_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "jobs": {"type": "integer", "minimum": 1},
-        "store_backend": {"type": "string", "enum": list(BACKEND_NAMES)},
         "max_retries": {"type": "integer", "minimum": 0},
         "backoff": {"type": "number", "minimum": 0},
         "task_timeout": {"type": "number", "minimum": 0},
@@ -610,8 +608,8 @@ def validate_payload(payload, schema: dict, *, path: str = "$") -> None:
 
     Supports the keywords the facade's schemas use — ``type`` (including
     union lists), ``required``, ``properties`` with
-    ``additionalProperties: false``, ``items``, ``enum``, ``minimum``,
-    ``minItems`` — with stdlib code only, so the daemon takes no new
+    ``additionalProperties: false``, ``items``, ``minimum``, ``minItems``
+    — with stdlib code only, so the daemon takes no new
     dependency.  Raises :class:`SchemaError` naming the offending path.
     """
     types = schema.get("type")
@@ -622,10 +620,6 @@ def validate_payload(payload, schema: dict, *, path: str = "$") -> None:
                 f"{path}: expected {' or '.join(allowed)}, "
                 f"got {type(payload).__name__}"
             )
-    if "enum" in schema and payload not in schema["enum"]:
-        raise SchemaError(
-            f"{path}: {payload!r} is not one of {schema['enum']}"
-        )
     if isinstance(payload, (int, float)) and not isinstance(payload, bool):
         minimum = schema.get("minimum")
         if minimum is not None and payload < minimum:

@@ -5,12 +5,9 @@ The paper's evaluation is not one tuning run but thousands — every
 independent campaign.  This subsystem executes such fleets: declare them
 with :class:`CampaignSpec` / :class:`CampaignGrid`, run them with
 :class:`CampaignRunner` (worker pool, failure isolation, deterministic
-parallelism), and checkpoint them in a :class:`ResultStore` backend —
-single-file JSONL (:class:`CampaignStore`, the default) or SQLite
-(:class:`SqliteStore`) — so an interrupted sweep resumes instead of
-restarting.  :func:`open_store`
-picks the backend from what is on disk (or a path suffix);
-:func:`migrate_store` converts between them losslessly.
+parallelism), and checkpoint them in a :class:`CampaignStore` — one
+append-only JSONL file, opened with :func:`open_store` — so an
+interrupted sweep resumes instead of restarting.
 
 Quickstart::
 
@@ -55,12 +52,8 @@ from repro.campaigns.spec import CampaignGrid, CampaignSpec, repeat_specs
 from repro.campaigns.store import (
     CampaignRecord,
     CampaignStore,
-    ResultStore,
-    SqliteStore,
     StoreLock,
-    migrate_store,
     open_store,
-    sniff_backend,
 )
 
 __all__ = [
@@ -74,10 +67,8 @@ __all__ = [
     "FailureSummary",
     "FormatRow",
     "FormatSummary",
-    "ResultStore",
     "ScenarioRow",
     "ScenarioSummary",
-    "SqliteStore",
     "StoreLock",
     "SweepReport",
     "SweepRow",
@@ -88,12 +79,10 @@ __all__ = [
     "execute_campaign",
     "failure_table",
     "format_table",
-    "migrate_store",
     "open_store",
     "parallel_map",
     "repeat_specs",
     "scenario_table",
-    "sniff_backend",
     "summarise",
     "summarise_by_format",
     "summarise_by_scenario",

@@ -19,11 +19,10 @@ for the drivers' former hand-rolled loops:
   its ``max_retries`` budget is quarantined as ``"failed"`` so the sweep
   *completes*.  Inline execution (``jobs=1``) applies the same retry
   policy without a pool.
-* **Resume** — with a :class:`~repro.campaigns.store.base.ResultStore`
-  attached (either backend: a JSONL file or SQLite), every finished
-  campaign is checkpointed immediately and specs whose IDs are already
-  stored as done are skipped, so an interrupted sweep continues where it
-  stopped.
+* **Resume** — with a :class:`~repro.campaigns.store.jsonl.CampaignStore`
+  attached, every finished campaign is checkpointed immediately and
+  specs whose IDs are already stored as done are skipped, so an
+  interrupted sweep continues where it stopped.
 
 Chaos testing rides the same machinery: install a seeded
 :class:`repro.faults.FaultPlan` (``fault_plan=`` here, ``--inject-faults``
@@ -65,7 +64,7 @@ from repro.campaigns.store import (
     STATUS_DONE,
     STATUS_FAILED,
     CampaignRecord,
-    ResultStore,
+    CampaignStore,
 )
 from repro.errors import ReproError, RetryExhausted, WorkerLost
 from repro.faults import FaultPlan, active_fault_plan, maybe_inject, set_active_fault_plan
@@ -265,13 +264,13 @@ class CampaignRunner:
 
     Args:
         jobs: worker processes; ``1`` executes inline (no pool).
-        store: optional checkpoint store — any
-            :class:`~repro.campaigns.store.base.ResultStore` backend —
-            enables skip-done resume and per-campaign durability.  The
-            runner holds the store's advisory lock while executing, so two
+        store: optional checkpoint
+            :class:`~repro.campaigns.store.jsonl.CampaignStore`; enables
+            skip-done resume and per-campaign durability.  The runner
+            holds the store's advisory lock while executing, so two
             concurrent sweeps cannot silently interleave appends.
             Parallel sweeps journal their lease ledger to the store's
-            ``ledger`` sidecar (the backend says where that lives).
+            ``ledger`` sidecar.
         progress: optional callback ``(finished_count, total, record)``
             invoked as campaigns complete (store replays excluded).
         cache_dir: optional surface-cache directory.  Before executing, the
@@ -307,7 +306,7 @@ class CampaignRunner:
     def __init__(
         self,
         jobs: int = 1,
-        store: Optional[ResultStore] = None,
+        store: Optional[CampaignStore] = None,
         progress: Optional[ProgressFn] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         start_method: Optional[str] = None,

@@ -1,4 +1,4 @@
-"""Pluggable on-disk stores of campaign outcomes (the sweep checkpoint).
+"""The on-disk store of campaign outcomes (the sweep checkpoint).
 
 A sweep over thousands of campaigns is long-running; the store makes it
 *restartable*.  Each completed campaign is appended the moment it
@@ -7,39 +7,23 @@ in flight.  On resume, :class:`repro.campaigns.runner.CampaignRunner`
 skips every campaign ID already recorded as done and re-runs only the
 rest; reports aggregate over everything stored.
 
-Persistence is a *backend* behind one :class:`ResultStore` protocol
-(:mod:`~repro.campaigns.store.base`); two ship built in:
-
-* :class:`CampaignStore` (``jsonl``) — one append-only JSONL file, the
-  zero-setup default; byte-compatible with every store written before
-  backends existed.
-* :class:`SqliteStore` (``sqlite``) — one indexed table in WAL mode;
-  for stores big enough that reparsing JSONL on every
-  resume/status/report hurts.
-
-:func:`open_store` picks the backend from what is on disk (or, for fresh
-paths, the suffix); :func:`migrate_store` moves a store between backends
-losslessly.  Both backends persist identical JSON payloads, tolerate torn
-writes, keep the first grid header, and resolve duplicate campaign IDs
-last-write-wins — the cross-backend contract suite in
-``tests/test_store_backends.py`` holds them to it.
+The store is one append-only JSONL file, :class:`CampaignStore`
+(:mod:`~repro.campaigns.store.jsonl`): it tolerates torn writes, keeps
+the first grid header, resolves duplicate campaign IDs last-write-wins
+and memoises its parse until the file changes.  :func:`open_store` is
+how entry points open one; it refuses the layouts of removed backends
+(a sharded directory, a SQLite database) with the command that converts
+them.
 """
 
 from repro.campaigns.store.base import (
     PathLike,
-    ResultStore,
     SIDECAR_LEDGER,
     SIDECAR_PROFILES,
     SIDECAR_TELEMETRY,
     StoreLock,
 )
-from repro.campaigns.store.factory import (
-    BACKEND_NAMES,
-    STORE_BACKENDS,
-    migrate_store,
-    open_store,
-    sniff_backend,
-)
+from repro.campaigns.store.factory import open_store
 from repro.campaigns.store.jsonl import CampaignStore
 from repro.campaigns.store.record import (
     FORMAT_VERSION,
@@ -47,24 +31,17 @@ from repro.campaigns.store.record import (
     STATUS_FAILED,
     CampaignRecord,
 )
-from repro.campaigns.store.sqlite import SqliteStore
 
 __all__ = [
-    "BACKEND_NAMES",
     "CampaignRecord",
     "CampaignStore",
     "FORMAT_VERSION",
     "PathLike",
-    "ResultStore",
     "SIDECAR_LEDGER",
     "SIDECAR_PROFILES",
     "SIDECAR_TELEMETRY",
     "STATUS_DONE",
     "STATUS_FAILED",
-    "STORE_BACKENDS",
-    "SqliteStore",
     "StoreLock",
-    "migrate_store",
     "open_store",
-    "sniff_backend",
 ]

@@ -1,53 +1,31 @@
-"""The ``ResultStore`` protocol: one persistence contract, many backends.
+"""What a campaign store shares with its sidecars: locks and sidecar names.
 
-Every sweep-facing consumer — :class:`repro.campaigns.runner.CampaignRunner`
-(checkpoint + skip-done resume), ``repro status`` (ledger/telemetry
-fusion), ``repro report`` (aggregation) — programs against the abstract
-:class:`ResultStore` here, never against a concrete backend.  A backend
-decides *where* grid headers and campaign records live; the contract every
-backend must honour is fixed:
+:class:`~repro.campaigns.store.jsonl.CampaignStore` is the one store; this
+module holds the pieces that are about the store's *file* rather than its
+records:
 
-* **append-only, last write wins** — appending a record for an ID that is
-  already stored supersedes it on read (e.g. a failed campaign retried on
-  resume); nothing is ever rewritten in place.
-* **keep-first grid header** — the grid a sweep was launched with is
-  recorded once; later :meth:`~ResultStore.write_grid` calls on a
-  non-empty store are no-ops (the resume contract is per-campaign IDs,
-  not the header).
-* **torn writes are tolerated** — a crash mid-append loses at most the
-  entry being written; every complete entry still loads.
-* **one writer, many readers** — :meth:`~ResultStore.exclusive` hands out
-  the sweep-level advisory lock; plain readers are never blocked.
-
-Reads are memoised: :meth:`~ResultStore.load` parses the underlying
-storage once and caches the indexed snapshot keyed by a backend-provided
-freshness token (file stats for the JSONL backend), so the former
-quadratic resume/status/report pattern — ``completed_ids()`` then
-``lookup()`` then ``__len__``, each a full reparse — now costs one pass
-however many views are taken, while an append (ours or another
-process's) still invalidates the snapshot.
+* :class:`StoreLock` — the sweep-level advisory writer lock on a
+  ``<store>.lock`` sidecar, so a second concurrent sweep on one store
+  fails fast instead of interleaving appends;
+* :func:`flocked` — the fine-grained per-write lock on the store file
+  itself, which serialises concurrent appends and header checks;
+* the sidecar kinds (``ledger``, ``telemetry``, ``profiles``) a store
+  resolves for its consumers, each a file or directory next to the store
+  (``sweep.jsonl.ledger``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Union
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.campaigns.spec import CampaignGrid, CampaignSpec
-from repro.campaigns.store.record import (
-    FORMAT_VERSION,
-    KIND_GRID,
-    KIND_RECORD,
-    CampaignRecord,
-)
 from repro.errors import ReproError
 
 PathLike = Union[str, Path]
@@ -58,15 +36,6 @@ PathLike = Union[str, Path]
 SIDECAR_LEDGER = "ledger"
 SIDECAR_TELEMETRY = "telemetry"
 SIDECAR_PROFILES = "profiles"
-
-
-def grid_header_payload(grid: CampaignGrid) -> dict:
-    """The keep-first header entry every backend records a sweep's grid as."""
-    return {
-        "kind": KIND_GRID,
-        "version": FORMAT_VERSION,
-        "grid": grid.to_dict(),
-    }
 
 
 @contextlib.contextmanager
@@ -85,23 +54,6 @@ def flocked(handle):
     finally:
         if fcntl is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-def stat_token(*paths: Path) -> tuple:
-    """A freshness token over files: changes whenever any of them does.
-
-    Built from ``(size, mtime_ns)`` pairs — every append grows a JSONL
-    file, so the token cannot miss a write even inside one mtime tick.
-    """
-    token = []
-    for path in paths:
-        try:
-            stat = path.stat()
-        except OSError:
-            token.append((str(path), None))
-        else:
-            token.append((str(path), stat.st_size, stat.st_mtime_ns))
-    return tuple(token)
 
 
 class StoreLock:
@@ -163,130 +115,3 @@ class StoreLock:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-
-class ResultStore(ABC):
-    """Abstract persistence contract every sweep consumer programs against.
-
-    Subclasses implement the four storage primitives (:meth:`exists`,
-    :meth:`write_grid`, :meth:`append`, :meth:`_load_uncached`) plus a
-    freshness token; the shared read API (:meth:`load`, :meth:`records`,
-    :meth:`read_grid`, :meth:`completed_ids`, :meth:`lookup`,
-    :meth:`__len__`) is derived here on top of one memoised snapshot.
-    Backends with native indexes (SQLite) override the derived reads with
-    direct queries.
-    """
-
-    #: Registry name of this backend (``"jsonl"``/``"sqlite"``).
-    backend: str = "abstract"
-
-    def __init__(self, path: PathLike):
-        self.path = Path(path)
-        self._snapshot: Optional[
-            Tuple[Optional[CampaignGrid], Dict[str, CampaignRecord]]
-        ] = None
-        self._snapshot_token: Optional[tuple] = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self.path)!r})"
-
-    # -- storage primitives (backend-specific) --------------------------
-
-    @abstractmethod
-    def exists(self) -> bool:
-        """Whether any persisted state exists at :attr:`path`."""
-
-    @abstractmethod
-    def write_grid(self, grid: CampaignGrid) -> None:
-        """Record the sweep's grid header (keep-first; see class docs)."""
-
-    @abstractmethod
-    def append(self, record: CampaignRecord) -> None:
-        """Durably append one finished campaign (the checkpoint step)."""
-
-    @abstractmethod
-    def _load_uncached(
-        self,
-    ) -> Tuple[Optional[CampaignGrid], Dict[str, CampaignRecord]]:
-        """One full pass over storage: ``(grid_or_None, records_by_id)``.
-
-        Records are de-duplicated by campaign ID, last write winning.
-        """
-
-    @abstractmethod
-    def _freshness_token(self) -> Optional[tuple]:
-        """Snapshot cache key; ``None`` disables memoisation entirely."""
-
-    # -- locking and sidecars -------------------------------------------
-
-    def exclusive(self) -> StoreLock:
-        """An (unacquired) sweep-level writer lock; use as a context manager.
-
-        :class:`repro.campaigns.runner.CampaignRunner` holds it for the
-        duration of a sweep so a second concurrent sweep on the same store
-        fails fast instead of silently interleaving appends.
-        """
-        return StoreLock(self.path)
-
-    def sidecar_path(self, kind: str) -> Path:
-        """Where this store's ``kind`` sidecar lives (see module constants)."""
-        return self.path.with_name(f"{self.path.name}.{kind}")
-
-    # -- memoised read API ----------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop the cached snapshot (appends call this automatically)."""
-        self._snapshot = None
-        self._snapshot_token = None
-
-    def _indexed(self) -> Tuple[Optional[CampaignGrid], Dict[str, CampaignRecord]]:
-        """The memoised ``(grid, records_by_id)`` snapshot, refreshed on change."""
-        token = self._freshness_token()
-        if (
-            token is None
-            or self._snapshot is None
-            or token != self._snapshot_token
-        ):
-            snapshot = self._load_uncached()
-            if token is not None:
-                self._snapshot = snapshot
-                self._snapshot_token = token
-            return snapshot
-        return self._snapshot
-
-    def load(self) -> tuple:
-        """One (cached) pass over storage: ``(grid_or_None, records)``.
-
-        Records are de-duplicated by campaign ID (last write wins — e.g. a
-        failed campaign retried on resume).
-        """
-        grid, by_id = self._indexed()
-        return grid, list(by_id.values())
-
-    def read_grid(self) -> Optional[CampaignGrid]:
-        """The grid this sweep was launched with, if one was recorded."""
-        return self._indexed()[0]
-
-    def records(self) -> List[CampaignRecord]:
-        """Every stored campaign record, de-duplicated (last write wins)."""
-        return self.load()[1]
-
-    def completed_ids(self) -> Set[str]:
-        """IDs a resumed sweep may skip: campaigns stored as done.
-
-        Failed campaigns are *not* listed — resume retries them.
-        """
-        _, by_id = self._indexed()
-        return {cid for cid, record in by_id.items() if record.ok}
-
-    def lookup(self, specs: Iterable[CampaignSpec]) -> Dict[str, CampaignRecord]:
-        """Stored records for the given specs, keyed by campaign ID."""
-        _, by_id = self._indexed()
-        wanted = {spec.campaign_id for spec in specs}
-        return {cid: by_id[cid] for cid in wanted if cid in by_id}
-
-    def __len__(self) -> int:
-        return len(self._indexed()[1])
-
-    def close(self) -> None:
-        """Release any backend handles (no-op for the plain-file backend)."""

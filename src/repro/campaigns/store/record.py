@@ -1,12 +1,10 @@
-"""The stored form of one campaign outcome, shared by every store backend.
+"""The stored form of one campaign outcome.
 
-:class:`CampaignRecord` is the unit every :class:`~repro.campaigns.store.
-base.ResultStore` persists: backends differ in *where* the JSON payload
-lands (a JSONL file or a SQLite table), never in *what* it
-contains.  The payload codec is :mod:`repro.experiments.persistence` — the
-same pickle-free JSON representation of :class:`~repro.types.TuningResult`
-and :class:`~repro.types.ChoiceEvaluation` used by single-campaign
-archives.
+:class:`CampaignRecord` is the unit a :class:`~repro.campaigns.store.
+jsonl.CampaignStore` persists, one JSON line per record.  The payload
+codec is :mod:`repro.experiments.persistence` — the same pickle-free JSON
+representation of :class:`~repro.types.TuningResult` and
+:class:`~repro.types.ChoiceEvaluation` used by single-campaign archives.
 """
 
 from __future__ import annotations
@@ -31,14 +29,14 @@ def _persistence():
     return persistence
 
 
-#: On-disk payload schema version, stamped on every line/row.
+#: On-disk payload schema version, stamped on every line.
 FORMAT_VERSION = 1
 
 #: Campaign terminal states.
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
-#: Payload ``kind`` tags (the line/row discriminator every backend shares).
+#: Payload ``kind`` tags (the line discriminator).
 KIND_GRID = "campaign_grid"
 KIND_RECORD = "campaign_record"
 
@@ -139,11 +137,10 @@ class CampaignRecord:
     def stable_payload(self) -> dict:
         """:meth:`to_payload` minus attempt metadata.
 
-        The comparison form for fault-tolerance and cross-backend checks:
-        a sweep whose workers were crashed, hung, or transiently failed —
-        but which converged — must have the same stable payloads as a
-        fault-free run, and the same sweep persisted through any backend
-        must have the same stable payloads as any other.
+        The comparison form for fault-tolerance checks: a sweep whose
+        workers were crashed, hung, or transiently failed — but which
+        converged — must have the same stable payloads as a fault-free
+        run.
         """
         payload = self.to_payload()
         for key in self.ATTEMPT_METADATA:

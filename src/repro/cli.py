@@ -8,14 +8,12 @@ Subcommands::
     python -m repro table1
     python -m repro sweep --apps redis,lammps --seeds 0,1,2 --jobs 4 \
         --store sweep.jsonl --telemetry --progress
-    python -m repro sweep ... --store sweep.sqlite
     python -m repro resume sweep.jsonl --jobs 4
     python -m repro serve --port 8765 --data-root serve.d --telemetry
     python -m repro status sweep.jsonl --watch
     python -m repro report sweep.jsonl
     python -m repro report sweep.jsonl --metrics
     python -m repro store info sweep.jsonl
-    python -m repro store migrate sweep.jsonl sweep.sqlite
     python -m repro cache warm --apps redis,lammps --scale bench
     python -m repro cache info
     python -m repro cache clear
@@ -43,8 +41,8 @@ from typing import List, Optional
 from repro import api
 from repro.apps.registry import APPLICATION_NAMES, make_application
 from repro.caching import SurfaceCache, default_cache_dir
-from repro.campaigns import CampaignGrid, migrate_store, open_store
-from repro.campaigns.store import BACKEND_NAMES, SIDECAR_PROFILES, SIDECAR_TELEMETRY
+from repro.campaigns import CampaignGrid, open_store
+from repro.campaigns.store import SIDECAR_PROFILES, SIDECAR_TELEMETRY
 from repro.cloud.vm import PRESETS
 from repro.errors import ReproError
 from repro.faults import FaultPlan
@@ -180,7 +178,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _is_store(path: str) -> bool:
-    """Sniff whether ``path`` is a campaign store (any backend) or an archive."""
+    """Sniff whether ``path`` is a campaign store or an archive.
+
+    Directories and SQLite databases count as stores, so that opening them
+    reaches the refusal that names their conversion.
+    """
     import os.path
 
     from repro.campaigns.store.factory import SQLITE_MAGIC
@@ -224,10 +226,8 @@ def _fault_plan_from_args(args: argparse.Namespace):
 
 def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
     """One :class:`repro.api.SweepOptions` from the shared CLI flags."""
-    backend = getattr(args, "store_backend", "auto")
     return api.SweepOptions(
         store=store,
-        store_backend=None if backend == "auto" else backend,
         jobs=args.jobs,
         cache_dir=args.cache_dir or None,
         max_retries=args.max_retries,
@@ -442,7 +442,6 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
     failed = len(records) - done
     rows = [
         ("path", str(store.path)),
-        ("backend", store.backend),
         ("records", len(records)),
         ("done", done),
         ("failed", failed),
@@ -454,18 +453,6 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
         pending = sum(1 for s in grid.specs() if s.campaign_id not in done_ids)
         rows.append(("pending", pending))
     print(render_table(["field", "value"], rows, title=f"store {args.path}"))
-    return 0
-
-
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    source = open_store(args.source)
-    backend = None if args.dst_backend == "auto" else args.dst_backend
-    destination = open_store(args.destination, backend=backend)
-    copied = migrate_store(source, destination)
-    print(
-        f"migrated {copied} record(s): {source.path} ({source.backend}) "
-        f"-> {destination.path} ({destination.backend})"
-    )
     return 0
 
 
@@ -665,17 +652,6 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_backend(parser: argparse.ArgumentParser) -> None:
-    """The store-backend selection knob (sweep, serve)."""
-    parser.add_argument(
-        "--store-backend", default="auto",
-        choices=("auto",) + tuple(BACKEND_NAMES),
-        help="store backend: jsonl (single file, the default) or sqlite "
-             "(indexed database); auto sniffs existing stores and infers "
-             "fresh ones from the path suffix (.sqlite/.db -> sqlite)",
-    )
-
-
 def _add_observability(parser: argparse.ArgumentParser) -> None:
     """The telemetry and profiling opt-ins (sweep, resume, serve)."""
     parser.add_argument(
@@ -762,8 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument(
         "path",
-        help="campaign JSON written by tune --save, or a sweep store "
-             "(any backend)",
+        help="campaign JSON written by tune --save, or a sweep store",
     )
     p_report.add_argument(
         "--by-scenario", action="store_true",
@@ -793,8 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
         "status", help="live done/running/queued/failed view of a sweep store"
     )
     p_status.add_argument(
-        "store", help="store written by sweep (any backend; its ledger/"
-                      "telemetry sidecars are fused in when present)",
+        "store", help="store written by sweep (its ledger/telemetry "
+                      "sidecars are fused in when present)",
     )
     p_status.add_argument(
         "--watch", action="store_true",
@@ -844,11 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--store", default="campaigns.jsonl",
-        help="checkpoint store path (resumable); backend inferred from the "
-             "path unless --store-backend overrides it",
+        help="checkpoint store path (resumable; one JSONL file)",
     )
     _add_execution(p_sweep)
-    _add_store_backend(p_sweep)
     _add_progress(p_sweep)
     _add_fault_tolerance(p_sweep)
     _add_observability(p_sweep)
@@ -858,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resume", help="finish an interrupted sweep from its store"
     )
     p_resume.add_argument(
-        "store", help="store written by sweep (backend is sniffed from disk)"
+        "store", help="store written by sweep"
     )
     _add_execution(p_resume)
     _add_progress(p_resume)
@@ -892,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant cap on queued-plus-running jobs (default: 8)",
     )
     _add_execution(p_serve)
-    _add_store_backend(p_serve)
     _add_fault_tolerance(p_serve)
     _add_observability(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
@@ -931,33 +903,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cclear.set_defaults(func=_cmd_cache_clear)
 
     p_store = sub.add_parser(
-        "store", help="inspect and convert campaign stores"
+        "store", help="inspect campaign stores"
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
     p_sinfo = store_sub.add_parser(
-        "info", help="backend, record counts, and disk usage of a store"
+        "info", help="record counts and disk usage of a store"
     )
-    p_sinfo.add_argument("path", help="store path (any backend)")
+    p_sinfo.add_argument("path", help="store path")
     p_sinfo.set_defaults(func=_cmd_store_info)
-
-    p_smigrate = store_sub.add_parser(
-        "migrate",
-        help="copy a store's grid and records into a fresh store of "
-             "another backend (lossless, both directions)",
-    )
-    p_smigrate.add_argument("source", help="existing store (any backend)")
-    p_smigrate.add_argument(
-        "destination",
-        help="path for the new store; must not already hold records",
-    )
-    p_smigrate.add_argument(
-        "--dst-backend", default="auto",
-        choices=("auto",) + tuple(BACKEND_NAMES),
-        help="destination backend (auto infers from the path suffix: "
-             ".sqlite/.db -> sqlite, else jsonl)",
-    )
-    p_smigrate.set_defaults(func=_cmd_store_migrate)
 
     p_cmp = sub.add_parser("compare", help="compare strategies on one app")
     _add_common(p_cmp)

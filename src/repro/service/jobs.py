@@ -18,7 +18,7 @@ Parallelism still happens *inside* a job (``options.jobs`` workers via the
 dispatcher), where it is crash-isolated and deterministic.
 
 Stores are laid out per tenant under the service data root —
-``<data_root>/<tenant>/<job_id>.<ext>`` — so tenants can never read or
+``<data_root>/<tenant>/<job_id>.jsonl`` — so tenants can never read or
 clobber each other's results, and every store remains a plain on-disk
 store that ``repro status`` / ``report`` / ``resume`` can use directly
 after the daemon stops.
@@ -47,9 +47,6 @@ PathLike = Union[str, Path]
 
 #: Tenant names become directory names; keep them boring and safe.
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-#: Store filename extension per backend (``None`` backend → jsonl).
-_BACKEND_EXT = {None: "jsonl", "jsonl": "jsonl", "sqlite": "sqlite"}
 
 
 def validate_tenant(tenant: str) -> str:
@@ -204,10 +201,6 @@ class JobManager:
             if j.tenant == tenant and not j.handle.done
         )
 
-    def _store_path(self, tenant: str, job_id: str, options) -> Path:
-        ext = _BACKEND_EXT.get(options.store_backend, "jsonl")
-        return self.data_root / tenant / f"{job_id}.{ext}"
-
     def submit(self, tenant: str, payload: dict) -> ServiceJob:
         """Admit one request payload as a job; the daemon's POST handler.
 
@@ -234,12 +227,12 @@ class JobManager:
             if existing is not None and not existing.handle.done:
                 return existing
             self.ledger.check_submission(tenant, self._active_count(tenant))
-            store_path = self._store_path(tenant, job_id, options)
+            store_path = self.data_root / tenant / f"{job_id}.jsonl"
             store_path.parent.mkdir(parents=True, exist_ok=True)
             handle = api.JobHandle(
                 grid=grid,
                 options=options,
-                store=api.open_store(store_path, backend=options.store_backend),
+                store=api.open_store(store_path),
                 job_id=job_id,
             )
             job = ServiceJob(
@@ -298,11 +291,7 @@ class JobManager:
         with self._lock:
             jobs = [self._jobs[jid] for jid in self._order]
         for job in jobs:
-            store = job.handle.store
-            try:
-                sidecar = store.sidecar_path("telemetry")
-            except ReproError:  # pragma: no cover - all backends have one
-                continue
+            sidecar = job.handle.store.sidecar_path("telemetry")
             for payload in iter_jsonl_payloads(sidecar):
                 if payload.get("kind") == "telemetry":
                     registry.ingest(payload)

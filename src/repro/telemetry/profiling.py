@@ -25,7 +25,7 @@ _PROFILE_DIR: Optional[Path] = None
 
 
 def profile_dir_for(store_path: PathLike) -> Path:
-    """The file-backend ``.profiles`` directory convention.
+    """The ``.profiles`` directory convention.
 
     Legacy helper: consumers that know their store should ask it via
     ``store.sidecar_path(SIDECAR_PROFILES)``.

@@ -125,9 +125,6 @@ def snapshot(store_path: PathLike, *, now: Optional[float] = None) -> StatusSnap
     )
 
     now = time.time() if now is None else now
-    # The backend is sniffed from disk, so `repro status` works unchanged
-    # on a JSONL file or a SQLite store — and asks the backend where its
-    # ledger/telemetry sidecars live.
     store = open_store(store_path)
     grid, records = store.load()
 

@@ -170,10 +170,10 @@ class TestWireFormat:
         ({"store": "evil.jsonl"}, r"unknown key\(s\) \['store'\]"),
         ({"exec_mode": "stacked"}, r"unknown key\(s\) \['exec_mode'\]"),
         ({"shards": 4}, r"unknown key\(s\) \['shards'\]"),
-        ({"store_backend": "sharded"}, r"\$\.store_backend: 'sharded'"),
+        ({"store_backend": "sqlite"}, r"unknown key\(s\) \['store_backend'\]"),
     ], ids=["store", "exec_mode", "shards", "store_backend"])
     def test_options_payload_cannot_name_a_store(self, payload, named):
-        """No wire option places a store, or selects a removed executor or
-        store backend."""
+        """No wire option places a store, or selects the removed executor or
+        store backends."""
         with pytest.raises(api.SchemaError, match=named):
             api.validate_payload(payload, api.OPTIONS_SCHEMA)

@@ -4,7 +4,8 @@ The engine's contract: a round of games simulated as one stacked tensor
 computation books exactly what the same games would book one at a time,
 because every game draws from its own child generator keyed by its position
 in the round.  These tests pin that equivalence, the determinism of whole
-tunes, and the round semantics of ``MatchExecutor.play``.
+tunes, their independence from how the kernel chunks rounds and blocks its
+scan, and the round semantics of ``MatchExecutor.play``.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import make_application
+from repro.cloud import colocation
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import PRESETS
 from repro.core.config import DarwinGameConfig
@@ -142,3 +144,44 @@ class TestTuneDeterminism:
         assert results[0].tuning_seconds == pytest.approx(
             results[1].tuning_seconds
         )
+
+
+def _redis_tune_outcome():
+    """Best index, evaluations and core-hours of one test-scale redis tune."""
+    result = DarwinGame(DarwinGameConfig(seed=1)).tune(_APP, env(7))
+    return result.best_index, result.evaluations, result.core_hours
+
+
+class TestKernelSplitting:
+    """How the kernel splits its work never changes a tune: a round may be
+    cut into budget-sized chunks and its scan into segment blocks, because
+    every game draws from its own generator and stops at its own segment."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return _redis_tune_outcome()
+
+    @pytest.mark.parametrize("constant, value", [
+        ("_BATCH_ELEMENT_BUDGET", 20_000),
+        ("_SEGMENT_BLOCK", 8),
+        ("_SEGMENT_BLOCK", 16),
+        ("_SEGMENT_BLOCK", 24),
+    ], ids=["budget-20000", "block-8", "block-16", "block-24"])
+    def test_tune_is_identical(self, baseline, monkeypatch, constant, value):
+        monkeypatch.setattr(colocation, constant, value)
+        assert _redis_tune_outcome() == baseline
+
+    def test_small_budget_splits_rounds(self, monkeypatch):
+        """The budget case above really chunks rounds (8 of 15 here)."""
+        chunk_counts = []
+        unsplit = colocation._budget_chunks
+
+        def counting(active, states):
+            chunks = unsplit(active, states)
+            chunk_counts.append(len(chunks))
+            return chunks
+
+        monkeypatch.setattr(colocation, "_budget_chunks", counting)
+        monkeypatch.setattr(colocation, "_BATCH_ELEMENT_BUDGET", 20_000)
+        _redis_tune_outcome()
+        assert sum(count > 1 for count in chunk_counts) > 0

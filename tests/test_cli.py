@@ -24,6 +24,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--name", "fig99"])
 
+    @pytest.mark.parametrize("argv", [
+        ["store", "migrate", "a.jsonl", "b.sqlite"],
+        ["sweep", "--store-backend", "sqlite"],
+        ["serve", "--store-backend", "jsonl"],
+    ], ids=["store-migrate", "sweep-store-backend", "serve-store-backend"])
+    def test_removed_store_backend_knobs_rejected(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+
     def test_tune_strategy_choices_are_the_supported_strategies(self):
         tune = build_parser()._subparsers._group_actions[0].choices["tune"]
         (strategy,) = [a for a in tune._actions if a.dest == "strategy"]

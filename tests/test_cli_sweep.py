@@ -335,3 +335,5 @@ class TestUnopenableStore:
         assert len(lines) == 1 and str(bad_store) in lines[0]
         if bad_store.is_dir():
             assert "awk 1 " in lines[0]
+        else:
+            assert "SELECT payload FROM campaign_records ORDER BY rowid" in lines[0]

@@ -46,7 +46,8 @@ class TestPublicApi:
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    """`import repro` and the CLI stay off the slow scipy submodules.
+    """`import repro` and the CLI stay off the slow scipy submodules, and
+    off `sqlite3`, which no store needs.
 
     Runs in a fresh interpreter, since other tests load both into this one.
     """
@@ -56,7 +57,7 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     ))
     probe = (
         "import sys, repro, repro.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'sqlite3') "
         "if m in sys.modules))"
     )
     out = subprocess.run(

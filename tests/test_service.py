@@ -298,6 +298,13 @@ class TestErrors:
             tenant="alice",
         )
         assert status == 400 and "exec_mode" in body["error"]
+        # So is the removed store-backend option.
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps",
+            {"grid": GRID, "options": {"store_backend": "sqlite"}},
+            tenant="alice",
+        )
+        assert status == 400 and "store_backend" in body["error"]
 
 
 class TestQuota:

@@ -1,17 +1,19 @@
-"""Cross-backend ``ResultStore`` contract: every backend, one behaviour.
+"""The ``CampaignStore`` contract, and the refusal of removed layouts.
 
-The backends differ in *where* bytes live (one JSONL file, a SQLite
-table) — never in what a consumer observes.  These tests pin that: the
-parametrised contract class runs every store through the same appends,
-sweeps (serial, parallel, chaos-injected), and reads, and asserts
-identical stable payloads; migration round-trips between the backends
-losslessly; and each backend's crash/race edge cases (torn lines,
-duplicate headers, racing header writers) degrade the same way.
+The contract class runs the store through appends, sweeps (serial,
+parallel, chaos-injected) and reads, and asserts the records a consumer
+sees; the edge cases pin how crashes and races degrade (torn lines,
+duplicate headers, racing header writers).  Stores of the removed
+backends — a sharded directory, a SQLite database — are refused with one
+line whose command converts them, and these tests run that command.
 """
 
 import json
+import shlex
+import sqlite3
 import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -21,27 +23,15 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
-    migrate_store,
     open_store,
-    sniff_backend,
 )
-from repro.campaigns.store import (
-    BACKEND_NAMES,
-    SIDECAR_LEDGER,
-    SIDECAR_TELEMETRY,
-    SqliteStore,
-)
+from repro.campaigns.store import SIDECAR_LEDGER, SIDECAR_TELEMETRY
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 
-#: One store path convention per backend, matching the factory's fresh-path
-#: suffix sniffing — opening these with backend=None must pick the backend
-#: the test built them with.
-_PATHS = {"jsonl": "s.jsonl", "sqlite": "s.sqlite"}
 
-
-def _make(tmp_path, backend):
-    return open_store(tmp_path / _PATHS[backend], backend=backend)
+def _make(tmp_path):
+    return open_store(tmp_path / "s.jsonl")
 
 
 def _stable(records):
@@ -72,12 +62,11 @@ def serial_records(small_grid):
     return CampaignRunner(jobs=1).run(small_grid.specs()).records
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 class TestContract:
-    """The observable behaviour every backend must share."""
+    """The observable behaviour of a store."""
 
-    def test_round_trip(self, tmp_path, backend, small_grid, serial_records):
-        store = _make(tmp_path, backend)
+    def test_round_trip(self, tmp_path, small_grid, serial_records):
+        store = _make(tmp_path)
         assert not store.exists()
         store.write_grid(small_grid)
         for record in serial_records:
@@ -93,8 +82,8 @@ class TestContract:
         found = store.lookup(small_grid.specs())
         assert set(found) == {r.campaign_id for r in serial_records}
 
-    def test_fresh_store_reads_empty(self, tmp_path, backend):
-        store = _make(tmp_path, backend)
+    def test_fresh_store_reads_empty(self, tmp_path):
+        store = _make(tmp_path)
         assert not store.exists()
         assert store.load() == (None, [])
         assert store.read_grid() is None
@@ -104,10 +93,10 @@ class TestContract:
         # Reading must stay read-only: no store materialises on disk.
         assert not store.exists()
 
-    def test_last_write_wins_per_id(self, tmp_path, backend, serial_records):
+    def test_last_write_wins_per_id(self, tmp_path, serial_records):
         from dataclasses import replace
 
-        store = _make(tmp_path, backend)
+        store = _make(tmp_path)
         done = serial_records[0]
         failed = replace(done, status="failed", error="boom", evaluation=None,
                          result=None)
@@ -118,17 +107,17 @@ class TestContract:
         assert store.records()[0].status == "done"
         assert store.completed_ids() == {done.campaign_id}
 
-    def test_grid_header_keeps_first(self, tmp_path, backend, small_grid):
-        store = _make(tmp_path, backend)
+    def test_grid_header_keeps_first(self, tmp_path, small_grid):
+        store = _make(tmp_path)
         other = CampaignGrid(apps=("lammps",), seeds=(9,), scale="test")
         store.write_grid(small_grid)
         store.write_grid(other)
         assert store.read_grid() == small_grid
 
     def test_runner_serial_matches_baseline(
-        self, tmp_path, backend, small_grid, serial_records
+        self, tmp_path, small_grid, serial_records
     ):
-        store = _make(tmp_path, backend)
+        store = _make(tmp_path)
         report = CampaignRunner(jobs=1, store=store).run(
             small_grid.specs(), grid=small_grid
         )
@@ -137,18 +126,18 @@ class TestContract:
         assert store.read_grid() == small_grid
 
     def test_runner_parallel_matches_baseline(
-        self, tmp_path, backend, small_grid, serial_records
+        self, tmp_path, small_grid, serial_records
     ):
-        store = _make(tmp_path, backend)
+        store = _make(tmp_path)
         report = CampaignRunner(jobs=2, store=store).run(small_grid.specs())
         assert _stable(report.records) == _stable(serial_records)
         assert _stable(store.records()) == _stable(serial_records)
 
     def test_runner_chaos_matches_baseline(
-        self, tmp_path, backend, small_grid, serial_records
+        self, tmp_path, small_grid, serial_records
     ):
         """Injected transient faults + retries land the same final records."""
-        store = _make(tmp_path, backend)
+        store = _make(tmp_path)
         plan = FaultPlan(rate=1.0, kinds=("transient",), max_faults=3, seed=5)
         report = CampaignRunner(
             jobs=2, store=store, fault_plan=plan, max_retries=4, backoff=0.001
@@ -157,125 +146,35 @@ class TestContract:
         assert _stable(report.records) == _stable(serial_records)
         assert _stable(store.records()) == _stable(serial_records)
 
-    def test_resume_skips_done(self, tmp_path, backend, small_grid):
-        store = _make(tmp_path, backend)
+    def test_resume_skips_done(self, tmp_path, small_grid):
+        store = _make(tmp_path)
         specs = list(small_grid.specs())
         CampaignRunner(jobs=1, store=store).run(specs[:2])
-        resumed = _make(tmp_path, backend)
+        resumed = _make(tmp_path)
         report = CampaignRunner(jobs=1, store=resumed).run(specs)
         assert report.skipped == 2
         assert report.executed == 2
         assert len(resumed) == 4
 
-    def test_open_store_sniffs_existing(self, tmp_path, backend, serial_records):
-        store = _make(tmp_path, backend)
+    def test_open_store_sniffs_existing(self, tmp_path, serial_records):
+        store = _make(tmp_path)
         store.append(serial_records[0])
-        store.close()
         reopened = open_store(store.path)
-        assert reopened.backend == backend
+        assert isinstance(reopened, CampaignStore)
         assert len(reopened) == 1
 
     def test_torn_final_write_loses_only_the_tail(
-        self, tmp_path, backend, serial_records
+        self, tmp_path, serial_records
     ):
         """A crash mid-append must not take committed records with it."""
-        store = _make(tmp_path, backend)
+        store = _make(tmp_path)
         for record in serial_records:
             store.append(record)
-        store.close()
-        if backend == "jsonl":
-            # Cut inside a multi-byte UTF-8 character, the worst tear.
-            with open(store.path, "ab") as handle:
-                handle.write(b'{"kind": "campaign_record", "status\xc3')
-        else:
-            return  # SQLite: a torn transaction rolls back; nothing to tear
+        # Cut inside a multi-byte UTF-8 character, the worst tear.
+        with open(store.path, "ab") as handle:
+            handle.write(b'{"kind": "campaign_record", "status\xc3')
         fresh = open_store(store.path)
         assert _full(fresh.records()) == _full(serial_records)
-
-
-class TestMigration:
-    def test_round_trip_through_every_backend(
-        self, tmp_path, small_grid, serial_records
-    ):
-        """jsonl -> sqlite -> jsonl, losslessly, header included."""
-        origin = _make(tmp_path, "jsonl")
-        origin.write_grid(small_grid)
-        for record in serial_records:
-            origin.append(record)
-        chain = [origin]
-        for backend, name in (("sqlite", "hop.sqlite"), ("jsonl", "hop.jsonl")):
-            destination = open_store(tmp_path / name, backend=backend)
-            copied = migrate_store(chain[-1], destination)
-            assert copied == len(serial_records)
-            chain.append(destination)
-        for store in chain[1:]:
-            assert store.read_grid() == small_grid
-            assert _full(store.records()) == _full(serial_records)
-
-    def test_migrated_jsonl_is_byte_identical(
-        self, tmp_path, small_grid, serial_records
-    ):
-        """jsonl -> sqlite -> jsonl reproduces the original file's bytes."""
-        origin = CampaignStore(tmp_path / "a.jsonl")
-        origin.write_grid(small_grid)
-        for record in serial_records:
-            origin.append(record)
-        middle = open_store(tmp_path / "b.sqlite", backend="sqlite")
-        migrate_store(origin, middle)
-        back = CampaignStore(tmp_path / "c.jsonl")
-        migrate_store(middle, back)
-        assert back.path.read_bytes() == origin.path.read_bytes()
-
-    def test_refuses_missing_source(self, tmp_path):
-        with pytest.raises(ReproError, match="no store"):
-            migrate_store(
-                open_store(tmp_path / "absent.jsonl"),
-                open_store(tmp_path / "out.jsonl"),
-            )
-
-    def test_refuses_nonempty_destination(self, tmp_path, serial_records):
-        source = _make(tmp_path, "jsonl")
-        source.append(serial_records[0])
-        busy = open_store(tmp_path / "busy.sqlite", backend="sqlite")
-        busy.append(serial_records[1])
-        with pytest.raises(ReproError, match="not empty"):
-            migrate_store(source, busy)
-
-    def test_refuses_self_migration(self, tmp_path, serial_records):
-        source = _make(tmp_path, "jsonl")
-        source.append(serial_records[0])
-        with pytest.raises(ReproError, match="same store"):
-            migrate_store(source, open_store(source.path))
-
-
-class TestSniffing:
-    def test_fresh_paths_sniff_by_suffix(self, tmp_path):
-        assert sniff_backend(tmp_path / "new.jsonl") == "jsonl"
-        assert sniff_backend(tmp_path / "new.txt") == "jsonl"
-        assert sniff_backend(tmp_path / "new.d") == "jsonl"
-        assert sniff_backend(tmp_path / "new.sqlite") == "sqlite"
-        assert sniff_backend(tmp_path / "new.sqlite3") == "sqlite"
-        assert sniff_backend(tmp_path / "new.db") == "sqlite"
-
-    def test_existing_content_beats_suffix(self, tmp_path, serial_records):
-        """A store renamed across suffix conventions keeps working."""
-        store = open_store(tmp_path / "x.sqlite", backend="sqlite")
-        store.append(serial_records[0])
-        store.close()
-        disguised = tmp_path / "x.jsonl"
-        store.path.rename(disguised)
-        assert sniff_backend(disguised) == "sqlite"
-        assert len(open_store(disguised)) == 1
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="unknown store backend"):
-            open_store(tmp_path / "s.jsonl", backend="parquet")
-
-    def test_sqlite_rejects_garbage_file(self, tmp_path):
-        path = tmp_path / "not-a-db.sqlite"
-        path.write_bytes(b"SQLite format 3\x00 but then nonsense")
-        with pytest.raises(ReproError, match="not a usable SQLite"):
-            open_store(path).records()
 
 
 class TestRemovedShardedLayout:
@@ -313,25 +212,78 @@ class TestRemovedShardedLayout:
         subprocess.run(command, shell=True, check=True, cwd=tmp_path)
 
         converted = open_store(tmp_path / "sweep.jsonl")
-        assert converted.backend == "jsonl"
+        assert isinstance(converted, CampaignStore)
         assert converted.read_grid() == small_grid
         assert _full(converted.records()) == _full(serial_records)
+
+
+#: The tables the removed SQLite backend wrote, as it created them.
+_SQLITE_SCHEMA = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE campaign_records (
+    campaign_id TEXT PRIMARY KEY,
+    status      TEXT NOT NULL,
+    payload     TEXT NOT NULL
+);
+CREATE INDEX campaign_records_status ON campaign_records(status);
+"""
+
+
+class TestRemovedSqliteBackend:
+    @pytest.mark.parametrize("name", ["old.sqlite", "old.jsonl"])
+    def test_database_converts_with_the_command_the_error_names(
+        self, tmp_path, name, small_grid, serial_records
+    ):
+        """A database of the removed SQLite backend is refused with one line
+        whose command exports it as the JSONL store it mirrors, byte for
+        byte — into a new file even when the database is named ``*.jsonl``,
+        which a shell redirect onto itself would truncate."""
+        reference = CampaignStore(tmp_path / "reference.jsonl")
+        reference.write_grid(small_grid)
+        for record in serial_records:
+            reference.append(record)
+        header, *lines = reference.path.read_text().splitlines()
+
+        old = tmp_path / name
+        db = sqlite3.connect(old)
+        db.execute("PRAGMA journal_mode=WAL")
+        db.executescript(_SQLITE_SCHEMA)
+        db.execute(
+            "INSERT INTO store_meta VALUES (?, ?)", ("campaign_grid", header)
+        )
+        for line in lines:
+            payload = json.loads(line)
+            db.execute(
+                "INSERT INTO campaign_records VALUES (?, ?, ?)",
+                (payload["id"], payload["status"], line),
+            )
+        db.commit()
+        db.close()
+        before = old.read_bytes()
+
+        with pytest.raises(ReproError) as refused:
+            open_store(old)
+        message = str(refused.value)
+        assert "\n" not in message
+        assert str(old) in message and "SQLite" in message
+        command = message.split("with: ", 1)[1]
+        subprocess.run(command, shell=True, check=True, cwd=tmp_path)
+
+        target = Path(shlex.split(command)[-1])
+        assert target != old
+        assert old.read_bytes() == before
+        assert target.read_bytes() == reference.path.read_bytes()
+        assert _full(open_store(target).records()) == _full(serial_records)
 
 
 class TestEdgeCases:
     def test_file_backends_keep_sibling_sidecars(self, tmp_path):
         store = CampaignStore(tmp_path / "s.jsonl")
         assert store.sidecar_path(SIDECAR_LEDGER).name == "s.jsonl.ledger"
-        sq = SqliteStore(tmp_path / "s.sqlite")
-        assert sq.sidecar_path(SIDECAR_TELEMETRY).name == "s.sqlite.telemetry"
+        assert store.sidecar_path(SIDECAR_TELEMETRY).name == "s.jsonl.telemetry"
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_store_path_without_parent_dir(
-        self, tmp_path, backend, serial_records
-    ):
-        store = open_store(
-            tmp_path / "deep" / "nested" / _PATHS[backend], backend=backend
-        )
+    def test_store_path_without_parent_dir(self, tmp_path, serial_records):
+        store = open_store(tmp_path / "deep" / "nested" / "s.jsonl")
         store.append(serial_records[0])
         assert len(store) == 1
 
@@ -365,11 +317,11 @@ class TestEdgeCases:
 class TestHeaderRace:
     def test_racing_writers_record_one_header(self, tmp_path, small_grid):
         """N threads race write_grid on a fresh store; exactly one line wins."""
-        path = tmp_path / _PATHS["jsonl"]
+        path = tmp_path / "s.jsonl"
         barrier = threading.Barrier(8)
 
         def writer():
-            store = open_store(path, backend="jsonl")
+            store = open_store(path)
             barrier.wait()
             store.write_grid(small_grid)
 
@@ -418,10 +370,3 @@ class TestSnapshotMemoisation:
         other = CampaignStore(store.path)
         other.append(serial_records[1])
         assert len(store) == 2
-
-    def test_sqlite_reads_are_always_direct(self, tmp_path, serial_records):
-        store = SqliteStore(tmp_path / "s.sqlite")
-        store.append(serial_records[0])
-        assert store._freshness_token() is None
-        store.load()
-        assert store._snapshot is None
