@@ -1,11 +1,12 @@
 """``open_store``: turn a ``--store`` path into a :class:`CampaignStore`.
 
-Every entry point — CLI, runner, status, report, the service — opens
-stores here, so the layouts this version cannot read are refused in one
-place, each with one :class:`~repro.errors.ReproError` line naming the
-command that converts it into a JSONL store: a directory (the former
-sharded layout) and a SQLite database (the former SQLite backend).
-Any other path, fresh or existing, whatever its suffix, is a JSONL store.
+Every entry point — the CLI, ``repro status``, the API facade and the
+service — opens stores here, so the layouts this version cannot read are
+refused in one place, each with one :class:`~repro.errors.ReproError`
+line naming the command that converts it into a JSONL store: a directory
+(the former sharded layout) and a SQLite database (the former SQLite
+backend).  Any other path, fresh or existing, whatever its suffix, is a
+JSONL store.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ SQLITE_MAGIC = b"SQLite format 3\x00"
 #: Prints a former SQLite store as the JSONL store it mirrors: the grid
 #: header row, then every record payload in first-insert order.
 _SQLITE_EXPORT = (
-    "import sys, sqlite3; db = sqlite3.connect(sys.argv[1]); "
-    "rows = db.execute(\"SELECT value FROM store_meta WHERE key = ?\", "
-    "(\"campaign_grid\",)).fetchall() + db.execute(\"SELECT payload FROM "
-    "campaign_records ORDER BY rowid\").fetchall(); "
-    "sys.stdout.writelines(row[0] + \"\\n\" for row in rows)"
+    'import sys, sqlite3; db = sqlite3.connect(sys.argv[1]); '
+    'rows = db.execute("SELECT value FROM store_meta WHERE key = ?", '
+    '("campaign_grid",)).fetchall() + db.execute("SELECT payload FROM '
+    'campaign_records ORDER BY rowid").fetchall(); '
+    'sys.stdout.writelines(row[0] + "\\n" for row in rows)'
 )
 
 

@@ -230,6 +230,15 @@ CREATE INDEX campaign_records_status ON campaign_records(status);
 
 
 class TestRemovedSqliteBackend:
+    def test_fresh_sqlite_suffix_is_a_jsonl_store(self, tmp_path, serial_records):
+        """No suffix selects a backend any more: a fresh ``.sqlite`` path
+        becomes a JSONL store."""
+        store = open_store(tmp_path / "new.sqlite")
+        store.append(serial_records[0])
+        assert json.loads(store.path.read_text())["id"] == (
+            serial_records[0].campaign_id
+        )
+
     @pytest.mark.parametrize("name", ["old.sqlite", "old.jsonl"])
     def test_database_converts_with_the_command_the_error_names(
         self, tmp_path, name, small_grid, serial_records
