@@ -62,7 +62,7 @@ from repro.scenarios import (
     get_scenario,
     register_scenario,
 )
-from repro.space import Parameter, SearchSpace, partition_regions, split_subspaces
+from repro.space import Parameter, SearchSpace, split_subspaces
 from repro.tuners import (
     ActiveHarmonyLike,
     BlissLike,
@@ -150,7 +150,6 @@ __all__ = [
     "make_redis",
     "get_scenario",
     "open_store",
-    "partition_regions",
     "record_trace",
     "register_scenario",
     "render_report",

@@ -187,9 +187,9 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
         level_cap(grid.scale)
     except SpaceError as exc:
         raise ReproError(f"{exc} (fix --scale)") from None
-    if grid.eval_runs < 1:
+    if grid.eval_runs < 2:
         raise ReproError(
-            f"eval_runs must be >= 1, got {grid.eval_runs} (fix --eval-runs)"
+            f"eval_runs must be >= 2, got {grid.eval_runs} (fix --eval-runs)"
         )
     if not grid.seeds:
         raise ReproError("a grid needs at least one seed (fix --seeds)")
@@ -556,7 +556,7 @@ GRID_SCHEMA = {
         "vms": _string_array(),
         "seeds": {"type": "array", "items": {"type": "integer"}},
         "scale": {"type": ["string", "integer"]},
-        "eval_runs": {"type": "integer", "minimum": 1},
+        "eval_runs": {"type": "integer", "minimum": 2},
         "start_time_step": {"type": "number"},
         "tag": {"type": "string"},
         "scenarios": _string_array(),

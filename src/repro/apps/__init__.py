@@ -6,7 +6,6 @@ from repro.apps.calibration import (
     assert_calibrated,
     calibrate_report,
 )
-from repro.apps.constrained import ConstrainedApplication, penalised_application
 from repro.apps.ffmpeg_app import make_ffmpeg
 from repro.apps.gromacs_app import make_gromacs
 from repro.apps.lammps_app import make_lammps
@@ -19,7 +18,6 @@ __all__ = [
     "APPLICATION_NAMES",
     "CalibrationCheck",
     "CalibrationReport",
-    "ConstrainedApplication",
     "ApplicationModel",
     "OraclePoint",
     "PerformanceSurface",
@@ -27,7 +25,6 @@ __all__ = [
     "assert_calibrated",
     "calibrate_report",
     "make_application",
-    "penalised_application",
     "make_ffmpeg",
     "make_gromacs",
     "make_lammps",

@@ -777,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_status.add_argument(
         "--interval", type=float, default=2.0,
-        help="--watch refresh period in seconds (default: 2.0)",
+        help="--watch refresh period in seconds, above 0 (default: 2.0)",
     )
     p_status.add_argument(
         "--json", action="store_true",
@@ -815,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scale", default="bench", help="space scale preset")
     p_sweep.add_argument(
         "--eval-runs", type=int, default=100,
-        help="post-tuning evaluation executions per campaign",
+        help="post-tuning evaluation executions per campaign (at least 2)",
     )
     p_sweep.add_argument(
         "--store", default="campaigns.jsonl",

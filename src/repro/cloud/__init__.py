@@ -1,11 +1,7 @@
 """Cloud simulator: VMs, interference, co-location physics, accounting."""
 
 from repro.cloud.accounting import CoreHourLedger
-from repro.cloud.colocation import (
-    contention_level,
-    simulate_colocated,
-    simulate_colocated_batch,
-)
+from repro.cloud.colocation import contention_level, simulate_colocated_batch
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.fleet import (
     FleetPoint,
@@ -44,7 +40,6 @@ __all__ = [
     "make_profile",
     "record_trace",
     "schedule_lpt",
-    "simulate_colocated",
     "simulate_colocated_batch",
     "spike_trace",
     "step_trace",

@@ -19,8 +19,7 @@ The kernel is *round-shaped*: :func:`simulate_colocated_batch` simulates one
 round — every game on its own VM, all under the round's interference
 process, start time, and early-termination setting — as padded
 ``(games, segments, players)`` tensor passes.  Every game draws from its own
-generator, so how a round is chunked never changes results, and
-:func:`simulate_colocated` is exactly the one-game round.
+generator, so how a round is chunked never changes results.
 """
 
 from __future__ import annotations
@@ -54,45 +53,6 @@ def contention_level(num_players: int, vcpus: int) -> float:
     if num_players < 1:
         raise CloudError(f"a game needs at least one player, got {num_players}")
     return _CONTENTION_COEFF * (num_players - 1) / vcpus
-
-
-def simulate_colocated(
-    *,
-    true_times: np.ndarray,
-    sensitivities: np.ndarray,
-    vm: VMSpec,
-    interference: InterferenceProcess,
-    start_time: float,
-    rng: np.random.Generator,
-    work_deviation: Optional[float] = None,
-    min_work_for_termination: float = 0.25,
-    max_segments: int = 240,
-) -> GameOutcome:
-    """Simulate one co-located game and return its :class:`GameOutcome`.
-
-    Args:
-        true_times: per-player interference-free execution times (seconds).
-        sensitivities: per-player noise sensitivities in ``[0, 1]``.
-        vm: the VM the game runs on.
-        interference: the host's interference process.
-        start_time: simulated start time of the game.
-        rng: generator for this game's stochastic draws.
-        work_deviation: the early-termination deviation ``d`` (e.g. ``0.10``),
-            or ``None`` to disable early termination.
-        min_work_for_termination: fastest player must have completed at least
-            this fraction before early termination may fire.
-        max_segments: resolution cap of the piecewise-constant simulation.
-    """
-    return simulate_colocated_batch(
-        games=[(true_times, sensitivities)],
-        vm=vm,
-        interference=interference,
-        start_time=start_time,
-        rngs=[rng],
-        work_deviation=work_deviation,
-        min_work_for_termination=min_work_for_termination,
-        max_segments=max_segments,
-    )[0]
 
 
 # Element budget (games * segments * players) of one stacked simulation pass.
@@ -173,8 +133,7 @@ def simulate_colocated_batch(
     one entry per game of the round; ``rngs`` supplies one generator per
     game, so every game owns an independent random stream and the result is
     identical whether the round is simulated in one pass, split into chunks,
-    or replayed one game at a time (``simulate_colocated`` is exactly the
-    single-game batch).
+    or replayed one game at a time.
 
     All games start at ``start_time`` (games of a round run on parallel
     VMs).  The heavy arithmetic — slowdown fields, work cumsums, and the

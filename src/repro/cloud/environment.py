@@ -94,14 +94,6 @@ class CloudEnvironment:
         self._now += seconds
         self.ledger.advance_wall(seconds)
 
-    def advance_to(self, time: float) -> None:
-        """Jump forward to an absolute simulated time (never backwards)."""
-        if time < self._now:
-            raise CloudError(
-                f"cannot move clock backwards from {self._now} to {time}"
-            )
-        self.advance(time - self._now)
-
     # -- solo runs (how interference-unaware tuners sample) ---------------
 
     def run_solo(
@@ -162,34 +154,6 @@ class CloudEnvironment:
         return observed
 
     # -- co-located games (DarwinGame's sampling primitive) ----------------
-
-    def run_colocated(
-        self,
-        app: "ApplicationModel",
-        indices: Sequence[int],
-        *,
-        work_deviation: Optional[float] = None,
-        min_work_for_termination: float = 0.25,
-        label: str = "game",
-        advance_clock: bool = True,
-    ) -> GameOutcome:
-        """Run one game: all configurations co-located on this VM.
-
-        Books the whole VM for the game's duration.  With ``advance_clock``
-        False the caller is responsible for advancing time once per *round*
-        of parallel games (games within a round run on parallel VMs).
-
-        Exactly equivalent to a single-game :meth:`run_colocated_batch` —
-        the game draws from the same spawned child generator either way.
-        """
-        return self.run_colocated_batch(
-            app,
-            [indices],
-            work_deviation=work_deviation,
-            min_work_for_termination=min_work_for_termination,
-            label=label,
-            advance_clock=advance_clock,
-        )[0]
 
     def run_colocated_batch(
         self,

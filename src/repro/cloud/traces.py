@@ -90,20 +90,6 @@ class InterferenceTrace:
             out[pos] = float(self.level_at(mids).mean())
         return out
 
-    def shifted(self, delta: float) -> "InterferenceTrace":
-        """A copy with every level shifted by ``delta`` (floored at ~0)."""
-        return InterferenceTrace(
-            levels=np.maximum(self.levels + delta, _MIN_LEVEL), dt=self.dt
-        )
-
-    def scaled(self, factor: float) -> "InterferenceTrace":
-        """A copy with every level scaled by ``factor`` (must be >= 0)."""
-        if factor < 0:
-            raise CloudError(f"scale factor must be >= 0, got {factor}")
-        return InterferenceTrace(
-            levels=np.maximum(self.levels * factor, _MIN_LEVEL), dt=self.dt
-        )
-
 
 def record_trace(
     process: InterferenceProcess,

@@ -339,14 +339,14 @@ class MatchExecutor:
         cfg = self.config
         # Regions are assigned in the regional phase only, so one gather
         # serves every grouping of this phase.
-        region_of = dict(
+        region_id_of = dict(
             zip(entrants, self.records.region_ids(entrants).tolist())
         ).__getitem__
         run = GroupedDoubleElimination(
             players_per_game=cfg.game_width(self.env.vm.vcpus),
             target=cfg.main_bracket_target,
             double_elimination=cfg.double_elimination,
-            group_key=region_of,
+            group_key=region_id_of,
             seed_order=lambda players: self.records.combined_rank_order(
                 players,
                 use_execution=cfg.use_execution_score,

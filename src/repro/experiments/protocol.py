@@ -200,8 +200,10 @@ def repeat_seed_plan(
     Single source of truth shared by :func:`repeat_strategy` and the
     campaign layer's :func:`repro.campaigns.spec.repeat_specs`: each repeat
     gets its own interference realisation and a campaign start three days
-    after the previous one.
+    after the previous one.  ``repeats`` must be at least 1.
     """
+    if repeats < 1:
+        raise ReproError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     plan: List[Tuple[int, float, int]] = []
     for k in range(repeats):

@@ -28,6 +28,7 @@ from repro.campaigns.report import (
 )
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignGrid
+from repro.errors import ReproError
 from repro.scenarios import get_scenario
 
 #: The default strategy panel: the tournament versus the paper's strongest
@@ -74,6 +75,8 @@ def run_scenario_robustness(
     jobs: int = 1,
 ) -> ScenarioRobustnessResult:
     """Tune every strategy under every scenario and aggregate per scenario."""
+    if not seeds:
+        raise ReproError("scenario robustness needs at least one seed")
     for name in scenarios:
         get_scenario(name)  # fail fast on typos, before any campaign runs
     grid = CampaignGrid(

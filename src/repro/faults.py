@@ -48,7 +48,7 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignTimeout, FaultInjected, ReproError
@@ -209,26 +209,6 @@ class FaultPlan:
                 )
         return cls(**kwargs)
 
-    def describe(self) -> str:
-        """The plan back in :meth:`parse` syntax (defaults omitted)."""
-        defaults = {f.name: f.default for f in fields(FaultPlan)}
-        parts = []
-        if self.seed != defaults["seed"]:
-            parts.append(f"seed={self.seed}")
-        if self.rate != defaults["rate"]:
-            parts.append(f"rate={self.rate}")
-        if self.kinds != defaults["kinds"]:
-            parts.append("kinds=" + "+".join(self.kinds))
-        if self.max_faults != defaults["max_faults"]:
-            parts.append(f"max={self.max_faults}")
-        if self.hang_seconds != defaults["hang_seconds"]:
-            parts.append(f"hang={self.hang_seconds}")
-        if self.store_rate != defaults["store_rate"]:
-            parts.append(f"store={self.store_rate}")
-        if self.targets is not None:
-            parts.append(f"targets={len(self.targets)} explicit")
-        return ",".join(parts) or "defaults"
-
 
 # -- process-global plumbing -------------------------------------------
 
@@ -258,10 +238,6 @@ def mark_dispatch_worker(flag: bool = True) -> None:
     """
     global _IN_DISPATCH_WORKER
     _IN_DISPATCH_WORKER = flag
-
-
-def in_dispatch_worker() -> bool:
-    return _IN_DISPATCH_WORKER
 
 
 def maybe_inject(campaign_id: str, attempt: int) -> None:

@@ -48,10 +48,6 @@ class RecordedMatch:
         """Player id of the game's last finisher."""
         return self.players[self.ranking[-1]]
 
-    def beaten_by_winner(self) -> Tuple[int, ...]:
-        """Everyone the winner finished ahead of."""
-        return tuple(self.players[p] for p in self.ranking[1:])
-
 
 class MatchOracle(Protocol):
     """Decides the outcome of one game among player ids."""

@@ -36,7 +36,6 @@ from repro.scenarios.modifiers import (
     modifier_from_dict,
 )
 from repro.scenarios.registry import (
-    DEFAULT_SCENARIO,
     SCENARIO_NAMES,
     ScenarioLike,
     get_scenario,
@@ -48,7 +47,6 @@ from repro.scenarios.scenario import Scenario, ScenarioDynamics
 
 __all__ = [
     "BurstStorms",
-    "DEFAULT_SCENARIO",
     "ExtraDiurnal",
     "HostMix",
     "LevelRamp",

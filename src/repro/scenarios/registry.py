@@ -92,10 +92,6 @@ _REGISTRY: Dict[str, Scenario] = {pack.name: pack for pack in _PACKS}
 #: Names of the built-in packs, in registry order.
 SCENARIO_NAMES: Tuple[str, ...] = tuple(pack.name for pack in _PACKS)
 
-#: The scenario every spec defaults to.
-DEFAULT_SCENARIO = "steady"
-
-
 def scenario_names() -> Tuple[str, ...]:
     """Every currently registered scenario name (built-ins + custom)."""
     return tuple(_REGISTRY)

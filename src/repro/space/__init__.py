@@ -1,12 +1,5 @@
 """Search-space substrate: parameters, index codec, regions, subspaces."""
 
-from repro.space.constraints import (
-    Constraint,
-    requires,
-    sample_valid,
-    valid_fraction,
-    valid_mask,
-)
 from repro.space.parameters import (
     Parameter,
     boolean,
@@ -14,12 +7,11 @@ from repro.space.parameters import (
     integer_range,
     value_grid,
 )
-from repro.space.regions import Region, partition_regions, region_of
-from repro.space.space import SearchSpace, log_size
+from repro.space.regions import Region
+from repro.space.space import SearchSpace
 from repro.space.subspaces import Subspace, split_subspaces, subspace_of
 
 __all__ = [
-    "Constraint",
     "Parameter",
     "Region",
     "SearchSpace",
@@ -27,14 +19,7 @@ __all__ = [
     "boolean",
     "categorical",
     "integer_range",
-    "log_size",
-    "partition_regions",
-    "requires",
-    "sample_valid",
-    "region_of",
     "split_subspaces",
     "subspace_of",
-    "valid_fraction",
-    "valid_mask",
     "value_grid",
 ]

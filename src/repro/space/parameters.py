@@ -47,15 +47,6 @@ class Parameter:
         """Number of candidate values (levels)."""
         return len(self.values)
 
-    def level_of(self, value: Any) -> int:
-        """Return the level of ``value``; raise :class:`SpaceError` if absent."""
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise SpaceError(
-                f"{value!r} is not a candidate value of parameter {self.name!r}"
-            ) from None
-
     def value_of(self, level: int) -> Any:
         """Return the value at ``level``; raise :class:`SpaceError` if out of range."""
         if not 0 <= level < len(self.values):

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.errors import SpaceError
 from repro.rng import SeedLike, ensure_rng
-from repro.space.space import SearchSpace
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,6 @@ class Region:
         return self.start + offsets * self.stride
 
 
-def partition_regions(
-    space: SearchSpace, n_regions: int, *, interleaved: bool = True
-) -> List[Region]:
-    """Split ``space`` into ``n_regions`` near-equal regions.
-
-    Sizes differ by at most one point.  If the space is smaller than the
-    requested region count, one single-point region per configuration is
-    returned (the tournament then degenerates gracefully).
-    """
-    return partition_range(0, space.size, n_regions, interleaved=interleaved)
-
-
 def partition_range(
     start: int, stop: int, n_regions: int, *, interleaved: bool = True
 ) -> List[Region]:
@@ -113,33 +100,3 @@ def partition_range(
         regions.append(Region(rid, cursor, cursor + size))
         cursor += size
     return regions
-
-
-def region_of(regions: List[Region], index: int) -> Region:
-    """Return the region containing ``index``.
-
-    Uses arithmetic lookup for the two partition layouts produced by
-    :func:`partition_range`, with a linear scan as the general fallback.
-    """
-    if not regions:
-        raise SpaceError("no regions given")
-    first = regions[0]
-    if first.stride == len(regions):  # interleaved layout
-        rid = (index - first.start) % first.stride
-        if 0 <= rid < len(regions) and index in regions[rid]:
-            return regions[rid]
-    elif first.stride == 1:  # contiguous layout: binary search
-        lo, hi = 0, len(regions) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            region = regions[mid]
-            if index < region.start:
-                hi = mid - 1
-            elif index >= region.stop:
-                lo = mid + 1
-            else:
-                return region
-    for region in regions:
-        if index in region:
-            return region
-    raise SpaceError(f"index {index} not covered by the given regions")

@@ -9,7 +9,6 @@ point Redis space costs a few hundred bytes.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -121,15 +120,6 @@ class SearchSpace:
             for p, level in zip(self._parameters, self.levels_of(index))
         )
 
-    def index_of_values(self, values: Sequence[Any]) -> int:
-        """Encode concrete parameter values to an index."""
-        if len(values) != self.dimension:
-            raise SpaceError(
-                f"expected {self.dimension} values, got {len(values)}"
-            )
-        levels = [p.level_of(v) for p, v in zip(self._parameters, values)]
-        return self.index_of_levels(levels)
-
     def config_dict(self, index: int) -> Dict[str, Any]:
         """Decode ``index`` to a ``{parameter name: value}`` mapping."""
         return {
@@ -233,8 +223,3 @@ class SearchSpace:
         for start in range(0, self._size, chunk):
             stop = min(start + chunk, self._size)
             yield np.arange(start, stop, dtype=np.int64)
-
-
-def log_size(space: SearchSpace) -> float:
-    """Natural log of the space size (safe for astronomically large spaces)."""
-    return float(sum(math.log(p.cardinality) for p in space.parameters))

@@ -54,11 +54,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.log import configure_logging, get_logger, reset_logging
 from repro.telemetry.metrics import MetricsRegistry, render_store_metrics
-from repro.telemetry.profiling import (
-    profile_dir,
-    profile_dir_for,
-    set_profile_dir,
-)
+from repro.telemetry.profiling import profile_dir, set_profile_dir
 from repro.telemetry.status import (
     LiveProgress,
     StatusSnapshot,
@@ -85,7 +81,6 @@ __all__ = [
     "get_logger",
     "iter_jsonl_payloads",
     "profile_dir",
-    "profile_dir_for",
     "read_telemetry",
     "render_status",
     "render_store_metrics",

@@ -48,7 +48,6 @@ EVENT_KIND = "telemetry"
 TYPE_SPAN = "span"
 TYPE_COUNTER = "counter"
 TYPE_GAUGE = "gauge"
-EVENT_TYPES = (TYPE_SPAN, TYPE_COUNTER, TYPE_GAUGE)
 
 
 @dataclass(frozen=True)

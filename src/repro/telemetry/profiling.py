@@ -24,16 +24,6 @@ PathLike = Union[str, Path]
 _PROFILE_DIR: Optional[Path] = None
 
 
-def profile_dir_for(store_path: PathLike) -> Path:
-    """The ``.profiles`` directory convention.
-
-    Legacy helper: consumers that know their store should ask it via
-    ``store.sidecar_path(SIDECAR_PROFILES)``.
-    """
-    store_path = Path(store_path)
-    return store_path.with_name(store_path.name + ".profiles")
-
-
 def set_profile_dir(directory: Optional[PathLike]) -> Optional[Path]:
     """Install (or clear) the process's profile directory; returns previous."""
     global _PROFILE_DIR

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Union
 
+from repro.errors import ReproError
 from repro.telemetry.events import iter_jsonl_payloads
 
 PathLike = Union[str, Path]
@@ -285,8 +286,14 @@ def watch(
     cursor movement when the stream is a TTY (plain re-prints otherwise,
     so logs stay readable).  ``iterations`` bounds the loop for tests; the
     loop also ends on its own once the sweep is complete.  Returns the
-    last snapshot taken.
+    last snapshot taken.  ``interval`` must be above 0: a zero period would
+    re-read the store in a busy loop.
     """
+    if not interval > 0:
+        raise ReproError(
+            f"--watch interval must be above 0 seconds, got {interval} "
+            "(fix --interval)"
+        )
     stream = sys.stdout if stream is None else stream
     is_tty = bool(getattr(stream, "isatty", lambda: False)())
     previous_lines = 0

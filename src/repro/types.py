@@ -13,23 +13,6 @@ from typing import Any, Optional, Tuple
 ConfigValues = Tuple[Any, ...]
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One observed execution of a configuration in the (noisy) cloud.
-
-    Attributes:
-        index: configuration index in the search space.
-        observed_time: wall-clock seconds measured under interference.
-        start_time: simulated time at which the run started.
-        interference: mean interference level experienced by the run.
-    """
-
-    index: int
-    observed_time: float
-    start_time: float
-    interference: float
-
-
 @dataclass
 class TuningResult:
     """Outcome of one tuning campaign.

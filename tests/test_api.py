@@ -39,8 +39,9 @@ class TestValidateGrid:
         (dict(scenarios=("tsunami",)), "unknown scenarios"),
         (dict(formats=("bracketology",)), "unknown tournament formats"),
         (dict(scale="smoke"), "unknown scale"),
-        (dict(eval_runs=0), "eval_runs must be >= 1"),
+        (dict(eval_runs=0), "eval_runs must be >= 2"),
         (dict(seeds=()), "at least one seed"),
+        (dict(eval_runs=1), r"eval_runs must be >= 2, got 1 \(fix --eval-runs\)"),
     ])
     def test_each_axis_is_gated_before_dispatch(self, overrides, needle):
         with pytest.raises(ReproError, match=needle):

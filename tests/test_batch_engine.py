@@ -9,8 +9,6 @@ scan, and the round semantics of ``MatchExecutor.play``.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps import make_application
 from repro.cloud import colocation
@@ -36,27 +34,6 @@ def env(seed=0):
 
 
 class TestBatchMatchesSingle:
-    @given(
-        st.integers(2, 12),
-        st.integers(0, 2_000),
-        st.sampled_from([None, 0.10, 0.25]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_single_game_batch_identical(self, k, seed, deviation):
-        """``run_colocated_batch([g])`` == ``run_colocated(g)``: same spawned
-        child generator, same outcome, same core-hours."""
-        application = _APP
-        lineup = application.space.sample_indices(k, seed=seed, replace=False)
-        env_a, env_b = env(seed), env(seed)
-        single = env_a.run_colocated(
-            application, lineup, work_deviation=deviation, advance_clock=False
-        )
-        batched = env_b.run_colocated_batch(
-            application, [lineup], work_deviation=deviation
-        )[0]
-        assert single == batched
-        assert env_a.ledger.core_hours == env_b.ledger.core_hours
-
     def test_round_split_invariant(self, app):
         """Splitting a round into smaller batches cannot change outcomes:
         child generators are keyed by cumulative game order."""

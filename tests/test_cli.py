@@ -73,6 +73,18 @@ class TestCommands:
         assert code == 0
         assert "pick stability" in out
 
+    @pytest.mark.parametrize(
+        "name", ["fig10", "stability", "statistical", "scenarios"]
+    )
+    def test_experiment_without_repeats_is_one_line_exit_two(self, name, capsys):
+        code = main([
+            "experiment", "--name", name, "--scale", "test", "--repeats", "0",
+        ])
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert code == 2 and "Traceback" not in output
+        assert len(output.strip().splitlines()) == 1
+
     def test_table1(self, capsys):
         code = main(["table1"])
         out = capsys.readouterr().out

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cloud.colocation import contention_level, simulate_colocated, solo_observed_time
+from repro.cloud.colocation import (
+    contention_level,
+    simulate_colocated_batch,
+    solo_observed_time,
+)
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import PRESETS
 from repro.errors import CloudError
@@ -13,16 +17,15 @@ VM = PRESETS["m5.8xlarge"]
 
 
 def game(true_times, sens, *, d=None, seed=0, min_work=0.25, start=0.0):
-    return simulate_colocated(
-        true_times=np.asarray(true_times, dtype=float),
-        sensitivities=np.asarray(sens, dtype=float),
+    return simulate_colocated_batch(
+        games=[(np.asarray(true_times, dtype=float), np.asarray(sens, dtype=float))],
         vm=VM,
         interference=InterferenceProcess(VM.interference, seed),
         start_time=start,
-        rng=ensure_rng(seed + 1),
+        rngs=[ensure_rng(seed + 1)],
         work_deviation=d,
         min_work_for_termination=min_work,
-    )
+    )[0]
 
 
 class TestContention:

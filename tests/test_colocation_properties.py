@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.colocation import contention_level, simulate_colocated
+from repro.cloud.colocation import contention_level, simulate_colocated_batch
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import PRESETS
 from repro.core.executor import execution_scores_from_work
@@ -14,16 +14,15 @@ VM = PRESETS["m5.8xlarge"]
 
 
 def run_game(true_times, sens, seed, d=None):
-    return simulate_colocated(
-        true_times=np.asarray(true_times, dtype=float),
-        sensitivities=np.asarray(sens, dtype=float),
+    return simulate_colocated_batch(
+        games=[(np.asarray(true_times, dtype=float), np.asarray(sens, dtype=float))],
         vm=VM,
         interference=InterferenceProcess(VM.interference, seed),
         start_time=0.0,
-        rng=ensure_rng(seed + 1),
+        rngs=[ensure_rng(seed + 1)],
         work_deviation=d,
         min_work_for_termination=0.25,
-    )
+    )[0]
 
 
 players = st.integers(2, 12)

@@ -35,13 +35,6 @@ class TestClock:
         with pytest.raises(CloudError):
             env().advance(-1.0)
 
-    def test_advance_to(self):
-        e = env()
-        e.advance_to(500.0)
-        assert e.now == 500.0
-        with pytest.raises(CloudError):
-            e.advance_to(100.0)
-
 
 class TestSoloRuns:
     def test_solo_books_and_advances(self, app):
@@ -88,26 +81,33 @@ class TestColocated:
     def test_colocated_outcome(self, app):
         e = env()
         indices = app.space.sample_indices(8, seed=1, replace=False)
-        out = e.run_colocated(app, indices)
+        out = e.run_colocated_batch(app, [indices], advance_clock=True)[0]
         assert out.num_players == 8
         assert max(out.work) == pytest.approx(1.0, abs=1e-6) or out.early_terminated
 
     def test_too_many_players_rejected(self, app):
         e = CloudEnvironment(PRESETS["m5.large"], seed=0)
         with pytest.raises(CloudError):
-            e.run_colocated(app, app.space.sample_indices(3, seed=0, replace=False))
+            e.run_colocated_batch(
+                app,
+                [app.space.sample_indices(3, seed=0, replace=False)],
+                advance_clock=True,
+            )
 
     def test_books_whole_vm(self, app):
         e = env()
         indices = app.space.sample_indices(4, seed=1, replace=False)
-        out = e.run_colocated(app, indices)
+        out = e.run_colocated_batch(app, [indices], advance_clock=True)[0]
         expected = e.vm.vcpus * out.elapsed / 3600.0
         assert e.ledger.core_hours == pytest.approx(expected)
 
     def test_advance_clock_flag(self, app):
         e = env()
-        e.run_colocated(app, app.space.sample_indices(4, seed=1, replace=False),
-                        advance_clock=False)
+        e.run_colocated_batch(
+            app,
+            [app.space.sample_indices(4, seed=1, replace=False)],
+            advance_clock=False,
+        )
         assert e.now == 0.0
 
 

@@ -12,7 +12,6 @@ from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
     active_fault_plan,
-    in_dispatch_worker,
     mark_dispatch_worker,
     maybe_inject,
     set_active_fault_plan,
@@ -79,7 +78,6 @@ class TestFaultPlan:
         assert plan.kinds == ("crash", "transient")
         assert plan.max_faults == 2 and plan.hang_seconds == 30.0
         assert plan.store_rate == 0.25
-        assert FaultPlan.parse(plan.describe()) == plan
 
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ReproError, match="key=value"):
@@ -103,7 +101,6 @@ class TestInlineInjection:
 
     def test_crash_and_sigkill_degrade_inline(self):
         """Outside a dispatch worker the process-killers must not kill us."""
-        assert not in_dispatch_worker()
         set_active_fault_plan(
             FaultPlan(targets={"c": ("crash",), "k": ("sigkill",)})
         )

@@ -27,10 +27,6 @@ class TestRecordedMatch:
         assert m.winner == 9
         assert m.loser == 5
 
-    def test_beaten_by_winner(self):
-        m = RecordedMatch(players=(3, 7, 11), ranking=(2, 0, 1))
-        assert m.beaten_by_winner() == (3, 7)
-
     def test_invalid_ranking(self):
         with pytest.raises(ReproError):
             RecordedMatch(players=(1, 2), ranking=(0, 0))

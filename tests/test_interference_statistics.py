@@ -43,21 +43,20 @@ class TestQuietWindows:
 class TestSharedNoiseFairness:
     def test_colocated_players_see_identical_trajectory(self):
         """DarwinGame's core trick: one trajectory per game, not per player."""
-        from repro.cloud.colocation import simulate_colocated
+        from repro.cloud.colocation import simulate_colocated_batch
 
         vm = PRESETS["m5.8xlarge"]
         process = InterferenceProcess(vm.interference, seed=3)
         # Two identical configurations: their work must track closely even
         # under violent noise, because the noise is shared.
-        out = simulate_colocated(
-            true_times=np.array([200.0, 200.0]),
-            sensitivities=np.array([0.9, 0.9]),
+        out = simulate_colocated_batch(
+            games=[(np.array([200.0, 200.0]), np.array([0.9, 0.9]))],
             vm=vm,
             interference=process,
             start_time=0.0,
-            rng=ensure_rng(4),
+            rngs=[ensure_rng(4)],
             work_deviation=None,
-        )
+        )[0]
         assert abs(out.work[0] - out.work[1]) < 0.08
 
     def test_solo_runs_of_identical_configs_differ_much_more(self):

@@ -128,8 +128,8 @@ class TestSteadyNeutrality:
             bare.run_solo_batch(app, [1, 4, 9]),
             steady.run_solo_batch(app, [1, 4, 9]),
         )
-        a = bare.run_colocated(app, [0, 2, 5])
-        b = steady.run_colocated(app, [0, 2, 5])
+        a = bare.run_colocated_batch(app, [[0, 2, 5]], advance_clock=True)[0]
+        b = steady.run_colocated_batch(app, [[0, 2, 5]], advance_clock=True)[0]
         assert a.elapsed == b.elapsed and a.work == b.work
 
     @given(seed=_seeds)

@@ -210,15 +210,23 @@ class TestDynamics:
 
     def test_games_run_under_scenarios(self):
         app = _redis()
-        outcome = _env(seed=2, scenario="bursty").run_colocated(app, [0, 3, 7])
+        outcome = _env(seed=2, scenario="bursty").run_colocated_batch(
+            app, [[0, 3, 7]], advance_clock=True
+        )[0]
         assert outcome.elapsed > 0.0
-        again = _env(seed=2, scenario="bursty").run_colocated(app, [0, 3, 7])
+        again = _env(seed=2, scenario="bursty").run_colocated_batch(
+            app, [[0, 3, 7]], advance_clock=True
+        )[0]
         assert outcome.elapsed == again.elapsed
         assert outcome.work == again.work
         # and an always-on scenario changes the game vs. the steady cloud
         # (bursty may roll no storm inside one short game's first window)
-        steady = _env(seed=2).run_colocated(app, [0, 3, 7])
-        diurnal = _env(seed=2, scenario="diurnal").run_colocated(app, [0, 3, 7])
+        steady = _env(seed=2).run_colocated_batch(
+            app, [[0, 3, 7]], advance_clock=True
+        )[0]
+        diurnal = _env(seed=2, scenario="diurnal").run_colocated_batch(
+            app, [[0, 3, 7]], advance_clock=True
+        )[0]
         assert steady.elapsed != diurnal.elapsed
 
 

@@ -214,6 +214,15 @@ class TestErrors:
         assert "unknown applications" in body["error"]
         assert "(fix --apps)" in body["error"]
 
+    def test_one_evaluation_run_is_400(self, service):
+        """A grid the campaigns would refuse is refused at the door."""
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps",
+            {"grid": dict(GRID, eval_runs=1)}, tenant="alice",
+        )
+        assert status == 400
+        assert "$.grid.eval_runs" in body["error"]
+
     def test_not_json_is_400(self, service):
         request = urllib.request.Request(
             f"{service.url}/v1/sweeps", method="POST", data=b"not json",

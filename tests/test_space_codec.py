@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexOutOfSpaceError, SpaceError
 from repro.space.parameters import Parameter, boolean, categorical
-from repro.space.space import SearchSpace, log_size
+from repro.space.space import SearchSpace
 
 
 def small_space():
@@ -71,11 +71,6 @@ class TestCodec:
         for index in range(space.size):
             assert space.index_of_levels(space.levels_of(index)) == index
 
-    def test_values_roundtrip(self):
-        space = small_space()
-        for index in (0, 5, 11, 23):
-            assert space.index_of_values(space.values_of(index)) == index
-
     def test_out_of_range_raises(self):
         space = small_space()
         with pytest.raises(IndexOutOfSpaceError):
@@ -87,8 +82,6 @@ class TestCodec:
         space = small_space()
         with pytest.raises(SpaceError):
             space.index_of_levels([0, 0])
-        with pytest.raises(SpaceError):
-            space.index_of_values(("x", False))
 
     def test_bad_level_raises(self):
         with pytest.raises(SpaceError):
@@ -186,9 +179,6 @@ class TestDerived:
     def test_iter_chunks_invalid(self):
         with pytest.raises(SpaceError):
             list(small_space().iter_chunks(chunk=0))
-
-    def test_log_size(self):
-        assert log_size(small_space()) == pytest.approx(np.log(24.0))
 
 
 @st.composite

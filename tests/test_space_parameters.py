@@ -17,16 +17,6 @@ class TestParameter:
         p = Parameter("x", (1, 2, 3))
         assert p.cardinality == 3
 
-    def test_level_of_value(self):
-        p = Parameter("x", ("a", "b", "c"))
-        assert p.level_of("b") == 1
-        assert p.value_of(2) == "c"
-
-    def test_level_of_missing_value_raises(self):
-        p = Parameter("x", ("a", "b"))
-        with pytest.raises(SpaceError):
-            p.level_of("zzz")
-
     def test_value_of_out_of_range_raises(self):
         p = Parameter("x", ("a", "b"))
         with pytest.raises(SpaceError):

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SpaceError
 from repro.space.parameters import categorical
-from repro.space.regions import (
-    Region,
-    partition_range,
-    partition_regions,
-    region_of,
-)
+from repro.space.regions import Region, partition_range
 from repro.space.space import SearchSpace
 
 
@@ -83,79 +78,56 @@ class TestPartition:
     @pytest.mark.parametrize("interleaved", [True, False])
     def test_covers_whole_space(self, interleaved):
         space = space_of_size_24()
-        regions = partition_regions(space, 5, interleaved=interleaved)
+        regions = partition_range(0, space.size, 5, interleaved=interleaved)
         covered = np.concatenate([r.indices() for r in regions])
         assert sorted(covered.tolist()) == list(range(space.size))
 
     @pytest.mark.parametrize("interleaved", [True, False])
     def test_near_equal_sizes(self, interleaved):
-        regions = partition_regions(space_of_size_24(), 5, interleaved=interleaved)
+        regions = partition_range(
+            0, space_of_size_24().size, 5, interleaved=interleaved
+        )
         sizes = [r.size for r in regions]
         assert max(sizes) - min(sizes) <= 1
 
     def test_more_regions_than_points(self):
-        regions = partition_regions(space_of_size_24(), 100)
+        regions = partition_range(0, space_of_size_24().size, 100)
         assert len(regions) == 24
         assert all(r.size == 1 for r in regions)
 
     def test_invalid_count(self):
         with pytest.raises(SpaceError):
-            partition_regions(space_of_size_24(), 0)
+            partition_range(0, space_of_size_24().size, 0)
 
     def test_empty_range(self):
         with pytest.raises(SpaceError):
             partition_range(5, 5, 2)
 
     def test_region_ids_sequential(self):
-        regions = partition_regions(space_of_size_24(), 4)
+        regions = partition_range(0, space_of_size_24().size, 4)
         assert [r.region_id for r in regions] == [0, 1, 2, 3]
 
     def test_interleaved_members_are_spread(self):
         """An interleaved region spans the whole index range."""
-        regions = partition_regions(space_of_size_24(), 4)
+        regions = partition_range(0, space_of_size_24().size, 4)
         r0 = regions[0].indices()
         assert r0.min() == 0
         assert r0.max() >= 20
 
     def test_contiguous_members_are_blocked(self):
-        regions = partition_regions(space_of_size_24(), 4, interleaved=False)
+        regions = partition_range(0, space_of_size_24().size, 4, interleaved=False)
         r0 = regions[0].indices()
         assert r0.tolist() == list(range(6))
-
-    @pytest.mark.parametrize("interleaved", [True, False])
-    def test_region_of(self, interleaved):
-        space = space_of_size_24()
-        regions = partition_regions(space, 5, interleaved=interleaved)
-        for index in range(space.size):
-            assert index in region_of(regions, index)
-
-    def test_region_of_out_of_range(self):
-        regions = partition_regions(space_of_size_24(), 5)
-        with pytest.raises(SpaceError):
-            region_of(regions, 24)
-
-    def test_region_of_empty(self):
-        with pytest.raises(SpaceError):
-            region_of([], 0)
 
     @given(st.integers(1, 500), st.integers(1, 50), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_partition_properties(self, size, n_regions, interleaved):
         """Any partition is a disjoint, exhaustive, near-equal cover."""
         space = SearchSpace([categorical("a", list(range(size)))])
-        regions = partition_regions(space, n_regions, interleaved=interleaved)
+        regions = partition_range(0, space.size, n_regions, interleaved=interleaved)
         assert sum(r.size for r in regions) == size
         covered = np.concatenate([r.indices() for r in regions])
         assert len(covered) == size
         assert sorted(covered.tolist()) == list(range(size))
         sizes = [r.size for r in regions]
         assert max(sizes) - min(sizes) <= 1
-
-    @given(st.integers(2, 300), st.integers(1, 20))
-    @settings(max_examples=60, deadline=None)
-    def test_region_of_agrees_with_membership(self, size, n_regions):
-        space = SearchSpace([categorical("a", list(range(size)))])
-        regions = partition_regions(space, n_regions)
-        for index in (0, size // 2, size - 1):
-            region = region_of(regions, index)
-            assert index in region

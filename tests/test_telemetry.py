@@ -31,6 +31,7 @@ from repro.campaigns.store import (
     STATUS_FAILED,
     CampaignRecord,
 )
+from repro.cli import main
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.telemetry import (
@@ -375,6 +376,23 @@ class TestStatusView:
         assert snap.complete  # finished store ends the loop on iteration 1
         out = capsys.readouterr().out
         assert out.count("2/2 done") == 1
+
+    def test_watch_refuses_a_zero_interval(self, tmp_path):
+        """A zero period would re-read an unfinished store in a busy loop."""
+        _, store, _ = self._synthetic_store(tmp_path, done=2)
+        with pytest.raises(ReproError, match="above 0"):
+            watch(store.path, interval=0, iterations=2)
+
+    def test_status_watch_negative_interval_is_one_line_exit_two(
+        self, tmp_path, capsys
+    ):
+        _, store, _ = self._synthetic_store(tmp_path, done=2)
+        code = main(["status", str(store.path), "--watch", "--interval", "-1"])
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert code == 2 and "Traceback" not in output
+        lines = output.strip().splitlines()
+        assert len(lines) == 1 and "--interval" in lines[0]
 
     def test_ewma_interval(self):
         assert ewma_interval([5.0]) is None

@@ -46,22 +46,6 @@ class TestInterferenceTrace:
         trace = simple_trace()
         assert trace.mean_over(0.0, 40.0)[0] == pytest.approx(0.4, abs=1e-9)
 
-    def test_shifted(self):
-        shifted = simple_trace().shifted(0.2)
-        np.testing.assert_allclose(shifted.levels, [0.3, 0.7, 0.5, 0.9])
-
-    def test_shift_floors_at_min(self):
-        shifted = simple_trace().shifted(-1.0)
-        assert np.all(shifted.levels >= 0.0)
-
-    def test_scaled(self):
-        scaled = simple_trace().scaled(2.0)
-        np.testing.assert_allclose(scaled.levels, [0.2, 1.0, 0.6, 1.4])
-
-    def test_rejects_negative_scale(self):
-        with pytest.raises(CloudError):
-            simple_trace().scaled(-1.0)
-
     def test_rejects_empty(self):
         with pytest.raises(CloudError):
             InterferenceTrace(levels=np.array([]), dt=1.0)
@@ -170,6 +154,6 @@ class TestRecordReplay:
         for _ in range(2):
             env = CloudEnvironment(seed=0)
             env.interference = ReplayedInterference(trace, DEFAULT_VM.interference)
-            outcome = env.run_colocated(app, [1, 2, 3])
+            outcome = env.run_colocated_batch(app, [[1, 2, 3]], advance_clock=True)[0]
             means.append(outcome.mean_interference)
         assert means[0] == pytest.approx(means[1], rel=1e-9)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.types import ChoiceEvaluation, GameOutcome, Measurement, TuningResult
+from repro.types import ChoiceEvaluation, GameOutcome, TuningResult
 
 
 class TestGameOutcome:
@@ -50,10 +50,3 @@ class TestTuningResult:
             evaluations=10, core_hours=1.0, tuning_seconds=60.0,
         )
         assert result.details == {}
-
-
-class TestMeasurement:
-    def test_frozen(self):
-        m = Measurement(index=0, observed_time=1.0, start_time=0.0, interference=0.2)
-        with pytest.raises(AttributeError):
-            m.observed_time = 2.0
