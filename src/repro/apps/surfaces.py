@@ -43,12 +43,109 @@ from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 import numpy as np
-# Eager: forked --jobs and serve workers inherit it; lazily, each pays ~0.35 s.
-from scipy.special import ndtri
 
 from repro.errors import CalibrationError, SpaceError
 from repro.rng import SeedLike, ensure_rng
 from repro.space.space import SearchSpace
+
+
+# -- inverse normal CDF -------------------------------------------------------
+#
+# A numpy port of Cephes ``ndtri``, the routine behind scipy.special.ndtri,
+# so that importing the package never loads scipy.  Same coefficients, branch
+# points and Horner order, so every stored surface and golden stays bit for
+# bit what scipy produced.
+
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+# Central branch, |p - 0.5| <= 3/8.
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1,
+    -5.66762857469070293439e1, 1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+    8.63602421390890590575e1, -2.25462687854119370527e2,
+    2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# Tail, x = sqrt(-2 log p) in [2, 8): p between exp(-2) and exp(-32).
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1,
+    5.71628192246421288162e1, 4.40805073893200834700e1,
+    1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+    4.13172038254672030440e1, 1.50425385692907503408e1,
+    2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# Far tail, x >= 8: p below exp(-32).
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0,
+    3.93881025292474443415e0, 1.33303460815807542389e0,
+    2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+    1.37702099489081330271e0, 2.16236993594496635890e-1,
+    1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef: Tuple[float, ...]) -> np.ndarray:
+    """Horner evaluation, highest power first (Cephes ``polevl``).
+
+    The ``_Q`` tables spell out the leading 1.0 that Cephes' ``p1evl``
+    implies; ``1.0 * x`` is exact, so the result is the same.
+    """
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # numpy's SIMD log differs from the C library's in the last bit on a
+    # few inputs per 100,000; Cephes calls the C library's.
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF, elementwise, for ``0 < p < 1``.
+
+    Bit-identical to ``scipy.special.ndtri`` on that interval.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(z)
+    near = x < 8.0
+    for mask, pcoef, qcoef in ((near, _P1, _Q1), (~near, _P2, _Q2)):
+        zm = z[mask]
+        x1[mask] = zm * _polevl(zm, pcoef) / _polevl(zm, qcoef)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -321,7 +418,7 @@ class PerformanceSurface:
         # Inverse-normal transform of a per-index hash gives each
         # configuration a reproducible lognormal idiosyncrasy factor.
         u = np.clip(self._hash_uniform(idx, self._idio_salt), 1e-9, 1.0 - 1e-9)
-        idio = np.exp(self.spec.idiosyncrasy * ndtri(u))
+        idio = np.exp(self.spec.idiosyncrasy * _ndtri(u))
         s = trend * idio
         s = np.where(self.robust_mask(idx), trend * self.spec.robust_factor, s)
         return np.clip(s, 0.0, 1.0)

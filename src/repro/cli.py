@@ -40,11 +40,12 @@ from typing import List, Optional
 
 from repro import api
 from repro.apps.registry import APPLICATION_NAMES, make_application
+from repro.apps.scaling import level_cap
 from repro.caching import SurfaceCache, default_cache_dir
 from repro.campaigns import CampaignGrid, open_store
 from repro.campaigns.store import SIDECAR_PROFILES, SIDECAR_TELEMETRY
 from repro.cloud.vm import PRESETS
-from repro.errors import ReproError
+from repro.errors import ReproError, SpaceError
 from repro.faults import FaultPlan
 from repro.experiments import (
     render_table,
@@ -284,11 +285,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def csv(text: str) -> tuple:
         return tuple(s.strip() for s in text.split(",") if s.strip())
 
+    try:
+        seeds = tuple(int(s) for s in csv(args.seeds))
+    except ValueError:
+        raise ReproError(
+            f"seeds must be integers, got {args.seeds!r} (fix --seeds)"
+        ) from None
     grid = CampaignGrid(
         apps=csv(args.apps),
         strategies=csv(args.strategies),
         vms=csv(args.vms),
-        seeds=tuple(int(s) for s in csv(args.seeds)),
+        seeds=seeds,
         scale=args.scale,
         eval_runs=args.eval_runs,
         scenarios=csv(args.scenarios),
@@ -490,6 +497,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    # Up front, as `sweep` does: a bad scale would otherwise surface only
+    # as every campaign failing.
+    try:
+        level_cap(args.scale)
+    except SpaceError as exc:
+        raise ReproError(f"{exc} (fix --scale)") from None
     if args.name in ("fig10", "fig11", "fig12"):
         result = run_headline(
             scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs

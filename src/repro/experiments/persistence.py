@@ -67,8 +67,13 @@ def _dump(payload: dict, path: PathLike) -> Path:
 
 
 def _load(path: PathLike, expected_kind: str) -> dict:
-    with Path(path).open() as handle:
-        payload = json.load(handle)
+    try:
+        with Path(path).open() as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ReproError(f"{path} is not a JSON archive ({exc})") from None
     if not isinstance(payload, dict):
         raise ReproError(
             f"{path} holds {type(payload).__name__} JSON, "

@@ -67,6 +67,13 @@ class ServiceConfig:
     )
     quota: TenantQuota = field(default_factory=TenantQuota)
 
+    def __post_init__(self) -> None:
+        # Checked before binding: the socket would raise OverflowError.
+        if not 0 <= self.port <= 65535:
+            raise ReproError(
+                f"port must be in 0-65535, got {self.port} (fix --port)"
+            )
+
 
 class _HttpError(Exception):
     """Internal route error carrying its HTTP status."""

@@ -6,6 +6,16 @@ from repro import api
 from repro.cli import build_parser, main
 
 
+def _refused(argv, capsys) -> str:
+    """Run ``argv``; require exit 2 and one error line, and return it."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    output = captured.out + captured.err
+    assert code == 2 and "Traceback" not in output
+    assert len(output.strip().splitlines()) == 1
+    return output.strip()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -77,13 +87,56 @@ class TestCommands:
         "name", ["fig10", "stability", "statistical", "scenarios"]
     )
     def test_experiment_without_repeats_is_one_line_exit_two(self, name, capsys):
-        code = main([
+        _refused([
             "experiment", "--name", name, "--scale", "test", "--repeats", "0",
-        ])
-        captured = capsys.readouterr()
-        output = captured.out + captured.err
-        assert code == 2 and "Traceback" not in output
-        assert len(output.strip().splitlines()) == 1
+        ], capsys)
+
+    @pytest.mark.parametrize("name", ["fig10", "scenarios", "formats"])
+    def test_experiment_bad_scale_is_refused_before_any_campaign(
+        self, name, capsys, monkeypatch
+    ):
+        import repro.experiments
+
+        def no_campaigns(*args, **kwargs):
+            raise AssertionError("an experiment ran despite a bad --scale")
+
+        for runner in ("run_headline", "run_format_power"):
+            monkeypatch.setattr(f"repro.cli.{runner}", no_campaigns)
+        monkeypatch.setattr(
+            repro.experiments, "run_scenario_robustness", no_campaigns
+        )
+        line = _refused(
+            ["experiment", "--name", name, "--scale", "nonsense"], capsys
+        )
+        assert line.endswith("(fix --scale)")
+
+    def test_sweep_non_integer_seeds_is_one_line_exit_two(self, capsys, tmp_path):
+        store = tmp_path / "s.jsonl"
+        line = _refused([
+            "sweep", "--apps", "redis", "--seeds", "a,b", "--scale", "test",
+            "--store", str(store),
+        ], capsys)
+        assert line.endswith("(fix --seeds)") and not store.exists()
+
+    @pytest.mark.parametrize("content", [None, "", "{not json"],
+                             ids=["missing", "empty", "not-json"])
+    def test_report_unreadable_archive_is_one_line_exit_two(
+        self, content, capsys, tmp_path
+    ):
+        archive = tmp_path / "campaign.json"
+        if content is not None:
+            archive.write_text(content)
+        assert str(archive) in _refused(["report", str(archive)], capsys)
+
+    @pytest.mark.parametrize("port", ["-1", "70000"])
+    def test_serve_port_out_of_range_is_one_line_exit_two(
+        self, port, capsys, tmp_path
+    ):
+        data_root = tmp_path / "serve.d"
+        line = _refused(
+            ["serve", "--port", port, "--data-root", str(data_root)], capsys
+        )
+        assert line.endswith("(fix --port)") and not data_root.exists()
 
     def test_table1(self, capsys):
         code = main(["table1"])

@@ -74,9 +74,9 @@ class TestPublicApi:
                 assert obj.__doc__, f"repro.{name} lacks a docstring"
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    """`import repro` and the CLI stay off the slow scipy submodules, and
-    off `sqlite3`, which no store needs.
+def test_darwingame_path_loads_no_scipy_or_sqlite3():
+    """`import repro`, the CLI and a DarwinGame tune load no `scipy` module
+    at all, and no `sqlite3`, which no store needs.
 
     Runs in a fresh interpreter, since other tests load both into this one.
     """
@@ -85,9 +85,14 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     probe = (
-        "import sys, repro, repro.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'sqlite3') "
-        "if m in sys.modules))"
+        "import sys, repro, repro.cli\n"
+        "from repro import (CloudEnvironment, DarwinGame, DarwinGameConfig,\n"
+        "                   VMSpec, make_application)\n"
+        "DarwinGame(DarwinGameConfig(seed=1)).tune(\n"
+        "    make_application('redis', scale='test'),\n"
+        "    CloudEnvironment(VMSpec.preset('m5.8xlarge'), seed=7))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('scipy', 'sqlite3') or m.startswith('scipy.')))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True,

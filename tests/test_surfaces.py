@@ -1,10 +1,14 @@
 """Unit and calibration tests for the synthetic performance surfaces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import surfaces
+from repro.apps.registry import APPLICATION_NAMES, make_application
 from repro.apps.surfaces import PerformanceSurface, SurfaceSpec, sample_surface_stats
 from repro.errors import CalibrationError, SpaceError
 from repro.space.parameters import categorical
@@ -168,3 +172,34 @@ class TestHash:
         vals = PerformanceSurface._hash_uniform(np.arange(100000), 999)
         hist, _ = np.histogram(vals, bins=10, range=(0, 1))
         assert hist.min() > 8000 and hist.max() < 12000
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestInverseNormal:
+    """The numpy ``_ndtri`` must be scipy's ``ndtri`` bit for bit, so that
+    dropping scipy changed no surface.  scipy is imported here only."""
+
+    def test_matches_scipy_on_edges_and_uniforms(self):
+        from scipy.special import ndtri
+
+        edges = [
+            1e-9, 1.0 - 1e-9, 0.5, math.exp(-32),
+            surfaces._EXP_M2, 1.0 - surfaces._EXP_M2,  # the branch points
+        ]
+        values = edges + [np.nextafter(v, d) for v in edges for d in (0.0, 1.0)]
+        uniforms = np.random.default_rng(0).random(200_000)
+        p = np.concatenate([values, np.clip(uniforms, 1e-9, 1.0 - 1e-9)])
+        assert np.array_equal(_bits(surfaces._ndtri(p)), _bits(ndtri(p)))
+
+    @pytest.mark.parametrize("app", APPLICATION_NAMES)
+    def test_bench_sensitivities_match_scipy(self, app, monkeypatch):
+        from scipy.special import ndtri
+
+        surface = make_application(app, scale="bench").surface
+        indices = np.arange(surface.space.size)
+        ported = surface.sensitivities(indices)
+        monkeypatch.setattr(surfaces, "_ndtri", ndtri)
+        assert np.array_equal(_bits(ported), _bits(surface.sensitivities(indices)))
