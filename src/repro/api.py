@@ -193,6 +193,9 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
         )
     if not grid.seeds:
         raise ReproError("a grid needs at least one seed (fix --seeds)")
+    negative = [seed for seed in grid.seeds if seed < 0]
+    if negative:
+        raise ReproError(f"seeds must be >= 0, got {negative} (fix --seeds)")
     return grid
 
 
@@ -221,6 +224,14 @@ class SweepOptions:
     telemetry: bool = False
     profile: bool = False
     fault_plan: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        # The runner maps any timeout <= 0 to "off"; only 0 means that.
+        if self.task_timeout is not None and self.task_timeout < 0:
+            raise ReproError(
+                f"task_timeout must be >= 0 (0 disables), got "
+                f"{self.task_timeout} (fix --task-timeout)"
+            )
 
     def open_store(self) -> Optional[CampaignStore]:
         """The store these options describe (``None`` = in-memory run)."""
@@ -554,7 +565,7 @@ GRID_SCHEMA = {
         "apps": _string_array(1),
         "strategies": _string_array(),
         "vms": _string_array(),
-        "seeds": {"type": "array", "items": {"type": "integer"}},
+        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "scale": {"type": ["string", "integer"]},
         "eval_runs": {"type": "integer", "minimum": 2},
         "start_time_step": {"type": "number"},

@@ -5,18 +5,21 @@ service — opens stores here, so the layouts this version cannot read are
 refused in one place, each with one :class:`~repro.errors.ReproError`
 line naming the command that converts it into a JSONL store: a directory
 (the former sharded layout) and a SQLite database (the former SQLite
-backend).  Any other path, fresh or existing, whatever its suffix, is a
-JSONL store.
+backend).  A fresh path or an empty file, whatever its suffix, is a new
+JSONL store; any other existing file must already look like one, or it is
+refused rather than appended to.
 """
 
 from __future__ import annotations
 
+import json
 import shlex
 import sys
 from pathlib import Path
 
 from repro.campaigns.store.base import PathLike
 from repro.campaigns.store.jsonl import CampaignStore
+from repro.campaigns.store.record import KIND_GRID, KIND_RECORD
 from repro.errors import ReproError
 
 #: First bytes of every SQLite database file.
@@ -44,6 +47,29 @@ def _holds_sqlite(path: Path) -> bool:
         return False
 
 
+def _holds_store(path: Path) -> bool:
+    """Whether an existing file reads as a campaign store.
+
+    True for an empty file, for a first line that is a JSON object whose
+    ``kind`` is a store line kind, and for a store holding only a torn
+    first write (no newline yet, starting ``{"``).
+    """
+    try:
+        with path.open("rb") as handle:
+            first = handle.readline()
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc.strerror}") from None
+    if not first.endswith(b"\n"):
+        return first == b"" or first.startswith(b'{"')
+    try:
+        payload = json.loads(first)
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        return False
+    return isinstance(payload, dict) and payload.get("kind") in (
+        KIND_GRID, KIND_RECORD,
+    )
+
+
 def _jsonl_target(path: Path) -> Path:
     """Where a converted store goes: never the source, which a shell
     redirect would truncate before the converter reads it."""
@@ -57,7 +83,8 @@ def open_store(path: PathLike) -> CampaignStore:
     """Open (or prepare to create) the campaign store at ``path``.
 
     A directory or a SQLite database is refused with the one-line command
-    that converts it into a JSONL store.
+    that converts it into a JSONL store; any other existing file that is
+    not a store is refused before anything is written to it.
     """
     path = Path(path)
     if path.is_dir():
@@ -73,5 +100,10 @@ def open_store(path: PathLike) -> CampaignStore:
             f"store backend was removed — convert it to a JSONL store with: "
             f"{python} -c {shlex.quote(_SQLITE_EXPORT)} "
             f"{shlex.quote(str(path))} > {shlex.quote(str(_jsonl_target(path)))}"
+        )
+    if path.is_file() and not _holds_store(path):
+        raise ReproError(
+            f"{path} is not a campaign store (its first line is no campaign "
+            f"grid or record); name a new file or an existing store"
         )
     return CampaignStore(path)

@@ -1,10 +1,11 @@
 """The stored form of one campaign outcome.
 
 :class:`CampaignRecord` is the unit a :class:`~repro.campaigns.store.
-jsonl.CampaignStore` persists, one JSON line per record.  The payload
-codec is :mod:`repro.experiments.persistence` — the same pickle-free JSON
-representation of :class:`~repro.types.TuningResult` and
-:class:`~repro.types.ChoiceEvaluation` used by single-campaign archives.
+jsonl.CampaignStore` persists, one JSON line per record.  Its payload
+codec lives here too: :func:`jsonable` turns numpy values into plain
+JSON, and :func:`tuning_result_from_dict` / :func:`evaluation_from_dict`
+rebuild the pickle-free :class:`~repro.types.TuningResult` and
+:class:`~repro.types.ChoiceEvaluation` a record carries.
 """
 
 from __future__ import annotations
@@ -12,21 +13,38 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.campaigns.spec import CampaignSpec
 from repro.errors import ReproError
 from repro.types import ChoiceEvaluation, TuningResult
 
 
-def _persistence():
-    """The JSON codec records are built on, imported late.
+def jsonable(value):
+    """Recursively convert numpy scalars/arrays to plain Python."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
 
-    :mod:`repro.experiments.persistence` lives inside the experiments
-    package, whose ``__init__`` imports the drivers that in turn import
-    this package — a cycle at import time, not at run time.
-    """
-    from repro.experiments import persistence
 
-    return persistence
+def tuning_result_from_dict(data: dict) -> TuningResult:
+    """Rebuild a :class:`TuningResult` from its ``asdict`` representation."""
+    data = dict(data)
+    data["best_values"] = tuple(data["best_values"])
+    return TuningResult(**data)
+
+
+def evaluation_from_dict(data: dict) -> ChoiceEvaluation:
+    """Rebuild a :class:`ChoiceEvaluation` from its ``asdict`` form."""
+    return ChoiceEvaluation(**data)
 
 
 #: On-disk payload schema version, stamped on every line.
@@ -109,7 +127,7 @@ class CampaignRecord:
 
     def to_payload(self) -> dict:
         """One store entry's worth of plain JSON (inverse of :meth:`from_payload`)."""
-        return _persistence().jsonable(
+        return jsonable(
             {
                 "kind": KIND_RECORD,
                 "version": FORMAT_VERSION,
@@ -150,7 +168,6 @@ class CampaignRecord:
     @classmethod
     def from_payload(cls, payload: dict) -> "CampaignRecord":
         """Rebuild a record written by :meth:`to_payload`."""
-        codec = _persistence()
         return cls(
             spec=CampaignSpec.from_dict(payload["spec"]),
             status=payload["status"],
@@ -158,12 +175,12 @@ class CampaignRecord:
             core_hours=float(payload["core_hours"]),
             tuning_seconds=float(payload["tuning_seconds"]),
             evaluation=(
-                codec.evaluation_from_dict(payload["evaluation"])
+                evaluation_from_dict(payload["evaluation"])
                 if payload["evaluation"] is not None
                 else None
             ),
             result=(
-                codec.tuning_result_from_dict(payload["result"])
+                tuning_result_from_dict(payload["result"])
                 if payload["result"] is not None
                 else None
             ),

@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    python -m repro tune --app redis --scale bench --seed 7
+    python -m repro tune --app redis --scale bench --seed 7 --save tune.jsonl
+    python -m repro report tune.jsonl
     python -m repro compare --app lammps --strategies DarwinGame,BLISS
     python -m repro experiment --name fig10 --scale test --jobs 4
     python -m repro table1
@@ -22,12 +23,16 @@ Global ``--verbose`` / ``--quiet`` (before the subcommand) tune how chatty
 every command is; progress and status lines flow through the ``repro``
 logger (:mod:`repro.telemetry.log`), result tables through stdout.
 
-The CLI is a thin layer over the library: sweep/resume/status/report and
-the ``serve`` daemon all drive the stable :mod:`repro.api` facade, so
-anything a subcommand prints can be recomputed programmatically (and the
-rest through :mod:`repro.experiments` and :mod:`repro.campaigns`).  A
-:class:`~repro.errors.ReproError` from any subcommand — a store that cannot
-be opened, a grid that does not validate — prints one line and exits 2.
+The CLI is a thin layer over the library: tune/compare/sweep/resume/
+status/report and the ``serve`` daemon all drive the stable
+:mod:`repro.api` facade, so anything a subcommand prints can be recomputed
+programmatically (and the rest through :mod:`repro.experiments` and
+:mod:`repro.campaigns`).  ``tune`` and ``compare`` are one-cell sweeps —
+one app, VM and seed — so ``tune --save`` writes the same campaign store
+the equivalent ``sweep --store`` writes, and ``report`` reads campaign
+stores only.  A :class:`~repro.errors.ReproError` from any subcommand — a
+store that cannot be opened, a grid that does not validate — prints one
+line and exits 2.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ import sys
 from typing import List, Optional
 
 from repro import api
-from repro.apps.registry import APPLICATION_NAMES, make_application
+from repro.apps.registry import APPLICATION_NAMES
 from repro.apps.scaling import level_cap
 from repro.caching import SurfaceCache, default_cache_dir
 from repro.campaigns import CampaignGrid, open_store
+from repro.campaigns.runner import cached_application
 from repro.campaigns.store import SIDECAR_PROFILES, SIDECAR_TELEMETRY
 from repro.cloud.vm import PRESETS
 from repro.errors import ReproError, SpaceError
@@ -55,13 +61,12 @@ from repro.experiments import (
     run_shift_study,
     run_stability,
     run_statistical_comparison,
-    run_strategy,
     run_table1,
     run_vm_sweep,
 )
 from repro.experiments.format_power import FORMAT_NAMES
-from repro.formats.recipes import TOURNAMENT_FORMAT_NAMES, tournament_format_names
-from repro.scenarios import SCENARIO_NAMES, scenario_names
+from repro.formats.recipes import TOURNAMENT_FORMAT_NAMES
+from repro.scenarios import SCENARIO_NAMES
 from repro.telemetry import (
     LiveProgress,
     configure_logging,
@@ -99,42 +104,38 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _unknown_scenarios(names) -> list:
-    known = scenario_names()
-    return [n for n in names if n not in known]
+def _run_one_cell(args: argparse.Namespace, strategies: tuple,
+                  store: Optional[str] = None):
+    """Run ``args``' app, VM, seed, scenario and format under each of
+    ``strategies`` as a one-cell grid through :func:`repro.api.submit_grid`.
 
-
-def _unknown_formats(names) -> list:
-    known = tournament_format_names()
-    return [n for n in names if n not in known]
-
-
-def _check_formats(names) -> int:
-    unknown = _unknown_formats(names)
-    if unknown:
-        _LOG.error(
-            "unknown tournament format: %r; registered: %s",
-            unknown[0], list(tournament_format_names()),
-        )
-        return 2
-    return 0
+    Returns the records in strategy order, or ``None`` once every failed
+    campaign is logged.  A failure is not retried: it is a deterministic
+    function of the spec.
+    """
+    grid = CampaignGrid(
+        apps=(args.app,),
+        strategies=strategies,
+        vms=(args.vm,),
+        seeds=(args.seed,),
+        scale=args.scale,
+        scenarios=(args.scenario,),
+        formats=(args.format,),
+    )
+    job = api.submit_grid(grid, api.SweepOptions(store=store, max_retries=0))
+    report = job.result()
+    for record in report.failures:
+        _LOG.error("campaign %s failed: %s", record.campaign_id, record.error)
+    return None if report.failures else report.records
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    unknown = _unknown_scenarios([args.scenario])
-    if unknown:
-        _LOG.error(
-            "unknown scenario: %r; registered: %s",
-            unknown[0], list(scenario_names()),
-        )
-        return 2
-    if _check_formats([args.format]):
-        return 2
-    app = make_application(args.app, scale=args.scale)
-    run = run_strategy(
-        app, args.strategy, vm=PRESETS[args.vm], seed=args.seed,
-        scenario=args.scenario, tournament_format=args.format,
-    )
+    records = _run_one_cell(args, (args.strategy,), store=args.save or None)
+    if records is None:
+        return 1
+    (record,) = records
+    # The campaign ran in this process, so this is the app it tuned.
+    app = cached_application(args.app, args.scale)
     print(render_table(
         ["metric", "value"],
         [
@@ -142,70 +143,20 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             ("search space", app.space.size),
             ("scenario", args.scenario),
             ("format", args.format),
-            ("strategy", run.strategy),
-            ("chosen index", run.best_index),
-            ("mean cloud exec time (s)", run.mean_time),
-            ("CoV %", run.cov_percent),
-            ("tuning core-hours", run.core_hours),
+            ("strategy", args.strategy),
+            ("chosen index", record.best_index),
+            ("mean cloud exec time (s)", record.mean_time),
+            ("CoV %", record.cov_percent),
+            ("tuning core-hours", record.core_hours),
         ],
-        title=f"{run.strategy} on {app.name} ({args.vm})",
+        title=f"{args.strategy} on {app.name} ({args.vm})",
     ))
     print("\nChosen configuration:")
-    for knob, value in app.space.config_dict(run.best_index).items():
+    for knob, value in app.space.config_dict(record.best_index).items():
         print(f"  {knob} = {value}")
     if args.save:
-        from repro.experiments.persistence import save_campaign
-        from repro.types import TuningResult
-
-        result = run.tuning_result
-        if result is None:
-            # The Optimal oracle tunes nothing: record its pick and no cost.
-            result = TuningResult(
-                tuner_name=run.strategy,
-                best_index=run.best_index,
-                best_values=app.space.values_of(run.best_index),
-                evaluations=0,
-                core_hours=run.core_hours,
-                tuning_seconds=run.tuning_seconds,
-            )
-        path = save_campaign(
-            result, run.evaluation, args.save,
-            app_name=app.name, vm_name=args.vm,
-            notes=f"scale={args.scale} seed={args.seed} "
-                  f"scenario={args.scenario} format={args.format}",
-        )
-        print(f"\nCampaign archived to {path}")
+        print(f"\nCampaign stored in {args.save}")
     return 0
-
-
-def _is_store(path: str) -> bool:
-    """Sniff whether ``path`` is a campaign store or an archive.
-
-    Directories and SQLite databases count as stores, so that opening them
-    reaches the refusal that names their conversion.
-    """
-    import os.path
-
-    from repro.campaigns.store.factory import SQLITE_MAGIC
-
-    if os.path.isdir(path):
-        # Never an archive; opening it as a store explains the refusal.
-        return True
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(len(SQLITE_MAGIC))
-    except OSError:
-        return False
-    if head == SQLITE_MAGIC:
-        return True
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.loads(handle.readline().strip())
-    except (OSError, ValueError):
-        return False
-    return isinstance(payload, dict) and payload.get("kind") in (
-        "campaign_grid", "campaign_record",
-    )
 
 
 def _progress_printer(quiet: bool):
@@ -222,7 +173,12 @@ def _progress_printer(quiet: bool):
 def _fault_plan_from_args(args: argparse.Namespace):
     """Parse ``--inject-faults`` (empty = no chaos); raises ReproError."""
     text = getattr(args, "inject_faults", "")
-    return FaultPlan.parse(text) if text else None
+    if not text:
+        return None
+    try:
+        return FaultPlan.parse(text)
+    except ReproError as exc:
+        raise ReproError(f"bad --inject-faults plan: {exc}") from None
 
 
 def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
@@ -301,11 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scenarios=csv(args.scenarios),
         formats=csv(args.formats),
     )
-    try:
-        options = _options_from_args(args, args.store)
-    except ReproError as exc:
-        _LOG.error("bad --inject-faults plan: %s", exc)
-        return 2
+    options = _options_from_args(args, args.store)
     return _run_sweep(grid, options, args.quiet, live_progress=args.progress)
 
 
@@ -323,11 +275,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             "arguments and --store %s", store.path, store.path,
         )
         return 2
-    try:
-        options = _options_from_args(args, args.store)
-    except ReproError as exc:
-        _LOG.error("bad --inject-faults plan: %s", exc)
-        return 2
+    options = _options_from_args(args, args.store)
     return _run_sweep(grid, options, args.quiet, live_progress=args.progress)
 
 
@@ -335,16 +283,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so plain CLI runs never pay for the service stack.
     from repro.service import ServiceConfig, TenantQuota, serve
 
-    try:
-        options = _options_from_args(args, None)
-    except ReproError as exc:
-        _LOG.error("bad --inject-faults plan: %s", exc)
-        return 2
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         data_root=args.data_root,
-        options=options,
+        options=_options_from_args(args, None),
         quota=TenantQuota(
             core_hours=args.quota_core_hours or None,
             max_active=args.quota_max_active,
@@ -372,62 +315,29 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.persistence import load_campaign
-
-    if _is_store(args.path):
-        if args.metrics:
-            print(render_store_metrics(args.path), end="")
-            return 0
-        store = open_store(args.path)
-        grid, records = store.load()
-        view, suffix = (
-            ("failures", " failures") if args.failures
-            else ("by-scenario", " by scenario") if args.by_scenario
-            else ("by-format", " by format") if args.by_format
-            else ("summary", "")
+    store = open_store(args.path)
+    grid, records = store.load()
+    if grid is None and not records:
+        raise ReproError(
+            f"no campaigns stored at {args.path}; write some with "
+            f"`repro sweep --store` or `repro tune --save`"
         )
-        print(api.render_report(
-            api.fetch_report(store, view=view),
-            title=f"sweep {args.path}{suffix}",
-        ))
-        if grid is not None:
-            done = {r.campaign_id for r in records if r.ok}
-            pending = sum(1 for s in grid.specs() if s.campaign_id not in done)
-            if pending:
-                _LOG.info(
-                    "%d of %d campaigns still pending — finish with: "
-                    "python -m repro resume %s", pending, grid.size, args.path,
-                )
+    if args.view == "metrics":
+        print(render_store_metrics(args.path), end="")
         return 0
-
-    if args.by_scenario or args.by_format or args.failures or args.metrics:
-        flag = (
-            "--by-scenario" if args.by_scenario
-            else "--by-format" if args.by_format
-            else "--failures" if args.failures
-            else "--metrics"
-        )
-        _LOG.error(
-            "%s is a single-campaign archive; %s aggregates sweep stores "
-            "(written by `repro sweep`)", args.path, flag,
-        )
-        return 2
-    result, evaluation, meta = load_campaign(args.path)
-    rows = [
-        ("application", meta.get("app", "?")),
-        ("VM", meta.get("vm", "?")),
-        ("strategy", result.tuner_name),
-        ("chosen index", result.best_index),
-        ("tuning core-hours", result.core_hours),
-    ]
-    if evaluation is not None:
-        rows.extend([
-            ("mean cloud exec time (s)", evaluation.mean_time),
-            ("CoV %", evaluation.cov_percent),
-        ])
-    if meta.get("notes"):
-        rows.append(("notes", meta["notes"]))
-    print(render_table(["metric", "value"], rows, title=f"Campaign {args.path}"))
+    suffix = "" if args.view == "summary" else " " + args.view.replace("-", " ")
+    print(api.render_report(
+        api.fetch_report(store, view=args.view),
+        title=f"sweep {args.path}{suffix}",
+    ))
+    if grid is not None:
+        done = {r.campaign_id for r in records if r.ok}
+        pending = sum(1 for s in grid.specs() if s.campaign_id not in done)
+        if pending:
+            _LOG.info(
+                "%d of %d campaigns still pending — finish with: "
+                "python -m repro resume %s", pending, grid.size, args.path,
+            )
     return 0
 
 
@@ -464,32 +374,15 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    unknown = _unknown_scenarios([args.scenario])
-    if unknown:
-        _LOG.error(
-            "unknown scenario: %r; registered: %s",
-            unknown[0], list(scenario_names()),
-        )
-        return 2
-    if _check_formats([args.format]):
-        return 2
     strategies = tuple(s.strip() for s in args.strategies.split(","))
-    known = tuple(api.SUPPORTED_STRATEGIES)
-    unknown = [s for s in strategies if s not in known]
-    if unknown:
-        _LOG.error("unknown strategies: %s; available: %s", unknown, list(known))
-        return 2
-    app = make_application(args.app, scale=args.scale)
-    rows = []
-    for strategy in strategies:
-        run = run_strategy(app, strategy, vm=PRESETS[args.vm], seed=args.seed,
-                           scenario=args.scenario,
-                           tournament_format=args.format)
-        rows.append((strategy, run.mean_time, run.cov_percent, run.core_hours))
+    records = _run_one_cell(args, strategies)
+    if records is None:
+        return 1
     print(render_table(
         ["strategy", "exec time (s)", "CoV %", "core-hours"],
-        rows,
-        title=f"Comparison on {app.name} (scale={args.scale}, "
+        [(r.spec.strategy, r.mean_time, r.cov_percent, r.core_hours)
+         for r in records],
+        title=f"Comparison on {args.app} (scale={args.scale}, "
               f"seed={args.seed}, scenario={args.scenario}, "
               f"format={args.format})",
     ))
@@ -503,6 +396,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         level_cap(args.scale)
     except SpaceError as exc:
         raise ReproError(f"{exc} (fix --scale)") from None
+    if args.seed < 0:
+        raise ReproError(f"seed must be >= 0, got {args.seed} (fix --seed)")
     if args.name in ("fig10", "fig11", "fig12"):
         result = run_headline(
             scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs
@@ -742,39 +637,38 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(api.SUPPORTED_STRATEGIES),
     )
     p_tune.add_argument(
-        "--save", default="", help="archive the campaign to this JSON path"
+        "--save", default="", metavar="STORE",
+        help="store the campaign in this campaign store (the same JSONL "
+             "file the equivalent one-cell `repro sweep --store` writes; "
+             "appends to an existing store)",
     )
     p_tune.set_defaults(func=_cmd_tune)
 
     p_report = sub.add_parser(
-        "report", help="print an archived campaign or a sweep store"
+        "report", help="aggregate a campaign store"
     )
     p_report.add_argument(
         "path",
-        help="campaign JSON written by tune --save, or a sweep store",
+        help="campaign store written by sweep, resume, serve or tune --save",
     )
-    p_report.add_argument(
-        "--by-scenario", action="store_true",
-        help="aggregate a sweep store per scenario pack (tuner robustness "
-             "under dynamic cloud conditions)",
-    )
-    p_report.add_argument(
-        "--by-format", action="store_true",
-        help="aggregate a sweep store per tournament-format recipe (which "
-             "tournament shape picks the best configurations, at what cost)",
-    )
-    p_report.add_argument(
-        "--failures", action="store_true",
-        help="show a sweep store's failure/retry view: quarantined "
-             "campaigns, their errors and attempt counts, sweep-wide retry "
-             "totals",
-    )
-    p_report.add_argument(
-        "--metrics", action="store_true",
-        help="replay the store's .telemetry sidecar into counters, gauges, "
-             "and histograms (text exposition format); requires a sweep run "
-             "with --telemetry",
-    )
+    # One view per call: the flags are alternatives, not filters.
+    views = p_report.add_mutually_exclusive_group()
+    for view, help_text in (
+        ("by-scenario", "aggregate per scenario pack (tuner robustness "
+                        "under dynamic cloud conditions)"),
+        ("by-format", "aggregate per tournament-format recipe (which "
+                      "tournament shape picks the best configurations, at "
+                      "what cost)"),
+        ("failures", "the failure/retry view: quarantined campaigns, their "
+                     "errors and attempt counts, sweep-wide retry totals"),
+        ("metrics", "replay the store's .telemetry sidecar into counters, "
+                    "gauges, and histograms (text exposition format); "
+                    "requires a sweep run with --telemetry"),
+    ):
+        views.add_argument(
+            f"--{view}", dest="view", action="store_const", const=view,
+            default="summary", help=help_text,
+        )
     p_report.set_defaults(func=_cmd_report)
 
     p_status = sub.add_parser(

@@ -28,13 +28,6 @@ from repro.experiments.motivation import (
     run_fig1_right,
     run_fig2,
 )
-from repro.experiments.persistence import (
-    evaluation_from_dict,
-    jsonable,
-    load_campaign,
-    save_campaign,
-    tuning_result_from_dict,
-)
 from repro.experiments.protocol import (
     STRATEGY_NAMES,
     StrategyRun,
@@ -90,15 +83,11 @@ __all__ = [
     "StrategyRun",
     "Table1Row",
     "VMSweepResult",
-    "evaluation_from_dict",
-    "jsonable",
-    "load_campaign",
     "paper_vs_measured",
     "render_table",
     "repeat_seed_plan",
     "repeat_strategy",
     "run_ablations",
-    "save_campaign",
     "run_colocation_study",
     "run_fig1_left",
     "run_format_power",
@@ -116,5 +105,4 @@ __all__ = [
     "run_table1",
     "run_vm_sweep",
     "table1_grid",
-    "tuning_result_from_dict",
 ]

@@ -41,6 +41,20 @@ class TenantQuota:
     core_hours: Optional[float] = None
     max_active: int = 8
 
+    def __post_init__(self) -> None:
+        # Checked before the daemon binds: either limit out of range would
+        # answer every submission with 429.
+        if self.max_active < 1:
+            raise ReproError(
+                f"max_active must be >= 1, got {self.max_active} "
+                f"(fix --quota-max-active)"
+            )
+        if self.core_hours is not None and not self.core_hours > 0:
+            raise ReproError(
+                f"core_hours must be above 0, or None for unmetered, got "
+                f"{self.core_hours} (fix --quota-core-hours)"
+            )
+
 
 class QuotaLedger:
     """Thread-safe per-tenant core-hour accounting over CoreHourLedgers.

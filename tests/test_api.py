@@ -42,6 +42,7 @@ class TestValidateGrid:
         (dict(eval_runs=0), "eval_runs must be >= 2"),
         (dict(seeds=()), "at least one seed"),
         (dict(eval_runs=1), r"eval_runs must be >= 2, got 1 \(fix --eval-runs\)"),
+        (dict(seeds=(0, -1)), r"seeds must be >= 0, got \[-1\] \(fix --seeds\)"),
     ])
     def test_each_axis_is_gated_before_dispatch(self, overrides, needle):
         with pytest.raises(ReproError, match=needle):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import api
+from repro.campaigns import CampaignGrid, open_store
 from repro.cli import build_parser, main
 
 
@@ -14,6 +15,16 @@ def _refused(argv, capsys) -> str:
     assert code == 2 and "Traceback" not in output
     assert len(output.strip().splitlines()) == 1
     return output.strip()
+
+
+_NOTES = "# Notes\n\nA text file, not a campaign store.\n"
+
+
+def _no_daemon(monkeypatch) -> None:
+    """Make ``repro serve`` return instead of binding, had it got that far."""
+    import repro.service
+
+    monkeypatch.setattr(repro.service, "serve", lambda config: 0)
 
 
 class TestParser:
@@ -110,6 +121,19 @@ class TestCommands:
         )
         assert line.endswith("(fix --scale)")
 
+    def test_experiment_negative_seed_is_refused_before_any_campaign(
+        self, capsys, monkeypatch
+    ):
+        def no_campaigns(*args, **kwargs):
+            raise AssertionError("an experiment ran despite a negative --seed")
+
+        monkeypatch.setattr("repro.cli.run_stability", no_campaigns)
+        line = _refused([
+            "experiment", "--name", "stability", "--scale", "test",
+            "--seed", "-2",
+        ], capsys)
+        assert line.endswith("(fix --seed)")
+
     def test_sweep_non_integer_seeds_is_one_line_exit_two(self, capsys, tmp_path):
         store = tmp_path / "s.jsonl"
         line = _refused([
@@ -127,6 +151,21 @@ class TestCommands:
         if content is not None:
             archive.write_text(content)
         assert str(archive) in _refused(["report", str(archive)], capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--quota-max-active", "0"),
+        ("--quota-max-active", "-1"),
+        ("--quota-core-hours", "-5"),
+    ], ids=["max-active-0", "max-active-negative", "core-hours-negative"])
+    def test_serve_quota_refusing_every_job_is_one_line_exit_two(
+        self, flag, value, capsys, tmp_path, monkeypatch
+    ):
+        _no_daemon(monkeypatch)
+        data_root = tmp_path / "serve.d"
+        line = _refused(
+            ["serve", flag, value, "--data-root", str(data_root)], capsys
+        )
+        assert line.endswith(f"(fix {flag})") and not data_root.exists()
 
     @pytest.mark.parametrize("port", ["-1", "70000"])
     def test_serve_port_out_of_range_is_one_line_exit_two(
@@ -187,14 +226,15 @@ class TestCommands:
     def test_tune_save_archives_the_tuning_result(self, capsys, tmp_path):
         from repro.apps import make_application
         from repro.cloud.vm import PRESETS
-        from repro.experiments import load_campaign, run_strategy
+        from repro.experiments import run_strategy
 
-        archive = tmp_path / "campaign.json"
+        store = tmp_path / "tune.jsonl"
         assert main([
             "tune", "--app", "redis", "--scale", "test", "--seed", "1",
-            "--save", str(archive),
+            "--save", str(store),
         ]) == 0
-        result, _, _ = load_campaign(archive)
+        (record,) = open_store(store).records()
+        result = record.result
         tuned = run_strategy(
             make_application("redis", scale="test"), "DarwinGame",
             vm=PRESETS["m5.8xlarge"], seed=1, scenario="steady",
@@ -204,15 +244,98 @@ class TestCommands:
         assert result.details["regional"] == tuned.details["regional"]
 
     def test_tune_save_and_report(self, capsys, tmp_path):
-        archive = str(tmp_path / "campaign.json")
+        store = str(tmp_path / "tune.jsonl")
         code = main([
             "tune", "--app", "redis", "--scale", "test", "--seed", "2",
-            "--save", archive,
+            "--save", store,
         ])
         assert code == 0
-        capsys.readouterr()
-        code = main(["report", archive])
+        (mean_time,) = [
+            line.split("|")[1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("mean cloud exec time")
+        ]
+        code = main(["report", store])
         out = capsys.readouterr().out
         assert code == 0
         assert "DarwinGame" in out
-        assert "mean cloud exec time" in out
+        # The store's summary row carries the tuned campaign's mean time.
+        assert "exec time (s)" in out and f"| {mean_time} " in out
+
+    def test_tune_save_store_is_the_one_cell_sweep_store(self, capsys, tmp_path):
+        tuned, swept = tmp_path / "tune.jsonl", tmp_path / "one.jsonl"
+        assert main([
+            "tune", "--app", "redis", "--scale", "test", "--seed", "1",
+            "--scenario", "bursty", "--format", "knockout", "--save", str(tuned),
+        ]) == 0
+        assert main([
+            "sweep", "--apps", "redis", "--seeds", "1", "--scale", "test",
+            "--scenarios", "bursty", "--formats", "knockout",
+            "--store", str(swept),
+        ]) == 0
+        assert tuned.read_bytes() == swept.read_bytes()
+
+    def test_failed_campaign_is_logged_and_exits_one(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.experiments.protocol
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(repro.experiments.protocol, "run_strategy", boom)
+        store = tmp_path / "tune.jsonl"
+        code = main([
+            "tune", "--app", "redis", "--scale", "test", "--save", str(store),
+        ])
+        out = capsys.readouterr().out
+        assert code == 1 and "Traceback" not in out
+        assert "failed: " in out and "RuntimeError: boom" in out
+        # One attempt, stored as failed, so `resume` can retry it.
+        (record,) = open_store(store).records()
+        assert not record.ok and record.attempts == 1
+
+    def test_tune_negative_seed_is_one_line_exit_two(self, capsys):
+        line = _refused(["tune", "--scale", "test", "--seed", "-1"], capsys)
+        assert line.endswith("(fix --seeds)")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--apps", "redis", "--scale", "test", "--store"],
+        ["status"], ["report"], ["store", "info"], ["resume"],
+    ], ids=["sweep", "status", "report", "store-info", "resume"])
+    def test_store_commands_refuse_a_non_store_file(self, argv, capsys, tmp_path):
+        notes = tmp_path / "notes.md"
+        notes.write_text(_NOTES)
+        line = _refused([*argv, str(notes)], capsys)
+        assert line.startswith(f"{notes} is not a campaign store")
+        assert notes.read_text() == _NOTES
+
+    def test_report_views_are_exclusive(self, capsys, tmp_path):
+        store = tmp_path / "s.jsonl"
+        open_store(store).write_grid(CampaignGrid(apps=("redis",), scale="test"))
+        with pytest.raises(SystemExit) as exited:
+            main(["report", str(store), "--failures", "--by-format"])
+        assert exited.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "resume", "serve"])
+    def test_negative_task_timeout_is_one_line_exit_two(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        _no_daemon(monkeypatch)
+        store, data_root = tmp_path / "s.jsonl", tmp_path / "serve.d"
+        if command == "resume":
+            open_store(store).write_grid(
+                CampaignGrid(apps=("redis",), scale="test")
+            )
+        before = store.read_bytes() if store.exists() else None
+        argv = {
+            "sweep": ["sweep", "--apps", "redis", "--scale", "test",
+                      "--store", str(store)],
+            "resume": ["resume", str(store)],
+            "serve": ["serve", "--data-root", str(data_root)],
+        }[command]
+        line = _refused([*argv, "--task-timeout", "-1"], capsys)
+        assert line.endswith("(fix --task-timeout)")
+        assert (store.read_bytes() if store.exists() else None) == before
+        assert not data_root.exists()

@@ -68,7 +68,7 @@ class TestSweepCli:
         assert "still pending" in capsys.readouterr().out
 
     def test_report_still_reads_single_campaign_archives(self, tmp_path, capsys):
-        path = tmp_path / "one.json"
+        path = tmp_path / "one.jsonl"
         assert main([
             "tune", "--app", "redis", "--scale", "test", "--seed", "1",
             "--save", str(path),
@@ -76,6 +76,18 @@ class TestSweepCli:
         capsys.readouterr()
         assert main(["report", str(path)]) == 0
         assert "DarwinGame" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("view", ["by-scenario", "by-format", "failures"])
+    def test_report_views_read_a_tune_store(self, view, tmp_path, capsys):
+        path = tmp_path / "one.jsonl"
+        assert main([
+            "tune", "--app", "redis", "--scale", "test", "--seed", "1",
+            "--save", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", str(path), f"--{view}"]) == 0
+        title = f"sweep {path} {view.replace('-', ' ')}"
+        assert title in capsys.readouterr().out
 
     def test_experiment_jobs_flag(self, capsys):
         assert main([
@@ -141,18 +153,6 @@ class TestScenarioCli:
         out = capsys.readouterr().out
         assert "scenario" in out and "drift" in out and "steady" in out
         assert "vs DarwinGame %" in out
-
-    def test_report_by_scenario_rejects_single_campaign_archive(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "one.json"
-        main([
-            "tune", "--app", "redis", "--scale", "test", "--seed", "1",
-            "--save", str(path),
-        ])
-        capsys.readouterr()
-        assert main(["report", str(path), "--by-scenario"]) == 2
-        assert "sweep stores" in capsys.readouterr().out
 
     def test_tune_accepts_scenario(self, capsys):
         assert main([
@@ -233,18 +233,6 @@ class TestFaultToleranceCli:
         assert main(["resume", str(store), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "executed 2, skipped 0" in out and "2/2 campaigns done" in out
-
-    def test_report_failures_rejects_single_campaign_archive(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "one.json"
-        main([
-            "tune", "--app", "redis", "--scale", "test", "--seed", "1",
-            "--save", str(path),
-        ])
-        capsys.readouterr()
-        assert main(["report", str(path), "--failures"]) == 2
-        assert "sweep stores" in capsys.readouterr().out
 
 
 class TestCacheCli:

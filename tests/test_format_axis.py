@@ -217,12 +217,3 @@ class TestFormatCLI:
         ])
         assert rc == 2
         assert "unknown tournament format" in capsys.readouterr().out
-
-    def test_report_by_format_rejects_single_archive(self, tmp_path, capsys):
-        archive = tmp_path / "single.json"
-        rc = main(["tune", "--app", "redis", "--scale", "test",
-                   "--save", str(archive)])
-        assert rc == 0
-        rc = main(["report", str(archive), "--by-format"])
-        assert rc == 2
-        assert "--by-format" in capsys.readouterr().out

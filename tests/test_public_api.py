@@ -22,6 +22,10 @@ _REMOVED = {
     "repro": ("partition_regions",),
     "repro.apps": ("ConstrainedApplication", "penalised_application"),
     "repro.cloud": ("simulate_colocated",),
+    "repro.experiments": (
+        "evaluation_from_dict", "jsonable", "load_campaign", "save_campaign",
+        "tuning_result_from_dict",
+    ),
     "repro.scenarios": ("DEFAULT_SCENARIO",),
     "repro.space": (
         "Constraint", "log_size", "partition_regions", "region_of",

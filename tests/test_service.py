@@ -223,6 +223,15 @@ class TestErrors:
         assert status == 400
         assert "$.grid.eval_runs" in body["error"]
 
+    def test_negative_seed_is_400(self, service):
+        """numpy refuses a negative seed only inside the campaign."""
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps",
+            {"grid": dict(GRID, seeds=[0, -1])}, tenant="alice",
+        )
+        assert status == 400
+        assert "$.grid.seeds[1]" in body["error"]
+
     def test_not_json_is_400(self, service):
         request = urllib.request.Request(
             f"{service.url}/v1/sweeps", method="POST", data=b"not json",

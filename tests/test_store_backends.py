@@ -177,6 +177,42 @@ class TestContract:
         assert _full(fresh.records()) == _full(serial_records)
 
 
+class TestNonStoreFiles:
+    """An existing file is a store only if it already reads as one."""
+
+    @pytest.mark.parametrize("content", [
+        b"# Notes\n\nplain text\n",
+        b"plain text, no newline",
+        b"[1, 2]\n",
+        b'{"kind": "campaign"}\n',
+        b'{\n  "kind": "campaign",\n  "version": 1\n}\n',
+    ], ids=["text", "text-no-newline", "json-array", "other-kind",
+            "pretty-printed-archive"])
+    def test_refused_before_anything_is_written(self, tmp_path, content):
+        path = tmp_path / "notes.md"
+        path.write_bytes(content)
+        with pytest.raises(ReproError, match="is not a campaign store") as err:
+            open_store(path)
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
+        assert path.read_bytes() == content
+
+    def test_torn_first_write_still_opens_as_a_store(
+        self, tmp_path, serial_records
+    ):
+        path = tmp_path / "s.jsonl"
+        line = json.dumps(serial_records[0].to_payload(), sort_keys=True)
+        path.write_text(line[: len(line) // 2])
+        store = open_store(path)
+        assert store.load() == (None, [])
+
+    def test_empty_file_opens_as_a_fresh_store(self, tmp_path, serial_records):
+        path = tmp_path / "s.jsonl"
+        path.touch()
+        store = open_store(path)
+        store.append(serial_records[0])
+        assert len(open_store(path)) == 1
+
+
 class TestRemovedShardedLayout:
     def test_directory_converts_with_the_command_the_error_names(
         self, tmp_path, small_grid, serial_records

@@ -16,13 +16,13 @@ from repro import (
 )
 from repro.cloud.fleet import schedule_lpt
 from repro.cloud.traces import record_trace, step_trace
+from repro.campaigns import CampaignRecord, CampaignSpec, open_store
 from repro.cloud.vm import DEFAULT_VM
 from repro.core.trace import format_tournament_report
-from repro.experiments.persistence import load_campaign, save_campaign
 
 
 class TestTuneArchiveReport:
-    """Tune -> evaluate -> archive -> reload -> report."""
+    """Tune -> evaluate -> store -> reload -> report."""
 
     def test_full_cycle(self, tmp_path):
         app = make_application("redis", scale="test")
@@ -30,15 +30,22 @@ class TestTuneArchiveReport:
         result = DarwinGame(DarwinGameConfig(seed=0)).tune(app, env)
         evaluation = env.measure_choice(app, result.best_index, runs=20)
 
-        path = save_campaign(
-            result, evaluation, tmp_path / "c.json", app_name=app.name
-        )
-        loaded_result, loaded_eval, meta = load_campaign(path)
+        store = open_store(tmp_path / "c.jsonl")
+        store.append(CampaignRecord(
+            spec=CampaignSpec(app=app.name, scale="test", eval_runs=20),
+            status="done",
+            best_index=result.best_index,
+            core_hours=result.core_hours,
+            tuning_seconds=result.tuning_seconds,
+            evaluation=evaluation,
+            result=result,
+        ))
+        (loaded,) = open_store(store.path).records()
 
-        report = format_tournament_report(loaded_result)
+        report = format_tournament_report(loaded.result)
         assert str(result.best_index) in report
-        assert loaded_eval.mean_time == evaluation.mean_time
-        assert meta["app"] == "redis"
+        assert loaded.evaluation.mean_time == evaluation.mean_time
+        assert loaded.spec.app == "redis"
 
 
 class TestTuneOnReplayedNoise:
