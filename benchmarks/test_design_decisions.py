@@ -17,28 +17,32 @@ import numpy as np
 
 import repro.cloud.colocation as colocation
 from repro.apps import make_application
+from repro.campaigns import CampaignSpec, execute_campaign
+from repro.cloud import CloudEnvironment
+from repro.cloud.vm import DEFAULT_VM
+from repro.core import DarwinGame
 from repro.core.config import DarwinGameConfig
 from repro.experiments import paper_vs_measured, render_table
-from repro.experiments.protocol import run_strategy
 
 
 def run_region_layouts():
     app = make_application("redis", scale="bench")
     out = {}
     for label, interleaved in (("interleaved", True), ("contiguous", False)):
-        runs = [
-            run_strategy(
-                app, "DarwinGame", seed=seed,
-                darwin_config=DarwinGameConfig(
-                    interleaved_regions=interleaved, seed=seed
-                ),
-            )
-            for seed in (0, 1)
-        ]
+        times, covs, hours = [], [], []
+        for seed in (0, 1):
+            env = CloudEnvironment(DEFAULT_VM, seed=seed)
+            result = DarwinGame(
+                DarwinGameConfig(interleaved_regions=interleaved, seed=seed)
+            ).tune(app, env)
+            evaluation = env.measure_choice(app, result.best_index, runs=100)
+            times.append(evaluation.mean_time)
+            covs.append(evaluation.cov_percent)
+            hours.append(result.core_hours)
         out[label] = {
-            "time": float(np.mean([r.mean_time for r in runs])),
-            "cov": float(np.mean([r.cov_percent for r in runs])),
-            "hours": float(np.mean([r.core_hours for r in runs])),
+            "time": float(np.mean(times)),
+            "cov": float(np.mean(covs)),
+            "hours": float(np.mean(hours)),
         }
     return out
 
@@ -68,13 +72,14 @@ def test_interleaved_vs_contiguous_regions(once):
 
 def test_unfairness_does_not_break_the_tournament(once):
     """The tournament's output quality must survive sticky per-game luck."""
-    app = make_application("redis", scale="bench")
 
     def run_with_unfairness(std):
         original = colocation._UNFAIRNESS_STD
         colocation._UNFAIRNESS_STD = std
         try:
-            run = run_strategy(app, "DarwinGame", seed=3)
+            run = execute_campaign(
+                CampaignSpec(app="redis", scale="bench", seed=3)
+            )
         finally:
             colocation._UNFAIRNESS_STD = original
         return run

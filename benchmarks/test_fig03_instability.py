@@ -1,12 +1,10 @@
 """Fig. 3: existing tuners are suboptimal and inconsistent across time."""
 
-from repro.apps import make_application
 from repro.experiments import paper_vs_measured, render_table, run_fig3
 
 
 def test_fig03_tuner_instability(once):
-    app = make_application("redis", scale="bench")
-    result = once(lambda: run_fig3(app, seed=0))
+    result = once(lambda: run_fig3("redis", scale="bench", seed=0))
     print()
     strategies = list(dict.fromkeys(c.strategy for c in result.cells))
     epochs = list(dict.fromkeys(c.epoch_label for c in result.cells))

@@ -10,20 +10,19 @@ the standard evaluation protocol next to DarwinGame.
 
 import numpy as np
 
+from repro.campaigns import CampaignRunner, cached_application, repeat_specs
 from repro.experiments import paper_vs_measured, render_table
-from repro.experiments.protocol import repeat_strategy
-from repro.apps import make_application
 
 STRATEGIES = ("DarwinGame", "GeneticAlgorithm", "SimulatedAnnealing")
 REPEATS = 3
 
 
 def grid():
-    app = make_application("redis", scale="bench")
-    optimal = app.optimal.true_time
+    optimal = cached_application("redis", "bench").optimal.true_time
     rows = []
     for strategy in STRATEGIES:
-        runs = repeat_strategy(app, strategy, repeats=REPEATS, seed=0)
+        specs = repeat_specs("redis", strategy, repeats=REPEATS, seed=0)
+        runs = CampaignRunner().run(specs).raise_on_failure().records
         mean_time = float(np.mean([r.mean_time for r in runs]))
         rows.append({
             "strategy": strategy,

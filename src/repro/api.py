@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 from repro.apps.registry import APPLICATION_NAMES
 from repro.campaigns.report import (
@@ -54,7 +55,11 @@ from repro.campaigns.report import (
     summarise_failures,
     summary_table,
 )
-from repro.campaigns.runner import CampaignRunner, SweepReport
+from repro.campaigns.runner import (
+    SUPPORTED_STRATEGIES,
+    CampaignRunner,
+    SweepReport,
+)
 from repro.campaigns.spec import CampaignGrid, CampaignSpec
 from repro.campaigns.store import CampaignRecord, CampaignStore, open_store
 from repro.apps.scaling import level_cap
@@ -88,53 +93,20 @@ __all__ = [
 ]
 
 
-def _strategy_names() -> tuple:
-    """Every strategy a grid may name (protocol set + extra tuners)."""
-    from repro.experiments.protocol import EXTRA_STRATEGY_NAMES, STRATEGY_NAMES
-
-    return STRATEGY_NAMES + EXTRA_STRATEGY_NAMES
-
-
-class _StrategyNames(Sequence):
-    """Lazy view of the supported strategy names.
-
-    :mod:`repro.experiments` imports the campaign stack; resolving the
-    names on first use instead of at import time keeps ``repro.api``
-    importable from anywhere in the package without a cycle.
-    """
-
-    _names: Optional[tuple] = None
-
-    def _resolve(self) -> tuple:
-        if self._names is None:
-            self._names = _strategy_names()
-        return self._names
-
-    def __iter__(self):
-        return iter(self._resolve())
-
-    def __len__(self) -> int:
-        return len(self._resolve())
-
-    def __getitem__(self, index):
-        return self._resolve()[index]
-
-    def __contains__(self, name) -> bool:
-        return name in self._resolve()
-
-    def __repr__(self) -> str:
-        return repr(self._resolve())
-
-
-#: The strategy names :func:`validate_grid` accepts (lazy; see above).
-SUPPORTED_STRATEGIES = _StrategyNames()
-
-
 # -- grid validation ----------------------------------------------------
 
 
 def _unknown(names, known) -> list:
     return [n for n in names if n not in known]
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a number a float holds: not NaN, not ±inf, and
+    not an int too large to convert."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_grid(grid: CampaignGrid) -> CampaignGrid:
@@ -146,11 +118,20 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
     quarantines it.  This is the single pre-dispatch gate all entry points
     (CLI, daemon, library) share; it raises :class:`~repro.errors.
     ReproError` with a one-line actionable message and returns the grid
-    unchanged when everything is registered.
+    unchanged when everything is registered.  It also refuses an empty
+    axis, fewer than 2 evaluation runs, a negative seed, and a campaign
+    start time that is not a finite number >= 0.
     """
     from repro.formats.recipes import tournament_format_names
     from repro.scenarios import scenario_names
 
+    # An empty axis enumerates no campaign: the sweep would "succeed"
+    # with nothing run.
+    for axis in ("apps", "strategies", "vms", "scenarios", "formats"):
+        if not getattr(grid, axis):
+            raise ReproError(
+                f"a grid needs at least one entry in {axis} (fix --{axis})"
+            )
     unknown = _unknown(grid.apps, APPLICATION_NAMES)
     if unknown:
         raise ReproError(
@@ -196,6 +177,18 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
     negative = [seed for seed in grid.seeds if seed < 0]
     if negative:
         raise ReproError(f"seeds must be >= 0, got {negative} (fix --seeds)")
+    # The k-th seed's campaign starts at k * start_time_step; every start
+    # must be a finite time at or after 0.
+    step = grid.start_time_step
+    if not (_finite(step) and step >= 0):
+        raise ReproError(
+            f"start_time_step must be a finite number >= 0, got {step}"
+        )
+    if not math.isfinite(float(len(grid.seeds) - 1) * step):
+        raise ReproError(
+            f"start_time_step {step} puts the last of {len(grid.seeds)} "
+            f"seeds' campaigns at an infinite start time"
+        )
     return grid
 
 
@@ -226,11 +219,20 @@ class SweepOptions:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        # The runner maps any timeout <= 0 to "off"; only 0 means that.
-        if self.task_timeout is not None and self.task_timeout < 0:
+        # An infinite backoff never lets a retry come due, which wedges
+        # the dispatcher (and the service's one executor thread with it).
+        if not (_finite(self.backoff) and self.backoff >= 0):
             raise ReproError(
-                f"task_timeout must be >= 0 (0 disables), got "
-                f"{self.task_timeout} (fix --task-timeout)"
+                f"backoff must be a finite number >= 0, got {self.backoff} "
+                f"(fix --backoff)"
+            )
+        # The runner maps any timeout <= 0 to "off"; only 0 means that.
+        if self.task_timeout is not None and not (
+            _finite(self.task_timeout) and self.task_timeout >= 0
+        ):
+            raise ReproError(
+                f"task_timeout must be a finite number >= 0 (0 disables), "
+                f"got {self.task_timeout} (fix --task-timeout)"
             )
 
     def open_store(self) -> Optional[CampaignStore]:
@@ -549,11 +551,9 @@ class SchemaError(ReproError):
     """A JSON payload does not match its documented schema (HTTP 400)."""
 
 
-def _string_array(minimum: int = 0) -> dict:
-    schema = {"type": "array", "items": {"type": "string"}}
-    if minimum:
-        schema["minItems"] = minimum
-    return schema
+def _array(items: dict) -> dict:
+    """A non-empty array: an empty grid axis enumerates no campaign."""
+    return {"type": "array", "minItems": 1, "items": items}
 
 
 #: JSON shape of a :class:`~repro.campaigns.spec.CampaignGrid` on the wire.
@@ -562,16 +562,16 @@ GRID_SCHEMA = {
     "required": ["apps"],
     "additionalProperties": False,
     "properties": {
-        "apps": _string_array(1),
-        "strategies": _string_array(),
-        "vms": _string_array(),
-        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "apps": _array({"type": "string"}),
+        "strategies": _array({"type": "string"}),
+        "vms": _array({"type": "string"}),
+        "seeds": _array({"type": "integer", "minimum": 0}),
         "scale": {"type": ["string", "integer"]},
         "eval_runs": {"type": "integer", "minimum": 2},
-        "start_time_step": {"type": "number"},
+        "start_time_step": {"type": "number", "minimum": 0},
         "tag": {"type": "string"},
-        "scenarios": _string_array(),
-        "formats": _string_array(),
+        "scenarios": _array({"type": "string"}),
+        "formats": _array({"type": "string"}),
     },
 }
 
@@ -609,7 +609,11 @@ _TYPE_CHECKS = {
     "array": lambda v: isinstance(v, (list, tuple)),
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # NaN and ±inf are no JSON numbers, and NaN passes every `minimum`.
+    "number": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and math.isfinite(v)
+    ),
     "boolean": lambda v: isinstance(v, bool),
 }
 
@@ -621,15 +625,18 @@ def validate_payload(payload, schema: dict, *, path: str = "$") -> None:
     union lists), ``required``, ``properties`` with
     ``additionalProperties: false``, ``items``, ``minimum``, ``minItems``
     — with stdlib code only, so the daemon takes no new
-    dependency.  Raises :class:`SchemaError` naming the offending path.
+    dependency.  A NaN or infinite float is not a ``number``.  Raises
+    :class:`SchemaError` naming the offending path.
     """
     types = schema.get("type")
     if types is not None:
         allowed = types if isinstance(types, list) else [types]
         if not any(_TYPE_CHECKS[t](payload) for t in allowed):
+            got = type(payload).__name__
+            if isinstance(payload, float) and not math.isfinite(payload):
+                got = repr(payload)
             raise SchemaError(
-                f"{path}: expected {' or '.join(allowed)}, "
-                f"got {type(payload).__name__}"
+                f"{path}: expected {' or '.join(allowed)}, got {got}"
             )
     if isinstance(payload, (int, float)) and not isinstance(payload, bool):
         minimum = schema.get("minimum")

@@ -1,9 +1,14 @@
-"""Parallel campaign execution with failure isolation, retry, and resume.
+"""The per-campaign protocol, and its execution with isolation, retry, and resume.
 
-The runner turns a list of :class:`~repro.campaigns.spec.CampaignSpec` into
-a list of :class:`~repro.campaigns.store.CampaignRecord`, optionally across
-a fleet of worker processes.  Four guarantees make it a drop-in replacement
-for the drivers' former hand-rolled loops:
+A campaign is a :class:`~repro.campaigns.spec.CampaignSpec` in and a
+:class:`~repro.campaigns.store.CampaignRecord` out.
+:func:`execute_campaign` plays the paper's protocol (Sec. 4) on one spec:
+build a fresh cloud environment (its own interference realisation), let the
+named strategy tune the application, then evaluate the chosen configuration
+over ``eval_runs`` executions spread over time.  The runner turns a list of
+specs into a list of records, optionally across a fleet of worker
+processes; every experiment that runs named strategies goes through it.
+Four guarantees hold:
 
 * **Determinism** — a campaign's outcome is a pure function of its spec
   (every seed is a field), so ``jobs > 1`` reproduces serial results bit
@@ -33,6 +38,7 @@ converged store must match a fault-free run minus attempt metadata.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
 import traceback as traceback_module
@@ -56,7 +62,7 @@ from repro.campaigns.dispatch import (
     quarantine_record,
     worker_lost_message,
 )
-from repro.campaigns.spec import CampaignSpec
+from repro.campaigns.spec import CampaignSpec, vm_from_field
 from repro.campaigns.store import (
     SIDECAR_LEDGER,
     SIDECAR_PROFILES,
@@ -66,8 +72,12 @@ from repro.campaigns.store import (
     CampaignRecord,
     CampaignStore,
 )
+from repro.cloud.environment import CloudEnvironment
+from repro.core.config import DarwinGameConfig
+from repro.core.tournament import DarwinGame
 from repro.errors import ReproError, RetryExhausted, WorkerLost
 from repro.faults import FaultPlan, active_fault_plan, maybe_inject, set_active_fault_plan
+from repro.formats.recipes import tournament_format
 from repro.telemetry.events import (
     JsonlEmitter,
     counter as _telemetry_counter,
@@ -80,6 +90,15 @@ from repro.telemetry.profiling import (
     CampaignProfiler,
     set_profile_dir,
 )
+from repro.tuners.active_harmony import ActiveHarmonyLike
+from repro.tuners.annealing import SimulatedAnnealingTuner
+from repro.tuners.bliss import BlissLike
+from repro.tuners.exhaustive import ExhaustiveSearch
+from repro.tuners.genetic import GeneticTuner
+from repro.tuners.opentuner_like import OpenTunerLike
+from repro.tuners.quantile_regression import QuantileRegressionTuner
+from repro.tuners.thompson import ThompsonSamplingTuner
+from repro.types import ChoiceEvaluation
 
 #: How many frames of a failed campaign's traceback are kept (the last —
 #: i.e. innermost — ones; the useful end for debugging a sweep without
@@ -141,12 +160,94 @@ def _truncated_traceback(exc: BaseException) -> str:
     )
 
 
+#: How each tuning strategy is built from its seed and tournament format,
+#: in the order the paper's figures list them (Fig. 10's tuners first, then
+#: the extra baselines).  Only ``DarwinGame`` has a tournament shape; the
+#: other tuners run identically under every format.
+_TUNERS: Dict[str, Callable[[int, str], object]] = {
+    "DarwinGame": lambda seed, fmt: DarwinGame(
+        DarwinGameConfig(seed=seed).with_format(fmt)
+    ),
+    "Exhaustive": lambda seed, fmt: ExhaustiveSearch(seed=seed),
+    "BLISS": lambda seed, fmt: BlissLike(seed=seed),
+    "OpenTuner": lambda seed, fmt: OpenTunerLike(seed=seed),
+    "ActiveHarmony": lambda seed, fmt: ActiveHarmonyLike(seed=seed),
+    "QuantileRegression": lambda seed, fmt: QuantileRegressionTuner(seed=seed),
+    "ThompsonSampling": lambda seed, fmt: ThompsonSamplingTuner(seed=seed),
+    "GeneticAlgorithm": lambda seed, fmt: GeneticTuner(seed=seed),
+    "SimulatedAnnealing": lambda seed, fmt: SimulatedAnnealingTuner(seed=seed),
+}
+
+#: Every strategy a campaign may name: the ``"Optimal"`` oracle, then the
+#: tuners above.
+SUPPORTED_STRATEGIES = ("Optimal",) + tuple(_TUNERS)
+
+
+def _run_protocol(spec: CampaignSpec, attempt: int) -> CampaignRecord:
+    """Tune once under ``spec`` and evaluate the chosen configuration.
+
+    The environment is built from the spec's VM, seed, start time and
+    scenario; both tuning and the ``eval_runs``-execution evaluation run
+    in it.  ``"Optimal"`` is the infeasible oracle: the configuration with
+    the lowest dedicated-environment time, charged zero tuning cost and
+    evaluated in the dedicated environment, which a scenario cannot touch.
+    The tuner seed defaults to the environment seed; ``tuner_seed``
+    decouples them.  The format is checked for every strategy, so a typo
+    fails even where the format does not apply.
+    """
+    app = cached_application(spec.app, spec.scale)
+    tournament_format(spec.format)
+    env = CloudEnvironment(
+        vm_from_field(spec.vm), seed=spec.seed, start_time=spec.start_time,
+        scenario=spec.scenario,
+    )
+    if spec.strategy == "Optimal":
+        point = app.optimal
+        return CampaignRecord(
+            spec=spec,
+            status=STATUS_DONE,
+            best_index=point.index,
+            evaluation=ChoiceEvaluation(
+                index=point.index,
+                mean_time=point.true_time,
+                cov_percent=0.0,
+                min_time=point.true_time,
+                max_time=point.true_time,
+                true_time=point.true_time,
+                sensitivity=point.sensitivity,
+                runs=0,
+            ),
+            attempts=attempt,
+        )
+    try:
+        make_tuner = _TUNERS[spec.strategy]
+    except KeyError:
+        raise ReproError(
+            f"unknown strategy {spec.strategy!r}; available: "
+            f"{list(SUPPORTED_STRATEGIES)}"
+        ) from None
+    seed = spec.seed if spec.tuner_seed is None else spec.tuner_seed
+    result = make_tuner(seed, spec.format).tune(app, env)
+    return CampaignRecord(
+        spec=spec,
+        status=STATUS_DONE,
+        best_index=result.best_index,
+        core_hours=result.core_hours,
+        tuning_seconds=result.tuning_seconds,
+        evaluation=env.measure_choice(
+            app, result.best_index, runs=spec.eval_runs
+        ),
+        result=result,
+        attempts=attempt,
+    )
+
+
 def execute_campaign(spec: CampaignSpec, attempt: int = 1) -> CampaignRecord:
     """Run one campaign attempt to its terminal record; never raises.
 
     This is the single choke point every sweep goes through: consult the
-    fault plan (chaos runs), build the application, run the evaluation
-    protocol, wrap the outcome.  Exceptions become ``"failed"`` records —
+    fault plan (chaos runs), then play the protocol
+    (:func:`_run_protocol`).  Exceptions become ``"failed"`` records —
     with the exception summary and a truncated traceback attached — so one
     bad cell cannot take down a fleet.  ``attempt`` (1-based) is the
     dispatcher's retry counter; it selects which injected fault fires and
@@ -168,31 +269,7 @@ def execute_campaign(spec: CampaignSpec, attempt: int = 1) -> CampaignRecord:
     ):
         try:
             maybe_inject(spec.campaign_id, attempt)
-            from repro.campaigns.spec import vm_from_field
-            from repro.experiments.protocol import run_strategy
-
-            app = cached_application(spec.app, spec.scale)
-            run = run_strategy(
-                app,
-                spec.strategy,
-                vm=vm_from_field(spec.vm),
-                seed=spec.seed,
-                start_time=spec.start_time,
-                eval_runs=spec.eval_runs,
-                tuner_seed=spec.tuner_seed,
-                scenario=spec.scenario,
-                tournament_format=spec.format,
-            )
-            return CampaignRecord(
-                spec=spec,
-                status=STATUS_DONE,
-                best_index=run.best_index,
-                core_hours=run.core_hours,
-                tuning_seconds=run.tuning_seconds,
-                evaluation=run.evaluation,
-                result=run.tuning_result,
-                attempts=attempt,
-            )
+            return _run_protocol(spec, attempt)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             return CampaignRecord(
                 spec=spec,
@@ -249,11 +326,6 @@ class SweepReport:
                 raise RetryExhausted(message)
             raise ReproError(message)
         return self
-
-    def strategy_runs(self) -> list:
-        """All records as protocol ``StrategyRun``s (raises on failures)."""
-        self.raise_on_failure()
-        return [r.to_strategy_run() for r in self.records]
 
 
 ProgressFn = Callable[[int, int, CampaignRecord], None]
@@ -322,8 +394,10 @@ class CampaignRunner:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
         if max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff < 0:
-            raise ReproError(f"backoff must be >= 0, got {backoff}")
+        if not (backoff >= 0 and math.isfinite(backoff)):
+            raise ReproError(
+                f"backoff must be a finite number >= 0, got {backoff}"
+            )
         self.jobs = jobs
         self.store = store
         self.progress = progress

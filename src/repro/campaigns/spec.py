@@ -19,9 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.cloud.vm import PRESETS, VMSpec
+from repro.errors import ReproError
 
 Scale = Union[str, int]
 
@@ -215,6 +218,32 @@ class CampaignGrid:
         return cls(**data)
 
 
+def repeat_seed_plan(
+    seed: int, repeats: int, *, vary_tuner_seed: bool = True
+) -> List[Tuple[int, float, int]]:
+    """The ``(env_seed, start_time, tuner_seed)`` plan behind repeated tuning.
+
+    Each repeat gets its own interference realisation (an environment seed
+    drawn from ``seed``) and a campaign start three days after the previous
+    one.  The tuner seed follows the environment seed, or stays ``seed``
+    without ``vary_tuner_seed``.  ``repeats`` must be at least 1.
+    """
+    if repeats < 1:
+        raise ReproError(f"repeats must be >= 1, got {repeats}")
+    rng = np.random.default_rng(seed)
+    plan: List[Tuple[int, float, int]] = []
+    for k in range(repeats):
+        env_seed = int(rng.integers(0, 2**31))
+        plan.append(
+            (
+                env_seed,
+                float(k) * 86400.0 * 3.0,
+                env_seed if vary_tuner_seed else int(seed),
+            )
+        )
+    return plan
+
+
 def repeat_specs(
     app_name: str,
     strategy: str,
@@ -226,13 +255,17 @@ def repeat_specs(
     eval_runs: int = 100,
     vary_tuner_seed: bool = True,
 ) -> list:
-    """Campaign specs equivalent to :func:`repro.experiments.protocol.repeat_strategy`.
+    """Campaign specs that repeat one strategy ``repeats`` times.
 
-    Uses the protocol's own seed plan, so submitting these specs through a
-    runner (serial or parallel) reproduces ``repeat_strategy`` bit for bit.
+    The paper repeats tuning in the cloud "during different time
+    intervals": each spec follows :func:`repeat_seed_plan`, so it gets its
+    own interference realisation and a later campaign start.  With
+    ``vary_tuner_seed`` (the default) the tuner is re-seeded per repeat;
+    the stability experiment passes ``False`` to isolate the effect of the
+    environment's noise on the tuner's pick.  Run the specs through
+    :class:`~repro.campaigns.runner.CampaignRunner`, serial or parallel,
+    for the same records.
     """
-    from repro.experiments.protocol import repeat_seed_plan
-
     return [
         CampaignSpec(
             app=app_name,

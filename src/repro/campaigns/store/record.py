@@ -104,27 +104,6 @@ class CampaignRecord:
             raise ReproError(f"campaign {self.campaign_id} has no evaluation")
         return self.evaluation.cov_percent
 
-    def to_strategy_run(self):
-        """View this record as the protocol's :class:`StrategyRun`."""
-        from repro.experiments.protocol import StrategyRun
-
-        if not self.ok:
-            raise ReproError(
-                f"campaign {self.campaign_id} failed: {self.error}"
-            )
-        from repro.campaigns.spec import vm_display_name
-
-        return StrategyRun(
-            strategy=self.spec.strategy,
-            app_name=self.spec.app,
-            vm_name=vm_display_name(self.spec.vm),
-            evaluation=self.evaluation,
-            core_hours=self.core_hours,
-            tuning_seconds=self.tuning_seconds,
-            best_index=self.best_index,
-            tuning_result=self.result,
-        )
-
     def to_payload(self) -> dict:
         """One store entry's worth of plain JSON (inverse of :meth:`from_payload`)."""
         return jsonable(

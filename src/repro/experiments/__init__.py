@@ -12,6 +12,7 @@ from repro.experiments.format_power import (
     run_format_power,
 )
 from repro.experiments.headline import (
+    STRATEGY_NAMES,
     HeadlineResult,
     HeadlineRow,
     StabilityResult,
@@ -27,13 +28,6 @@ from repro.experiments.motivation import (
     run_fig1_left,
     run_fig1_right,
     run_fig2,
-)
-from repro.experiments.protocol import (
-    STRATEGY_NAMES,
-    StrategyRun,
-    repeat_seed_plan,
-    repeat_strategy,
-    run_strategy,
 )
 from repro.experiments.reporting import paper_vs_measured, render_table
 from repro.experiments.scenario_robustness import (
@@ -80,13 +74,10 @@ __all__ = [
     "StabilityResult",
     "StatisticalResult",
     "StatisticalRow",
-    "StrategyRun",
     "Table1Row",
     "VMSweepResult",
     "paper_vs_measured",
     "render_table",
-    "repeat_seed_plan",
-    "repeat_strategy",
     "run_ablations",
     "run_colocation_study",
     "run_fig1_left",
@@ -101,7 +92,6 @@ __all__ = [
     "run_shift_study",
     "run_stability",
     "run_statistical_comparison",
-    "run_strategy",
     "run_table1",
     "run_vm_sweep",
     "table1_grid",

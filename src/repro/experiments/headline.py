@@ -25,8 +25,18 @@ import numpy as np
 
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import repeat_specs, vm_to_field
+from repro.campaigns.store import CampaignRecord
 from repro.cloud.vm import DEFAULT_VM, VMSpec
-from repro.experiments.protocol import STRATEGY_NAMES, StrategyRun
+
+#: Strategies, in the order the paper's figures list them.
+STRATEGY_NAMES = (
+    "Optimal",
+    "DarwinGame",
+    "Exhaustive",
+    "BLISS",
+    "OpenTuner",
+    "ActiveHarmony",
+)
 
 _CACHE: Dict[tuple, "HeadlineResult"] = {}
 
@@ -67,7 +77,7 @@ class HeadlineResult:
 def _aggregate(
     app_name: str,
     strategy: str,
-    runs: Sequence[StrategyRun],
+    runs: Sequence[CampaignRecord],
     exhaustive_core_hours: float,
 ) -> HeadlineRow:
     times = np.array([r.mean_time for r in runs])
@@ -125,11 +135,12 @@ def run_headline(
                     vm=vm_to_field(vm), seed=seed,
                 )
             )
-    report = CampaignRunner(jobs=jobs).run(specs)
+    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
 
-    runs_by_cell: Dict[tuple, List[StrategyRun]] = {}
-    for record in report.strategy_runs():
-        runs_by_cell.setdefault((record.app_name, record.strategy), []).append(record)
+    runs_by_cell: Dict[tuple, List[CampaignRecord]] = {}
+    for record in records:
+        cell = (record.spec.app, record.spec.strategy)
+        runs_by_cell.setdefault(cell, []).append(record)
 
     rows: List[HeadlineRow] = []
     for app_name in app_names:
@@ -184,8 +195,8 @@ def run_stability(
         app_name, strategy, repeats=repeats, scale=scale, vm=vm_to_field(vm),
         seed=seed, vary_tuner_seed=False,
     )
-    runs = CampaignRunner(jobs=jobs).run(specs).strategy_runs()
-    picks = Counter(r.best_index for r in runs)
+    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
+    picks = Counter(r.best_index for r in records)
     return StabilityResult(
         app_name=app_name,
         strategy=strategy,

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.apps.model import ApplicationModel
+from repro.campaigns.runner import CampaignRunner, cached_application
+from repro.campaigns.spec import CampaignSpec, vm_to_field
 from repro.cloud.vm import DEFAULT_VM, VMSpec
-from repro.experiments.protocol import run_strategy
 
 #: Campaign start times: day 0, day 20, day 40 of the realisation.
 DEFAULT_EPOCHS: Tuple[float, float, float] = (0.0, 20 * 86400.0, 40 * 86400.0)
@@ -46,30 +46,45 @@ class InstabilityResult:
 
 
 def run_fig3(
-    app: ApplicationModel,
+    app_name: str = "redis",
     *,
+    scale: str = "bench",
     vm: VMSpec = DEFAULT_VM,
     seed: int = 0,
     epochs: Tuple[float, ...] = DEFAULT_EPOCHS,
     strategies: Tuple[str, ...] = FIG3_STRATEGIES,
 ) -> InstabilityResult:
-    """Run every strategy once per epoch and collect the Fig. 3 grid."""
+    """Run every strategy once per epoch and collect the Fig. 3 grid.
+
+    The k-th epoch's campaigns (k from 1) start at its time under
+    environment seed ``seed + k``; the (epoch x strategy) grid runs
+    through the campaign runner.
+    """
+    plan = [
+        (
+            f"T{e_num}",
+            CampaignSpec(
+                app=app_name, strategy=strategy, vm=vm_to_field(vm),
+                scale=scale, seed=seed + e_num, start_time=start,
+            ),
+        )
+        for e_num, start in enumerate(epochs, start=1)
+        for strategy in strategies
+    ]
+    report = CampaignRunner().run(spec for _, spec in plan)
     cells: List[InstabilityCell] = []
     choices: Dict[str, set] = {s: set() for s in strategies}
-    for e_num, start in enumerate(epochs, start=1):
-        for strategy in strategies:
-            run = run_strategy(
-                app, strategy, vm=vm, seed=seed + e_num, start_time=start
+    for (label, spec), record in zip(plan, report.raise_on_failure().records):
+        cells.append(
+            InstabilityCell(
+                strategy=spec.strategy,
+                epoch_label=label,
+                mean_time=record.mean_time,
+                best_index=record.best_index,
             )
-            cells.append(
-                InstabilityCell(
-                    strategy=strategy,
-                    epoch_label=f"T{e_num}",
-                    mean_time=run.mean_time,
-                    best_index=run.best_index,
-                )
-            )
-            choices[strategy].add(run.best_index)
+        )
+        choices[spec.strategy].add(record.best_index)
+    app = cached_application(app_name, scale)
     return InstabilityResult(
         app_name=app.name,
         cells=cells,

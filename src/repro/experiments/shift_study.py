@@ -19,11 +19,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.apps.registry import make_application
+from repro.campaigns.runner import CampaignRunner, cached_application
+from repro.campaigns.spec import CampaignSpec, vm_to_field
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.errors import ReproError
-from repro.experiments.protocol import run_strategy
 
 _CACHE: Dict[tuple, "ShiftStudyResult"] = {}
 
@@ -87,17 +87,29 @@ def run_shift_study(
     seed: int = 0,
     eval_runs: int = 100,
 ) -> ShiftStudyResult:
-    """Tune under the nominal profile; evaluate picks under shifted profiles."""
+    """Tune under the nominal profile; evaluate picks under shifted profiles.
+
+    Each strategy tunes in one campaign through the campaign runner; its
+    pick is then re-measured on VMs whose mean interference level is
+    raised by each shift.
+    """
     if not shifts or shifts[0] != 0.0:
         raise ReproError("shifts must start at 0.0 (the nominal baseline)")
     key = (app_name, strategies, shifts, scale, vm.name, seed, eval_runs)
     if key in _CACHE:
         return _CACHE[key]
 
-    app = make_application(app_name, scale=scale)
+    specs = [
+        CampaignSpec(
+            app=app_name, strategy=strategy, vm=vm_to_field(vm), scale=scale,
+            seed=seed,
+        )
+        for strategy in strategies
+    ]
+    records = CampaignRunner().run(specs).raise_on_failure().records
+    app = cached_application(app_name, scale)
     rows: List[ShiftRow] = []
-    for strategy in strategies:
-        tuned = run_strategy(app, strategy, vm=vm, seed=seed)
+    for strategy, tuned in zip(strategies, records):
         pick = tuned.best_index
         baseline = None
         for shift in shifts:

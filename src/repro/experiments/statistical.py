@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.campaigns.runner import CampaignRunner, cached_application
 from repro.campaigns.spec import repeat_specs, vm_to_field
+from repro.campaigns.store import CampaignRecord
 from repro.cloud.vm import DEFAULT_VM, VMSpec
-from repro.experiments.protocol import StrategyRun
 
 #: Strategy order of the Sec. 3.2 comparison.
 STATISTICAL_STRATEGIES = (
@@ -68,7 +68,7 @@ class StatisticalResult:
 def _aggregate(
     app_name: str,
     strategy: str,
-    runs: List[StrategyRun],
+    runs: List[CampaignRecord],
     optimal_time: float,
 ) -> StatisticalRow:
     times = np.array([r.mean_time for r in runs])
@@ -116,10 +116,11 @@ def run_statistical_comparison(
                     vm=vm_to_field(vm), seed=seed,
                 )
             )
-    report = CampaignRunner(jobs=jobs).run(specs)
-    runs_by_cell: Dict[tuple, List[StrategyRun]] = {}
-    for run in report.strategy_runs():
-        runs_by_cell.setdefault((run.app_name, run.strategy), []).append(run)
+    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
+    runs_by_cell: Dict[tuple, List[CampaignRecord]] = {}
+    for record in records:
+        cell = (record.spec.app, record.spec.strategy)
+        runs_by_cell.setdefault(cell, []).append(record)
 
     rows: List[StatisticalRow] = []
     for app_name in app_names:

@@ -74,20 +74,20 @@ def run_vm_sweep(
         )
         for vm_name in vm_names
     ]
-    runs = CampaignRunner(jobs=jobs).run(specs).strategy_runs()
+    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
     rows: List[VMSweepRow] = []
-    for vm_name, run in zip(vm_names, runs):
+    for vm_name, record in zip(vm_names, records):
         vm: VMSpec = PRESETS[vm_name]
-        gap = 100.0 * (run.mean_time - oracle) / oracle
+        gap = 100.0 * (record.mean_time - oracle) / oracle
         rows.append(
             VMSweepRow(
                 vm_name=vm_name,
                 vcpus=vm.vcpus,
                 oracle_time=oracle,
-                darwin_time=run.mean_time,
+                darwin_time=record.mean_time,
                 gap_percent=gap,
-                cov_percent=run.cov_percent,
-                core_hours=run.core_hours,
+                cov_percent=record.cov_percent,
+                core_hours=record.core_hours,
             )
         )
     return VMSweepResult(app_name=app_name, rows=rows)

@@ -83,6 +83,13 @@ class _HttpError(Exception):
         self.code = code
 
 
+def _refuse_constant(name: str):
+    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``, which
+    Python accepts but JSON does not: one in a request could make a retry
+    wait forever on the daemon's one executor thread."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _int_param(params: dict, name: str, default: Optional[int]) -> Optional[int]:
     values = params.get(name)
     if not values:
@@ -161,8 +168,10 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise _HttpError(400, "empty request body; expected JSON")
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.loads(
+                raw.decode("utf-8"), parse_constant=_refuse_constant
+            )
+        except ValueError as exc:  # bad UTF-8, bad JSON, NaN or ±Infinity
             raise _HttpError(400, f"request body is not valid JSON: {exc}")
         if not isinstance(payload, dict):
             raise _HttpError(400, "request body must be a JSON object")

@@ -20,6 +20,7 @@ in another process.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -286,13 +287,14 @@ def watch(
     cursor movement when the stream is a TTY (plain re-prints otherwise,
     so logs stay readable).  ``iterations`` bounds the loop for tests; the
     loop also ends on its own once the sweep is complete.  Returns the
-    last snapshot taken.  ``interval`` must be above 0: a zero period would
-    re-read the store in a busy loop.
+    last snapshot taken.  ``interval`` must be finite and above 0: a zero
+    period would re-read the store in a busy loop, and ``time.sleep``
+    cannot wait an infinite one.
     """
-    if not interval > 0:
+    if not (interval > 0 and math.isfinite(interval)):
         raise ReproError(
-            f"--watch interval must be above 0 seconds, got {interval} "
-            "(fix --interval)"
+            f"--watch interval must be a finite number above 0 seconds, "
+            f"got {interval} (fix --interval)"
         )
     stream = sys.stdout if stream is None else stream
     is_tty = bool(getattr(stream, "isatty", lambda: False)())

@@ -43,6 +43,18 @@ class TestValidateGrid:
         (dict(seeds=()), "at least one seed"),
         (dict(eval_runs=1), r"eval_runs must be >= 2, got 1 \(fix --eval-runs\)"),
         (dict(seeds=(0, -1)), r"seeds must be >= 0, got \[-1\] \(fix --seeds\)"),
+        (dict(apps=()), r"at least one entry in apps \(fix --apps\)"),
+        (dict(strategies=()),
+         r"at least one entry in strategies \(fix --strategies\)"),
+        (dict(vms=()), r"at least one entry in vms \(fix --vms\)"),
+        (dict(scenarios=()),
+         r"at least one entry in scenarios \(fix --scenarios\)"),
+        (dict(formats=(), strategies=("BLISS",)),
+         r"at least one entry in formats \(fix --formats\)"),
+        (dict(start_time_step=float("nan")), "start_time_step must be a finite"),
+        (dict(start_time_step=float("inf")), "start_time_step must be a finite"),
+        (dict(start_time_step=-1.0), "start_time_step must be a finite"),
+        (dict(seeds=(0, 1, 2), start_time_step=1e308), "infinite start time"),
     ])
     def test_each_axis_is_gated_before_dispatch(self, overrides, needle):
         with pytest.raises(ReproError, match=needle):
@@ -162,6 +174,53 @@ class TestWireFormat:
     def test_grid_round_trips_through_payload(self):
         grid = _grid(scenarios=("steady", "bursty"))
         assert api.grid_from_payload(grid.to_dict()) == grid
+
+    @pytest.mark.parametrize("key", [
+        "strategies", "vms", "seeds", "scenarios", "formats",
+    ])
+    def test_empty_axis_is_a_schema_error(self, key):
+        with pytest.raises(api.SchemaError, match=rf"\$\.grid\.{key}: needs"):
+            api.grid_from_payload({"apps": ["redis"], key: []})
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("schema, key", [
+        (api.GRID_SCHEMA, "start_time_step"),
+        (api.OPTIONS_SCHEMA, "backoff"),
+        (api.OPTIONS_SCHEMA, "task_timeout"),
+    ], ids=["start_time_step", "backoff", "task_timeout"])
+    def test_non_finite_float_is_no_number(self, schema, key, value):
+        """NaN would pass every ``minimum`` check, and +inf the ones it has."""
+        payload = {key: value}
+        if schema is api.GRID_SCHEMA:
+            payload["apps"] = ["redis"]
+        with pytest.raises(api.SchemaError, match=rf"{key}: expected number"):
+            api.validate_payload(payload, schema)
+
+    def test_wedging_request_is_refused(self):
+        """Accepted before: its second campaign failed on the negative start
+        time and the retry waited ``now + inf``, forever."""
+        grid = {"apps": ["redis"], "scale": "test", "seeds": [0, 1],
+                "start_time_step": -1e9, "eval_runs": 5}
+        with pytest.raises(api.SchemaError, match="below minimum 0"):
+            api.grid_from_payload(grid)
+        with pytest.raises(api.SchemaError, match="backoff: expected number"):
+            api.options_from_payload(
+                {"backoff": float("inf"), "jobs": 2, "max_retries": 1}
+            )
+
+    @pytest.mark.parametrize("fields, flag", [
+        (dict(backoff=float("inf")), "--backoff"),
+        (dict(backoff=float("nan")), "--backoff"),
+        (dict(backoff=-0.5), "--backoff"),
+        (dict(task_timeout=float("inf")), "--task-timeout"),
+        (dict(task_timeout=float("nan")), "--task-timeout"),
+    ], ids=["backoff-inf", "backoff-nan", "backoff-negative",
+            "task-timeout-inf", "task-timeout-nan"])
+    def test_sweep_options_need_finite_knobs(self, fields, flag):
+        with pytest.raises(ReproError, match=rf"finite.*\(fix {flag}\)"):
+            api.SweepOptions(**fields)
 
     def test_options_merge_over_defaults(self):
         defaults = api.SweepOptions(telemetry=True, jobs=4)

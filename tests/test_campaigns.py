@@ -16,7 +16,6 @@ from repro.campaigns import (
     summary_table,
 )
 from repro.errors import ReproError
-from repro.experiments.protocol import repeat_strategy
 from repro.experiments.table1 import table1_grid
 
 
@@ -69,7 +68,11 @@ class TestCampaignSpec:
         """A non-preset VMSpec must run like it did pre-campaign-layer."""
         from dataclasses import replace
 
-        from repro.campaigns.spec import vm_from_field, vm_to_field
+        from repro.campaigns.spec import (
+            vm_display_name,
+            vm_from_field,
+            vm_to_field,
+        )
         from repro.cloud.vm import PRESETS
 
         custom = replace(PRESETS["m5.8xlarge"], name="onprem-box")
@@ -81,7 +84,7 @@ class TestCampaignSpec:
         spec = CampaignSpec(app="redis", vm=field, scale="test", eval_runs=5)
         report = CampaignRunner(jobs=1).run([spec])
         assert report.records[0].ok
-        assert report.records[0].to_strategy_run().vm_name == "onprem-box"
+        assert vm_display_name(report.records[0].spec.vm) == "onprem-box"
 
 
 class TestCampaignGrid:
@@ -114,22 +117,31 @@ class TestRunnerSerial:
         assert all(r.evaluation is not None for r in serial_records)
         assert all(r.result is not None for r in serial_records)
 
-    def test_matches_repeat_strategy_protocol(self):
-        """Runner campaigns reproduce the protocol's repeat loop bit for bit."""
+    def test_matches_the_protocol_played_by_hand(self):
+        """Runner campaigns equal the protocol played step by step: a
+        fresh environment from the spec, the tuner, then the evaluation."""
         from repro.apps import make_application
+        from repro.campaigns.spec import vm_from_field
+        from repro.cloud import CloudEnvironment
+        from repro.tuners import BlissLike
 
         app = make_application("redis", scale="test")
-        direct = repeat_strategy(app, "BLISS", repeats=2, seed=4, eval_runs=10)
         specs = repeat_specs(
             "redis", "BLISS", repeats=2, scale="test", seed=4, eval_runs=10
         )
-        via_runner = CampaignRunner(jobs=1).run(specs).strategy_runs()
-        assert [r.best_index for r in via_runner] == [
-            r.best_index for r in direct
-        ]
-        assert [r.evaluation for r in via_runner] == [
-            r.evaluation for r in direct
-        ]
+        by_hand = []
+        for spec in specs:
+            env = CloudEnvironment(
+                vm_from_field(spec.vm), seed=spec.seed,
+                start_time=spec.start_time,
+            )
+            result = BlissLike(seed=spec.tuner_seed).tune(app, env)
+            by_hand.append((
+                result.best_index,
+                env.measure_choice(app, result.best_index, runs=spec.eval_runs),
+            ))
+        report = CampaignRunner(jobs=1).run(specs).raise_on_failure()
+        assert [(r.best_index, r.evaluation) for r in report.records] == by_hand
 
     def test_duplicate_specs_rejected(self):
         spec = CampaignSpec(app="redis", scale="test")

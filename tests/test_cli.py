@@ -224,9 +224,9 @@ class TestCommands:
         assert "GeneticAlgorithm on redis" in out
 
     def test_tune_save_archives_the_tuning_result(self, capsys, tmp_path):
+        from repro import CloudEnvironment, DarwinGame, DarwinGameConfig
         from repro.apps import make_application
         from repro.cloud.vm import PRESETS
-        from repro.experiments import run_strategy
 
         store = tmp_path / "tune.jsonl"
         assert main([
@@ -235,11 +235,10 @@ class TestCommands:
         ]) == 0
         (record,) = open_store(store).records()
         result = record.result
-        tuned = run_strategy(
-            make_application("redis", scale="test"), "DarwinGame",
-            vm=PRESETS["m5.8xlarge"], seed=1, scenario="steady",
-            tournament_format="darwin",
-        ).tuning_result
+        tuned = DarwinGame(DarwinGameConfig(seed=1)).tune(
+            make_application("redis", scale="test"),
+            CloudEnvironment(PRESETS["m5.8xlarge"], seed=1),
+        )
         assert result.evaluations == tuned.evaluations > 0
         assert result.details["regional"] == tuned.details["regional"]
 
@@ -278,12 +277,12 @@ class TestCommands:
     def test_failed_campaign_is_logged_and_exits_one(
         self, capsys, tmp_path, monkeypatch
     ):
-        import repro.experiments.protocol
+        import repro.campaigns.runner
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(repro.experiments.protocol, "run_strategy", boom)
+        monkeypatch.setattr(repro.campaigns.runner, "_run_protocol", boom)
         store = tmp_path / "tune.jsonl"
         code = main([
             "tune", "--app", "redis", "--scale", "test", "--save", str(store),
@@ -317,6 +316,35 @@ class TestCommands:
             main(["report", str(store), "--failures", "--by-format"])
         assert exited.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [
+        "apps", "strategies", "vms", "scenarios", "formats",
+    ])
+    def test_empty_axis_is_one_line_exit_two(self, axis, capsys, tmp_path):
+        """Before, ``--strategies ,`` stored a grid of 0 campaigns, printed
+        ``0/0 campaigns done`` and exited 0."""
+        store = tmp_path / "s.jsonl"
+        argv = ["sweep", "--apps", "redis", "--scale", "test",
+                "--strategies", "BLISS", "--store", str(store)]
+        line = _refused([*argv, f"--{axis}", ","], capsys)
+        assert line.endswith(f"(fix --{axis})")
+        assert not store.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_finite_backoff_is_one_line_exit_two(
+        self, value, jobs, capsys, tmp_path
+    ):
+        """Before, ``inf`` hung ``--jobs 2`` (a retry due at now + inf) and
+        ended ``--jobs 1`` in an OverflowError from ``time.sleep``."""
+        store = tmp_path / "s.jsonl"
+        line = _refused([
+            "sweep", "--apps", "redis", "--scale", "test", "--seeds", "0,1",
+            "--jobs", jobs, "--backoff", value, "--inject-faults",
+            "seed=1,rate=1.0,kinds=transient,max=1", "--store", str(store),
+        ], capsys)
+        assert line.endswith("(fix --backoff)")
+        assert not store.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "resume", "serve"])
     def test_negative_task_timeout_is_one_line_exit_two(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import make_application
+from repro.campaigns import CampaignSpec, execute_campaign
 from repro.experiments import (
     render_table,
     run_fig1_left,
@@ -13,7 +14,6 @@ from repro.experiments import (
     run_headline,
     run_sensitivity,
     run_stability,
-    run_strategy,
     run_table1,
     run_vm_sweep,
 )
@@ -25,22 +25,28 @@ def app():
     return make_application("redis", scale="test")
 
 
+def _campaign(strategy):
+    return execute_campaign(
+        CampaignSpec(app="redis", strategy=strategy, scale="test", seed=0)
+    )
+
+
 class TestProtocol:
     def test_optimal_strategy(self, app):
-        run = run_strategy(app, "Optimal", seed=0)
+        run = _campaign("Optimal")
         assert run.core_hours == 0.0
         assert run.mean_time == pytest.approx(app.optimal.true_time)
 
     def test_darwin_strategy(self, app):
-        run = run_strategy(app, "DarwinGame", seed=0)
+        run = _campaign("DarwinGame")
         assert run.core_hours > 0
         assert run.mean_time > app.optimal.true_time
 
     def test_unknown_strategy(self, app):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            run_strategy(app, "GPT-Tuner", seed=0)
+        """The runner isolates the bad name in a failed record that names
+        it; ``validate_grid`` refuses it up front on every entry point."""
+        run = _campaign("GPT-Tuner")
+        assert not run.ok and "'GPT-Tuner'" in run.error
 
 
 class TestMotivation:
@@ -65,7 +71,8 @@ class TestMotivation:
 class TestFig3:
     def test_instability_grid(self, app):
         result = run_fig3(
-            app,
+            "redis",
+            scale="test",
             seed=0,
             epochs=(0.0, 10 * 86400.0),
             strategies=("Optimal", "BLISS"),

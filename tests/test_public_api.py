@@ -1,6 +1,7 @@
 """The documented public API must stay importable: every package's ``__all__``."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -23,8 +24,9 @@ _REMOVED = {
     "repro.apps": ("ConstrainedApplication", "penalised_application"),
     "repro.cloud": ("simulate_colocated",),
     "repro.experiments": (
-        "evaluation_from_dict", "jsonable", "load_campaign", "save_campaign",
-        "tuning_result_from_dict",
+        "StrategyRun", "evaluation_from_dict", "jsonable", "load_campaign",
+        "protocol", "repeat_seed_plan", "repeat_strategy", "run_strategy",
+        "save_campaign", "tuning_result_from_dict",
     ),
     "repro.scenarios": ("DEFAULT_SCENARIO",),
     "repro.space": (
@@ -32,6 +34,13 @@ _REMOVED = {
         "requires", "sample_valid", "valid_fraction", "valid_mask",
     ),
     "repro.telemetry": ("profile_dir_for",),
+}
+
+#: Names deleted from a module that is not a package, or from a class.
+_REMOVED_MEMBERS = {
+    "repro.api": ("_StrategyNames", "_strategy_names"),
+    "repro.campaigns.runner:SweepReport": ("strategy_runs",),
+    "repro.campaigns.store.record:CampaignRecord": ("to_strategy_run",),
 }
 
 
@@ -45,6 +54,16 @@ class TestPublicApi:
             assert name not in module.__all__ and not hasattr(module, name), (
                 f"{package}.{name} was removed"
             )
+
+    def test_removed_members_stay_gone(self):
+        assert importlib.util.find_spec("repro.experiments.protocol") is None
+        for owner, names in _REMOVED_MEMBERS.items():
+            module, _, cls = owner.partition(":")
+            obj = importlib.import_module(module)
+            if cls:
+                obj = getattr(obj, cls)
+            for name in names:
+                assert not hasattr(obj, name), f"{owner}.{name} was removed"
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

@@ -232,6 +232,49 @@ class TestErrors:
         assert status == 400
         assert "$.grid.seeds[1]" in body["error"]
 
+    def test_empty_axis_is_400(self, service):
+        """Before, a grid of 0 campaigns was accepted with a 202."""
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps",
+            {"grid": dict(GRID, strategies=[])}, tenant="alice",
+        )
+        assert status == 400
+        assert "$.grid.strategies" in body["error"]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_400(self, service, constant):
+        """Python's JSON decoder takes these; an infinite backoff made a
+        retry wait forever on the one executor thread every job shares."""
+        body = (
+            '{"grid": {"apps": ["redis"], "scale": "test", "seeds": [0, 1], '
+            '"start_time_step": -1e9, "eval_runs": 5}, "options": '
+            f'{{"backoff": {constant}, "jobs": 2, "max_retries": 1}}}}'
+        )
+        request = urllib.request.Request(
+            f"{service.url}/v1/sweeps", method="POST",
+            data=body.encode("utf-8"),
+            headers={TENANT_HEADER: "alice"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30)
+        assert err.value.code == 400
+        assert f"{constant} is not a JSON number" in json.loads(
+            err.value.read()
+        )["error"]
+        assert _request("GET", f"{service.url}/healthz")[0] == 200
+
+    def test_over_long_integer_is_400(self, service):
+        """Python refuses to parse an integer literal over 4300 digits with
+        a bare ValueError, which the decoder let through as a 500."""
+        body = '{"grid": {"apps": ["redis"], "seeds": [%s]}}' % ("1" * 5000)
+        request = urllib.request.Request(
+            f"{service.url}/v1/sweeps", method="POST",
+            data=body.encode("utf-8"), headers={TENANT_HEADER: "alice"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30)
+        assert err.value.code == 400
+
     def test_not_json_is_400(self, service):
         request = urllib.request.Request(
             f"{service.url}/v1/sweeps", method="POST", data=b"not json",

@@ -383,6 +383,12 @@ class TestStatusView:
         with pytest.raises(ReproError, match="above 0"):
             watch(store.path, interval=0, iterations=2)
 
+    def test_watch_refuses_an_infinite_interval(self, tmp_path):
+        """``time.sleep(inf)`` raises OverflowError on an unfinished store."""
+        _, store, _ = self._synthetic_store(tmp_path, done=2)
+        with pytest.raises(ReproError, match="finite"):
+            watch(store.path, interval=float("inf"), iterations=2)
+
     def test_status_watch_negative_interval_is_one_line_exit_two(
         self, tmp_path, capsys
     ):
@@ -393,6 +399,20 @@ class TestStatusView:
         assert code == 2 and "Traceback" not in output
         lines = output.strip().splitlines()
         assert len(lines) == 1 and "--interval" in lines[0]
+
+    @pytest.mark.parametrize("interval", ["inf", "nan"])
+    def test_status_watch_non_finite_interval_is_one_line_exit_two(
+        self, tmp_path, capsys, interval
+    ):
+        _, store, _ = self._synthetic_store(tmp_path, done=2)
+        code = main(
+            ["status", str(store.path), "--watch", "--interval", interval]
+        )
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert code == 2 and "Traceback" not in output
+        lines = output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].endswith("(fix --interval)")
 
     def test_ewma_interval(self):
         assert ewma_interval([5.0]) is None
