@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Union
@@ -55,6 +56,7 @@ from repro.campaigns.report import (
     summarise_failures,
     summary_table,
 )
+from repro.campaigns.dispatch import MAX_RETRY_DELAY
 from repro.campaigns.runner import (
     SUPPORTED_STRATEGIES,
     CampaignRunner,
@@ -95,9 +97,25 @@ __all__ = [
 
 # -- grid validation ----------------------------------------------------
 
+#: Most evaluation executions a campaign may ask for: 100x the paper's 100.
+MAX_EVAL_RUNS = 10_000
+
+#: Latest simulated start time (s) a grid may give its last seed's
+#: campaign, about 32 years.  The interference walk a campaign reads is
+#: generated up to its start (and its evaluation runs, 6 h apart), so
+#: the bound keeps a campaign's time and memory bounded.
+MAX_START_TIME = 1e9
+
 
 def _unknown(names, known) -> list:
     return [n for n in names if n not in known]
+
+
+def _repeated(entries) -> list:
+    """Entries an axis names more than once, compared by value (a custom
+    VM's field dict by its fields)."""
+    counts = Counter(json.dumps(entry, sort_keys=True) for entry in entries)
+    return [json.loads(key) for key, count in counts.items() if count > 1]
 
 
 def _finite(value) -> bool:
@@ -119,18 +137,28 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
     (CLI, daemon, library) share; it raises :class:`~repro.errors.
     ReproError` with a one-line actionable message and returns the grid
     unchanged when everything is registered.  It also refuses an empty
-    axis, fewer than 2 evaluation runs, a negative seed, and a campaign
-    start time that is not a finite number >= 0.
+    axis, an axis naming one entry twice (the grid would enumerate one
+    campaign twice), fewer than 2 or more than :data:`MAX_EVAL_RUNS`
+    evaluation runs, a negative seed, a campaign start time that is not a
+    finite number >= 0, and a last start past :data:`MAX_START_TIME`.
     """
     from repro.formats.recipes import tournament_format_names
     from repro.scenarios import scenario_names
 
     # An empty axis enumerates no campaign: the sweep would "succeed"
-    # with nothing run.
+    # with nothing run.  A repeated entry enumerates its campaigns twice,
+    # which the runner refuses only once the job has started.
     for axis in ("apps", "strategies", "vms", "scenarios", "formats"):
-        if not getattr(grid, axis):
+        entries = getattr(grid, axis)
+        if not entries:
             raise ReproError(
                 f"a grid needs at least one entry in {axis} (fix --{axis})"
+            )
+        repeated = _repeated(entries)
+        if repeated:
+            raise ReproError(
+                f"{axis} names {repeated} more than once; each entry may "
+                f"appear once (fix --{axis})"
             )
     unknown = _unknown(grid.apps, APPLICATION_NAMES)
     if unknown:
@@ -172,22 +200,40 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
         raise ReproError(
             f"eval_runs must be >= 2, got {grid.eval_runs} (fix --eval-runs)"
         )
+    if grid.eval_runs > MAX_EVAL_RUNS:
+        raise ReproError(
+            f"eval_runs must be at most {MAX_EVAL_RUNS}, got "
+            f"{grid.eval_runs} (fix --eval-runs)"
+        )
     if not grid.seeds:
         raise ReproError("a grid needs at least one seed (fix --seeds)")
     negative = [seed for seed in grid.seeds if seed < 0]
     if negative:
         raise ReproError(f"seeds must be >= 0, got {negative} (fix --seeds)")
     # The k-th seed's campaign starts at k * start_time_step; every start
-    # must be a finite time at or after 0.
+    # must be a time in [0, MAX_START_TIME].  Repeated seeds are distinct
+    # campaigns only because their starts differ.
     step = grid.start_time_step
     if not (_finite(step) and step >= 0):
         raise ReproError(
             f"start_time_step must be a finite number >= 0, got {step}"
         )
-    if not math.isfinite(float(len(grid.seeds) - 1) * step):
+    last_start = float(len(grid.seeds) - 1) * step
+    if not last_start <= MAX_START_TIME:
+        when = (
+            "an infinite start time" if math.isinf(last_start)
+            else f"start time {last_start:.10g} s"
+        )
         raise ReproError(
             f"start_time_step {step} puts the last of {len(grid.seeds)} "
-            f"seeds' campaigns at an infinite start time"
+            f"seeds' campaigns at {when}, past the {MAX_START_TIME:.10g} s "
+            f"(about 32 years) limit (fix --seeds)"
+        )
+    repeated = _repeated(grid.seeds) if step == 0 else []
+    if repeated:
+        raise ReproError(
+            f"seeds names {repeated} more than once with start_time_step 0, "
+            f"so both start at the same time (fix --seeds)"
         )
     return grid
 
@@ -220,10 +266,13 @@ class SweepOptions:
 
     def __post_init__(self) -> None:
         # An infinite backoff never lets a retry come due, which wedges
-        # the dispatcher (and the service's one executor thread with it).
-        if not (_finite(self.backoff) and self.backoff >= 0):
+        # the dispatcher (and the service's one executor thread with it);
+        # every retry waits at most MAX_RETRY_DELAY, so a larger base is
+        # a typo.
+        if not 0 <= self.backoff <= MAX_RETRY_DELAY:
             raise ReproError(
-                f"backoff must be a finite number >= 0, got {self.backoff} "
+                f"backoff must be a finite number in "
+                f"[0, {MAX_RETRY_DELAY:g}] seconds, got {self.backoff} "
                 f"(fix --backoff)"
             )
         # The runner maps any timeout <= 0 to "off"; only 0 means that.
@@ -421,9 +470,10 @@ def submit_grid(
     re-submit the stored grid against the same store.
 
     The call returns a terminal :class:`JobHandle`.  The runner installs
-    process-global observability state while executing, so concurrent
-    *executing* jobs in one process must be serialised by the caller (the
-    service runs one executor).
+    the process-global telemetry emitter while executing (every other
+    sweep setting is an argument), so concurrent *executing* jobs in one
+    process must be serialised by the caller (the service runs one
+    executor).
     """
     options = options if options is not None else SweepOptions()
     validate_grid(grid)

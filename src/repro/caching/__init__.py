@@ -28,8 +28,6 @@ from repro.caching.app_cache import (
     ApplicationCache,
     clear_process_caches,
     process_app_cache,
-    process_surface_cache,
-    set_process_surface_cache,
 )
 from repro.caching.keys import CALIBRATION_VERSION, SurfaceKey, surface_key
 from repro.caching.surface_cache import (
@@ -55,7 +53,5 @@ __all__ = [
     "default_cache_dir",
     "grid_app_pairs",
     "process_app_cache",
-    "process_surface_cache",
-    "set_process_surface_cache",
     "surface_key",
 ]

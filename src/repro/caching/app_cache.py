@@ -1,4 +1,4 @@
-"""The in-memory application tier, and this process's cache handles.
+"""The in-memory application tier, and this process's instance of it.
 
 :class:`ApplicationCache` replaces the campaign runner's former ad-hoc
 module-global dict: a *bounded* LRU of built
@@ -7,11 +7,11 @@ module-global dict: a *bounded* LRU of built
 long-lived service processes cannot grow without limit and test fixtures
 can reset shared state between tests.
 
-The module also owns the two process-global handles the campaign stack
-shares: the application tier itself, and the optional
-:class:`~repro.caching.surface_cache.SurfaceCache` newly built applications
-are attached to (set by the runner / pool initializer before a sweep, so
-every worker starts hot).
+The module also owns the process's shared tier.  A surface cache is no
+process state: whoever builds an application passes the sweep's
+:class:`~repro.caching.surface_cache.SurfaceCache` to
+:meth:`~ApplicationCache.get` (the runner before its first campaign, and
+every dispatcher worker at bring-up, so every worker starts hot).
 """
 
 from __future__ import annotations
@@ -44,12 +44,15 @@ class ApplicationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, name: str, scale) -> ApplicationModel:
+    def get(
+        self, name: str, scale, cache: Optional[SurfaceCache] = None
+    ) -> ApplicationModel:
         """The shared application instance for ``(name, scale)``.
 
-        Built on first use via the registry — attached to the process's
-        surface cache if one is set — then served from memory, evicting the
-        least recently used entry beyond :attr:`maxsize`.
+        Built on first use via the registry — attached to ``cache`` if one
+        is given — then served from memory, evicting the least recently
+        used entry beyond :attr:`maxsize`.  A served entry keeps whatever
+        cache it was built with.
         """
         from repro.telemetry.events import counter as _telemetry_counter
 
@@ -65,7 +68,7 @@ class ApplicationCache:
         from repro.apps.registry import make_application
 
         _telemetry_counter("app_cache.miss", app=name)
-        app = make_application(name, scale=scale, cache=process_surface_cache())
+        app = make_application(name, scale=scale, cache=cache)
         self._entries[key] = app
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -80,35 +83,15 @@ class ApplicationCache:
 #: ``cached_application`` serves from).
 _PROCESS_APP_CACHE = ApplicationCache()
 
-#: The surface cache newly built applications attach to, if any.
-_PROCESS_SURFACE_CACHE: Optional[SurfaceCache] = None
-
 
 def process_app_cache() -> ApplicationCache:
     """This process's shared in-memory application tier."""
     return _PROCESS_APP_CACHE
 
 
-def process_surface_cache() -> Optional[SurfaceCache]:
-    """The process-wide surface cache handle (``None`` = caching disabled)."""
-    return _PROCESS_SURFACE_CACHE
-
-
-def set_process_surface_cache(cache: Optional[SurfaceCache]) -> None:
-    """Point this process at a surface cache (or detach with ``None``).
-
-    Only applications built *after* the call attach to the cache; the
-    runner sets it before building or warming anything.
-    """
-    global _PROCESS_SURFACE_CACHE
-    _PROCESS_SURFACE_CACHE = cache
-
-
 def clear_process_caches() -> None:
-    """Reset both process-global handles (the test-fixture hook).
+    """Drop every application of this process's tier (the test-fixture hook).
 
-    Drops every cached application and detaches the surface cache — disk
-    entries are left alone, they are validated on every open.
+    Disk entries are left alone; they are validated on every open.
     """
     _PROCESS_APP_CACHE.clear()
-    set_process_surface_cache(None)

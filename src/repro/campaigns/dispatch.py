@@ -37,6 +37,7 @@ see :meth:`repro.campaigns.store.CampaignRecord.stable_payload`).
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -68,6 +69,31 @@ LEASE_PENDING = "pending"
 LEASE_LEASED = "leased"
 LEASE_DONE = "done"
 LEASE_QUARANTINED = "quarantined"
+
+#: Seconds between a busy worker's heartbeats.
+HEARTBEAT_INTERVAL = 0.5
+
+#: Seconds of heartbeat silence after which a live-looking worker is
+#: treated as lost (ten missed beats, and never under five seconds).
+HEARTBEAT_GRACE = 5.0
+
+#: The longest any retry waits, in seconds: exponential backoff stops
+#: doubling here, so no retry budget can make a sweep wait for hours.
+MAX_RETRY_DELAY = 60.0
+
+
+def retry_delay(backoff: float, retry: int) -> float:
+    """Seconds retry ``retry`` (1-based) waits before it may run.
+
+    ``backoff * 2**(retry-1)``, at most :data:`MAX_RETRY_DELAY`; finite
+    for every ``retry``.  The one backoff formula: the ledger's re-queue,
+    the inline retry loop and the runner's store-append retries all take
+    their delays from here.
+    """
+    try:
+        return min(math.ldexp(backoff, retry - 1), MAX_RETRY_DELAY)
+    except OverflowError:  # the uncapped delay is past any float
+        return MAX_RETRY_DELAY
 
 
 def _pool_context(start_method: Optional[str] = None):
@@ -136,7 +162,8 @@ class TaskLedger:
         max_retries: re-executions granted after the first failed attempt;
             a campaign failing ``max_retries + 1`` times is quarantined.
         backoff: base of the exponential re-queue delay — retry *k* waits
-            ``backoff * 2**(k-1)`` seconds.
+            :func:`retry_delay` seconds, ``backoff * 2**(k-1)`` up to
+            :data:`MAX_RETRY_DELAY`.
     """
 
     def __init__(
@@ -249,7 +276,7 @@ class TaskLedger:
             self._journal("quarantined", record)
             return LEASE_QUARANTINED
         record.status = LEASE_PENDING
-        record.next_eligible = now + self.backoff * (2 ** (record.attempts - 1))
+        record.next_eligible = now + retry_delay(self.backoff, record.attempts)
         self._journal("requeued", record)
         return "retry"
 
@@ -333,7 +360,6 @@ def _dispatch_worker(
     conn,
     cache_dir: Optional[str],
     app_keys: Sequence[Tuple[str, object]],
-    heartbeat_interval: float,
     fault_plan,
     telemetry: bool = False,
     profile_dir: Optional[str] = None,
@@ -346,21 +372,17 @@ def _dispatch_worker(
     shutdown) or parent death (pipe EOF) ends the loop, so an EOF in the
     *parent* always means the worker died.
 
-    With ``telemetry`` on, the worker installs a
+    Every attempt gets the sweep's ``fault_plan`` and ``profile_dir`` as
+    arguments, and ``in_worker=True``: only here do process-killing faults
+    really kill.  With ``telemetry`` on, the worker installs a
     :class:`~repro.telemetry.events.PipeEmitter` over the same ``send``
     — its events ride the dispatch pipe home and the parent merges them
     into the one ``.telemetry`` sidecar, stamped with this worker's ID.
     """
     from repro.campaigns.runner import _worker_init, execute_campaign
-    from repro.faults import mark_dispatch_worker, set_active_fault_plan
     from repro.telemetry.events import PipeEmitter, set_emitter
-    from repro.telemetry.profiling import set_profile_dir
 
     _worker_init(cache_dir, app_keys)
-    set_active_fault_plan(fault_plan)
-    mark_dispatch_worker()
-    if profile_dir is not None:
-        set_profile_dir(profile_dir)
 
     send_lock = threading.Lock()
 
@@ -377,7 +399,7 @@ def _dispatch_worker(
     stop = threading.Event()
 
     def beat() -> None:
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             send(("heartbeat", worker_id))
 
     threading.Thread(target=beat, daemon=True, name="heartbeat").start()
@@ -391,7 +413,10 @@ def _dispatch_worker(
             break
         index, spec, attempt = task
         send(("started", worker_id, spec.campaign_id))
-        record = execute_campaign(spec, attempt=attempt)
+        record = execute_campaign(
+            spec, attempt=attempt, fault_plan=fault_plan,
+            profile_dir=profile_dir, in_worker=True,
+        )
         send(("result", worker_id, index, record))
     stop.set()
 
@@ -429,12 +454,12 @@ class Dispatcher:
         ledger: the (freshly constructed) lease ledger; owns retry policy.
         task_timeout: seconds a lease may run before the worker is presumed
             hung, killed, and the campaign re-queued (None/0 disables).
-        heartbeat_interval: how often workers beat; silence for
-            ``heartbeat_grace`` (default ``max(10x interval, 5 s)``) is
-            treated as a lost worker even if the process looks alive.
-        start_method / cache_dir / app_keys / fault_plan: worker bring-up —
-            same contract as the runner's pool initializer, plus the chaos
-            plan installed into every worker.
+            Workers beat every :data:`HEARTBEAT_INTERVAL` seconds; silence
+            for :data:`HEARTBEAT_GRACE` is treated as a lost worker even if
+            the process looks alive.
+        start_method / cache_dir / app_keys: worker bring-up — same
+            contract as the runner's pool initializer.
+        fault_plan / profile_dir: handed to every attempt a worker runs.
     """
 
     def __init__(
@@ -443,40 +468,26 @@ class Dispatcher:
         ledger: TaskLedger,
         *,
         task_timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.5,
-        heartbeat_grace: Optional[float] = None,
         start_method: Optional[str] = None,
         cache_dir: Optional[str] = None,
         app_keys: Sequence[Tuple[str, object]] = (),
         fault_plan=None,
         telemetry: bool = False,
         profile_dir: Optional[str] = None,
-        clock=time.monotonic,
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
         if task_timeout is not None and task_timeout <= 0:
             task_timeout = None
-        if heartbeat_interval <= 0:
-            raise ReproError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
-            )
         self.jobs = jobs
         self.ledger = ledger
         self.task_timeout = task_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_grace = (
-            heartbeat_grace
-            if heartbeat_grace is not None
-            else max(10.0 * heartbeat_interval, 5.0)
-        )
         self.start_method = start_method
         self.cache_dir = cache_dir
         self.app_keys = tuple(app_keys)
         self.fault_plan = fault_plan
         self.telemetry = telemetry
         self.profile_dir = profile_dir
-        self.clock = clock
         self._workers: Dict[int, _Worker] = {}
         self._next_wid = 0
         self._specs: Dict[str, Tuple[int, CampaignSpec]] = {}
@@ -502,9 +513,8 @@ class Dispatcher:
         self._ctx = _pool_context(self.start_method)
         try:
             while self.ledger.unfinished():
-                now = self.clock()
-                self._lease_eligible(now)
-                yield from self._poll(self.clock())
+                self._lease_eligible(time.monotonic())
+                yield from self._poll(time.monotonic())
         finally:
             self._shutdown()
 
@@ -521,7 +531,6 @@ class Dispatcher:
                 child_conn,
                 self.cache_dir,
                 self.app_keys,
-                self.heartbeat_interval,
                 self.fault_plan,
                 self.telemetry,
                 self.profile_dir,
@@ -582,7 +591,7 @@ class Dispatcher:
             if self.task_timeout is not None and record.leased_at is not None:
                 candidates.append(record.leased_at + self.task_timeout)
             if record.last_heartbeat is not None:
-                candidates.append(record.last_heartbeat + self.heartbeat_grace)
+                candidates.append(record.last_heartbeat + HEARTBEAT_GRACE)
         return min(0.25, max(0.02, min(candidates) - now))
 
     def _poll(self, now: float) -> List[Tuple[int, CampaignRecord]]:
@@ -624,7 +633,7 @@ class Dispatcher:
         message,
         outcomes: List[Tuple[int, CampaignRecord]],
     ) -> None:
-        now = self.clock()
+        now = time.monotonic()
         kind = message[0]
         if kind == "heartbeat":
             if worker.busy:
@@ -657,7 +666,7 @@ class Dispatcher:
     def _check_liveness(
         self, outcomes: List[Tuple[int, CampaignRecord]]
     ) -> None:
-        now = self.clock()
+        now = time.monotonic()
         for worker in list(self._workers.values()):
             if worker.wid not in self._workers:
                 continue
@@ -687,12 +696,12 @@ class Dispatcher:
                 )
             elif (
                 lease.last_heartbeat is not None
-                and now - lease.last_heartbeat > self.heartbeat_grace
+                and now - lease.last_heartbeat > HEARTBEAT_GRACE
             ):
                 self._expire(
                     worker,
                     worker_lost_message(
-                        f"(no heartbeat for {self.heartbeat_grace:.1f}s) "
+                        f"(no heartbeat for {HEARTBEAT_GRACE:.1f}s) "
                         f"while executing campaign {spec.campaign_id} "
                         f"(attempt {attempt})"
                     ),
@@ -712,7 +721,7 @@ class Dispatcher:
             pass
         worker.process.join(5)
         self._reap(worker)
-        outcomes.extend(self._release(worker, self.clock(), error))
+        outcomes.extend(self._release(worker, time.monotonic(), error))
 
     def _on_worker_lost(
         self, worker: _Worker, outcomes: List[Tuple[int, CampaignRecord]]
@@ -726,7 +735,7 @@ class Dispatcher:
             )
         self._reap(worker)
         outcomes.extend(
-            self._release(worker, self.clock(), worker_lost_message(context))
+            self._release(worker, time.monotonic(), worker_lost_message(context))
         )
 
     def _release(

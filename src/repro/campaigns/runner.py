@@ -29,7 +29,7 @@ Four guarantees hold:
   specs whose IDs are already stored as done are skipped, so an
   interrupted sweep continues where it stopped.
 
-Chaos testing rides the same machinery: install a seeded
+Chaos testing rides the same machinery: pass a seeded
 :class:`repro.faults.FaultPlan` (``fault_plan=`` here, ``--inject-faults``
 on the CLI) and chosen attempts crash/hang/fail deterministically — the
 converged store must match a fault-free run minus attempt metadata.
@@ -38,7 +38,6 @@ converged store must match a fault-free run minus attempt metadata.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import time
 import traceback as traceback_module
@@ -48,18 +47,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.caching import (
-    SurfaceCache,
-    grid_app_pairs,
-    process_app_cache,
-    process_surface_cache,
-    set_process_surface_cache,
-)
+from repro.caching import SurfaceCache, grid_app_pairs, process_app_cache
 from repro.campaigns.dispatch import (
+    MAX_RETRY_DELAY,
     Dispatcher,
     TaskLedger,
     _pool_context,
     quarantine_record,
+    retry_delay,
     worker_lost_message,
 )
 from repro.campaigns.spec import CampaignSpec, vm_from_field
@@ -76,7 +71,7 @@ from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
 from repro.core.tournament import DarwinGame
 from repro.errors import ReproError, RetryExhausted, WorkerLost
-from repro.faults import FaultPlan, active_fault_plan, maybe_inject, set_active_fault_plan
+from repro.faults import FaultPlan
 from repro.formats.recipes import tournament_format
 from repro.telemetry.events import (
     JsonlEmitter,
@@ -86,10 +81,7 @@ from repro.telemetry.events import (
     span as _telemetry_span,
     telemetry_enabled,
 )
-from repro.telemetry.profiling import (
-    CampaignProfiler,
-    set_profile_dir,
-)
+from repro.telemetry.profiling import CampaignProfiler
 from repro.tuners.active_harmony import ActiveHarmonyLike
 from repro.tuners.annealing import SimulatedAnnealingTuner
 from repro.tuners.bliss import BlissLike
@@ -119,8 +111,10 @@ def cached_application(name: str, scale):
     the expensive memoised tables are computed once, not twice.
 
     Served by the process's bounded :class:`repro.caching.ApplicationCache`
-    tier; when a surface cache is set (``sweep --cache-dir``), applications
-    built here start with their persisted surface tables attached.
+    tier.  A sweep with a surface cache (``sweep --cache-dir``) builds
+    every application it needs, attached to that cache, before its first
+    campaign, so the instances served here start with their persisted
+    surface tables.
     """
     return process_app_cache().get(name, scale)
 
@@ -133,10 +127,9 @@ def _worker_init(cache_dir: Optional[str], app_keys: Sequence[Tuple[str, object]
     surface tables, so even ``spawn`` workers begin their first campaign
     with fully memoised surfaces.
     """
-    if cache_dir is not None:
-        set_process_surface_cache(SurfaceCache(cache_dir))
+    cache = SurfaceCache(cache_dir) if cache_dir is not None else None
     for name, scale in app_keys:
-        cached_application(name, scale).load_cached_surfaces()
+        process_app_cache().get(name, scale, cache).load_cached_surfaces()
 
 
 def default_jobs() -> int:
@@ -242,25 +235,35 @@ def _run_protocol(spec: CampaignSpec, attempt: int) -> CampaignRecord:
     )
 
 
-def execute_campaign(spec: CampaignSpec, attempt: int = 1) -> CampaignRecord:
+def execute_campaign(
+    spec: CampaignSpec,
+    attempt: int = 1,
+    *,
+    fault_plan: Optional[FaultPlan] = None,
+    profile_dir: Optional[Union[str, Path]] = None,
+    in_worker: bool = False,
+) -> CampaignRecord:
     """Run one campaign attempt to its terminal record; never raises.
 
-    This is the single choke point every sweep goes through: consult the
-    fault plan (chaos runs), then play the protocol
-    (:func:`_run_protocol`).  Exceptions become ``"failed"`` records —
-    with the exception summary and a truncated traceback attached — so one
-    bad cell cannot take down a fleet.  ``attempt`` (1-based) is the
-    dispatcher's retry counter; it selects which injected fault fires and
-    is stamped on the record, and nothing else depends on it — an attempt's
-    *result* is a pure function of the spec.
+    This is the single choke point every sweep goes through: fire
+    ``fault_plan``'s fault for this attempt (chaos runs), then play the
+    protocol (:func:`_run_protocol`).  Exceptions become ``"failed"``
+    records — with the exception summary and a truncated traceback
+    attached — so one bad cell cannot take down a fleet.  ``attempt``
+    (1-based) is the dispatcher's retry counter; it selects which injected
+    fault fires and is stamped on the record, and nothing else depends on
+    it — an attempt's *result* is a pure function of the spec.
+    ``in_worker`` is true only in a dispatcher worker, the one place a
+    ``crash``/``sigkill``/``hang`` fault may kill or stall the process.
 
     Observability wraps the choke point rather than living inside it: the
     whole attempt runs under a ``campaign.execute`` telemetry span and —
-    when a profile directory is installed — a :mod:`cProfile` capture.
+    given a ``profile_dir`` — a :mod:`cProfile` capture dumped there.
     Both are no-ops unless an operator opted in, and neither can change
     the record.
     """
-    with CampaignProfiler(spec.campaign_id, attempt), _telemetry_span(
+    profiler = CampaignProfiler(profile_dir, spec.campaign_id, attempt)
+    with profiler, _telemetry_span(
         "campaign.execute",
         campaign=spec.campaign_id,
         attempt=attempt,
@@ -268,7 +271,10 @@ def execute_campaign(spec: CampaignSpec, attempt: int = 1) -> CampaignRecord:
         strategy=spec.strategy,
     ):
         try:
-            maybe_inject(spec.campaign_id, attempt)
+            if fault_plan is not None:
+                fault_plan.inject(
+                    spec.campaign_id, attempt, in_worker=in_worker
+                )
             return _run_protocol(spec, attempt)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             return CampaignRecord(
@@ -357,22 +363,24 @@ class CampaignRunner:
             the campaign is quarantined as ``"failed"`` and the sweep goes
             on without it.
         backoff: base of the exponential retry delay — retry *k* waits
-            ``backoff * 2**(k-1)`` seconds.
+            ``backoff * 2**(k-1)`` seconds, at most
+            :data:`~repro.campaigns.dispatch.MAX_RETRY_DELAY` (60 s); a
+            larger base is refused.
         task_timeout: seconds a leased campaign may run before its worker
             is presumed hung and killed (``None``/``0`` disables; only
             enforced on the parallel path — inline there is no second
             process to do the killing).
-        heartbeat_interval: how often dispatcher workers report liveness.
         fault_plan: optional :class:`repro.faults.FaultPlan` injecting
-            deterministic chaos into every attempt (installed inline and in
-            every worker; restored afterwards).
+            deterministic chaos into every attempt (passed to
+            :func:`execute_campaign` inline and in every worker).
         telemetry: record this sweep's event stream.  ``True`` journals to
             the store's ``.telemetry`` sidecar (requires a store); a path
             journals there explicitly.  Off (the default) the bus stays
             the no-op emitter — one flag check per instrumented site.
         profile: capture per-campaign :mod:`cProfile` stats.  ``True``
             dumps into the store's ``.profiles`` directory (requires a
-            store); a path dumps there explicitly.
+            store); a path dumps there explicitly.  The directory is
+            passed to every attempt, inline and in every worker.
     """
 
     def __init__(
@@ -385,7 +393,6 @@ class CampaignRunner:
         max_retries: int = 2,
         backoff: float = 0.1,
         task_timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.5,
         fault_plan: Optional[FaultPlan] = None,
         telemetry: Union[bool, str, Path] = False,
         profile: Union[bool, str, Path] = False,
@@ -394,9 +401,10 @@ class CampaignRunner:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
         if max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
-        if not (backoff >= 0 and math.isfinite(backoff)):
+        if not 0 <= backoff <= MAX_RETRY_DELAY:
             raise ReproError(
-                f"backoff must be a finite number >= 0, got {backoff}"
+                f"backoff must be a finite number in [0, {MAX_RETRY_DELAY:g}] "
+                f"seconds, got {backoff} (fix --backoff)"
             )
         self.jobs = jobs
         self.store = store
@@ -406,7 +414,6 @@ class CampaignRunner:
         self.max_retries = max_retries
         self.backoff = backoff
         self.task_timeout = task_timeout
-        self.heartbeat_interval = heartbeat_interval
         self.fault_plan = fault_plan
         self.telemetry_path = self._sidecar(
             telemetry, "telemetry", SIDECAR_TELEMETRY
@@ -451,25 +458,16 @@ class CampaignRunner:
             if self.store is not None
             else contextlib.nullcontext()
         )
-        previous_surface_cache = process_surface_cache()
-        previous_plan = active_fault_plan()
         retries = 0
-        # Bring the observability tiers up for this sweep (and only this
-        # sweep): the sidecar emitter and profile directory are installed
-        # here and restored on the way out, so nested/later runs in the
+        # The sidecar emitter is installed for this sweep (and only this
+        # sweep) and restored on the way out, so nested/later runs in the
         # same process see exactly what they configured themselves.
         sweep_emitter = None
         previous_emitter = None
-        previous_profile_dir = None
         if self.telemetry_path is not None:
             sweep_emitter = JsonlEmitter(self.telemetry_path)
             previous_emitter = set_emitter(sweep_emitter)
-        if self.profile_dir is not None:
-            previous_profile_dir = set_profile_dir(self.profile_dir)
         try:
-            # The plan must be live in this process for inline execution and
-            # parent-side store faults; dispatcher workers get their own copy.
-            set_active_fault_plan(self.fault_plan)
             with guard:
                 results: Dict[int, CampaignRecord] = {}
                 pending: List[Tuple[int, CampaignSpec]] = []
@@ -523,13 +521,6 @@ class CampaignRunner:
                     _telemetry_gauge("sweep.retries", float(retries))
                     _telemetry_counter("sweep.end", jobs=self.jobs)
         finally:
-            set_active_fault_plan(previous_plan)
-            # _warm_cache points the process at this sweep's surface cache;
-            # a later cacheless run in the same process must not inherit it.
-            if self.cache_dir is not None:
-                set_process_surface_cache(previous_surface_cache)
-            if self.profile_dir is not None:
-                set_profile_dir(previous_profile_dir)
             if sweep_emitter is not None:
                 set_emitter(previous_emitter)
                 sweep_emitter.close()
@@ -549,12 +540,15 @@ class CampaignRunner:
         Workers then only ever *read* the persisted tables (their pool
         initializer loads them), so the expensive first-touch computation
         happens at most once per machine rather than once per process.
+        Applications this process builds here are attached to the cache, and
+        inline campaigns are served these same instances.
         """
         cache = SurfaceCache(self.cache_dir)
-        set_process_surface_cache(cache)
         cache.warm(
             grid_app_pairs(pending_specs),
-            builder=lambda name, scale: process_app_cache().get(name, scale),
+            builder=lambda name, scale: process_app_cache().get(
+                name, scale, cache
+            ),
         )
 
     def _append_with_retry(self, record: CampaignRecord) -> None:
@@ -582,7 +576,7 @@ class CampaignRunner:
             except (OSError, ReproError):
                 if append_attempt == STORE_APPEND_ATTEMPTS:
                     raise
-                time.sleep(self.backoff * append_attempt)
+                time.sleep(retry_delay(self.backoff, append_attempt))
 
     def _execute(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         if not pending:
@@ -604,7 +598,10 @@ class CampaignRunner:
             attempt = 0
             while True:
                 attempt += 1
-                record = execute_campaign(spec, attempt=attempt)
+                record = execute_campaign(
+                    spec, attempt=attempt, fault_plan=self.fault_plan,
+                    profile_dir=self.profile_dir,
+                )
                 if record.ok:
                     yield index, record
                     break
@@ -612,7 +609,7 @@ class CampaignRunner:
                     yield index, quarantine_record(record)
                     break
                 if self.backoff > 0:
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+                    time.sleep(retry_delay(self.backoff, attempt))
 
     def _execute_dispatched(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
@@ -630,7 +627,6 @@ class CampaignRunner:
             min(self.jobs, len(pending)),
             ledger,
             task_timeout=self.task_timeout,
-            heartbeat_interval=self.heartbeat_interval,
             start_method=self.start_method,
             cache_dir=cache_dir,
             app_keys=app_keys,

@@ -596,8 +596,8 @@ def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backoff", type=float, default=0.1,
-        help="base of the exponential retry delay in seconds — retry k "
-             "waits backoff * 2**(k-1) (default: 0.1)",
+        help="base of the exponential retry delay in seconds, at most 60 "
+             "— retry k waits backoff * 2**(k-1), capped at 60 (default: 0.1)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=0.0,
@@ -722,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scale", default="bench", help="space scale preset")
     p_sweep.add_argument(
         "--eval-runs", type=int, default=100,
-        help="post-tuning evaluation executions per campaign (at least 2)",
+        help="post-tuning evaluation executions per campaign "
+             "(2 to 10000)",
     )
     p_sweep.add_argument(
         "--store", default="campaigns.jsonl",

@@ -116,12 +116,25 @@ class InterferenceProcess:
     _WALK_BLOCK = 1024
 
     def _extend_walk(self, bucket: int) -> None:
-        while bucket >= len(self._walk):
+        """Grow the walk table until it covers ``bucket``.
+
+        One draw and one scan per block, chained on the previous block's
+        last value, then a single concatenation, so reaching bucket ``b``
+        costs O(b).
+        """
+        if bucket < len(self._walk):
+            return
+        blocks = (bucket - len(self._walk)) // self._WALK_BLOCK + 1
+        state = float(self._walk[-1])
+        tails = []
+        for _ in range(blocks):
             steps = self._walk_rng.normal(
                 0.0, self.profile.drift_std, size=self._WALK_BLOCK
             )
-            tail = ar1_scan(self._WALK_RHO, float(self._walk[-1]), steps)
-            self._walk = np.concatenate([self._walk, tail])
+            tail = ar1_scan(self._WALK_RHO, state, steps)
+            state = float(tail[-1])
+            tails.append(tail)
+        self._walk = np.concatenate([self._walk, *tails])
 
     def epoch_mean(self, t) -> np.ndarray:
         """Deterministic-given-seed slow mean level at time(s) ``t`` (seconds)."""

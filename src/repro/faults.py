@@ -25,20 +25,20 @@ Fault kinds (``FaultPlan.kinds``):
   :class:`~repro.errors.CampaignTimeout` when the sleep ends.
 
 Process-killing kinds only actually kill inside dispatcher worker
-processes (marked via :func:`mark_dispatch_worker`); executed inline —
-``jobs=1`` or single-campaign sweeps — they degrade to a raised
-:class:`~repro.errors.FaultInjected` / :class:`~repro.errors.CampaignTimeout`
-so chaos plans stay runnable (and equally convergent) without a pool.
+processes (``in_worker=True``, which only the dispatcher's worker loop
+passes); executed inline — ``jobs=1`` or single-campaign sweeps — they
+degrade to a raised :class:`~repro.errors.FaultInjected` /
+:class:`~repro.errors.CampaignTimeout` so chaos plans stay runnable (and
+equally convergent) without a pool.
 
 Store-append faults are a separate stream (:attr:`FaultPlan.store_rate`):
 they fire in the *parent* while checkpointing a finished campaign, where
 the runner retries the append.
 
-The active plan is process-global (:func:`set_active_fault_plan`) so
+A plan is an argument, never process state: the runner hands its plan to
 :func:`repro.campaigns.runner.execute_campaign` — the single choke point
-every sweep goes through — can consult it without threading a parameter
-through every driver; the runner installs it in workers via the dispatcher
-and restores the previous plan when a sweep ends.
+every attempt goes through — inline and, through the dispatcher, in every
+worker, and that call fires it with :meth:`FaultPlan.inject`.
 """
 
 from __future__ import annotations
@@ -161,6 +161,58 @@ class FaultPlan:
         """Whether append attempt ``append_attempt`` (1-based) should fail."""
         return append_attempt <= self.store_faults_for(campaign_id)
 
+    # -- firing --------------------------------------------------------
+
+    def inject(
+        self, campaign_id: str, attempt: int, *, in_worker: bool
+    ) -> None:
+        """Fire this plan's fault for the attempt, if it schedules one.
+
+        Called by :func:`repro.campaigns.runner.execute_campaign` before any
+        real work, so a faulted attempt costs nothing but the fault itself.
+        ``crash``, ``sigkill`` and ``hang`` kill or stall the process only
+        when ``in_worker``; anywhere else they raise, so an inline chaos run
+        cannot take down the driving process.
+        """
+        kind = self.fault_for(campaign_id, attempt)
+        if kind is None:
+            return
+        # Counted before firing: a sigkill/crash fault never returns, and
+        # the injection itself is the fact the telemetry stream needs.
+        from repro.telemetry.events import counter as _telemetry_counter
+
+        _telemetry_counter(
+            "faults.injected", kind=kind, campaign=campaign_id, attempt=attempt
+        )
+        where = f"campaign {campaign_id}, attempt {attempt}"
+        if kind == "transient":
+            raise FaultInjected(f"injected transient failure ({where})")
+        if kind == "crash":
+            if in_worker:
+                os._exit(70)  # hard death: no record, no cleanup, pipe closes
+            raise FaultInjected(
+                f"injected worker crash, simulated inline ({where})"
+            )
+        if kind == "sigkill":
+            if in_worker:
+                os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(60)  # pragma: no cover - SIGKILL never returns
+            raise FaultInjected(
+                f"injected SIGKILL, simulated inline ({where})"
+            )
+        if kind == "hang":
+            if in_worker:
+                # With a task timeout the dispatcher kills us long before
+                # the sleep ends; without one, the attempt fails as a
+                # timeout so the sweep still converges instead of wedging.
+                time.sleep(self.hang_seconds)
+                raise CampaignTimeout(
+                    f"injected hang of {self.hang_seconds}s outlived the "
+                    f"sweep's patience ({where})"
+                )
+            raise CampaignTimeout(f"injected hang, simulated inline ({where})")
+        raise ReproError(f"unknown fault kind {kind!r}")  # pragma: no cover
+
     # -- CLI form ------------------------------------------------------
 
     @classmethod
@@ -208,81 +260,3 @@ class FaultPlan:
                     f"{['kinds', *keys]}"
                 )
         return cls(**kwargs)
-
-
-# -- process-global plumbing -------------------------------------------
-
-_ACTIVE_PLAN: Optional[FaultPlan] = None
-_IN_DISPATCH_WORKER = False
-
-
-def set_active_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install the process's fault plan; returns the previous one."""
-    global _ACTIVE_PLAN
-    previous = _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-    return previous
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    """The plan :func:`maybe_inject` currently consults (None = no chaos)."""
-    return _ACTIVE_PLAN
-
-
-def mark_dispatch_worker(flag: bool = True) -> None:
-    """Tell this process it is a dispatcher worker.
-
-    Only marked processes actually die for ``crash``/``sigkill`` faults;
-    anywhere else those kinds degrade to raised exceptions so an inline
-    chaos run cannot take down the driving process.
-    """
-    global _IN_DISPATCH_WORKER
-    _IN_DISPATCH_WORKER = flag
-
-
-def maybe_inject(campaign_id: str, attempt: int) -> None:
-    """Fire the active plan's fault for this attempt, if it schedules one.
-
-    Called by :func:`repro.campaigns.runner.execute_campaign` before any
-    real work, so a faulted attempt costs nothing but the fault itself.
-    """
-    plan = _ACTIVE_PLAN
-    if plan is None:
-        return
-    kind = plan.fault_for(campaign_id, attempt)
-    if kind is not None:
-        # Counted before _apply: a sigkill/crash fault never returns, and
-        # the injection itself is the fact the telemetry stream needs.
-        from repro.telemetry.events import counter as _telemetry_counter
-
-        _telemetry_counter(
-            "faults.injected", kind=kind, campaign=campaign_id, attempt=attempt
-        )
-        _apply(kind, plan, campaign_id, attempt)
-
-
-def _apply(kind: str, plan: FaultPlan, campaign_id: str, attempt: int) -> None:
-    where = f"campaign {campaign_id}, attempt {attempt}"
-    if kind == "transient":
-        raise FaultInjected(f"injected transient failure ({where})")
-    if kind == "crash":
-        if _IN_DISPATCH_WORKER:
-            os._exit(70)  # hard death: no record, no cleanup, pipe closes
-        raise FaultInjected(f"injected worker crash, simulated inline ({where})")
-    if kind == "sigkill":
-        if _IN_DISPATCH_WORKER:
-            os.kill(os.getpid(), signal.SIGKILL)
-            time.sleep(60)  # pragma: no cover - SIGKILL never returns
-        raise FaultInjected(f"injected SIGKILL, simulated inline ({where})")
-    if kind == "hang":
-        if _IN_DISPATCH_WORKER:
-            # With a task timeout the dispatcher kills us long before the
-            # sleep ends; without one, the attempt fails as a timeout so
-            # the sweep still converges instead of wedging forever.
-            time.sleep(plan.hang_seconds)
-            raise CampaignTimeout(
-                f"injected hang of {plan.hang_seconds}s outlived the sweep's "
-                f"patience ({where})"
-            )
-        raise CampaignTimeout(f"injected hang, simulated inline ({where})")
-    raise ReproError(f"unknown fault kind {kind!r}")  # pragma: no cover

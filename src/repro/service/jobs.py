@@ -10,9 +10,10 @@ is what makes the service a *warm* engine rather than a process farm:
   application LRU (:func:`repro.caching.process_app_cache`) and the
   configured surface cache stay hot across jobs and across tenants —
   the second tenant's sweep starts on surfaces the first tenant paid for;
-* the campaign runner's process-global observability state (emitter,
-  fault plan, profile dir) is installed and restored per sweep, which is
-  only safe when sweeps do not overlap in one process.
+* the campaign runner installs and restores the process-global telemetry
+  emitter per sweep, which is only safe when sweeps do not overlap in
+  one process (a sweep's fault plan, profile directory and surface cache
+  are arguments, not process state).
 
 Parallelism still happens *inside* a job (``options.jobs`` workers via the
 dispatcher), where it is crash-isolated and deterministic.

@@ -54,7 +54,6 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.log import configure_logging, get_logger, reset_logging
 from repro.telemetry.metrics import MetricsRegistry, render_store_metrics
-from repro.telemetry.profiling import profile_dir, set_profile_dir
 from repro.telemetry.status import (
     LiveProgress,
     StatusSnapshot,
@@ -80,14 +79,12 @@ __all__ = [
     "gauge",
     "get_logger",
     "iter_jsonl_payloads",
-    "profile_dir",
     "read_telemetry",
     "render_status",
     "render_store_metrics",
     "reset_logging",
     "reset_telemetry",
     "set_emitter",
-    "set_profile_dir",
     "sidecar_counts",
     "snapshot",
     "span",
@@ -100,13 +97,12 @@ def reset_telemetry() -> None:
     """Restore every process-global telemetry tier to its boot state.
 
     The sibling of :func:`repro.caching.clear_process_caches` for tests:
-    detaches the active emitter (closing it), drops any profile
-    directory, and de-configures CLI logging.
+    detaches the active emitter (closing it) and de-configures CLI
+    logging.
     """
-    from repro.telemetry import events, profiling
+    from repro.telemetry import events
 
     previous = events.set_emitter(events.NULL_EMITTER)
     if previous is not events.NULL_EMITTER:
         previous.close()
-    profiling.set_profile_dir(None)
     reset_logging()

@@ -11,11 +11,10 @@ def _fresh_process_caches():
     """Reset the process-global caching and telemetry tiers after every test.
 
     The campaign runner serves applications from a process-wide
-    :class:`repro.caching.ApplicationCache` and may attach a process-wide
-    surface cache; the telemetry layer keeps a process-wide emitter,
-    metrics registry, and profile directory.  Without this hook, state
-    (and tmp-dir cache/sidecar handles) would leak from one test into the
-    next.
+    :class:`repro.caching.ApplicationCache` (whose entries may hold a
+    tmp-dir surface cache); the telemetry layer keeps a process-wide
+    emitter and logging set-up.  Without this hook, that state would leak
+    from one test into the next.
     """
     yield
     clear_process_caches()

@@ -55,10 +55,49 @@ class TestValidateGrid:
         (dict(start_time_step=float("inf")), "start_time_step must be a finite"),
         (dict(start_time_step=-1.0), "start_time_step must be a finite"),
         (dict(seeds=(0, 1, 2), start_time_step=1e308), "infinite start time"),
+        # A repeated entry enumerates its campaigns twice; before, the
+        # grid validated and the runner refused it once the job had run.
+        (dict(apps=("redis", "redis")),
+         r"apps names \['redis'\] more than once.*\(fix --apps\)"),
+        (dict(strategies=("BLISS", "DarwinGame", "BLISS")),
+         r"strategies names \['BLISS'\].*\(fix --strategies\)"),
+        (dict(vms=("m5.large", "m5.large")),
+         r"vms names \['m5.large'\].*\(fix --vms\)"),
+        (dict(scenarios=("steady", "bursty", "steady")),
+         r"scenarios names \['steady'\].*\(fix --scenarios\)"),
+        (dict(formats=("darwin", "darwin")),
+         r"formats names \['darwin'\].*\(fix --formats\)"),
+        (dict(vms=({"name": "c", "vcpus": 8, "family": "m5"},
+                   {"family": "m5", "vcpus": 8, "name": "c"})),
+         r"vms names .* more than once.*\(fix --vms\)"),
+        (dict(seeds=(0, 1, 0), start_time_step=0.0),
+         r"seeds names \[0\] more than once.*\(fix --seeds\)"),
+        # How far a grid reaches into simulated time is bounded.
+        (dict(eval_runs=10_001),
+         r"eval_runs must be at most 10000, got 10001 \(fix --eval-runs\)"),
+        (dict(seeds=(0, 1), start_time_step=1e9 + 1),
+         r"start time 1000000001 s, past the 1000000000 s .* \(fix --seeds\)"),
+        (dict(seeds=tuple(range(3860))),
+         r"last of 3860 seeds.*start time 1000252800 s.*\(fix --seeds\)"),
     ])
     def test_each_axis_is_gated_before_dispatch(self, overrides, needle):
         with pytest.raises(ReproError, match=needle):
             api.validate_grid(_grid(**overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(seeds=(0, 0, 1)),
+        dict(eval_runs=10_000),
+        dict(seeds=(0, 1), start_time_step=1e9),
+        dict(seeds=tuple(range(3859))),
+    ], ids=["repeated-seeds", "most-eval-runs", "last-start-at-limit",
+            "most-default-seeds"])
+    def test_bounds_are_inclusive(self, overrides):
+        """Repeated seeds start at different times, so they are distinct
+        campaigns; each bound admits its own value."""
+        grid = _grid(**overrides)
+        assert api.validate_grid(grid) is grid
+        ids = [spec.campaign_id for spec in grid.specs()]
+        assert len(set(ids)) == len(ids) == grid.size
 
     def test_message_names_the_flag_to_fix(self):
         with pytest.raises(ReproError, match=r"\(fix --apps\)"):
@@ -216,8 +255,11 @@ class TestWireFormat:
         (dict(backoff=-0.5), "--backoff"),
         (dict(task_timeout=float("inf")), "--task-timeout"),
         (dict(task_timeout=float("nan")), "--task-timeout"),
+        (dict(backoff=60.001), "--backoff"),
+        (dict(backoff=1e300), "--backoff"),
     ], ids=["backoff-inf", "backoff-nan", "backoff-negative",
-            "task-timeout-inf", "task-timeout-nan"])
+            "task-timeout-inf", "task-timeout-nan", "backoff-over-60",
+            "backoff-1e300"])
     def test_sweep_options_need_finite_knobs(self, fields, flag):
         with pytest.raises(ReproError, match=rf"finite.*\(fix {flag}\)"):
             api.SweepOptions(**fields)

@@ -17,8 +17,6 @@ from repro.caching import (
     default_cache_dir,
     grid_app_pairs,
     process_app_cache,
-    process_surface_cache,
-    set_process_surface_cache,
     surface_key,
 )
 from repro.errors import ReproError
@@ -198,15 +196,16 @@ class TestApplicationCache:
         with pytest.raises(ReproError):
             ApplicationCache(maxsize=0)
 
-    def test_process_globals_reset_hook(self, tmp_path):
-        cache = SurfaceCache(tmp_path)
-        set_process_surface_cache(cache)
-        app = process_app_cache().get("redis", "test")
-        assert process_surface_cache() is cache
+    def test_process_globals_reset_hook(self, cache):
+        cache.warm([("redis", "test")])
+        app = process_app_cache().get("redis", "test", cache)
+        assert app.load_cached_surfaces()  # built attached to the cache
         assert app is process_app_cache().get("redis", "test")
         clear_process_caches()
-        assert process_surface_cache() is None
-        assert process_app_cache().get("redis", "test") is not app
+        assert len(process_app_cache()) == 0
+        rebuilt = process_app_cache().get("redis", "test")
+        assert rebuilt is not app
+        assert not rebuilt.load_cached_surfaces()  # no cache passed this time
 
 
 class TestGridAppPairs:

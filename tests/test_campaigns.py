@@ -289,13 +289,35 @@ class TestStoreLock:
 
 class TestSurfaceCacheDoesNotLeak:
     def test_cacheless_run_does_not_inherit_previous_cache(self, tmp_path):
-        from repro.caching import process_surface_cache
+        """A sweep's surface cache stays with that sweep: a later cacheless
+        sweep in the same process neither writes to it nor reads it."""
+        from repro.telemetry.events import BufferEmitter, set_emitter
 
-        spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
-        CampaignRunner(jobs=1, cache_dir=tmp_path / "surf").run([spec])
-        # The cached run must restore the previous (absent) handle, so a
-        # later explicitly-cacheless run builds cache-free applications.
-        assert process_surface_cache() is None
+        cache_dir = tmp_path / "surf"
+        CampaignRunner(jobs=1, cache_dir=cache_dir).run(
+            [CampaignSpec(app="redis", scale="test", eval_runs=5)]
+        )
+
+        def listing():
+            return sorted(
+                (path.name, path.stat().st_mtime_ns)
+                for path in cache_dir.iterdir()
+            )
+
+        before = listing()
+        assert before  # the cached sweep persisted redis's tables
+        events = BufferEmitter()
+        previous = set_emitter(events)
+        try:
+            CampaignRunner(jobs=1).run(
+                [CampaignSpec(app="gromacs", scale="test", eval_runs=5)]
+            )
+        finally:
+            set_emitter(previous)
+        assert listing() == before
+        names = {payload.get("name") for payload in events.payloads}
+        assert "app_cache.miss" in names  # gromacs was built in this process
+        assert not names & {"cache.hit", "cache.miss"}  # with no surface cache
 
 
 class TestStore:

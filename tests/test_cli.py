@@ -346,6 +346,42 @@ class TestCommands:
         assert line.endswith("(fix --backoff)")
         assert not store.exists()
 
+    @pytest.mark.parametrize("flags, hint", [
+        (["--apps", "redis,redis"], "--apps"),
+        (["--strategies", "BLISS,BLISS"], "--strategies"),
+        (["--vms", "m5.large,m5.large"], "--vms"),
+        (["--scenarios", "steady,steady"], "--scenarios"),
+        (["--formats", "darwin,darwin"], "--formats"),
+        (["--backoff", "1e300"], "--backoff"),
+        (["--backoff", "61"], "--backoff"),
+        (["--eval-runs", "100000"], "--eval-runs"),
+        (["--seeds", ",".join(map(str, range(3860)))], "--seeds"),
+    ], ids=["apps", "strategies", "vms", "scenarios", "formats",
+            "backoff-1e300", "backoff-61", "eval-runs", "seeds-reach"])
+    def test_repeated_entry_and_unbounded_reach_exit_two(
+        self, flags, hint, capsys, tmp_path
+    ):
+        """Before, a repeated entry failed inside the runner with no hint,
+        ``--backoff 1e300`` hung ``--jobs 2``, and the evaluation runs and
+        the last seed's start had no upper bound."""
+        store = tmp_path / "s.jsonl"
+        argv = ["sweep", "--apps", "redis", "--scale", "test", "--seeds",
+                "0,1", "--jobs", "2", "--inject-faults",
+                "seed=1,rate=1.0,kinds=transient,max=1", "--store", str(store)]
+        line = _refused([*argv, *flags], capsys)
+        assert line.endswith(f"(fix {hint})")
+        assert not store.exists()
+
+    def test_stored_grid_past_a_bound_does_not_resume(self, capsys, tmp_path):
+        store = tmp_path / "s.jsonl"
+        open_store(store).write_grid(
+            CampaignGrid(apps=("redis",), scale="test", eval_runs=20_000)
+        )
+        before = store.read_bytes()
+        line = _refused(["resume", str(store)], capsys)
+        assert line.endswith("(fix --eval-runs)")
+        assert store.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["sweep", "resume", "serve"])
     def test_negative_task_timeout_is_one_line_exit_two(
         self, command, capsys, tmp_path, monkeypatch

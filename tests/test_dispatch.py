@@ -16,7 +16,9 @@ from repro.campaigns.dispatch import (
     LEASE_DONE,
     LEASE_PENDING,
     LEASE_QUARANTINED,
+    MAX_RETRY_DELAY,
     quarantine_record,
+    retry_delay,
     worker_lost_message,
 )
 from repro.campaigns.store import SIDECAR_LEDGER, STATUS_FAILED, CampaignRecord
@@ -149,6 +151,55 @@ class TestTaskLedger:
         assert stamped.error.startswith("RetryExhausted: gave up after 3")
         assert "ValueError: boom" in stamped.error
         assert stamped.attempts == 3 and not stamped.ok
+
+
+class TestRetryDelay:
+    """Retry k waits backoff * 2**(k-1) seconds, never more than 60."""
+
+    def test_doubles_up_to_the_ceiling(self):
+        assert [retry_delay(0.5, k) for k in (1, 2, 3, 7)] == [
+            0.5, 1.0, 2.0, 32.0,
+        ]
+        assert retry_delay(0.5, 8) == MAX_RETRY_DELAY == 60.0
+        assert retry_delay(0.0, 10**6) == 0.0
+
+    @pytest.mark.parametrize("retry", [1025, 1100, 2000, 10**9])
+    def test_never_overflows(self, retry):
+        for backoff in (1e-300, 0.1, 60.0, 1e300):
+            assert retry_delay(backoff, retry) == MAX_RETRY_DELAY
+        # The smallest float doubles 1074 times to 1.0 and 1080 past 60.
+        assert retry_delay(5e-324, 1075) == 1.0
+        assert retry_delay(5e-324, retry + 80) == MAX_RETRY_DELAY
+
+    def test_ledger_requeue_at_attempt_40_is_due_within_60s(self):
+        """Before, attempt 40 came due 0.1 * 2**39 s (1.7 millennia) on."""
+        ledger = TaskLedger(["a"], max_retries=100, backoff=0.1)
+        for _ in range(40):
+            ledger.lease("a", worker=0, now=0.0)
+            ledger.requeue("a", "boom", now=0.0)
+        assert ledger.record("a").attempts == 40
+        assert ledger.next_eligible_at() == MAX_RETRY_DELAY
+        assert ledger.eligible(now=60.0) == ["a"]
+
+    def test_inline_retries_never_sleep_past_60s(self, monkeypatch):
+        """Before, 30 retries slept up to 0.1 * 2**29 s (1.7 years)."""
+        spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
+        plan = FaultPlan(targets={spec.campaign_id: ("transient",) * 30})
+        slept = []
+        monkeypatch.setattr(
+            "repro.campaigns.runner.time.sleep", slept.append
+        )
+        report = CampaignRunner(
+            jobs=1, max_retries=30, fault_plan=plan
+        ).run([spec])
+        assert report.records[0].ok and report.retries == 30
+        assert len(slept) == 30 and max(slept) == MAX_RETRY_DELAY
+        assert slept[:3] == [0.1, 0.2, 0.4]
+
+    @pytest.mark.parametrize("backoff", [60.5, 1e300])
+    def test_runner_refuses_a_backoff_past_the_ceiling(self, backoff):
+        with pytest.raises(ReproError, match=r"\(fix --backoff\)"):
+            CampaignRunner(backoff=backoff)
 
 
 class TestWorkerDeath:

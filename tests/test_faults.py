@@ -8,24 +8,7 @@ from hypothesis import strategies as st
 
 from repro.campaigns import CampaignRunner, CampaignSpec, execute_campaign
 from repro.errors import CampaignTimeout, FaultInjected, ReproError
-from repro.faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    active_fault_plan,
-    mark_dispatch_worker,
-    maybe_inject,
-    set_active_fault_plan,
-)
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """Every test starts and ends with no active plan and no worker flag."""
-    set_active_fault_plan(None)
-    mark_dispatch_worker(False)
-    yield
-    set_active_fault_plan(None)
-    mark_dispatch_worker(False)
+from repro.faults import FAULT_KINDS, FaultPlan
 
 
 class TestFaultPlan:
@@ -90,56 +73,47 @@ class TestFaultPlan:
 
 class TestInlineInjection:
     def test_no_plan_is_a_no_op(self):
-        assert active_fault_plan() is None
-        maybe_inject("c", 1)  # must not raise
+        """Like no plan at all (``execute_campaign``'s default), a plan
+        that schedules nothing for the attempt fires nothing, even in a
+        worker."""
+        FaultPlan(rate=0.0).inject("c", 1, in_worker=True)
+        FaultPlan(targets={}).inject("c", 1, in_worker=True)
 
     def test_transient_raises(self):
-        set_active_fault_plan(FaultPlan(targets={"c": ("transient",)}))
+        plan = FaultPlan(targets={"c": ("transient",)})
         with pytest.raises(FaultInjected, match="transient"):
-            maybe_inject("c", 1)
-        maybe_inject("c", 2)  # past the sequence
+            plan.inject("c", 1, in_worker=False)
+        plan.inject("c", 2, in_worker=False)  # past the sequence
 
     def test_crash_and_sigkill_degrade_inline(self):
         """Outside a dispatch worker the process-killers must not kill us."""
-        set_active_fault_plan(
-            FaultPlan(targets={"c": ("crash",), "k": ("sigkill",)})
-        )
+        plan = FaultPlan(targets={"c": ("crash",), "k": ("sigkill",)})
         with pytest.raises(FaultInjected, match="simulated inline"):
-            maybe_inject("c", 1)
+            plan.inject("c", 1, in_worker=False)
         with pytest.raises(FaultInjected, match="simulated inline"):
-            maybe_inject("k", 1)
+            plan.inject("k", 1, in_worker=False)
 
     def test_hang_degrades_to_immediate_timeout_inline(self):
-        set_active_fault_plan(
-            FaultPlan(targets={"c": ("hang",)}, hang_seconds=3600)
-        )
+        plan = FaultPlan(targets={"c": ("hang",)}, hang_seconds=3600)
         with pytest.raises(CampaignTimeout, match="simulated inline"):
-            maybe_inject("c", 1)  # returns immediately, no hour-long sleep
-
-    def test_set_returns_previous_plan(self):
-        first = FaultPlan(seed=1)
-        assert set_active_fault_plan(first) is None
-        assert set_active_fault_plan(None) is first
+            # Returns immediately, no hour-long sleep.
+            plan.inject("c", 1, in_worker=False)
 
 
 class TestExecuteCampaignUnderFaults:
     def test_faulted_attempt_fails_with_traceback(self):
         spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
-        set_active_fault_plan(
-            FaultPlan(targets={spec.campaign_id: ("transient",)})
-        )
-        record = execute_campaign(spec, attempt=1)
+        plan = FaultPlan(targets={spec.campaign_id: ("transient",)})
+        record = execute_campaign(spec, attempt=1, fault_plan=plan)
         assert not record.ok
         assert record.error.startswith("FaultInjected")
-        assert "maybe_inject" in record.traceback
+        assert ", in inject\n" in record.traceback
         assert record.attempts == 1
 
     def test_next_attempt_succeeds_and_counts(self):
         spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
-        set_active_fault_plan(
-            FaultPlan(targets={spec.campaign_id: ("transient",)})
-        )
-        record = execute_campaign(spec, attempt=2)
+        plan = FaultPlan(targets={spec.campaign_id: ("transient",)})
+        record = execute_campaign(spec, attempt=2, fault_plan=plan)
         assert record.ok and record.attempts == 2
 
 
@@ -192,9 +166,3 @@ class TestConvergence:
         report = CampaignRunner(jobs=1).run(specs)
         assert [r.attempts for r in report.records] == [1, 1]
         assert report.retries == 0
-
-    def test_runner_restores_previous_plan(self, specs):
-        sentinel = FaultPlan(seed=99, rate=0.0)
-        set_active_fault_plan(sentinel)
-        CampaignRunner(jobs=1, fault_plan=FaultPlan(rate=0.0)).run(specs[:1])
-        assert active_fault_plan() is sentinel

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cloud.interference import InterferenceProcess
+from repro.cloud.interference import InterferenceProcess, ar1_scan
 from repro.cloud.vm import PRESETS, make_profile
 from repro.errors import CloudError
 from repro.rng import ensure_rng
@@ -55,6 +55,34 @@ class TestEpochMean:
         ts = np.linspace(0, 120 * 86400, 20000)
         levels = p.epoch_mean(ts)
         assert levels.max() < 10 * p.profile.mean_level
+
+
+def _reference_walk(seed, bucket):
+    """The walk table covering ``bucket``, built one block per loop with a
+    copy of the whole table each time (the former O(bucket**2) way)."""
+    p = process(seed=seed)
+    walk = np.zeros(1)
+    while bucket >= len(walk):
+        steps = p._walk_rng.normal(
+            0.0, p.profile.drift_std, size=p._WALK_BLOCK
+        )
+        walk = np.concatenate([walk, ar1_scan(p._WALK_RHO, walk[-1], steps)])
+    return walk
+
+
+class TestWalkExtension:
+    @pytest.mark.parametrize("buckets", [
+        (1023,), (1024,), (1025,), (2048,),
+        (1, 1023, 1024, 1025, 2048), (2048, 1025, 1024, 1023, 1),
+        (1023, 5000), (5000, 1023),
+    ], ids=["1023", "1024", "1025", "2048", "near-first", "far-first",
+            "near-then-5000", "5000-then-near"])
+    def test_bit_identical_to_block_at_a_time(self, buckets):
+        p = process(seed=7)
+        for bucket in buckets:
+            p.epoch_mean(bucket * 3600.0)
+        reference = _reference_walk(7, max(buckets))
+        assert p._walk.tobytes() == reference.tobytes()
 
 
 class TestRunMeans:

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -33,7 +34,8 @@ _REMOVED = {
         "Constraint", "log_size", "partition_regions", "region_of",
         "requires", "sample_valid", "valid_fraction", "valid_mask",
     ),
-    "repro.telemetry": ("profile_dir_for",),
+    "repro.telemetry": ("profile_dir", "profile_dir_for", "set_profile_dir"),
+    "repro.caching": ("process_surface_cache", "set_process_surface_cache"),
 }
 
 #: Names deleted from a module that is not a package, or from a class.
@@ -41,6 +43,28 @@ _REMOVED_MEMBERS = {
     "repro.api": ("_StrategyNames", "_strategy_names"),
     "repro.campaigns.runner:SweepReport": ("strategy_runs",),
     "repro.campaigns.store.record:CampaignRecord": ("to_strategy_run",),
+    # A sweep's fault plan, profile directory and surface cache are
+    # arguments, not process state.
+    "repro.faults": (
+        "_ACTIVE_PLAN", "_IN_DISPATCH_WORKER", "active_fault_plan",
+        "mark_dispatch_worker", "maybe_inject", "set_active_fault_plan",
+    ),
+    "repro.telemetry.profiling": (
+        "_PROFILE_DIR", "profile_dir", "set_profile_dir",
+    ),
+    "repro.caching.app_cache": (
+        "_PROCESS_SURFACE_CACHE", "process_surface_cache",
+        "set_process_surface_cache",
+    ),
+}
+
+#: Parameters deleted from a callable: no caller set them.
+_REMOVED_PARAMETERS = {
+    "repro.campaigns.dispatch:Dispatcher": (
+        "heartbeat_interval", "heartbeat_grace", "clock",
+    ),
+    "repro.campaigns.dispatch:_dispatch_worker": ("heartbeat_interval",),
+    "repro.campaigns.runner:CampaignRunner": ("heartbeat_interval",),
 }
 
 
@@ -64,6 +88,16 @@ class TestPublicApi:
                 obj = getattr(obj, cls)
             for name in names:
                 assert not hasattr(obj, name), f"{owner}.{name} was removed"
+
+    def test_removed_parameters_stay_gone(self):
+        for owner, names in _REMOVED_PARAMETERS.items():
+            module, _, name = owner.partition(":")
+            target = getattr(importlib.import_module(module), name)
+            parameters = inspect.signature(target).parameters
+            for parameter in names:
+                assert parameter not in parameters, (
+                    f"{owner}({parameter}=) was removed"
+                )
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

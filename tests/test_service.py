@@ -241,6 +241,24 @@ class TestErrors:
         assert status == 400
         assert "$.grid.strategies" in body["error"]
 
+    @pytest.mark.parametrize("request_body, hint", [
+        ({"grid": dict(GRID, apps=["redis", "redis"])}, "(fix --apps)"),
+        ({"grid": dict(GRID, eval_runs=100_000)}, "(fix --eval-runs)"),
+        ({"grid": dict(GRID, start_time_step=1e9 + 1)}, "(fix --seeds)"),
+        ({"grid": GRID, "options": {"backoff": 1e300}}, "(fix --backoff)"),
+    ], ids=["repeated-app", "eval-runs", "last-start", "backoff"])
+    def test_repeated_entry_and_unbounded_reach_are_400(
+        self, service, request_body, hint
+    ):
+        """Before, a repeated app was accepted with a 202 and its job
+        failed on duplicate campaigns; the others had no upper bound."""
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps", request_body, tenant="alice",
+        )
+        assert status == 400
+        assert body["error"].endswith(hint)
+        assert not (service.config.data_root / "alice").exists()
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_is_400(self, service, constant):
         """Python's JSON decoder takes these; an infinite backoff made a
@@ -439,8 +457,8 @@ class TestBilling:
         first = manager.submit("alice", {"grid": GRID})
         execute = runner.execute_campaign
 
-        def cancel_after_first(spec, attempt=1):
-            record = execute(spec, attempt)
+        def cancel_after_first(spec, attempt=1, **settings):
+            record = execute(spec, attempt, **settings)
             first.handle.cancel()
             return record
 

@@ -482,17 +482,38 @@ class TestLoggingConfig:
         assert "regional phase" in capsys.readouterr().out
 
 
+def _assert_profiled(tmp_path, specs, clean_records, **runner_args):
+    """A profiled sweep stores the clean records and one loadable
+    ``.pstats`` file per campaign, named after it."""
+    store = CampaignStore(tmp_path / "p.jsonl")
+    report = CampaignRunner(store=store, profile=True, **runner_args).run(
+        specs
+    )
+    # Profiling must not perturb results either.
+    assert _full(report.records) == _full(clean_records)
+    directory = store.path.with_name(store.path.name + ".profiles")
+    files = sorted(directory.glob("*.pstats"))
+    assert [f.name for f in files] == sorted(
+        f"{spec.campaign_id}.attempt1.pstats" for spec in specs
+    )
+    for path in files:
+        assert pstats.Stats(str(path)).total_calls > 0
+
+
 class TestProfiling:
     def test_profile_writes_loadable_pstats(self, tmp_path, small_grid,
                                             clean_records):
-        store = CampaignStore(tmp_path / "p.jsonl")
-        report = CampaignRunner(jobs=1, store=store, profile=True).run(
-            small_grid.specs()
+        _assert_profiled(
+            tmp_path, list(small_grid.specs()), clean_records, jobs=1
         )
-        # Profiling must not perturb results either.
-        assert _full(report.records) == _full(clean_records)
-        files = sorted(store.path.with_name(
-            store.path.name + ".profiles").glob("*.pstats"))
-        assert len(files) == 2
-        stats = pstats.Stats(str(files[0]))
-        assert stats.total_calls > 0
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_dispatch_workers_write_loadable_pstats(
+        self, start_method, tmp_path, small_grid, clean_records
+    ):
+        """Workers get the profile directory with every attempt they run,
+        under either start method."""
+        _assert_profiled(
+            tmp_path, list(small_grid.specs()), clean_records,
+            jobs=2, start_method=start_method,
+        )
