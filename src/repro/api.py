@@ -56,7 +56,7 @@ from repro.campaigns.report import (
     summarise_failures,
     summary_table,
 )
-from repro.campaigns.dispatch import MAX_RETRY_DELAY
+from repro.campaigns.dispatch import MAX_JOBS, MAX_RETRY_DELAY
 from repro.campaigns.runner import (
     SUPPORTED_STRATEGIES,
     CampaignRunner,
@@ -265,6 +265,19 @@ class SweepOptions:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
+        # The dispatcher forks one worker per eligible campaign up to
+        # `jobs`; checked here, so `serve` refuses its defaults before it
+        # binds and a request's options get a 400 before any job queues.
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ReproError(
+                f"jobs must be in [1, {MAX_JOBS}], got {self.jobs} "
+                f"(fix --jobs)"
+            )
+        if self.max_retries < 0:
+            raise ReproError(
+                f"max_retries must be >= 0, got {self.max_retries} "
+                f"(fix --max-retries)"
+            )
         # An infinite backoff never lets a retry come due, which wedges
         # the dispatcher (and the service's one executor thread with it);
         # every retry waits at most MAX_RETRY_DELAY, so a larger base is
@@ -400,19 +413,22 @@ class JobHandle:
                 progress(finished, total, record)
 
         options = self.options
-        runner = CampaignRunner(
-            jobs=options.jobs,
-            store=self.store,
-            progress=checked_progress,
-            cache_dir=options.cache_dir,
-            max_retries=options.max_retries,
-            backoff=options.backoff,
-            task_timeout=options.task_timeout or None,
-            fault_plan=options.fault_plan,
-            telemetry=options.telemetry,
-            profile=options.profile,
-        )
         try:
+            # Built inside the try: a runner that refuses its options (a
+            # sidecar with no store, say) fails the job instead of leaving
+            # it `running` forever.
+            runner = CampaignRunner(
+                jobs=options.jobs,
+                store=self.store,
+                progress=checked_progress,
+                cache_dir=options.cache_dir,
+                max_retries=options.max_retries,
+                backoff=options.backoff,
+                task_timeout=options.task_timeout or None,
+                fault_plan=options.fault_plan,
+                telemetry=options.telemetry,
+                profile=options.profile,
+            )
             report = runner.run(self.grid.specs(), grid=self.grid)
         except JobCancelled as exc:
             with self._lock:

@@ -81,6 +81,12 @@ HEARTBEAT_GRACE = 5.0
 #: doubling here, so no retry budget can make a sweep wait for hours.
 MAX_RETRY_DELAY = 60.0
 
+#: The most worker processes one sweep may ask for.  The dispatcher forks
+#: one worker per eligible campaign up to ``jobs``, so an unbounded value
+#: lets one grid fork thousands; 256 is well above the largest preset VM
+#: (96 vCPUs) and any host this code runs on.
+MAX_JOBS = 256
+
 
 def retry_delay(backoff: float, retry: int) -> float:
     """Seconds retry ``retry`` (1-based) waits before it may run.

@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.caching import SurfaceCache, grid_app_pairs, process_app_cache
 from repro.campaigns.dispatch import (
+    MAX_JOBS,
     MAX_RETRY_DELAY,
     Dispatcher,
     TaskLedger,
@@ -341,7 +342,8 @@ class CampaignRunner:
     """Executes campaign fleets; the scheduling layer every sweep uses.
 
     Args:
-        jobs: worker processes; ``1`` executes inline (no pool).
+        jobs: worker processes; ``1`` executes inline (no pool).  At
+            most :data:`~repro.campaigns.dispatch.MAX_JOBS` (256).
         store: optional checkpoint
             :class:`~repro.campaigns.store.jsonl.CampaignStore`; enables
             skip-done resume and per-campaign durability.  The runner
@@ -397,8 +399,10 @@ class CampaignRunner:
         telemetry: Union[bool, str, Path] = False,
         profile: Union[bool, str, Path] = False,
     ):
-        if jobs < 1:
-            raise ReproError(f"jobs must be >= 1, got {jobs}")
+        if not 1 <= jobs <= MAX_JOBS:
+            raise ReproError(
+                f"jobs must be in [1, {MAX_JOBS}], got {jobs} (fix --jobs)"
+            )
         if max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
         if not 0 <= backoff <= MAX_RETRY_DELAY:

@@ -48,6 +48,7 @@ from repro.apps.registry import APPLICATION_NAMES
 from repro.apps.scaling import level_cap
 from repro.caching import SurfaceCache, default_cache_dir
 from repro.campaigns import CampaignGrid, open_store
+from repro.campaigns.dispatch import MAX_JOBS
 from repro.campaigns.runner import cached_application
 from repro.campaigns.store import SIDECAR_PROFILES, SIDECAR_TELEMETRY
 from repro.cloud.vm import PRESETS
@@ -551,7 +552,8 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
     """The worker-pool and cache knobs every executing command shares
     (sweep, resume, serve)."""
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes"
+        "--jobs", type=int, default=1,
+        help=f"parallel worker processes, 1 to {MAX_JOBS} (default: 1)",
     )
     parser.add_argument(
         "--cache-dir", default="",

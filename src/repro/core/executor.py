@@ -46,7 +46,7 @@ from repro.formats.match import RecordedMatch
 from repro.formats.round_robin import RoundRobin
 from repro.formats.scheduler import Round
 from repro.formats.single_elimination import SingleElimination
-from repro.formats.swiss import StreakSwiss, StreakSwissRun
+from repro.formats.swiss import StreakSwiss
 from repro.space.regions import Region
 from repro.telemetry.events import emit_event, telemetry_enabled
 from repro.types import GameOutcome
@@ -248,16 +248,15 @@ class MatchExecutor:
                 f"need one rng per region, got {len(rngs)} for {len(regions)}"
             )
         cfg = self.config
-        swiss = StreakSwiss(
-            players_per_game=cfg.game_width(self.env.vm.vcpus),
-            win_streak=cfg.regional_win_streak,
-            max_rounds=cfg.max_regional_rounds,
-            swiss_style=cfg.swiss_style,
-        )
+        players_per_game = cfg.game_width(self.env.vm.vcpus)
         runs = [
-            swiss.schedule(
+            StreakSwiss(
                 region,
                 rng,
+                players_per_game=players_per_game,
+                win_streak=cfg.regional_win_streak,
+                max_rounds=cfg.max_regional_rounds,
+                swiss_style=cfg.swiss_style,
                 scores=self.records.mean_execution_scores,
                 on_assign=functools.partial(
                     self.records.assign_region, region_id=region.region_id
@@ -288,7 +287,7 @@ class MatchExecutor:
         ]
 
     def _regional_result(
-        self, region: Region, run: StreakSwissRun, elapsed: float
+        self, region: Region, run: StreakSwiss, elapsed: float
     ) -> RegionalResult:
         if run.lone is not None:
             return RegionalResult(
@@ -343,6 +342,8 @@ class MatchExecutor:
             zip(entrants, self.records.region_ids(entrants).tolist())
         ).__getitem__
         run = GroupedDoubleElimination(
+            entrants,
+            rng,
             players_per_game=cfg.game_width(self.env.vm.vcpus),
             target=cfg.main_bracket_target,
             double_elimination=cfg.double_elimination,
@@ -352,7 +353,7 @@ class MatchExecutor:
                 use_execution=cfg.use_execution_score,
                 use_consistency=cfg.use_consistency_score,
             ),
-        ).schedule(entrants, rng)
+        )
         while (round_ := run.pairings()) is not None:
             in_groups = run.stage == "groups"
             reports = self.play(
@@ -420,24 +421,22 @@ class MatchExecutor:
         fmt = self.config.recipe().playoffs
         if fmt == "barrage":
             # The paper's playoffs seat at most four qualifiers (Sec. 3.5).
-            run = Barrage(
-                repechage=self.config.barrage_playoffs
-            ).schedule(seeded[:4])
+            run = Barrage(seeded[:4], repechage=self.config.barrage_playoffs)
             while (round_ := run.pairings()) is not None:
                 run.advance(play(round_))
             finalists = run.result().finalists
         elif fmt == "single_elimination":
-            run = SingleElimination().schedule(seeded)
+            run = SingleElimination(seeded)
             while len(run.alive) > 2:
                 run.advance(play(run.pairings()))
             finalists = tuple(run.alive)
         elif fmt == "double_elimination":
-            run = DoubleElimination().schedule(seeded)
+            run = DoubleElimination(seeded)
             while run.in_brackets:
                 run.advance(play(run.pairings()))
             finalists = run.finalists
         elif fmt == "round_robin":
-            run = RoundRobin().schedule(seeded)
+            run = RoundRobin(seeded)
             while (round_ := run.pairings()) is not None:
                 run.advance(play(round_))
             finalists = run.result().standings[:2]

@@ -29,11 +29,18 @@ from repro.errors import ReproError
 from repro.formats.double_elimination import DoubleElimination
 from repro.formats.match import NoisyStrengthOracle
 from repro.formats.round_robin import RoundRobin
+from repro.formats.scheduler import run_schedule
 from repro.formats.single_elimination import SingleElimination
 from repro.formats.swiss import SwissSystem
 from repro.rng import SeedLike, ensure_rng
 
-FORMAT_NAMES = ("SingleElim", "DoubleElim", "Swiss", "RoundRobin")
+_FORMATS = {
+    "SingleElim": SingleElimination,
+    "DoubleElim": DoubleElimination,
+    "Swiss": SwissSystem,
+    "RoundRobin": RoundRobin,
+}
+FORMAT_NAMES = tuple(_FORMATS)
 
 
 @dataclass(frozen=True)
@@ -67,15 +74,9 @@ class FormatPowerResult:
 
 
 def _run_format(name: str, players: Sequence[int], oracle: NoisyStrengthOracle) -> int:
-    if name == "SingleElim":
-        return SingleElimination().run(players, oracle).winner
-    if name == "DoubleElim":
-        return DoubleElimination().run(players, oracle).winner
-    if name == "Swiss":
-        return SwissSystem().run(players, oracle).winner
-    if name == "RoundRobin":
-        return RoundRobin().run(players, oracle).winner
-    raise ReproError(f"unknown format {name!r}; available: {FORMAT_NAMES}")
+    if name not in _FORMATS:
+        raise ReproError(f"unknown format {name!r}; available: {FORMAT_NAMES}")
+    return run_schedule(_FORMATS[name](players), oracle).result().winner
 
 
 def _run_trial_chunk(args: tuple) -> Dict[tuple, Tuple[int, int, int]]:

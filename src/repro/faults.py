@@ -44,6 +44,7 @@ worker, and that call fires it with :meth:`FaultPlan.inject`.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import signal
@@ -80,7 +81,8 @@ class FaultPlan:
         kinds: execution-fault kinds to draw from (see :data:`FAULT_KINDS`).
         max_faults: faults per chosen campaign before it succeeds — a sweep
             with ``max_retries >= max_faults`` always converges.
-        hang_seconds: how long a ``"hang"`` fault sleeps in a worker.
+        hang_seconds: how long a ``"hang"`` fault sleeps in a worker; a
+            finite number of seconds.
         store_rate: fraction of campaigns whose *first* store append fails
             (a separate stream from the execution faults).
         targets: explicit per-campaign fault sequences, overriding the
@@ -110,9 +112,12 @@ class FaultPlan:
                 raise ReproError(f"{name} must be in [0, 1], got {value}")
         if self.max_faults < 0:
             raise ReproError(f"max_faults must be >= 0, got {self.max_faults}")
-        if self.hang_seconds < 0:
+        # `time.sleep` raises at once on inf (OverflowError) and nan
+        # (ValueError), so such a "hang" would fail instead of hanging.
+        if not (math.isfinite(self.hang_seconds) and self.hang_seconds >= 0):
             raise ReproError(
-                f"hang_seconds must be >= 0, got {self.hang_seconds}"
+                f"hang_seconds must be a finite number >= 0, "
+                f"got {self.hang_seconds}"
             )
         if self.targets is not None:
             bad = [

@@ -3,9 +3,11 @@
 DarwinGame's phases (Sec. 3) are built from three classic playing styles —
 Swiss, double elimination, and barrage — and the paper grounds its choices
 in the tournament-design literature (its refs. [26, 35, 44, 58, 64]).  This
-package provides those formats as *schedulers* over abstract player ids:
-pure state machines that emit rounds of matches and ingest results, with no
-opinion about how a match is decided (see :mod:`repro.formats.scheduler`).
+package provides those formats as *schedulers* over abstract player ids.
+Each format is one class, built from its players (or its region pool) and
+its settings: a pure state machine that emits rounds of matches and ingests
+results, with no opinion about how a match is decided (see
+:mod:`repro.formats.scheduler`).
 
 One set of schedulers serves every consumer:
 
@@ -14,22 +16,22 @@ One set of schedulers serves every consumer:
   scores, early termination, and core-hour accounting — to run the actual
   tuner, under any registered :class:`~repro.formats.recipes.TournamentRecipe`;
 * :mod:`repro.experiments.format_power` drives the very same state machines
-  with a noisy-strength :class:`~repro.formats.match.MatchOracle` to measure
-  each format's predictive power, reproducing the style of analysis the
-  paper cites when motivating its phase structure.
+  with a noisy-strength :class:`~repro.formats.match.MatchOracle` through
+  :func:`~repro.formats.scheduler.run_schedule` —
+  ``run_schedule(SwissSystem(players), oracle).result()`` — to measure each
+  format's predictive power, reproducing the style of analysis the paper
+  cites when motivating its phase structure.
 
 There is no separate clean-room implementation anywhere: what the studies
 measure is what the tuner plays.
 """
 
-from repro.formats.barrage import Barrage, BarrageResult, BarrageRun
+from repro.formats.barrage import Barrage, BarrageResult
 from repro.formats.double_elimination import (
     DoubleElimination,
     DoubleEliminationResult,
-    DoubleEliminationRun,
     GroupedDoubleElimination,
     GroupedDoubleEliminationResult,
-    GroupedDoubleEliminationRun,
     form_groups,
 )
 from repro.formats.match import MatchOracle, NoisyStrengthOracle, RecordedMatch
@@ -42,7 +44,7 @@ from repro.formats.recipes import (
     tournament_format,
     tournament_format_names,
 )
-from repro.formats.round_robin import RoundRobin, RoundRobinResult, RoundRobinRun
+from repro.formats.round_robin import RoundRobin, RoundRobinResult
 from repro.formats.scheduler import (
     Match,
     PlayerPool,
@@ -53,27 +55,17 @@ from repro.formats.scheduler import (
 from repro.formats.single_elimination import (
     SingleElimination,
     SingleEliminationResult,
-    SingleEliminationRun,
 )
-from repro.formats.swiss import (
-    StreakSwiss,
-    StreakSwissRun,
-    SwissResult,
-    SwissSystem,
-    SwissSystemRun,
-)
+from repro.formats.swiss import StreakSwiss, SwissResult, SwissSystem
 
 __all__ = [
     "Barrage",
     "BarrageResult",
-    "BarrageRun",
     "DEFAULT_FORMAT",
     "DoubleElimination",
     "DoubleEliminationResult",
-    "DoubleEliminationRun",
     "GroupedDoubleElimination",
     "GroupedDoubleEliminationResult",
-    "GroupedDoubleEliminationRun",
     "Match",
     "MatchOracle",
     "NoisyStrengthOracle",
@@ -83,16 +75,12 @@ __all__ = [
     "Round",
     "RoundRobin",
     "RoundRobinResult",
-    "RoundRobinRun",
     "ScheduledRun",
     "SingleElimination",
     "SingleEliminationResult",
-    "SingleEliminationRun",
     "StreakSwiss",
-    "StreakSwissRun",
     "SwissResult",
     "SwissSystem",
-    "SwissSystemRun",
     "TOURNAMENT_FORMAT_NAMES",
     "TournamentRecipe",
     "form_groups",

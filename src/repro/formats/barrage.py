@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.formats.match import MatchOracle
 from repro.formats.scheduler import (
     Match,
     Round,
     RunLog,
-    run_schedule,
     validated_players,
 )
 
@@ -44,11 +42,16 @@ class BarrageResult:
     games: int
 
 
-class BarrageRun:
-    """State machine of one seeded barrage stage.
+class Barrage:
+    """One seeded barrage stage producing (up to) two finalists.
 
     ``players`` must be ordered by seeding (best first).  For two players,
     both are finalists and no game is played (the final itself decides).
+
+    Args:
+        players: the seeded entrants, best first.
+        repechage: give the top-half losers their barrage second chance
+            (the format's namesake); ``False`` degrades to a knockout.
     """
 
     _STAGE_HALVES = "halves"
@@ -57,7 +60,7 @@ class BarrageRun:
     _STAGE_REDUCE_FIRST = "reduce_first"
     _STAGE_DONE = "done"
 
-    def __init__(self, players: Sequence[int], repechage: bool) -> None:
+    def __init__(self, players: Sequence[int], repechage: bool = True) -> None:
         self.seeds = validated_players(players, minimum=2, what="barrage")
         self.repechage = repechage
         self.log = RunLog()
@@ -209,22 +212,3 @@ class BarrageRun:
             eliminated=tuple(self.eliminated),
             games=self.log.games,
         )
-
-
-class Barrage:
-    """Seeded barrage stage producing (up to) two finalists.
-
-    Args:
-        repechage: give the top-half losers their barrage second chance
-            (the format's namesake); ``False`` degrades to a knockout.
-    """
-
-    def __init__(self, repechage: bool = True) -> None:
-        self.repechage = repechage
-
-    def schedule(self, players: Sequence[int]) -> BarrageRun:
-        return BarrageRun(players, self.repechage)
-
-    def run(self, players: Sequence[int], oracle: MatchOracle) -> BarrageResult:
-        """Play a whole barrage stage through a match oracle."""
-        return run_schedule(self.schedule(players), oracle).result()

@@ -6,7 +6,8 @@ the loser-bracket survivor meets the main-bracket winner in the grand
 final.  This is the format of DarwinGame's global phase (Sec. 3.4) — a
 promising configuration is not knocked out by "one bad day".
 
-Two schedulers share the idea:
+Two schedulers share the idea, each one class built from its entrants and
+its settings:
 
 * :class:`DoubleElimination` — the textbook pairwise two-bracket knockout
   with a (resettable) grand final.
@@ -26,13 +27,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ReproError
-from repro.formats.match import MatchOracle, RecordedMatch
+from repro.formats.match import RecordedMatch
 from repro.formats.scheduler import (
     Match,
     Round,
     RunLog,
     pair_off,
-    run_schedule,
     validated_players,
 )
 
@@ -49,8 +49,8 @@ class DoubleEliminationResult:
     grand_final_needed_reset: bool
 
 
-class DoubleEliminationRun:
-    """State machine of the two-bracket knockout.
+class DoubleElimination:
+    """One two-bracket knockout over ``players``.
 
     In the grand final the main-bracket champion has never lost; if the
     loser-bracket champion beats them, both have one loss and a deciding
@@ -192,19 +192,6 @@ class DoubleEliminationRun:
         )
 
 
-class DoubleElimination:
-    """The stateless format recipe; ``schedule`` opens one bracket run."""
-
-    def schedule(self, players: Sequence[int]) -> DoubleEliminationRun:
-        return DoubleEliminationRun(players)
-
-    def run(
-        self, players: Sequence[int], oracle: MatchOracle
-    ) -> DoubleEliminationResult:
-        """Play a whole double-elimination bracket through a match oracle."""
-        return run_schedule(self.schedule(players), oracle).result()
-
-
 @dataclass(frozen=True)
 class GroupedDoubleEliminationResult:
     """Outcome of a grouped double-elimination run (DarwinGame global phase)."""
@@ -247,12 +234,25 @@ def form_groups(
     return [g for g in groups if g]
 
 
-class GroupedDoubleEliminationRun:
-    """State machine of the multi-player grouped double elimination.
+class GroupedDoubleElimination:
+    """One multi-player grouped double elimination (DarwinGame's global phase).
 
     Group winners are decided by the *executor* (DarwinGame judges by the
     joint execution/consistency rank criterion, Fig. 7) and arrive here as
     each match's ``ranking[0]``; the scheduler owns only who meets whom.
+
+    Args:
+        entrants: the players entering the main bracket.
+        rng: draws the rotation of each group deal.
+        players_per_game: seats per group game.
+        target: stop once the main bracket holds this many players.
+        double_elimination: with ``False`` there is no loser pool and no
+            wild card (the paper's "w/o double eli." ablation).
+        group_key: maps a player id to its diversity key (source region);
+            players sharing a key are spread across groups.
+        seed_order: ranks a list of players (best first, returning positions
+            into the list) — used to seat the best losers in the wild-card
+            game.  Defaults to entry order.
     """
 
     _STAGE_GROUPS = "groups"
@@ -261,19 +261,33 @@ class GroupedDoubleEliminationRun:
 
     def __init__(
         self,
-        format_: "GroupedDoubleElimination",
         entrants: Sequence[int],
         rng: np.random.Generator,
+        *,
+        players_per_game: int,
+        target: int,
+        double_elimination: bool = True,
+        group_key: Optional[Callable[[int], int]] = None,
+        seed_order: Optional[Callable[[Sequence[int]], Sequence[int]]] = None,
     ) -> None:
+        if players_per_game < 2:
+            raise ReproError(
+                f"players_per_game must be >= 2, got {players_per_game}"
+            )
+        if target < 1:
+            raise ReproError(f"target must be >= 1, got {target}")
         self.main: List[int] = list(dict.fromkeys(int(p) for p in entrants))
         if not self.main:
             raise ReproError("grouped double elimination needs at least one entrant")
         self.rng = rng
-        self.target = format_.target
-        self.players_per_game = format_.players_per_game
-        self.double_elimination = format_.double_elimination
-        self.group_key = format_.group_key
-        self.seed_order = format_.seed_order
+        self.target = target
+        self.players_per_game = players_per_game
+        self.double_elimination = double_elimination
+        self.group_key = group_key if group_key is not None else (lambda p: 0)
+        self.seed_order = (
+            seed_order if seed_order is not None
+            else (lambda players: list(range(len(players))))
+        )
         self.losers: List[int] = []
         self.wildcard = -1
         self.rounds = 0
@@ -377,57 +391,3 @@ class GroupedDoubleEliminationRun:
             games=self.games,
             loser_bracket_size=len(set(self.losers)),
         )
-
-
-class GroupedDoubleElimination:
-    """DarwinGame's global-phase shape as a reusable format recipe.
-
-    Args:
-        players_per_game: seats per group game.
-        target: stop once the main bracket holds this many players.
-        double_elimination: with ``False`` there is no loser pool and no
-            wild card (the paper's "w/o double eli." ablation).
-        group_key: maps a player id to its diversity key (source region);
-            players sharing a key are spread across groups.
-        seed_order: ranks a list of players (best first, returning positions
-            into the list) — used to seat the best losers in the wild-card
-            game.  Defaults to entry order.
-    """
-
-    def __init__(
-        self,
-        *,
-        players_per_game: int,
-        target: int,
-        double_elimination: bool = True,
-        group_key: Optional[Callable[[int], int]] = None,
-        seed_order: Optional[Callable[[Sequence[int]], Sequence[int]]] = None,
-    ) -> None:
-        if players_per_game < 2:
-            raise ReproError(
-                f"players_per_game must be >= 2, got {players_per_game}"
-            )
-        if target < 1:
-            raise ReproError(f"target must be >= 1, got {target}")
-        self.players_per_game = players_per_game
-        self.target = target
-        self.double_elimination = double_elimination
-        self.group_key = group_key if group_key is not None else (lambda p: 0)
-        self.seed_order = (
-            seed_order if seed_order is not None
-            else (lambda players: list(range(len(players))))
-        )
-
-    def schedule(
-        self, entrants: Sequence[int], rng: np.random.Generator
-    ) -> GroupedDoubleEliminationRun:
-        return GroupedDoubleEliminationRun(self, entrants, rng)
-
-    def run(
-        self,
-        entrants: Sequence[int],
-        rng: np.random.Generator,
-        oracle: MatchOracle,
-    ) -> GroupedDoubleEliminationResult:
-        """Play a whole grouped bracket through a match oracle."""
-        return run_schedule(self.schedule(entrants, rng), oracle).result()

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.formats.match import MatchOracle
 from repro.formats.scheduler import (
     Match,
     Round,
     RunLog,
-    run_schedule,
     validated_players,
 )
 
@@ -40,18 +38,24 @@ class RoundRobinResult:
         return self.standings[0]
 
 
-class RoundRobinRun:
-    """State machine: all pairs, ``rounds`` times over."""
+class RoundRobin:
+    """One round-robin: all pairs, ``rounds`` times over; standings by wins.
 
-    def __init__(self, players: Sequence[int], repetitions: int) -> None:
+    Ties in win count break deterministically by head-to-head result where
+    one exists, else by player id (stable and reproducible).
+    """
+
+    def __init__(self, players: Sequence[int], rounds: int = 1) -> None:
+        if rounds < 1:
+            raise ReproError(f"rounds must be >= 1, got {rounds}")
         self.ids = validated_players(players, minimum=2, what="round-robin")
         self.wins: Dict[int, int] = {p: 0 for p in self.ids}
         self.head_to_head: Dict[Tuple[int, int], int] = {}
         self.log = RunLog()
-        self.repetitions = repetitions
+        self.repetitions = rounds
         self._pairs = [
             (a, b)
-            for _ in range(repetitions)
+            for _ in range(rounds)
             for i, a in enumerate(self.ids)
             for b in self.ids[i + 1:]
         ]
@@ -89,23 +93,3 @@ class RoundRobinRun:
         return RoundRobinResult(
             standings=tuple(standings), wins=self.wins, games=self.log.games
         )
-
-
-class RoundRobin:
-    """All-pairs schedule, standings by win count.
-
-    Ties in win count break deterministically by head-to-head result where
-    one exists, else by player id (stable and reproducible).
-    """
-
-    def __init__(self, rounds: int = 1) -> None:
-        if rounds < 1:
-            raise ReproError(f"rounds must be >= 1, got {rounds}")
-        self.rounds = rounds
-
-    def schedule(self, players: Sequence[int]) -> RoundRobinRun:
-        return RoundRobinRun(players, self.rounds)
-
-    def run(self, players: Sequence[int], oracle: MatchOracle) -> RoundRobinResult:
-        """Play a whole round-robin through a match oracle."""
-        return run_schedule(self.schedule(players), oracle).result()

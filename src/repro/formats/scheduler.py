@@ -2,12 +2,12 @@
 
 A *format* (Swiss, double elimination, barrage, ...) is pure scheduling
 logic: given what has happened so far, which groups of players should meet
-next?  A format object is a stateless recipe; calling :meth:`~Format.
-schedule` opens a :class:`ScheduledRun` — an incremental state machine that
-emits one :class:`Round` of :class:`Match` es at a time and ingests the
-outcomes as :class:`~repro.formats.match.RecordedMatch` es:
+next?  Each format is one class, built from its players and its settings:
+a :class:`ScheduledRun` — an incremental state machine that emits one
+:class:`Round` of :class:`Match` es at a time and ingests the outcomes as
+:class:`~repro.formats.match.RecordedMatch` es:
 
-    run = SwissSystem(rounds=3).schedule(players)
+    run = SwissSystem(players, rounds=3)
     while (round_ := run.pairings()) is not None:
         results = [play(match.players) for match in round_.matches]
         run.advance(results)

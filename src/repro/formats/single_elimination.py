@@ -3,8 +3,8 @@
 The cheapest knockout format (``n - 1`` games for ``n`` players) and the
 most fragile under noise — one unlucky game eliminates the strongest player.
 Included as the baseline that motivates double elimination (Sec. 3.4's
-"one bad day" argument), and available as a playoff format recipe for the
-unified tournament engine.
+"one bad day" argument), and available as a playoff format of the unified
+tournament engine.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.formats.match import MatchOracle
 from repro.formats.scheduler import (
     Match,
     Round,
     RunLog,
     pair_off,
-    run_schedule,
     validated_players,
 )
 
@@ -33,8 +31,11 @@ class SingleEliminationResult:
     byes: int
 
 
-class SingleEliminationRun:
-    """State machine: pair off survivors each round; odd player out byes."""
+class SingleElimination:
+    """One knockout bracket over ``players``.
+
+    Survivors pair off each round; the odd player out byes.
+    """
 
     def __init__(self, players: Sequence[int]) -> None:
         self.alive: List[int] = validated_players(
@@ -77,16 +78,3 @@ class SingleEliminationRun:
             games=self.log.games,
             byes=self.byes,
         )
-
-
-class SingleElimination:
-    """The stateless format recipe; ``schedule`` opens one bracket run."""
-
-    def schedule(self, players: Sequence[int]) -> SingleEliminationRun:
-        return SingleEliminationRun(players)
-
-    def run(
-        self, players: Sequence[int], oracle: MatchOracle
-    ) -> SingleEliminationResult:
-        """Play a whole bracket through a match oracle (reference executor)."""
-        return run_schedule(self.schedule(players), oracle).result()

@@ -17,9 +17,12 @@ Two schedulers share this module:
   one player has won consecutively "more than one time" (the champion),
   when the pool of new players is exhausted, or when the round cap is hit.
 
-Both are pure schedulers over abstract player ids: they emit rounds and
-ingest results, and the same state machines are driven by the match-oracle
-executor (format studies) and by the cloud-game executor (the real tuner).
+Each is one class, built from its players (``SwissSystem``) or its region
+pool (``StreakSwiss``) and its settings: a pure scheduler over abstract
+player ids that emits rounds and ingests results.  The same objects are
+driven by the match-oracle executor (format studies, through
+:func:`~repro.formats.scheduler.run_schedule`) and by the cloud-game
+executor (the real tuner).
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ReproError
-from repro.formats.match import MatchOracle
 from repro.formats.scheduler import (
     Match,
     PlayerPool,
     Round,
     RunLog,
-    run_schedule,
     validated_players,
 )
 
@@ -56,12 +57,24 @@ class SwissResult:
         return self.standings[0]
 
 
-class SwissSystemRun:
-    """State machine of one Swiss-system tournament."""
+class SwissSystem:
+    """One Swiss-system tournament: score-group pairing for fixed rounds.
 
-    def __init__(self, players: Sequence[int], n_rounds: int) -> None:
+    Args:
+        players: the entrants' ids.
+        rounds: number of Swiss rounds; ``None`` uses ``ceil(log2(n))``,
+            the conventional minimum for a unique leader.
+    """
+
+    def __init__(
+        self, players: Sequence[int], rounds: Optional[int] = None
+    ) -> None:
+        if rounds is not None and rounds < 1:
+            raise ReproError(f"rounds must be >= 1, got {rounds}")
         self.ids = validated_players(players, minimum=2, what="a Swiss tournament")
-        self.n_rounds = n_rounds
+        if rounds is None:
+            rounds = max(1, (len(self.ids) - 1).bit_length())
+        self.n_rounds = rounds
         self.scores: Dict[int, float] = {p: 0.0 for p in self.ids}
         self.met: Set[Tuple[int, int]] = set()
         self.log = RunLog()
@@ -132,51 +145,48 @@ class SwissSystemRun:
         return pairs, bye
 
 
-class SwissSystem:
-    """Score-group pairing for a fixed number of rounds.
-
-    Args:
-        rounds: number of Swiss rounds; ``None`` uses ``ceil(log2(n))``,
-            the conventional minimum for a unique leader.
-    """
-
-    def __init__(self, rounds=None) -> None:
-        if rounds is not None and rounds < 1:
-            raise ReproError(f"rounds must be >= 1, got {rounds}")
-        self.rounds = rounds
-
-    def schedule(self, players: Sequence[int]) -> SwissSystemRun:
-        n_rounds = self.rounds
-        if n_rounds is None:
-            n_rounds = max(1, (len(list(players)) - 1).bit_length())
-        return SwissSystemRun(players, n_rounds)
-
-    def run(self, players: Sequence[int], oracle: MatchOracle) -> SwissResult:
-        """Play a whole Swiss tournament through a match oracle."""
-        return run_schedule(self.schedule(players), oracle).result()
-
-
 # Exponent sharpening score-proportional selection: strong players meet often.
 SELECTION_SHARPNESS = 4.0
 
 
-class StreakSwissRun:
-    """State machine of one DarwinGame-style Swiss pool.
+class StreakSwiss:
+    """One DarwinGame-style Swiss pool (a region's tournament).
 
     One multi-player lineup per round.  The machine is oblivious to how its
     rounds are simulated — the driver decides whether rounds from many pools
     are batched together (regions in lockstep) or played one at a time.
+
+    Args:
+        pool: the drawable players (a region).
+        rng: draws newcomers and score-proportional veterans.
+        players_per_game: seats per multi-player game (clamped to the pool).
+        win_streak: consecutive wins after which the champion is declared.
+        max_rounds: hard round cap; ``None`` derives one from the pool size.
+        swiss_style: with ``False``, a single random game decides the pool
+            (the paper's "w/o Swiss" ablation).
+        scores: maps players to their current mean execution scores.
+        on_assign: called with the players seen for the first time, once
+            per lineup that brings newcomers.
     """
 
     def __init__(
         self,
-        format_: "StreakSwiss",
         pool: PlayerPool,
         rng: np.random.Generator,
         *,
+        players_per_game: int,
+        win_streak: int,
+        max_rounds: Optional[int] = None,
+        swiss_style: bool = True,
         scores: Callable[[Sequence[int]], np.ndarray],
         on_assign: Optional[Callable[[List[int]], None]] = None,
     ) -> None:
+        if players_per_game < 2:
+            raise ReproError(
+                f"players_per_game must be >= 2, got {players_per_game}"
+            )
+        if win_streak < 2:
+            raise ReproError(f"win_streak must be >= 2, got {win_streak}")
         self.pool = pool
         self.rng = rng
         self.scores = scores
@@ -193,10 +203,10 @@ class StreakSwissRun:
         self._assigned: set = set()
         self._lineup: Optional[List[int]] = None
         self.lone: Optional[int] = None
-        self._swiss = format_.swiss_style
-        self._win_streak = format_.win_streak
+        self._swiss = swiss_style
+        self._win_streak = win_streak
 
-        self.players_per_game = max(2, min(format_.players_per_game, pool.size))
+        self.players_per_game = max(2, min(players_per_game, pool.size))
         if pool.size == 1:
             # Degenerate single-player pool: the lone player advances unplayed.
             self.lone = pool.start
@@ -211,7 +221,6 @@ class StreakSwissRun:
             )
             # Large pools draw new players lazily instead of materialising all.
             self._drawn: set = set()
-            max_rounds = format_.max_rounds
             if max_rounds is None:
                 newcomers = max(1, self.players_per_game // 2)
                 max_rounds = min(64, math.ceil(pool.size / newcomers) + 2)
@@ -353,46 +362,3 @@ class StreakSwissRun:
     def played_players(self) -> List[int]:
         """Everyone who has played a game, in first-appearance order."""
         return self._played_list
-
-
-class StreakSwiss:
-    """DarwinGame's regional playing style as a reusable format recipe.
-
-    Args:
-        players_per_game: seats per multi-player game (clamped to the pool).
-        win_streak: consecutive wins after which the champion is declared.
-        max_rounds: hard round cap; ``None`` derives one from the pool size.
-        swiss_style: with ``False``, a single random game decides the pool
-            (the paper's "w/o Swiss" ablation).
-    """
-
-    def __init__(
-        self,
-        *,
-        players_per_game: int,
-        win_streak: int,
-        max_rounds: Optional[int] = None,
-        swiss_style: bool = True,
-    ) -> None:
-        if players_per_game < 2:
-            raise ReproError(
-                f"players_per_game must be >= 2, got {players_per_game}"
-            )
-        if win_streak < 2:
-            raise ReproError(f"win_streak must be >= 2, got {win_streak}")
-        self.players_per_game = players_per_game
-        self.win_streak = win_streak
-        self.max_rounds = max_rounds
-        self.swiss_style = swiss_style
-
-    def schedule(
-        self,
-        pool: PlayerPool,
-        rng: np.random.Generator,
-        *,
-        scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[List[int]], None]] = None,
-    ) -> StreakSwissRun:
-        return StreakSwissRun(
-            self, pool, rng, scores=scores, on_assign=on_assign
-        )

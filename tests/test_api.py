@@ -141,6 +141,14 @@ class TestSubmitGrid:
         report = api.submit_grid(_grid(), options).result()
         assert report.executed == 0 and report.skipped == 2
 
+    def test_runner_refusing_its_options_fails_the_job(self):
+        """Telemetry needs a store to journal into, so the runner refuses;
+        the job used to stay `running` with no error."""
+        job = api.JobHandle(_grid(), api.SweepOptions(telemetry=True))
+        with pytest.raises(ReproError, match="derives its path") as raised:
+            job.execute()
+        assert job.state == "failed" and job.error is raised.value
+
     def test_job_id_is_content_hashed_and_salted(self):
         a, b = _grid(), _grid()
         assert api.job_id_for(a) == api.job_id_for(b)
@@ -263,6 +271,24 @@ class TestWireFormat:
     def test_sweep_options_need_finite_knobs(self, fields, flag):
         with pytest.raises(ReproError, match=rf"finite.*\(fix {flag}\)"):
             api.SweepOptions(**fields)
+
+    @pytest.mark.parametrize("fields, flag", [
+        (dict(jobs=0), "--jobs"),
+        (dict(jobs=257), "--jobs"),
+        (dict(max_retries=-1), "--max-retries"),
+    ], ids=["jobs-0", "jobs-257", "max-retries-negative"])
+    def test_sweep_options_bound_workers_and_retries(self, fields, flag):
+        """Only the runner checked these, so `serve` listened with them as
+        defaults; `jobs` is capped because the dispatcher forks one worker
+        per eligible campaign."""
+        with pytest.raises(ReproError, match=rf"\(fix {flag}\)$"):
+            api.SweepOptions(**fields)
+
+    def test_jobs_bound_over_the_wire(self):
+        assert api.SweepOptions(jobs=256).jobs == 256
+        assert api.options_from_payload({"jobs": 256}).jobs == 256
+        with pytest.raises(ReproError, match=r"in \[1, 256\], got 257"):
+            api.options_from_payload({"jobs": 257})
 
     def test_options_merge_over_defaults(self):
         defaults = api.SweepOptions(telemetry=True, jobs=4)

@@ -151,6 +151,11 @@ class TestRunnerSerial:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ReproError):
             CampaignRunner(jobs=0)
+        # Capped, since the dispatcher forks a worker per campaign up to
+        # `jobs`; building a runner starts no worker.
+        with pytest.raises(ReproError, match=r"got 257 \(fix --jobs\)"):
+            CampaignRunner(jobs=257)
+        assert CampaignRunner(jobs=256).jobs == 256
 
 
 class TestFailureIsolation:

@@ -167,6 +167,26 @@ class TestCommands:
         )
         assert line.endswith(f"(fix {flag})") and not data_root.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--max-retries", "-1"),
+    ], ids=["jobs-0", "max-retries-negative"])
+    def test_bad_worker_settings_are_one_line_exit_two(
+        self, command, flag, value, capsys, tmp_path, monkeypatch
+    ):
+        """Only the runner checked these: `serve` bound and listened with
+        them, and every job it accepted stayed `running`."""
+        _no_daemon(monkeypatch)
+        store, data_root = tmp_path / "s.jsonl", tmp_path / "serve.d"
+        argv = {
+            "sweep": ["sweep", "--apps", "redis", "--scale", "test",
+                      "--store", str(store)],
+            "serve": ["serve", "--data-root", str(data_root)],
+        }[command]
+        line = _refused([*argv, flag, value], capsys)
+        assert line.endswith(f"(fix {flag})")
+        assert not store.exists() and not data_root.exists()
+
     @pytest.mark.parametrize("port", ["-1", "70000"])
     def test_serve_port_out_of_range_is_one_line_exit_two(
         self, port, capsys, tmp_path
@@ -344,6 +364,20 @@ class TestCommands:
             "seed=1,rate=1.0,kinds=transient,max=1", "--store", str(store),
         ], capsys)
         assert line.endswith("(fix --backoff)")
+        assert not store.exists()
+
+    @pytest.mark.parametrize("hang", ["inf", "nan"])
+    def test_non_finite_hang_is_one_line_exit_two(self, hang, capsys, tmp_path):
+        """Before, each worker's ``time.sleep`` raised at once on the
+        "hang", which became an ordinary failure; the sweep exited 0."""
+        store = tmp_path / "s.jsonl"
+        line = _refused([
+            "sweep", "--apps", "redis", "--scale", "test", "--eval-runs", "5",
+            "--seeds", "0,1", "--jobs", "2", "--max-retries", "1",
+            "--inject-faults", f"seed=1,rate=1.0,kinds=hang,max=1,hang={hang}",
+            "--store", str(store),
+        ], capsys)
+        assert "bad --inject-faults plan: hang_seconds must be a finite" in line
         assert not store.exists()
 
     @pytest.mark.parametrize("flags, hint", [

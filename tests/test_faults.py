@@ -54,6 +54,12 @@ class TestFaultPlan:
         with pytest.raises(ReproError):
             FaultPlan(store_rate=-0.1)
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan")])
+    def test_non_finite_hang_rejected(self, seconds):
+        """`time.sleep` raises at once on both, so the hang never hung."""
+        with pytest.raises(ReproError, match="finite"):
+            FaultPlan(hang_seconds=seconds)
+
     def test_parse_round_trip(self):
         text = "seed=7,rate=0.5,kinds=crash+transient,max=2,hang=30.0,store=0.25"
         plan = FaultPlan.parse(text)

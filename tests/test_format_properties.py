@@ -24,6 +24,7 @@ from repro.formats import (
     SingleElimination,
     StreakSwiss,
     SwissSystem,
+    run_schedule,
 )
 from repro.space.regions import Region
 
@@ -57,33 +58,34 @@ class TestRoundDisjointness:
     @given(st.integers(2, 25), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_single_elimination(self, n, seed):
-        drive_with_audit(SingleElimination().schedule(range(n)), oracle_for(n, seed))
+        drive_with_audit(SingleElimination(range(n)), oracle_for(n, seed))
 
     @given(st.integers(2, 25), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_double_elimination(self, n, seed):
-        drive_with_audit(DoubleElimination().schedule(range(n)), oracle_for(n, seed))
+        drive_with_audit(DoubleElimination(range(n)), oracle_for(n, seed))
 
     @given(st.integers(2, 25), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_swiss(self, n, seed):
-        drive_with_audit(SwissSystem().schedule(range(n)), oracle_for(n, seed))
+        drive_with_audit(SwissSystem(range(n)), oracle_for(n, seed))
 
     @given(st.integers(2, 25), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_barrage(self, n, seed):
-        drive_with_audit(Barrage().schedule(range(n)), oracle_for(n, seed))
+        drive_with_audit(Barrage(range(n)), oracle_for(n, seed))
 
     @given(st.integers(2, 16), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_round_robin(self, n, seed):
-        drive_with_audit(RoundRobin().schedule(range(n)), oracle_for(n, seed))
+        drive_with_audit(RoundRobin(range(n)), oracle_for(n, seed))
 
     @given(st.integers(2, 40), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_grouped_double_elimination(self, n, seed):
-        fmt = GroupedDoubleElimination(players_per_game=4, target=3)
-        run = fmt.schedule(range(n), np.random.default_rng(seed))
+        run = GroupedDoubleElimination(
+            range(n), np.random.default_rng(seed), players_per_game=4, target=3
+        )
         drive_with_audit(run, oracle_for(n, seed))
         outcome = run.result()
         assert 1 <= len(outcome.main_bracket)
@@ -97,7 +99,7 @@ class TestOddFieldsAndByes:
     @given(st.integers(1, 12).map(lambda k: 2 * k + 1), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_single_elim_odd_fields_bye(self, n, seed):
-        run = SingleElimination().schedule(range(n))
+        run = SingleElimination(range(n))
         drive_with_audit(run, oracle_for(n, seed))
         result = run.result()
         assert result.byes >= 1
@@ -106,7 +108,7 @@ class TestOddFieldsAndByes:
     @given(st.integers(1, 12).map(lambda k: 2 * k + 1), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_swiss_odd_field_everyone_scored(self, n, seed):
-        run = SwissSystem(rounds=3).schedule(range(n))
+        run = SwissSystem(range(n), rounds=3)
         drive_with_audit(run, oracle_for(n, seed))
         result = run.result()
         # Byes score like wins: every round awards (n+1)/2 points in total.
@@ -117,7 +119,7 @@ class TestOddFieldsAndByes:
     def test_barrage_partitions_the_field(self, n, seed):
         """Finalists + eliminated cover every entrant — odd-field byes
         funnel into the survivor pool instead of vanishing."""
-        run = Barrage().schedule(range(n))
+        run = Barrage(range(n))
         drive_with_audit(run, oracle_for(n, seed))
         result = run.result()
         assert len(result.finalists) == 2
@@ -128,7 +130,7 @@ class TestOddFieldsAndByes:
     @given(st.integers(3, 25), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_knockout_barrage_partitions_the_field(self, n, seed):
-        run = Barrage(repechage=False).schedule(range(n))
+        run = Barrage(range(n), repechage=False)
         drive_with_audit(run, oracle_for(n, seed))
         result = run.result()
         assert len(result.finalists) == 2
@@ -142,7 +144,7 @@ class TestDoubleEliminationLosses:
     @settings(max_examples=60, deadline=None)
     def test_eliminated_players_lost_twice(self, n, seed):
         oracle = oracle_for(n, seed, noise=0.8)
-        run = DoubleElimination().schedule(range(n))
+        run = DoubleElimination(range(n))
         drive_with_audit(run, oracle)
         result = run.result()
         losses = {p: 0 for p in range(n)}
@@ -163,19 +165,25 @@ class TestMatchCountFormulas:
     @given(st.integers(2, 30), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_single_elim_n_minus_one(self, n, seed):
-        result = SingleElimination().run(range(n), oracle_for(n, seed))
+        result = run_schedule(
+            SingleElimination(range(n)), oracle_for(n, seed)
+        ).result()
         assert result.games == n - 1
 
     @given(st.integers(2, 16), st.integers(1, 3), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_round_robin_all_pairs(self, n, reps, seed):
-        result = RoundRobin(rounds=reps).run(range(n), oracle_for(n, seed))
+        result = run_schedule(
+            RoundRobin(range(n), rounds=reps), oracle_for(n, seed)
+        ).result()
         assert result.games == reps * n * (n - 1) // 2
 
     @given(st.integers(2, 24), st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_swiss_rounds_times_half_field(self, n, rounds, seed):
-        result = SwissSystem(rounds=rounds).run(range(n), oracle_for(n, seed))
+        result = run_schedule(
+            SwissSystem(range(n), rounds=rounds), oracle_for(n, seed)
+        ).result()
         assert result.games == rounds * (n // 2)
 
     @given(st.integers(2, 20), st.integers(0, 10_000))
@@ -183,7 +191,9 @@ class TestMatchCountFormulas:
     def test_double_elim_bounds(self, n, seed):
         # Every game produces exactly one loss; counting per-player losses
         # bounds the bracket at 2n-3 .. 2n-1 games.
-        result = DoubleElimination().run(range(n), oracle_for(n, seed, noise=1.0))
+        result = run_schedule(
+            DoubleElimination(range(n)), oracle_for(n, seed, noise=1.0)
+        ).result()
         assert 2 * n - 3 <= result.games <= 2 * n - 1
 
 
@@ -194,11 +204,12 @@ class TestStreakSwissPool:
     @settings(max_examples=40, deadline=None)
     def test_terminates_with_a_champion(self, size, seed):
         rng = np.random.default_rng(seed)
-        fmt = StreakSwiss(players_per_game=4, win_streak=3)
         batches = []
-        run = fmt.schedule(
+        run = StreakSwiss(
             Region(0, 0, size),
             rng,
+            players_per_game=4,
+            win_streak=3,
             scores=lambda players: np.ones(len(players)),
             on_assign=lambda new: batches.append(list(new)),
         )

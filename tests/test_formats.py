@@ -14,6 +14,7 @@ from repro.formats import (
     RoundRobin,
     SingleElimination,
     SwissSystem,
+    run_schedule,
 )
 
 
@@ -70,43 +71,61 @@ class TestNoisyStrengthOracle:
 class TestSingleElimination:
     def test_noiseless_best_wins(self):
         strengths = [0.2, 0.9, 0.5, 0.7, 0.1, 0.3, 0.8, 0.6]
-        result = SingleElimination().run(range(8), noiseless(strengths))
+        result = run_schedule(
+            SingleElimination(range(8)), noiseless(strengths)
+        ).result()
         assert result.winner == 1
 
     def test_game_count_power_of_two(self):
-        result = SingleElimination().run(range(16), noiseless(np.arange(16.0)))
+        result = run_schedule(
+            SingleElimination(range(16)), noiseless(np.arange(16.0))
+        ).result()
         assert result.games == 15
         assert result.byes == 0
 
     def test_odd_field_byes(self):
-        result = SingleElimination().run(range(7), noiseless(np.arange(7.0)))
+        result = run_schedule(
+            SingleElimination(range(7)), noiseless(np.arange(7.0))
+        ).result()
         assert result.games == 6
         assert result.byes >= 1
 
     def test_single_player(self):
-        result = SingleElimination().run([3], noiseless([0, 0, 0, 1.0]))
+        result = run_schedule(
+            SingleElimination([3]), noiseless([0, 0, 0, 1.0])
+        ).result()
         assert result.winner == 3
         assert result.games == 0
 
     def test_rejects_duplicates(self):
         with pytest.raises(ReproError):
-            SingleElimination().run([1, 1], noiseless([0.0, 1.0]))
+            run_schedule(
+                SingleElimination([1, 1]), noiseless([0.0, 1.0])
+            ).result()
 
 
 class TestDoubleElimination:
     def test_noiseless_best_wins(self):
         strengths = np.linspace(0, 1, 8)
-        result = DoubleElimination().run(range(8), noiseless(strengths))
+        result = run_schedule(
+            DoubleElimination(range(8)), noiseless(strengths)
+        ).result()
         assert result.winner == 7
 
     def test_more_games_than_single_elim(self):
         strengths = np.linspace(0, 1, 16)
-        se = SingleElimination().run(range(16), noiseless(strengths))
-        de = DoubleElimination().run(range(16), noiseless(strengths, seed=1))
+        se = run_schedule(
+            SingleElimination(range(16)), noiseless(strengths)
+        ).result()
+        de = run_schedule(
+            DoubleElimination(range(16)), noiseless(strengths, seed=1)
+        ).result()
         assert de.games > se.games
 
     def test_two_player_field(self):
-        result = DoubleElimination().run([0, 1], noiseless([0.3, 0.8]))
+        result = run_schedule(
+            DoubleElimination([0, 1]), noiseless([0.3, 0.8])
+        ).result()
         assert result.winner == 1
 
     def test_everyone_loses_twice_before_elimination(self):
@@ -115,7 +134,7 @@ class TestDoubleElimination:
         one or two; the winner at most one."""
         strengths = np.linspace(0, 1, 8)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.5, seed=3)
-        result = DoubleElimination().run(range(8), oracle)
+        result = run_schedule(DoubleElimination(range(8)), oracle).result()
         losses = {p: 0 for p in range(8)}
         for match in oracle.history:
             losses[match.loser] += 1
@@ -129,95 +148,121 @@ class TestDoubleElimination:
         resets = 0
         for seed in range(40):
             oracle = NoisyStrengthOracle(np.linspace(0, 1, 8), noise_std=2.0, seed=seed)
-            resets += DoubleElimination().run(range(8), oracle).grand_final_needed_reset
+            resets += run_schedule(
+                DoubleElimination(range(8)), oracle
+            ).result().grand_final_needed_reset
         assert resets > 0
 
     def test_rejects_single_player(self):
         with pytest.raises(ReproError):
-            DoubleElimination().run([0], noiseless([1.0]))
+            run_schedule(DoubleElimination([0]), noiseless([1.0])).result()
 
 
 class TestSwissSystem:
     def test_noiseless_best_wins(self):
         strengths = np.linspace(0, 1, 16)
-        result = SwissSystem().run(range(16), noiseless(strengths))
+        result = run_schedule(
+            SwissSystem(range(16)), noiseless(strengths)
+        ).result()
         assert result.winner == 15
 
     def test_default_rounds_logarithmic(self):
-        result = SwissSystem().run(range(16), noiseless(np.arange(16.0)))
+        result = run_schedule(
+            SwissSystem(range(16)), noiseless(np.arange(16.0))
+        ).result()
         assert result.rounds == 4  # ceil(log2(16))
 
     def test_fewer_games_than_round_robin(self):
         strengths = np.arange(16.0)
-        swiss = SwissSystem().run(range(16), noiseless(strengths))
-        rr = RoundRobin().run(range(16), noiseless(strengths, seed=1))
+        swiss = run_schedule(
+            SwissSystem(range(16)), noiseless(strengths)
+        ).result()
+        rr = run_schedule(
+            RoundRobin(range(16)), noiseless(strengths, seed=1)
+        ).result()
         assert swiss.games < rr.games
 
     def test_odd_field_byes_score(self):
-        result = SwissSystem(rounds=3).run(range(5), noiseless(np.arange(5.0)))
+        result = run_schedule(
+            SwissSystem(range(5), rounds=3), noiseless(np.arange(5.0))
+        ).result()
         assert result.winner == 4
         assert sum(result.scores.values()) == pytest.approx(3 * (2 + 1))
         # 3 rounds x (2 games + 1 bye) each award 3 points total per round.
 
     def test_standings_sorted_by_score(self):
-        result = SwissSystem().run(range(8), noiseless(np.arange(8.0)))
+        result = run_schedule(
+            SwissSystem(range(8)), noiseless(np.arange(8.0))
+        ).result()
         scores = [result.scores[p] for p in result.standings]
         assert scores == sorted(scores, reverse=True)
 
     def test_no_rematch_when_avoidable(self):
         oracle = noiseless(np.arange(8.0))
-        SwissSystem(rounds=3).run(range(8), oracle)
+        run_schedule(SwissSystem(range(8), rounds=3), oracle).result()
         seen = [tuple(sorted(m.players)) for m in oracle.history]
         assert len(seen) == len(set(seen))
 
     def test_rejects_bad_rounds(self):
         with pytest.raises(ReproError):
-            SwissSystem(rounds=0)
+            SwissSystem(range(4), rounds=0)
 
 
 class TestRoundRobin:
     def test_noiseless_best_wins(self):
-        result = RoundRobin().run(range(6), noiseless(np.arange(6.0)))
+        result = run_schedule(
+            RoundRobin(range(6)), noiseless(np.arange(6.0))
+        ).result()
         assert result.winner == 5
         assert result.games == 15
 
     def test_standings_complete(self):
-        result = RoundRobin().run(range(6), noiseless(np.arange(6.0)))
+        result = run_schedule(
+            RoundRobin(range(6)), noiseless(np.arange(6.0))
+        ).result()
         assert sorted(result.standings) == list(range(6))
 
     def test_multiple_rounds(self):
-        result = RoundRobin(rounds=2).run(range(4), noiseless(np.arange(4.0)))
+        result = run_schedule(
+            RoundRobin(range(4), rounds=2), noiseless(np.arange(4.0))
+        ).result()
         assert result.games == 12
 
     def test_noiseless_standings_match_strengths(self):
         strengths = [0.3, 0.9, 0.1, 0.6]
-        result = RoundRobin().run(range(4), noiseless(strengths))
+        result = run_schedule(
+            RoundRobin(range(4)), noiseless(strengths)
+        ).result()
         assert list(result.standings) == [1, 3, 0, 2]
 
     def test_rejects_single(self):
         with pytest.raises(ReproError):
-            RoundRobin().run([0], noiseless([1.0]))
+            run_schedule(RoundRobin([0]), noiseless([1.0])).result()
 
 
 class TestBarrage:
     def test_four_player_structure(self):
         """Seeds 1-2 play for a final spot; barrage decides the second."""
         oracle = noiseless([0.9, 0.8, 0.7, 0.6])
-        result = Barrage().run([0, 1, 2, 3], oracle)
+        result = run_schedule(Barrage([0, 1, 2, 3]), oracle).result()
         assert result.games == 3
         assert result.finalists == (0, 1)
         # Game 1: 0 beats 1; game 2: 2 beats 3; game 3 (barrage): 1 beats 2.
         assert 3 in result.eliminated and 2 in result.eliminated
 
     def test_two_player_field_passthrough(self):
-        result = Barrage().run([4, 7], noiseless(np.arange(8.0)))
+        result = run_schedule(
+            Barrage([4, 7]), noiseless(np.arange(8.0))
+        ).result()
         assert result.finalists == (4, 7)
         assert result.games == 0
 
     def test_odd_field_byes(self):
         """Odd fields are handled with byes: the odd bottom seed advances
         unplayed into the barrage (how a 3-player playoff works)."""
-        result = Barrage().run([0, 1, 2], noiseless([0.9, 0.8, 0.7]))
+        result = run_schedule(
+            Barrage([0, 1, 2]), noiseless([0.9, 0.8, 0.7])
+        ).result()
         # Game 1: 0 beats 1; barrage: 1 (top loser) beats 2 (bottom bye).
         assert result.games == 2
         assert result.finalists == (0, 1)
@@ -227,12 +272,12 @@ class TestBarrage:
         """The seed-1 player losing game 1 can still reach the final."""
         # Strengths: seed 0 slightly below seed 1, but far above seeds 2-3.
         oracle = noiseless([0.8, 0.9, 0.2, 0.1])
-        result = Barrage().run([0, 1, 2, 3], oracle)
+        result = run_schedule(Barrage([0, 1, 2, 3]), oracle).result()
         assert set(result.finalists) == {0, 1}
 
     def test_eight_player_field(self):
         oracle = noiseless(np.linspace(0.1, 0.9, 8)[::-1])  # seed order = strength
-        result = Barrage().run(range(8), oracle)
+        result = run_schedule(Barrage(range(8)), oracle).result()
         assert len(result.finalists) == 2
         assert len(set(result.finalists)) == 2
         assert result.finalists[0] not in result.eliminated
@@ -245,7 +290,7 @@ class TestFormatProperties:
         rng = np.random.default_rng(seed)
         strengths = rng.uniform(0, 1, n)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.5, seed=seed)
-        result = SingleElimination().run(range(n), oracle)
+        result = run_schedule(SingleElimination(range(n)), oracle).result()
         assert 0 <= result.winner < n
         assert result.games == n - 1
 
@@ -255,7 +300,7 @@ class TestFormatProperties:
         rng = np.random.default_rng(seed)
         strengths = rng.uniform(0, 1, n)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.5, seed=seed)
-        result = DoubleElimination().run(range(n), oracle)
+        result = run_schedule(DoubleElimination(range(n)), oracle).result()
         losses = {p: 0 for p in range(n)}
         for match in oracle.history:
             losses[match.loser] += 1
@@ -267,7 +312,7 @@ class TestFormatProperties:
         rng = np.random.default_rng(seed)
         strengths = rng.uniform(0, 1, n)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.3, seed=seed)
-        result = SwissSystem().run(range(n), oracle)
+        result = run_schedule(SwissSystem(range(n)), oracle).result()
         played = {p: 0 for p in range(n)}
         for match in oracle.history:
             for p in match.players:
@@ -283,7 +328,7 @@ class TestFormatProperties:
         rng = np.random.default_rng(seed)
         strengths = rng.uniform(0, 1, n)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.5, seed=seed)
-        result = Barrage().run(range(n), oracle)
+        result = run_schedule(Barrage(range(n)), oracle).result()
         assert len(result.finalists) == 2
         assert result.finalists[0] != result.finalists[1]
         assert set(result.eliminated).isdisjoint(result.finalists)

@@ -36,6 +36,12 @@ _REMOVED = {
     ),
     "repro.telemetry": ("profile_dir", "profile_dir_for", "set_profile_dir"),
     "repro.caching": ("process_surface_cache", "set_process_surface_cache"),
+    # Each tournament format is one class; its state machine took the name.
+    "repro.formats": (
+        "BarrageRun", "DoubleEliminationRun", "GroupedDoubleEliminationRun",
+        "RoundRobinRun", "SingleEliminationRun", "StreakSwissRun",
+        "SwissSystemRun",
+    ),
 }
 
 #: Names deleted from a module that is not a package, or from a class.
@@ -56,6 +62,15 @@ _REMOVED_MEMBERS = {
         "_PROCESS_SURFACE_CACHE", "process_surface_cache",
         "set_process_surface_cache",
     ),
+    # A format is built from its players and settings; `run_schedule` plays
+    # it through a match oracle.
+    "repro.formats:Barrage": ("schedule", "run"),
+    "repro.formats:DoubleElimination": ("schedule", "run"),
+    "repro.formats:GroupedDoubleElimination": ("schedule", "run"),
+    "repro.formats:RoundRobin": ("schedule", "run"),
+    "repro.formats:SingleElimination": ("schedule", "run"),
+    "repro.formats:StreakSwiss": ("schedule",),
+    "repro.formats:SwissSystem": ("schedule", "run"),
 }
 
 #: Parameters deleted from a callable: no caller set them.

@@ -246,18 +246,22 @@ class TestErrors:
         ({"grid": dict(GRID, eval_runs=100_000)}, "(fix --eval-runs)"),
         ({"grid": dict(GRID, start_time_step=1e9 + 1)}, "(fix --seeds)"),
         ({"grid": GRID, "options": {"backoff": 1e300}}, "(fix --backoff)"),
-    ], ids=["repeated-app", "eval-runs", "last-start", "backoff"])
+        ({"grid": GRID, "options": {"jobs": 100000}}, "(fix --jobs)"),
+    ], ids=["repeated-app", "eval-runs", "last-start", "backoff", "jobs"])
     def test_repeated_entry_and_unbounded_reach_are_400(
         self, service, request_body, hint
     ):
         """Before, a repeated app was accepted with a 202 and its job
-        failed on duplicate campaigns; the others had no upper bound."""
+        failed on duplicate campaigns; the others had no upper bound (a
+        grid of thousands of campaigns forked a worker each up to
+        `jobs`)."""
         status, body = _request(
             "POST", f"{service.url}/v1/sweeps", request_body, tenant="alice",
         )
         assert status == 400
         assert body["error"].endswith(hint)
         assert not (service.config.data_root / "alice").exists()
+        assert _request("GET", f"{service.url}/healthz")[0] == 200
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_is_400(self, service, constant):
