@@ -28,7 +28,12 @@ import time
 import pytest
 
 from repro.caching import SurfaceCache, clear_process_caches, grid_app_pairs
-from repro.campaigns import CampaignRunner, default_jobs, summarise
+from repro.campaigns import (
+    CampaignRunner,
+    SweepOptions,
+    default_jobs,
+    summarise,
+)
 from repro.experiments.table1 import table1_grid
 from repro.telemetry import read_telemetry, reset_telemetry
 
@@ -45,7 +50,7 @@ def _fresh_run(jobs: int, specs, cache_dir=None, telemetry=False):
     clear_process_caches()
     reset_telemetry()
     return CampaignRunner(
-        jobs=jobs, cache_dir=cache_dir, telemetry=telemetry,
+        SweepOptions(jobs=jobs, cache_dir=cache_dir, telemetry=telemetry),
     ).run(specs)
 
 
@@ -288,12 +293,13 @@ def test_resume_after_interruption_reuses_stored_campaigns(tmp_path):
 
     store = CampaignStore(tmp_path / "sweep.jsonl")
     store.write_grid(grid)
-    CampaignRunner(jobs=1, store=store).run(specs[: len(specs) // 2])
+    runner = CampaignRunner(SweepOptions(jobs=1), store=store)
+    runner.run(specs[: len(specs) // 2])
 
-    resumed = CampaignRunner(jobs=_JOBS, store=store).run(specs)
+    resumed = CampaignRunner(SweepOptions(jobs=_JOBS), store=store).run(specs)
     assert resumed.skipped == len(specs) // 2
     assert resumed.executed == len(specs) - len(specs) // 2
 
-    fresh = CampaignRunner(jobs=1).run(specs)
+    fresh = CampaignRunner(SweepOptions(jobs=1)).run(specs)
     assert summarise(resumed.records).to_json() \
         == summarise(fresh.records).to_json()

@@ -24,14 +24,14 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro import CampaignGrid, SweepOptions, submit_grid
+from repro import CampaignGrid, submit_grid
 from repro.campaigns import open_store
 from repro.service import ReproService, ServiceConfig, TENANT_HEADER
 
 
 def run_in_process(grid, store_path):
     """The library path: submit, then read status/results/report back."""
-    job = submit_grid(grid, SweepOptions(store=str(store_path)))
+    job = submit_grid(grid, store=str(store_path))
     report = job.result()
     print(f"in-process: job {job.job_id} {job.state}, "
           f"executed {report.executed}, skipped {report.skipped}")

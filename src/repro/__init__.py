@@ -18,7 +18,8 @@ code path ``repro sweep`` and the ``repro serve`` daemon use::
 
     job = submit_grid(
         CampaignGrid(apps=("redis",), scale="test", eval_runs=2),
-        SweepOptions(store="sweep.jsonl", jobs=4),
+        SweepOptions(jobs=4),
+        store="sweep.jsonl",
     )
     print(job.report().to_payload())
 """

@@ -6,8 +6,8 @@ drives the four entry points here, so there is exactly one code path from
 "a declared grid" to "records in a store":
 
 * :func:`submit_grid` — validate a :class:`~repro.campaigns.spec.
-  CampaignGrid`, open (or reuse) its :class:`~repro.campaigns.store.jsonl.
-  CampaignStore`, and execute it through the
+  CampaignGrid`, open (or reuse) the :class:`~repro.campaigns.store.jsonl.
+  CampaignStore` at ``store``, and execute it through the
   :class:`~repro.campaigns.runner.CampaignRunner` in the calling thread,
   returning a terminal :class:`JobHandle`.  The daemon builds its handles
   directly and runs them on its own executor thread.
@@ -41,7 +41,7 @@ import json
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Union
 
@@ -56,18 +56,18 @@ from repro.campaigns.report import (
     summarise_failures,
     summary_table,
 )
-from repro.campaigns.dispatch import MAX_JOBS, MAX_RETRY_DELAY
 from repro.campaigns.runner import (
     SUPPORTED_STRATEGIES,
     CampaignRunner,
+    SweepOptions,
     SweepReport,
+    _finite,
 )
 from repro.campaigns.spec import CampaignGrid, CampaignSpec
 from repro.campaigns.store import CampaignRecord, CampaignStore, open_store
 from repro.apps.scaling import level_cap
 from repro.cloud.vm import PRESETS
 from repro.errors import ReproError, SpaceError
-from repro.faults import FaultPlan
 
 PathLike = Union[str, Path]
 StoreLike = Union["JobHandle", CampaignStore, str, Path]
@@ -116,15 +116,6 @@ def _repeated(entries) -> list:
     VM's field dict by its fields)."""
     counts = Counter(json.dumps(entry, sort_keys=True) for entry in entries)
     return [json.loads(key) for key, count in counts.items() if count > 1]
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a number a float holds: not NaN, not ±inf, and
-    not an int too large to convert."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def validate_grid(grid: CampaignGrid) -> CampaignGrid:
@@ -238,72 +229,6 @@ def validate_grid(grid: CampaignGrid) -> CampaignGrid:
     return grid
 
 
-# -- options ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepOptions:
-    """How a grid is executed — everything orthogonal to *what* runs.
-
-    The runner knobs the CLI exposes as flags and the daemon accepts in a
-    request's ``options`` object, as one typed value.  All fields have the
-    CLI's defaults, so ``SweepOptions()`` is the plain serial sweep.
-
-    ``store`` is facade-side only: the daemon assigns each job its own
-    per-tenant store path and therefore rejects ``store`` over the wire
-    (see :data:`OPTIONS_SCHEMA`).
-    """
-
-    store: Optional[PathLike] = None
-    jobs: int = 1
-    cache_dir: Optional[PathLike] = None
-    max_retries: int = 2
-    backoff: float = 0.1
-    task_timeout: Optional[float] = None
-    telemetry: bool = False
-    profile: bool = False
-    fault_plan: Optional[FaultPlan] = None
-
-    def __post_init__(self) -> None:
-        # The dispatcher forks one worker per eligible campaign up to
-        # `jobs`; checked here, so `serve` refuses its defaults before it
-        # binds and a request's options get a 400 before any job queues.
-        if not 1 <= self.jobs <= MAX_JOBS:
-            raise ReproError(
-                f"jobs must be in [1, {MAX_JOBS}], got {self.jobs} "
-                f"(fix --jobs)"
-            )
-        if self.max_retries < 0:
-            raise ReproError(
-                f"max_retries must be >= 0, got {self.max_retries} "
-                f"(fix --max-retries)"
-            )
-        # An infinite backoff never lets a retry come due, which wedges
-        # the dispatcher (and the service's one executor thread with it);
-        # every retry waits at most MAX_RETRY_DELAY, so a larger base is
-        # a typo.
-        if not 0 <= self.backoff <= MAX_RETRY_DELAY:
-            raise ReproError(
-                f"backoff must be a finite number in "
-                f"[0, {MAX_RETRY_DELAY:g}] seconds, got {self.backoff} "
-                f"(fix --backoff)"
-            )
-        # The runner maps any timeout <= 0 to "off"; only 0 means that.
-        if self.task_timeout is not None and not (
-            _finite(self.task_timeout) and self.task_timeout >= 0
-        ):
-            raise ReproError(
-                f"task_timeout must be a finite number >= 0 (0 disables), "
-                f"got {self.task_timeout} (fix --task-timeout)"
-            )
-
-    def open_store(self) -> Optional[CampaignStore]:
-        """The store these options describe (``None`` = in-memory run)."""
-        if self.store is None:
-            return None
-        return open_store(self.store)
-
-
 # -- job handles ---------------------------------------------------------
 
 
@@ -412,22 +337,12 @@ class JobHandle:
             if progress is not None:
                 progress(finished, total, record)
 
-        options = self.options
         try:
             # Built inside the try: a runner that refuses its options (a
             # sidecar with no store, say) fails the job instead of leaving
             # it `running` forever.
             runner = CampaignRunner(
-                jobs=options.jobs,
-                store=self.store,
-                progress=checked_progress,
-                cache_dir=options.cache_dir,
-                max_retries=options.max_retries,
-                backoff=options.backoff,
-                task_timeout=options.task_timeout or None,
-                fault_plan=options.fault_plan,
-                telemetry=options.telemetry,
-                profile=options.profile,
+                self.options, store=self.store, progress=checked_progress
             )
             report = runner.run(self.grid.specs(), grid=self.grid)
         except JobCancelled as exc:
@@ -475,14 +390,16 @@ def submit_grid(
     grid: CampaignGrid,
     options: Optional[SweepOptions] = None,
     *,
+    store: Optional[PathLike] = None,
     progress: Optional[ProgressFn] = None,
 ) -> JobHandle:
     """Validate and execute a campaign grid; the one sweep entry point.
 
     Validates every axis up front (:func:`validate_grid`), opens the store
-    the options describe, and runs the grid through
-    :class:`~repro.campaigns.runner.CampaignRunner` — skipping campaigns
-    the store already holds as done, which is also how *resume* works:
+    at ``store`` (``None`` keeps the records in memory), and runs the grid
+    through :class:`~repro.campaigns.runner.CampaignRunner` with
+    ``options`` (``None`` is ``SweepOptions()``) — skipping campaigns the
+    store already holds as done, which is also how *resume* works:
     re-submit the stored grid against the same store.
 
     The call returns a terminal :class:`JobHandle`.  The runner installs
@@ -493,7 +410,8 @@ def submit_grid(
     """
     options = options if options is not None else SweepOptions()
     validate_grid(grid)
-    handle = JobHandle(grid=grid, options=options, store=options.open_store())
+    store = open_store(store) if store is not None else None
+    handle = JobHandle(grid=grid, options=options, store=store)
     handle.execute(progress)
     return handle
 
@@ -506,8 +424,8 @@ def _store_of(job: StoreLike) -> CampaignStore:
     if isinstance(job, JobHandle):
         if job.store is None:
             raise ReproError(
-                f"job {job.job_id} runs without a store; submit with "
-                f"SweepOptions(store=...) to read results back"
+                f"job {job.job_id} runs without a store; submit it with "
+                f"a store= path to read results back"
             )
         return job.store
     if isinstance(job, CampaignStore):
@@ -641,9 +559,9 @@ GRID_SCHEMA = {
     },
 }
 
-#: JSON shape of the execution options a request may set.  ``store`` is
-#: deliberately absent: the daemon owns store placement (per tenant, under
-#: its data root), so a request cannot write outside it.
+#: JSON shape of the execution options a request may set.  There is no
+#: ``store``: the daemon owns store placement (per tenant, under its data
+#: root), so a request cannot write outside it.
 OPTIONS_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -755,7 +673,7 @@ def options_from_payload(
 
     Unset keys inherit from ``defaults`` (the daemon passes its own
     configured options, so e.g. telemetry stays on service-wide unless a
-    request turns it off).  ``store`` cannot be set over the wire.
+    request turns it off).  A store cannot be named over the wire.
     """
     validate_payload(payload, OPTIONS_SCHEMA, path="$.options")
     base = defaults if defaults is not None else SweepOptions()

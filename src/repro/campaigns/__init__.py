@@ -5,16 +5,19 @@ The paper's evaluation is not one tuning run but thousands — every
 independent campaign.  This subsystem executes such fleets: declare them
 with :class:`CampaignSpec` / :class:`CampaignGrid`, run them with
 :class:`CampaignRunner` (worker pool, failure isolation, deterministic
-parallelism), and checkpoint them in a :class:`CampaignStore` — one
-append-only JSONL file, opened with :func:`open_store` — so an
-interrupted sweep resumes instead of restarting.
+parallelism) under one :class:`SweepOptions` value, and checkpoint them in
+a :class:`CampaignStore` — one append-only JSONL file, opened with
+:func:`open_store` — so an interrupted sweep resumes instead of
+restarting.
 
 Quickstart::
 
-    from repro.campaigns import CampaignGrid, CampaignRunner, open_store
+    from repro.campaigns import (
+        CampaignGrid, CampaignRunner, SweepOptions, open_store,
+    )
 
     grid = CampaignGrid(apps=("redis", "lammps"), seeds=(0, 1, 2), scale="test")
-    runner = CampaignRunner(jobs=4, store=open_store("sweep.jsonl"))
+    runner = CampaignRunner(SweepOptions(jobs=4), store=open_store("sweep.jsonl"))
     report = runner.run(grid.specs())       # re-run: finished cells skipped
 
 or from the shell: ``python -m repro sweep --apps redis,lammps --seeds 0,1,2
@@ -42,6 +45,7 @@ from repro.campaigns.report import (
 )
 from repro.campaigns.runner import (
     CampaignRunner,
+    SweepOptions,
     SweepReport,
     cached_application,
     default_jobs,
@@ -70,6 +74,7 @@ __all__ = [
     "ScenarioRow",
     "ScenarioSummary",
     "StoreLock",
+    "SweepOptions",
     "SweepReport",
     "SweepRow",
     "SweepSummary",

@@ -20,6 +20,11 @@ exemplar splits its result store from its optimizer:
   campaign exhausts its retry budget — quarantines it as a ``"failed"``
   record so the sweep *completes* instead of dying.
 
+The runner builds both from its sweep's checked
+:class:`~repro.campaigns.runner.SweepOptions`.  Workers start with
+``fork`` where the platform offers it, else ``spawn``
+(:func:`_pool_context`).
+
 Per-worker pipes, not shared queues, are the load-bearing choice: a worker
 SIGKILLed mid-``put`` on a shared ``multiprocessing.Queue`` can die holding
 the queue's internal lock and deadlock every sibling, while a killed
@@ -102,21 +107,12 @@ def retry_delay(backoff: float, retry: int) -> float:
         return MAX_RETRY_DELAY
 
 
-def _pool_context(start_method: Optional[str] = None):
-    """``fork`` where the platform offers it (cheap workers), else spawn.
-
-    ``start_method`` forces a specific method (the spawn path is what
-    non-fork platforms get; tests pin it to cover that fallback).
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in methods:
-            raise ReproError(
-                f"start method {start_method!r} not available; "
-                f"this platform offers {methods}"
-            )
-        return multiprocessing.get_context(start_method)
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+def _pool_context():
+    """``fork`` where the platform offers it (cheap workers), else spawn."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        return multiprocessing.get_context("spawn")
 
 
 def worker_lost_message(context: str) -> str:
@@ -463,8 +459,8 @@ class Dispatcher:
             Workers beat every :data:`HEARTBEAT_INTERVAL` seconds; silence
             for :data:`HEARTBEAT_GRACE` is treated as a lost worker even if
             the process looks alive.
-        start_method / cache_dir / app_keys: worker bring-up — same
-            contract as the runner's pool initializer.
+        cache_dir / app_keys: worker bring-up — same contract as the
+            runner's pool initializer.
         fault_plan / profile_dir: handed to every attempt a worker runs.
     """
 
@@ -474,7 +470,6 @@ class Dispatcher:
         ledger: TaskLedger,
         *,
         task_timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
         cache_dir: Optional[str] = None,
         app_keys: Sequence[Tuple[str, object]] = (),
         fault_plan=None,
@@ -488,7 +483,6 @@ class Dispatcher:
         self.jobs = jobs
         self.ledger = ledger
         self.task_timeout = task_timeout
-        self.start_method = start_method
         self.cache_dir = cache_dir
         self.app_keys = tuple(app_keys)
         self.fault_plan = fault_plan
@@ -516,7 +510,7 @@ class Dispatcher:
         }
         for _, spec in pending:
             self.ledger.register(spec.campaign_id)
-        self._ctx = _pool_context(self.start_method)
+        self._ctx = _pool_context()
         try:
             while self.ledger.unfinished():
                 self._lease_eligible(time.monotonic())

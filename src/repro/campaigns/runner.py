@@ -29,15 +29,18 @@ Four guarantees hold:
   specs whose IDs are already stored as done are skipped, so an
   interrupted sweep continues where it stopped.
 
-Chaos testing rides the same machinery: pass a seeded
-:class:`repro.faults.FaultPlan` (``fault_plan=`` here, ``--inject-faults``
-on the CLI) and chosen attempts crash/hang/fail deterministically — the
-converged store must match a fault-free run minus attempt metadata.
+A sweep's settings are one :class:`SweepOptions` value, checked when it is
+built.  Chaos testing rides the same machinery: pass a seeded
+:class:`repro.faults.FaultPlan` (``SweepOptions(fault_plan=...)``,
+``--inject-faults`` on the CLI) and chosen attempts crash/hang/fail
+deterministically — the converged store must match a fault-free run minus
+attempt metadata.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
 import traceback as traceback_module
@@ -338,12 +341,113 @@ class SweepReport:
 ProgressFn = Callable[[int, int, CampaignRecord], None]
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a number a float holds: not NaN, not ±inf, not
+    an int too large to convert, and not ``None`` or another non-number."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
+@dataclass(frozen=True)
+class SweepOptions:
+    """How a grid is executed — everything orthogonal to *what* runs.
+
+    The one declaration of a sweep's settings, which
+    :class:`CampaignRunner` reads.  Every check runs here, when the value
+    is built, so each entry point refuses bad settings before it binds,
+    queues or runs anything.  ``SweepOptions()`` is the plain serial sweep.
+
+    Args:
+        jobs: worker processes; ``1`` executes inline (no pool).  An
+            integer in [1, :data:`~repro.campaigns.dispatch.MAX_JOBS`]
+            (256).
+        cache_dir: optional surface-cache directory.  Before executing, the
+            grid's applications are warmed into it (valid entries reused,
+            missing ones computed and persisted) and every worker process
+            prewarms from it, so campaigns start with hot surface tables.
+        max_retries: re-executions granted after a campaign's first failed
+            attempt (crash, hang, or ordinary exception); past the budget
+            the campaign is quarantined as ``"failed"`` and the sweep goes
+            on without it.  An integer >= 0.
+        backoff: base of the exponential retry delay — retry *k* waits
+            ``backoff * 2**(k-1)`` seconds, at most
+            :data:`~repro.campaigns.dispatch.MAX_RETRY_DELAY` (60 s); a
+            base outside [0, 60] is refused.
+        task_timeout: seconds a leased campaign may run before its worker
+            is presumed hung and killed; ``0`` disables.  Only enforced on
+            the parallel path — inline there is no second process to do
+            the killing.
+        telemetry: record this sweep's event stream.  ``True`` journals to
+            the store's ``.telemetry`` sidecar (requires a store); a path
+            journals there explicitly.  Off (the default) the bus stays
+            the no-op emitter — one flag check per instrumented site.
+        profile: capture per-campaign :mod:`cProfile` stats.  ``True``
+            dumps into the store's ``.profiles`` directory (requires a
+            store); a path dumps there explicitly.  The directory is
+            passed to every attempt, inline and in every worker.
+        fault_plan: optional :class:`repro.faults.FaultPlan` injecting
+            deterministic chaos into every attempt (passed to
+            :func:`execute_campaign` inline and in every worker).
+    """
+
+    jobs: int = 1
+    cache_dir: Optional[Union[str, Path]] = None
+    max_retries: int = 2
+    backoff: float = 0.1
+    task_timeout: float = 0.0
+    telemetry: Union[bool, str, Path] = False
+    profile: Union[bool, str, Path] = False
+    fault_plan: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        # A float or bool count passes the range checks below, and an
+        # infinite retry budget retries a failing campaign forever.
+        for name in ("jobs", "max_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ReproError(
+                    f"{name} must be an integer, got {value!r} "
+                    f"(fix --{name.replace('_', '-')})"
+                )
+        # The dispatcher forks one worker per eligible campaign up to
+        # `jobs`; checked here, so `serve` refuses its defaults before it
+        # binds and a request's options get a 400 before any job queues.
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ReproError(
+                f"jobs must be in [1, {MAX_JOBS}], got {self.jobs} "
+                f"(fix --jobs)"
+            )
+        if self.max_retries < 0:
+            raise ReproError(
+                f"max_retries must be >= 0, got {self.max_retries} "
+                f"(fix --max-retries)"
+            )
+        # An infinite backoff never lets a retry come due, which wedges
+        # the dispatcher (and the service's one executor thread with it);
+        # every retry waits at most MAX_RETRY_DELAY, so a larger base is
+        # a typo.
+        if not 0 <= self.backoff <= MAX_RETRY_DELAY:
+            raise ReproError(
+                f"backoff must be a finite number in "
+                f"[0, {MAX_RETRY_DELAY:g}] seconds, got {self.backoff} "
+                f"(fix --backoff)"
+            )
+        # The dispatcher maps any timeout <= 0 to "off"; only 0 means that.
+        if not (_finite(self.task_timeout) and self.task_timeout >= 0):
+            raise ReproError(
+                f"task_timeout must be a finite number >= 0 (0 disables), "
+                f"got {self.task_timeout} (fix --task-timeout)"
+            )
+
+
 class CampaignRunner:
     """Executes campaign fleets; the scheduling layer every sweep uses.
 
     Args:
-        jobs: worker processes; ``1`` executes inline (no pool).  At
-            most :data:`~repro.campaigns.dispatch.MAX_JOBS` (256).
+        options: the sweep's settings (:class:`SweepOptions`); ``None`` is
+            ``SweepOptions()``, the plain serial sweep.
         store: optional checkpoint
             :class:`~repro.campaigns.store.jsonl.CampaignStore`; enables
             skip-done resume and per-campaign durability.  The runner
@@ -353,83 +457,29 @@ class CampaignRunner:
             ``ledger`` sidecar.
         progress: optional callback ``(finished_count, total, record)``
             invoked as campaigns complete (store replays excluded).
-        cache_dir: optional surface-cache directory.  Before executing, the
-            grid's applications are warmed into it (valid entries reused,
-            missing ones computed and persisted) and every worker process
-            prewarms from it, so campaigns start with hot surface tables.
-        start_method: force a multiprocessing start method (``"fork"`` /
-            ``"spawn"``); default picks what
-            :func:`repro.campaigns.dispatch._pool_context` picks.
-        max_retries: re-executions granted after a campaign's first failed
-            attempt (crash, hang, or ordinary exception); past the budget
-            the campaign is quarantined as ``"failed"`` and the sweep goes
-            on without it.
-        backoff: base of the exponential retry delay — retry *k* waits
-            ``backoff * 2**(k-1)`` seconds, at most
-            :data:`~repro.campaigns.dispatch.MAX_RETRY_DELAY` (60 s); a
-            larger base is refused.
-        task_timeout: seconds a leased campaign may run before its worker
-            is presumed hung and killed (``None``/``0`` disables; only
-            enforced on the parallel path — inline there is no second
-            process to do the killing).
-        fault_plan: optional :class:`repro.faults.FaultPlan` injecting
-            deterministic chaos into every attempt (passed to
-            :func:`execute_campaign` inline and in every worker).
-        telemetry: record this sweep's event stream.  ``True`` journals to
-            the store's ``.telemetry`` sidecar (requires a store); a path
-            journals there explicitly.  Off (the default) the bus stays
-            the no-op emitter — one flag check per instrumented site.
-        profile: capture per-campaign :mod:`cProfile` stats.  ``True``
-            dumps into the store's ``.profiles`` directory (requires a
-            store); a path dumps there explicitly.  The directory is
-            passed to every attempt, inline and in every worker.
     """
 
     def __init__(
         self,
-        jobs: int = 1,
+        options: Optional[SweepOptions] = None,
+        *,
         store: Optional[CampaignStore] = None,
         progress: Optional[ProgressFn] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        start_method: Optional[str] = None,
-        max_retries: int = 2,
-        backoff: float = 0.1,
-        task_timeout: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        telemetry: Union[bool, str, Path] = False,
-        profile: Union[bool, str, Path] = False,
     ):
-        if not 1 <= jobs <= MAX_JOBS:
-            raise ReproError(
-                f"jobs must be in [1, {MAX_JOBS}], got {jobs} (fix --jobs)"
-            )
-        if max_retries < 0:
-            raise ReproError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0 <= backoff <= MAX_RETRY_DELAY:
-            raise ReproError(
-                f"backoff must be a finite number in [0, {MAX_RETRY_DELAY:g}] "
-                f"seconds, got {backoff} (fix --backoff)"
-            )
-        self.jobs = jobs
+        self.options = options if options is not None else SweepOptions()
         self.store = store
         self.progress = progress
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.start_method = start_method
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.task_timeout = task_timeout
-        self.fault_plan = fault_plan
-        self.telemetry_path = self._sidecar(
-            telemetry, "telemetry", SIDECAR_TELEMETRY
-        )
-        self.profile_dir = self._sidecar(profile, "profile", SIDECAR_PROFILES)
+        self.telemetry_path = self._sidecar("telemetry", SIDECAR_TELEMETRY)
+        self.profile_dir = self._sidecar("profile", SIDECAR_PROFILES)
 
-    def _sidecar(self, setting, what: str, kind: str) -> Optional[Path]:
-        """Resolve a bool-or-path opt-in to its concrete location.
+    def _sidecar(self, what: str, kind: str) -> Optional[Path]:
+        """Resolve the bool-or-path opt-in ``options.<what>`` to its
+        concrete location.
 
         ``True`` asks the store where its ``kind`` sidecar lives (next to
         the store file).
         """
+        setting = getattr(self.options, what)
         if not setting:
             return None
         if isinstance(setting, (str, Path)):
@@ -488,7 +538,7 @@ class CampaignRunner:
                     else:
                         pending.append((index, spec))
 
-                if self.cache_dir is not None and pending:
+                if self.options.cache_dir is not None and pending:
                     self._warm_cache([spec for _, spec in pending])
 
                 skipped = len(specs) - len(pending)
@@ -497,7 +547,7 @@ class CampaignRunner:
                 if telemetry_enabled():
                     _telemetry_gauge("sweep.campaigns_total", float(len(specs)))
                     _telemetry_gauge("sweep.campaigns_pending", float(total))
-                    _telemetry_counter("sweep.start", jobs=self.jobs)
+                    _telemetry_counter("sweep.start", jobs=self.options.jobs)
                 for index, record in self._execute(pending):
                     results[index] = record
                     finished += 1
@@ -523,7 +573,7 @@ class CampaignRunner:
                         self.progress(finished, total, record)
                 if telemetry_enabled():
                     _telemetry_gauge("sweep.retries", float(retries))
-                    _telemetry_counter("sweep.end", jobs=self.jobs)
+                    _telemetry_counter("sweep.end", jobs=self.options.jobs)
         finally:
             if sweep_emitter is not None:
                 set_emitter(previous_emitter)
@@ -534,7 +584,7 @@ class CampaignRunner:
             executed=total,
             skipped=skipped,
             wall_seconds=time.perf_counter() - t0,
-            jobs=self.jobs,
+            jobs=self.options.jobs,
             retries=retries,
         )
 
@@ -547,7 +597,7 @@ class CampaignRunner:
         Applications this process builds here are attached to the cache, and
         inline campaigns are served these same instances.
         """
-        cache = SurfaceCache(self.cache_dir)
+        cache = SurfaceCache(self.options.cache_dir)
         cache.warm(
             grid_app_pairs(pending_specs),
             builder=lambda name, scale: process_app_cache().get(
@@ -563,7 +613,7 @@ class CampaignRunner:
         treatment.  Persistent failure propagates — losing checkpoints
         silently would break the resume contract.
         """
-        plan = self.fault_plan
+        plan = self.options.fault_plan
         for append_attempt in range(1, STORE_APPEND_ATTEMPTS + 1):
             try:
                 if plan is not None and plan.store_fault(
@@ -580,12 +630,12 @@ class CampaignRunner:
             except (OSError, ReproError):
                 if append_attempt == STORE_APPEND_ATTEMPTS:
                     raise
-                time.sleep(retry_delay(self.backoff, append_attempt))
+                time.sleep(retry_delay(self.options.backoff, append_attempt))
 
     def _execute(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         if not pending:
             return
-        if self.jobs == 1 or len(pending) == 1:
+        if self.options.jobs == 1 or len(pending) == 1:
             yield from self._execute_inline(pending)
             return
         yield from self._execute_dispatched(pending)
@@ -603,20 +653,20 @@ class CampaignRunner:
             while True:
                 attempt += 1
                 record = execute_campaign(
-                    spec, attempt=attempt, fault_plan=self.fault_plan,
+                    spec, attempt=attempt, fault_plan=self.options.fault_plan,
                     profile_dir=self.profile_dir,
                 )
                 if record.ok:
                     yield index, record
                     break
-                if attempt > self.max_retries:
+                if attempt > self.options.max_retries:
                     yield index, quarantine_record(record)
                     break
-                if self.backoff > 0:
-                    time.sleep(retry_delay(self.backoff, attempt))
+                if self.options.backoff > 0:
+                    time.sleep(retry_delay(self.options.backoff, attempt))
 
     def _execute_dispatched(self, pending: Sequence[Tuple[int, CampaignSpec]]):
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
+        cache_dir = self.options.cache_dir
         app_keys = grid_app_pairs([spec for _, spec in pending])
         ledger = TaskLedger(
             journal_path=(
@@ -624,17 +674,16 @@ class CampaignRunner:
                 if self.store is not None
                 else None
             ),
-            max_retries=self.max_retries,
-            backoff=self.backoff,
+            max_retries=self.options.max_retries,
+            backoff=self.options.backoff,
         )
         dispatcher = Dispatcher(
-            min(self.jobs, len(pending)),
+            min(self.options.jobs, len(pending)),
             ledger,
-            task_timeout=self.task_timeout,
-            start_method=self.start_method,
-            cache_dir=cache_dir,
+            task_timeout=self.options.task_timeout or None,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
             app_keys=app_keys,
-            fault_plan=self.fault_plan,
+            fault_plan=self.options.fault_plan,
             # Workers forward their events over the dispatch pipe whenever
             # this process's bus is live (however it was enabled).
             telemetry=telemetry_enabled(),
@@ -645,13 +694,7 @@ class CampaignRunner:
         yield from dispatcher.run(pending)
 
 
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    *,
-    jobs: int = 1,
-    start_method: Optional[str] = None,
-) -> list:
+def parallel_map(fn: Callable, items: Sequence, *, jobs: int = 1) -> list:
     """Order-preserving map over a worker pool (``fn`` must be picklable).
 
     The generic sibling of :class:`CampaignRunner` for grid-shaped work
@@ -660,14 +703,18 @@ def parallel_map(
     hole would corrupt the aggregate.  A worker that dies without
     reporting (hard kill, OOM) raises
     :class:`~repro.errors.WorkerLost` with the dispatcher's diagnosis
-    instead of the pool's bare ``BrokenProcessPool``.
+    instead of the pool's bare ``BrokenProcessPool``.  ``jobs`` is bounded
+    like a sweep's, by :data:`~repro.campaigns.dispatch.MAX_JOBS`, before
+    any pool is built.
     """
     items = list(items)
-    if jobs < 1:
-        raise ReproError(f"jobs must be >= 1, got {jobs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ReproError(
+            f"jobs must be in [1, {MAX_JOBS}], got {jobs} (fix --jobs)"
+        )
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    ctx = _pool_context(start_method)
+    ctx = _pool_context()
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(items)), mp_context=ctx
     ) as pool:

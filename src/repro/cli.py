@@ -84,6 +84,9 @@ _EXPERIMENTS = (
     "formats", "shift", "statistical", "scenarios",
 )
 
+#: Where the execution flags take their defaults: the sweep options' own.
+_SWEEP_DEFAULTS = api.SweepOptions()
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -123,7 +126,7 @@ def _run_one_cell(args: argparse.Namespace, strategies: tuple,
         scenarios=(args.scenario,),
         formats=(args.format,),
     )
-    job = api.submit_grid(grid, api.SweepOptions(store=store, max_retries=0))
+    job = api.submit_grid(grid, api.SweepOptions(max_retries=0), store=store)
     report = job.result()
     for record in report.failures:
         _LOG.error("campaign %s failed: %s", record.campaign_id, record.error)
@@ -182,32 +185,31 @@ def _fault_plan_from_args(args: argparse.Namespace):
         raise ReproError(f"bad --inject-faults plan: {exc}") from None
 
 
-def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
+def _options_from_args(args: argparse.Namespace) -> api.SweepOptions:
     """One :class:`repro.api.SweepOptions` from the shared CLI flags."""
     return api.SweepOptions(
-        store=store,
         jobs=args.jobs,
         cache_dir=args.cache_dir or None,
         max_retries=args.max_retries,
         backoff=args.backoff,
-        task_timeout=args.task_timeout or None,
+        task_timeout=args.task_timeout,
         telemetry=args.telemetry,
         profile=args.profile,
         fault_plan=_fault_plan_from_args(args),
     )
 
 
-def _run_sweep(grid: CampaignGrid, options: api.SweepOptions,
-               quiet: bool = False, live_progress: bool = False) -> int:
-    """Execute a grid through :func:`repro.api.submit_grid` and render the
-    outcome the way ``repro sweep`` always has."""
+def _run_sweep(grid: CampaignGrid, args: argparse.Namespace) -> int:
+    """Execute a grid into ``args.store`` through :func:`repro.api.
+    submit_grid` and render the outcome the way ``repro sweep`` always has."""
+    options = _options_from_args(args)
     # --progress swaps the per-campaign log lines for one in-place meter
     # with throughput and an EWMA ETA; --quiet silences both.
-    meter = LiveProgress() if live_progress and not quiet else None
+    meter = LiveProgress() if args.progress and not args.quiet else None
+    progress = meter if meter is not None else _progress_printer(args.quiet)
     try:
         job = api.submit_grid(
-            grid, options,
-            progress=meter if meter is not None else _progress_printer(quiet),
+            grid, options, store=args.store, progress=progress
         )
     finally:
         if meter is not None:
@@ -258,8 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scenarios=csv(args.scenarios),
         formats=csv(args.formats),
     )
-    options = _options_from_args(args, args.store)
-    return _run_sweep(grid, options, args.quiet, live_progress=args.progress)
+    return _run_sweep(grid, args)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -276,8 +277,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             "arguments and --store %s", store.path, store.path,
         )
         return 2
-    options = _options_from_args(args, args.store)
-    return _run_sweep(grid, options, args.quiet, live_progress=args.progress)
+    return _run_sweep(grid, args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -288,7 +288,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         data_root=args.data_root,
-        options=_options_from_args(args, None),
+        options=_options_from_args(args),
         quota=TenantQuota(
             core_hours=args.quota_core_hours or None,
             max_active=args.quota_max_active,
@@ -399,6 +399,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ReproError(f"{exc} (fix --scale)") from None
     if args.seed < 0:
         raise ReproError(f"seed must be >= 0, got {args.seed} (fix --seed)")
+    # The studies' runners and the format study's pool start up to --jobs
+    # workers; refused here for every experiment, serial ones included.
+    api.SweepOptions(jobs=args.jobs)
     if args.name in ("fig10", "fig11", "fig12"):
         result = run_headline(
             scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs
@@ -552,8 +555,9 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
     """The worker-pool and cache knobs every executing command shares
     (sweep, resume, serve)."""
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help=f"parallel worker processes, 1 to {MAX_JOBS} (default: 1)",
+        "--jobs", type=int, default=_SWEEP_DEFAULTS.jobs,
+        help=f"parallel worker processes, 1 to {MAX_JOBS} "
+             f"(default: %(default)s)",
     )
     parser.add_argument(
         "--cache-dir", default="",
@@ -592,19 +596,21 @@ def _add_progress(parser: argparse.ArgumentParser) -> None:
 def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
     """The sweep/resume retry, timeout, and chaos knobs."""
     parser.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=int, default=_SWEEP_DEFAULTS.max_retries,
         help="re-executions granted after a campaign's first failed attempt "
-             "before it is quarantined as failed (default: 2)",
+             "before it is quarantined as failed (default: %(default)s)",
     )
     parser.add_argument(
-        "--backoff", type=float, default=0.1,
+        "--backoff", type=float, default=_SWEEP_DEFAULTS.backoff,
         help="base of the exponential retry delay in seconds, at most 60 "
-             "— retry k waits backoff * 2**(k-1), capped at 60 (default: 0.1)",
+             "— retry k waits backoff * 2**(k-1), capped at 60 "
+             "(default: %(default)s)",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=0.0,
+        "--task-timeout", type=float, default=_SWEEP_DEFAULTS.task_timeout,
         help="seconds a campaign may run before its worker is presumed hung "
-             "and killed; 0 disables (parallel sweeps only)",
+             "and killed; 0 disables (parallel sweeps only; default: "
+             "%(default)s)",
     )
     parser.add_argument(
         "--inject-faults", default="", metavar="PLAN",
@@ -837,8 +843,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--repeats", type=int, default=3)
     p_exp.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel campaign workers (grid experiments)",
+        "--jobs", type=int, default=_SWEEP_DEFAULTS.jobs,
+        help=f"parallel campaign workers (grid experiments), 1 to "
+             f"{MAX_JOBS} (default: %(default)s)",
     )
     p_exp.set_defaults(func=_cmd_experiment)
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.runner import CampaignRunner, SweepOptions
 from repro.campaigns.spec import repeat_specs, vm_to_field
 from repro.campaigns.store import CampaignRecord
 from repro.cloud.vm import DEFAULT_VM, VMSpec
@@ -135,7 +135,8 @@ def run_headline(
                     vm=vm_to_field(vm), seed=seed,
                 )
             )
-    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
+    runner = CampaignRunner(SweepOptions(jobs=jobs))
+    records = runner.run(specs).raise_on_failure().records
 
     runs_by_cell: Dict[tuple, List[CampaignRecord]] = {}
     for record in records:
@@ -195,7 +196,8 @@ def run_stability(
         app_name, strategy, repeats=repeats, scale=scale, vm=vm_to_field(vm),
         seed=seed, vary_tuner_seed=False,
     )
-    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
+    runner = CampaignRunner(SweepOptions(jobs=jobs))
+    records = runner.run(specs).raise_on_failure().records
     picks = Counter(r.best_index for r in records)
     return StabilityResult(
         app_name=app_name,

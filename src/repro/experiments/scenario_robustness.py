@@ -26,7 +26,7 @@ from repro.campaigns.report import (
     scenario_table,
     summarise_by_scenario,
 )
-from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.runner import CampaignRunner, SweepOptions
 from repro.campaigns.spec import CampaignGrid
 from repro.errors import ReproError
 from repro.scenarios import get_scenario
@@ -88,7 +88,8 @@ def run_scenario_robustness(
         eval_runs=eval_runs,
         scenarios=tuple(scenarios),
     )
-    report = CampaignRunner(jobs=jobs).run(grid.specs()).raise_on_failure()
+    runner = CampaignRunner(SweepOptions(jobs=jobs))
+    report = runner.run(grid.specs()).raise_on_failure()
     return ScenarioRobustnessResult(
         grid=grid, summary=summarise_by_scenario(report.records)
     )

@@ -17,7 +17,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.campaigns.runner import CampaignRunner, cached_application
+from repro.campaigns.runner import (
+    CampaignRunner,
+    SweepOptions,
+    cached_application,
+)
 from repro.campaigns.spec import repeat_specs, vm_to_field
 from repro.campaigns.store import CampaignRecord
 from repro.cloud.vm import DEFAULT_VM, VMSpec
@@ -116,7 +120,8 @@ def run_statistical_comparison(
                     vm=vm_to_field(vm), seed=seed,
                 )
             )
-    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
+    runner = CampaignRunner(SweepOptions(jobs=jobs))
+    records = runner.run(specs).raise_on_failure().records
     runs_by_cell: Dict[tuple, List[CampaignRecord]] = {}
     for record in records:
         cell = (record.spec.app, record.spec.strategy)

@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.campaigns.runner import CampaignRunner, cached_application
+from repro.campaigns.runner import (
+    CampaignRunner,
+    SweepOptions,
+    cached_application,
+)
 from repro.campaigns.spec import CampaignSpec
 from repro.cloud.vm import PRESETS, VMSpec
 
@@ -74,7 +78,8 @@ def run_vm_sweep(
         )
         for vm_name in vm_names
     ]
-    records = CampaignRunner(jobs=jobs).run(specs).raise_on_failure().records
+    runner = CampaignRunner(SweepOptions(jobs=jobs))
+    records = runner.run(specs).raise_on_failure().records
     rows: List[VMSweepRow] = []
     for vm_name, record in zip(vm_names, records):
         vm: VMSpec = PRESETS[vm_name]

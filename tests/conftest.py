@@ -19,3 +19,25 @@ def _fresh_process_caches():
     yield
     clear_process_caches()
     reset_telemetry()
+
+
+@pytest.fixture()
+def pin_start_method(monkeypatch):
+    """Call with ``"fork"`` or ``"spawn"`` to start this test's sweep
+    workers and :func:`repro.campaigns.parallel_map` pools that way.
+
+    Both modules look ``_pool_context`` up at call time, so substituting it
+    covers the spawn path non-fork platforms take on any host.
+    """
+    import multiprocessing
+
+    from repro.campaigns import dispatch, runner
+
+    def pin(method: str) -> None:
+        def context():
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(dispatch, "_pool_context", context)
+        monkeypatch.setattr(runner, "_pool_context", context)
+
+    return pin

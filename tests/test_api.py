@@ -112,9 +112,7 @@ class TestValidateGrid:
 class TestSubmitGrid:
     def test_blocking_submit_with_store(self, tmp_path):
         store = tmp_path / "s.jsonl"
-        job = api.submit_grid(
-            _grid(), api.SweepOptions(store=str(store))
-        )
+        job = api.submit_grid(_grid(), store=str(store))
         assert job.done and job.state == "done"
         report = job.result()
         assert report.executed == 2 and not report.failures
@@ -129,16 +127,13 @@ class TestSubmitGrid:
     def test_invalid_grid_rejected_before_any_work(self, tmp_path):
         store = tmp_path / "s.jsonl"
         with pytest.raises(ReproError, match="unknown applications"):
-            api.submit_grid(
-                _grid(apps=("nope",)), api.SweepOptions(store=str(store))
-            )
+            api.submit_grid(_grid(apps=("nope",)), store=str(store))
         assert not store.exists()
 
     def test_resubmission_resumes_from_the_store(self, tmp_path):
         store = tmp_path / "s.jsonl"
-        options = api.SweepOptions(store=str(store))
-        api.submit_grid(_grid(), options)
-        report = api.submit_grid(_grid(), options).result()
+        api.submit_grid(_grid(), store=str(store))
+        report = api.submit_grid(_grid(), store=str(store)).result()
         assert report.executed == 0 and report.skipped == 2
 
     def test_runner_refusing_its_options_fails_the_job(self):
@@ -162,7 +157,7 @@ class TestSubmitGrid:
             "--eval-runs", "10", "--store", str(cli_store), "--quiet",
         ]) == 0
         api_store = tmp_path / "api.jsonl"
-        api.submit_grid(_grid(), api.SweepOptions(store=str(api_store)))
+        api.submit_grid(_grid(), store=str(api_store))
         assert _stable_rows(api_store) == _stable_rows(cli_store)
 
 
@@ -171,7 +166,7 @@ class TestReadSide:
     def job(self, tmp_path):
         return api.submit_grid(
             _grid(scenarios=("steady", "bursty")),
-            api.SweepOptions(store=str(tmp_path / "s.jsonl")),
+            store=str(tmp_path / "s.jsonl"),
         )
 
     def test_status_snapshot(self, job):
@@ -265,9 +260,10 @@ class TestWireFormat:
         (dict(task_timeout=float("nan")), "--task-timeout"),
         (dict(backoff=60.001), "--backoff"),
         (dict(backoff=1e300), "--backoff"),
+        (dict(task_timeout=None), "--task-timeout"),
     ], ids=["backoff-inf", "backoff-nan", "backoff-negative",
             "task-timeout-inf", "task-timeout-nan", "backoff-over-60",
-            "backoff-1e300"])
+            "backoff-1e300", "task-timeout-none"])
     def test_sweep_options_need_finite_knobs(self, fields, flag):
         with pytest.raises(ReproError, match=rf"finite.*\(fix {flag}\)"):
             api.SweepOptions(**fields)
@@ -276,11 +272,18 @@ class TestWireFormat:
         (dict(jobs=0), "--jobs"),
         (dict(jobs=257), "--jobs"),
         (dict(max_retries=-1), "--max-retries"),
-    ], ids=["jobs-0", "jobs-257", "max-retries-negative"])
+        (dict(max_retries=float("inf")), "--max-retries"),
+        (dict(max_retries=float("nan")), "--max-retries"),
+        (dict(max_retries=2.5), "--max-retries"),
+        (dict(jobs=2.5), "--jobs"),
+        (dict(jobs=True), "--jobs"),
+    ], ids=["jobs-0", "jobs-257", "max-retries-negative", "max-retries-inf",
+            "max-retries-nan", "max-retries-2.5", "jobs-2.5", "jobs-true"])
     def test_sweep_options_bound_workers_and_retries(self, fields, flag):
         """Only the runner checked these, so `serve` listened with them as
         defaults; `jobs` is capped because the dispatcher forks one worker
-        per eligible campaign."""
+        per eligible campaign.  Both are counts: with an infinite retry
+        budget, a campaign that always fails was retried forever."""
         with pytest.raises(ReproError, match=rf"\(fix {flag}\)$"):
             api.SweepOptions(**fields)
 

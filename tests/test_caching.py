@@ -221,23 +221,27 @@ class TestGridAppPairs:
 
 class TestRunnerIntegration:
     def test_warm_sweep_bit_identical_to_cold(self, tmp_path):
-        from repro.campaigns import CampaignGrid, CampaignRunner
+        from repro.campaigns import CampaignGrid, CampaignRunner, SweepOptions
 
         grid = CampaignGrid(apps=("redis",), seeds=(0, 1), scale="test",
                             eval_runs=10)
         specs = list(grid.specs())
         clear_process_caches()
-        cold = CampaignRunner(jobs=1).run(specs)
+        cold = CampaignRunner(SweepOptions(jobs=1)).run(specs)
         clear_process_caches()
         warm_dir = tmp_path / "surfaces"
-        warm = CampaignRunner(jobs=1, cache_dir=warm_dir).run(specs)
+        warm = CampaignRunner(SweepOptions(jobs=1, cache_dir=warm_dir)).run(
+            specs
+        )
         assert json.dumps([r.to_payload() for r in warm.records],
                           sort_keys=True) == \
             json.dumps([r.to_payload() for r in cold.records], sort_keys=True)
         assert list(warm_dir.glob("*.npz"))
         # Second warm run loads (reuses) rather than recomputing the tables.
         clear_process_caches()
-        again = CampaignRunner(jobs=1, cache_dir=warm_dir).run(specs)
+        again = CampaignRunner(SweepOptions(jobs=1, cache_dir=warm_dir)).run(
+            specs
+        )
         assert json.dumps([r.to_payload() for r in again.records],
                           sort_keys=True) == \
             json.dumps([r.to_payload() for r in cold.records], sort_keys=True)

@@ -10,6 +10,7 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
+    SweepOptions,
     parallel_map,
     repeat_specs,
     summarise,
@@ -33,7 +34,8 @@ def small_grid():
 
 @pytest.fixture(scope="module")
 def serial_records(small_grid):
-    return CampaignRunner(jobs=1).run(small_grid.specs()).records
+    runner = CampaignRunner(SweepOptions(jobs=1))
+    return runner.run(small_grid.specs()).records
 
 
 class TestCampaignSpec:
@@ -82,7 +84,7 @@ class TestCampaignSpec:
         assert vm_to_field(PRESETS["m5.large"]) == "m5.large"
 
         spec = CampaignSpec(app="redis", vm=field, scale="test", eval_runs=5)
-        report = CampaignRunner(jobs=1).run([spec])
+        report = CampaignRunner(SweepOptions(jobs=1)).run([spec])
         assert report.records[0].ok
         assert vm_display_name(report.records[0].spec.vm) == "onprem-box"
 
@@ -140,7 +142,8 @@ class TestRunnerSerial:
                 result.best_index,
                 env.measure_choice(app, result.best_index, runs=spec.eval_runs),
             ))
-        report = CampaignRunner(jobs=1).run(specs).raise_on_failure()
+        runner = CampaignRunner(SweepOptions(jobs=1))
+        report = runner.run(specs).raise_on_failure()
         assert [(r.best_index, r.evaluation) for r in report.records] == by_hand
 
     def test_duplicate_specs_rejected(self):
@@ -150,12 +153,12 @@ class TestRunnerSerial:
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ReproError):
-            CampaignRunner(jobs=0)
+            CampaignRunner(SweepOptions(jobs=0))
         # Capped, since the dispatcher forks a worker per campaign up to
         # `jobs`; building a runner starts no worker.
         with pytest.raises(ReproError, match=r"got 257 \(fix --jobs\)"):
-            CampaignRunner(jobs=257)
-        assert CampaignRunner(jobs=256).jobs == 256
+            CampaignRunner(SweepOptions(jobs=257))
+        assert CampaignRunner(SweepOptions(jobs=256)).options.jobs == 256
 
 
 class TestFailureIsolation:
@@ -163,7 +166,7 @@ class TestFailureIsolation:
         bad = CampaignSpec(app="redis", strategy="NoSuchTuner", scale="test",
                            eval_runs=5)
         good = CampaignSpec(app="redis", scale="test", eval_runs=5)
-        report = CampaignRunner(jobs=1).run([bad, good])
+        report = CampaignRunner(SweepOptions(jobs=1)).run([bad, good])
         assert [r.status for r in report.records] == ["failed", "done"]
         assert "NoSuchTuner" in report.records[0].error
         assert report.records[0].evaluation is None
@@ -174,7 +177,7 @@ class TestFailureIsolation:
         bad = CampaignSpec(app="redis", strategy="NoSuchTuner", scale="test",
                            eval_runs=5)
         good = CampaignSpec(app="redis", scale="test", eval_runs=5)
-        report = CampaignRunner(jobs=1).run([bad, good])
+        report = CampaignRunner(SweepOptions(jobs=1)).run([bad, good])
         summary = summarise(report.records)
         assert summary.failed == 1 and summary.done == 1
         row = summary.rows[0] if summary.rows[0].failures else summary.rows[1]
@@ -184,18 +187,19 @@ class TestFailureIsolation:
 
 class TestParallelDeterminism:
     def test_jobs2_bit_identical_to_serial(self, small_grid, serial_records):
-        parallel = CampaignRunner(jobs=2).run(small_grid.specs()).records
+        runner = CampaignRunner(SweepOptions(jobs=2))
+        parallel = runner.run(small_grid.specs()).records
         assert _payloads(parallel) == _payloads(serial_records)
 
     def test_order_independent(self, small_grid, serial_records):
         reversed_specs = list(small_grid.specs())[::-1]
-        report = CampaignRunner(jobs=2).run(reversed_specs)
+        report = CampaignRunner(SweepOptions(jobs=2)).run(reversed_specs)
         assert _payloads(report.records[::-1]) == _payloads(serial_records)
 
     def test_progress_counts_every_campaign(self, small_grid):
         seen = []
         runner = CampaignRunner(
-            jobs=2, progress=lambda k, n, r: seen.append((k, n))
+            SweepOptions(jobs=2), progress=lambda k, n, r: seen.append((k, n))
         )
         runner.run(small_grid.specs())
         assert sorted(seen) == [(1, 4), (2, 4), (3, 4), (4, 4)]
@@ -204,30 +208,26 @@ class TestParallelDeterminism:
 class TestSpawnStartMethod:
     """The fallback path ``_pool_context`` picks on non-fork platforms."""
 
-    def test_spawn_pool_bit_identical_to_serial(self, small_grid, serial_records):
-        report = CampaignRunner(jobs=2, start_method="spawn").run(
-            small_grid.specs()
-        )
+    def test_spawn_pool_bit_identical_to_serial(
+        self, small_grid, serial_records, pin_start_method
+    ):
+        pin_start_method("spawn")
+        report = CampaignRunner(SweepOptions(jobs=2)).run(small_grid.specs())
         assert _payloads(report.records) == _payloads(serial_records)
 
     def test_spawn_pool_with_prewarmed_cache(
-        self, small_grid, serial_records, tmp_path
+        self, small_grid, serial_records, tmp_path, pin_start_method
     ):
         from repro.caching import SurfaceCache, grid_app_pairs
 
         specs = list(small_grid.specs())
         cache_dir = tmp_path / "surfaces"
         SurfaceCache(cache_dir).warm(grid_app_pairs(specs))
+        pin_start_method("spawn")
         report = CampaignRunner(
-            jobs=2, start_method="spawn", cache_dir=cache_dir
+            SweepOptions(jobs=2, cache_dir=cache_dir)
         ).run(specs)
         assert _payloads(report.records) == _payloads(serial_records)
-
-    def test_unavailable_start_method_rejected(self):
-        from repro.campaigns.runner import _pool_context
-
-        with pytest.raises(ReproError):
-            _pool_context("no-such-method")
 
 
 class TestStoreLock:
@@ -238,14 +238,14 @@ class TestStoreLock:
         spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
         with store.exclusive():
             with pytest.raises(ReproError, match="locked by another"):
-                CampaignRunner(jobs=1, store=store).run([spec])
+                CampaignRunner(SweepOptions(jobs=1), store=store).run([spec])
 
     def test_lock_released_after_run(self, tmp_path):
         store = CampaignStore(tmp_path / "s.jsonl")
         spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
-        CampaignRunner(jobs=1, store=store).run([spec])
+        CampaignRunner(SweepOptions(jobs=1), store=store).run([spec])
         # The runner released its lock, so a new sweep acquires it cleanly.
-        report = CampaignRunner(jobs=1, store=store).run([spec])
+        report = CampaignRunner(SweepOptions(jobs=1), store=store).run([spec])
         assert report.skipped == 1
 
     def test_lock_released_even_when_run_raises(self, tmp_path):
@@ -255,7 +255,9 @@ class TestStoreLock:
         def explode(k, n, r):
             raise RuntimeError("progress callback crashed")
 
-        runner = CampaignRunner(jobs=1, store=store, progress=explode)
+        runner = CampaignRunner(
+            SweepOptions(jobs=1), store=store, progress=explode
+        )
         with pytest.raises(RuntimeError):
             runner.run([spec])
         with store.exclusive():  # acquirable again => released above
@@ -286,7 +288,7 @@ class TestStoreLock:
         self, small_grid, tmp_path
     ):
         store = CampaignStore(tmp_path / "s.jsonl")
-        CampaignRunner(jobs=1, store=store).run(
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(
             list(small_grid.specs())[:1], grid=small_grid
         )
         assert store.read_grid() == small_grid
@@ -299,7 +301,7 @@ class TestSurfaceCacheDoesNotLeak:
         from repro.telemetry.events import BufferEmitter, set_emitter
 
         cache_dir = tmp_path / "surf"
-        CampaignRunner(jobs=1, cache_dir=cache_dir).run(
+        CampaignRunner(SweepOptions(jobs=1, cache_dir=cache_dir)).run(
             [CampaignSpec(app="redis", scale="test", eval_runs=5)]
         )
 
@@ -314,7 +316,7 @@ class TestSurfaceCacheDoesNotLeak:
         events = BufferEmitter()
         previous = set_emitter(events)
         try:
-            CampaignRunner(jobs=1).run(
+            CampaignRunner(SweepOptions(jobs=1)).run(
                 [CampaignSpec(app="gromacs", scale="test", eval_runs=5)]
             )
         finally:
@@ -389,10 +391,12 @@ class TestResumeDeterminism:
         store = CampaignStore(tmp_path / "s.jsonl")
         store.write_grid(small_grid)
         # Simulated interruption: only the first two campaigns got stored.
-        interrupted = CampaignRunner(jobs=1, store=store).run(specs[:2])
+        interrupted = CampaignRunner(SweepOptions(jobs=1), store=store).run(
+            specs[:2]
+        )
         assert interrupted.executed == 2
         # Resume the full grid in parallel; stored campaigns must be skipped.
-        resumed = CampaignRunner(jobs=2, store=store).run(specs)
+        resumed = CampaignRunner(SweepOptions(jobs=2), store=store).run(specs)
         assert resumed.skipped == 2
         assert resumed.executed == 2
         # Byte-identical records and aggregate vs the uninterrupted run.
@@ -405,8 +409,8 @@ class TestResumeDeterminism:
     def test_second_resume_runs_nothing(self, small_grid, tmp_path):
         specs = list(small_grid.specs())
         store = CampaignStore(tmp_path / "s.jsonl")
-        CampaignRunner(jobs=1, store=store).run(specs)
-        again = CampaignRunner(jobs=2, store=store).run(specs)
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(specs)
+        again = CampaignRunner(SweepOptions(jobs=2), store=store).run(specs)
         assert again.executed == 0 and again.skipped == len(specs)
 
 
@@ -425,17 +429,24 @@ class TestParallelMap:
     def test_serial_fallback(self):
         assert parallel_map(str, [1], jobs=8) == ["1"]
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ReproError):
-            parallel_map(str, [1], jobs=0)
+    def test_rejects_bad_jobs(self, monkeypatch):
+        """Bounded like a sweep's workers, before any pool is built: with
+        no bound, 100000 jobs asked the pool for one worker per item."""
+        from repro.campaigns import runner
 
-    def test_honours_start_method(self):
-        """The spawn-pinned pool path (formerly unreachable: parallel_map
-        dropped its caller's start method on the floor)."""
-        assert parallel_map(str, [3, 1, 2], jobs=2, start_method="spawn") \
-            == ["3", "1", "2"]
-        with pytest.raises(ReproError, match="not available"):
-            parallel_map(str, [1, 2], jobs=2, start_method="no-such-method")
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        for jobs in (0, 257, 100000):
+            with pytest.raises(ReproError, match=rf"{jobs} \(fix --jobs\)"):
+                parallel_map(str, [1, 2], jobs=jobs)
+
+    def test_honours_start_method(self, pin_start_method):
+        """The pool path under the spawn start method non-fork platforms
+        get."""
+        pin_start_method("spawn")
+        assert parallel_map(str, [3, 1, 2], jobs=2) == ["3", "1", "2"]
 
     def test_dead_worker_raises_worker_lost(self):
         from repro.errors import WorkerLost

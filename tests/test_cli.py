@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.campaigns import CampaignGrid, open_store
-from repro.cli import build_parser, main
+from repro.cli import _options_from_args, build_parser, main
 
 
 def _refused(argv, capsys) -> str:
@@ -54,6 +54,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exited:
             build_parser().parse_args(argv)
         assert exited.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["resume", "s.jsonl"], ["serve"],
+    ], ids=["sweep", "resume", "serve"])
+    def test_execution_defaults_are_the_sweep_options(self, argv):
+        """The flags take their defaults from `SweepOptions`' fields."""
+        args = build_parser().parse_args(argv)
+        assert _options_from_args(args) == api.SweepOptions()
 
     def test_tune_strategy_choices_are_the_supported_strategies(self):
         tune = build_parser()._subparsers._group_actions[0].choices["tune"]
@@ -133,6 +141,23 @@ class TestCommands:
             "--seed", "-2",
         ], capsys)
         assert line.endswith("(fix --seed)")
+
+    @pytest.mark.parametrize("jobs", ["0", "257", "100000"])
+    @pytest.mark.parametrize("name", ["formats", "sensitivity", "fig10"])
+    def test_experiment_bad_jobs_is_refused_before_any_campaign(
+        self, name, jobs, capsys, monkeypatch
+    ):
+        """`formats` asked its pool for one worker per trial, and
+        `sensitivity`, which runs serially, ignored --jobs."""
+        def no_campaigns(*args, **kwargs):
+            raise AssertionError("an experiment ran despite a bad --jobs")
+
+        for study in ("run_format_power", "run_headline", "run_sensitivity"):
+            monkeypatch.setattr(f"repro.cli.{study}", no_campaigns)
+        line = _refused([
+            "experiment", "--name", name, "--scale", "test", "--jobs", jobs,
+        ], capsys)
+        assert line.endswith("(fix --jobs)")
 
     def test_sweep_non_integer_seeds_is_one_line_exit_two(self, capsys, tmp_path):
         store = tmp_path / "s.jsonl"

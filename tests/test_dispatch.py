@@ -9,6 +9,7 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
+    SweepOptions,
     TaskLedger,
     summarise_failures,
 )
@@ -44,7 +45,8 @@ def small_grid():
 
 @pytest.fixture(scope="module")
 def clean_records(small_grid):
-    return CampaignRunner(jobs=1).run(small_grid.specs()).records
+    runner = CampaignRunner(SweepOptions(jobs=1))
+    return runner.run(small_grid.specs()).records
 
 
 class TestTaskLedger:
@@ -190,7 +192,7 @@ class TestRetryDelay:
             "repro.campaigns.runner.time.sleep", slept.append
         )
         report = CampaignRunner(
-            jobs=1, max_retries=30, fault_plan=plan
+            SweepOptions(jobs=1, max_retries=30, fault_plan=plan)
         ).run([spec])
         assert report.records[0].ok and report.retries == 30
         assert len(slept) == 30 and max(slept) == MAX_RETRY_DELAY
@@ -199,7 +201,7 @@ class TestRetryDelay:
     @pytest.mark.parametrize("backoff", [60.5, 1e300])
     def test_runner_refuses_a_backoff_past_the_ceiling(self, backoff):
         with pytest.raises(ReproError, match=r"\(fix --backoff\)"):
-            CampaignRunner(backoff=backoff)
+            CampaignRunner(SweepOptions(backoff=backoff))
 
 
 class TestWorkerDeath:
@@ -208,15 +210,16 @@ class TestWorkerDeath:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_sigkilled_worker_is_retried_and_sweep_converges(
-        self, start_method, tmp_path, small_grid, clean_records
+        self, start_method, tmp_path, small_grid, clean_records,
+        pin_start_method,
     ):
         specs = list(small_grid.specs())
         victim = specs[0].campaign_id
         store = CampaignStore(tmp_path / f"{start_method}.jsonl")
         plan = FaultPlan(targets={victim: ("sigkill",)})
+        pin_start_method(start_method)
         report = CampaignRunner(
-            jobs=2, store=store, start_method=start_method, backoff=0.05,
-            fault_plan=plan,
+            SweepOptions(jobs=2, backoff=0.05, fault_plan=plan), store=store
         ).run(specs)
         assert all(r.ok for r in report.records)
         assert report.retries >= 1
@@ -233,9 +236,9 @@ class TestWorkerDeath:
     def test_hard_crash_mid_sweep_is_retried(self, small_grid, clean_records):
         specs = list(small_grid.specs())
         plan = FaultPlan(targets={specs[1].campaign_id: ("crash",)})
-        report = CampaignRunner(jobs=2, backoff=0.05, fault_plan=plan).run(
-            specs
-        )
+        report = CampaignRunner(
+            SweepOptions(jobs=2, backoff=0.05, fault_plan=plan)
+        ).run(specs)
         assert all(r.ok for r in report.records)
         assert report.retries >= 1
         assert _stable(report.records) == _stable(clean_records)
@@ -249,9 +252,9 @@ class TestHangsAndTimeouts:
         plan = FaultPlan(
             targets={specs[0].campaign_id: ("hang",)}, hang_seconds=60.0
         )
-        report = CampaignRunner(
+        report = CampaignRunner(SweepOptions(
             jobs=2, backoff=0.05, task_timeout=1.0, fault_plan=plan
-        ).run(specs)
+        )).run(specs)
         assert all(r.ok for r in report.records)
         assert report.retries >= 1
         assert _stable(report.records) == _stable(clean_records)
@@ -262,10 +265,10 @@ class TestHangsAndTimeouts:
         specs = list(small_grid.specs())
         victim = specs[0].campaign_id
         plan = FaultPlan(targets={victim: ("hang",) * 2}, hang_seconds=60.0)
-        report = CampaignRunner(
+        report = CampaignRunner(SweepOptions(
             jobs=2, backoff=0.05, max_retries=1, task_timeout=0.5,
             fault_plan=plan,
-        ).run(specs)
+        )).run(specs)
         bad = [r for r in report.records if not r.ok]
         assert [r.campaign_id for r in bad] == [victim]
         assert bad[0].error.startswith("RetryExhausted")
@@ -282,7 +285,7 @@ class TestQuarantine:
         victim = specs[0].campaign_id
         plan = FaultPlan(targets={victim: ("transient",) * 5})
         report = CampaignRunner(
-            jobs=2, backoff=0.0, max_retries=1, fault_plan=plan
+            SweepOptions(jobs=2, backoff=0.0, max_retries=1, fault_plan=plan)
         ).run(specs)
         by_id = {r.campaign_id: r for r in report.records}
         assert not by_id[victim].ok
@@ -300,10 +303,10 @@ class TestQuarantine:
         specs = list(small_grid.specs())
         plan = FaultPlan(rate=1.0, kinds=("transient",), max_faults=3, seed=5)
         inline = CampaignRunner(
-            jobs=1, backoff=0.0, max_retries=0, fault_plan=plan
+            SweepOptions(jobs=1, backoff=0.0, max_retries=0, fault_plan=plan)
         ).run(specs)
         dispatched = CampaignRunner(
-            jobs=2, backoff=0.0, max_retries=0, fault_plan=plan
+            SweepOptions(jobs=2, backoff=0.0, max_retries=0, fault_plan=plan)
         ).run(specs)
         assert json.dumps([r.to_payload() for r in inline.records],
                           sort_keys=True) \
@@ -318,7 +321,7 @@ class TestStoreFaults:
         store = CampaignStore(tmp_path / "s.jsonl")
         plan = FaultPlan(rate=0.0, store_rate=1.0)
         report = CampaignRunner(
-            jobs=1, store=store, backoff=0.0, fault_plan=plan
+            SweepOptions(jobs=1, backoff=0.0, fault_plan=plan), store=store
         ).run(small_grid.specs())
         assert all(r.ok for r in report.records)
         assert _stable(store.records()) == _stable(clean_records)
@@ -329,7 +332,8 @@ class TestLedgerSidecar:
         self, tmp_path, small_grid
     ):
         store = CampaignStore(tmp_path / "sweep.jsonl")
-        CampaignRunner(jobs=2, store=store).run(small_grid.specs())
+        runner = CampaignRunner(SweepOptions(jobs=2), store=store)
+        runner.run(small_grid.specs())
         path = store.sidecar_path(SIDECAR_LEDGER)
         assert path == tmp_path / "sweep.jsonl.ledger"
         events = TaskLedger.read_events(path)
@@ -337,7 +341,7 @@ class TestLedgerSidecar:
         assert all(e["kind"] == "lease_event" for e in events)
 
     def test_storeless_sweep_keeps_ledger_in_memory(self, small_grid):
-        report = CampaignRunner(jobs=2).run(small_grid.specs())
+        report = CampaignRunner(SweepOptions(jobs=2)).run(small_grid.specs())
         assert all(r.ok for r in report.records)
 
 

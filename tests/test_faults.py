@@ -6,7 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaigns import CampaignRunner, CampaignSpec, execute_campaign
+from repro.campaigns import (
+    CampaignRunner,
+    CampaignSpec,
+    SweepOptions,
+    execute_campaign,
+)
 from repro.errors import CampaignTimeout, FaultInjected, ReproError
 from repro.faults import FAULT_KINDS, FaultPlan
 
@@ -135,7 +140,7 @@ class TestConvergence:
 
     @pytest.fixture(scope="class")
     def clean(self, specs):
-        report = CampaignRunner(jobs=1).run(specs)
+        report = CampaignRunner(SweepOptions(jobs=1)).run(specs)
         return [json.dumps(r.stable_payload(), sort_keys=True)
                 for r in report.records]
 
@@ -158,9 +163,9 @@ class TestConvergence:
             seed=seed, rate=1.0, kinds=tuple(kinds), max_faults=max_faults,
             hang_seconds=0.0,
         )
-        report = CampaignRunner(
+        report = CampaignRunner(SweepOptions(
             jobs=1, backoff=0.0, max_retries=max_faults, fault_plan=plan
-        ).run(specs)
+        )).run(specs)
         assert all(r.ok for r in report.records)
         chaos = [json.dumps(r.stable_payload(), sort_keys=True)
                  for r in report.records]
@@ -169,6 +174,6 @@ class TestConvergence:
         assert report.retries == expected
 
     def test_fault_free_records_have_attempt_one(self, specs):
-        report = CampaignRunner(jobs=1).run(specs)
+        report = CampaignRunner(SweepOptions(jobs=1)).run(specs)
         assert [r.attempts for r in report.records] == [1, 1]
         assert report.retries == 0

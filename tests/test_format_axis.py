@@ -9,6 +9,7 @@ from repro.campaigns import (
     CampaignGrid,
     CampaignRunner,
     CampaignSpec,
+    SweepOptions,
     format_table,
     summarise_by_format,
 )
@@ -138,7 +139,7 @@ class TestCampaignFormatAxis:
             apps=("redis",), seeds=(0,), scale="test", eval_runs=10,
             formats=("darwin", "knockout"),
         )
-        report = CampaignRunner(jobs=1).run(grid.specs())
+        report = CampaignRunner(SweepOptions(jobs=1)).run(grid.specs())
         assert all(r.ok for r in report.records)
         summary = summarise_by_format(report.records)
         assert summary.formats == ["darwin", "knockout"]
@@ -157,7 +158,7 @@ class TestCampaignFormatAxis:
                            scale="test", eval_runs=10)
         alt = CampaignSpec(app="redis", strategy="BLISS", seed=1,
                           scale="test", eval_runs=10, format="knockout")
-        report = CampaignRunner(jobs=1).run([base, alt])
+        report = CampaignRunner(SweepOptions(jobs=1)).run([base, alt])
         a, b = report.records
         assert a.ok and b.ok
         assert a.best_index == b.best_index

@@ -71,15 +71,24 @@ _REMOVED_MEMBERS = {
     "repro.formats:SingleElimination": ("schedule", "run"),
     "repro.formats:StreakSwiss": ("schedule",),
     "repro.formats:SwissSystem": ("schedule", "run"),
+    # A sweep's store is an argument of `submit_grid`, as of `JobHandle`.
+    "repro.api:SweepOptions": ("store", "open_store"),
 }
 
-#: Parameters deleted from a callable: no caller set them.
+#: Parameters deleted from a callable: no caller set them, or (the
+#: runner's sweep settings) they live in `SweepOptions`.
 _REMOVED_PARAMETERS = {
     "repro.campaigns.dispatch:Dispatcher": (
-        "heartbeat_interval", "heartbeat_grace", "clock",
+        "heartbeat_interval", "heartbeat_grace", "clock", "start_method",
     ),
     "repro.campaigns.dispatch:_dispatch_worker": ("heartbeat_interval",),
-    "repro.campaigns.runner:CampaignRunner": ("heartbeat_interval",),
+    "repro.campaigns.dispatch:_pool_context": ("start_method",),
+    "repro.campaigns.runner:CampaignRunner": (
+        "heartbeat_interval", "jobs", "cache_dir", "start_method",
+        "max_retries", "backoff", "task_timeout", "fault_plan", "telemetry",
+        "profile",
+    ),
+    "repro.campaigns.runner:parallel_map": ("start_method",),
 }
 
 
@@ -113,6 +122,17 @@ class TestPublicApi:
                 assert parameter not in parameters, (
                     f"{owner}({parameter}=) was removed"
                 )
+
+    def test_one_sweep_settings_object(self):
+        """`SweepOptions` is the runner's only configuration, exported
+        under one class from every package that names it."""
+        from repro.campaigns import CampaignRunner
+
+        assert repro.SweepOptions is repro.api.SweepOptions
+        assert repro.api.SweepOptions is repro.campaigns.SweepOptions
+        assert list(inspect.signature(CampaignRunner).parameters) == [
+            "options", "store", "progress",
+        ]
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

@@ -10,6 +10,7 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
+    SweepOptions,
     summarise,
     summarise_by_scenario,
 )
@@ -289,8 +290,10 @@ class TestCampaignIntegration:
             scenarios=("steady", "bursty", "preemptible"),
         )
         specs = list(grid.specs())
-        serial = CampaignRunner(jobs=1).run(specs).raise_on_failure()
-        parallel = CampaignRunner(jobs=2).run(specs).raise_on_failure()
+        serial = CampaignRunner(SweepOptions(jobs=1)).run(specs)
+        parallel = CampaignRunner(SweepOptions(jobs=2)).run(specs)
+        serial.raise_on_failure()
+        parallel.raise_on_failure()
         assert json.dumps([r.to_payload() for r in serial.records]) \
             == json.dumps([r.to_payload() for r in parallel.records])
         # Dynamic conditions genuinely change campaign outcomes.
@@ -305,7 +308,7 @@ class TestCampaignIntegration:
             scenarios=("steady", "mixed-fleet"),
         )
         store = CampaignStore(tmp_path / "s.jsonl")
-        report = CampaignRunner(jobs=1, store=store).run(
+        report = CampaignRunner(SweepOptions(jobs=1), store=store).run(
             grid.specs(), grid=grid
         )
         reloaded_grid, records = store.load()
@@ -321,10 +324,11 @@ class TestCampaignIntegration:
         )
         specs = list(grid.specs())
         store = CampaignStore(tmp_path / "s.jsonl")
-        CampaignRunner(jobs=1, store=store).run(specs[:1], grid=grid)
-        resumed = CampaignRunner(jobs=1, store=store).run(specs, grid=grid)
+        runner = CampaignRunner(SweepOptions(jobs=1), store=store)
+        runner.run(specs[:1], grid=grid)
+        resumed = runner.run(specs, grid=grid)
         assert resumed.skipped == 1 and resumed.executed == 1
-        fresh = CampaignRunner(jobs=1).run(specs)
+        fresh = CampaignRunner(SweepOptions(jobs=1)).run(specs)
         assert summarise(resumed.records).to_json() \
             == summarise(fresh.records).to_json()
 
@@ -335,7 +339,8 @@ class TestScenarioReport:
             apps=("redis",), strategies=("DarwinGame", "BLISS"), seeds=(0,),
             scale="test", eval_runs=10, scenarios=("steady", "bursty"),
         )
-        return CampaignRunner(jobs=1).run(grid.specs()).records
+        runner = CampaignRunner(SweepOptions(jobs=1))
+        return runner.run(grid.specs()).records
 
     def test_by_scenario_rows_and_gap(self):
         summary = summarise_by_scenario(self._records())

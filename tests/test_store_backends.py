@@ -23,6 +23,7 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
+    SweepOptions,
     open_store,
 )
 from repro.campaigns.store import SIDECAR_LEDGER, SIDECAR_TELEMETRY
@@ -59,7 +60,8 @@ def small_grid():
 
 @pytest.fixture(scope="module")
 def serial_records(small_grid):
-    return CampaignRunner(jobs=1).run(small_grid.specs()).records
+    runner = CampaignRunner(SweepOptions(jobs=1))
+    return runner.run(small_grid.specs()).records
 
 
 class TestContract:
@@ -118,7 +120,7 @@ class TestContract:
         self, tmp_path, small_grid, serial_records
     ):
         store = _make(tmp_path)
-        report = CampaignRunner(jobs=1, store=store).run(
+        report = CampaignRunner(SweepOptions(jobs=1), store=store).run(
             small_grid.specs(), grid=small_grid
         )
         assert _stable(report.records) == _stable(serial_records)
@@ -129,7 +131,8 @@ class TestContract:
         self, tmp_path, small_grid, serial_records
     ):
         store = _make(tmp_path)
-        report = CampaignRunner(jobs=2, store=store).run(small_grid.specs())
+        runner = CampaignRunner(SweepOptions(jobs=2), store=store)
+        report = runner.run(small_grid.specs())
         assert _stable(report.records) == _stable(serial_records)
         assert _stable(store.records()) == _stable(serial_records)
 
@@ -139,9 +142,10 @@ class TestContract:
         """Injected transient faults + retries land the same final records."""
         store = _make(tmp_path)
         plan = FaultPlan(rate=1.0, kinds=("transient",), max_faults=3, seed=5)
-        report = CampaignRunner(
-            jobs=2, store=store, fault_plan=plan, max_retries=4, backoff=0.001
-        ).run(small_grid.specs())
+        options = SweepOptions(
+            jobs=2, fault_plan=plan, max_retries=4, backoff=0.001
+        )
+        report = CampaignRunner(options, store=store).run(small_grid.specs())
         assert report.retries > 0
         assert _stable(report.records) == _stable(serial_records)
         assert _stable(store.records()) == _stable(serial_records)
@@ -149,9 +153,9 @@ class TestContract:
     def test_resume_skips_done(self, tmp_path, small_grid):
         store = _make(tmp_path)
         specs = list(small_grid.specs())
-        CampaignRunner(jobs=1, store=store).run(specs[:2])
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(specs[:2])
         resumed = _make(tmp_path)
-        report = CampaignRunner(jobs=1, store=resumed).run(specs)
+        report = CampaignRunner(SweepOptions(jobs=1), store=resumed).run(specs)
         assert report.skipped == 2
         assert report.executed == 2
         assert len(resumed) == 4

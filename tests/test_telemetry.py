@@ -21,6 +21,7 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
+    SweepOptions,
     TaskLedger,
     summarise_failures,
 )
@@ -85,7 +86,8 @@ def small_grid():
 
 @pytest.fixture(scope="module")
 def clean_records(small_grid):
-    return CampaignRunner(jobs=1).run(small_grid.specs()).records
+    runner = CampaignRunner(SweepOptions(jobs=1))
+    return runner.run(small_grid.specs()).records
 
 
 class TestEventBus:
@@ -216,9 +218,9 @@ class TestNeverAffectsResults:
     def test_bit_identical_records(self, tmp_path, small_grid, clean_records,
                                    jobs):
         store = CampaignStore(tmp_path / f"t{jobs}.jsonl")
-        report = CampaignRunner(jobs=jobs, store=store, telemetry=True).run(
-            small_grid.specs()
-        )
+        report = CampaignRunner(
+            SweepOptions(jobs=jobs, telemetry=True), store=store
+        ).run(small_grid.specs())
         assert _full(report.records) == _full(clean_records)
         assert _full(store.records()) == _full(clean_records)
         # The sidecar exists, parses, and saw both campaigns finish.
@@ -231,13 +233,13 @@ class TestNeverAffectsResults:
 
     def test_telemetry_true_without_store_needs_a_path(self):
         with pytest.raises(ReproError, match="telemetry=True"):
-            CampaignRunner(telemetry=True)
+            CampaignRunner(SweepOptions(telemetry=True))
         with pytest.raises(ReproError, match="profile=True"):
-            CampaignRunner(profile=True)
+            CampaignRunner(SweepOptions(profile=True))
 
     def test_explicit_sidecar_path_without_store(self, tmp_path, small_grid):
         path = tmp_path / "explicit.telemetry"
-        CampaignRunner(telemetry=path).run(small_grid.specs())
+        CampaignRunner(SweepOptions(telemetry=path)).run(small_grid.specs())
         assert sidecar_counts(path)["done"] == 2
 
 
@@ -252,10 +254,11 @@ class TestChaosSidecar:
         specs = list(small_grid.specs())
         victim = specs[0].campaign_id
         store = CampaignStore(tmp_path / f"{kind}.jsonl")
-        report = CampaignRunner(
-            jobs=2, store=store, backoff=0.05, telemetry=True,
+        options = SweepOptions(
+            jobs=2, backoff=0.05, telemetry=True,
             fault_plan=FaultPlan(targets={victim: (kind,)}),
-        ).run(specs)
+        )
+        report = CampaignRunner(options, store=store).run(specs)
         assert all(r.ok for r in report.records)
         assert _stable(store.records()) == _stable(clean_records)
         summary = summarise_failures(store.records())
@@ -276,10 +279,11 @@ class TestChaosSidecar:
         specs = list(small_grid.specs())
         store = CampaignStore(tmp_path / "doomed.jsonl")
         plan = FaultPlan(rate=1.0, kinds=("transient",), max_faults=5)
-        report = CampaignRunner(
-            jobs=2, store=store, max_retries=1, backoff=0.0,
-            telemetry=True, fault_plan=plan,
-        ).run(specs)
+        options = SweepOptions(
+            jobs=2, max_retries=1, backoff=0.0, telemetry=True,
+            fault_plan=plan,
+        )
+        report = CampaignRunner(options, store=store).run(specs)
         assert not any(r.ok for r in report.records)
         summary = summarise_failures(store.records())
         counts = sidecar_counts(store.sidecar_path(SIDECAR_TELEMETRY))
@@ -359,7 +363,7 @@ class TestStatusView:
     def test_finished_store_without_sidecars(self, tmp_path, small_grid,
                                              clean_records):
         store = CampaignStore(tmp_path / "plain.jsonl")
-        CampaignRunner(jobs=1, store=store).run(
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(
             small_grid.specs(), grid=small_grid
         )
         snap = snapshot(store.path)
@@ -369,7 +373,7 @@ class TestStatusView:
     def test_watch_renders_once_and_returns(self, tmp_path, small_grid,
                                             capsys):
         store = CampaignStore(tmp_path / "w.jsonl")
-        CampaignRunner(jobs=1, store=store).run(
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(
             small_grid.specs(), grid=small_grid
         )
         snap = watch(store.path, interval=0.01, iterations=3)
@@ -423,7 +427,7 @@ class TestStatusView:
 
     def test_live_progress_meter(self, tmp_path, small_grid, capsys):
         meter = LiveProgress()
-        runner = CampaignRunner(jobs=1, progress=meter)
+        runner = CampaignRunner(SweepOptions(jobs=1), progress=meter)
         runner.run(small_grid.specs())
         meter.close()
         out = capsys.readouterr().out
@@ -482,13 +486,13 @@ class TestLoggingConfig:
         assert "regional phase" in capsys.readouterr().out
 
 
-def _assert_profiled(tmp_path, specs, clean_records, **runner_args):
+def _assert_profiled(tmp_path, specs, clean_records, jobs):
     """A profiled sweep stores the clean records and one loadable
     ``.pstats`` file per campaign, named after it."""
     store = CampaignStore(tmp_path / "p.jsonl")
-    report = CampaignRunner(store=store, profile=True, **runner_args).run(
-        specs
-    )
+    report = CampaignRunner(
+        SweepOptions(jobs=jobs, profile=True), store=store
+    ).run(specs)
     # Profiling must not perturb results either.
     assert _full(report.records) == _full(clean_records)
     directory = store.path.with_name(store.path.name + ".profiles")
@@ -509,11 +513,12 @@ class TestProfiling:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_dispatch_workers_write_loadable_pstats(
-        self, start_method, tmp_path, small_grid, clean_records
+        self, start_method, tmp_path, small_grid, clean_records,
+        pin_start_method,
     ):
         """Workers get the profile directory with every attempt they run,
         under either start method."""
+        pin_start_method(start_method)
         _assert_profiled(
-            tmp_path, list(small_grid.specs()), clean_records,
-            jobs=2, start_method=start_method,
+            tmp_path, list(small_grid.specs()), clean_records, jobs=2
         )
