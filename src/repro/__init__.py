@@ -21,7 +21,7 @@ code path ``repro sweep`` and the ``repro serve`` daemon use::
         SweepOptions(jobs=4),
         store="sweep.jsonl",
     )
-    print(job.report().to_payload())
+    print(job.report().table())
 """
 
 from repro.apps import (
@@ -89,7 +89,6 @@ from repro.api import (
     fetch_report,
     iter_results,
     job_status,
-    render_report,
     submit_grid,
     validate_grid,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "open_store",
     "record_trace",
     "register_scenario",
-    "render_report",
     "split_subspaces",
     "submit_grid",
     "summarise",

@@ -16,7 +16,8 @@ drives the four entry points here, so there is exactly one code path from
 * :func:`iter_results` — the stored records in deterministic (campaign-ID)
   order, paginated with ``offset``/``limit``.
 * :func:`fetch_report` — the sweep summaries (overall, ``by-scenario``,
-  ``by-format``, ``failures``), each a dataclass with ``to_payload()``.
+  ``by-format``, ``failures``), each a dataclass with ``to_payload()``
+  and a ``table()`` that renders it as ``repro report`` prints it.
 
 The wire format is part of the facade: :data:`SWEEP_REQUEST_SCHEMA` (and
 its parts :data:`GRID_SCHEMA` / :data:`OPTIONS_SCHEMA`) document the JSON
@@ -46,16 +47,7 @@ from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Union
 
 from repro.apps.registry import APPLICATION_NAMES
-from repro.campaigns.report import (
-    failure_table,
-    format_table,
-    scenario_table,
-    summarise,
-    summarise_by_format,
-    summarise_by_scenario,
-    summarise_failures,
-    summary_table,
-)
+from repro.campaigns.report import summarise, summarise_by, summarise_failures
 from repro.campaigns.runner import (
     SUPPORTED_STRATEGIES,
     CampaignRunner,
@@ -88,7 +80,6 @@ __all__ = [
     "iter_results",
     "job_status",
     "options_from_payload",
-    "render_report",
     "submit_grid",
     "validate_grid",
     "validate_payload",
@@ -483,49 +474,24 @@ REPORT_VIEWS = ("summary", "by-scenario", "by-format", "failures")
 
 _VIEW_SUMMARISERS = {
     "summary": summarise,
-    "by-scenario": summarise_by_scenario,
-    "by-format": summarise_by_format,
+    "by-scenario": lambda records: summarise_by(records, "scenario"),
+    "by-format": lambda records: summarise_by(records, "format"),
     "failures": summarise_failures,
 }
 
 def fetch_report(job: StoreLike, *, view: str = "summary"):
     """Aggregate a sweep into one of its summary views.
 
-    Returns the view's summary dataclass (each carries ``to_payload()``
-    for JSON and is accepted by :func:`render_report` for text).  The
-    views match ``repro report``'s flags: ``summary`` (the default
-    per-cell table), ``by-scenario``, ``by-format``, and ``failures``.
+    Returns the view's summary dataclass; each carries ``to_payload()``
+    for JSON and ``table(title=...)`` for text.  The views match ``repro
+    report``'s flags: ``summary`` (the default per-cell table),
+    ``by-scenario``, ``by-format``, and ``failures``.
     """
     if view not in _VIEW_SUMMARISERS:
         raise ReproError(
             f"unknown report view {view!r}; available: {list(REPORT_VIEWS)}"
         )
     return _VIEW_SUMMARISERS[view](_records_of(job))
-
-
-def render_report(summary, *, title: str = "sweep") -> str:
-    """The text table for any summary :func:`fetch_report` returns."""
-    from repro.campaigns.report import (
-        FailureSummary,
-        FormatSummary,
-        ScenarioSummary,
-        SweepSummary,
-    )
-
-    tables = {
-        SweepSummary: summary_table,
-        ScenarioSummary: scenario_table,
-        FormatSummary: format_table,
-        FailureSummary: failure_table,
-    }
-    try:
-        table = tables[type(summary)]
-    except KeyError:
-        raise ReproError(
-            f"cannot render {type(summary).__name__}; expected one of "
-            f"{[t.__name__ for t in tables]}"
-        ) from None
-    return table(summary, title=title)
 
 
 # -- wire format ----------------------------------------------------------

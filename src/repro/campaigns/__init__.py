@@ -8,17 +8,21 @@ with :class:`CampaignSpec` / :class:`CampaignGrid`, run them with
 parallelism) under one :class:`SweepOptions` value, and checkpoint them in
 a :class:`CampaignStore` — one append-only JSONL file, opened with
 :func:`open_store` — so an interrupted sweep resumes instead of
-restarting.
+restarting.  Read a sweep back through its report views —
+:func:`summarise` (per cell), :func:`summarise_by` (along the scenario or
+format axis) and :func:`summarise_failures` — each of which renders
+itself with ``table()``.
 
 Quickstart::
 
     from repro.campaigns import (
-        CampaignGrid, CampaignRunner, SweepOptions, open_store,
+        CampaignGrid, CampaignRunner, SweepOptions, open_store, summarise,
     )
 
     grid = CampaignGrid(apps=("redis", "lammps"), seeds=(0, 1, 2), scale="test")
     runner = CampaignRunner(SweepOptions(jobs=4), store=open_store("sweep.jsonl"))
     report = runner.run(grid.specs())       # re-run: finished cells skipped
+    print(summarise(report.records).table())
 
 or from the shell: ``python -m repro sweep --apps redis,lammps --seeds 0,1,2
 --scale test --jobs 4 --store sweep.jsonl``.
@@ -26,22 +30,15 @@ or from the shell: ``python -m repro sweep --apps redis,lammps --seeds 0,1,2
 
 from repro.campaigns.dispatch import Dispatcher, TaskLedger
 from repro.campaigns.report import (
+    AxisRow,
+    AxisSummary,
     FailureRow,
     FailureSummary,
-    FormatRow,
-    FormatSummary,
-    ScenarioRow,
-    ScenarioSummary,
     SweepRow,
     SweepSummary,
-    failure_table,
-    format_table,
-    scenario_table,
     summarise,
-    summarise_by_format,
-    summarise_by_scenario,
+    summarise_by,
     summarise_failures,
-    summary_table,
 )
 from repro.campaigns.runner import (
     CampaignRunner,
@@ -61,6 +58,8 @@ from repro.campaigns.store import (
 )
 
 __all__ = [
+    "AxisRow",
+    "AxisSummary",
     "CampaignGrid",
     "CampaignRecord",
     "CampaignRunner",
@@ -69,10 +68,6 @@ __all__ = [
     "Dispatcher",
     "FailureRow",
     "FailureSummary",
-    "FormatRow",
-    "FormatSummary",
-    "ScenarioRow",
-    "ScenarioSummary",
     "StoreLock",
     "SweepOptions",
     "SweepReport",
@@ -82,15 +77,10 @@ __all__ = [
     "cached_application",
     "default_jobs",
     "execute_campaign",
-    "failure_table",
-    "format_table",
     "open_store",
     "parallel_map",
     "repeat_specs",
-    "scenario_table",
     "summarise",
-    "summarise_by_format",
-    "summarise_by_scenario",
+    "summarise_by",
     "summarise_failures",
-    "summary_table",
 ]

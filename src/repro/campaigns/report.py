@@ -1,18 +1,26 @@
-"""Aggregation of stored campaigns into the sweep-level view.
+"""Aggregation of stored campaigns into a sweep's report views.
 
-``python -m repro sweep`` and ``report`` both end here: group every stored
-record by (application, VM, strategy) and aggregate the paper's metrics the
-same way the headline experiment does — mean/min/max execution time across
-seeds, mean CoV, mean tuning core-hours.  The summary payload is plain JSON
-(and deterministically ordered), which is what the resume-determinism tests
-byte-compare.
+``python -m repro sweep`` and ``report`` both end here.  Each view is a
+frozen dataclass with ``to_payload()``/``to_json()`` (plain, deterministically
+ordered JSON, which the resume-determinism tests byte-compare) and
+``table()`` (the text ``repro report`` prints):
+
+* :func:`summarise` — a :class:`SweepSummary`, one row per (application,
+  VM, strategy) cell, aggregated the way the headline experiment does:
+  mean/min/max execution time across seeds, mean CoV, mean tuning
+  core-hours;
+* :func:`summarise_by` — an :class:`AxisSummary`, the sweep along its
+  ``scenario`` or ``format`` axis, with each strategy's gap to a reference
+  cell;
+* :func:`summarise_failures` — a :class:`FailureSummary` of the failed and
+  retried campaigns.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +72,45 @@ class SweepSummary:
         """Canonical serialisation used by determinism checks."""
         return json.dumps(self.to_payload(), sort_keys=True)
 
+    def table(self, *, title: str = "sweep") -> str:
+        """Render the summary with the shared experiment table formatter."""
+        from repro.experiments.reporting import render_table
+
+        rows = [
+            (
+                r.app,
+                r.vm,
+                r.strategy,
+                r.campaigns,
+                r.failures,
+                r.mean_time,
+                r.cov_percent,
+                r.core_hours,
+            )
+            for r in self.rows
+        ]
+        footer = (
+            f"{self.done}/{self.total} campaigns done"
+            + (f", {self.failed} FAILED" if self.failed else "")
+        )
+        return (
+            render_table(
+                ["app", "VM", "strategy", "n", "fail", "exec time (s)",
+                 "CoV %", "core-hours"],
+                rows,
+                title=title,
+            )
+            + "\n"
+            + footer
+        )
+
+
+def _mean_of(metric: str, done: Sequence[CampaignRecord]) -> float:
+    """The mean of ``metric`` over finished records; NaN when none finished."""
+    if not done:
+        return float("nan")
+    return float(np.mean([getattr(r, metric) for r in done]))
+
 
 def summarise(records: Sequence[CampaignRecord]) -> SweepSummary:
     """Aggregate campaign records per (app, vm, strategy), sorted by key.
@@ -86,7 +133,7 @@ def summarise(records: Sequence[CampaignRecord]) -> SweepSummary:
     for key in sorted(groups):
         cell = sorted(groups[key], key=lambda r: r.campaign_id)
         done = [r for r in cell if r.ok]
-        times = np.array([r.mean_time for r in done]) if done else np.array([])
+        times = [r.mean_time for r in done]
         rows.append(
             SweepRow(
                 app=key[0],
@@ -94,19 +141,11 @@ def summarise(records: Sequence[CampaignRecord]) -> SweepSummary:
                 strategy=key[2],
                 campaigns=len(cell),
                 failures=len(cell) - len(done),
-                mean_time=float(times.mean()) if done else float("nan"),
-                time_low=float(times.min()) if done else float("nan"),
-                time_high=float(times.max()) if done else float("nan"),
-                cov_percent=(
-                    float(np.mean([r.cov_percent for r in done]))
-                    if done
-                    else float("nan")
-                ),
-                core_hours=(
-                    float(np.mean([r.core_hours for r in done]))
-                    if done
-                    else float("nan")
-                ),
+                mean_time=_mean_of("mean_time", done),
+                time_low=float(np.min(times)) if done else float("nan"),
+                time_high=float(np.max(times)) if done else float("nan"),
+                cov_percent=_mean_of("cov_percent", done),
+                core_hours=_mean_of("core_hours", done),
             )
         )
     n_done = sum(1 for r in records if r.ok)
@@ -119,329 +158,201 @@ def summarise(records: Sequence[CampaignRecord]) -> SweepSummary:
 
 
 @dataclass(frozen=True)
-class ScenarioRow:
-    """Aggregate of one (scenario, strategy) cell of a sweep.
+class AxisRow:
+    """Aggregate of one (axis value, strategy) cell of a sweep.
 
-    ``vs_darwin_percent`` is the robustness headline: the strategy's mean
-    execution time relative to DarwinGame *under the same scenario*,
-    averaged over (app, VM) cells so applications with very different
-    absolute times weigh equally.  Positive means slower than DarwinGame.
+    ``gap_percent`` is the view's headline: the cell's mean execution time
+    relative to its reference cell (see :func:`summarise_by`), averaged
+    over matching cells so applications with very different absolute
+    times weigh equally.  Positive means slower than the reference.
     """
 
-    scenario: str
+    value: str
     strategy: str
     campaigns: int
     failures: int
     mean_time: float
     cov_percent: float
     core_hours: float
-    vs_darwin_percent: float
+    gap_percent: float
+
+
+class _Axis(NamedTuple):
+    """How the view along one axis matches cells and names its gap.
+
+    ``other`` is the axis a cell is matched on besides (app, VM);
+    ``reference`` maps a row's (value, strategy) to its reference cell's;
+    ``gap_key`` and ``gap_header`` name the gap in payloads and tables.
+    """
+
+    other: str
+    reference: Callable[[str, str], Tuple[str, str]]
+    gap_key: str
+    gap_header: str
+
+
+#: The axes a sweep is viewed along.  Along ``scenario`` a cell's reference
+#: is DarwinGame under the same scenario, matched per (app, VM, format), so
+#: mixed-format sweeps compare like-for-like tournament shapes; along
+#: ``format`` it is the paper's ``darwin`` recipe for the same strategy,
+#: matched per (app, VM, scenario).
+_AXES: Dict[str, _Axis] = {
+    "scenario": _Axis(
+        "format", lambda value, strategy: (value, "DarwinGame"),
+        "vs_darwin_percent", "vs DarwinGame %",
+    ),
+    "format": _Axis(
+        "scenario", lambda value, strategy: ("darwin", strategy),
+        "vs_default_percent", "vs darwin %",
+    ),
+}
 
 
 @dataclass(frozen=True)
-class ScenarioSummary:
-    """The sweep viewed along its scenario axis."""
+class AxisSummary:
+    """The sweep viewed along one axis, ``"scenario"`` or ``"format"``."""
 
-    rows: List[ScenarioRow]
-    scenarios: List[str]
+    axis: str
+    rows: List[AxisRow]
+    values: List[str]
     total: int
     done: int
     failed: int
 
-    def row(self, scenario: str, strategy: str) -> ScenarioRow:
+    def row(self, value: str, strategy: str) -> AxisRow:
         for r in self.rows:
-            if (r.scenario, r.strategy) == (scenario, strategy):
+            if (r.value, r.strategy) == (value, strategy):
                 return r
-        raise KeyError((scenario, strategy))
+        raise KeyError((value, strategy))
 
     def to_payload(self) -> dict:
-        """Deterministic plain-JSON form (rows sorted by cell key)."""
+        """Deterministic plain-JSON form (rows sorted by cell key).
+
+        Keyed by the axis: the value list is ``scenarios`` or ``formats``,
+        and each row names its ``scenario`` or ``format`` and carries its
+        gap as ``vs_darwin_percent`` or ``vs_default_percent``.
+        """
+        gap_key = _AXES[self.axis].gap_key
+
+        def keyed(row: AxisRow) -> dict:
+            payload = asdict(row)
+            payload[self.axis] = payload.pop("value")
+            payload[gap_key] = payload.pop("gap_percent")
+            return payload
+
         return {
             "total": self.total,
             "done": self.done,
             "failed": self.failed,
-            "scenarios": list(self.scenarios),
-            "rows": [asdict(r) for r in self.rows],
+            f"{self.axis}s": list(self.values),
+            "rows": [keyed(r) for r in self.rows],
         }
 
     def to_json(self) -> str:
         """Canonical serialisation used by determinism checks."""
         return json.dumps(self.to_payload(), sort_keys=True)
 
+    def table(self, *, title: Optional[str] = None) -> str:
+        """Render the view with the shared table formatter (titled
+        ``by <axis>`` unless ``title`` is given)."""
+        from repro.experiments.reporting import render_table
 
-def _scenario_of(record: CampaignRecord) -> str:
-    return getattr(record.spec, "scenario", "steady")
+        rows = [
+            (
+                r.value,
+                r.strategy,
+                r.campaigns,
+                r.failures,
+                r.mean_time,
+                r.cov_percent,
+                r.gap_percent,
+                r.core_hours,
+            )
+            for r in self.rows
+        ]
+        footer = (
+            f"{self.done}/{self.total} campaigns done across "
+            f"{len(self.values)} {self.axis}(s)"
+            + (f", {self.failed} FAILED" if self.failed else "")
+        )
+        return (
+            render_table(
+                [self.axis, "strategy", "n", "fail", "exec time (s)", "CoV %",
+                 _AXES[self.axis].gap_header, "core-hours"],
+                rows,
+                title=f"by {self.axis}" if title is None else title,
+            )
+            + "\n"
+            + footer
+        )
 
 
-def _axis_rows(
-    records: Sequence[CampaignRecord],
-    *,
-    axis_of,
-    cell_key_of,
-    reference_cell,
-) -> Tuple[List[dict], List[str], int]:
-    """The shared per-axis aggregation behind the scenario and format views.
+def summarise_by(records: Sequence[CampaignRecord], axis: str) -> AxisSummary:
+    """Aggregate campaign records per (``axis`` value, strategy).
 
-    Groups records per (axis value, strategy), and computes each group's
-    metric means plus its mean per-cell gap against a reference cell
-    (``reference_cell(cell_key)`` — e.g. the same cell under DarwinGame, or
-    under the ``darwin`` format).  Gaps are computed within matching cells
-    — never across applications — and records inside every cell are sorted
-    by campaign ID before reducing, so the same campaigns summarise to the
-    same bytes regardless of the store's (parallel) append order.
+    ``axis`` is ``"scenario"`` — the robustness view: how does each tuner
+    hold up as the cloud's conditions change? — or ``"format"`` — the
+    tournament-shape view: which format picks the best configurations, at
+    what cost?  Each row's gap is the mean of its cells' gaps against their
+    reference cells (see :data:`_AXES`); cells are matched per (app, VM,
+    other axis), never across applications.  Records inside every cell are
+    sorted by campaign ID before reducing, so the same campaigns summarise
+    to the same bytes regardless of the store's (parallel) append order.
     """
+    other, reference, _, _ = _AXES[axis]
     groups: Dict[Tuple[str, str], List[CampaignRecord]] = {}
     cells: Dict[tuple, List[CampaignRecord]] = {}
     for record in records:
-        axis = axis_of(record)
-        groups.setdefault((axis, record.spec.strategy), []).append(record)
-        cells.setdefault(cell_key_of(record, axis), []).append(record)
+        spec = record.spec
+        value = getattr(spec, axis)
+        groups.setdefault((value, spec.strategy), []).append(record)
+        cells.setdefault(
+            (value, spec.strategy, spec.app, vm_display_name(spec.vm),
+             getattr(spec, other)),
+            [],
+        ).append(record)
 
-    cell_means: Dict[tuple, float] = {}
-    for key, members in cells.items():
-        done = [r for r in sorted(members, key=lambda r: r.campaign_id)
-                if r.ok]
-        cell_means[key] = (
-            float(np.mean([r.mean_time for r in done]))
-            if done
-            else float("nan")
+    cell_means = {
+        key: _mean_of(
+            "mean_time",
+            [r for r in sorted(members, key=lambda r: r.campaign_id) if r.ok],
         )
-
-    def mean_of(metric, done):
-        return (
-            float(np.mean([getattr(r, metric) for r in done]))
-            if done else float("nan")
-        )
-
-    rows: List[dict] = []
-    for axis, strategy in sorted(groups):
-        cell = sorted(groups[(axis, strategy)], key=lambda r: r.campaign_id)
+        for key, members in cells.items()
+    }
+    rows: List[AxisRow] = []
+    for value, strategy in sorted(groups):
+        cell = sorted(groups[(value, strategy)], key=lambda r: r.campaign_id)
         done = [r for r in cell if r.ok]
         gaps = []
         for key in sorted(cells):
-            if key[0] != axis or key[1] != strategy:
+            if key[:2] != (value, strategy):
                 continue
             mine = cell_means[key]
-            reference = cell_means.get(reference_cell(key), float("nan"))
-            if np.isfinite(mine) and np.isfinite(reference) and reference > 0:
-                gaps.append(100.0 * (mine - reference) / reference)
-        rows.append({
-            "axis": axis,
-            "strategy": strategy,
-            "campaigns": len(cell),
-            "failures": len(cell) - len(done),
-            "mean_time": mean_of("mean_time", done),
-            "cov_percent": mean_of("cov_percent", done),
-            "core_hours": mean_of("core_hours", done),
-            "gap_percent": float(np.mean(gaps)) if gaps else float("nan"),
-        })
-    return rows, sorted({axis for axis, _ in groups}), \
-        sum(1 for r in records if r.ok)
-
-
-def summarise_by_scenario(records: Sequence[CampaignRecord]) -> ScenarioSummary:
-    """Aggregate campaign records per (scenario, strategy).
-
-    The robustness view of a sweep: how does each tuner hold up as the
-    cloud's conditions change?  Gaps compare each strategy against
-    DarwinGame *under the same scenario*, per (app, VM) cell.
-    """
-    rows, scenarios, n_done = _axis_rows(
-        records,
-        axis_of=_scenario_of,
-        cell_key_of=lambda record, axis: (
-            axis,
-            record.spec.strategy,
-            record.spec.app,
-            vm_display_name(record.spec.vm),
-            # Mixed-format sweeps must not dilute the DarwinGame baseline:
-            # gaps compare like-for-like tournament shapes.
-            _format_of(record),
-        ),
-        reference_cell=lambda key: (key[0], "DarwinGame") + key[2:],
-    )
-    return ScenarioSummary(
-        rows=[
-            ScenarioRow(
-                scenario=r["axis"],
-                strategy=r["strategy"],
-                campaigns=r["campaigns"],
-                failures=r["failures"],
-                mean_time=r["mean_time"],
-                cov_percent=r["cov_percent"],
-                core_hours=r["core_hours"],
-                vs_darwin_percent=r["gap_percent"],
+            theirs = cell_means.get(
+                reference(value, strategy) + key[2:], float("nan")
             )
-            for r in rows
-        ],
-        scenarios=scenarios,
+            if np.isfinite(mine) and np.isfinite(theirs) and theirs > 0:
+                gaps.append(100.0 * (mine - theirs) / theirs)
+        rows.append(
+            AxisRow(
+                value=value,
+                strategy=strategy,
+                campaigns=len(cell),
+                failures=len(cell) - len(done),
+                mean_time=_mean_of("mean_time", done),
+                cov_percent=_mean_of("cov_percent", done),
+                core_hours=_mean_of("core_hours", done),
+                gap_percent=float(np.mean(gaps)) if gaps else float("nan"),
+            )
+        )
+    n_done = sum(1 for r in records if r.ok)
+    return AxisSummary(
+        axis=axis,
+        rows=rows,
+        values=sorted({value for value, _ in groups}),
         total=len(records),
         failed=len(records) - n_done,
         done=n_done,
-    )
-
-
-@dataclass(frozen=True)
-class FormatRow:
-    """Aggregate of one (format, strategy) cell of a sweep.
-
-    ``vs_default_percent`` is the tournament-shape headline: the format's
-    mean execution time relative to the paper's ``darwin`` recipe *for the
-    same strategy*, averaged over (app, VM, scenario) cells so applications
-    with very different absolute times weigh equally.  Positive means the
-    alternate shape picked slower configurations.
-    """
-
-    format: str
-    strategy: str
-    campaigns: int
-    failures: int
-    mean_time: float
-    cov_percent: float
-    core_hours: float
-    vs_default_percent: float
-
-
-@dataclass(frozen=True)
-class FormatSummary:
-    """The sweep viewed along its tournament-format axis."""
-
-    rows: List[FormatRow]
-    formats: List[str]
-    total: int
-    done: int
-    failed: int
-
-    def row(self, format_name: str, strategy: str) -> FormatRow:
-        for r in self.rows:
-            if (r.format, r.strategy) == (format_name, strategy):
-                return r
-        raise KeyError((format_name, strategy))
-
-    def to_payload(self) -> dict:
-        """Deterministic plain-JSON form (rows sorted by cell key)."""
-        return {
-            "total": self.total,
-            "done": self.done,
-            "failed": self.failed,
-            "formats": list(self.formats),
-            "rows": [asdict(r) for r in self.rows],
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialisation used by determinism checks."""
-        return json.dumps(self.to_payload(), sort_keys=True)
-
-
-def _format_of(record: CampaignRecord) -> str:
-    return getattr(record.spec, "format", "darwin")
-
-
-def summarise_by_format(records: Sequence[CampaignRecord]) -> FormatSummary:
-    """Aggregate campaign records per (tournament format, strategy).
-
-    The tournament-shape view of a sweep: which format picks the best
-    configurations, at what cost?  Gaps compare each format against the
-    ``darwin`` recipe *for the same strategy*, per (app, VM, scenario) cell.
-    """
-    rows, formats, n_done = _axis_rows(
-        records,
-        axis_of=_format_of,
-        cell_key_of=lambda record, axis: (
-            axis,
-            record.spec.strategy,
-            record.spec.app,
-            vm_display_name(record.spec.vm),
-            getattr(record.spec, "scenario", "steady"),
-        ),
-        reference_cell=lambda key: ("darwin",) + key[1:],
-    )
-    return FormatSummary(
-        rows=[
-            FormatRow(
-                format=r["axis"],
-                strategy=r["strategy"],
-                campaigns=r["campaigns"],
-                failures=r["failures"],
-                mean_time=r["mean_time"],
-                cov_percent=r["cov_percent"],
-                core_hours=r["core_hours"],
-                vs_default_percent=r["gap_percent"],
-            )
-            for r in rows
-        ],
-        formats=formats,
-        total=len(records),
-        failed=len(records) - n_done,
-        done=n_done,
-    )
-
-
-def format_table(summary: FormatSummary, *, title: str = "by format") -> str:
-    """Render the tournament-shape view with the shared table formatter."""
-    from repro.experiments.reporting import render_table
-
-    rows = [
-        (
-            r.format,
-            r.strategy,
-            r.campaigns,
-            r.failures,
-            r.mean_time,
-            r.cov_percent,
-            r.vs_default_percent,
-            r.core_hours,
-        )
-        for r in summary.rows
-    ]
-    footer = (
-        f"{summary.done}/{summary.total} campaigns done across "
-        f"{len(summary.formats)} format(s)"
-        + (f", {summary.failed} FAILED" if summary.failed else "")
-    )
-    return (
-        render_table(
-            ["format", "strategy", "n", "fail", "exec time (s)", "CoV %",
-             "vs darwin %", "core-hours"],
-            rows,
-            title=title,
-        )
-        + "\n"
-        + footer
-    )
-
-
-def scenario_table(summary: ScenarioSummary, *, title: str = "by scenario") -> str:
-    """Render the robustness view with the shared table formatter."""
-    from repro.experiments.reporting import render_table
-
-    rows = [
-        (
-            r.scenario,
-            r.strategy,
-            r.campaigns,
-            r.failures,
-            r.mean_time,
-            r.cov_percent,
-            r.vs_darwin_percent,
-            r.core_hours,
-        )
-        for r in summary.rows
-    ]
-    footer = (
-        f"{summary.done}/{summary.total} campaigns done across "
-        f"{len(summary.scenarios)} scenario(s)"
-        + (f", {summary.failed} FAILED" if summary.failed else "")
-    )
-    return (
-        render_table(
-            ["scenario", "strategy", "n", "fail", "exec time (s)", "CoV %",
-             "vs DarwinGame %", "core-hours"],
-            rows,
-            title=title,
-        )
-        + "\n"
-        + footer
     )
 
 
@@ -496,6 +407,46 @@ class FailureSummary:
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), sort_keys=True)
 
+    def table(self, *, title: str = "failures") -> str:
+        """Render the failure/retry view with the shared table formatter.
+
+        Tracebacks are too wide for a table; the last stored frame of each
+        is appended below it so the table stays scannable while the error
+        stays debuggable (full tracebacks live in the store).
+        """
+        from repro.experiments.reporting import render_table
+
+        rows = [
+            (
+                r.campaign_id,
+                r.app,
+                r.vm,
+                r.strategy,
+                r.attempts,
+                "yes" if r.quarantined else "no",
+                r.error if len(r.error) <= 72 else r.error[:69] + "...",
+            )
+            for r in self.rows
+        ]
+        footer = (
+            f"{self.failed}/{self.total} campaigns failed, "
+            f"{self.retried} retried ({self.total_retries} total retries)"
+        )
+        tails = []
+        for r in self.rows:
+            lines = [ln for ln in r.traceback.strip().splitlines() if ln.strip()]
+            if lines:
+                tails.append(f"{r.campaign_id}: {lines[-1].strip()}")
+        rendered = render_table(
+            ["campaign", "app", "VM", "strategy", "attempts", "quarantined",
+             "error"],
+            rows,
+            title=title,
+        )
+        if tails:
+            rendered += "\n" + "\n".join(tails)
+        return rendered + "\n" + footer
+
 
 def summarise_failures(records: Sequence[CampaignRecord]) -> FailureSummary:
     """The failure/retry view: one row per failed campaign, sorted by ID.
@@ -531,78 +482,4 @@ def summarise_failures(records: Sequence[CampaignRecord]) -> FailureSummary:
         failed=len(records) - n_done,
         retried=sum(1 for r in records if r.attempts > 1),
         total_retries=sum(max(0, r.attempts - 1) for r in records),
-    )
-
-
-def failure_table(summary: FailureSummary, *, title: str = "failures") -> str:
-    """Render the failure/retry view with the shared table formatter.
-
-    Tracebacks are too wide for a table; the last stored frame of each is
-    appended below it so the table stays scannable while the error stays
-    debuggable (full tracebacks live in the store).
-    """
-    from repro.experiments.reporting import render_table
-
-    rows = [
-        (
-            r.campaign_id,
-            r.app,
-            r.vm,
-            r.strategy,
-            r.attempts,
-            "yes" if r.quarantined else "no",
-            r.error if len(r.error) <= 72 else r.error[:69] + "...",
-        )
-        for r in summary.rows
-    ]
-    footer = (
-        f"{summary.failed}/{summary.total} campaigns failed, "
-        f"{summary.retried} retried ({summary.total_retries} total retries)"
-    )
-    tails = []
-    for r in summary.rows:
-        lines = [ln for ln in r.traceback.strip().splitlines() if ln.strip()]
-        if lines:
-            tails.append(f"{r.campaign_id}: {lines[-1].strip()}")
-    rendered = render_table(
-        ["campaign", "app", "VM", "strategy", "attempts", "quarantined",
-         "error"],
-        rows,
-        title=title,
-    )
-    if tails:
-        rendered += "\n" + "\n".join(tails)
-    return rendered + "\n" + footer
-
-
-def summary_table(summary: SweepSummary, *, title: str = "sweep") -> str:
-    """Render a summary with the shared experiment table formatter."""
-    from repro.experiments.reporting import render_table
-
-    rows = [
-        (
-            r.app,
-            r.vm,
-            r.strategy,
-            r.campaigns,
-            r.failures,
-            r.mean_time,
-            r.cov_percent,
-            r.core_hours,
-        )
-        for r in summary.rows
-    ]
-    footer = (
-        f"{summary.done}/{summary.total} campaigns done"
-        + (f", {summary.failed} FAILED" if summary.failed else "")
-    )
-    return (
-        render_table(
-            ["app", "VM", "strategy", "n", "fail", "exec time (s)", "CoV %",
-             "core-hours"],
-            rows,
-            title=title,
-        )
-        + "\n"
-        + footer
     )

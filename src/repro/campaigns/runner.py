@@ -23,7 +23,7 @@ Four guarantees hold:
   campaigns are killed at ``task_timeout``, and a campaign that exhausts
   its ``max_retries`` budget is quarantined as ``"failed"`` so the sweep
   *completes*.  Inline execution (``jobs=1``) applies the same retry
-  policy without a pool.
+  policy through the same lease ledger, without a pool.
 * **Resume** — with a :class:`~repro.campaigns.store.jsonl.CampaignStore`
   attached, every finished campaign is checkpointed immediately and
   specs whose IDs are already stored as done are skipped, so an
@@ -52,6 +52,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.caching import SurfaceCache, grid_app_pairs, process_app_cache
 from repro.campaigns.dispatch import (
+    LEASE_QUARANTINED,
     MAX_JOBS,
     MAX_RETRY_DELAY,
     Dispatcher,
@@ -363,10 +364,12 @@ class SweepOptions:
         jobs: worker processes; ``1`` executes inline (no pool).  An
             integer in [1, :data:`~repro.campaigns.dispatch.MAX_JOBS`]
             (256).
-        cache_dir: optional surface-cache directory.  Before executing, the
-            grid's applications are warmed into it (valid entries reused,
-            missing ones computed and persisted) and every worker process
-            prewarms from it, so campaigns start with hot surface tables.
+        cache_dir: optional surface-cache directory (``None``, the
+            default, is no cache; ``""`` is refused).  Before executing,
+            the grid's applications are warmed into it (valid entries
+            reused, missing ones computed and persisted) and every worker
+            process prewarms from it, so campaigns start with hot surface
+            tables.
         max_retries: re-executions granted after a campaign's first failed
             attempt (crash, hang, or ordinary exception); past the budget
             the campaign is quarantined as ``"failed"`` and the sweep goes
@@ -434,6 +437,13 @@ class SweepOptions:
                 f"[0, {MAX_RETRY_DELAY:g}] seconds, got {self.backoff} "
                 f"(fix --backoff)"
             )
+        # An empty path is the current directory, which would collect the
+        # surface tables; no cache is `None`.
+        if self.cache_dir == "":
+            raise ReproError(
+                "cache_dir must name a directory, got '' (None means no "
+                "surface cache) (fix --cache-dir)"
+            )
         # The dispatcher maps any timeout <= 0 to "off"; only 0 means that.
         if not (_finite(self.task_timeout) and self.task_timeout >= 0):
             raise ReproError(
@@ -453,8 +463,8 @@ class CampaignRunner:
             skip-done resume and per-campaign durability.  The runner
             holds the store's advisory lock while executing, so two
             concurrent sweeps cannot silently interleave appends.
-            Parallel sweeps journal their lease ledger to the store's
-            ``ledger`` sidecar.
+            Every sweep, serial or parallel, journals its lease ledger to
+            the store's ``ledger`` sidecar.
         progress: optional callback ``(finished_count, total, record)``
             invoked as campaigns complete (store replays excluded).
     """
@@ -635,39 +645,9 @@ class CampaignRunner:
     def _execute(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         if not pending:
             return
-        if self.options.jobs == 1 or len(pending) == 1:
-            yield from self._execute_inline(pending)
-            return
-        yield from self._execute_dispatched(pending)
-
-    def _execute_inline(self, pending: Sequence[Tuple[int, CampaignSpec]]):
-        """No-pool execution with the same retry/quarantine policy.
-
-        Process-killing faults degrade to raised exceptions inline (see
-        :mod:`repro.faults`), so the convergence contract — and the stored
-        bytes minus attempt metadata — are identical to the dispatched
-        path.
-        """
-        for index, spec in pending:
-            attempt = 0
-            while True:
-                attempt += 1
-                record = execute_campaign(
-                    spec, attempt=attempt, fault_plan=self.options.fault_plan,
-                    profile_dir=self.profile_dir,
-                )
-                if record.ok:
-                    yield index, record
-                    break
-                if attempt > self.options.max_retries:
-                    yield index, quarantine_record(record)
-                    break
-                if self.options.backoff > 0:
-                    time.sleep(retry_delay(self.options.backoff, attempt))
-
-    def _execute_dispatched(self, pending: Sequence[Tuple[int, CampaignSpec]]):
-        cache_dir = self.options.cache_dir
-        app_keys = grid_app_pairs([spec for _, spec in pending])
+        # One lease ledger for both paths, journaled beside the store, so
+        # `repro status` sees a serial sweep's running campaign and pace
+        # the way it sees a parallel one's.
         ledger = TaskLedger(
             journal_path=(
                 self.store.sidecar_path(SIDECAR_LEDGER)
@@ -677,6 +657,50 @@ class CampaignRunner:
             max_retries=self.options.max_retries,
             backoff=self.options.backoff,
         )
+        if self.options.jobs == 1 or len(pending) == 1:
+            yield from self._execute_inline(pending, ledger)
+        else:
+            yield from self._execute_dispatched(pending, ledger)
+
+    def _execute_inline(
+        self, pending: Sequence[Tuple[int, CampaignSpec]], ledger: TaskLedger
+    ):
+        """No-pool execution under the same lease ledger and retry policy.
+
+        Every attempt is leased to worker 0 and completed or requeued
+        through ``ledger``, which decides between a retry and quarantine.
+        Process-killing faults degrade to raised exceptions inline (see
+        :mod:`repro.faults`), so the convergence contract — and the stored
+        bytes minus attempt metadata — are identical to the dispatched
+        path.
+        """
+        for _, spec in pending:
+            ledger.register(spec.campaign_id)
+        for index, spec in pending:
+            while True:
+                attempt = ledger.lease(spec.campaign_id, 0, time.monotonic())
+                record = execute_campaign(
+                    spec, attempt=attempt, fault_plan=self.options.fault_plan,
+                    profile_dir=self.profile_dir,
+                )
+                if record.ok:
+                    ledger.complete(spec.campaign_id)
+                    yield index, record
+                    break
+                disposition = ledger.requeue(
+                    spec.campaign_id, record.error, time.monotonic()
+                )
+                if disposition == LEASE_QUARANTINED:
+                    yield index, quarantine_record(record)
+                    break
+                if self.options.backoff > 0:
+                    time.sleep(retry_delay(self.options.backoff, attempt))
+
+    def _execute_dispatched(
+        self, pending: Sequence[Tuple[int, CampaignSpec]], ledger: TaskLedger
+    ):
+        cache_dir = self.options.cache_dir
+        app_keys = grid_app_pairs([spec for _, spec in pending])
         dispatcher = Dispatcher(
             min(self.options.jobs, len(pending)),
             ledger,

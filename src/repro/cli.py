@@ -216,12 +216,10 @@ def _run_sweep(grid: CampaignGrid, args: argparse.Namespace) -> int:
             meter.close()
     report = job.result()
     store = job.store
-    print(api.render_report(
-        job.report(), title=f"sweep {store.path}"
-    ))
+    print(job.report().table(title=f"sweep {store.path}"))
     if report.failures:
-        print(api.render_report(
-            job.report(view="failures"), title=f"sweep {store.path} failures"
+        print(job.report(view="failures").table(
+            title=f"sweep {store.path} failures"
         ))
     _LOG.info(
         "executed %d, skipped %d already stored, %d retries, "
@@ -327,9 +325,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(render_store_metrics(args.path), end="")
         return 0
     suffix = "" if args.view == "summary" else " " + args.view.replace("-", " ")
-    print(api.render_report(
-        api.fetch_report(store, view=args.view),
-        title=f"sweep {args.path}{suffix}",
+    print(api.fetch_report(store, view=args.view).table(
+        title=f"sweep {args.path}{suffix}"
     ))
     if grid is not None:
         done = {r.campaign_id for r in records if r.ok}
@@ -399,8 +396,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ReproError(f"{exc} (fix --scale)") from None
     if args.seed < 0:
         raise ReproError(f"seed must be >= 0, got {args.seed} (fix --seed)")
-    # The studies' runners and the format study's pool start up to --jobs
-    # workers; refused here for every experiment, serial ones included.
+    # Every study's runner or pool starts up to --jobs workers; refused
+    # here, before any study runs.
     api.SweepOptions(jobs=args.jobs)
     if args.name in ("fig10", "fig11", "fig12"):
         result = run_headline(
@@ -431,7 +428,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             title="pick stability",
         ))
     elif args.name == "sensitivity":
-        result = run_sensitivity(scale=args.scale, seed=args.seed)
+        result = run_sensitivity(
+            scale=args.scale, seed=args.seed, jobs=args.jobs
+        )
         print(render_table(
             ["parameter", "value", "exec time (s)"],
             [(p.parameter, p.value, p.mean_time) for p in result.points],
@@ -450,7 +449,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             rows, title="tournament-format predictive power",
         ))
     elif args.name == "shift":
-        result = run_shift_study(scale=args.scale, seed=args.seed)
+        result = run_shift_study(
+            scale=args.scale, seed=args.seed, jobs=args.jobs
+        )
         rows = [
             (r.strategy, r.shift, r.mean_time, r.degradation_percent)
             for r in result.rows
@@ -467,7 +468,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             seeds=tuple(args.seed + k for k in range(args.repeats)),
             jobs=args.jobs,
         )
-        print(result.table())
+        print(result.table(title="tuner robustness across scenario packs"))
     elif args.name == "statistical":
         result = run_statistical_comparison(
             scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs

@@ -32,7 +32,6 @@ from repro.experiments.motivation import (
 from repro.experiments.reporting import paper_vs_measured, render_table
 from repro.experiments.scenario_robustness import (
     DEFAULT_SCENARIOS,
-    ScenarioRobustnessResult,
     run_scenario_robustness,
 )
 from repro.experiments.sensitivity import SensitivityResult, run_sensitivity
@@ -67,7 +66,6 @@ __all__ = [
     "IntegrationResult",
     "STATISTICAL_STRATEGIES",
     "STRATEGY_NAMES",
-    "ScenarioRobustnessResult",
     "SensitivityResult",
     "ShiftRow",
     "ShiftStudyResult",

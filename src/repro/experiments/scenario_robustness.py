@@ -17,15 +17,9 @@ results bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.campaigns.report import (
-    ScenarioRow,
-    ScenarioSummary,
-    scenario_table,
-    summarise_by_scenario,
-)
+from repro.campaigns.report import AxisSummary, summarise_by
 from repro.campaigns.runner import CampaignRunner, SweepOptions
 from repro.campaigns.spec import CampaignGrid
 from repro.errors import ReproError
@@ -43,26 +37,6 @@ DEFAULT_SCENARIOS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioRobustnessResult:
-    """Per-scenario aggregates plus the grid that produced them."""
-
-    grid: CampaignGrid
-    summary: ScenarioSummary
-
-    @property
-    def rows(self) -> List[ScenarioRow]:
-        return self.summary.rows
-
-    def row(self, scenario: str, strategy: str) -> ScenarioRow:
-        return self.summary.row(scenario, strategy)
-
-    def table(self) -> str:
-        return scenario_table(
-            self.summary, title="tuner robustness across scenario packs"
-        )
-
-
 def run_scenario_robustness(
     *,
     apps: Sequence[str] = ("redis",),
@@ -73,8 +47,9 @@ def run_scenario_robustness(
     vm: str = "m5.8xlarge",
     eval_runs: int = 100,
     jobs: int = 1,
-) -> ScenarioRobustnessResult:
-    """Tune every strategy under every scenario and aggregate per scenario."""
+) -> AxisSummary:
+    """Tune every strategy under every scenario and aggregate per scenario
+    (:func:`~repro.campaigns.report.summarise_by` along ``"scenario"``)."""
     if not seeds:
         raise ReproError("scenario robustness needs at least one seed")
     for name in scenarios:
@@ -90,6 +65,4 @@ def run_scenario_robustness(
     )
     runner = CampaignRunner(SweepOptions(jobs=jobs))
     report = runner.run(grid.specs()).raise_on_failure()
-    return ScenarioRobustnessResult(
-        grid=grid, summary=summarise_by_scenario(report.records)
-    )
+    return summarise_by(report.records, "scenario")

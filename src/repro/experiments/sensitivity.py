@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.apps.registry import make_application
+from repro.campaigns.runner import cached_application, parallel_map
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.core.config import DarwinGameConfig, auto_regions
@@ -39,7 +39,11 @@ class SensitivityResult:
         return 100.0 * (max(times) - min(times)) / min(times)
 
 
-def _outcome(app, vm: VMSpec, config: DarwinGameConfig, seed: int) -> float:
+def _outcome(task: Tuple[str, object, VMSpec, DarwinGameConfig, int]) -> float:
+    """Tune ``(app_name, scale, vm, config, seed)`` once and measure the
+    pick; one picklable task of :func:`run_sensitivity`."""
+    app_name, scale, vm, config, seed = task
+    app = cached_application(app_name, scale)
     env = CloudEnvironment(vm, seed=seed)
     result = DarwinGame(dataclasses.replace(config, seed=seed)).tune(app, env)
     return env.measure_choice(app, result.best_index).mean_time
@@ -53,20 +57,33 @@ def run_sensitivity(
     seed: int = 0,
     deviations: Tuple[float, ...] = (0.05, 0.10, 0.15),
     region_factors: Tuple[float, ...] = (0.5, 1.0, 1.5),
+    jobs: int = 1,
 ) -> SensitivityResult:
-    """Sweep ``d`` and ``n_r`` around their defaults."""
-    app = make_application(app_name, scale=scale)
-    points: List[SweepPoint] = []
-    for d in deviations:
-        config = DarwinGameConfig(work_deviation=d)
-        points.append(
-            SweepPoint("work_deviation", d, _outcome(app, vm, config, seed))
-        )
-    default_regions = auto_regions(app.space.size)
+    """Sweep ``d`` and ``n_r`` around their defaults.
+
+    Each swept value is one independent tune, run on up to ``jobs`` worker
+    processes (:func:`~repro.campaigns.runner.parallel_map`); the points
+    do not depend on ``jobs``.
+    """
+    space_size = cached_application(app_name, scale).space.size
+    sweep: List[Tuple[str, float, DarwinGameConfig]] = [
+        ("work_deviation", d, DarwinGameConfig(work_deviation=d))
+        for d in deviations
+    ]
     for factor in region_factors:
-        n_regions: Optional[int] = max(4, int(default_regions * factor))
-        config = DarwinGameConfig(n_regions=n_regions)
-        points.append(
-            SweepPoint("n_regions", float(n_regions), _outcome(app, vm, config, seed))
+        n_regions = max(4, int(auto_regions(space_size) * factor))
+        sweep.append(
+            ("n_regions", float(n_regions), DarwinGameConfig(n_regions=n_regions))
         )
-    return SensitivityResult(app_name=app_name, points=points)
+    times = parallel_map(
+        _outcome,
+        [(app_name, scale, vm, config, seed) for _, _, config in sweep],
+        jobs=jobs,
+    )
+    return SensitivityResult(
+        app_name=app_name,
+        points=[
+            SweepPoint(parameter, value, mean_time)
+            for (parameter, value, _), mean_time in zip(sweep, times)
+        ],
+    )

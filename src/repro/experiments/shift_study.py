@@ -19,7 +19,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.campaigns.runner import CampaignRunner, cached_application
+from repro.campaigns.runner import (
+    CampaignRunner,
+    SweepOptions,
+    cached_application,
+)
 from repro.campaigns.spec import CampaignSpec, vm_to_field
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
@@ -86,12 +90,14 @@ def run_shift_study(
     vm: VMSpec = DEFAULT_VM,
     seed: int = 0,
     eval_runs: int = 100,
+    jobs: int = 1,
 ) -> ShiftStudyResult:
     """Tune under the nominal profile; evaluate picks under shifted profiles.
 
-    Each strategy tunes in one campaign through the campaign runner; its
-    pick is then re-measured on VMs whose mean interference level is
-    raised by each shift.
+    Each strategy tunes in one campaign through the campaign runner, on up
+    to ``jobs`` worker processes; its pick is then re-measured on VMs whose
+    mean interference level is raised by each shift.  The result does not
+    depend on ``jobs``.
     """
     if not shifts or shifts[0] != 0.0:
         raise ReproError("shifts must start at 0.0 (the nominal baseline)")
@@ -106,7 +112,8 @@ def run_shift_study(
         )
         for strategy in strategies
     ]
-    records = CampaignRunner().run(specs).raise_on_failure().records
+    runner = CampaignRunner(SweepOptions(jobs=jobs))
+    records = runner.run(specs).raise_on_failure().records
     app = cached_application(app_name, scale)
     rows: List[ShiftRow] = []
     for strategy, tuned in zip(strategies, records):

@@ -6,9 +6,10 @@ Everything here is read-only over the three journals a sweep maintains:
 
 * the **store** (``<store>``) — authoritative terminal outcomes;
 * the **ledger** (``<store>.ledger``) — lease states: what is running
-  right now, what was requeued, what was quarantined;
+  right now, what was requeued, what was quarantined, and when each
+  campaign finished (every sweep journals one, serial or parallel);
 * the **telemetry sidecar** (``<store>.telemetry``) — the event stream,
-  used here for completion timing.
+  used here for its event count and the age of its last event.
 
 The ETA is EWMA-based: inter-completion intervals are smoothed with an
 exponentially weighted moving average, so the estimate tracks the fleet's
@@ -174,9 +175,6 @@ def snapshot(store_path: PathLike, *, now: Optional[float] = None) -> StatusSnap
         if worker is not None:
             workers_running[int(worker)] = campaign
 
-    # The telemetry sidecar supplies completion walls too — an inline
-    # (jobs=1) sweep journals no ledger, but its campaign.* events carry
-    # the same pace signal.
     telemetry_events = 0
     for payload in iter_jsonl_payloads(store.sidecar_path(SIDECAR_TELEMETRY)):
         if payload.get("kind") != "telemetry":
@@ -185,10 +183,6 @@ def snapshot(store_path: PathLike, *, now: Optional[float] = None) -> StatusSnap
         wall = payload.get("wall")
         if isinstance(wall, (int, float)):
             last_wall = wall if last_wall is None else max(last_wall, wall)
-            if not lease_events and str(payload.get("name", "")).startswith(
-                "campaign."
-            ):
-                completion_walls.append(float(wall))
 
     done = len(done_ids)
     failed = len(failed_ids)

@@ -189,7 +189,7 @@ class TestReadSide:
         for view in api.REPORT_VIEWS:
             summary = api.fetch_report(job, view=view)
             assert isinstance(summary.to_payload(), dict)
-            assert isinstance(api.render_report(summary), str)
+            assert isinstance(summary.table(), str)
         with pytest.raises(ReproError, match="unknown report view"):
             api.fetch_report(job, view="pie-chart")
 
@@ -277,13 +277,16 @@ class TestWireFormat:
         (dict(max_retries=2.5), "--max-retries"),
         (dict(jobs=2.5), "--jobs"),
         (dict(jobs=True), "--jobs"),
+        (dict(cache_dir=""), "--cache-dir"),
     ], ids=["jobs-0", "jobs-257", "max-retries-negative", "max-retries-inf",
-            "max-retries-nan", "max-retries-2.5", "jobs-2.5", "jobs-true"])
+            "max-retries-nan", "max-retries-2.5", "jobs-2.5", "jobs-true",
+            "cache-dir-empty"])
     def test_sweep_options_bound_workers_and_retries(self, fields, flag):
         """Only the runner checked these, so `serve` listened with them as
         defaults; `jobs` is capped because the dispatcher forks one worker
         per eligible campaign.  Both are counts: with an infinite retry
-        budget, a campaign that always fails was retried forever."""
+        budget, a campaign that always fails was retried forever.  An empty
+        `cache_dir` wrote the surface tables into the current directory."""
         with pytest.raises(ReproError, match=rf"\(fix {flag}\)$"):
             api.SweepOptions(**fields)
 

@@ -14,7 +14,6 @@ from repro.campaigns import (
     parallel_map,
     repeat_specs,
     summarise,
-    summary_table,
 )
 from repro.errors import ReproError
 from repro.experiments.table1 import table1_grid
@@ -182,7 +181,7 @@ class TestFailureIsolation:
         assert summary.failed == 1 and summary.done == 1
         row = summary.rows[0] if summary.rows[0].failures else summary.rows[1]
         assert row.campaigns == 1  # cells are per-strategy; the bad one
-        assert "FAILED" in summary_table(summary)
+        assert "FAILED" in summary.table()
 
 
 class TestParallelDeterminism:

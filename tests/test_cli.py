@@ -250,6 +250,32 @@ class TestCommands:
         assert "distribution shift" in out
         assert "DarwinGame" in out
 
+    @pytest.mark.parametrize("name", ["shift", "sensitivity"])
+    def test_experiment_hands_jobs_to_the_study(self, name, monkeypatch):
+        """Both studies accepted --jobs and ran with one worker."""
+        import repro.experiments.sensitivity as sensitivity
+        import repro.experiments.shift_study as shift_study
+        from repro.campaigns import CampaignRunner, parallel_map
+
+        seen = []
+
+        class RecordingRunner(CampaignRunner):
+            def __init__(self, options=None, **kwargs):
+                super().__init__(options, **kwargs)
+                seen.append(self.options.jobs)
+
+        def recording_map(fn, items, *, jobs=1):
+            seen.append(jobs)
+            return parallel_map(fn, items, jobs=jobs)
+
+        monkeypatch.setattr(shift_study, "CampaignRunner", RecordingRunner)
+        monkeypatch.setattr(shift_study, "_CACHE", {})
+        monkeypatch.setattr(sensitivity, "parallel_map", recording_map)
+        code = main([
+            "experiment", "--name", name, "--scale", "test", "--jobs", "2",
+        ])
+        assert code == 0 and seen == [2]
+
     def test_experiment_statistical(self, capsys):
         code = main([
             "experiment", "--name", "statistical", "--scale", "test",

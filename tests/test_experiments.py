@@ -122,6 +122,13 @@ class TestSweeps:
         )
         assert result.max_spread_percent("work_deviation") < 30.0
 
+    def test_sensitivity_points_do_not_depend_on_jobs(self):
+        serial, parallel = (
+            run_sensitivity("redis", scale="test", seed=0, jobs=jobs).points
+            for jobs in (1, 2)
+        )
+        assert len(serial) == 6 and parallel == serial
+
     def test_ablations_small(self):
         result = run_ablations(
             ("redis",), scale="test", repeats=1, seed=0,

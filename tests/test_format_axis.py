@@ -10,8 +10,7 @@ from repro.campaigns import (
     CampaignRunner,
     CampaignSpec,
     SweepOptions,
-    format_table,
-    summarise_by_format,
+    summarise_by,
 )
 from repro.cli import main
 from repro.cloud.environment import CloudEnvironment
@@ -141,13 +140,13 @@ class TestCampaignFormatAxis:
         )
         report = CampaignRunner(SweepOptions(jobs=1)).run(grid.specs())
         assert all(r.ok for r in report.records)
-        summary = summarise_by_format(report.records)
-        assert summary.formats == ["darwin", "knockout"]
+        summary = summarise_by(report.records, "format")
+        assert summary.values == ["darwin", "knockout"]
         darwin = summary.row("darwin", "DarwinGame")
         knockout = summary.row("knockout", "DarwinGame")
-        assert darwin.vs_default_percent == pytest.approx(0.0)
+        assert darwin.gap_percent == pytest.approx(0.0)
         assert knockout.campaigns == 1
-        rendered = format_table(summary)
+        rendered = summary.table()
         assert "knockout" in rendered and "vs darwin %" in rendered
         # Deterministic payload for byte-compare style checks.
         assert json.loads(summary.to_json())["formats"] == ["darwin", "knockout"]

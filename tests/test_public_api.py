@@ -19,15 +19,26 @@ _PACKAGES = ["repro"] + [
     if info.ispkg
 ]
 
+#: The scenario and format views are one `AxisSummary` built by
+#: `summarise_by`, and every summary renders itself with `table()`, so
+#: these and `render_report` are gone.
+_REMOVED_REPORT_NAMES = (
+    "FormatRow", "FormatSummary", "ScenarioRow", "ScenarioSummary",
+    "failure_table", "format_table", "scenario_table",
+    "summarise_by_format", "summarise_by_scenario", "summary_table",
+)
+
 #: Names deleted from a package's exports; none may come back.
 _REMOVED = {
-    "repro": ("partition_regions",),
+    "repro": ("partition_regions", "render_report"),
     "repro.apps": ("ConstrainedApplication", "penalised_application"),
+    "repro.campaigns": _REMOVED_REPORT_NAMES,
     "repro.cloud": ("simulate_colocated",),
     "repro.experiments": (
         "StrategyRun", "evaluation_from_dict", "jsonable", "load_campaign",
         "protocol", "repeat_seed_plan", "repeat_strategy", "run_strategy",
         "save_campaign", "tuning_result_from_dict",
+        "ScenarioRobustnessResult",
     ),
     "repro.scenarios": ("DEFAULT_SCENARIO",),
     "repro.space": (
@@ -46,7 +57,10 @@ _REMOVED = {
 
 #: Names deleted from a module that is not a package, or from a class.
 _REMOVED_MEMBERS = {
-    "repro.api": ("_StrategyNames", "_strategy_names"),
+    "repro.api": ("_StrategyNames", "_strategy_names", "render_report"),
+    "repro.campaigns.report": _REMOVED_REPORT_NAMES + (
+        "_axis_rows", "_format_of", "_scenario_of",
+    ),
     "repro.campaigns.runner:SweepReport": ("strategy_runs",),
     "repro.campaigns.store.record:CampaignRecord": ("to_strategy_run",),
     # A sweep's fault plan, profile directory and surface cache are

@@ -12,7 +12,7 @@ from repro.campaigns import (
     CampaignStore,
     SweepOptions,
     summarise,
-    summarise_by_scenario,
+    summarise_by,
 )
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.fleet import HostClass, default_host_mix
@@ -343,27 +343,27 @@ class TestScenarioReport:
         return runner.run(grid.specs()).records
 
     def test_by_scenario_rows_and_gap(self):
-        summary = summarise_by_scenario(self._records())
-        assert summary.scenarios == ["bursty", "steady"]
+        summary = summarise_by(self._records(), "scenario")
+        assert summary.values == ["bursty", "steady"]
         assert summary.total == summary.done == 4
         for scenario in ("steady", "bursty"):
             darwin = summary.row(scenario, "DarwinGame")
             bliss = summary.row(scenario, "BLISS")
-            assert darwin.vs_darwin_percent == pytest.approx(0.0)
+            assert darwin.gap_percent == pytest.approx(0.0)
             expected = 100.0 * (bliss.mean_time - darwin.mean_time) \
                 / darwin.mean_time
-            assert bliss.vs_darwin_percent == pytest.approx(expected)
+            assert bliss.gap_percent == pytest.approx(expected)
 
     def test_payload_is_deterministic_under_record_order(self):
         records = self._records()
-        forward = summarise_by_scenario(records).to_json()
-        backward = summarise_by_scenario(records[::-1]).to_json()
+        forward = summarise_by(records, "scenario").to_json()
+        backward = summarise_by(records[::-1], "scenario").to_json()
         assert forward == backward
 
     def test_missing_darwin_yields_nan_gap(self):
         records = [r for r in self._records() if r.spec.strategy == "BLISS"]
-        summary = summarise_by_scenario(records)
-        assert np.isnan(summary.row("steady", "BLISS").vs_darwin_percent)
+        summary = summarise_by(records, "scenario")
+        assert np.isnan(summary.row("steady", "BLISS").gap_percent)
 
 
 class TestScenarioRobustnessExperiment:
@@ -375,8 +375,8 @@ class TestScenarioRobustnessExperiment:
             scenarios=("steady", "bursty"), seeds=(0,), scale="test",
             eval_runs=10, jobs=1,
         )
-        assert result.grid.size == 4
-        assert {r.scenario for r in result.rows} == {"steady", "bursty"}
+        assert result.total == 4
+        assert {r.value for r in result.rows} == {"steady", "bursty"}
         assert result.row("bursty", "DarwinGame").campaigns == 1
         assert "scenario" in result.table()
 

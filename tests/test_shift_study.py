@@ -54,6 +54,19 @@ class TestShiftStudy:
         bliss = study.row("BLISS", 0.5).degradation_percent
         assert dg < bliss
 
+    def test_jobs_do_not_change_the_rows(self, monkeypatch):
+        import repro.experiments.shift_study as shift_study
+
+        monkeypatch.setattr(shift_study, "_CACHE", {})
+        rows = []
+        for jobs in (1, 2):
+            shift_study._CACHE.clear()
+            rows.append(run_shift_study(
+                "redis", strategies=("DarwinGame", "BLISS"), shifts=(0.0, 0.5),
+                scale="test", eval_runs=50, jobs=jobs,
+            ).rows)
+        assert rows[0] == rows[1]
+
     def test_rejects_missing_baseline(self):
         with pytest.raises(ReproError):
             run_shift_study("redis", shifts=(0.5, 1.0), scale="test")

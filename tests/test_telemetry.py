@@ -360,6 +360,32 @@ class TestStatusView:
         assert snap.running == 0 and snap.stalled == 1
         assert "stalled" in render_status(snap)
 
+    def test_serial_sweep_shows_its_running_campaign_and_pace(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial sweep journals the lease ledger as a parallel one does.
+        Before, `status` read 0 running and no pace until it ended."""
+        import repro.campaigns.runner as runner_module
+
+        grid = CampaignGrid(apps=("redis",), seeds=(0, 1, 2, 3),
+                            scale="test", eval_runs=5)
+        store = CampaignStore(tmp_path / "serial.jsonl")
+        protocol = runner_module._run_protocol
+        seen = []
+
+        def snapshot_then_run(spec, attempt):
+            seen.append((spec.campaign_id, snapshot(store.path)))
+            return protocol(spec, attempt)
+
+        monkeypatch.setattr(runner_module, "_run_protocol", snapshot_then_run)
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(
+            grid.specs(), grid=grid
+        )
+        assert len(seen) == 4
+        for finished, (campaign, snap) in enumerate(seen):
+            assert snap.done == finished and snap.running_ids == [campaign]
+            assert (snap.campaigns_per_minute > 0) == (finished >= 2)
+
     def test_finished_store_without_sidecars(self, tmp_path, small_grid,
                                              clean_records):
         store = CampaignStore(tmp_path / "plain.jsonl")
