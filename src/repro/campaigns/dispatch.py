@@ -41,6 +41,7 @@ see :meth:`repro.campaigns.store.CampaignRecord.stable_payload`).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
@@ -187,6 +188,9 @@ class TaskLedger:
         )
         self._order: List[str] = []
         self._records: Dict[str, LeaseRecord] = {}
+        # Journal appends come from the sweep's thread and, inline, from
+        # its heartbeat thread (:meth:`beating`).
+        self._journal_lock = threading.Lock()
         for campaign_id in campaign_ids:
             self.register(campaign_id)
 
@@ -258,6 +262,29 @@ class TaskLedger:
         record.last_heartbeat = now
         self._journal("heartbeat", record)
 
+    @contextlib.contextmanager
+    def beating(self, campaign_id: str) -> Iterator[None]:
+        """Journal a heartbeat every :data:`HEARTBEAT_INTERVAL` inside the block.
+
+        For a campaign run in this process, whose lease no worker beats:
+        without it ``repro status`` calls the campaign stalled once it runs
+        past ``STALE_LEASE_SECONDS``.  The beat thread is stopped and
+        joined before the block's caller journals the outcome.
+        """
+        stop = threading.Event()
+
+        def beat() -> None:
+            while not stop.wait(HEARTBEAT_INTERVAL):
+                self.heartbeat(campaign_id, time.monotonic())
+
+        thread = threading.Thread(target=beat, daemon=True, name="heartbeat")
+        thread.start()
+        try:
+            yield
+        finally:
+            stop.set()
+            thread.join()
+
     def complete(self, campaign_id: str) -> None:
         record = self._records[campaign_id]
         record.status = LEASE_DONE
@@ -309,9 +336,10 @@ class TaskLedger:
         if record.last_error and event in ("requeued", "quarantined"):
             payload["error"] = record.last_error
         self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.journal_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
+        with self._journal_lock:
+            with self.journal_path.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload, sort_keys=True) + "\n")
+                handle.flush()
 
     @staticmethod
     def read_events(path: Union[str, Path]) -> List[dict]:

@@ -667,7 +667,8 @@ class CampaignRunner:
     ):
         """No-pool execution under the same lease ledger and retry policy.
 
-        Every attempt is leased to worker 0 and completed or requeued
+        Every attempt is leased to worker 0, beats its lease while it runs
+        (as a dispatched worker does), and is completed or requeued
         through ``ledger``, which decides between a retry and quarantine.
         Process-killing faults degrade to raised exceptions inline (see
         :mod:`repro.faults`), so the convergence contract — and the stored
@@ -679,10 +680,11 @@ class CampaignRunner:
         for index, spec in pending:
             while True:
                 attempt = ledger.lease(spec.campaign_id, 0, time.monotonic())
-                record = execute_campaign(
-                    spec, attempt=attempt, fault_plan=self.options.fault_plan,
-                    profile_dir=self.profile_dir,
-                )
+                with ledger.beating(spec.campaign_id):
+                    record = execute_campaign(
+                        spec, attempt=attempt, fault_plan=self.options.fault_plan,
+                        profile_dir=self.profile_dir,
+                    )
                 if record.ok:
                     ledger.complete(spec.campaign_id)
                     yield index, record

@@ -307,16 +307,20 @@ def _simulate_attempt(
     unfinished: List[int] = []
     for b0 in range(0, seg_max, _SEGMENT_BLOCK):
         b1 = min(b0 + _SEGMENT_BLOCK, seg_max)
-        # Per-player scheduling jitter of the block, drawn per running game.
+        # Per-player scheduling jitter of the block, drawn per running game
+        # straight into its rows of the block buffer.  ``normal(0, s)`` is
+        # ``s`` times a standard draw, so scaling the whole block afterwards
+        # keeps the bits; padding stays zero.
         w = np.zeros((rows.size, b1 - b0, p_max))
         for r, a in enumerate(rows):
             st = states[chunk[int(a)]]
-            hi = min(b1, st.n_segments)
-            if hi > b0:
-                w[r, : hi - b0, : st.k] = (
-                    st.rng.normal(0.0, _JITTER_STD, size=(hi - b0, st.k))
-                    * st.sens
-                )
+            hi = min(b1, st.n_segments) - b0
+            if hi == b1 - b0 and st.k == p_max:
+                st.rng.standard_normal(out=w[r])
+            elif hi > 0:
+                w[r, :hi, : st.k] = st.rng.standard_normal((hi, st.k))
+        w *= _JITTER_STD
+        w *= sens[rows][:, None, :]
         # Slowdown field of the block, built in place on the jitter buffer:
         # 1 + sens * (level + contention) + jitter + unfairness.
         w += unfairness[rows][:, None, :]

@@ -16,7 +16,7 @@ Two query styles are provided.  Solo runs (how every baseline tuner samples)
 need only the *mean* level over a run — :meth:`sample_run_means` is fully
 vectorised for the exhaustive-search scan.  Co-located games need a
 *trajectory* so that early termination can observe work progress through
-time — :meth:`sample_trajectory`.
+time — :meth:`sample_trajectories` samples a whole round of games at once.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ _BUCKET_SECONDS = 3600.0
 #: transforms — one constant, one physics.
 MIN_LEVEL = 0.01
 _MIN_LEVEL = MIN_LEVEL
+
+
+def _chunk_length(rho: float) -> int:
+    """Longest scan chunk over which ``rho**-j`` spans at most ~100 decades."""
+    return max(1, int(100.0 / max(-math.log10(rho), 1e-18)))
 
 
 def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
@@ -63,7 +68,7 @@ def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
         # Memoryless limit (e.g. segment length >> correlation time).
         return eps.copy()
     if rho < 1.0:
-        chunk = max(1, int(100.0 / max(-math.log10(rho), 1e-18)))
+        chunk = _chunk_length(rho)
     else:  # pragma: no cover - rho is always < 1 for our processes
         chunk = n
     pos = 0
@@ -75,6 +80,39 @@ def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
         state = float(seg[-1])
         pos += m
     return out
+
+
+def _ar1_rows(
+    rho: np.ndarray, state: np.ndarray, eps: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """:func:`ar1_scan` of every row ``eps[g, :counts[g]]``, in place on ``eps``.
+
+    Each row gives :func:`ar1_scan`'s bits.  A row whose ``rho`` lies in
+    (0, 1) and whose length fits one scan chunk takes that chunk's closed
+    form together with every other such row (``rho**k`` along the row, a
+    row-wise cumsum, one multiply); its exponent stops growing at the row's
+    end, so the padding past it stays finite.  Any other row goes through
+    :func:`ar1_scan` on its own.
+    """
+    single = np.array([
+        0.0 < r < 1.0 and n <= _chunk_length(r)
+        for r, n in zip(rho.tolist(), counts.tolist())
+    ], dtype=bool)
+    alone = {
+        g: ar1_scan(float(rho[g]), float(state[g]), eps[g, : counts[g]])
+        for g in np.flatnonzero(~single)
+    }
+    powers = np.minimum(
+        np.arange(1.0, eps.shape[1] + 1.0), np.where(single, counts, 1)[:, None]
+    )
+    np.power(np.where(single, rho, 1.0)[:, None], powers, out=powers)
+    eps /= powers
+    np.cumsum(eps, axis=1, out=eps)
+    eps += state[:, None]
+    eps *= powers
+    for g, row in alone.items():
+        eps[g, : row.size] = row
+    return eps
 
 
 class InterferenceProcess:
@@ -192,45 +230,11 @@ class InterferenceProcess:
     ) -> np.ndarray:
         """Piecewise-constant level trajectory over ``n_segments`` segments.
 
-        The fast component follows an AR(1) discretisation of an OU process
-        around the slow mean; bursts arrive per segment and decay over the
-        following segments.
+        A one-game :meth:`sample_trajectories`.
         """
-        if n_segments <= 0:
-            raise CloudError(f"n_segments must be positive, got {n_segments}")
-        if duration <= 0:
-            raise CloudError(f"duration must be positive, got {duration}")
-        dt = duration / n_segments
-        mids = start_time + (np.arange(n_segments) + 0.5) * dt
-        base = self.epoch_mean(mids)
-
-        return self._stochastic_trajectory(base, dt, n_segments, rng)
-
-    def _stochastic_trajectory(
-        self,
-        base: np.ndarray,
-        dt: float,
-        n_segments: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Fast AR(1) + burst-decay components on top of the slow ``base``.
-
-        The single draw path shared by :meth:`sample_trajectory` and
-        :meth:`sample_trajectories` — batched and per-game trajectories must
-        consume a game's generator identically or batched rounds would stop
-        being equivalent to single games.
-        """
-        rho = math.exp(-dt / self.profile.fast_tau)
-        innovation_std = self.profile.fast_std * math.sqrt(max(1.0 - rho * rho, 1e-12))
-        shocks = rng.normal(0.0, innovation_std, size=n_segments)
-        fast = ar1_scan(rho, float(rng.normal(0.0, self.profile.fast_std)), shocks)
-
-        arrivals = rng.random(n_segments) < (self.profile.burst_rate * dt)
-        magnitudes = rng.exponential(self.profile.burst_scale, size=n_segments) * arrivals
-        decay = math.exp(-dt / self.profile.burst_duration)
-        bursts = ar1_scan(decay, 0.0, magnitudes)
-
-        return np.maximum(base + fast + bursts, _MIN_LEVEL)
+        return self.sample_trajectories(
+            [start_time], [duration], [n_segments], [rng]
+        )[0]
 
     def sample_trajectories(
         self,
@@ -239,31 +243,63 @@ class InterferenceProcess:
         segment_counts: "list[int]",
         rngs: "list[np.random.Generator]",
     ) -> "list[np.ndarray]":
-        """Trajectories of many parallel games, one generator per game.
+        """Level trajectories of a round of parallel games, one generator each.
 
-        Per game this produces exactly what :meth:`sample_trajectory` would
-        with the same generator — the stochastic components draw from each
-        game's own stream — but the deterministic slow component is
-        evaluated for all games in a single vectorised pass, which is what
-        makes whole-round batches cheap.
+        The fast component follows an AR(1) discretisation of an OU process
+        around the slow mean; bursts arrive per segment and decay over the
+        following segments.  Each game draws from its own generator, in
+        this order: the fast component's shocks, its start state, the burst
+        arrivals, the burst magnitudes, each straight into its row of a
+        ``(games, segments)`` array.  The slow component, both AR(1) scans
+        and the clamp then run over all rows at once, so a game's
+        trajectory does not depend on which games share its round.
         """
         if not (len(start_times) == len(durations)
                 == len(segment_counts) == len(rngs)):
             raise CloudError("trajectory batch arguments must have equal length")
-        mids: list = []
-        for t0, duration, n_segments in zip(start_times, durations, segment_counts):
+        for duration, n_segments in zip(durations, segment_counts):
             if n_segments <= 0:
                 raise CloudError(f"n_segments must be positive, got {n_segments}")
             if duration <= 0:
                 raise CloudError(f"duration must be positive, got {duration}")
-            dt = duration / n_segments
-            mids.append(t0 + (np.arange(n_segments) + 0.5) * dt)
-        base_all = self.epoch_mean(np.concatenate(mids)) if mids else np.empty(0)
-        bounds = np.cumsum([m.size for m in mids])[:-1]
+        if not rngs:
+            return []
+        profile = self.profile
+        counts = np.asarray(segment_counts, dtype=np.int64)
+        dt = np.asarray(durations, dtype=float) / counts
+        shape = (counts.size, int(counts.max()))
+        columns = np.arange(shape[1])
+        inside = columns < counts[:, None]
+        mids = (columns + 0.5) * dt[:, None]
+        mids += np.asarray(start_times, dtype=float)[:, None]
+        level = np.zeros(shape)
+        level[inside] = self.epoch_mean(mids[inside])
 
-        return [
-            self._stochastic_trajectory(base, duration / n_segments, n_segments, rng)
-            for base, duration, n_segments, rng in zip(
-                np.split(base_all, bounds), durations, segment_counts, rngs
-            )
-        ]
+        fast = np.zeros(shape)
+        state = np.empty(counts.size)
+        uniforms = np.zeros(shape)
+        bursts = np.zeros(shape)
+        for g, (n, rng) in enumerate(zip(segment_counts, rngs)):
+            rng.standard_normal(out=fast[g, :n])
+            state[g] = rng.standard_normal()
+            rng.random(out=uniforms[g, :n])
+            rng.standard_exponential(out=bursts[g, :n])
+
+        # ``normal(0, s)`` and ``exponential(s)`` return ``s`` times a
+        # standard draw, so scaling the rows afterwards keeps their bits.
+        # The AR(1) coefficients go through ``math.exp``: numpy's SIMD exp
+        # may differ from libm in the last bit.
+        rho = np.array([math.exp(-d / profile.fast_tau) for d in dt.tolist()])
+        fast *= profile.fast_std * np.sqrt(np.maximum(1.0 - rho * rho, 1e-12))[:, None]
+        state *= profile.fast_std
+        _ar1_rows(rho, state, fast, counts)
+
+        bursts *= profile.burst_scale
+        bursts *= uniforms < (profile.burst_rate * dt)[:, None]
+        decay = np.array([math.exp(-d / profile.burst_duration) for d in dt.tolist()])
+        _ar1_rows(decay, np.zeros(counts.size), bursts, counts)
+
+        level += fast
+        level += bursts
+        np.maximum(level, _MIN_LEVEL, out=level)
+        return [row[:n] for row, n in zip(level, segment_counts)]

@@ -108,7 +108,7 @@ def run_shift_study(
     specs = [
         CampaignSpec(
             app=app_name, strategy=strategy, vm=vm_to_field(vm), scale=scale,
-            seed=seed,
+            seed=seed, eval_runs=eval_runs,
         )
         for strategy in strategies
     ]

@@ -41,6 +41,7 @@ from repro.formats.scheduler import (
     RunLog,
     validated_players,
 )
+from repro.rng import choice_without_replacement
 
 
 @dataclass(frozen=True)
@@ -276,10 +277,10 @@ class StreakSwiss:
             total = weights.sum()
             if total > 0:
                 take = min(want, len(members) - len(chosen))
-                picks = self.rng.choice(
-                    len(members), size=take, replace=False, p=weights / total
+                picks = choice_without_replacement(
+                    self.rng, weights / total, take
                 )
-                chosen.extend(members[int(p)] for p in picks)
+                chosen.extend(members[p] for p in picks)
         return chosen[:n]
 
     # -- the round protocol ------------------------------------------------

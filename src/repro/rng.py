@@ -36,3 +36,33 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
 def child(rng: np.random.Generator) -> np.random.Generator:
     """Derive a single child generator from ``rng``."""
     return spawn(rng, 1)[0]
+
+
+def choice_without_replacement(
+    rng: np.random.Generator, p: np.ndarray, size: int
+) -> list[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)`` without its call overhead.
+
+    Replays numpy's algorithm pass for pass: each pass draws
+    ``rng.random(size - found)``, zeroes the weights already picked,
+    normalises their cumulative sum and maps the draws through
+    ``searchsorted(side="right")``, keeping each new index at its first
+    occurrence.  The picks, and the generator's state afterwards, are
+    numpy's; what goes is the per-call validation and the sort behind
+    ``np.unique``.  Only the refusals that keep the loop finite stay:
+    non-finite weights, and fewer positive weights than picks.
+    """
+    p = np.array(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if np.count_nonzero(p > 0) < size:
+        raise ValueError("fewer non-zero entries in p than size")
+    found: list[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found))
+        if found:
+            p[found] = 0.0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        found.extend(dict.fromkeys(cdf.searchsorted(draws, side="right").tolist()))
+    return found

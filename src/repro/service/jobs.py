@@ -3,20 +3,25 @@
 The :class:`JobManager` is the daemon's core, and deliberately contains no
 HTTP: it accepts already-decoded request payloads, turns them into
 :class:`repro.api.JobHandle` jobs via the same facade the CLI uses, and
-runs them **one at a time** on a single executor thread.  Serial execution
-is what makes the service a *warm* engine rather than a process farm:
+runs them **one at a time** on a single executor thread:
 
-* every job executes in the daemon process, so the process-wide
-  application LRU (:func:`repro.caching.process_app_cache`) and the
-  configured surface cache stay hot across jobs and across tenants —
-  the second tenant's sweep starts on surfaces the first tenant paid for;
+* a job with ``options.jobs = 1`` runs its campaigns in the daemon
+  process, so the process-wide application LRU
+  (:func:`repro.caching.process_app_cache`) stays hot across jobs and
+  across tenants — the second tenant's serial sweep starts on surfaces
+  the first tenant paid for;
 * the campaign runner installs and restores the process-global telemetry
   emitter per sweep, which is only safe when sweeps do not overlap in
   one process (a sweep's fault plan, profile directory and surface cache
   are arguments, not process state).
 
-Parallelism still happens *inside* a job (``options.jobs`` workers via the
-dispatcher), where it is crash-isolated and deterministic.
+Parallelism happens *inside* a job (``options.jobs`` workers via the
+dispatcher), where it is crash-isolated and deterministic.  Those workers
+are started for each job, and a daemon that has only dispatched jobs
+holds no surface for them to inherit, so without a surface cache
+(``cache_dir``) every such job's workers build theirs again.  With one,
+each sweep warms the disk cache in the daemon once and every worker
+loads it.
 
 Stores are laid out per tenant under the service data root —
 ``<data_root>/<tenant>/<job_id>.jsonl`` — so tenants can never read or

@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cloud.interference import InterferenceProcess, ar1_scan
+from oracle.ar1 import ar1_loop
+from oracle.trajectory import sample_trajectories as reference_trajectories
+from repro.cloud.interference import (
+    InterferenceProcess,
+    _ar1_rows,
+    _chunk_length,
+    ar1_scan,
+)
 from repro.cloud.vm import PRESETS, make_profile
 from repro.errors import CloudError
 from repro.rng import ensure_rng
+from repro.scenarios.registry import get_scenario
 
 
 def process(seed=0, vm="m5.8xlarge"):
@@ -140,6 +150,119 @@ class TestTrajectory:
         adjacent = np.corrcoef(trajs[:, 10], trajs[:, 11])[0, 1]
         distant = np.corrcoef(trajs[:, 10], trajs[:, 90])[0, 1]
         assert adjacent > distant
+
+
+_RHO = st.floats(min_value=1e-3, max_value=1.0 - 1e-6)
+_EPS = st.lists(
+    st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=300
+)
+_STATE = st.floats(min_value=-10.0, max_value=10.0)
+
+
+def _scale(rho, state, eps):
+    """Magnitude the scans' rounding is measured against."""
+    return np.max(np.abs(eps)) / (1.0 - rho) + abs(state)
+
+
+class TestAr1Scans:
+    """Both closed-form scans against the plain recurrence, to rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rho=_RHO, state=_STATE, eps=_EPS)
+    def test_ar1_scan_matches_recurrence(self, rho, state, eps):
+        got = ar1_scan(rho, state, np.array(eps))
+        want = ar1_loop(rho, state, eps)
+        assert np.max(np.abs(got - want)) <= 1e-12 * _scale(rho, state, eps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(_RHO, _STATE, _EPS), min_size=1, max_size=8))
+    def test_row_scan_matches_recurrence(self, rows):
+        """Padded rows of mixed length; small ``rho`` makes multi-chunk rows."""
+        counts = np.array([len(eps) for _, _, eps in rows])
+        eps = np.zeros((len(rows), counts.max()))
+        for g, (_, _, row) in enumerate(rows):
+            eps[g, : len(row)] = row
+        rho = np.array([r for r, _, _ in rows])
+        state = np.array([s for _, s, _ in rows])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _ar1_rows(rho, state, eps, counts)
+        assert np.isfinite(got).all()
+        for g, (r, s, row) in enumerate(rows):
+            want = ar1_loop(r, s, row)
+            error = np.max(np.abs(got[g, : len(row)] - want))
+            assert error <= 1e-12 * _scale(r, s, row)
+
+    def test_row_scan_gives_ar1_scan_bits(self):
+        rng = ensure_rng(11)
+        rho = np.array([0.9, 0.02, 0.5, 1e-3, 0.999])
+        counts = np.array([240, 240, 7, 100, 1])
+        assert any(n > _chunk_length(r) for r, n in zip(rho, counts))
+        eps = rng.normal(size=(rho.size, counts.max()))
+        state = rng.normal(size=rho.size)
+        want = [ar1_scan(r, s, e[:n]) for r, s, e, n in zip(rho, state, eps, counts)]
+        got = _ar1_rows(rho, state, eps.copy(), counts)
+        for g, n in enumerate(counts):
+            assert got[g, :n].tobytes() == want[g].tobytes()
+
+
+def _round(seed, n_games, dt_scale):
+    """Start times, durations, segment counts and seeds of one mixed round."""
+    meta = ensure_rng(seed)
+    counts = meta.integers(1, 241, n_games)
+    durations = (meta.random(n_games) * dt_scale + 0.01) * counts
+    starts = meta.random(n_games) * 3e6
+    seeds = meta.integers(2**32, size=n_games)
+    return starts.tolist(), durations.tolist(), counts.tolist(), seeds
+
+
+class TestRoundSampler:
+    """The round sampler draws what one game at a time draws, bit for bit."""
+
+    @pytest.mark.parametrize("n_games", [1, 2, 31, 250])
+    # Segments of ~0.5 s to ~7 h: at the long end both scans need several
+    # chunks per row, and the burst threshold exceeds one.
+    @pytest.mark.parametrize("dt_scale", [0.5, 30.0, 25_000.0])
+    @pytest.mark.parametrize("scenario", [None, "bursty", "drift"])
+    def test_bit_identical_to_per_game_draws(self, n_games, dt_scale, scenario):
+        starts, durations, counts, seeds = _round(
+            n_games + int(dt_scale), n_games, dt_scale
+        )
+
+        def sampler():
+            dynamics = get_scenario(scenario).realise(5) if scenario else None
+            return InterferenceProcess(
+                PRESETS["m5.8xlarge"].interference, 3, dynamics=dynamics
+            )
+
+        rngs = [ensure_rng(int(s)) for s in seeds]
+        ref_rngs = [ensure_rng(int(s)) for s in seeds]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sampler().sample_trajectories(starts, durations, counts, rngs)
+        want = reference_trajectories(sampler(), starts, durations, counts, ref_rngs)
+        assert len(got) == n_games
+        for row, ref in zip(got, want):
+            assert row.tobytes() == ref.tobytes()
+        for rng, ref in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_round_split_does_not_change_a_game(self):
+        starts, durations, counts, seeds = _round(4, 12, 30.0)
+        p = process(seed=2)
+        whole = p.sample_trajectories(
+            starts, durations, counts, [ensure_rng(int(s)) for s in seeds]
+        )
+        for g in range(12):
+            alone = p.sample_trajectory(
+                starts[g], durations[g], counts[g], ensure_rng(int(seeds[g]))
+            )
+            assert alone.tobytes() == whole[g].tobytes()
+
+    def test_empty_round(self):
+        assert process().sample_trajectories([], [], [], []) == []
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(CloudError):
+            process().sample_trajectories([0.0], [10.0], [4, 4], [ensure_rng(0)])
 
 
 class TestVMScaling:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import child, ensure_rng, spawn
+from repro.rng import child, choice_without_replacement, ensure_rng, spawn
 
 
 class TestEnsureRng:
@@ -47,3 +47,52 @@ class TestSpawn:
         first = spawn(rng, 1)[0]
         second = spawn(rng, 1)[0]
         assert not np.array_equal(first.random(10), second.random(10))
+
+
+def _weights(meta, case):
+    """Plain, zero-laced, sharp (``**4``, as the Swiss veteran draw) and
+    sharp zero-laced weights."""
+    n = int(meta.integers(1, 80))
+    w = meta.random(n)
+    if case % 4 in (1, 3):
+        w[meta.random(n) < 0.5] = 0.0
+    if case % 4 >= 2:
+        w = np.power(np.maximum(w, 1e-6), 4.0 if case % 8 < 4 else 40.0)
+    return w
+
+
+class TestChoiceWithoutReplacement:
+    def test_replays_generator_choice(self):
+        meta = ensure_rng(2024)
+        checked = 0
+        for case in range(2000):
+            w = _weights(meta, case)
+            positive = int(np.count_nonzero(w > 0))
+            if positive == 0:
+                continue
+            # Every fifth case takes every positive weight: the draw loop
+            # then runs until the last, least likely index turns up.
+            size = positive if case % 5 == 0 else int(meta.integers(1, positive + 1))
+            p = w / w.sum()
+            seed = int(meta.integers(2**32))
+            ours, numpys = ensure_rng(seed), ensure_rng(seed)
+            picks = choice_without_replacement(ours, p, size)
+            want = numpys.choice(len(p), size=size, replace=False, p=p)
+            assert picks == want.tolist()
+            assert ours.bit_generator.state == numpys.bit_generator.state
+            checked += 1
+        assert checked > 1900
+
+    def test_does_not_modify_weights(self):
+        p = np.array([0.5, 0.25, 0.25])
+        choice_without_replacement(ensure_rng(0), p, 2)
+        assert p.tolist() == [0.5, 0.25, 0.25]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_refused(self, bad):
+        with pytest.raises(ValueError):
+            choice_without_replacement(ensure_rng(0), np.array([0.5, bad]), 1)
+
+    def test_fewer_positive_weights_than_picks_refused(self):
+        with pytest.raises(ValueError):
+            choice_without_replacement(ensure_rng(0), np.array([1.0, 0.0, 0.0]), 2)

@@ -67,6 +67,28 @@ class TestShiftStudy:
             ).rows)
         assert rows[0] == rows[1]
 
+    def test_campaigns_run_at_the_study_eval_runs(self, monkeypatch):
+        """Before, each campaign evaluated its pick over the spec default of
+        100 runs, which the study then discarded."""
+        import repro.experiments.shift_study as shift_study
+
+        monkeypatch.setattr(shift_study, "_CACHE", {})
+        received = []
+        run = shift_study.CampaignRunner.run
+
+        def spy(self, specs, **kwargs):
+            specs = list(specs)
+            received.extend(specs)
+            return run(self, specs, **kwargs)
+
+        monkeypatch.setattr(shift_study.CampaignRunner, "run", spy)
+        run_shift_study(
+            "redis", strategies=("DarwinGame", "BLISS"), shifts=(0.0, 0.5),
+            scale="test", eval_runs=5,
+        )
+        assert len(received) == 2
+        assert all(spec.eval_runs == 5 for spec in received)
+
     def test_rejects_missing_baseline(self):
         with pytest.raises(ReproError):
             run_shift_study("redis", shifts=(0.5, 1.0), scale="test")

@@ -13,6 +13,7 @@ The two contracts everything here defends:
 import json
 import logging
 import pstats
+import time
 
 import pytest
 
@@ -385,6 +386,38 @@ class TestStatusView:
         for finished, (campaign, snap) in enumerate(seen):
             assert snap.done == finished and snap.running_ids == [campaign]
             assert (snap.campaigns_per_minute > 0) == (finished >= 2)
+
+    def test_serial_campaign_beats_its_lease(self, tmp_path, monkeypatch):
+        """A serial campaign running past the stale-lease limit reads as
+        running: it journals heartbeats, as a dispatched worker's lease
+        gets.  Before, `status` called it stalled."""
+        import repro.campaigns.dispatch as dispatch_module
+        import repro.campaigns.runner as runner_module
+        import repro.telemetry.status as status_module
+
+        monkeypatch.setattr(dispatch_module, "HEARTBEAT_INTERVAL", 0.02)
+        monkeypatch.setattr(status_module, "STALE_LEASE_SECONDS", 0.5)
+        grid = CampaignGrid(apps=("redis",), seeds=(0,), scale="test",
+                            eval_runs=5)
+        store = CampaignStore(tmp_path / "slow.jsonl")
+        protocol = runner_module._run_protocol
+        seen = []
+
+        def slow_protocol(spec, attempt):
+            time.sleep(1.0)
+            seen.append(snapshot(store.path))
+            return protocol(spec, attempt)
+
+        monkeypatch.setattr(runner_module, "_run_protocol", slow_protocol)
+        CampaignRunner(SweepOptions(jobs=1), store=store).run(
+            grid.specs(), grid=grid
+        )
+        (snap,) = seen
+        assert (snap.running, snap.stalled) == (1, 0)
+        # The beat thread stops before the outcome is journalled.
+        events = TaskLedger.read_events(store.sidecar_path(SIDECAR_LEDGER))
+        assert events[-1]["event"] == "completed"
+        assert "heartbeat" in {e["event"] for e in events}
 
     def test_finished_store_without_sidecars(self, tmp_path, small_grid,
                                              clean_records):
