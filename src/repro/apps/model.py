@@ -15,17 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.apps.surfaces import PerformanceSurface
 from repro.errors import ReproError
 from repro.space.space import SearchSpace
-
-#: A surface loader returns ``(true_time, sensitivity)`` full-space arrays
-#: (e.g. read from :mod:`repro.caching`'s disk tier) or ``None`` on a miss.
-SurfaceLoader = Callable[[], Optional[Tuple[np.ndarray, np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,6 @@ class ApplicationModel:
         self._time_seen: Optional[np.ndarray] = None
         self._sens_memo: Optional[np.ndarray] = None
         self._sens_seen: Optional[np.ndarray] = None
-        self._surface_loader: Optional[SurfaceLoader] = None
-        self._loader_probed = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -121,15 +115,9 @@ class ApplicationModel:
         )
 
     def _ensure_memos(self) -> None:
-        """Allocate the memo arrays, consulting the attached cache first."""
+        """Allocate the memo arrays (all entries unseen) on first use."""
         if self._time_memo is not None:
             return
-        if self._surface_loader is not None and not self._loader_probed:
-            self._loader_probed = True
-            loaded = self._surface_loader()
-            if loaded is not None:
-                self.load_surfaces(*loaded)
-                return
         self._time_memo = np.empty(self.space.size)
         self._time_seen = np.zeros(self.space.size, dtype=bool)
         self._sens_memo = np.empty(self.space.size)
@@ -170,22 +158,6 @@ class ApplicationModel:
             and bool(self._time_seen.all())
             and bool(self._sens_seen.all())
         )
-
-    def set_surface_loader(self, loader: Optional[SurfaceLoader]) -> None:
-        """Attach a lazy source of full surface tables (a cache handle).
-
-        The loader is consulted at most once, the first time a memoisable
-        query needs the tables; a miss (``None``) falls back to ordinary
-        incremental memoisation.
-        """
-        self._surface_loader = loader
-        self._loader_probed = False
-
-    def load_cached_surfaces(self) -> bool:
-        """Probe the attached loader now (prewarm); True if tables are full."""
-        if self.memoisable:
-            self._ensure_memos()
-        return self.surfaces_complete
 
     def export_surfaces(self) -> Dict[str, np.ndarray]:
         """Complete and return the full-space surface tables.

@@ -27,8 +27,6 @@ def make_application(
     name: str,
     scale: Scale = "bench",
     seed: Optional[SeedLike] = None,
-    *,
-    cache=None,
 ) -> ApplicationModel:
     """Build one of the paper's four applications.
 
@@ -39,10 +37,9 @@ def make_application(
         seed: optional override of the application's canonical surface seed
             (used to generate alternative-universe surfaces in robustness
             tests).
-        cache: optional :class:`repro.caching.SurfaceCache` handle; the
-            model lazily pulls its persisted surface tables from it instead
-            of recomputing them (content-addressed, so a seed override or
-            recalibration can never be served stale tables).
+
+    The model starts with no surface tables; :meth:`repro.caching.
+    SurfaceCache.load` installs persisted ones.
     """
     try:
         factory = _FACTORIES[name.lower()]
@@ -50,7 +47,6 @@ def make_application(
         raise ReproError(
             f"unknown application {name!r}; available: {list(APPLICATION_NAMES)}"
         ) from None
-    app = factory(scale=scale) if seed is None else factory(scale=scale, seed=seed)
-    if cache is not None:
-        cache.install(app)
-    return app
+    if seed is None:
+        return factory(scale=scale)
+    return factory(scale=scale, seed=seed)

@@ -10,15 +10,19 @@ overhead.  This subsystem caches them at two tiers:
   validated on open and written atomically; and
 * **memory** — :class:`ApplicationCache`, a bounded LRU of built
   application models (tables included) shared by every campaign in a
-  process.
+  process; given a :class:`SurfaceCache`, it loads a model's tables from
+  disk as it builds the model, the one place an application meets the
+  disk tier.
 
 Quickstart::
 
+    from repro.apps.registry import make_application
     from repro.caching import SurfaceCache
 
     cache = SurfaceCache("~/.cache/repro/surfaces")
     cache.warm([("redis", "bench"), ("lammps", "bench")])   # once per machine
-    app = make_application("redis", cache=cache)            # starts hot
+    app = make_application("redis")
+    cache.load(app)                                         # True: starts hot
 
 or from the shell: ``python -m repro cache warm --apps redis,lammps``, then
 ``python -m repro sweep ... --cache-dir ~/.cache/repro/surfaces``.

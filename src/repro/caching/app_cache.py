@@ -7,11 +7,14 @@ module-global dict: a *bounded* LRU of built
 long-lived service processes cannot grow without limit and test fixtures
 can reset shared state between tests.
 
-The module also owns the process's shared tier.  A surface cache is no
-process state: whoever builds an application passes the sweep's
+The module also owns the process's shared tier, the one place an
+application meets the disk cache.  A surface cache is no process state:
+whoever builds an application passes the sweep's
 :class:`~repro.caching.surface_cache.SurfaceCache` to
-:meth:`~ApplicationCache.get` (the runner before its first campaign, and
-every dispatcher worker at bring-up, so every worker starts hot).
+:meth:`~ApplicationCache.get`, which installs the persisted tables as it
+builds the model (the runner while it warms the cache, and every campaign
+attempt, inline or in a dispatcher worker, at its application's first
+campaign in that process).
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ class ApplicationCache:
     ) -> ApplicationModel:
         """The shared application instance for ``(name, scale)``.
 
-        Built on first use via the registry — attached to ``cache`` if one
-        is given — then served from memory, evicting the least recently
-        used entry beyond :attr:`maxsize`.  A served entry keeps whatever
-        cache it was built with.
+        Built on first use via the registry — with ``cache``'s persisted
+        tables installed (:meth:`~repro.caching.surface_cache.SurfaceCache.
+        load`) if a cache is given — then served from memory, evicting the
+        least recently used entry beyond :attr:`maxsize`.  A served entry
+        keeps the tables it was built with.
         """
         from repro.telemetry.events import counter as _telemetry_counter
 
@@ -68,7 +72,9 @@ class ApplicationCache:
         from repro.apps.registry import make_application
 
         _telemetry_counter("app_cache.miss", app=name)
-        app = make_application(name, scale=scale, cache=cache)
+        app = make_application(name, scale=scale)
+        if cache is not None:
+            cache.load(app)
         self._entries[key] = app
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)

@@ -5,9 +5,11 @@ surfaces those campaigns evaluate are deterministic functions of the
 application definition.  This module persists each application's full
 ``true_time``/``sensitivity`` tables as content-addressed ``.npz`` files so
 the expensive first-touch computation happens once per machine instead of
-once per process.  Within a process the loaded tables live on in the
-application model itself (:class:`~repro.caching.app_cache.
-ApplicationCache`), so each process reads an entry at most once per model.
+once per process.  The process's application tier
+(:class:`~repro.caching.app_cache.ApplicationCache`) is the one place a
+model meets this cache: it builds the model and installs the persisted
+tables at once (:meth:`SurfaceCache.load`), and the model then holds them
+for every campaign of the process and of the workers it forks.
 
 Correctness rests on content addressing: an entry's file name and embedded
 metadata carry the surface's :meth:`~repro.apps.surfaces.PerformanceSurface.
@@ -27,7 +29,7 @@ import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,35 +89,29 @@ class SurfaceCache:
     def path_for(self, key: SurfaceKey) -> Path:
         return self.directory / key.filename
 
-    # -- the read path (lazy, validated) --------------------------------
+    # -- the read path (validated) ---------------------------------------
 
-    def install(self, app: ApplicationModel) -> None:
-        """Attach this cache as the application's lazy surface source.
+    def load(self, app: ApplicationModel) -> bool:
+        """Install the persisted tables into ``app``; True on a hit.
 
-        The application pulls the tables the first time a surface query
-        needs them; a miss silently falls back to incremental computation.
-        Unmemoisable (too large) spaces are left untouched.
-        """
-        if not app.memoisable:
-            return
-        key = surface_key(app)
-        app.set_surface_loader(lambda: self.fetch(key, app.space.size))
-
-    def fetch(self, key: SurfaceKey, expected_points: int) -> Optional[Arrays]:
-        """Tables for ``key`` from a validated disk read.
-
-        Each lookup lands one telemetry counter — ``cache.hit`` (labelled
-        ``tier="disk"``) or ``cache.miss`` — so a sweep's sidecar answers
-        "did the cache actually carry the fleet?" after the fact.
+        A miss, a corrupt or mismatched entry, or a space above the
+        memoisation limit returns False and leaves ``app`` untouched, so
+        it computes its surfaces as it goes.  Each lookup lands one
+        telemetry counter — ``cache.hit`` (labelled ``tier="disk"``) or
+        ``cache.miss`` — so a sweep's sidecar answers "did the cache
+        actually carry the fleet?" after the fact.
         """
         from repro.telemetry.events import counter as _telemetry_counter
 
-        arrays = self._read(key, expected_points)
-        if arrays is not None:
-            _telemetry_counter("cache.hit", tier="disk")
-        else:
+        if not app.memoisable:
+            return False
+        arrays = self._read(surface_key(app), app.space.size)
+        if arrays is None:
             _telemetry_counter("cache.miss")
-        return arrays
+            return False
+        _telemetry_counter("cache.hit", tier="disk")
+        app.load_surfaces(*arrays)
+        return True
 
     def _read(self, key: SurfaceKey, expected_points: int) -> Optional[Arrays]:
         """Validated disk read; any mismatch or corruption is a miss."""
@@ -172,30 +168,23 @@ class SurfaceCache:
 
     # -- operations (CLI: repro cache warm / info / clear) ----------------
 
-    def warm(
-        self,
-        pairs: Iterable[Tuple[str, object]],
-        *,
-        builder: Optional[Callable[[str, object], ApplicationModel]] = None,
-    ) -> List[SurfaceEntry]:
+    def warm(self, pairs: Iterable[Tuple[str, object]]) -> List[SurfaceEntry]:
         """Ensure a valid disk entry exists for every ``(app, scale)`` pair.
 
-        Valid existing entries are reused untouched; missing or invalid ones
-        are computed and persisted.  ``builder`` lets callers reuse an
-        in-memory application tier (the warmed model ends up with complete
-        tables either way); the default builds throwaway models via the
-        registry.  Spaces above the memoisation limit are reported as
-        ``"unmemoisable"`` and skipped rather than failing the warm.
+        Each application is built through this process's application tier
+        (:func:`~repro.caching.app_cache.process_app_cache`), loading its
+        tables from here, so the campaigns that follow in this process —
+        and the workers it forks — are served complete tables.  Valid
+        existing entries are reused untouched; missing or invalid ones are
+        computed and persisted.  Spaces above the memoisation limit are
+        reported as ``"unmemoisable"`` and skipped rather than failing the
+        warm.
         """
-        from repro.apps.registry import make_application
+        from repro.caching.app_cache import process_app_cache
 
         entries: List[SurfaceEntry] = []
         for name, scale in dict.fromkeys(pairs):
-            app = (
-                builder(name, scale)
-                if builder is not None
-                else make_application(name, scale=scale, cache=self)
-            )
+            app = process_app_cache().get(name, scale, self)
             if not app.memoisable:
                 entries.append(
                     SurfaceEntry(

@@ -309,6 +309,23 @@ class TaskLedger:
         self._journal("requeued", record)
         return "retry"
 
+    def settle(
+        self, record: CampaignRecord, now: float
+    ) -> Optional[CampaignRecord]:
+        """Decide a finished attempt's outcome: the one place that does.
+
+        Returns ``record`` when it succeeded (its lease completes), the
+        quarantined record (:func:`quarantine_record`) once the retry
+        budget is spent, and ``None`` when the campaign is re-queued.
+        """
+        if record.ok:
+            self.complete(record.campaign_id)
+            return record
+        disposition = self.requeue(record.campaign_id, record.error, now)
+        if disposition == LEASE_QUARANTINED:
+            return quarantine_record(record)
+        return None
+
     # -- journal -------------------------------------------------------
 
     def _journal(self, event: str, record: LeaseRecord) -> None:
@@ -389,7 +406,6 @@ def _dispatch_worker(
     worker_id: int,
     conn,
     cache_dir: Optional[str],
-    app_keys: Sequence[Tuple[str, object]],
     fault_plan,
     telemetry: bool = False,
     profile_dir: Optional[str] = None,
@@ -402,17 +418,18 @@ def _dispatch_worker(
     shutdown) or parent death (pipe EOF) ends the loop, so an EOF in the
     *parent* always means the worker died.
 
-    Every attempt gets the sweep's ``fault_plan`` and ``profile_dir`` as
-    arguments, and ``in_worker=True``: only here do process-killing faults
-    really kill.  With ``telemetry`` on, the worker installs a
-    :class:`~repro.telemetry.events.PipeEmitter` over the same ``send``
-    — its events ride the dispatch pipe home and the parent merges them
-    into the one ``.telemetry`` sidecar, stamped with this worker's ID.
+    Every attempt gets the sweep's ``fault_plan``, ``profile_dir`` and
+    ``cache_dir`` as arguments, and ``in_worker=True``: only here do
+    process-killing faults really kill.  The worker builds an application
+    at its first campaign, as an inline sweep does, unless it inherited
+    it from the parent (``fork``).  With ``telemetry`` on, the worker
+    installs a :class:`~repro.telemetry.events.PipeEmitter` over the same
+    ``send`` before any campaign — its events, cache reads included, ride
+    the dispatch pipe home and the parent merges them into the one
+    ``.telemetry`` sidecar, stamped with this worker's ID.
     """
-    from repro.campaigns.runner import _worker_init, execute_campaign
+    from repro.campaigns.runner import execute_campaign
     from repro.telemetry.events import PipeEmitter, set_emitter
-
-    _worker_init(cache_dir, app_keys)
 
     send_lock = threading.Lock()
 
@@ -445,7 +462,7 @@ def _dispatch_worker(
         send(("started", worker_id, spec.campaign_id))
         record = execute_campaign(
             spec, attempt=attempt, fault_plan=fault_plan,
-            profile_dir=profile_dir, in_worker=True,
+            profile_dir=profile_dir, cache_dir=cache_dir, in_worker=True,
         )
         send(("result", worker_id, index, record))
     stop.set()
@@ -487,9 +504,8 @@ class Dispatcher:
             Workers beat every :data:`HEARTBEAT_INTERVAL` seconds; silence
             for :data:`HEARTBEAT_GRACE` is treated as a lost worker even if
             the process looks alive.
-        cache_dir / app_keys: worker bring-up — same contract as the
-            runner's pool initializer.
-        fault_plan / profile_dir: handed to every attempt a worker runs.
+        cache_dir / fault_plan / profile_dir: handed to every attempt a
+            worker runs.
     """
 
     def __init__(
@@ -499,7 +515,6 @@ class Dispatcher:
         *,
         task_timeout: Optional[float] = None,
         cache_dir: Optional[str] = None,
-        app_keys: Sequence[Tuple[str, object]] = (),
         fault_plan=None,
         telemetry: bool = False,
         profile_dir: Optional[str] = None,
@@ -512,7 +527,6 @@ class Dispatcher:
         self.ledger = ledger
         self.task_timeout = task_timeout
         self.cache_dir = cache_dir
-        self.app_keys = tuple(app_keys)
         self.fault_plan = fault_plan
         self.telemetry = telemetry
         self.profile_dir = profile_dir
@@ -558,7 +572,6 @@ class Dispatcher:
                 wid,
                 child_conn,
                 self.cache_dir,
-                self.app_keys,
                 self.fault_plan,
                 self.telemetry,
                 self.profile_dir,
@@ -679,15 +692,9 @@ class Dispatcher:
         elif kind == "result":
             _, _, index, record = message
             worker.lease = None
-            if record.ok:
-                self.ledger.complete(record.campaign_id)
-                outcomes.append((index, record))
-            else:
-                disposition = self.ledger.requeue(
-                    record.campaign_id, record.error, now
-                )
-                if disposition == LEASE_QUARANTINED:
-                    outcomes.append((index, quarantine_record(record)))
+            settled = self.ledger.settle(record, now)
+            if settled is not None:
+                outcomes.append((index, settled))
 
     # -- failure handling ----------------------------------------------
 
@@ -774,12 +781,8 @@ class Dispatcher:
             return []
         index, spec, attempt = worker.lease
         worker.lease = None
-        disposition = self.ledger.requeue(spec.campaign_id, error, now)
-        if disposition == LEASE_QUARANTINED:
-            return [
-                (index, quarantine_record(_lost_record(spec, attempt, error)))
-            ]
-        return []
+        settled = self.ledger.settle(_lost_record(spec, attempt, error), now)
+        return [] if settled is None else [(index, settled)]
 
     def _reap(self, worker: _Worker) -> None:
         """Remove a dead worker from the fleet and release its resources."""

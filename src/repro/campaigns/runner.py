@@ -52,13 +52,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.caching import SurfaceCache, grid_app_pairs, process_app_cache
 from repro.campaigns.dispatch import (
-    LEASE_QUARANTINED,
     MAX_JOBS,
     MAX_RETRY_DELAY,
     Dispatcher,
     TaskLedger,
     _pool_context,
-    quarantine_record,
     retry_delay,
     worker_lost_message,
 )
@@ -117,24 +115,11 @@ def cached_application(name: str, scale):
 
     Served by the process's bounded :class:`repro.caching.ApplicationCache`
     tier.  A sweep with a surface cache (``sweep --cache-dir``) builds
-    every application it needs, attached to that cache, before its first
-    campaign, so the instances served here start with their persisted
-    surface tables.
+    every application it needs through that tier, with the persisted
+    surface tables installed, before its first campaign, so the instances
+    served here start complete.
     """
     return process_app_cache().get(name, scale)
-
-
-def _worker_init(cache_dir: Optional[str], app_keys: Sequence[Tuple[str, object]]):
-    """Worker initializer: workers start hot instead of rebuilding per task.
-
-    Builds the sweep's applications into the worker's in-memory tier up
-    front and — when the sweep has a surface cache — loads their persisted
-    surface tables, so even ``spawn`` workers begin their first campaign
-    with fully memoised surfaces.
-    """
-    cache = SurfaceCache(cache_dir) if cache_dir is not None else None
-    for name, scale in app_keys:
-        process_app_cache().get(name, scale, cache).load_cached_surfaces()
 
 
 def default_jobs() -> int:
@@ -181,10 +166,15 @@ _TUNERS: Dict[str, Callable[[int, str], object]] = {
 SUPPORTED_STRATEGIES = ("Optimal",) + tuple(_TUNERS)
 
 
-def _run_protocol(spec: CampaignSpec, attempt: int) -> CampaignRecord:
+def _run_protocol(
+    spec: CampaignSpec, attempt: int, cache_dir: Optional[Union[str, Path]]
+) -> CampaignRecord:
     """Tune once under ``spec`` and evaluate the chosen configuration.
 
-    The environment is built from the spec's VM, seed, start time and
+    The application comes from this process's application tier, which
+    installs ``cache_dir``'s persisted surface tables when it builds the
+    model (at the application's first campaign in this process).  The
+    environment is built from the spec's VM, seed, start time and
     scenario; both tuning and the ``eval_runs``-execution evaluation run
     in it.  ``"Optimal"`` is the infeasible oracle: the configuration with
     the lowest dedicated-environment time, charged zero tuning cost and
@@ -193,7 +183,11 @@ def _run_protocol(spec: CampaignSpec, attempt: int) -> CampaignRecord:
     decouples them.  The format is checked for every strategy, so a typo
     fails even where the format does not apply.
     """
-    app = cached_application(spec.app, spec.scale)
+    app = process_app_cache().get(
+        spec.app,
+        spec.scale,
+        SurfaceCache(cache_dir) if cache_dir is not None else None,
+    )
     tournament_format(spec.format)
     env = CloudEnvironment(
         vm_from_field(spec.vm), seed=spec.seed, start_time=spec.start_time,
@@ -246,15 +240,18 @@ def execute_campaign(
     *,
     fault_plan: Optional[FaultPlan] = None,
     profile_dir: Optional[Union[str, Path]] = None,
+    cache_dir: Optional[Union[str, Path]] = None,
     in_worker: bool = False,
 ) -> CampaignRecord:
     """Run one campaign attempt to its terminal record; never raises.
 
     This is the single choke point every sweep goes through: fire
     ``fault_plan``'s fault for this attempt (chaos runs), then play the
-    protocol (:func:`_run_protocol`).  Exceptions become ``"failed"``
-    records — with the exception summary and a truncated traceback
-    attached — so one bad cell cannot take down a fleet.  ``attempt``
+    protocol (:func:`_run_protocol`) on the application this process's
+    tier serves, with ``cache_dir``'s surface tables installed when the
+    tier builds it.  Exceptions become ``"failed"`` records — with the
+    exception summary and a truncated traceback attached — so one bad
+    cell cannot take down a fleet.  ``attempt``
     (1-based) is the dispatcher's retry counter; it selects which injected
     fault fires and is stamped on the record, and nothing else depends on
     it — an attempt's *result* is a pure function of the spec.
@@ -280,7 +277,7 @@ def execute_campaign(
                 fault_plan.inject(
                     spec.campaign_id, attempt, in_worker=in_worker
                 )
-            return _run_protocol(spec, attempt)
+            return _run_protocol(spec, attempt, cache_dir)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             return CampaignRecord(
                 spec=spec,
@@ -367,9 +364,10 @@ class SweepOptions:
         cache_dir: optional surface-cache directory (``None``, the
             default, is no cache; ``""`` is refused).  Before executing,
             the grid's applications are warmed into it (valid entries
-            reused, missing ones computed and persisted) and every worker
-            process prewarms from it, so campaigns start with hot surface
-            tables.
+            reused, missing ones computed and persisted) and built in this
+            process with their tables, which forked workers inherit; a
+            spawned worker loads an application's tables from it at that
+            application's first campaign.
         max_retries: re-executions granted after a campaign's first failed
             attempt (crash, hang, or ordinary exception); past the budget
             the campaign is quarantined as ``"failed"`` and the sweep goes
@@ -601,19 +599,12 @@ class CampaignRunner:
     def _warm_cache(self, pending_specs: Sequence[CampaignSpec]) -> None:
         """Warm the disk tier once, in the parent, before any worker starts.
 
-        Workers then only ever *read* the persisted tables (their pool
-        initializer loads them), so the expensive first-touch computation
-        happens at most once per machine rather than once per process.
-        Applications this process builds here are attached to the cache, and
-        inline campaigns are served these same instances.
+        The applications end up in this process's tier with complete
+        tables: inline campaigns and forked workers are served them, and
+        spawned workers only ever *read* the persisted files, so the
+        expensive first-touch computation happens at most once per machine.
         """
-        cache = SurfaceCache(self.options.cache_dir)
-        cache.warm(
-            grid_app_pairs(pending_specs),
-            builder=lambda name, scale: process_app_cache().get(
-                name, scale, cache
-            ),
-        )
+        SurfaceCache(self.options.cache_dir).warm(grid_app_pairs(pending_specs))
 
     def _append_with_retry(self, record: CampaignRecord) -> None:
         """Checkpoint one record, riding out transient append failures.
@@ -668,8 +659,9 @@ class CampaignRunner:
         """No-pool execution under the same lease ledger and retry policy.
 
         Every attempt is leased to worker 0, beats its lease while it runs
-        (as a dispatched worker does), and is completed or requeued
-        through ``ledger``, which decides between a retry and quarantine.
+        (as a dispatched worker does), and is settled by ``ledger``
+        (:meth:`~repro.campaigns.dispatch.TaskLedger.settle`), which
+        decides between completion, a retry and quarantine.
         Process-killing faults degrade to raised exceptions inline (see
         :mod:`repro.faults`), so the convergence contract — and the stored
         bytes minus attempt metadata — are identical to the dispatched
@@ -684,16 +676,11 @@ class CampaignRunner:
                     record = execute_campaign(
                         spec, attempt=attempt, fault_plan=self.options.fault_plan,
                         profile_dir=self.profile_dir,
+                        cache_dir=self.options.cache_dir,
                     )
-                if record.ok:
-                    ledger.complete(spec.campaign_id)
-                    yield index, record
-                    break
-                disposition = ledger.requeue(
-                    spec.campaign_id, record.error, time.monotonic()
-                )
-                if disposition == LEASE_QUARANTINED:
-                    yield index, quarantine_record(record)
+                settled = ledger.settle(record, time.monotonic())
+                if settled is not None:
+                    yield index, settled
                     break
                 if self.options.backoff > 0:
                     time.sleep(retry_delay(self.options.backoff, attempt))
@@ -702,13 +689,11 @@ class CampaignRunner:
         self, pending: Sequence[Tuple[int, CampaignSpec]], ledger: TaskLedger
     ):
         cache_dir = self.options.cache_dir
-        app_keys = grid_app_pairs([spec for _, spec in pending])
         dispatcher = Dispatcher(
             min(self.options.jobs, len(pending)),
             ledger,
             task_timeout=self.options.task_timeout or None,
             cache_dir=str(cache_dir) if cache_dir is not None else None,
-            app_keys=app_keys,
             fault_plan=self.options.fault_plan,
             # Workers forward their events over the dispatch pipe whenever
             # this process's bus is live (however it was enabled).

@@ -562,8 +562,9 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", default="",
-        help="surface-cache directory: warm it before the sweep and prewarm "
-             "every worker from it (empty = no persistent cache)",
+        help="surface-cache directory: warm it before the sweep and load "
+             "every application's tables from it (empty = no persistent "
+             "cache)",
     )
 
 

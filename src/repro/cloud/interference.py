@@ -22,6 +22,7 @@ time — :meth:`sample_trajectories` samples a whole round of games at once.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -55,7 +56,10 @@ def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
     float64 range while keeping each chunk a single vector expression.
 
     ``rho`` must lie in ``[0, 1]`` (our decay/correlation coefficients
-    always do); negative coefficients are rejected.
+    always do); negative coefficients are rejected.  A ``rho`` below the
+    smallest normal float (a segment some 708 correlation times long)
+    takes the memoryless limit: dividing by it would overflow, and
+    ``rho * y`` is below rounding of any innovation anyway.
     """
     if not 0.0 <= rho <= 1.0:
         raise CloudError(f"ar1_scan requires rho in [0, 1], got {rho}")
@@ -64,8 +68,8 @@ def ar1_scan(rho: float, state: float, innovations: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     if n == 0:
         return out
-    if rho == 0.0:
-        # Memoryless limit (e.g. segment length >> correlation time).
+    if rho < sys.float_info.min:
+        # Memoryless limit (segment length >> correlation time).
         return eps.copy()
     if rho < 1.0:
         chunk = _chunk_length(rho)
@@ -88,14 +92,14 @@ def _ar1_rows(
     """:func:`ar1_scan` of every row ``eps[g, :counts[g]]``, in place on ``eps``.
 
     Each row gives :func:`ar1_scan`'s bits.  A row whose ``rho`` lies in
-    (0, 1) and whose length fits one scan chunk takes that chunk's closed
-    form together with every other such row (``rho**k`` along the row, a
+    [``sys.float_info.min``, 1) and whose length fits one scan chunk takes
+    that chunk's closed form together with every other such row (``rho**k`` along the row, a
     row-wise cumsum, one multiply); its exponent stops growing at the row's
     end, so the padding past it stays finite.  Any other row goes through
     :func:`ar1_scan` on its own.
     """
     single = np.array([
-        0.0 < r < 1.0 and n <= _chunk_length(r)
+        sys.float_info.min <= r < 1.0 and n <= _chunk_length(r)
         for r, n in zip(rho.tolist(), counts.tolist())
     ], dtype=bool)
     alone = {

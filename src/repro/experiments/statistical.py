@@ -13,18 +13,10 @@ the headline figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.campaigns.runner import (
-    CampaignRunner,
-    SweepOptions,
-    cached_application,
-)
-from repro.campaigns.spec import repeat_specs, vm_to_field
-from repro.campaigns.store import CampaignRecord
 from repro.cloud.vm import DEFAULT_VM, VMSpec
+from repro.experiments.headline import run_headline
 
 #: Strategy order of the Sec. 3.2 comparison.
 STATISTICAL_STRATEGIES = (
@@ -34,8 +26,6 @@ STATISTICAL_STRATEGIES = (
     "ThompsonSampling",
     "BLISS",
 )
-
-_CACHE: Dict[tuple, "StatisticalResult"] = {}
 
 
 @dataclass(frozen=True)
@@ -69,28 +59,6 @@ class StatisticalResult:
         return list(dict.fromkeys(r.app_name for r in self.rows))
 
 
-def _aggregate(
-    app_name: str,
-    strategy: str,
-    runs: List[CampaignRecord],
-    optimal_time: float,
-) -> StatisticalRow:
-    times = np.array([r.mean_time for r in runs])
-    covs = np.array([r.cov_percent for r in runs])
-    hours = float(np.mean([r.core_hours for r in runs]))
-    mean_time = float(times.mean())
-    gap = 100.0 * (mean_time - optimal_time) / optimal_time
-    return StatisticalRow(
-        app_name=app_name,
-        strategy=strategy,
-        mean_time=mean_time,
-        cov_percent=float(covs.mean()),
-        gap_vs_optimal_percent=gap,
-        core_hours=hours,
-        repeats=len(runs),
-    )
-
-
 def run_statistical_comparison(
     app_names: Tuple[str, ...] = ("redis", "lammps"),
     *,
@@ -102,41 +70,31 @@ def run_statistical_comparison(
 ) -> StatisticalResult:
     """Tune with every Sec. 3.2 strategy and aggregate the quality metrics.
 
-    The (application x strategy x repeat) grid runs through the campaign
-    runner; ``jobs > 1`` parallelises it without changing any result, so
-    the cache key ignores ``jobs``.
+    The comparison is the headline grid (:func:`~repro.experiments.
+    headline.run_headline`, cached there) over
+    :data:`STATISTICAL_STRATEGIES`; each row's gap is taken against the
+    grid's ``Optimal`` row, whose mean time is the oracle's true time.
     """
-    key = (tuple(app_names), scale, repeats, vm.name, seed)
-    if key in _CACHE:
-        return _CACHE[key]
-
-    specs = []
-    for app_name in app_names:
-        for strategy in STATISTICAL_STRATEGIES:
-            n = 1 if strategy == "Optimal" else repeats
-            specs.extend(
-                repeat_specs(
-                    app_name, strategy, repeats=n, scale=scale,
-                    vm=vm_to_field(vm), seed=seed,
-                )
-            )
-    runner = CampaignRunner(SweepOptions(jobs=jobs))
-    records = runner.run(specs).raise_on_failure().records
-    runs_by_cell: Dict[tuple, List[CampaignRecord]] = {}
-    for record in records:
-        cell = (record.spec.app, record.spec.strategy)
-        runs_by_cell.setdefault(cell, []).append(record)
-
+    grid = run_headline(
+        tuple(app_names), scale=scale, repeats=repeats, vm=vm, seed=seed,
+        strategies=STATISTICAL_STRATEGIES, jobs=jobs,
+    )
     rows: List[StatisticalRow] = []
     for app_name in app_names:
-        optimal_time = cached_application(app_name, scale).optimal.true_time
+        optimal_time = grid.row(app_name, "Optimal").mean_time
         for strategy in STATISTICAL_STRATEGIES:
+            cell = grid.row(app_name, strategy)
             rows.append(
-                _aggregate(
-                    app_name, strategy,
-                    runs_by_cell[(app_name, strategy)], optimal_time,
+                StatisticalRow(
+                    app_name=app_name,
+                    strategy=strategy,
+                    mean_time=cell.mean_time,
+                    cov_percent=cell.cov_percent,
+                    gap_vs_optimal_percent=(
+                        100.0 * (cell.mean_time - optimal_time) / optimal_time
+                    ),
+                    core_hours=cell.core_hours,
+                    repeats=cell.repeats,
                 )
             )
-    result = StatisticalResult(rows=rows, repeats=repeats, scale=scale)
-    _CACHE[key] = result
-    return result
+    return StatisticalResult(rows=rows, repeats=repeats, scale=scale)

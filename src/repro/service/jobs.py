@@ -20,8 +20,10 @@ dispatcher), where it is crash-isolated and deterministic.  Those workers
 are started for each job, and a daemon that has only dispatched jobs
 holds no surface for them to inherit, so without a surface cache
 (``cache_dir``) every such job's workers build theirs again.  With one,
-each sweep warms the disk cache in the daemon once and every worker
-loads it.
+the daemon loads each table from disk once, while the first sweep that
+needs it warms the cache, and holds it in its application LRU (about
+2.5 MB of arrays for the four test-scale apps); every worker it forks
+for that job or a later one inherits it.
 
 Stores are laid out per tenant under the service data root —
 ``<data_root>/<tenant>/<job_id>.jsonl`` — so tenants can never read or

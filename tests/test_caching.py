@@ -108,7 +108,8 @@ class TestSurfaceCacheDisk:
         assert entry.status == WARM_COMPUTED
         assert entry.path.exists()
 
-        app = make_application("ffmpeg", scale="test", cache=cache)
+        app = make_application("ffmpeg", scale="test")
+        assert cache.load(app)
         fresh = make_application("ffmpeg", scale="test")
         idx = np.arange(app.space.size)
         assert np.array_equal(app.true_time(idx), fresh.true_time(idx))
@@ -127,12 +128,14 @@ class TestSurfaceCacheDisk:
         [entry] = cache.warm([("redis", "full")])
         assert entry.status == WARM_UNMEMOISABLE
         assert cache.info() == []
+        assert not cache.load(make_application("redis", scale="full"))
 
     def test_corrupted_entry_is_a_miss(self, cache):
         cache.warm([("redis", "test")])
         for path in cache.directory.glob("*.npz"):
             path.write_bytes(b"not a zip file")
-        app = make_application("redis", scale="test", cache=cache)
+        app = make_application("redis", scale="test")
+        assert not cache.load(app)
         fresh = make_application("redis", scale="test")
         idx = np.arange(32)
         assert np.array_equal(app.true_time(idx), fresh.true_time(idx))
@@ -140,12 +143,33 @@ class TestSurfaceCacheDisk:
     def test_mismatched_fingerprint_is_a_miss(self, cache):
         cache.warm([("redis", "test")])
         # A different surface seed yields a different key: nothing served.
-        other = make_application("redis", scale="test", seed=999, cache=cache)
-        key = surface_key(other)
-        assert cache.fetch(key, other.space.size) is None
+        other = make_application("redis", scale="test", seed=999)
+        assert not cache.load(other)
+        assert not other.surfaces_complete
         fresh = make_application("redis", scale="test", seed=999)
         idx = np.arange(32)
         assert np.array_equal(other.true_time(idx), fresh.true_time(idx))
+
+    def test_load_journals_one_counter_per_lookup(self, cache):
+        from repro.telemetry.events import BufferEmitter, set_emitter
+
+        events = BufferEmitter()
+        previous = set_emitter(events)
+        try:
+            assert not cache.load(make_application("redis", scale="test"))
+            cache.warm([("redis", "test")])
+            assert cache.load(make_application("redis", scale="test"))
+        finally:
+            set_emitter(previous)
+        lookups = [
+            (e.name, e.fields) for e in events.events()
+            if e.name in ("cache.hit", "cache.miss")
+        ]
+        # The first load and warm's build both miss; the last load hits.
+        assert lookups == [
+            ("cache.miss", {}), ("cache.miss", {}),
+            ("cache.hit", {"tier": "disk"}),
+        ]
 
     def test_info_and_clear(self, cache):
         cache.warm([("redis", "test"), ("gromacs", "test")])
@@ -158,8 +182,8 @@ class TestSurfaceCacheDisk:
     def test_warm_repersists_after_external_clear(self, cache):
         """Tables already loaded in memory must not mask a cleared disk."""
         cache.warm([("redis", "test")])
-        app = make_application("redis", scale="test", cache=cache)
-        assert app.load_cached_surfaces()  # the app now holds the tables
+        app = process_app_cache().get("redis", "test", cache)
+        assert app.surfaces_complete  # the app now holds the tables
         SurfaceCache(cache.directory).clear()  # another process clears disk
         [entry] = cache.warm([("redis", "test")])
         assert entry.status == WARM_COMPUTED
@@ -198,14 +222,15 @@ class TestApplicationCache:
 
     def test_process_globals_reset_hook(self, cache):
         cache.warm([("redis", "test")])
+        clear_process_caches()
         app = process_app_cache().get("redis", "test", cache)
-        assert app.load_cached_surfaces()  # built attached to the cache
+        assert app.surfaces_complete  # built with the cache's tables
         assert app is process_app_cache().get("redis", "test")
         clear_process_caches()
         assert len(process_app_cache()) == 0
         rebuilt = process_app_cache().get("redis", "test")
         assert rebuilt is not app
-        assert not rebuilt.load_cached_surfaces()  # no cache passed this time
+        assert not rebuilt.surfaces_complete  # no cache passed this time
 
 
 class TestGridAppPairs:

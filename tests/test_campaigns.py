@@ -229,6 +229,65 @@ class TestSpawnStartMethod:
         assert _payloads(report.records) == _payloads(serial_records)
 
 
+class TestCacheReachesWorkers:
+    """Surface tables reach every dispatch worker, and every cache read is
+    journaled under the process that made it.  Each test starts from an
+    empty application tier: an app already there is served without a
+    load."""
+
+    @staticmethod
+    def _lookups(tmp_path, specs, start_method, pin_start_method):
+        from repro.caching import (
+            SurfaceCache,
+            clear_process_caches,
+            grid_app_pairs,
+        )
+        from repro.telemetry import read_telemetry
+
+        cache_dir = tmp_path / "surfaces"
+        SurfaceCache(cache_dir).warm(grid_app_pairs(specs))
+        clear_process_caches()
+        pin_start_method(start_method)
+        sidecar = tmp_path / "sweep.telemetry"
+        report = CampaignRunner(
+            SweepOptions(jobs=2, cache_dir=cache_dir, telemetry=sidecar)
+        ).run(specs)
+        lookups = [
+            e for e in read_telemetry(sidecar)
+            if e.name in ("cache.hit", "cache.miss")
+        ]
+        return report, lookups
+
+    def test_spawn_workers_load_tables_under_their_ids(
+        self, small_grid, serial_records, tmp_path, pin_start_method
+    ):
+        """Before, a spawned worker read the cache before it installed its
+        pipe emitter, and the sidecar held no cache event at all."""
+        specs = list(small_grid.specs())
+        report, lookups = self._lookups(
+            tmp_path, specs, "spawn", pin_start_method
+        )
+        assert _payloads(report.records) == _payloads(serial_records)
+        assert {e.name for e in lookups} == {"cache.hit"}
+        assert all(e.fields == {"tier": "disk"} for e in lookups)
+        assert any(e.worker is not None for e in lookups)
+
+    def test_forked_workers_inherit_the_parents_tables(
+        self, small_grid, serial_records, tmp_path, pin_start_method
+    ):
+        """The parent reads each table once while it warms the cache.
+        Before, every forked worker read every table again, journaled
+        through the parent's sidecar handle with no worker ID."""
+        specs = list(small_grid.specs())
+        report, lookups = self._lookups(
+            tmp_path, specs, "fork", pin_start_method
+        )
+        assert _payloads(report.records) == _payloads(serial_records)
+        assert [(e.name, e.fields, e.worker) for e in lookups] == [
+            ("cache.hit", {"tier": "disk"}, None)
+        ] * len(small_grid.apps)
+
+
 class TestStoreLock:
     """Two concurrent sweeps must not interleave appends into one store."""
 

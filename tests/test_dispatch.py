@@ -22,7 +22,12 @@ from repro.campaigns.dispatch import (
     retry_delay,
     worker_lost_message,
 )
-from repro.campaigns.store import SIDECAR_LEDGER, STATUS_FAILED, CampaignRecord
+from repro.campaigns.store import (
+    SIDECAR_LEDGER,
+    STATUS_DONE,
+    STATUS_FAILED,
+    CampaignRecord,
+)
 from repro.errors import ReproError, RetryExhausted
 from repro.faults import FaultPlan
 
@@ -153,6 +158,38 @@ class TestTaskLedger:
         assert stamped.error.startswith("RetryExhausted: gave up after 3")
         assert "ValueError: boom" in stamped.error
         assert stamped.attempts == 3 and not stamped.ok
+
+    def test_settle_completes_retries_and_quarantines(self):
+        """One call decides every attempt's outcome, inline and dispatched."""
+        spec = CampaignSpec(app="redis", scale="test", eval_runs=5)
+        cid = spec.campaign_id
+
+        def failed(attempt):
+            return CampaignRecord(
+                spec=spec, status=STATUS_FAILED, error="ValueError: boom",
+                attempts=attempt,
+            )
+
+        ledger = TaskLedger([cid], max_retries=1, backoff=0.5)
+        attempt = ledger.lease(cid, worker=0, now=0.0)
+        assert ledger.settle(failed(attempt), now=1.0) is None
+        assert ledger.record(cid).status == LEASE_PENDING
+        assert ledger.next_eligible_at() == 1.5
+        attempt = ledger.lease(cid, worker=1, now=2.0)
+        quarantined = ledger.settle(failed(attempt), now=3.0)
+        assert quarantined.error.startswith(
+            "RetryExhausted: gave up after 2 attempt(s); last error: "
+            "ValueError: boom"
+        )
+        assert not quarantined.ok and quarantined.attempts == 2
+        assert ledger.record(cid).status == LEASE_QUARANTINED
+
+        ledger = TaskLedger([cid])
+        attempt = ledger.lease(cid, worker=0, now=0.0)
+        done = CampaignRecord(spec=spec, status=STATUS_DONE, attempts=attempt)
+        assert ledger.settle(done, now=1.0) is done
+        assert ledger.record(cid).status == LEASE_DONE
+        assert not ledger.unfinished()
 
 
 class TestRetryDelay:

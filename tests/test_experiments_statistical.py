@@ -31,10 +31,19 @@ class TestStatisticalComparison:
         assert grid.row("redis", "DarwinGame").repeats == 2
         assert grid.row("redis", "Optimal").repeats == 1
 
-    def test_cached(self):
-        a = run_statistical_comparison(("redis",), scale="test", repeats=2, seed=0)
-        b = run_statistical_comparison(("redis",), scale="test", repeats=2, seed=0)
-        assert a is b
+    def test_cached(self, grid, monkeypatch):
+        """A repeated comparison is served from the headline grid's cache:
+        equal rows, and no campaign runs again."""
+        from repro.campaigns.runner import CampaignRunner
+
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("the cached grid ran campaigns again")
+
+        monkeypatch.setattr(CampaignRunner, "run", no_run)
+        again = run_statistical_comparison(
+            ("redis",), scale="test", repeats=2, seed=0
+        )
+        assert again == grid
 
     def test_unknown_cell(self, grid):
         with pytest.raises(KeyError):

@@ -1,5 +1,8 @@
 """Unit tests for the interference process."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.cloud.interference import (
     _chunk_length,
     ar1_scan,
 )
+from repro.cloud.traces import record_trace
 from repro.cloud.vm import PRESETS, make_profile
 from repro.errors import CloudError
 from repro.rng import ensure_rng
@@ -152,7 +156,14 @@ class TestTrajectory:
         assert adjacent > distant
 
 
-_RHO = st.floats(min_value=1e-3, max_value=1.0 - 1e-6)
+_RHO = st.one_of(
+    st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+    # A segment some 708+ correlation times long: exp(-dt/tau) is subnormal.
+    st.floats(
+        min_value=0.0, max_value=sys.float_info.min, exclude_min=True,
+        exclude_max=True, allow_subnormal=True,
+    ),
+)
 _EPS = st.lists(
     st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=300
 )
@@ -203,6 +214,27 @@ class TestAr1Scans:
         got = _ar1_rows(rho, state, eps.copy(), counts)
         for g, n in enumerate(counts):
             assert got[g, :n].tobytes() == want[g].tobytes()
+
+
+class TestSubnormalRho:
+    """Segments so long that a decay factor is subnormal take the scans'
+    memoryless limit.  Before, the chunked closed form divided by it and
+    the levels came out inf/NaN with an overflow warning."""
+
+    @pytest.mark.parametrize(
+        "dt, segments",
+        # 43,000 and 44,000 s reach it through the fast component (60 s
+        # correlation time), 86,000 s through the burst decay.
+        [(43_000.0, 4), (44_000.0, 4), (86_000.0, 4), (43_000.0, 1)],
+    )
+    def test_long_segment_trace_is_finite(self, dt, segments):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = record_trace(
+                process(), duration=segments * dt, dt=dt, seed=1
+            )
+        assert trace.levels.size == segments
+        assert np.isfinite(trace.levels).all()
 
 
 def _round(seed, n_games, dt_scale):

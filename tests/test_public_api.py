@@ -76,6 +76,18 @@ _REMOVED_MEMBERS = {
         "_PROCESS_SURFACE_CACHE", "process_surface_cache",
         "set_process_surface_cache",
     ),
+    # An application meets the disk cache in one place: the application
+    # tier loads the tables as it builds the model, and a dispatch worker
+    # builds its applications at their first campaign.
+    "repro.apps.model": ("SurfaceLoader",),
+    "repro.apps.model:ApplicationModel": (
+        "set_surface_loader", "load_cached_surfaces", "_surface_loader",
+        "_loader_probed",
+    ),
+    "repro.caching.surface_cache:SurfaceCache": ("install", "fetch"),
+    "repro.campaigns.runner": ("_worker_init",),
+    # The Sec. 3.2 comparison is read off the headline grid.
+    "repro.experiments.statistical": ("_aggregate", "_CACHE"),
     # A format is built from its players and settings; `run_schedule` plays
     # it through a match oracle.
     "repro.formats:Barrage": ("schedule", "run"),
@@ -94,8 +106,13 @@ _REMOVED_MEMBERS = {
 _REMOVED_PARAMETERS = {
     "repro.campaigns.dispatch:Dispatcher": (
         "heartbeat_interval", "heartbeat_grace", "clock", "start_method",
+        "app_keys",
     ),
-    "repro.campaigns.dispatch:_dispatch_worker": ("heartbeat_interval",),
+    "repro.campaigns.dispatch:_dispatch_worker": (
+        "heartbeat_interval", "app_keys",
+    ),
+    "repro.apps.registry:make_application": ("cache",),
+    "repro.caching.surface_cache:SurfaceCache.warm": ("builder",),
     "repro.campaigns.dispatch:_pool_context": ("start_method",),
     "repro.campaigns.runner:CampaignRunner": (
         "heartbeat_interval", "jobs", "cache_dir", "start_method",
@@ -127,10 +144,20 @@ class TestPublicApi:
             for name in names:
                 assert not hasattr(obj, name), f"{owner}.{name} was removed"
 
+    def test_application_model_holds_no_cache_state(self):
+        """The model keeps its surface tables and nothing of the cache
+        they came from."""
+        from repro.apps.registry import make_application
+
+        app = make_application("redis", scale="test")
+        assert not {"_surface_loader", "_loader_probed"} & set(vars(app))
+
     def test_removed_parameters_stay_gone(self):
         for owner, names in _REMOVED_PARAMETERS.items():
             module, _, name = owner.partition(":")
-            target = getattr(importlib.import_module(module), name)
+            target = importlib.import_module(module)
+            for part in name.split("."):
+                target = getattr(target, part)
             parameters = inspect.signature(target).parameters
             for parameter in names:
                 assert parameter not in parameters, (

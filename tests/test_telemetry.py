@@ -374,9 +374,9 @@ class TestStatusView:
         protocol = runner_module._run_protocol
         seen = []
 
-        def snapshot_then_run(spec, attempt):
+        def snapshot_then_run(spec, *args):
             seen.append((spec.campaign_id, snapshot(store.path)))
-            return protocol(spec, attempt)
+            return protocol(spec, *args)
 
         monkeypatch.setattr(runner_module, "_run_protocol", snapshot_then_run)
         CampaignRunner(SweepOptions(jobs=1), store=store).run(
@@ -403,10 +403,10 @@ class TestStatusView:
         protocol = runner_module._run_protocol
         seen = []
 
-        def slow_protocol(spec, attempt):
+        def slow_protocol(spec, *args):
             time.sleep(1.0)
             seen.append(snapshot(store.path))
-            return protocol(spec, attempt)
+            return protocol(spec, *args)
 
         monkeypatch.setattr(runner_module, "_run_protocol", slow_protocol)
         CampaignRunner(SweepOptions(jobs=1), store=store).run(
