@@ -4,18 +4,22 @@
 Run from anywhere inside a checkout::
 
     python3 scripts/perf_pairs.py --parent REF [--pairs 10] [--seconds 30] \
-        [--workloads tune_bench,sweep_cli,serve_jobs]
+        [--workloads tune_bench,sweep_cli,serve_jobs] [--trace 0|1] [--seed N]
 
 Extracts REF's committed files into a temporary directory (``git
 archive``, so nothing is registered in the repository) and runs
 ``perfbench/run.py`` there and in this working tree, one run at a time:
-pair ``i`` runs seed ``i`` on both sides, and which side runs first
-alternates from pair to pair.  For every workload and end-to-end metric it
-prints each side's median and quartiles and in how many pairs the change
-read lower (ties count for neither side), and it flags every seed whose
-``norm_time``, ``norm_worst`` or ``core_hours`` differ between the sides.
-It has no gate: it reports, and the reader judges against
-``BENCHMARK.json``.  The temporary directory is removed at the end.
+pair ``i`` runs seed ``i`` on both sides (every pair runs seed ``N`` with
+``--seed N``), and which side runs first alternates from pair to pair.
+For every workload and metric it prints each side's median and quartiles
+and in how many pairs the change read lower (ties count for neither
+side).  ``--trace 0`` (the default) reports the end-to-end metrics, each
+with its median gap divided by the parent's interquartile range, and flags
+every seed whose ``norm_time``, ``norm_worst`` or ``core_hours`` differ
+between the sides; ``--trace 1`` reports perfbench's per-layer metrics of
+traced runs the same way.  It has no gate: it reports, and the reader
+judges against ``BENCHMARK.json``.  The temporary directory is removed at
+the end.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ IDENTICAL = ("norm_time", "norm_worst", "core_hours")
 RUN_TIMEOUT_S = 600
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
+def run_once(
+    side: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> Optional[dict]:
     """One ``perfbench/run.py`` run; its last output line, or ``None``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     try:
         proc = subprocess.run(
@@ -74,7 +80,13 @@ def _fmt(value: float) -> str:
 
 
 def report(workload: str, pairs: List[Dict[str, Optional[dict]]]) -> None:
-    """Print one workload's table of pairs."""
+    """Print one workload's table of pairs.
+
+    The table lists whatever metrics the runs report: the end-to-end ones
+    of ``--trace 0`` runs (with a gap/IQR column: the change's median minus
+    the parent's, over the parent's interquartile range) or the per-layer
+    ones of ``--trace 1`` runs.
+    """
     complete = [p for p in pairs if p["parent"] and p["change"]]
     print(f"\n{workload}: {len(complete)} complete pair(s) of {len(pairs)}")
     for side in ("parent", "change"):
@@ -87,18 +99,28 @@ def report(workload: str, pairs: List[Dict[str, Optional[dict]]]) -> None:
     if not complete:
         return
     names = list(complete[0]["parent"]["metrics"])
-    print(f"  {'metric':<12} {'parent median [q1-q3]':<30} "
-          f"{'change median [q1-q3]':<30} change lower")
+    end_to_end = "op_norm" in names
+    width = max(12, *map(len, names))
+    header = (f"  {'metric':<{width}} {'parent median [q1-q3]':<30} "
+              f"{'change median [q1-q3]':<30} {'change lower':<13}")
+    print(header + " gap/IQR" if end_to_end else header.rstrip())
     for name in names:
         parent = [p["parent"]["metrics"][name]["value"] for p in complete]
         change = [p["change"]["metrics"][name]["value"] for p in complete]
         lower = sum(c < q for q, c in zip(parent, change))
-        cells = []
-        for values in (parent, change):
-            q1, median, q3 = quartiles(values)
-            cells.append(f"{_fmt(median)} [{_fmt(q1)}-{_fmt(q3)}]")
-        print(f"  {name:<12} {cells[0]:<30} {cells[1]:<30} "
-              f"{lower} of {len(complete)}")
+        (p1, p_median, p3), (c1, c_median, c3) = (
+            quartiles(parent), quartiles(change)
+        )
+        cells = [f"{_fmt(m)} [{_fmt(a)}-{_fmt(b)}]"
+                 for a, m, b in ((p1, p_median, p3), (c1, c_median, c3))]
+        line = (f"  {name:<{width}} {cells[0]:<30} {cells[1]:<30} "
+                f"{f'{lower} of {len(complete)}':<13}")
+        if end_to_end:
+            line += (f" {(c_median - p_median) / (p3 - p1):+.2f}"
+                     if p3 > p1 else " n/a")
+        print(line.rstrip())
+    if not end_to_end:
+        return
     differing = [
         (p["seed"], name)
         for p in complete for name in IDENTICAL
@@ -120,6 +142,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: per-layer metrics of traced runs")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run every pair on this seed (default: pair i "
+                             "runs seed i)")
     args = parser.parse_args(argv)
     workloads = [w for w in args.workloads.split(",") if w]
     unknown = sorted(set(workloads) - set(WORKLOADS))
@@ -138,11 +165,14 @@ def main(argv=None) -> int:
         sides = {"parent": parent_dir, "change": ROOT}
         for workload in workloads:
             pairs = []
-            for seed in range(args.pairs):
-                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+            for i in range(args.pairs):
+                seed = i if args.seed is None else args.seed
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair: Dict[str, Optional[dict]] = {"seed": seed}
                 for side in order:
-                    pair[side] = run_once(sides[side], workload, seed, args.seconds)
+                    pair[side] = run_once(
+                        sides[side], workload, seed, args.seconds, args.trace
+                    )
                     values = (
                         {k: v["value"] for k, v in pair[side]["metrics"].items()}
                         if pair[side] else None

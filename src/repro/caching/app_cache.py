@@ -47,6 +47,10 @@ class ApplicationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: AppKey) -> bool:
+        """Whether ``(name, scale)`` is held, without touching its recency."""
+        return key in self._entries
+
     def get(
         self, name: str, scale, cache: Optional[SurfaceCache] = None
     ) -> ApplicationModel:

@@ -182,9 +182,11 @@ class SurfaceCache:
         """
         from repro.caching.app_cache import process_app_cache
 
+        tier = process_app_cache()
         entries: List[SurfaceEntry] = []
         for name, scale in dict.fromkeys(pairs):
-            app = process_app_cache().get(name, scale, self)
+            built_here = (name, scale) not in tier
+            app = tier.get(name, scale, self)
             if not app.memoisable:
                 entries.append(
                     SurfaceEntry(
@@ -201,10 +203,17 @@ class SurfaceCache:
                 continue
             key = surface_key(app)
             path = self.path_for(key)
-            # Validate the disk entry even when ``app`` already holds its
-            # tables: warm's contract is that workers can read the persisted
-            # file, which another process may have cleared since.
-            if self._read(key, app.space.size) is not None:
+            if built_here:
+                # The build just read the entry: the tables are complete
+                # exactly when it was valid.
+                valid = app.surfaces_complete
+            else:
+                # The tier held ``app`` already: validate the disk entry
+                # anyway, since warm's contract is that workers can read
+                # the persisted file, which another process may have
+                # cleared since.
+                valid = self._read(key, app.space.size) is not None
+            if valid:
                 status = WARM_REUSED
             else:
                 path = self.store(app)

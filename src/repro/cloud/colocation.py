@@ -24,6 +24,7 @@ generator, so how a round is chunked never changes results.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,9 +49,12 @@ _UNFAIRNESS_STD = 0.03
 _MEASUREMENT_STD = 0.003
 
 
-def contention_level(num_players: int, vcpus: int) -> float:
-    """Shared contention term added to the interference level during a game."""
-    if num_players < 1:
+def contention_level(num_players, vcpus: int):
+    """Shared contention term added to the interference level during a game.
+
+    ``num_players`` may be an array of games' player counts.
+    """
+    if np.min(num_players) < 1:
         raise CloudError(f"a game needs at least one player, got {num_players}")
     return _CONTENTION_COEFF * (num_players - 1) / vcpus
 
@@ -62,63 +66,106 @@ def contention_level(num_players: int, vcpus: int) -> float:
 _BATCH_ELEMENT_BUDGET = 4_000_000
 
 
-class _GameState:
-    """Mutable per-game simulation state threaded through horizon attempts."""
+class _Round:
+    """A round's simulation state as arrays, threaded through horizon attempts.
+
+    Per game, shape ``(games,)``: players ``k``, contention ``shared``,
+    ``horizon``, segment count ``n_seg`` and length ``dt``, ``elapsed``
+    time, the ``early`` flag, the ``attempts`` it ran and the sum of their
+    mean levels.  Per seat, shape ``(games, players)`` and padded past each
+    game's ``k`` (``inside`` marks the real seats, ``None`` if no game is
+    short): true times (1.0 as padding), sensitivities, sticky unfairness
+    and banked ``work`` (0.0 as padding).
+    """
 
     __slots__ = (
-        "t_true", "sens", "k", "shared", "unfairness", "horizon", "dt",
-        "n_segments", "elapsed", "work", "early", "mean_levels", "rng",
+        "rngs", "k", "inside", "t_true", "sens", "unfairness", "shared",
+        "horizon", "n_seg", "dt", "elapsed", "work", "early", "attempts",
+        "level_sum",
     )
 
     def __init__(
         self,
-        t_true: np.ndarray,
-        sens: np.ndarray,
+        t_flat: np.ndarray,
+        s_flat: np.ndarray,
+        k: np.ndarray,
+        rngs: Sequence[np.random.Generator],
         vm: VMSpec,
         interference: InterferenceProcess,
         max_segments: int,
-        rng: np.random.Generator,
     ) -> None:
-        self.t_true = t_true
-        self.sens = sens
-        self.k = t_true.size
-        self.shared = contention_level(self.k, vm.vcpus)
-        # Sticky per-player luck for this game; partially sensitivity-scaled —
-        # contention-heavy (sensitive) executions suffer more from bad
-        # placement.
-        self.unfairness = rng.normal(0.0, _UNFAIRNESS_STD, size=self.k) * (
-            0.25 + 0.75 * sens
-        )
-        # Upper-bound the game duration: slowest player under pessimistic noise.
-        pessimistic = 1.0 + sens * (interference.profile.mean_level
-                                    + 3.0 * interference.profile.fast_std
-                                    + self.shared)
-        self.horizon = float((t_true * pessimistic).max()) * 1.5
-        self.n_segments = int(min(max_segments, max(48, self.horizon / 5.0)))
-        self.dt = self.horizon / self.n_segments
-        self.elapsed = 0.0
-        self.work = np.zeros(self.k)
-        self.early = False
-        self.mean_levels: List[float] = []
-        self.rng = rng
+        n_games, p_max = k.size, int(k.max())
+        self.rngs = list(rngs)
+        self.k = k
+        if k.min() == p_max:
+            self.inside = None
+            self.t_true = t_flat.reshape(n_games, p_max)
+            self.sens = s_flat.reshape(n_games, p_max)
+        else:
+            self.inside = np.arange(p_max) < k[:, None]
+            self.t_true = np.ones((n_games, p_max))
+            self.t_true[self.inside] = t_flat
+            self.sens = np.zeros((n_games, p_max))
+            self.sens[self.inside] = s_flat
+        # Sticky per-player luck for each game, drawn from its generator;
+        # partially sensitivity-scaled — contention-heavy (sensitive)
+        # executions suffer more from bad placement.  ``normal(0, s)`` is
+        # ``s`` times a standard draw, so scaling afterwards keeps the bits.
+        self.unfairness = np.zeros((n_games, p_max))
+        for rng, row, players in zip(self.rngs, self.unfairness, k.tolist()):
+            rng.standard_normal(out=row[:players])
+        self.unfairness *= _UNFAIRNESS_STD
+        self.unfairness *= 0.25 + 0.75 * self.sens
+        self.shared = contention_level(k, vm.vcpus)
+        # Upper-bound each game's duration: slowest player under
+        # pessimistic noise.
+        profile = interference.profile
+        pessimistic = 1.0 + self.sens * (
+            profile.mean_level + 3.0 * profile.fast_std + self.shared
+        )[:, None]
+        slowest = self.t_true * pessimistic
+        if self.inside is not None:
+            slowest = np.where(self.inside, slowest, -np.inf)
+        self.horizon = slowest.max(axis=1) * 1.5
+        self.n_seg = np.minimum(
+            max_segments, np.maximum(48, self.horizon / 5.0)
+        ).astype(np.int64)
+        self.dt = self.horizon / self.n_seg
+        self.elapsed = np.zeros(n_games)
+        self.work = np.zeros((n_games, p_max))
+        self.early = np.zeros(n_games, dtype=bool)
+        self.attempts = np.zeros(n_games, dtype=np.int64)
+        self.level_sum = np.zeros(n_games)
 
-    def outcome(self, start_time: float) -> GameOutcome:
+    def outcomes(self, start: float) -> List[GameOutcome]:
+        """Every game's outcome, in round order."""
         work = np.minimum(self.work, 1.0)
         finished = work >= 1.0 - 1e-9
-        levels = self.mean_levels
-        return GameOutcome(
-            elapsed=float(self.elapsed),
-            work=tuple(work.tolist()),
-            finished=tuple(finished.tolist()),
-            early_terminated=self.early,
-            start_time=start_time,
-            mean_interference=float(sum(levels) / len(levels)),
-        )
+        if self.inside is not None:
+            work, finished = work[self.inside], finished[self.inside]
+        work_l, finished_l = work.ravel().tolist(), finished.ravel().tolist()
+        sizes = self.k.tolist()
+        return [
+            GameOutcome(
+                elapsed=elapsed,
+                work=tuple(work_l[end - k:end]),
+                finished=tuple(finished_l[end - k:end]),
+                early_terminated=early,
+                start_time=start,
+                mean_interference=level,
+            )
+            for elapsed, k, end, early, level in zip(
+                self.elapsed.tolist(), sizes, accumulate(sizes),
+                self.early.tolist(), (self.level_sum / self.attempts).tolist(),
+            )
+        ]
 
 
 def simulate_colocated_batch(
     *,
-    games: Sequence[Tuple[np.ndarray, np.ndarray]],
+    true_times: np.ndarray,
+    sensitivities: np.ndarray,
+    sizes: Sequence[int],
     vm: VMSpec,
     interference: InterferenceProcess,
     start_time: float,
@@ -129,105 +176,106 @@ def simulate_colocated_batch(
 ) -> List[GameOutcome]:
     """Simulate one *round* of co-located games as stacked tensors.
 
-    ``games`` is a list of ``(true_times, sensitivities)`` player arrays —
-    one entry per game of the round; ``rngs`` supplies one generator per
-    game, so every game owns an independent random stream and the result is
-    identical whether the round is simulated in one pass, split into chunks,
-    or replayed one game at a time.
+    ``true_times`` and ``sensitivities`` hold the round's players game after
+    game, ``sizes`` how many players each game seats; ``rngs`` supplies one
+    generator per game, so every game owns an independent random stream and
+    the result is identical whether the round is simulated in one pass,
+    split into chunks, or replayed one game at a time.
 
     All games start at ``start_time`` (games of a round run on parallel
-    VMs).  The heavy arithmetic — slowdown fields, work cumsums, and the
-    early-termination scan — runs once per horizon attempt on a padded
-    ``(games, segments, players)`` tensor instead of once per game.
+    VMs).  The round is held as arrays, one entry per game and one padded
+    row of players per game, so that everything but each game's own draws
+    (its unfairness, trajectory and jitter) is whole-round array math; the
+    heavy part — slowdown fields, work cumsums and the early-termination
+    scan — runs once per horizon attempt on a padded ``(games, segments,
+    players)`` tensor.
     """
-    if len(rngs) != len(games):
+    if len(rngs) != len(sizes):
         raise CloudError(
-            f"need one rng per game, got {len(rngs)} for {len(games)} games"
+            f"need one rng per game, got {len(rngs)} for {len(sizes)} games"
         )
     if work_deviation is not None and not 0.0 < work_deviation < 1.0:
         raise CloudError(f"work deviation must be in (0, 1), got {work_deviation}")
-
-    prepared: List[Tuple[np.ndarray, np.ndarray]] = []
-    for true_times, sensitivities in games:
-        t_true = np.asarray(true_times, dtype=float)
-        sens = np.asarray(sensitivities, dtype=float)
-        if t_true.ndim != 1 or t_true.shape != sens.shape:
-            raise CloudError(
-                "true_times and sensitivities must be matching 1-D arrays"
-            )
-        if t_true.size == 0:
-            raise CloudError("a game needs at least one player")
-        if np.any(t_true <= 0):
-            raise CloudError("true execution times must be positive")
-        prepared.append((t_true, sens))
+    t_flat = np.asarray(true_times, dtype=float)
+    s_flat = np.asarray(sensitivities, dtype=float)
+    if t_flat.ndim != 1 or t_flat.shape != s_flat.shape:
+        raise CloudError("true_times and sensitivities must be matching 1-D arrays")
+    k = np.asarray(sizes, dtype=np.int64)
+    if k.size == 0:
+        if t_flat.size:
+            raise CloudError(f"{t_flat.size} players given for no game")
+        return []
+    if k.ndim != 1 or k.min() < 1:
+        raise CloudError("a game needs at least one player")
+    if int(k.sum()) != t_flat.size:
+        raise CloudError(
+            f"the games seat {int(k.sum())} players, got {t_flat.size}"
+        )
+    finite = np.isfinite(np.concatenate((t_flat, s_flat)))
+    if not finite.all():
+        name = "true_times" if not finite[: t_flat.size].all() else "sensitivities"
+        raise CloudError(f"{name} must be finite")
+    if t_flat.min() <= 0:
+        raise CloudError("true execution times must be positive")
 
     start = float(start_time)
     # ``None`` leaves early termination off for the whole round.
     dev = float(work_deviation) if work_deviation is not None else None
     min_work = float(min_work_for_termination)
-    states = [
-        _GameState(t_true, sens, vm, interference, max_segments, rng)
-        for (t_true, sens), rng in zip(prepared, rngs)
-    ]
+    round_ = _Round(t_flat, s_flat, k, rngs, vm, interference, max_segments)
 
     # The horizon is a heuristic; extend (rarely) until the fastest finishes.
-    active = list(range(len(states)))
+    active = np.arange(k.size)
     for _attempt in range(8):
-        if not active:
+        if not active.size:
             break
-        still_active: List[int] = []
-        for chunk in _budget_chunks(active, states):
-            still_active.extend(_simulate_attempt(
-                chunk, states, interference, start, dev, min_work
-            ))
-        active = still_active
-    if active:  # pragma: no cover - would need pathological surfaces
+        unfinished = [
+            _simulate_attempt(chunk, round_, interference, start, dev, min_work)
+            for chunk in _budget_chunks(active, round_)
+        ]
+        active = np.concatenate(unfinished)
+    if active.size:  # pragma: no cover - would need pathological surfaces
         raise CloudError("co-located game failed to converge within 8 horizons")
-    return [state.outcome(start) for state in states]
+    return round_.outcomes(start)
 
 
-def _budget_chunks(
-    active: List[int], states: List[_GameState]
-) -> List[List[int]]:
+def _budget_chunks(active: np.ndarray, round_: _Round) -> List[np.ndarray]:
     """Split a round into chunks whose padded tensor fits the element budget.
 
-    Games are grouped by similar segment count and player count, so the
-    padded ``(games, segments, players)`` tensor of each chunk carries
-    little dead weight.  Chunk composition never changes results — every
-    game draws from its own generator.
+    A round that fits is one chunk.  Otherwise games are grouped by similar
+    segment count and player count, so the padded ``(games, segments,
+    players)`` tensor of each chunk carries little dead weight.  Chunk
+    composition never changes results — every game draws from its own
+    generator.
     """
-    ordered = sorted(active, key=lambda g: (states[g].n_segments, states[g].k))
-    chunks: List[List[int]] = []
-    current: List[int] = []
-    max_s = max_p = 0
-    for g in ordered:
-        s = max(max_s, states[g].n_segments)
-        p = max(max_p, states[g].k)
-        if current and (len(current) + 1) * s * p > _BATCH_ELEMENT_BUDGET:
-            chunks.append(current)
-            current, s, p = [], states[g].n_segments, states[g].k
-        current.append(g)
+    n_seg, k = round_.n_seg[active], round_.k[active]
+    if active.size * int(n_seg.max()) * int(k.max()) <= _BATCH_ELEMENT_BUDGET:
+        return [active]
+    order = np.lexsort((k, n_seg))
+    chunks: List[np.ndarray] = []
+    first = max_s = max_p = 0
+    for i, (n, players) in enumerate(zip(n_seg[order].tolist(), k[order].tolist())):
+        s, p = max(max_s, n), max(max_p, players)
+        if i > first and (i - first + 1) * s * p > _BATCH_ELEMENT_BUDGET:
+            chunks.append(active[order[first:i]])
+            first, s, p = i, n, players
         max_s, max_p = s, p
-    if current:
-        chunks.append(current)
+    chunks.append(active[order[first:]])
     return chunks
 
 
 def _sample_trajectories(
-    chunk: List[int],
-    states: List[_GameState],
     interference: InterferenceProcess,
-    start: float,
+    starts: List[float],
+    horizons: List[float],
+    counts: List[int],
+    rngs: List[np.random.Generator],
 ) -> List[np.ndarray]:
     """Per-game trajectory draws for a chunk, each from its game's generator.
 
     Uses the process's vectorised ``sample_trajectories`` sampler when it
     has one; replayed traces fall back to the per-game call.
     """
-    starts = [start + states[g].elapsed for g in chunk]
-    horizons = [states[g].horizon for g in chunk]
-    counts = [states[g].n_segments for g in chunk]
-    rngs = [states[g].rng for g in chunk]
     batch_sampler = getattr(interference, "sample_trajectories", None)
     if batch_sampler is not None:
         return batch_sampler(starts, horizons, counts, rngs)
@@ -237,64 +285,86 @@ def _sample_trajectories(
     ]
 
 
+def _level_rows(
+    trajectories: List[np.ndarray],
+    n_seg: np.ndarray,
+    seg_max: int,
+    mask_s: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Trajectories as padded ``(games, segments)`` rows, and each one's mean.
+
+    Every row sits behind a 0.0 in one flat buffer, so one
+    ``np.add.reduceat`` over (row start, row end) pairs sums each row as
+    ``np.mean`` does the row alone: a 0.0 start plus the row's pairwise
+    sum.  The padding past a row's end stays out of its sum.
+    """
+    n_games, width = n_seg.size, seg_max + 1
+    buffer = np.zeros(n_games * width + 1)
+    levels = buffer[:-1].reshape(n_games, width)[:, 1:]
+    flat = np.concatenate(trajectories)
+    if mask_s is None:
+        levels[...] = flat.reshape(n_games, seg_max)
+    else:
+        levels[mask_s] = flat
+    bounds = np.repeat(np.arange(0, n_games * width, width), 2)
+    bounds[1::2] += 1 + n_seg
+    return levels, np.add.reduceat(buffer, bounds)[::2] / n_seg
+
+
 # Segment block length of the stacked scan.  Games leave the computation as
 # soon as they stop (finish or early-terminate), so most of a round is only
 # simulated over the first block or two instead of every game paying for the
-# full pessimistic horizon.
+# full pessimistic horizon.  The block is part of the results contract: a
+# game's work is each block's ``cumsum`` plus the work carried into it, so
+# the block length sets where that addition rounds.
 _SEGMENT_BLOCK = 32
 
 
 def _simulate_attempt(
-    chunk: List[int],
-    states: List[_GameState],
+    chunk: np.ndarray,
+    round_: _Round,
     interference: InterferenceProcess,
     start: float,
     dev: Optional[float],
     min_work: float,
-) -> List[int]:
+) -> np.ndarray:
     """Advance every game of ``chunk`` by one horizon; return the unfinished."""
-    n_games = len(chunk)
-    seg_max = max(states[g].n_segments for g in chunk)
-    p_max = max(states[g].k for g in chunk)
-    # Chunks are grouped by shape, so padding is usually absent — in that
-    # case the masking passes over the tensors are skipped entirely.
-    padded = any(
-        states[g].n_segments != seg_max or states[g].k != p_max for g in chunk
+    n_seg = round_.n_seg[chunk]
+    k = round_.k[chunk]
+    counts, sizes = n_seg.tolist(), k.tolist()
+    seg_max, p_max = max(counts), max(sizes)
+    # Masks only where some game is short of segments or of players; a
+    # chunk without padding skips every masking pass.
+    mask_s = np.arange(seg_max) < n_seg[:, None] if min(counts) < seg_max else None
+    mask_p = (
+        (np.arange(p_max) < k[:, None])[:, None, :] if min(sizes) < p_max else None
     )
-
-    levels = np.zeros((n_games, seg_max))
-    t_true = np.ones((n_games, p_max))
-    sens = np.zeros((n_games, p_max))
-    unfairness = np.zeros((n_games, p_max))
-    carry = np.zeros((n_games, p_max))  # work done up to the current block
-    shared = np.empty(n_games)
-    dt = np.empty(n_games)
-    k_arr = np.empty(n_games, dtype=np.int64)
-    if padded:
-        mask_p = np.zeros((n_games, p_max), dtype=bool)
-        mask_s = np.zeros((n_games, seg_max), dtype=bool)
+    padded = mask_s is not None or mask_p is not None
+    rngs = [round_.rngs[g] for g in chunk.tolist()]
 
     # Per-game trajectory draws; everything after is a stacked computation
     # over the whole chunk.
-    trajectories = _sample_trajectories(chunk, states, interference, start)
-    for a, g in enumerate(chunk):
-        st = states[g]
-        traj = trajectories[a]
-        st.mean_levels.append(float(traj.mean()))
-        levels[a, : st.n_segments] = traj
-        t_true[a, : st.k] = st.t_true
-        sens[a, : st.k] = st.sens
-        unfairness[a, : st.k] = st.unfairness
-        carry[a, : st.k] = st.work
-        shared[a] = st.shared
-        dt[a] = st.dt
-        k_arr[a] = st.k
-        if padded:
-            mask_p[a, : st.k] = True
-            mask_s[a, : st.n_segments] = True
+    trajectories = _sample_trajectories(
+        interference, (start + round_.elapsed[chunk]).tolist(),
+        round_.horizon[chunk].tolist(), counts, rngs,
+    )
+    levels, means = _level_rows(trajectories, n_seg, seg_max, mask_s)
+    round_.level_sum[chunk] += means
+    round_.attempts[chunk] += 1
+    levels += round_.shared[chunk][:, None]  # level + co-location contention
 
-    levels += shared[:, None]  # level + co-location contention, per segment
+    # Rows of the games still running, kept compact: ``live`` maps them to
+    # games, and every per-row array (``levels`` and ``mask_s`` from the
+    # current block on) drops a row only when its game stops.
+    live = chunk
+    t_true = round_.t_true[chunk, :p_max][:, None, :]
+    sens = round_.sens[chunk, :p_max][:, None, :]
+    unfairness = round_.unfairness[chunk, :p_max][:, None, :]
+    dt = round_.dt[chunk]
+    carry = round_.work[chunk, :p_max]  # work done up to the current block
     early_on = dev is not None and p_max >= 2
+    # Player counts, where some game seats one player and so never triggers.
+    solo = k if early_on and min(sizes) < 2 else None
 
     # Scan the horizon in segment blocks.  A game whose stop segment falls
     # inside a block is finalised and leaves the scan, so later blocks only
@@ -303,114 +373,125 @@ def _simulate_attempt(
     # lazy drawing yields the same numbers as drawing the whole horizon
     # upfront; the undrawn tail of a stopped game's dedicated stream is
     # simply never consumed.
-    rows = np.arange(n_games)
-    unfinished: List[int] = []
     for b0 in range(0, seg_max, _SEGMENT_BLOCK):
-        b1 = min(b0 + _SEGMENT_BLOCK, seg_max)
+        width = min(_SEGMENT_BLOCK, seg_max - b0)
         # Per-player scheduling jitter of the block, drawn per running game
         # straight into its rows of the block buffer.  ``normal(0, s)`` is
         # ``s`` times a standard draw, so scaling the whole block afterwards
         # keeps the bits; padding stays zero.
-        w = np.zeros((rows.size, b1 - b0, p_max))
-        for r, a in enumerate(rows):
-            st = states[chunk[int(a)]]
-            hi = min(b1, st.n_segments) - b0
-            if hi == b1 - b0 and st.k == p_max:
-                st.rng.standard_normal(out=w[r])
-            elif hi > 0:
-                w[r, :hi, : st.k] = st.rng.standard_normal((hi, st.k))
+        w = np.zeros((live.size, width, p_max))
+        if not padded:
+            for rng, block in zip(rngs, w):
+                rng.standard_normal(out=block)
+        else:
+            for rng, block, n, players in zip(rngs, w, counts, sizes):
+                hi = min(n - b0, width)
+                if hi <= 0:
+                    continue
+                if players == p_max:
+                    rng.standard_normal(out=block[:hi])
+                else:
+                    block[:hi, :players] = rng.standard_normal((hi, players))
         w *= _JITTER_STD
-        w *= sens[rows][:, None, :]
+        w *= sens
         # Slowdown field of the block, built in place on the jitter buffer:
         # 1 + sens * (level + contention) + jitter + unfairness.
-        w += unfairness[rows][:, None, :]
+        w += unfairness
         w += 1.0
-        w += sens[rows][:, None, :] * levels[rows, b0:b1][:, :, None]
+        w += sens * levels[:, :width, None]
         # Nothing in a shared VM runs faster than on dedicated hardware:
         # lucky jitter/unfairness can only claw back toward the noise-free
         # rate, never beyond it.
         np.maximum(w, 1.0, out=w)
-        w *= t_true[rows][:, None, :]
+        w *= t_true
         np.reciprocal(w, out=w)       # rates: work fraction per second
-        w *= dt[rows][:, None, None]  # work fraction per segment
-        if padded:
-            w *= mask_p[rows][:, None, :]
-            w *= mask_s[rows, b0:b1][:, :, None]
-        cum = np.cumsum(w, axis=1)
-        cum += carry[rows][:, None, :]
+        w *= dt[:, None, None]        # work fraction per segment
+        if mask_p is not None:
+            w *= mask_p
+        if mask_s is not None:
+            w *= mask_s[:, :width, None]
+        cum = w.cumsum(axis=1)
+        cum += carry[:, None, :]
 
-        k_rows = k_arr[rows]
-        trig_any = np.zeros(rows.size, dtype=bool)
-        trig_first = np.zeros(rows.size, dtype=np.int64)
         if early_on:
-            view = np.where(mask_p[rows][:, None, :], cum, -np.inf) if padded else cum
+            view = cum if mask_p is None else np.where(mask_p, cum, -np.inf)
             top2 = np.partition(view, p_max - 2, axis=2)[:, :, p_max - 2:]
             best, second = top2[:, :, 1], top2[:, :, 0]
             gap = (best - second) / np.maximum(best, 1e-12)
             triggered = (best >= min_work) & (gap > dev)
-            if padded:
-                triggered &= mask_s[rows, b0:b1]
-            if np.any(k_rows < 2):
-                triggered &= (k_rows >= 2)[:, None]
+            if mask_s is not None:
+                triggered &= mask_s[:, :width]
+            if solo is not None:
+                triggered &= (solo >= 2)[:, None]
             trig_any = triggered.any(axis=1)
-            trig_first = triggered.argmax(axis=1)
         else:
             best = (
-                np.where(mask_p[rows][:, None, :], cum, -np.inf) if padded else cum
+                cum if mask_p is None else np.where(mask_p, cum, -np.inf)
             ).max(axis=2)
 
         # A frozen padded tail can never newly cross 1.0, so the first
         # >= 1.0 segment is always a real one; no segment mask needed.
         done = best >= 1.0
         done_any = done.any(axis=1)
-        done_first = done.argmax(axis=1)
+        stopped = done_any | trig_any if early_on else done_any
+        hit = stopped.nonzero()[0]
+        if not hit.size:
+            carry = cum[:, -1, :]  # bank block progress
+            levels = levels[:, width:]
+            if mask_s is not None:
+                mask_s = mask_s[:, width:]
+            continue
 
-        for r in np.nonzero(trig_any | done_any)[0]:
-            st = states[chunk[int(rows[r])]]
-            stop_local: Optional[int] = None
-            early = finished = False
-            if trig_any[r]:
-                stop_local = int(trig_first[r])
-                early = True
-            if done_any[r] and (stop_local is None or done_first[r] <= stop_local):
-                stop_local = int(done_first[r])
-                early = False
-                finished = True
-            # Interpolate the exact finish moment inside the stop segment so
-            # elapsed time (and core-hours) do not quantise to segments.
-            prev = cum[r, stop_local - 1, : st.k] if stop_local > 0 else st.work
-            step = w[r, stop_local, : st.k]  # work done in the stop segment
-            if finished:
-                leader = int(np.argmax(cum[r, stop_local, : st.k]))
-                need = 1.0 - prev[leader]
-                frac = float(np.clip(need / step[leader], 0.0, 1.0))
-            else:
-                frac = 1.0
-            st.elapsed += (b0 + stop_local + frac) * st.dt
-            st.work = prev + step * frac
-            st.early = early
+        finished = done_any[hit]
+        stop = done[hit].argmax(axis=1)
+        if early_on:
+            # An early stop wins only if it comes strictly first.
+            trig_first = triggered[hit].argmax(axis=1)
+            finished &= ~(trig_any[hit] & (trig_first < stop))
+            stop = np.where(finished, stop, trig_first)
+        prev = np.where((stop > 0)[:, None], cum[hit, stop - 1], carry[hit])
+        step = w[hit, stop]  # work done in the stop segment
+        # Interpolate the exact finish moment inside the stop segment so
+        # elapsed time (and core-hours) do not quantise to segments.
+        seats = np.arange(hit.size)
+        leader = cum[hit, stop].argmax(axis=1)
+        frac = np.where(
+            finished,
+            np.minimum(
+                np.maximum((1.0 - prev[seats, leader]) / step[seats, leader], 0.0),
+                1.0,
+            ),
+            1.0,
+        )
+        games = live[hit]
+        round_.elapsed[games] += (b0 + stop + frac) * dt[hit]
+        round_.work[games, :p_max] = prev + step * frac[:, None]
+        round_.early[games] = ~finished
+        if hit.size == live.size:
+            return live[:0]
 
-        still = ~(trig_any | done_any)
-        if not still.any():
-            rows = rows[:0]
-            break
-        # Bank block progress for the games still running.  (``st.work`` is
-        # only read at block starts, so carry is the single source of truth
-        # between blocks.)
-        carry[rows[still]] = cum[still, -1, :]
-        for r in np.nonzero(still)[0]:
-            a = int(rows[r])
-            states[chunk[a]].work = carry[a, : k_arr[a]]
-        rows = rows[still]
+        keep = (~stopped).nonzero()[0]
+        live, t_true, sens, unfairness, dt = (
+            live[keep], t_true[keep], sens[keep], unfairness[keep], dt[keep]
+        )
+        carry = cum[keep, -1, :]  # bank block progress
+        levels = levels[keep, width:]
+        if mask_s is not None:
+            mask_s = mask_s[keep, width:]
+        if mask_p is not None:
+            mask_p = mask_p[keep]
+        if solo is not None:
+            solo = solo[keep]
+        kept = keep.tolist()
+        rngs = [rngs[r] for r in kept]
+        counts = [counts[r] for r in kept]
+        sizes = [sizes[r] for r in kept]
 
     # Fastest player did not finish within the horizon for whoever is left:
     # bank progress; the next attempt simulates another horizon.
-    for a in rows:
-        st = states[chunk[int(a)]]
-        st.elapsed += st.horizon
-        st.work = carry[int(a), : st.k].copy()
-        unfinished.append(chunk[int(a)])
-    return unfinished
+    round_.elapsed[live] += round_.horizon[live]
+    round_.work[live, :p_max] = carry
+    return live
 
 
 def solo_observed_time(

@@ -13,6 +13,7 @@ and does the bookkeeping.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.cloud.colocation import (
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.errors import CloudError
-from repro.rng import SeedLike, ensure_rng, spawn
+from repro.rng import SeedLike, SpawnReplay, ensure_rng, spawn
 from repro.types import ChoiceEvaluation, GameOutcome, SoloOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -68,6 +69,12 @@ class CloudEnvironment:
         self.vm = vm
         rng = ensure_rng(seed)
         interference_rng, self._run_rng, self._eval_rng = spawn(rng, 3)
+        # Every game's generator is a child of the run stream, seeded by a
+        # replay of ``SeedSequence.spawn``; the run stream's own child count
+        # cannot be advanced from outside, so the environment keeps it.
+        run_seeds = self._run_rng.bit_generator.seed_seq
+        self._game_seeds = SpawnReplay(run_seeds)
+        self._games_spawned = run_seeds.n_children_spawned
         self.scenario = resolve_scenario(scenario)
         dynamics = None
         if self.scenario is not None and not self.scenario.is_steady:
@@ -170,36 +177,40 @@ class CloudEnvironment:
         All games start at the current simulated time and are simulated as
         one batched tensor computation (see
         :func:`repro.cloud.colocation.simulate_colocated_batch`).  Each game
-        draws from its own child generator spawned off the run stream and
-        keyed by its position in ``games``, so a round is seed-deterministic
-        and splitting it into smaller batches does not change outcomes.
+        draws from its own child generator of the run stream, keyed by how
+        many games the environment has played before it, so a round is
+        seed-deterministic and splitting it into smaller batches does not
+        change outcomes.
 
         Every game books the whole VM for its own duration.  With
         ``advance_clock`` True the clock advances by the *longest* game of
         the round — the paper's semantics of a round on parallel VMs.
         """
-        lineups = [np.asarray(g, dtype=np.int64) for g in games]
-        if not lineups:
+        sizes = list(map(len, games))
+        if not sizes:
             return []
-        for idx in lineups:
-            if idx.size > self.vm.vcpus:
+        for size in sizes:
+            if size > self.vm.vcpus:
                 raise CloudError(
-                    f"cannot co-locate {idx.size} players on {self.vm.name} "
+                    f"cannot co-locate {size} players on {self.vm.name} "
                     f"({self.vm.vcpus} vCPUs)"
                 )
         # One vectorised surface evaluation for the whole round.
-        flat = np.concatenate(lineups)
+        flat = np.fromiter(
+            chain.from_iterable(games), dtype=np.int64, count=sum(sizes)
+        )
         t_true = app.true_time(flat)
         sens = app.sensitivity(flat)
-        bounds = np.cumsum([idx.size for idx in lineups])[:-1]
-        games_in = list(zip(np.split(t_true, bounds), np.split(sens, bounds)))
-
+        rngs = self._game_seeds.generators(self._games_spawned, len(sizes))
+        self._games_spawned += len(sizes)
         outcomes = simulate_colocated_batch(
-            games=games_in,
+            true_times=t_true,
+            sensitivities=sens,
+            sizes=sizes,
             vm=self.vm,
             interference=self.interference,
             start_time=self._now,
-            rngs=spawn(self._run_rng, len(lineups)),
+            rngs=rngs,
             work_deviation=work_deviation,
             min_work_for_termination=min_work_for_termination,
         )

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +36,7 @@ import numpy as np
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.records import RecordBook
+from repro.core.records import RecordBook, finishing_order
 from repro.errors import TournamentError
 from repro.formats.barrage import Barrage
 from repro.formats.double_elimination import (
@@ -56,16 +58,15 @@ from repro.types import GameOutcome
 class GameReport:
     """One played game: who took part, their scores, and the raw outcome.
 
-    ``scores`` is the ndarray the execution scores were computed as; rankers
-    use it to sort without re-building an array from the float tuple.  It is
-    excluded from equality so reports still compare by value.
+    ``ranking`` orders the players' positions by execution score, best
+    first (ties in seat order), so ``ranking[0]`` is ``winner_position``.
     """
 
     indices: Tuple[int, ...]
     execution_scores: Tuple[float, ...]
     winner_position: int
     outcome: GameOutcome
-    scores: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    ranking: Tuple[int, ...]
 
     @property
     def winner_index(self) -> int:
@@ -76,15 +77,25 @@ class GameReport:
         return self.outcome.elapsed
 
 
-def execution_scores_from_work(work: Sequence[float]) -> np.ndarray:
-    """Execution score: work done relative to the fastest player (Fig. 5)."""
+def execution_scores_from_work(
+    work: Sequence[float], sizes: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Execution score: work done relative to the fastest player (Fig. 5).
+
+    ``work`` holds one game's players, or with ``sizes`` a round's games
+    one after another; each game is scored against its own fastest player.
+    """
     arr = np.asarray(work, dtype=float)
-    if arr.size == 0:
+    if sizes is None:
+        sizes = [arr.size]
+    if arr.size == 0 or 0 in sizes:
         raise TournamentError("cannot score an empty game")
-    best = float(arr.max())
-    if best <= 0:
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    best = np.maximum.reduceat(arr, starts)
+    if best.min() <= 0:
         raise TournamentError("no player made progress in the game")
-    return arr / best
+    return arr / np.repeat(best, sizes)
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,7 @@ class MatchExecutor:
         t0 = time.perf_counter()
         validated: List[List[int]] = []
         for indices in lineups:
-            players = [int(i) for i in indices]
+            players = list(map(int, indices))
             if len(players) < 1:
                 raise TournamentError("a game needs at least one player")
             if len(set(players)) != len(players):
@@ -169,19 +180,7 @@ class MatchExecutor:
                 label=label,
                 advance_clock=advance_clock,
             )
-            scores = [execution_scores_from_work(o.work) for o in outcomes]
-            winners = self.records.record_round(validated, scores).tolist()
-            reports = [
-                GameReport(
-                    indices=tuple(players),
-                    execution_scores=tuple(game_scores.tolist()),
-                    winner_position=winner_pos,
-                    outcome=outcome,
-                    scores=game_scores,
-                )
-                for players, outcome, game_scores, winner_pos
-                in zip(validated, outcomes, scores, winners)
-            ]
+            reports = self._book_round(validated, outcomes)
         if telemetry_enabled():
             emit_event(
                 "round.play",
@@ -195,6 +194,37 @@ class MatchExecutor:
                 sim_seconds=round(self.round_elapsed(reports), 6),
             )
         return reports
+
+    def _book_round(
+        self, lineups: List[List[int]], outcomes: Sequence[GameOutcome]
+    ) -> List[GameReport]:
+        """Score, book and rank a played round in whole-round passes.
+
+        Scores are computed over the round's seats at once, booked with one
+        :meth:`~repro.core.records.RecordBook.record_round` call, and every
+        game's finishing order comes from one stable row sort
+        (:func:`~repro.core.records.finishing_order`).
+        """
+        sizes = list(map(len, lineups))
+        work = np.fromiter(
+            chain.from_iterable(map(attrgetter("work"), outcomes)),
+            dtype=float, count=sum(sizes),
+        )
+        scores = execution_scores_from_work(work, sizes)
+        winners = self.records.record_round(lineups, scores).tolist()
+        ranks = finishing_order(scores, sizes).tolist()
+        scores_l = scores.tolist()
+        return [
+            GameReport(
+                indices=tuple(players),
+                execution_scores=tuple(scores_l[end - len(players):end]),
+                winner_position=winner_pos,
+                outcome=outcome,
+                ranking=tuple(ranks[end - len(players):end]),
+            )
+            for players, outcome, winner_pos, end
+            in zip(lineups, outcomes, winners, accumulate(sizes))
+        ]
 
     def duel(self, a: int, b: int, *, label: str) -> GameReport:
         """A two-player game played to completion; the clock advances by it
@@ -212,15 +242,9 @@ class MatchExecutor:
         book booked) ranks first; everyone else follows in execution-score
         order (stable, deterministic).
         """
-        if winner_pos is None:
-            winner_pos = report.winner_position
-        # The round already computed scores as an ndarray; sorting it directly
-        # skips a tuple->array re-copy on every game.
-        scores = report.scores
-        if scores is None:
-            scores = np.asarray(report.execution_scores)
-        order = np.argsort(-scores, kind="stable").tolist()
-        ranking = (winner_pos,) + tuple(i for i in order if i != winner_pos)
+        ranking = report.ranking
+        if winner_pos is not None and winner_pos != ranking[0]:
+            ranking = (winner_pos,) + tuple(i for i in ranking if i != winner_pos)
         return RecordedMatch(players=report.indices, ranking=ranking)
 
     @staticmethod
@@ -249,6 +273,21 @@ class MatchExecutor:
             )
         cfg = self.config
         players_per_game = cfg.game_width(self.env.vm.vcpus)
+        # Newcomers of every region are booked with one region write per
+        # round, before the round is played.
+        newcomers: List[int] = []
+        newcomer_regions: List[int] = []
+
+        def assign(players: List[int], region_id: int) -> None:
+            newcomers.extend(players)
+            newcomer_regions.extend([region_id] * len(players))
+
+        def book_newcomers() -> None:
+            if newcomers:
+                self.records.assign_region(newcomers, newcomer_regions)
+                newcomers.clear()
+                newcomer_regions.clear()
+
         runs = [
             StreakSwiss(
                 region,
@@ -258,9 +297,7 @@ class MatchExecutor:
                 max_rounds=cfg.max_regional_rounds,
                 swiss_style=cfg.swiss_style,
                 scores=self.records.mean_execution_scores,
-                on_assign=functools.partial(
-                    self.records.assign_region, region_id=region.region_id
-                ),
+                on_assign=functools.partial(assign, region_id=region.region_id),
             )
             for region, rng in zip(regions, rngs)
         ]
@@ -276,11 +313,13 @@ class MatchExecutor:
                     lineups.append(lineup)
             if not pending:
                 break
+            book_newcomers()
             reports = self.play(lineups, label="regional")
             for k, report in zip(pending, reports):
                 elapsed[k] += report.elapsed
                 runs[k].advance([self.recorded(report)])
             open_runs = [k for k in pending if not runs[k].done]
+        book_newcomers()
         return [
             self._regional_result(region, run, seconds)
             for region, run, seconds in zip(regions, runs, elapsed)
@@ -311,9 +350,9 @@ class MatchExecutor:
         champion's advances, so strong regions send several winners."""
         if self.config.one_winner_per_region:
             return [champion]
-        champ_score = self.records.mean_execution_scores([champion])[0]
-        threshold = (1.0 - self.config.work_deviation) * champ_score
         scores = self.records.mean_execution_scores(played)
+        champ_score = scores[played.index(champion)]
+        threshold = (1.0 - self.config.work_deviation) * champ_score
         band = [p for p, s in zip(played, scores) if s >= threshold]
         if champion not in band:
             band.insert(0, champion)

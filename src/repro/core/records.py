@@ -17,18 +17,18 @@ are running sums divided by the game count, so every score query is an
 array gather, no matter how many games have been played; no per-game
 history is kept.
 
-Writes come in bulk: :meth:`RecordBook.assign_region` registers a lineup's
+Writes come in bulk: :meth:`RecordBook.assign_region` registers a round's
 new players in one vectorised write, and :meth:`RecordBook.record_round`
-books a whole round — competition ranks segmented per game, then one
-unbuffered ``np.add.at`` per column, which applies a player's seats in
-lineup order and so accumulates exactly as booking the games one at a time
-(:meth:`RecordBook.record_game`) would.
+books a whole round from its flat seat scores — competition ranks
+segmented per game, then one unbuffered ``np.add.at`` per column, which
+applies a player's seats in lineup order and so accumulates exactly as
+booking the games one at a time (:meth:`RecordBook.record_game`) would.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +43,26 @@ _COLUMNS = (
     ("_games", np.int64, 0),
     ("_wins", np.int64, 0),
 )
+
+
+def finishing_order(scores: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Each game's seat positions by execution score, best first.
+
+    ``scores`` holds a round's seats game after game, ``sizes`` each game's
+    seat count; the result lists every game's positions (``0 .. size - 1``)
+    in finishing order, game after game, ties in seat order.  One stable
+    row sort of the round's ``(games, seats)`` score table, padded past
+    each game's size with seats that sort last.
+    """
+    n_games, width = len(sizes), max(sizes)
+    if min(sizes) == width:
+        return np.argsort(
+            -scores.reshape(n_games, width), axis=1, kind="stable"
+        ).ravel()
+    inside = np.arange(width) < np.asarray(sizes)[:, None]
+    keys = np.full((n_games, width), np.inf)
+    keys[inside] = -scores
+    return np.argsort(keys, axis=1, kind="stable")[inside]
 
 
 class RecordBook:
@@ -69,11 +89,13 @@ class RecordBook:
 
     # -- slots ---------------------------------------------------------------
 
-    def _register(self, indices: Sequence[int]) -> None:
-        """Give every not-yet-seen index a slot, in first-appearance order."""
+    def _register(self, indices: Sequence[int]) -> np.ndarray:
+        """Slots of ``indices``, giving every not-yet-seen index the next
+        free slot, in first-appearance order."""
         table = self._slots
-        new = [k for k in dict.fromkeys(map(int, indices)) if k not in table]
+        keys = list(map(int, indices))
         start = len(table)
+        new = [k for k in dict.fromkeys(keys) if k not in table]
         table.update(zip(new, range(start, start + len(new))))
         capacity = len(self._games)
         if len(table) > capacity:
@@ -84,6 +106,11 @@ class RecordBook:
                 grown = np.full(capacity, fresh, dtype=dtype)
                 grown[: len(old)] = old
                 setattr(self, name, grown)
+        if len(new) == len(keys):
+            return np.arange(start, start + len(keys))
+        return np.fromiter(
+            map(table.__getitem__, keys), dtype=np.int64, count=len(keys)
+        )
 
     def _slots_of(self, indices: Sequence[int]) -> np.ndarray:
         """Slots of ``indices``, registering any the book has not seen.
@@ -91,57 +118,62 @@ class RecordBook:
         Registering may replace the column arrays, so take the slots before
         indexing a column with them.
         """
-        table = self._slots
         try:
             # C-level gather: the selection loops repeat this for the whole
             # played list every round, so the per-element cost matters.  No
             # int() per key — numpy integers hash like the plain-int keys.
             return np.fromiter(
-                map(table.__getitem__, indices), dtype=np.int64, count=len(indices)
+                map(self._slots.__getitem__, indices),
+                dtype=np.int64, count=len(indices),
             )
         except KeyError:
-            self._register(indices)
-            return self._slots_of(indices)
+            return self._register(indices)
 
     # -- writes --------------------------------------------------------------
 
-    def assign_region(self, indices: Sequence[int], region_id: int) -> None:
-        """Record that ``indices`` were drawn from region ``region_id``."""
-        slots = self._slots_of(indices)
+    def assign_region(
+        self, indices: Sequence[int], region_id: Union[int, Sequence[int]]
+    ) -> None:
+        """Record that ``indices`` were drawn from region ``region_id``
+        (one region for all, or one per index)."""
+        # Assigned players are mostly new: register them up front rather
+        # than after a gather fails.  (Registering may grow the columns.)
+        slots = self._register(indices)
         self._region_id[slots] = region_id
 
     def record_round(
         self,
         lineups: Sequence[Sequence[int]],
-        execution_scores: Sequence[Sequence[float]],
+        execution_scores: Sequence[float],
     ) -> np.ndarray:
         """Book a round of games; returns each game's winner position.
 
-        The winner of a *game* (before consistency enters the picture) is the
-        player with the highest execution score, the first such seat on a
-        tie.  Ranks are competition ranks within each game (ties share the
-        better rank).
+        ``execution_scores`` holds every seat's score, game after game in
+        lineup order.  The winner of a *game* (before consistency enters
+        the picture) is the player with the highest execution score, the
+        first such seat on a tie.  Ranks are competition ranks within each
+        game (ties share the better rank).
         """
-        sizes = [len(players) for players in lineups]
-        if sizes != [len(scores) for scores in execution_scores]:
+        sizes = list(map(len, lineups))
+        scores = np.asarray(execution_scores, dtype=np.float64)
+        if scores.ndim != 1 or scores.size != sum(sizes):
             raise TournamentError("indices and execution_scores length mismatch")
         if not sizes:
             return np.zeros(0, dtype=np.int64)
         if 0 in sizes:
             raise TournamentError("cannot record an empty game")
-        scores = np.concatenate(execution_scores, dtype=np.float64)
         if np.isnan(scores).any():
             raise TournamentError("a NaN execution score has no rank")
 
-        # Segmented competition ranks: one stable sort by (game, -score);
-        # a tie group restarts at every game boundary and at every change
-        # of score, and a seat's rank is 1 + its group's first position
+        # Segmented competition ranks from each game's finishing order; a
+        # tie group restarts at every game boundary and at every change of
+        # score, and a seat's rank is 1 + its group's first position
         # within the game.
         seats = scores.size
         starts = np.zeros(len(sizes), dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
         game_start = np.repeat(starts, sizes)
-        order = np.lexsort((-scores, np.repeat(np.arange(len(sizes)), sizes)))
+        order = game_start + finishing_order(scores, sizes)
         ordered = scores[order]
         new_group = np.empty(seats, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
@@ -167,7 +199,7 @@ class RecordBook:
         self, indices: Sequence[int], execution_scores: Sequence[float]
     ) -> int:
         """Book one game's scores and ranks; returns the winner's position."""
-        return int(self.record_round([indices], [execution_scores])[0])
+        return int(self.record_round([indices], execution_scores)[0])
 
     # -- reads ---------------------------------------------------------------
 

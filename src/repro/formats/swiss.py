@@ -201,8 +201,7 @@ class StreakSwiss:
         # position map plus the matching list, maintained incrementally.
         self._played: Dict[int, int] = {}
         self._played_list: List[int] = []
-        self._assigned: set = set()
-        self._lineup: Optional[List[int]] = None
+        self._newcomers: List[int] = []
         self.lone: Optional[int] = None
         self._swiss = swiss_style
         self._win_streak = win_streak
@@ -217,7 +216,7 @@ class StreakSwiss:
 
         if self._swiss:
             self._fresh: Optional[List[int]] = (
-                [int(i) for i in pool.sample(pool.size, rng, replace=False)]
+                pool.sample(pool.size, rng, replace=False).tolist()
                 if pool.size <= 4 * self.players_per_game else None
             )
             # Large pools draw new players lazily instead of materialising all.
@@ -240,18 +239,16 @@ class StreakSwiss:
         if self._fresh is not None:
             out = self._fresh[:n]
             del self._fresh[:n]
-            return [int(i) for i in out]
+            return out
         out: List[int] = []
+        drawn = self._drawn
         attempts = 0
         while len(out) < n and attempts < 20:
-            batch = self.pool.sample(max(2 * n, 8), self.rng)
-            for i in batch:
-                iv = int(i)
-                if iv not in self._drawn:
-                    self._drawn.add(iv)
-                    out.append(iv)
-                    if len(out) == n:
-                        break
+            batch = self.pool.sample(max(2 * n, 8), self.rng).tolist()
+            fresh = [i for i in dict.fromkeys(batch) if i not in drawn]
+            fresh = fresh[: n - len(out)]
+            drawn.update(fresh)
+            out += fresh
             attempts += 1
         return out
 
@@ -280,7 +277,7 @@ class StreakSwiss:
                 picks = choice_without_replacement(
                     self.rng, weights / total, take
                 )
-                chosen.extend(members[p] for p in picks)
+                chosen.extend(map(members.__getitem__, picks))
         return chosen[:n]
 
     # -- the round protocol ------------------------------------------------
@@ -289,33 +286,31 @@ class StreakSwiss:
         """Lineup this pool wants to play now; ``None`` once terminated."""
         if self.done:
             return None
+        veterans: List[int] = []
         if not self._swiss:
-            lineup = [int(i) for i in self.pool.sample(
+            newcomers = self.pool.sample(
                 min(self.players_per_game, self.pool.size), self.rng,
                 replace=False,
-            )]
+            ).tolist()
         elif self.round_no >= self.max_rounds:
             self.done = True
             return None
         elif self.round_no == 0:
-            lineup = self._draw_new(self.players_per_game)
+            newcomers = self._draw_new(self.players_per_game)
         else:
-            n_new = self.players_per_game // 2
-            newcomers = self._draw_new(n_new)
+            newcomers = self._draw_new(self.players_per_game // 2)
             veterans = self._select_veterans(
                 self.players_per_game - len(newcomers)
             )
-            lineup = veterans + newcomers
-        lineup = list(dict.fromkeys(lineup))
+        lineup = veterans + newcomers
         if len(lineup) < 2:
             self.done = True
             return None
-        assigned = self._assigned
-        new = [idx for idx in lineup if idx not in assigned]
-        if new:
-            assigned.update(new)
-            self._notify_assigned(new)
-        self._lineup = lineup
+        # Newcomers are never drawn twice and every veteran has played, so
+        # a lineup's first-time players are exactly its newcomers.
+        if newcomers:
+            self._notify_assigned(newcomers)
+        self._newcomers = newcomers
         return lineup
 
     def pairings(self) -> Optional[Round]:
@@ -337,12 +332,10 @@ class StreakSwiss:
 
     def _observe(self, winner: int) -> None:
         """Fold the played lineup's winner into the streak state."""
-        played = self._played
-        for idx in self._lineup or ():
-            if idx not in played:
-                played[idx] = len(played)
-                self._played_list.append(idx)
-        self._lineup = None
+        played, new = self._played, self._newcomers
+        played.update(zip(new, range(len(played), len(played) + len(new))))
+        self._played_list += new
+        self._newcomers = []
         self.round_no += 1
 
         if not self._swiss:

@@ -8,6 +8,9 @@ tunes, their independence from how the kernel chunks rounds and blocks its
 scan, and the round semantics of ``MatchExecutor.play``.
 """
 
+import functools
+
+import numpy as np
 import pytest
 
 from repro.apps import make_application
@@ -18,6 +21,7 @@ from repro.core.config import DarwinGameConfig
 from repro.core.executor import MatchExecutor
 from repro.core.records import RecordBook
 from repro.core.tournament import DarwinGame
+from repro.rng import spawn
 
 VM = PRESETS["m5.8xlarge"]
 
@@ -123,16 +127,38 @@ class TestTuneDeterminism:
         )
 
 
-def _redis_tune_outcome():
-    """Best index, evaluations and core-hours of one test-scale redis tune."""
-    result = DarwinGame(DarwinGameConfig(seed=1)).tune(_APP, env(7))
+@functools.lru_cache(maxsize=None)
+def _redis(scale):
+    return _APP if scale == "test" else make_application("redis", scale=scale)
+
+
+def _redis_tune_outcome(scale="test", seeds=(1, 7)):
+    """Best index, evaluations and core-hours of one redis tune."""
+    app = _redis(scale)
+    tuner_seed, env_seed = seeds
+    result = DarwinGame(DarwinGameConfig(seed=tuner_seed)).tune(app, env(env_seed))
     return result.best_index, result.evaluations, result.core_hours
 
 
+#: (tuner, environment) seed pairs on which a scan block other than 32
+#: moves core-hours in their last digits; the element budget moves nothing.
+_SPLIT_CASES = [
+    ("test", (3, 9)), ("test", (5, 11)),
+    ("bench", (2, 8)), ("bench", (4, 10)), ("bench", (5, 11)), ("bench", (6, 12)),
+]
+_SPLIT_IDS = [f"{scale}-{a}-{b}" for scale, (a, b) in _SPLIT_CASES]
+
+
 class TestKernelSplitting:
-    """How the kernel splits its work never changes a tune: a round may be
-    cut into budget-sized chunks and its scan into segment blocks, because
-    every game draws from its own generator and stops at its own segment."""
+    """How the kernel splits its work, and what that may change.
+
+    Cutting a round into budget-sized chunks never changes a tune, because
+    every game draws from its own generator and stops at its own segment.
+    The 32-segment scan block is part of the results contract: a game's
+    work is each block's ``cumsum`` plus the work carried into it, so the
+    block length sets where that addition rounds.  Other blocks keep the
+    best index and the evaluations, but may move core-hours in the last
+    digits."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -148,6 +174,30 @@ class TestKernelSplitting:
         monkeypatch.setattr(colocation, constant, value)
         assert _redis_tune_outcome() == baseline
 
+    @pytest.fixture(scope="class")
+    def baselines(self):
+        return {case: _redis_tune_outcome(*case) for case in _SPLIT_CASES}
+
+    @pytest.mark.parametrize("case", _SPLIT_CASES, ids=_SPLIT_IDS)
+    def test_budget_never_changes_a_tune(self, baselines, monkeypatch, case):
+        monkeypatch.setattr(colocation, "_BATCH_ELEMENT_BUDGET", 20_000)
+        assert _redis_tune_outcome(*case) == baselines[case]
+
+    @pytest.mark.parametrize("block", [8, 16, 24])
+    @pytest.mark.parametrize("case", _SPLIT_CASES, ids=_SPLIT_IDS)
+    def test_block_keeps_winner_and_evaluations(
+        self, baselines, monkeypatch, case, block
+    ):
+        monkeypatch.setattr(colocation, "_SEGMENT_BLOCK", block)
+        assert _redis_tune_outcome(*case)[:2] == baselines[case][:2]
+
+    def test_block_is_part_of_the_results(self, baselines, monkeypatch):
+        """Core-hours of test-scale seeds (3, 9) move in the last digit."""
+        monkeypatch.setattr(colocation, "_SEGMENT_BLOCK", 16)
+        _, _, core_hours = _redis_tune_outcome("test", (3, 9))
+        assert core_hours != baselines["test", (3, 9)][2]
+        assert core_hours == pytest.approx(baselines["test", (3, 9)][2], rel=1e-14)
+
     def test_small_budget_splits_rounds(self, monkeypatch):
         """The budget case above really chunks rounds (8 of 15 here)."""
         chunk_counts = []
@@ -162,3 +212,40 @@ class TestKernelSplitting:
         monkeypatch.setattr(colocation, "_BATCH_ELEMENT_BUDGET", 20_000)
         _redis_tune_outcome()
         assert sum(count > 1 for count in chunk_counts) > 0
+
+
+class TestGameSeeds:
+    """Every game's generator is a child of the environment's run stream."""
+
+    def test_rounds_draw_what_spawn_would_give(self, app):
+        """Round after round, the replayed seeds give the games exactly the
+        generators ``spawn(run_rng, n)`` would have made."""
+        played, reference = env(4), env(4)
+        for n_games, seed in [(3, 0), (1, 1), (5, 2)]:
+            lineups = [
+                app.space.sample_indices(4, seed=10 * seed + g, replace=False)
+                for g in range(n_games)
+            ]
+            got = played.run_colocated_batch(app, lineups, work_deviation=0.1)
+            flat = np.concatenate(lineups)
+            want = colocation.simulate_colocated_batch(
+                true_times=app.true_time(flat),
+                sensitivities=app.sensitivity(flat),
+                sizes=[len(lineup) for lineup in lineups],
+                vm=VM,
+                interference=reference.interference,
+                start_time=reference.now,
+                rngs=spawn(reference._run_rng, n_games),
+                work_deviation=0.1,
+            )
+            assert got == want
+
+    def test_nothing_else_spawns_from_the_run_stream(self, app):
+        """numpy's own child count of the run stream stays 0 through a tune
+        and solo runs, so the environment's count is the only one."""
+        e = env(2)
+        DarwinGame(DarwinGameConfig(seed=3)).tune(app, e)
+        e.run_solo(app, 5)
+        e.run_solo_batch(app, [1, 2, 3])
+        assert e._run_rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert e._games_spawned > 0

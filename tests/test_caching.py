@@ -189,6 +189,32 @@ class TestSurfaceCacheDisk:
         assert entry.status == WARM_COMPUTED
         assert entry.path.exists()
 
+    def test_warm_reads_each_entry_once(self, cache, monkeypatch):
+        """The build's load already validated the entry: warm reads each
+        file once (twice per app before), and an app the tier holds
+        already is still validated against the disk."""
+        reads = []
+        read = SurfaceCache._read
+
+        def counting(self, key, points):
+            reads.append(key.app)
+            return read(self, key, points)
+
+        monkeypatch.setattr(SurfaceCache, "_read", counting)
+        pairs = [("redis", "test"), ("lammps", "test")]
+        assert [e.status for e in cache.warm(pairs)] == [WARM_COMPUTED] * 2
+        assert reads == ["redis", "lammps"]
+
+        clear_process_caches()
+        reads.clear()
+        assert [e.status for e in cache.warm(pairs)] == [WARM_REUSED] * 2
+        assert reads == ["redis", "lammps"]
+        assert all(process_app_cache().get(*pair).surfaces_complete for pair in pairs)
+
+        reads.clear()
+        assert [e.status for e in cache.warm(pairs)] == [WARM_REUSED] * 2
+        assert reads == ["redis", "lammps"]
+
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
         assert default_cache_dir() == tmp_path / "override"

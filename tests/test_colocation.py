@@ -18,7 +18,9 @@ VM = PRESETS["m5.8xlarge"]
 
 def game(true_times, sens, *, d=None, seed=0, min_work=0.25, start=0.0):
     return simulate_colocated_batch(
-        games=[(np.asarray(true_times, dtype=float), np.asarray(sens, dtype=float))],
+        true_times=np.asarray(true_times, dtype=float),
+        sensitivities=np.asarray(sens, dtype=float),
+        sizes=[len(true_times)],
         vm=VM,
         interference=InterferenceProcess(VM.interference, seed),
         start_time=start,
@@ -126,6 +128,28 @@ class TestValidation:
     def test_bad_deviation(self):
         with pytest.raises(CloudError):
             game([100.0, 200.0], [0.0, 0.0], d=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["true_times", "sensitivities"])
+    def test_non_finite_input_named(self, array, bad):
+        """Refused up front; a NaN or infinite true time used to die in the
+        horizon's bucket cast with an IndexError."""
+        values = {"true_times": [100.0, 200.0], "sensitivities": [0.1, 0.2]}
+        values[array][1] = bad
+        with pytest.raises(CloudError, match=f"{array} must be finite"):
+            game(values["true_times"], values["sensitivities"], d=0.1)
+
+    def test_sizes_must_cover_the_players(self):
+        with pytest.raises(CloudError, match="seat 3 players, got 2"):
+            simulate_colocated_batch(
+                true_times=np.array([100.0, 200.0]),
+                sensitivities=np.array([0.1, 0.2]),
+                sizes=[1, 2],
+                vm=VM,
+                interference=InterferenceProcess(VM.interference, 0),
+                start_time=0.0,
+                rngs=[ensure_rng(1), ensure_rng(2)],
+            )
 
 
 class TestSoloObserved:

@@ -15,7 +15,9 @@ VM = PRESETS["m5.8xlarge"]
 
 def run_game(true_times, sens, seed, d=None):
     return simulate_colocated_batch(
-        games=[(np.asarray(true_times, dtype=float), np.asarray(sens, dtype=float))],
+        true_times=np.asarray(true_times, dtype=float),
+        sensitivities=np.asarray(sens, dtype=float),
+        sizes=[len(true_times)],
         vm=VM,
         interference=InterferenceProcess(VM.interference, seed),
         start_time=0.0,

@@ -50,7 +50,9 @@ class TestSharedNoiseFairness:
         # Two identical configurations: their work must track closely even
         # under violent noise, because the noise is shared.
         out = simulate_colocated_batch(
-            games=[(np.array([200.0, 200.0]), np.array([0.9, 0.9]))],
+            true_times=np.array([200.0, 200.0]),
+            sensitivities=np.array([0.9, 0.9]),
+            sizes=[2],
             vm=vm,
             interference=process,
             start_time=0.0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.records import RecordBook
+from repro.core.records import RecordBook, finishing_order
 from repro.errors import TournamentError
 
 
@@ -87,6 +87,15 @@ class TestRecordBook:
         assert book.region_ids([1, 3, 4, 5, 9]).tolist() == [2, 2, 2, 0, -1]
         assert book.games_played([3, 1, 4]).tolist() == [0, 0, 0]
 
+    def test_assign_region_per_index(self):
+        """One write for a round's newcomers of several regions; a known
+        player may be reassigned within it."""
+        book = RecordBook()
+        book.assign_region([3, 1], 2)
+        book.assign_region([7, 3, 70, 8], [0, 5, 0, 1])
+        assert book.region_ids([1, 3, 7, 8, 70]).tolist() == [2, 5, 0, 1, 0]
+        assert len(book) == 5
+
     def test_grows_past_initial_capacity(self):
         book = RecordBook()
         book.assign_region(range(100), 1)
@@ -103,7 +112,7 @@ class TestRecordRound:
         first tied seat wins."""
         book = RecordBook()
         winners = book.record_round(
-            [[1, 2, 3], [4, 5]], [[0.5, 1.0, 1.0], [1.0, 0.2]]
+            [[1, 2, 3], [4, 5]], [0.5, 1.0, 1.0, 1.0, 0.2]
         )
         assert winners.tolist() == [1, 0]
         assert book.consistency_scores([1, 2, 3, 4, 5]).tolist() == [
@@ -114,11 +123,23 @@ class TestRecordRound:
 
     def test_player_in_two_games_of_a_round(self):
         book = RecordBook()
-        book.record_round([[1, 2], [1, 3]], [[1.0, 0.5], [0.25, 1.0]])
+        book.record_round([[1, 2], [1, 3]], [1.0, 0.5, 0.25, 1.0])
         assert book.games_played([1]).tolist() == [2]
         assert book.wins([1]).tolist() == [1]
         assert book.mean_execution_scores([1])[0] == 0.625
         assert book.consistency_scores([1])[0] == 0.75
+
+    def test_finishing_order_is_each_games_stable_sort(self):
+        """One row sort of the padded round equals a stable sort per game."""
+        rng = np.random.default_rng(5)
+        for sizes in ([3], [2, 5, 1, 5], [4, 4, 4], [1, 1]):
+            scores = rng.choice([0.25, 0.5, 1.0], size=sum(sizes))  # ties
+            want, start = [], 0
+            for n in sizes:
+                block = scores[start:start + n]
+                want += np.argsort(-block, kind="stable").tolist()
+                start += n
+            assert finishing_order(scores, sizes).tolist() == want
 
     def test_empty_round_books_nothing(self):
         book = RecordBook()
@@ -130,9 +151,9 @@ class TestRecordRound:
         with pytest.raises(TournamentError):
             book.record_round([[1, 2]], [])
         with pytest.raises(TournamentError):
-            book.record_round([[1, 2], [3]], [[1.0, 0.5], [1.0, 0.5]])
+            book.record_round([[1, 2], [3]], [1.0, 0.5, 1.0, 0.5])
         with pytest.raises(TournamentError):
-            book.record_round([[1, 2], []], [[1.0, 0.5], []])
+            book.record_round([[1, 2], []], [1.0, 0.5])
         assert book.total_evaluations == 0
 
 

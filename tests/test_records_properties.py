@@ -158,7 +158,7 @@ class TestAgainstOracle:
                 oracle.assign_region(p, region)
             winners = book.record_round(
                 [players for players, _ in games],
-                [scores for _, scores in games],
+                [score for _, scores in games for score in scores],
             )
             expected = [oracle.record_game(p, s) for p, s in games]
             assert winners.tolist() == expected
@@ -183,7 +183,7 @@ class TestAgainstOracle:
         for _, _, games in rounds:
             winners = by_round.record_round(
                 [players for players, _ in games],
-                [scores for _, scores in games],
+                [score for _, scores in games for score in scores],
             )
             singles = [by_game.record_game(p, s) for p, s in games]
             assert winners.tolist() == singles

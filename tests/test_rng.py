@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.rng import child, choice_without_replacement, ensure_rng, spawn
+from repro.rng import (
+    SpawnReplay,
+    child,
+    choice_without_replacement,
+    ensure_rng,
+    spawn,
+)
 
 
 class TestEnsureRng:
@@ -96,3 +102,44 @@ class TestChoiceWithoutReplacement:
     def test_fewer_positive_weights_than_picks_refused(self):
         with pytest.raises(ValueError):
             choice_without_replacement(ensure_rng(0), np.array([1.0, 0.0, 0.0]), 2)
+
+
+class TestSpawnReplay:
+    """``SpawnReplay`` is numpy's ``SeedSequence.spawn`` plus
+    ``generate_state(4, np.uint64)``, replayed for a run of children."""
+
+    @pytest.mark.parametrize("entropy", [
+        0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 12345,  # ints, > 64 bits
+        [1, 2, 3], [2**40, 0, 9, 4, 4, 1],  # sequences, shorter/longer than a pool
+        np.array([5, 6], dtype=np.uint32),
+    ], ids=repr)
+    @pytest.mark.parametrize("spawn_key", [(), (3,), (1, 2**33)])
+    @pytest.mark.parametrize("pool_size", [4, 9])
+    def test_child_words_equal_numpys(self, entropy, spawn_key, pool_size):
+        def parent():
+            return np.random.SeedSequence(
+                entropy, spawn_key=spawn_key, pool_size=pool_size
+            )
+
+        replay = SpawnReplay(parent())
+        for first, n in [(0, 5), (5, 3), (4000, 2)]:
+            children = parent().spawn(first + n)[first:]
+            want = [c.generate_state(4, np.uint64) for c in children]
+            assert np.array_equal(replay.states(first, n), np.array(want))
+
+    def test_generators_draw_what_spawn_gives(self):
+        replayed = SpawnReplay(ensure_rng(3).bit_generator.seed_seq)
+        ours = replayed.generators(0, 3) + replayed.generators(3, 2)
+        theirs = spawn(ensure_rng(3), 5)
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a.random(8), b.random(8))
+            assert np.array_equal(a.standard_normal((4, 3)), b.standard_normal((4, 3)))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_refuses_what_it_cannot_replay(self):
+        replay = SpawnReplay(np.random.SeedSequence(1))
+        with pytest.raises(ValueError):
+            replay.states(-1, 2)
+        with pytest.raises(ValueError):
+            replay.states(2**32 - 1, 2)  # a child index past one uint32 word
+        assert replay.states(3, 0).shape == (0, 4)
