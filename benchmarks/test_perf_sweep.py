@@ -4,12 +4,8 @@ The ISSUE 2 acceptance workload: run the Table 1 applications (test scale,
 two seeds each — 8 campaigns) serially and with ``--jobs 2``, assert the
 parallel sweep reproduces serial results bit for bit, and record
 campaigns-per-minute for both in the BENCH.jsonl perf trajectory (each
-entry carries its ``jobs``, the visible core count, and its cache state).
-
-ISSUE 3 adds the warm-surface-cache row: the same grid with a prewarmed
-:mod:`repro.caching` disk tier must again be bit-identical and at least as
-fast as the cold run — the cold-vs-warm pair is recorded so ROADMAP's
-throughput table can cite both.
+entry carries its ``jobs``, the visible core count, and ``"cache":
+"cold"``, which pairs it with the trajectory's earlier rows).
 
 The parallel speedup assertion is conditional on the machine actually
 having more than one visible core — on a single-core runner a process pool
@@ -27,30 +23,30 @@ import time
 
 import pytest
 
-from repro.caching import SurfaceCache, clear_process_caches, grid_app_pairs
 from repro.campaigns import (
     CampaignRunner,
     SweepOptions,
     default_jobs,
     summarise,
 )
+from repro.campaigns.runner import clear_app_cache
 from repro.experiments.table1 import table1_grid
 from repro.telemetry import read_telemetry, reset_telemetry
 
 _JOBS = 2
 
-#: Interleaved repetitions for the cold-vs-warm comparison; best-of keeps
-#: the row honest on a noisy shared machine.
+#: Interleaved repetitions for the telemetry off-vs-on comparison; best-of
+#: keeps the row honest on a noisy shared machine.
 _ROUNDS = 3
 
 
-def _fresh_run(jobs: int, specs, cache_dir=None, telemetry=False):
-    """Run the grid with cold per-process tiers (the cross-run state the
-    former module-global app cache leaked between measurements)."""
-    clear_process_caches()
+def _fresh_run(jobs: int, specs, telemetry=False):
+    """Run the grid with a cold application cache and telemetry bus, so no
+    measurement rides state an earlier one left in the process."""
+    clear_app_cache()
     reset_telemetry()
     return CampaignRunner(
-        SweepOptions(jobs=jobs, cache_dir=cache_dir, telemetry=telemetry),
+        SweepOptions(jobs=jobs, telemetry=telemetry),
     ).run(specs)
 
 
@@ -74,7 +70,7 @@ def _payloads(records):
     return json.dumps([r.to_payload() for r in records], sort_keys=True)
 
 
-def _sweep_row(report, *, cache: str, scenario: str = "steady",
+def _sweep_row(report, *, scenario: str = "steady",
                fmt: str = "darwin",
                benchmark: str = "sweep_table1_test_2seeds") -> dict:
     # Every sweep row names its scenario pack and tournament format, so
@@ -84,7 +80,6 @@ def _sweep_row(report, *, cache: str, scenario: str = "steady",
         "benchmark": benchmark,
         "date": time.strftime("%Y-%m-%d"),
         "jobs": report.jobs,
-        "cache": cache,
         "scenario": scenario,
         "format": fmt,
         "campaigns": report.executed,
@@ -111,7 +106,7 @@ def test_sweep_parallel_matches_serial_and_throughput():
         == summarise(parallel.records).to_json()
 
     for report in (serial, parallel):
-        _record(_sweep_row(report, cache="cold"))
+        _record(_sweep_row(report))
 
     if default_jobs() > 1:
         # With real cores available the pool must beat serial outright.
@@ -126,45 +121,6 @@ def test_sweep_parallel_matches_serial_and_throughput():
             f"worker-pool overhead blew up: serial {serial.wall_seconds:.2f}s "
             f"vs --jobs {_JOBS} {parallel.wall_seconds:.2f}s"
         )
-
-
-@pytest.mark.benchmark
-def test_sweep_warm_cache_matches_cold_and_is_not_slower(tmp_path):
-    """ISSUE 3 acceptance: warm == cold bit for bit, warm >= cold throughput."""
-    grid = table1_grid(scale="test", seeds=(0, 1), eval_runs=50)
-    specs = list(grid.specs())
-    cache_dir = tmp_path / "surfaces"
-    entries = SurfaceCache(cache_dir).warm(grid_app_pairs(specs))
-    assert [e.status for e in entries] == ["computed"] * 4
-
-    # Interleave cold and warm runs so machine drift hits both equally.
-    cold_best = warm_best = None
-    reference = None
-    for _ in range(_ROUNDS):
-        cold = _fresh_run(1, specs)
-        warm = _fresh_run(1, specs, cache_dir=cache_dir)
-        if reference is None:
-            reference = _payloads(cold.records)
-        # Warm-cache results must be bit-identical to cold-cache results.
-        assert _payloads(cold.records) == reference
-        assert _payloads(warm.records) == reference
-        if cold_best is None or cold.wall_seconds < cold_best.wall_seconds:
-            cold_best = cold
-        if warm_best is None or warm.wall_seconds < warm_best.wall_seconds:
-            warm_best = warm
-
-    _record(_sweep_row(cold_best, cache="cold"))
-    _record(_sweep_row(warm_best, cache="warm"))
-
-    # The persisted tables replace first-touch surface computation with a
-    # validated load; the warm sweep must not be slower than cold.  At test
-    # scale the surfaces are tiny, so the margin is a few percent — gate
-    # with a 5% noise allowance rather than flaking on scheduler jitter
-    # (the recorded rows carry the honest measured pair either way).
-    assert warm_best.wall_seconds <= 1.05 * cold_best.wall_seconds, (
-        f"warm-cache sweep ({warm_best.wall_seconds:.2f}s) slower than "
-        f"cold ({cold_best.wall_seconds:.2f}s) beyond noise"
-    )
 
 
 @pytest.mark.benchmark
@@ -199,12 +155,12 @@ def test_sweep_telemetry_overhead_within_noise(tmp_path):
         if on_best is None or on.wall_seconds < on_best.wall_seconds:
             on_best = on
 
-    _record(dict(_sweep_row(off_best, cache="cold"), telemetry="off"))
-    _record(dict(_sweep_row(on_best, cache="cold"), telemetry="on"))
+    _record(dict(_sweep_row(off_best), telemetry="off"))
+    _record(dict(_sweep_row(on_best), telemetry="on"))
 
     # Emission is a flag check plus one JSON line per span/counter — at
-    # test scale that is well under scheduler jitter, so gate with the
-    # same 5% noise allowance the warm-cache row uses.
+    # test scale that is well under scheduler jitter, so gate with a 5%
+    # noise allowance.
     assert on_best.wall_seconds <= 1.05 * off_best.wall_seconds, (
         f"telemetry-on sweep ({on_best.wall_seconds:.2f}s) slower than "
         f"telemetry-off ({off_best.wall_seconds:.2f}s) beyond noise"
@@ -236,7 +192,7 @@ def test_sweep_scenario_pack_throughput_and_determinism():
     assert _payloads(first.records) != _payloads(steady.records)
 
     best = first if first.wall_seconds <= again.wall_seconds else again
-    _record(_sweep_row(best, cache="cold", scenario="bursty",
+    _record(_sweep_row(best, scenario="bursty",
                        benchmark="sweep_table1_test_2seeds_bursty"))
 
     # The scenario overlay is a vectorised level transform: it must not
@@ -273,7 +229,7 @@ def test_sweep_format_grid_throughput_and_determinism():
     assert _payloads(first.records) != _payloads(default.records)
 
     best = first if first.wall_seconds <= again.wall_seconds else again
-    _record(_sweep_row(best, cache="cold", fmt="knockout",
+    _record(_sweep_row(best, fmt="knockout",
                        benchmark="sweep_table1_test_2seeds_knockout"))
 
     # An alternate shape only swaps which scheduler emits the (few) playoff

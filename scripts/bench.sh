@@ -3,7 +3,8 @@
 # single BENCH.jsonl perf-trajectory file in the repo root, one JSON object
 # per line.  Every entry records the machine conditions it was measured
 # under — the visible core count ("cores", ROADMAP's 1-core caveat made
-# machine-readable), the surface-cache state ("cache": cold/warm), and for
+# machine-readable), "cache": "cold" (every row starts from a cold
+# process; the key keeps new rows paired with earlier ones), and for
 # sweep rows the scenario pack ("scenario") — so trajectory rows are
 # comparable without reading prose.  Extra arguments are passed through to
 # pytest.

@@ -33,7 +33,6 @@ from repro.apps import (
     make_lammps,
     make_redis,
 )
-from repro.caching import ApplicationCache, SurfaceCache
 from repro.campaigns import (
     CampaignGrid,
     CampaignRecord,
@@ -100,7 +99,6 @@ __all__ = [
     "APPLICATION_NAMES",
     "SUPPORTED_STRATEGIES",
     "ActiveHarmonyLike",
-    "ApplicationCache",
     "ApplicationModel",
     "BlissLike",
     "CampaignGrid",
@@ -131,7 +129,6 @@ __all__ = [
     "Scenario",
     "SchemaError",
     "SearchSpace",
-    "SurfaceCache",
     "SweepOptions",
     "SweepReport",
     "SweepSummary",

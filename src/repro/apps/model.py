@@ -48,8 +48,7 @@ def _memoised(
 
     Seen-ness is an explicit boolean mask, not a NaN sentinel: an entry whose
     *computed value* is non-finite would match a NaN sentinel forever and be
-    recomputed on every gather — and a disk-persisted memo could not tell
-    "never computed" from "computed as NaN".
+    recomputed on every gather.
     """
     missing = ~seen[idx]
     if missing.any():
@@ -143,28 +142,20 @@ class ApplicationModel:
             self._sens_memo, self._sens_seen, idx, self._compute_sensitivity
         )
 
-    # -- persisted surfaces (the repro.caching disk tier) -----------------
+    # -- full surface tables ----------------------------------------------
 
     @property
     def memoisable(self) -> bool:
         """Whether the space is small enough for full surface tables."""
         return self.space.size <= _FULL_MEMO_LIMIT
 
-    @property
-    def surfaces_complete(self) -> bool:
-        """True once every configuration's surface values are memoised."""
-        return (
-            self._time_seen is not None
-            and bool(self._time_seen.all())
-            and bool(self._sens_seen.all())
-        )
-
     def export_surfaces(self) -> Dict[str, np.ndarray]:
         """Complete and return the full-space surface tables.
 
         Computes any not-yet-seen entries (chunked, so peak memory stays
         bounded) and returns ``{"true_time", "sensitivity"}`` arrays of
-        length ``space.size`` — the payload :mod:`repro.caching` persists.
+        length ``space.size``.  perfbench's set-up calls it to time a
+        complete surface build.
         """
         if not self.memoisable:
             raise ReproError(
@@ -179,28 +170,6 @@ class ApplicationModel:
             "sensitivity": self._sens_memo.copy(),
         }
 
-    def load_surfaces(
-        self, true_time: np.ndarray, sensitivity: np.ndarray
-    ) -> None:
-        """Install full-space surface tables (inverse of :meth:`export_surfaces`).
-
-        Validates shape and dtype; the caller (the cache) is responsible for
-        only feeding back tables produced by an identical surface — see
-        :meth:`repro.apps.surfaces.PerformanceSurface.content_hash`.
-        """
-        times = np.ascontiguousarray(true_time, dtype=np.float64)
-        sens = np.ascontiguousarray(sensitivity, dtype=np.float64)
-        for label, arr in (("true_time", times), ("sensitivity", sens)):
-            if arr.shape != (self.space.size,):
-                raise ReproError(
-                    f"{label} table shape {arr.shape} does not match "
-                    f"{self.name}({self.scale}) space of {self.space.size} points"
-                )
-        self._time_memo = times
-        self._time_seen = np.ones(self.space.size, dtype=bool)
-        self._sens_memo = sens
-        self._sens_seen = np.ones(self.space.size, dtype=bool)
-
     def is_robust(self, indices) -> np.ndarray:
         """Whether each configuration belongs to the interference-immune subset."""
         return self.surface.robust_mask(np.asarray(indices, dtype=np.int64))
@@ -212,8 +181,7 @@ class ApplicationModel:
         best_time = np.inf
         for chunk in self.space.iter_chunks():
             # Route through true_time so the scan both benefits from and
-            # (on small spaces) populates the memoised surface tables —
-            # a prewarmed cache turns the whole scan into array gathers.
+            # (on small spaces) populates the memoised surface tables.
             times = self.true_time(chunk)
             if mask_robust:
                 robust = self.surface.robust_mask(chunk)

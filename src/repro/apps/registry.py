@@ -38,8 +38,9 @@ def make_application(
             (used to generate alternative-universe surfaces in robustness
             tests).
 
-    The model starts with no surface tables; :meth:`repro.caching.
-    SurfaceCache.load` installs persisted ones.
+    Each call builds a new model, which computes its surface values as
+    they are first asked for; campaigns share one instance per process
+    through :func:`repro.campaigns.runner.cached_application`.
     """
     try:
         factory = _FACTORIES[name.lower()]

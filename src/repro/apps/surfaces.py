@@ -36,10 +36,8 @@ exhaustive baseline and the oracle scan).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -316,37 +314,6 @@ class PerformanceSurface:
             table = spec.interaction_scale * rng.random((int(cards[a]), int(cards[b])))
             out.append((int(a), int(b), table - table.min()))
         return out
-
-    # -- identity ----------------------------------------------------------
-
-    def content_hash(self) -> str:
-        """SHA-256 over everything the surface's outputs depend on.
-
-        Covers the spec constants, the space's parameter grids, the realised
-        effect tables (so a change to the RNG stream or the construction
-        code shows up even if the seed did not change) and the hash salts.
-        The digest is what :mod:`repro.caching` content-addresses persisted
-        surface tables by: equal digest implies bit-identical ``true_time``
-        and ``sensitivity`` outputs for every index.
-        """
-        digest = hashlib.sha256()
-        payload = {
-            "spec": asdict(self.spec),
-            "space": [
-                [p.name, p.kind, [repr(v) for v in p.values]]
-                for p in self.space.parameters
-            ],
-            "salts": [self._robust_salt, self._idio_salt],
-        }
-        digest.update(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        )
-        for table in self._tables:
-            digest.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
-        for a, b, table in self._interactions:
-            digest.update(np.array([a, b], dtype=np.int64).tobytes())
-            digest.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
-        return digest.hexdigest()
 
     # -- index hashing (structureless pseudo-randomness) --------------------
 

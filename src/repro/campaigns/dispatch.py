@@ -405,7 +405,6 @@ def _lost_record(spec: CampaignSpec, attempts: int, error: str) -> CampaignRecor
 def _dispatch_worker(
     worker_id: int,
     conn,
-    cache_dir: Optional[str],
     fault_plan,
     telemetry: bool = False,
     profile_dir: Optional[str] = None,
@@ -418,13 +417,13 @@ def _dispatch_worker(
     shutdown) or parent death (pipe EOF) ends the loop, so an EOF in the
     *parent* always means the worker died.
 
-    Every attempt gets the sweep's ``fault_plan``, ``profile_dir`` and
-    ``cache_dir`` as arguments, and ``in_worker=True``: only here do
-    process-killing faults really kill.  The worker builds an application
-    at its first campaign, as an inline sweep does, unless it inherited
-    it from the parent (``fork``).  With ``telemetry`` on, the worker
-    installs a :class:`~repro.telemetry.events.PipeEmitter` over the same
-    ``send`` before any campaign — its events, cache reads included, ride
+    Every attempt gets the sweep's ``fault_plan`` and ``profile_dir`` as
+    arguments, and ``in_worker=True``: only here do process-killing faults
+    really kill.  The worker builds an application at its first campaign,
+    as an inline sweep does, unless it inherited it from the parent
+    (``fork``).  With ``telemetry`` on, the worker installs a
+    :class:`~repro.telemetry.events.PipeEmitter` over the same ``send``
+    before any campaign — its events, application lookups included, ride
     the dispatch pipe home and the parent merges them into the one
     ``.telemetry`` sidecar, stamped with this worker's ID.
     """
@@ -462,7 +461,7 @@ def _dispatch_worker(
         send(("started", worker_id, spec.campaign_id))
         record = execute_campaign(
             spec, attempt=attempt, fault_plan=fault_plan,
-            profile_dir=profile_dir, cache_dir=cache_dir, in_worker=True,
+            profile_dir=profile_dir, in_worker=True,
         )
         send(("result", worker_id, index, record))
     stop.set()
@@ -504,8 +503,7 @@ class Dispatcher:
             Workers beat every :data:`HEARTBEAT_INTERVAL` seconds; silence
             for :data:`HEARTBEAT_GRACE` is treated as a lost worker even if
             the process looks alive.
-        cache_dir / fault_plan / profile_dir: handed to every attempt a
-            worker runs.
+        fault_plan / profile_dir: handed to every attempt a worker runs.
     """
 
     def __init__(
@@ -514,7 +512,6 @@ class Dispatcher:
         ledger: TaskLedger,
         *,
         task_timeout: Optional[float] = None,
-        cache_dir: Optional[str] = None,
         fault_plan=None,
         telemetry: bool = False,
         profile_dir: Optional[str] = None,
@@ -526,7 +523,6 @@ class Dispatcher:
         self.jobs = jobs
         self.ledger = ledger
         self.task_timeout = task_timeout
-        self.cache_dir = cache_dir
         self.fault_plan = fault_plan
         self.telemetry = telemetry
         self.profile_dir = profile_dir
@@ -571,7 +567,6 @@ class Dispatcher:
             args=(
                 wid,
                 child_conn,
-                self.cache_dir,
                 self.fault_plan,
                 self.telemetry,
                 self.profile_dir,

@@ -44,13 +44,15 @@ import math
 import os
 import time
 import traceback as traceback_module
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.caching import SurfaceCache, grid_app_pairs, process_app_cache
+from repro.apps.model import ApplicationModel
+from repro.apps.registry import make_application
 from repro.campaigns.dispatch import (
     MAX_JOBS,
     MAX_RETRY_DELAY,
@@ -104,22 +106,46 @@ TRACEBACK_FRAMES = 20
 #: (checkpoint I/O blips — and injected store faults — are transient).
 STORE_APPEND_ATTEMPTS = 3
 
+#: How many built applications a process keeps (least recently used
+#: evicted first), so a long-lived daemon serving many ``(app, scale)``
+#: pairs holds a bounded set of surface tables.
+APP_CACHE_SIZE = 16
 
-def cached_application(name: str, scale):
-    """The per-process shared application instance campaigns run against.
+_APPS: "OrderedDict[Tuple[str, object], ApplicationModel]" = OrderedDict()
 
-    Drivers that need app metadata in the parent (e.g. the oracle's
-    ``optimal.true_time``) should use this instead of building their own
-    instance: with ``jobs=1`` the campaigns execute in the same process, so
-    the expensive memoised tables are computed once, not twice.
 
-    Served by the process's bounded :class:`repro.caching.ApplicationCache`
-    tier.  A sweep with a surface cache (``sweep --cache-dir``) builds
-    every application it needs through that tier, with the persisted
-    surface tables installed, before its first campaign, so the instances
-    served here start complete.
+def cached_application(name: str, scale) -> ApplicationModel:
+    """This process's shared application instance for ``(name, scale)``.
+
+    Every campaign gets its application here, and so should anything that
+    needs an application's metadata in the same process (the CLI's ``tune``
+    table, a driver's ``optimal.true_time``): campaigns of one process
+    share the instance and the surface values its memo has computed.
+    Built on first use through the registry, then served from a bounded
+    LRU of :data:`APP_CACHE_SIZE` entries.  Each lookup lands one
+    ``app_cache.hit`` or ``app_cache.miss`` telemetry counter.  A forked
+    dispatch worker inherits the instances its parent holds and builds
+    the others at their first campaign; a spawned one builds all of its
+    own.
     """
-    return process_app_cache().get(name, scale)
+    key = (name, scale)
+    app = _APPS.get(key)
+    if app is not None:
+        _APPS.move_to_end(key)
+        _telemetry_counter("app_cache.hit", app=name)
+        return app
+    _telemetry_counter("app_cache.miss", app=name)
+    app = make_application(name, scale=scale)
+    _APPS[key] = app
+    while len(_APPS) > APP_CACHE_SIZE:
+        _APPS.popitem(last=False)
+    return app
+
+
+def clear_app_cache() -> None:
+    """Drop every application :func:`cached_application` holds (the
+    test-fixture hook)."""
+    _APPS.clear()
 
 
 def default_jobs() -> int:
@@ -166,28 +192,21 @@ _TUNERS: Dict[str, Callable[[int, str], object]] = {
 SUPPORTED_STRATEGIES = ("Optimal",) + tuple(_TUNERS)
 
 
-def _run_protocol(
-    spec: CampaignSpec, attempt: int, cache_dir: Optional[Union[str, Path]]
-) -> CampaignRecord:
+def _run_protocol(spec: CampaignSpec, attempt: int) -> CampaignRecord:
     """Tune once under ``spec`` and evaluate the chosen configuration.
 
-    The application comes from this process's application tier, which
-    installs ``cache_dir``'s persisted surface tables when it builds the
-    model (at the application's first campaign in this process).  The
-    environment is built from the spec's VM, seed, start time and
-    scenario; both tuning and the ``eval_runs``-execution evaluation run
-    in it.  ``"Optimal"`` is the infeasible oracle: the configuration with
-    the lowest dedicated-environment time, charged zero tuning cost and
-    evaluated in the dedicated environment, which a scenario cannot touch.
-    The tuner seed defaults to the environment seed; ``tuner_seed``
-    decouples them.  The format is checked for every strategy, so a typo
-    fails even where the format does not apply.
+    The application is this process's shared instance
+    (:func:`cached_application`).  The environment is built from the
+    spec's VM, seed, start time and scenario; both tuning and the
+    ``eval_runs``-execution evaluation run in it.  ``"Optimal"`` is the
+    infeasible oracle: the configuration with the lowest
+    dedicated-environment time, charged zero tuning cost and evaluated in
+    the dedicated environment, which a scenario cannot touch.  The tuner
+    seed defaults to the environment seed; ``tuner_seed`` decouples them.
+    The format is checked for every strategy, so a typo fails even where
+    the format does not apply.
     """
-    app = process_app_cache().get(
-        spec.app,
-        spec.scale,
-        SurfaceCache(cache_dir) if cache_dir is not None else None,
-    )
+    app = cached_application(spec.app, spec.scale)
     tournament_format(spec.format)
     env = CloudEnvironment(
         vm_from_field(spec.vm), seed=spec.seed, start_time=spec.start_time,
@@ -240,18 +259,15 @@ def execute_campaign(
     *,
     fault_plan: Optional[FaultPlan] = None,
     profile_dir: Optional[Union[str, Path]] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
     in_worker: bool = False,
 ) -> CampaignRecord:
     """Run one campaign attempt to its terminal record; never raises.
 
     This is the single choke point every sweep goes through: fire
     ``fault_plan``'s fault for this attempt (chaos runs), then play the
-    protocol (:func:`_run_protocol`) on the application this process's
-    tier serves, with ``cache_dir``'s surface tables installed when the
-    tier builds it.  Exceptions become ``"failed"`` records — with the
-    exception summary and a truncated traceback attached — so one bad
-    cell cannot take down a fleet.  ``attempt``
+    protocol (:func:`_run_protocol`).  Exceptions become ``"failed"``
+    records — with the exception summary and a truncated traceback
+    attached — so one bad cell cannot take down a fleet.  ``attempt``
     (1-based) is the dispatcher's retry counter; it selects which injected
     fault fires and is stamped on the record, and nothing else depends on
     it — an attempt's *result* is a pure function of the spec.
@@ -277,7 +293,7 @@ def execute_campaign(
                 fault_plan.inject(
                     spec.campaign_id, attempt, in_worker=in_worker
                 )
-            return _run_protocol(spec, attempt, cache_dir)
+            return _run_protocol(spec, attempt)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             return CampaignRecord(
                 spec=spec,
@@ -361,13 +377,6 @@ class SweepOptions:
         jobs: worker processes; ``1`` executes inline (no pool).  An
             integer in [1, :data:`~repro.campaigns.dispatch.MAX_JOBS`]
             (256).
-        cache_dir: optional surface-cache directory (``None``, the
-            default, is no cache; ``""`` is refused).  Before executing,
-            the grid's applications are warmed into it (valid entries
-            reused, missing ones computed and persisted) and built in this
-            process with their tables, which forked workers inherit; a
-            spawned worker loads an application's tables from it at that
-            application's first campaign.
         max_retries: re-executions granted after a campaign's first failed
             attempt (crash, hang, or ordinary exception); past the budget
             the campaign is quarantined as ``"failed"`` and the sweep goes
@@ -394,7 +403,6 @@ class SweepOptions:
     """
 
     jobs: int = 1
-    cache_dir: Optional[Union[str, Path]] = None
     max_retries: int = 2
     backoff: float = 0.1
     task_timeout: float = 0.0
@@ -434,13 +442,6 @@ class SweepOptions:
                 f"backoff must be a finite number in "
                 f"[0, {MAX_RETRY_DELAY:g}] seconds, got {self.backoff} "
                 f"(fix --backoff)"
-            )
-        # An empty path is the current directory, which would collect the
-        # surface tables; no cache is `None`.
-        if self.cache_dir == "":
-            raise ReproError(
-                "cache_dir must name a directory, got '' (None means no "
-                "surface cache) (fix --cache-dir)"
             )
         # The dispatcher maps any timeout <= 0 to "off"; only 0 means that.
         if not (_finite(self.task_timeout) and self.task_timeout >= 0):
@@ -546,9 +547,6 @@ class CampaignRunner:
                     else:
                         pending.append((index, spec))
 
-                if self.options.cache_dir is not None and pending:
-                    self._warm_cache([spec for _, spec in pending])
-
                 skipped = len(specs) - len(pending)
                 total = len(pending)
                 finished = 0
@@ -595,16 +593,6 @@ class CampaignRunner:
             jobs=self.options.jobs,
             retries=retries,
         )
-
-    def _warm_cache(self, pending_specs: Sequence[CampaignSpec]) -> None:
-        """Warm the disk tier once, in the parent, before any worker starts.
-
-        The applications end up in this process's tier with complete
-        tables: inline campaigns and forked workers are served them, and
-        spawned workers only ever *read* the persisted files, so the
-        expensive first-touch computation happens at most once per machine.
-        """
-        SurfaceCache(self.options.cache_dir).warm(grid_app_pairs(pending_specs))
 
     def _append_with_retry(self, record: CampaignRecord) -> None:
         """Checkpoint one record, riding out transient append failures.
@@ -676,7 +664,6 @@ class CampaignRunner:
                     record = execute_campaign(
                         spec, attempt=attempt, fault_plan=self.options.fault_plan,
                         profile_dir=self.profile_dir,
-                        cache_dir=self.options.cache_dir,
                     )
                 settled = ledger.settle(record, time.monotonic())
                 if settled is not None:
@@ -688,12 +675,10 @@ class CampaignRunner:
     def _execute_dispatched(
         self, pending: Sequence[Tuple[int, CampaignSpec]], ledger: TaskLedger
     ):
-        cache_dir = self.options.cache_dir
         dispatcher = Dispatcher(
             min(self.options.jobs, len(pending)),
             ledger,
             task_timeout=self.options.task_timeout or None,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
             fault_plan=self.options.fault_plan,
             # Workers forward their events over the dispatch pipe whenever
             # this process's bus is live (however it was enabled).

@@ -15,9 +15,6 @@ Subcommands::
     python -m repro report sweep.jsonl
     python -m repro report sweep.jsonl --metrics
     python -m repro store info sweep.jsonl
-    python -m repro cache warm --apps redis,lammps --scale bench
-    python -m repro cache info
-    python -m repro cache clear
 
 Global ``--verbose`` / ``--quiet`` (before the subcommand) tune how chatty
 every command is; progress and status lines flow through the ``repro``
@@ -46,7 +43,6 @@ from typing import List, Optional
 from repro import api
 from repro.apps.registry import APPLICATION_NAMES
 from repro.apps.scaling import level_cap
-from repro.caching import SurfaceCache, default_cache_dir
 from repro.campaigns import CampaignGrid, open_store
 from repro.campaigns.dispatch import MAX_JOBS
 from repro.campaigns.runner import cached_application
@@ -189,7 +185,6 @@ def _options_from_args(args: argparse.Namespace) -> api.SweepOptions:
     """One :class:`repro.api.SweepOptions` from the shared CLI flags."""
     return api.SweepOptions(
         jobs=args.jobs,
-        cache_dir=args.cache_dir or None,
         max_retries=args.max_retries,
         backoff=args.backoff,
         task_timeout=args.task_timeout,
@@ -500,71 +495,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_from_args(args: argparse.Namespace) -> SurfaceCache:
-    return SurfaceCache(args.cache_dir or None)
-
-
-def _cmd_cache_warm(args: argparse.Namespace) -> int:
-    cache = _cache_from_args(args)
-    apps = tuple(s.strip() for s in args.apps.split(",") if s.strip())
-    unknown = [a for a in apps if a not in APPLICATION_NAMES]
-    if unknown:
-        _LOG.error(
-            "unknown applications: %s; available: %s",
-            unknown, list(APPLICATION_NAMES),
-        )
-        return 2
-    entries = cache.warm((name, args.scale) for name in apps)
-    print(render_table(
-        ["application", "scale", "points", "status", "size (KiB)"],
-        [
-            (e.app, e.scale, e.points, e.status, round(e.size_bytes / 1024, 1))
-            for e in entries
-        ],
-        title=f"surface cache {cache.directory}",
-    ))
-    return 0
-
-
-def _cmd_cache_info(args: argparse.Namespace) -> int:
-    cache = _cache_from_args(args)
-    entries = cache.info()
-    if not entries:
-        print(f"surface cache {cache.directory} is empty — warm it with "
-              f"`python -m repro cache warm`")
-        return 0
-    print(render_table(
-        ["application", "scale", "points", "size (KiB)", "file"],
-        [
-            (e.app, e.scale, e.points, round(e.size_bytes / 1024, 1),
-             e.path.name)
-            for e in entries
-        ],
-        title=f"surface cache {cache.directory}",
-    ))
-    return 0
-
-
-def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    cache = _cache_from_args(args)
-    removed = cache.clear()
-    print(f"removed {removed} cached surface(s) from {cache.directory}")
-    return 0
-
-
 def _add_execution(parser: argparse.ArgumentParser) -> None:
-    """The worker-pool and cache knobs every executing command shares
-    (sweep, resume, serve)."""
+    """The worker-pool size every executing command shares (sweep, resume,
+    serve)."""
     parser.add_argument(
         "--jobs", type=int, default=_SWEEP_DEFAULTS.jobs,
         help=f"parallel worker processes, 1 to {MAX_JOBS} "
              f"(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--cache-dir", default="",
-        help="surface-cache directory: warm it before the sweep and load "
-             "every application's tables from it (empty = no persistent "
-             "cache)",
     )
 
 
@@ -786,39 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_tolerance(p_serve)
     _add_observability(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_cache = sub.add_parser(
-        "cache", help="manage the persistent application-surface cache"
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-
-    def _add_cache_dir(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cache-dir", default="",
-            help=f"cache directory (default: {default_cache_dir()}, "
-                 f"or $REPRO_CACHE_DIR)",
-        )
-
-    p_cwarm = cache_sub.add_parser(
-        "warm", help="precompute and persist application surface tables"
-    )
-    p_cwarm.add_argument(
-        "--apps", default=",".join(APPLICATION_NAMES),
-        help="comma-separated application names",
-    )
-    p_cwarm.add_argument("--scale", default="bench", help="space scale preset")
-    _add_cache_dir(p_cwarm)
-    p_cwarm.set_defaults(func=_cmd_cache_warm)
-
-    p_cinfo = cache_sub.add_parser("info", help="list cached surface tables")
-    _add_cache_dir(p_cinfo)
-    p_cinfo.set_defaults(func=_cmd_cache_info)
-
-    p_cclear = cache_sub.add_parser(
-        "clear", help="delete every cached surface table"
-    )
-    _add_cache_dir(p_cclear)
-    p_cclear.set_defaults(func=_cmd_cache_clear)
 
     p_store = sub.add_parser(
         "store", help="inspect campaign stores"

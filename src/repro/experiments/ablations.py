@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.apps.registry import make_application
+from repro.campaigns.runner import cached_application
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.core.config import ABLATION_NAMES, DarwinGameConfig
@@ -73,7 +73,7 @@ def run_ablations(
     rows: List[AblationRow] = []
     base_config = DarwinGameConfig()
     for app_name in app_names:
-        app = make_application(app_name, scale=scale)
+        app = cached_application(app_name, scale)
         full = _run_variant(app, vm, base_config, seed, repeats)
         for name in ablations:
             variant = _run_variant(

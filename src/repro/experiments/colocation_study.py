@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.apps.model import ApplicationModel
-from repro.apps.registry import make_application
+from repro.campaigns.runner import cached_application
 from repro.cloud.colocation import contention_level
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
@@ -136,7 +136,7 @@ def run_colocation_study(
     if key in _CACHE:
         return _CACHE[key]
 
-    app = make_application(app_name, scale=scale)
+    app = cached_application(app_name, scale)
     optimal = app.optimal.true_time
     rng = np.random.default_rng(seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(repeats)]

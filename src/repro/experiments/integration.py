@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.apps.registry import make_application
+from repro.campaigns.runner import cached_application
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.core.config import DarwinGameConfig
@@ -88,7 +88,7 @@ def run_integration(
     rows: List[IntegrationRow] = []
     rng = np.random.default_rng(seed)
     for app_name in app_names:
-        app = make_application(app_name, scale=scale)
+        app = cached_application(app_name, scale)
         exhaustive_hours = _exhaustive_core_hours(app, vm)
         for base_name in bases:
             variants: Dict[str, list] = {base_name: [], f"{base_name}+DarwinGame": []}

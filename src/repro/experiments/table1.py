@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.apps.registry import APPLICATION_NAMES, make_application
+from repro.apps.registry import APPLICATION_NAMES
+from repro.campaigns.runner import cached_application
 from repro.campaigns.spec import CampaignGrid, Scale
 
 #: The sizes Table 1 reports (paper rounds to 0.1 million).
@@ -37,7 +38,7 @@ class Table1Row:
 
 
 def _build_row(name: str) -> Table1Row:
-    app = make_application(name, scale="full")
+    app = cached_application(name, "full")
     app_params = tuple(
         p.name for p in app.space.parameters if p.kind == "app"
     )

@@ -7,23 +7,20 @@ runs them **one at a time** on a single executor thread:
 
 * a job with ``options.jobs = 1`` runs its campaigns in the daemon
   process, so the process-wide application LRU
-  (:func:`repro.caching.process_app_cache`) stays hot across jobs and
-  across tenants — the second tenant's serial sweep starts on surfaces
-  the first tenant paid for;
+  (:func:`repro.campaigns.runner.cached_application`) stays hot across
+  jobs and across tenants — the second tenant's serial sweep starts on
+  surfaces the first tenant paid for;
 * the campaign runner installs and restores the process-global telemetry
   emitter per sweep, which is only safe when sweeps do not overlap in
-  one process (a sweep's fault plan, profile directory and surface cache
-  are arguments, not process state).
+  one process (a sweep's fault plan and profile directory are
+  arguments, not process state).
 
 Parallelism happens *inside* a job (``options.jobs`` workers via the
 dispatcher), where it is crash-isolated and deterministic.  Those workers
-are started for each job, and a daemon that has only dispatched jobs
-holds no surface for them to inherit, so without a surface cache
-(``cache_dir``) every such job's workers build theirs again.  With one,
-the daemon loads each table from disk once, while the first sweep that
-needs it warms the cache, and holds it in its application LRU (about
-2.5 MB of arrays for the four test-scale apps); every worker it forks
-for that job or a later one inherits it.
+are forked for each job and inherit only the applications the daemon
+itself built, for campaigns it ran inline (a ``jobs = 1`` job's, or a
+job's single pending campaign), so they compute the surface values
+their campaigns touch again for every job; no setting shares them.
 
 Stores are laid out per tenant under the service data root —
 ``<data_root>/<tenant>/<job_id>.jsonl`` — so tenants can never read or

@@ -171,7 +171,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(
                 raw.decode("utf-8"), parse_constant=_refuse_constant
             )
-        except ValueError as exc:  # bad UTF-8, bad JSON, NaN or ±Infinity
+        # Bad UTF-8, bad JSON, NaN or ±Infinity; or nesting deeper than the
+        # decoder's recursion limit (about 1,000 levels, a 2 KB body).
+        except (ValueError, RecursionError) as exc:
             raise _HttpError(400, f"request body is not valid JSON: {exc}")
         if not isinstance(payload, dict):
             raise _HttpError(400, "request body must be a JSON object")

@@ -96,8 +96,8 @@ __all__ = [
 def reset_telemetry() -> None:
     """Restore every process-global telemetry tier to its boot state.
 
-    The sibling of :func:`repro.caching.clear_process_caches` for tests:
-    detaches the active emitter (closing it) and de-configures CLI
+    The sibling of :func:`repro.campaigns.runner.clear_app_cache` for
+    tests: detaches the active emitter (closing it) and de-configures CLI
     logging.
     """
     from repro.telemetry import events

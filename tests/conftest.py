@@ -2,22 +2,22 @@
 
 import pytest
 
-from repro.caching import clear_process_caches
+from repro.campaigns.runner import clear_app_cache
 from repro.telemetry import reset_telemetry
 
 
 @pytest.fixture(autouse=True)
 def _fresh_process_caches():
-    """Reset the process-global caching and telemetry tiers after every test.
+    """Reset the process-global application and telemetry state after
+    every test.
 
-    The campaign runner serves applications from a process-wide
-    :class:`repro.caching.ApplicationCache` (whose entries may hold a
-    tmp-dir surface cache); the telemetry layer keeps a process-wide
-    emitter and logging set-up.  Without this hook, that state would leak
-    from one test into the next.
+    The campaign runner serves applications from a process-wide LRU
+    (:func:`repro.campaigns.runner.cached_application`); the telemetry
+    layer keeps a process-wide emitter and logging set-up.  Without this
+    hook, that state would leak from one test into the next.
     """
     yield
-    clear_process_caches()
+    clear_app_cache()
     reset_telemetry()
 
 

@@ -277,16 +277,13 @@ class TestWireFormat:
         (dict(max_retries=2.5), "--max-retries"),
         (dict(jobs=2.5), "--jobs"),
         (dict(jobs=True), "--jobs"),
-        (dict(cache_dir=""), "--cache-dir"),
     ], ids=["jobs-0", "jobs-257", "max-retries-negative", "max-retries-inf",
-            "max-retries-nan", "max-retries-2.5", "jobs-2.5", "jobs-true",
-            "cache-dir-empty"])
+            "max-retries-nan", "max-retries-2.5", "jobs-2.5", "jobs-true"])
     def test_sweep_options_bound_workers_and_retries(self, fields, flag):
         """Only the runner checked these, so `serve` listened with them as
         defaults; `jobs` is capped because the dispatcher forks one worker
         per eligible campaign.  Both are counts: with an infinite retry
-        budget, a campaign that always fails was retried forever.  An empty
-        `cache_dir` wrote the surface tables into the current directory."""
+        budget, a campaign that always fails was retried forever."""
         with pytest.raises(ReproError, match=rf"\(fix {flag}\)$"):
             api.SweepOptions(**fields)
 

@@ -214,79 +214,6 @@ class TestSpawnStartMethod:
         report = CampaignRunner(SweepOptions(jobs=2)).run(small_grid.specs())
         assert _payloads(report.records) == _payloads(serial_records)
 
-    def test_spawn_pool_with_prewarmed_cache(
-        self, small_grid, serial_records, tmp_path, pin_start_method
-    ):
-        from repro.caching import SurfaceCache, grid_app_pairs
-
-        specs = list(small_grid.specs())
-        cache_dir = tmp_path / "surfaces"
-        SurfaceCache(cache_dir).warm(grid_app_pairs(specs))
-        pin_start_method("spawn")
-        report = CampaignRunner(
-            SweepOptions(jobs=2, cache_dir=cache_dir)
-        ).run(specs)
-        assert _payloads(report.records) == _payloads(serial_records)
-
-
-class TestCacheReachesWorkers:
-    """Surface tables reach every dispatch worker, and every cache read is
-    journaled under the process that made it.  Each test starts from an
-    empty application tier: an app already there is served without a
-    load."""
-
-    @staticmethod
-    def _lookups(tmp_path, specs, start_method, pin_start_method):
-        from repro.caching import (
-            SurfaceCache,
-            clear_process_caches,
-            grid_app_pairs,
-        )
-        from repro.telemetry import read_telemetry
-
-        cache_dir = tmp_path / "surfaces"
-        SurfaceCache(cache_dir).warm(grid_app_pairs(specs))
-        clear_process_caches()
-        pin_start_method(start_method)
-        sidecar = tmp_path / "sweep.telemetry"
-        report = CampaignRunner(
-            SweepOptions(jobs=2, cache_dir=cache_dir, telemetry=sidecar)
-        ).run(specs)
-        lookups = [
-            e for e in read_telemetry(sidecar)
-            if e.name in ("cache.hit", "cache.miss")
-        ]
-        return report, lookups
-
-    def test_spawn_workers_load_tables_under_their_ids(
-        self, small_grid, serial_records, tmp_path, pin_start_method
-    ):
-        """Before, a spawned worker read the cache before it installed its
-        pipe emitter, and the sidecar held no cache event at all."""
-        specs = list(small_grid.specs())
-        report, lookups = self._lookups(
-            tmp_path, specs, "spawn", pin_start_method
-        )
-        assert _payloads(report.records) == _payloads(serial_records)
-        assert {e.name for e in lookups} == {"cache.hit"}
-        assert all(e.fields == {"tier": "disk"} for e in lookups)
-        assert any(e.worker is not None for e in lookups)
-
-    def test_forked_workers_inherit_the_parents_tables(
-        self, small_grid, serial_records, tmp_path, pin_start_method
-    ):
-        """The parent reads each table once while it warms the cache.
-        Before, every forked worker read every table again, journaled
-        through the parent's sidecar handle with no worker ID."""
-        specs = list(small_grid.specs())
-        report, lookups = self._lookups(
-            tmp_path, specs, "fork", pin_start_method
-        )
-        assert _payloads(report.records) == _payloads(serial_records)
-        assert [(e.name, e.fields, e.worker) for e in lookups] == [
-            ("cache.hit", {"tier": "disk"}, None)
-        ] * len(small_grid.apps)
-
 
 class TestStoreLock:
     """Two concurrent sweeps must not interleave appends into one store."""
@@ -350,39 +277,6 @@ class TestStoreLock:
             list(small_grid.specs())[:1], grid=small_grid
         )
         assert store.read_grid() == small_grid
-
-
-class TestSurfaceCacheDoesNotLeak:
-    def test_cacheless_run_does_not_inherit_previous_cache(self, tmp_path):
-        """A sweep's surface cache stays with that sweep: a later cacheless
-        sweep in the same process neither writes to it nor reads it."""
-        from repro.telemetry.events import BufferEmitter, set_emitter
-
-        cache_dir = tmp_path / "surf"
-        CampaignRunner(SweepOptions(jobs=1, cache_dir=cache_dir)).run(
-            [CampaignSpec(app="redis", scale="test", eval_runs=5)]
-        )
-
-        def listing():
-            return sorted(
-                (path.name, path.stat().st_mtime_ns)
-                for path in cache_dir.iterdir()
-            )
-
-        before = listing()
-        assert before  # the cached sweep persisted redis's tables
-        events = BufferEmitter()
-        previous = set_emitter(events)
-        try:
-            CampaignRunner(SweepOptions(jobs=1)).run(
-                [CampaignSpec(app="gromacs", scale="test", eval_runs=5)]
-            )
-        finally:
-            set_emitter(previous)
-        assert listing() == before
-        names = {payload.get("name") for payload in events.payloads}
-        assert "app_cache.miss" in names  # gromacs was built in this process
-        assert not names & {"cache.hit", "cache.miss"}  # with no surface cache
 
 
 class TestStore:

@@ -235,65 +235,38 @@ class TestFaultToleranceCli:
         assert "executed 2, skipped 0" in out and "2/2 campaigns done" in out
 
 
-class TestCacheCli:
-    def _dir(self, tmp_path):
-        return str(tmp_path / "surfaces")
+class TestNoSurfaceCacheCli:
+    """The disk surface cache is gone: its flag and its subcommand are
+    argparse errors, refused before any store is written or port bound."""
 
-    def test_warm_info_clear_cycle(self, tmp_path, capsys):
-        cache_dir = self._dir(tmp_path)
-        assert main([
-            "cache", "warm", "--apps", "redis", "--scale", "test",
-            "--cache-dir", cache_dir,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "redis" in out and "computed" in out
+    @pytest.mark.parametrize("argv, error", [
+        (["sweep", "--apps", "redis", "--scale", "test", "--cache-dir", "d",
+          "--store", "s.jsonl"], "unrecognized arguments: --cache-dir d"),
+        (["resume", "s.jsonl", "--cache-dir", "d"],
+         "unrecognized arguments: --cache-dir d"),
+        (["serve", "--port", "0", "--data-root", "serve.d",
+          "--cache-dir", "d"], "unrecognized arguments: --cache-dir d"),
+        (["cache", "info"], "invalid choice: 'cache'"),
+    ], ids=["sweep", "resume", "serve", "cache-info"])
+    def test_exits_two_before_any_work(
+        self, argv, error, tmp_path, monkeypatch, capsys
+    ):
+        import socket
 
-        # Warming again reuses the valid entry instead of recomputing.
-        main(["cache", "warm", "--apps", "redis", "--scale", "test",
-              "--cache-dir", cache_dir])
-        assert "reused" in capsys.readouterr().out
+        def no_bind(sock, address):
+            raise AssertionError(f"bound {address}")
 
-        assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
-        assert "redis" in capsys.readouterr().out
-
-        assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
-        assert "removed 1" in capsys.readouterr().out
-        main(["cache", "info", "--cache-dir", cache_dir])
-        assert "empty" in capsys.readouterr().out
-
-    def test_warm_rejects_unknown_app(self, tmp_path):
-        assert main([
-            "cache", "warm", "--apps", "nope",
-            "--cache-dir", self._dir(tmp_path),
-        ]) == 2
-
-    def test_sweep_with_cache_dir_matches_cacheless_store(self, tmp_path):
-        from repro.caching import clear_process_caches
-
-        cold_store = tmp_path / "cold.jsonl"
-        warm_store = tmp_path / "warm.jsonl"
-        cache_dir = self._dir(tmp_path)
-        assert main(_sweep_args(cold_store)) == 0
-        clear_process_caches()
-        assert main(
-            _sweep_args(warm_store) + ["--cache-dir", cache_dir]
-        ) == 0
-        # Bit-identical campaign records, cold vs warm (same grid header).
-        assert cold_store.read_text() == warm_store.read_text()
-        assert list((tmp_path / "surfaces").glob("*.npz"))
-
-    def test_resume_accepts_cache_dir(self, tmp_path, capsys):
-        store = tmp_path / "s.jsonl"
-        main(_sweep_args(store, seeds="0"))
-        lines = store.read_text().splitlines()
-        lines[0] = lines[0].replace('"seeds": [0]', '"seeds": [0, 1]')
-        store.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main([
-            "resume", str(store), "--quiet",
-            "--cache-dir", self._dir(tmp_path),
-        ]) == 0
-        assert "executed 1, skipped 1" in capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(socket.socket, "bind", no_bind)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        last = captured.err.splitlines()[-1]
+        assert ": error: " in last and error in last
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnopenableStore:

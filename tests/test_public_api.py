@@ -30,7 +30,10 @@ _REMOVED_REPORT_NAMES = (
 
 #: Names deleted from a package's exports; none may come back.
 _REMOVED = {
-    "repro": ("partition_regions", "render_report"),
+    "repro": (
+        "partition_regions", "render_report", "ApplicationCache",
+        "SurfaceCache",
+    ),
     "repro.apps": ("ConstrainedApplication", "penalised_application"),
     "repro.campaigns": _REMOVED_REPORT_NAMES,
     "repro.cloud": ("simulate_colocated",),
@@ -46,7 +49,6 @@ _REMOVED = {
         "requires", "sample_valid", "valid_fraction", "valid_mask",
     ),
     "repro.telemetry": ("profile_dir", "profile_dir_for", "set_profile_dir"),
-    "repro.caching": ("process_surface_cache", "set_process_surface_cache"),
     # Each tournament format is one class; its state machine took the name.
     "repro.formats": (
         "BarrageRun", "DoubleEliminationRun", "GroupedDoubleEliminationRun",
@@ -62,9 +64,16 @@ _REMOVED_MEMBERS = {
         "_axis_rows", "_format_of", "_scenario_of",
     ),
     "repro.campaigns.runner:SweepReport": ("strategy_runs",),
+    # The disk surface cache is gone: one application LRU per process,
+    # behind `cached_application`, is what is left of `repro.caching`.
+    "repro.campaigns.runner": (
+        "_worker_init", "SurfaceCache", "grid_app_pairs", "process_app_cache",
+    ),
+    "repro.campaigns.runner:CampaignRunner": ("_warm_cache",),
+    "repro.apps.surfaces:PerformanceSurface": ("content_hash",),
     "repro.campaigns.store.record:CampaignRecord": ("to_strategy_run",),
-    # A sweep's fault plan, profile directory and surface cache are
-    # arguments, not process state.
+    # A sweep's fault plan and profile directory are arguments, not
+    # process state.
     "repro.faults": (
         "_ACTIVE_PLAN", "_IN_DISPATCH_WORKER", "active_fault_plan",
         "mark_dispatch_worker", "maybe_inject", "set_active_fault_plan",
@@ -72,20 +81,14 @@ _REMOVED_MEMBERS = {
     "repro.telemetry.profiling": (
         "_PROFILE_DIR", "profile_dir", "set_profile_dir",
     ),
-    "repro.caching.app_cache": (
-        "_PROCESS_SURFACE_CACHE", "process_surface_cache",
-        "set_process_surface_cache",
-    ),
-    # An application meets the disk cache in one place: the application
-    # tier loads the tables as it builds the model, and a dispatch worker
-    # builds its applications at their first campaign.
+    # A model computes its surface values as they are asked for; no
+    # table is installed from outside, and a dispatch worker builds its
+    # applications at their first campaign.
     "repro.apps.model": ("SurfaceLoader",),
     "repro.apps.model:ApplicationModel": (
         "set_surface_loader", "load_cached_surfaces", "_surface_loader",
-        "_loader_probed",
+        "_loader_probed", "load_surfaces", "surfaces_complete",
     ),
-    "repro.caching.surface_cache:SurfaceCache": ("install", "fetch"),
-    "repro.campaigns.runner": ("_worker_init",),
     # The Sec. 3.2 comparison is read off the headline grid.
     "repro.experiments.statistical": ("_aggregate", "_CACHE"),
     # A format is built from its players and settings; `run_schedule` plays
@@ -106,13 +109,15 @@ _REMOVED_MEMBERS = {
 _REMOVED_PARAMETERS = {
     "repro.campaigns.dispatch:Dispatcher": (
         "heartbeat_interval", "heartbeat_grace", "clock", "start_method",
-        "app_keys",
+        "app_keys", "cache_dir",
     ),
     "repro.campaigns.dispatch:_dispatch_worker": (
-        "heartbeat_interval", "app_keys",
+        "heartbeat_interval", "app_keys", "cache_dir",
     ),
     "repro.apps.registry:make_application": ("cache",),
-    "repro.caching.surface_cache:SurfaceCache.warm": ("builder",),
+    "repro.campaigns.runner:execute_campaign": ("cache_dir",),
+    "repro.campaigns.runner:_run_protocol": ("cache_dir",),
+    "repro.campaigns.runner:SweepOptions": ("cache_dir",),
     "repro.campaigns.dispatch:_pool_context": ("start_method",),
     "repro.campaigns.runner:CampaignRunner": (
         "heartbeat_interval", "jobs", "cache_dir", "start_method",
@@ -136,6 +141,8 @@ class TestPublicApi:
 
     def test_removed_members_stay_gone(self):
         assert importlib.util.find_spec("repro.experiments.protocol") is None
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.caching")
         for owner, names in _REMOVED_MEMBERS.items():
             module, _, cls = owner.partition(":")
             obj = importlib.import_module(module)

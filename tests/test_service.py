@@ -1,6 +1,7 @@
 """End-to-end coverage for the ``repro serve`` tuning service."""
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -297,13 +298,26 @@ class TestErrors:
             urllib.request.urlopen(request, timeout=30)
         assert err.value.code == 400
 
-    def test_not_json_is_400(self, service):
+    @pytest.mark.parametrize("body", [
+        b"not json",
+        b"[" * 1000 + b"]" * 1000,
+        b'{"a": ' * 1000 + b"1" + b"}" * 1000,
+    ], ids=["not-json", "deep-array", "deep-object"])
+    def test_not_json_is_400(self, service, body, caplog):
+        """A body nested past the decoder's recursion limit raised
+        RecursionError, which the decoder let through as a 500 with a
+        logged traceback."""
         request = urllib.request.Request(
-            f"{service.url}/v1/sweeps", method="POST", data=b"not json",
+            f"{service.url}/v1/sweeps", method="POST", data=body,
         )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=30)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=30)
         assert err.value.code == 400
+        assert json.loads(err.value.read())["error"].startswith(
+            "request body is not valid JSON"
+        )
+        assert not caplog.records
 
     def test_foreign_and_unknown_jobs_are_404(self, service):
         base = service.url
