@@ -4,8 +4,7 @@ The ISSUE 2 acceptance workload: run the Table 1 applications (test scale,
 two seeds each — 8 campaigns) serially and with ``--jobs 2``, assert the
 parallel sweep reproduces serial results bit for bit, and record
 campaigns-per-minute for both in the BENCH.jsonl perf trajectory (each
-entry carries its ``jobs``, the visible core count, and ``"cache":
-"cold"``, which pairs it with the trajectory's earlier rows).
+entry carries its ``jobs`` and the visible core count).
 
 The parallel speedup assertion is conditional on the machine actually
 having more than one visible core — on a single-core runner a process pool
@@ -52,7 +51,6 @@ def _fresh_run(jobs: int, specs, telemetry=False):
 
 def _record(payload: dict) -> None:
     payload.setdefault("cores", default_jobs())
-    payload.setdefault("cache", "cold")
     line = json.dumps(payload, sort_keys=True)
     print(f"\n[perf] {line}")
     # An all-skipped resume (0 campaigns in ~0 wall seconds) measures

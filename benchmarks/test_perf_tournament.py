@@ -37,11 +37,10 @@ _GATE_SECONDS = _BASELINE_SECONDS / 3.0
 
 def _record(payload: dict) -> None:
     # Every trajectory entry is machine-readable about its conditions: the
-    # visible core count (ROADMAP's 1-core caveat) and the cache state.
+    # visible core count (ROADMAP's 1-core caveat).
     from repro.campaigns import default_jobs
 
     payload.setdefault("cores", default_jobs())
-    payload.setdefault("cache", "cold")
     line = json.dumps(payload, sort_keys=True)
     print(f"\n[perf] {line}")
     out = os.environ.get("BENCH_JSON")

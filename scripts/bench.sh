@@ -3,11 +3,9 @@
 # single BENCH.jsonl perf-trajectory file in the repo root, one JSON object
 # per line.  Every entry records the machine conditions it was measured
 # under — the visible core count ("cores", ROADMAP's 1-core caveat made
-# machine-readable), "cache": "cold" (every row starts from a cold
-# process; the key keeps new rows paired with earlier ones), and for
-# sweep rows the scenario pack ("scenario") — so trajectory rows are
-# comparable without reading prose.  Extra arguments are passed through to
-# pytest.
+# machine-readable) and for sweep rows the scenario pack ("scenario") — so
+# trajectory rows are comparable without reading prose.  Extra arguments
+# are passed through to pytest.
 #
 # Measurements are staged in a temp file and appended to BENCH.jsonl only
 # after the whole pytest run succeeds: a failing or crashing benchmark run
@@ -39,8 +37,8 @@ BENCH_JSON="$staging" PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         benchmarks/test_perf_store.py -q -s -m benchmark "$@"
 
 # Before/after report: compare each fresh row against the most recent prior
-# row of the same benchmark id (same benchmark + same conditions: cache,
-# jobs, scenario, format, backend...) so a perf regression or win
+# row of the same benchmark id (same benchmark + same conditions: jobs,
+# scenario, format, backend...) so a perf regression or win
 # is visible in the run output, not just buried in the trajectory file.
 python - "$out" "$staging" <<'PYEOF'
 import json, sys
@@ -60,11 +58,13 @@ def rows(path):
         return []
 
 def bench_id(row):
-    # New rows carry no executor axis; defaulting it to the process path
-    # keeps them comparable with historic serial rows and never with the
-    # rows of the removed stacked executor.
+    # New rows carry no executor or cache axis; defaulting them to the
+    # process path and a cold cache keeps them comparable with historic
+    # rows and never with those of the removed stacked executor or warm
+    # disk cache.
     row = dict(row)
     row.setdefault("exec_mode", "process")
+    row.setdefault("cache", "cold")
     return tuple(sorted((k, row[k]) for k in row if k not in MEASURED))
 
 history = {}

@@ -171,8 +171,10 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(
                 raw.decode("utf-8"), parse_constant=_refuse_constant
             )
-        # Bad UTF-8, bad JSON, NaN or ±Infinity; or nesting deeper than the
-        # decoder's recursion limit (about 1,000 levels, a 2 KB body).
+        # Bad UTF-8, bad JSON, NaN or ±Infinity; or nesting past the
+        # decoder's limit, which depends on the interpreter (the recursion
+        # limit, 1,000 by default, through Python 3.11; the C recursion
+        # limit, 10,000 on Linux release builds, on 3.12).
         except (ValueError, RecursionError) as exc:
             raise _HttpError(400, f"request body is not valid JSON: {exc}")
         if not isinstance(payload, dict):

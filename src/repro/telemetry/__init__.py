@@ -12,11 +12,12 @@ changing results.
 Four modules, one contract:
 
 * :mod:`repro.telemetry.events` — the **event bus**: typed span/counter/
-  gauge events emitted from the executor, the surface cache, the runner,
-  and the dispatcher, journaled as JSONL into a ``<store>.telemetry``
-  sidecar.  Worker events ride the existing per-worker dispatch pipes and
-  are merged by the parent.  Disabled (the default) the bus is a no-op
-  emitter behind a single ``enabled`` flag check.
+  gauge events emitted from the executor, the runner (its application
+  LRU's ``app_cache.*`` counters included), and the dispatcher,
+  journaled as JSONL into a ``<store>.telemetry`` sidecar.  Worker events
+  ride the existing per-worker dispatch pipes and are merged by the
+  parent.  Disabled (the default) the bus is a no-op emitter behind a
+  single ``enabled`` flag check.
 * :mod:`repro.telemetry.metrics` — the **metrics registry**: counters,
   gauges, and histograms replayed from a sidecar, dumped in text
   exposition format via ``repro report --metrics`` and ``/metrics``.

@@ -1,13 +1,14 @@
 """The telemetry event bus: typed JSONL spans, counters, and gauges.
 
 Every instrumented site in the stack — the match executor's round play
-path, the surface cache's hit/miss accounting, the campaign runner's
-lifecycle, the dispatcher's lease protocol, the fault injector — funnels
-through :func:`emit_event` here.  The bus has exactly one hot-path cost
-when telemetry is off (the default): reading one module-global ``enabled``
-flag.  Nothing is formatted, allocated, or written until an operator opts
-in, which is how the layer keeps the ARM-MTE lesson — overhead claims are
-only credible when the measurement layer itself is near-zero-cost.
+path, the campaign runner's lifecycle and its application LRU's
+``app_cache.hit``/``app_cache.miss`` counters, the dispatcher's lease
+protocol, the fault injector — funnels through :func:`emit_event` here.
+The bus has exactly one hot-path cost when telemetry is off (the
+default): reading one module-global ``enabled`` flag.  Nothing is
+formatted, allocated, or written until an operator opts in, which is how
+the layer keeps the ARM-MTE lesson — overhead claims are only credible
+when the measurement layer itself is near-zero-cost.
 
 Emitters:
 

@@ -10,8 +10,8 @@ same thing everywhere:
   interface, so INFO lines must stay byte-compatible with what scripts
   and CI greps already consume);
 * verbose (``-v``): DEBUG from every subsystem, with timestamps, level,
-  and logger name — the dispatcher's lease decisions, the runner's cache
-  warming, the telemetry layer's bring-up.
+  and logger name — the dispatcher's lease decisions, the telemetry
+  layer's bring-up.
 
 The handler resolves ``sys.stdout`` at emit time rather than capturing it
 at configure time, so output lands wherever stdout currently points —
