@@ -17,7 +17,9 @@ side).  ``--trace 0`` (the default) reports the end-to-end metrics, each
 with its median gap divided by the parent's interquartile range, and flags
 every seed whose ``norm_time``, ``norm_worst`` or ``core_hours`` differ
 between the sides; ``--trace 1`` reports perfbench's per-layer metrics of
-traced runs the same way.  It has no gate: it reports, and the reader
+traced runs the same way.  Beside them it prints how many operations each
+run timed (the ``N`` of perfbench's ``<workload>.<op>_p50_s ... # median of
+N`` line; for serve_jobs, the jobs served in the fixed window).  It has no gate: it reports, and the reader
 judges against ``BENCHMARK.json``.  The temporary directory is removed at
 the end.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -38,7 +41,21 @@ WORKLOADS = ("tune_bench", "sweep_cli", "serve_jobs")
 #: Results, not speed: a change that claims to keep them must keep them
 #: per seed.
 IDENTICAL = ("norm_time", "norm_worst", "core_hours")
+#: The row of operations each run timed.
+OPERATIONS = "operations/run"
 RUN_TIMEOUT_S = 600
+#: perfbench's stats line for an operation's median wall, e.g.
+#: ``tune_bench.tune_p50_s   0.612 s   # median of 12``.
+_OPERATIONS_LINE = re.compile(r"^\S+\.\w+_p50_s\s.*#\s*median of (\d+)\s*$")
+
+
+def operations(stdout: str) -> Optional[int]:
+    """How many operations a run timed, from its ``_p50_s`` stats line."""
+    for line in stdout.splitlines():
+        match = _OPERATIONS_LINE.match(line.strip())
+        if match:
+            return int(match.group(1))
+    return None
 
 
 def run_once(
@@ -59,12 +76,14 @@ def run_once(
         return None
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         tail = (proc.stdout + proc.stderr).strip().splitlines()[-5:]
         print(f"  {workload} seed {seed} in {side}: exit {proc.returncode}",
               *tail, sep="\n    ", file=sys.stderr)
         return None
+    result["operations"] = operations(proc.stdout)
+    return result
 
 
 def quartiles(values: List[float]) -> tuple:
@@ -100,13 +119,20 @@ def report(workload: str, pairs: List[Dict[str, Optional[dict]]]) -> None:
         return
     names = list(complete[0]["parent"]["metrics"])
     end_to_end = "op_norm" in names
-    width = max(12, *map(len, names))
+    columns = {
+        name: [[p[side]["metrics"][name]["value"] for p in complete]
+               for side in ("parent", "change")]
+        for name in names
+    }
+    counted = [[p[side].get("operations") for p in complete]
+               for side in ("parent", "change")]
+    if None not in counted[0] + counted[1]:
+        columns[OPERATIONS] = counted
+    width = max(12, *map(len, columns))
     header = (f"  {'metric':<{width}} {'parent median [q1-q3]':<30} "
               f"{'change median [q1-q3]':<30} {'change lower':<13}")
     print(header + " gap/IQR" if end_to_end else header.rstrip())
-    for name in names:
-        parent = [p["parent"]["metrics"][name]["value"] for p in complete]
-        change = [p["change"]["metrics"][name]["value"] for p in complete]
+    for name, (parent, change) in columns.items():
         lower = sum(c < q for q, c in zip(parent, change))
         (p1, p_median, p3), (c1, c_median, c3) = (
             quartiles(parent), quartiles(change)
@@ -115,7 +141,7 @@ def report(workload: str, pairs: List[Dict[str, Optional[dict]]]) -> None:
                  for a, m, b in ((p1, p_median, p3), (c1, c_median, c3))]
         line = (f"  {name:<{width}} {cells[0]:<30} {cells[1]:<30} "
                 f"{f'{lower} of {len(complete)}':<13}")
-        if end_to_end:
+        if end_to_end and name != OPERATIONS:
             line += (f" {(c_median - p_median) / (p3 - p1):+.2f}"
                      if p3 > p1 else " n/a")
         print(line.rstrip())

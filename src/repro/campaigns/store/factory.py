@@ -63,7 +63,7 @@ def _holds_store(path: Path) -> bool:
         return first == b"" or first.startswith(b'{"')
     try:
         payload = json.loads(first)
-    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError):  # also UnicodeDecodeError
         return False
     return isinstance(payload, dict) and payload.get("kind") in (
         KIND_GRID, KIND_RECORD,

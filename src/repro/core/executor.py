@@ -24,7 +24,6 @@ The phase methods drive the schedulers through :meth:`MatchExecutor.play`:
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -261,102 +260,85 @@ class MatchExecutor:
 
         The playing style — score-proportional re-selection, newcomer seats,
         champion-streak termination — is the
-        :class:`~repro.formats.swiss.StreakSwiss` scheduler.  Regions play on
-        parallel VMs, so round ``r`` of every still-open region is one
-        batched :meth:`play`; regions drop out as they terminate.  The clock
-        is *not* advanced here: each result carries its region's elapsed
-        time so the caller advances once by the slowest region.
+        :class:`~repro.formats.swiss.StreakSwiss` scheduler, built from every
+        region.  Regions play on parallel VMs, so round ``r`` of every
+        still-open region is one batched :meth:`play`; regions drop out as
+        they terminate.  A round's newcomers are booked with one region
+        write before it is played, and its winners go back to the scheduler
+        as one list.  The clock is *not* advanced here: each result carries
+        its region's elapsed time so the caller advances once by the
+        slowest region.
         """
         if len(regions) != len(rngs):
             raise TournamentError(
                 f"need one rng per region, got {len(rngs)} for {len(regions)}"
             )
         cfg = self.config
-        players_per_game = cfg.game_width(self.env.vm.vcpus)
-        # Newcomers of every region are booked with one region write per
-        # round, before the round is played.
-        newcomers: List[int] = []
-        newcomer_regions: List[int] = []
-
-        def assign(players: List[int], region_id: int) -> None:
-            newcomers.extend(players)
-            newcomer_regions.extend([region_id] * len(players))
-
-        def book_newcomers() -> None:
-            if newcomers:
-                self.records.assign_region(newcomers, newcomer_regions)
-                newcomers.clear()
-                newcomer_regions.clear()
-
-        runs = [
-            StreakSwiss(
-                region,
-                rng,
-                players_per_game=players_per_game,
-                win_streak=cfg.regional_win_streak,
-                max_rounds=cfg.max_regional_rounds,
-                swiss_style=cfg.swiss_style,
-                scores=self.records.mean_execution_scores,
-                on_assign=functools.partial(assign, region_id=region.region_id),
-            )
-            for region, rng in zip(regions, rngs)
-        ]
-        elapsed = [0.0] * len(runs)
-        open_runs = [k for k, run in enumerate(runs) if not run.done]
-        while open_runs:
-            pending = []
-            lineups = []
-            for k in open_runs:
-                lineup = runs[k].next_lineup()
-                if lineup is not None:
-                    pending.append(k)
-                    lineups.append(lineup)
-            if not pending:
-                break
-            book_newcomers()
-            reports = self.play(lineups, label="regional")
-            for k, report in zip(pending, reports):
-                elapsed[k] += report.elapsed
-                runs[k].advance([self.recorded(report)])
-            open_runs = [k for k in pending if not runs[k].done]
-        book_newcomers()
-        return [
-            self._regional_result(region, run, seconds)
-            for region, run, seconds in zip(regions, runs, elapsed)
-        ]
-
-    def _regional_result(
-        self, region: Region, run: StreakSwiss, elapsed: float
-    ) -> RegionalResult:
-        if run.lone is not None:
-            return RegionalResult(
-                region_id=region.region_id, winners=(run.lone,),
-                champion=run.lone, games=0, elapsed=0.0,
-            )
-        if run.champion < 0:
-            raise TournamentError(
-                f"region {region.region_id} terminated without playing a game"
-            )
-        return RegionalResult(
-            region_id=region.region_id,
-            winners=tuple(self._winner_band(run.played_players, run.champion)),
-            champion=run.champion,
-            games=run.games,
-            elapsed=elapsed,
+        region_ids = np.array([region.region_id for region in regions])
+        run = StreakSwiss(
+            regions,
+            rngs,
+            players_per_game=cfg.game_width(self.env.vm.vcpus),
+            win_streak=cfg.regional_win_streak,
+            max_rounds=cfg.max_regional_rounds,
+            swiss_style=cfg.swiss_style,
+            scores=self.records.mean_execution_scores,
+            on_assign=lambda players, pools: self.records.assign_region(
+                players, region_ids[pools]
+            ),
         )
+        elapsed = np.zeros(len(regions))
+        while (lineups := run.next_lineups()) is not None:
+            reports = self.play(lineups, label="regional")
+            elapsed[run.playing] += [report.elapsed for report in reports]
+            run.record_winners([report.winner_index for report in reports])
+        return self._regional_results(regions, run, elapsed)
 
-    def _winner_band(self, played: List[int], champion: int) -> List[int]:
-        """Everyone whose mean execution score is within ``d`` of the
-        champion's advances, so strong regions send several winners."""
+    def _regional_results(
+        self, regions: Sequence[Region], run: StreakSwiss, elapsed: np.ndarray
+    ) -> List[RegionalResult]:
+        """Every region's result; the winner bands from one score read.
+
+        Everyone whose mean execution score is within ``d`` of the
+        champion's advances, so strong regions send several winners.
+        """
+        unplayed = np.flatnonzero((run.champions < 0) & ~run.lone)
+        if unplayed.size:
+            raise TournamentError(
+                f"region {regions[unplayed[0]].region_id} terminated without "
+                "playing a game"
+            )
+        champions = run.champions.tolist()
         if self.config.one_winner_per_region:
-            return [champion]
-        scores = self.records.mean_execution_scores(played)
-        champ_score = scores[played.index(champion)]
-        threshold = (1.0 - self.config.work_deviation) * champ_score
-        band = [p for p, s in zip(played, scores) if s >= threshold]
-        if champion not in band:
-            band.insert(0, champion)
-        return band
+            bands = [[champion] for champion in champions]
+        else:
+            played, counts = run.played()
+            pool = np.repeat(np.arange(len(regions)), counts)
+            scores = self.records.mean_execution_scores(played.tolist())
+            is_champion = played == run.champions[pool]
+            champion_score = np.zeros(len(regions))
+            champion_score[pool[is_champion]] = scores[is_champion]
+            threshold = (1.0 - self.config.work_deviation) * champion_score
+            band = scores >= threshold[pool]
+            kept = played[band].tolist()
+            ends = np.cumsum(np.bincount(pool[band], minlength=len(regions)))
+            bands = [
+                kept[a:b] for a, b in zip([0] + ends[:-1].tolist(), ends.tolist())
+            ]
+        return [
+            RegionalResult(
+                region_id=region.region_id, winners=(region.start,),
+                champion=region.start, games=0, elapsed=0.0,
+            )
+            if lone else RegionalResult(
+                region_id=region.region_id, winners=tuple(band),
+                champion=champion, games=games, elapsed=seconds,
+            )
+            for region, lone, band, champion, games, seconds in zip(
+                regions, run.lone.tolist(), bands, champions,
+                run.games.tolist(), elapsed.tolist(),
+            )
+        ]
 
     # -- phase II: the global bracket ----------------------------------------
 

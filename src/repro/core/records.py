@@ -28,6 +28,7 @@ booking the games one at a time (:meth:`RecordBook.record_game`) would.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, Sequence, Union
 
 import numpy as np
@@ -119,15 +120,18 @@ class RecordBook:
         indexing a column with them.
         """
         try:
-            # C-level gather: the selection loops repeat this for the whole
-            # played list every round, so the per-element cost matters.  No
-            # int() per key — numpy integers hash like the plain-int keys.
-            return np.fromiter(
-                map(self._slots.__getitem__, indices),
-                dtype=np.int64, count=len(indices),
+            # One C-level gather: the regional phase reads every selecting
+            # pool's played players once a round, so the per-element cost
+            # matters.  No int() per key — numpy integers hash like the
+            # plain-int keys.  (``itemgetter`` of one key returns the
+            # value, not a tuple.)
+            slots = (
+                itemgetter(*indices)(self._slots) if len(indices) > 1
+                else [self._slots[key] for key in indices]
             )
         except KeyError:
             return self._register(indices)
+        return np.fromiter(slots, dtype=np.int64, count=len(indices))
 
     # -- writes --------------------------------------------------------------
 

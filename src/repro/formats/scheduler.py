@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.formats.match import MatchOracle, RecordedMatch
 
@@ -100,19 +98,16 @@ class ScheduledRun(Protocol):
 
 
 class PlayerPool(Protocol):
-    """A drawable population of player ids (regions satisfy this natively).
+    """A region-shaped population of player ids (regions satisfy this
+    natively): ``start``, ``start + stride``, ... — ``size`` of them.
 
-    ``start`` is the lowest id in the pool — only consulted for the
-    degenerate single-player pool, where no game can be scheduled.
+    The scheduler draws offsets into the pool from its own generators and
+    maps them to ids, so a whole round of pools maps its draws at once.
     """
 
     size: int
     start: int
-
-    def sample(
-        self, n: int, rng: np.random.Generator, replace: bool = True
-    ) -> np.ndarray:
-        ...  # pragma: no cover - protocol
+    stride: int
 
 
 @dataclass

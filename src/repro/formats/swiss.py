@@ -8,26 +8,28 @@ Two schedulers share this module:
   far fewer games than a round-robin.
 
 * :class:`StreakSwiss` — DarwinGame's regional variant (Sec. 3.3, Fig. 6):
-  rounds of *multi-player* games over a drawable player pool.  Round one
-  picks players at random; every later round fills half its seats with
-  players that have never played and half with previously scored players
-  selected probabilistically — a higher execution score means a higher
-  chance of being re-selected, so the most promising configurations keep
-  contending with each other (the Swiss property).  A run terminates when
-  one player has won consecutively "more than one time" (the champion),
-  when the pool of new players is exhausted, or when the round cap is hit.
+  every region pool's tournament of *multi-player* games, the pools
+  playing in lockstep.  A pool's first round picks players at random;
+  every later round fills half its seats with players that have never
+  played and half with previously scored players selected
+  probabilistically — a higher execution score means a higher chance of
+  being re-selected, so the most promising configurations keep contending
+  with each other (the Swiss property).  A pool terminates when one player
+  has won consecutively "more than one time" (the champion), when its new
+  players are exhausted, or when the round cap is hit.
 
-Each is one class, built from its players (``SwissSystem``) or its region
-pool (``StreakSwiss``) and its settings: a pure scheduler over abstract
-player ids that emits rounds and ingests results.  The same objects are
-driven by the match-oracle executor (format studies, through
+Each is one class, built from its players (``SwissSystem``) or from a
+phase's region pools (``StreakSwiss``) and its settings: a pure scheduler
+over abstract player ids that emits rounds and ingests results.  The same
+objects are driven by the match-oracle executor (format studies, through
 :func:`~repro.formats.scheduler.run_schedule`) and by the cloud-game
-executor (the real tuner).
+executor (the real tuner).  ``StreakSwiss`` chooses a round's lineups in
+whole-round array passes; per pool it makes only the pool's own generator
+calls, in the order the pool played alone would make them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -41,7 +43,8 @@ from repro.formats.scheduler import (
     RunLog,
     validated_players,
 )
-from repro.rng import choice_without_replacement
+from repro.formats.match import RecordedMatch
+from repro.rng import choice_rows
 
 
 @dataclass(frozen=True)
@@ -148,39 +151,53 @@ class SwissSystem:
 
 # Exponent sharpening score-proportional selection: strong players meet often.
 SELECTION_SHARPNESS = 4.0
+# Newcomer draws a pool makes per round before it seats whoever it found.
+_NEWCOMER_ATTEMPTS = 20
 
 
 class StreakSwiss:
-    """One DarwinGame-style Swiss pool (a region's tournament).
+    """DarwinGame's regional phase: every region pool's Swiss tournament.
 
-    One multi-player lineup per round.  The machine is oblivious to how its
-    rounds are simulated — the driver decides whether rounds from many pools
-    are batched together (regions in lockstep) or played one at a time.
+    Each pool plays one multi-player lineup per round and the pools play in
+    lockstep: :meth:`next_lineups` chooses one round's lineups for every
+    open pool in whole-round passes, and :meth:`record_winners` folds the
+    round's winners back in.  Pool for pool the lineups and the draws are
+    those of the pool played alone, because a pool draws only from its own
+    generator and in the same order: the permutation a pool of at most four
+    games' worth of players is dealt from (drawn here), then per round its
+    newcomer attempts, then its veteran passes.  Only those generator calls
+    are made pool by pool; one pool is a round of one pool.
 
     Args:
-        pool: the drawable players (a region).
-        rng: draws newcomers and score-proportional veterans.
-        players_per_game: seats per multi-player game (clamped to the pool).
-        win_streak: consecutive wins after which the champion is declared.
-        max_rounds: hard round cap; ``None`` derives one from the pool size.
-        swiss_style: with ``False``, a single random game decides the pool
+        pools: the region pools; pool ``k`` holds the ids ``start + i *
+            stride`` for ``i < size``
+            (:class:`~repro.space.regions.Region` s).
+        rngs: one generator per pool.
+        players_per_game: seats per multi-player game (clamped to each pool).
+        win_streak: consecutive wins after which a pool's champion is
+            declared.
+        max_rounds: hard round cap; ``None`` derives one from each pool's
+            size.
+        swiss_style: with ``False``, a single random game decides each pool
             (the paper's "w/o Swiss" ablation).
-        scores: maps players to their current mean execution scores.
-        on_assign: called with the players seen for the first time, once
-            per lineup that brings newcomers.
+        scores: maps players to their current mean execution scores; read
+            once per round, for every pool that selects veterans.
+        on_assign: called with players seen for the first time and each
+            one's pool: once with the single-player pools' players, then
+            once per round that brings newcomers.
     """
 
     def __init__(
         self,
-        pool: PlayerPool,
-        rng: np.random.Generator,
+        pools: Sequence[PlayerPool],
+        rngs: Sequence[np.random.Generator],
         *,
         players_per_game: int,
         win_streak: int,
         max_rounds: Optional[int] = None,
         swiss_style: bool = True,
         scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[List[int]], None]] = None,
+        on_assign: Optional[Callable[[List[int], List[int]], None]] = None,
     ) -> None:
         if players_per_game < 2:
             raise ReproError(
@@ -188,171 +205,336 @@ class StreakSwiss:
             )
         if win_streak < 2:
             raise ReproError(f"win_streak must be >= 2, got {win_streak}")
-        self.pool = pool
-        self.rng = rng
+        pools = list(pools)
+        self.rngs = list(rngs)
+        if len(self.rngs) != len(pools):
+            raise ReproError(
+                f"need one generator per pool, got {len(self.rngs)} "
+                f"for {len(pools)}"
+            )
         self.scores = scores
         self.on_assign = on_assign
-        self.log = RunLog()
-        self.champion = -1
-        self.streak = 0
-        self.round_no = 0
-        self.done = False
-        # Ordered set of everyone who has played (and so carries a score):
-        # position map plus the matching list, maintained incrementally.
-        self._played: Dict[int, int] = {}
-        self._played_list: List[int] = []
-        self._newcomers: List[int] = []
-        self.lone: Optional[int] = None
         self._swiss = swiss_style
         self._win_streak = win_streak
-
-        self.players_per_game = max(2, min(players_per_game, pool.size))
-        if pool.size == 1:
-            # Degenerate single-player pool: the lone player advances unplayed.
-            self.lone = pool.start
-            self._notify_assigned([self.lone])
-            self.done = True
-            return
+        n = len(pools)
+        self._sizes = [int(pool.size) for pool in pools]
+        self._size = np.array(self._sizes, dtype=np.int64)
+        self._start = np.array([pool.start for pool in pools], dtype=np.int64)
+        self._stride = np.array([pool.stride for pool in pools], dtype=np.int64)
+        # ``pool * _key_base + offset`` names a pool's player uniquely.
+        self._key_base = max(self._sizes, default=1)
+        self._width = np.maximum(2, np.minimum(players_per_game, self._size))
+        self.champions = np.full(n, -1, dtype=np.int64)
+        self.streaks = np.zeros(n, dtype=np.int64)
+        self.games = np.zeros(n, dtype=np.int64)
+        # A single-player pool's player advances unplayed.
+        self.lone = self._size == 1
+        self.playing = np.zeros(0, dtype=np.int64)
+        self._closed = self.lone.copy()
+        # Everyone who has played, each pool's row in first-appearance
+        # order, and where each pool's champion sits in its row.
+        self._played = np.zeros((n, 0), dtype=np.int64)
+        self._count = np.zeros(n, dtype=np.int64)
+        self._champion_at = np.zeros(n, dtype=np.int64)
+        # Keys of every player the lazily drawing pools drew.
+        self._drawn = np.zeros(0, dtype=np.int64)
+        self._round: Optional[tuple] = None
 
         if self._swiss:
-            self._fresh: Optional[List[int]] = (
-                pool.sample(pool.size, rng, replace=False).tolist()
-                if pool.size <= 4 * self.players_per_game else None
-            )
-            # Large pools draw new players lazily instead of materialising all.
-            self._drawn: set = set()
             if max_rounds is None:
-                newcomers = max(1, self.players_per_game // 2)
-                max_rounds = min(64, math.ceil(pool.size / newcomers) + 2)
-            self.max_rounds = max_rounds
+                newcomers = np.maximum(1, self._width // 2)
+                max_rounds = np.minimum(64, -(-self._size // newcomers) + 2)
+            self.max_rounds = np.broadcast_to(
+                np.asarray(max_rounds, dtype=np.int64), n
+            ).copy()
+            # Small pools are dealt from a permutation; large ones draw
+            # their newcomers lazily instead of materialising every player.
+            self._dealt = ~self.lone & (self._size <= 4 * self._width)
         else:
-            self.max_rounds = 1
+            self.max_rounds = np.ones(n, dtype=np.int64)
+            self._dealt = np.zeros(n, dtype=bool)
+        dealt = np.flatnonzero(self._dealt)
+        offsets = [
+            self.rngs[k].choice(self._sizes[k], size=self._sizes[k], replace=False)
+            for k in dealt.tolist()
+        ]
+        self._deck = self._ids(dealt, offsets, self._size[dealt])
+        self._deck_at = np.zeros(n, dtype=np.int64)
+        self._deck_at[dealt] = np.cumsum(self._size[dealt]) - self._size[dealt]
+        self._dealt_count = np.zeros(n, dtype=np.int64)
+        if on_assign is not None and self.lone.any():
+            lone = np.flatnonzero(self.lone)
+            on_assign(self._start[lone].tolist(), lone.tolist())
+
+    def _ids(
+        self, pools: np.ndarray, offsets: List[np.ndarray], counts: np.ndarray
+    ) -> np.ndarray:
+        """Player ids of per-pool offset arrays, pool after pool."""
+        flat = np.concatenate([np.zeros(0, dtype=np.int64), *offsets])
+        return (
+            np.repeat(self._start[pools], counts)
+            + flat * np.repeat(self._stride[pools], counts)
+        )
+
+    @property
+    def done(self) -> bool:
+        """Whether every pool has terminated (a pool at its round cap
+        terminates when the next round is asked for)."""
+        return bool(self._closed.all())
+
+    def played(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Everyone who has played a game, pool after pool, each pool in
+        first-appearance order; and each pool's count."""
+        inside = np.arange(self._played.shape[1]) < self._count[:, None]
+        return self._played[inside], self._count.copy()
 
     # -- drawing newcomers -------------------------------------------------
 
-    def _notify_assigned(self, players: List[int]) -> None:
-        """Announce players seen for the first time, one call per lineup."""
-        if self.on_assign is not None:
-            self.on_assign(players)
+    def _draw_newcomers(
+        self, pools: np.ndarray, want: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Newcomers of ``pools``, ``want`` each: ids in draw order, pool
+        after pool, and each one's position in ``pools``."""
+        rows = np.arange(pools.size)
+        if not self._swiss:
+            offsets = [
+                self.rngs[k].choice(self._sizes[k], size=m, replace=False)
+                for k, m in zip(pools.tolist(), want.tolist())
+            ]
+            return self._ids(pools, offsets, want), np.repeat(rows, want)
+        dealt = self._dealt[pools]
+        drawn = []
+        if dealt.any():
+            drawn.append(self._deal(pools, want, rows[dealt]))
+        if not dealt.all():
+            drawn.append(self._draw_lazy(pools, want, rows[~dealt]))
+        if len(drawn) == 1:
+            return drawn[0]
+        ids, rows = map(np.concatenate, zip(*drawn))
+        order = np.argsort(rows, kind="stable")
+        return ids[order], rows[order]
 
-    def _draw_new(self, n: int) -> List[int]:
-        if self._fresh is not None:
-            out = self._fresh[:n]
-            del self._fresh[:n]
-            return out
-        out: List[int] = []
-        drawn = self._drawn
-        attempts = 0
-        while len(out) < n and attempts < 20:
-            batch = self.pool.sample(max(2 * n, 8), self.rng).tolist()
-            fresh = [i for i in dict.fromkeys(batch) if i not in drawn]
-            fresh = fresh[: n - len(out)]
-            drawn.update(fresh)
-            out += fresh
-            attempts += 1
-        return out
+    def _deal(
+        self, pools: np.ndarray, want: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Newcomers of the dealing rows ``rows`` of ``pools``: the next
+        cards of each one's permutation."""
+        dealing = pools[rows]
+        dealt = self._dealt_count[dealing]
+        counts = np.minimum(want[rows], self._size[dealing] - dealt)
+        cards = _ranks(counts) + np.repeat(self._deck_at[dealing] + dealt, counts)
+        self._dealt_count[dealing] += counts
+        return self._deck[cards], np.repeat(rows, counts)
 
-    def _select_veterans(self, n: int) -> List[int]:
-        """Pick ``n`` previously scored players, champion always included.
+    def _draw_lazy(
+        self, pools: np.ndarray, want: np.ndarray, left: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Newcomers of the lazily drawing rows ``left`` of ``pools``.
 
-        ``_played_list`` is the ordered list of scored players and
-        ``_played`` its index map, both maintained incrementally — so the
-        membership test is O(1) and the selection weights come from one
-        vectorised score gather instead of a per-player pool rebuild.
+        Each attempt, every row still short draws ``max(2 * want, 8)``
+        offsets from its own generator; over the whole round at once, each
+        draw is kept at its first occurrence, the players its pool drew
+        before are dropped, and the first ones the row still needs are
+        taken.  Rows still short try again, up to ``_NEWCOMER_ATTEMPTS``.
         """
-        if n <= 0:
-            return []
-        members = self._played_list
-        champion_pos = self._played.get(self.champion)
-        chosen: List[int] = [self.champion] if champion_pos is not None else []
-        want = n - len(chosen)
-        if want > 0 and len(members) > len(chosen):
-            scores = self.scores(members)
-            weights = np.power(np.maximum(scores, 1e-6), SELECTION_SHARPNESS)
-            if champion_pos is not None:
-                weights[champion_pos] = 0.0
-            total = weights.sum()
-            if total > 0:
-                take = min(want, len(members) - len(chosen))
-                picks = choice_without_replacement(
-                    self.rng, weights / total, take
-                )
-                chosen.extend(map(members.__getitem__, picks))
-        return chosen[:n]
+        base, sizes, rngs = self._key_base, self._sizes, self.rngs
+        batch = np.maximum(2 * want, 8)
+        need = want.copy()
+        found_keys, found_rows = [], []
+        for _ in range(_NEWCOMER_ATTEMPTS):
+            if not left.size:
+                break
+            draws = np.concatenate([
+                rngs[k].integers(0, sizes[k], size=m, dtype=np.int64)
+                for k, m in zip(pools[left].tolist(), batch[left].tolist())
+            ])
+            rows = np.repeat(left, batch[left])
+            keys = pools[rows] * base + draws
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+            keys, rows = keys[first], rows[first]
+            fresh = ~np.isin(keys, self._drawn)
+            keys, rows = keys[fresh], rows[fresh]
+            take = _ranks(np.bincount(rows, minlength=pools.size)) < need[rows]
+            keys, rows = keys[take], rows[take]
+            self._drawn = np.concatenate((self._drawn, keys))
+            found_keys.append(keys)
+            found_rows.append(rows)
+            need -= np.bincount(rows, minlength=pools.size)
+            left = left[need[left] > 0]
+        # Pool after pool, each pool's attempts in order.
+        rows = np.concatenate([np.zeros(0, dtype=np.int64), *found_rows])
+        order = np.argsort(rows, kind="stable")
+        keys = np.concatenate([np.zeros(0, dtype=np.int64), *found_keys])[order]
+        rows = rows[order]
+        pool = pools[rows]
+        return self._start[pool] + (keys - pool * base) * self._stride[pool], rows
+
+    # -- selecting veterans ------------------------------------------------
+
+    def _pick_veterans(
+        self, pools: np.ndarray, take: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``take`` score-proportional picks per pool, champion excluded.
+
+        One score read covers every pool's played players.  Each pool's
+        weights are its row of one ``(pools, members)`` table, normalised
+        by their sum as ``weights.sum()`` sums them, and
+        :func:`~repro.rng.choice_rows` replays ``Generator.choice(count,
+        take, replace=False, p=weights / total)`` for every row at once.
+        Returns each pick's position in ``pools`` and its column in the
+        played table, pool after pool, each pool in pick order.
+        """
+        n = pools.size
+        if not n:
+            return pools, pools
+        counts = self._count[pools]
+        width = int(counts.max())
+        inside = np.arange(width) < counts[:, None]
+        members = self._played[pools, :width][inside]
+        scores = self.scores(members.tolist())
+        weights = np.power(np.maximum(scores, 1e-6), SELECTION_SHARPNESS)
+        # Every row sits behind a 0.0 in one flat buffer, so one reduceat
+        # over (row start, row end) pairs sums each row as ``weights.sum()``
+        # sums it alone: a 0.0 start plus the row's pairwise sum.
+        buffer = np.zeros(n * (width + 1) + 1)
+        table = buffer[:-1].reshape(n, width + 1)[:, 1:]
+        table[inside] = weights
+        table[np.arange(n), self._champion_at[pools]] = 0.0
+        bounds = np.repeat(np.arange(0, n * (width + 1), width + 1), 2)
+        bounds[1::2] += 1 + counts
+        totals = np.add.reduceat(buffer, bounds)[::2]
+        rngs = self.rngs
+        return choice_rows(
+            [rngs[k] for k in pools.tolist()], table / totals[:, None], take
+        )
 
     # -- the round protocol ------------------------------------------------
 
-    def next_lineup(self) -> Optional[List[int]]:
-        """Lineup this pool wants to play now; ``None`` once terminated."""
-        if self.done:
+    def next_lineups(self) -> Optional[List[List[int]]]:
+        """The round's lineups, one per open pool in pool order (``playing``
+        names the pools); ``None`` once every pool has terminated.
+
+        A lineup seats the pool's champion, then its veteran picks, then
+        its newcomers in draw order.  The first round seats newcomers only;
+        every later one half newcomers and the rest veterans.
+        """
+        pools = np.flatnonzero(~self._closed)
+        capped = self.games[pools] >= self.max_rounds[pools]
+        self._closed[pools[capped]] = True
+        pools = pools[~capped]
+        if not pools.size:
+            self.playing = pools
             return None
-        veterans: List[int] = []
-        if not self._swiss:
-            newcomers = self.pool.sample(
-                min(self.players_per_game, self.pool.size), self.rng,
-                replace=False,
-            ).tolist()
-        elif self.round_no >= self.max_rounds:
-            self.done = True
-            return None
-        elif self.round_no == 0:
-            newcomers = self._draw_new(self.players_per_game)
-        else:
-            newcomers = self._draw_new(self.players_per_game // 2)
-            veterans = self._select_veterans(
-                self.players_per_game - len(newcomers)
+        # A pool past its first round seats its champion, who has played.
+        veteran = self.games[pools] > 0
+        width = self._width[pools]
+        new_ids, new_rows = self._draw_newcomers(
+            pools, np.where(veteran, width // 2, width)
+        )
+        n_new = np.bincount(new_rows, minlength=pools.size)
+        new_pools = pools[new_rows]
+        take = np.where(
+            veteran, np.minimum(width - n_new - 1, self._count[pools] - 1), 0
+        )
+        pickers = np.flatnonzero(take > 0)
+        pick_rows, pick_cols = self._pick_veterans(pools[pickers], take[pickers])
+        pick_rows = pickers[pick_rows]
+        n_vet = veteran + take
+        sizes = n_vet + n_new
+
+        # Seat every lineup in one flat array: champion, picks, newcomers.
+        starts = np.cumsum(sizes) - sizes
+        seat_ids = np.empty(int(sizes.sum()), dtype=np.int64)
+        seat_cols = np.empty_like(seat_ids)
+        at = starts[veteran]
+        seat_ids[at] = self.champions[pools[veteran]]
+        seat_cols[at] = self._champion_at[pools[veteran]]
+        at = starts[pick_rows] + 1 + _ranks(take)
+        seat_ids[at] = self._played[pools[pick_rows], pick_cols]
+        seat_cols[at] = pick_cols
+        new_rank = _ranks(n_new)
+        at = starts[new_rows] + n_vet[new_rows] + new_rank
+        new_cols = self._count[new_pools] + new_rank
+        seat_ids[at] = new_ids
+        seat_cols[at] = new_cols
+
+        short = sizes < 2
+        if short.any():  # a pool that cannot seat a game terminates
+            self._closed[pools[short]] = True
+            seated = np.repeat(~short, sizes)
+            seat_ids, seat_cols = seat_ids[seated], seat_cols[seated]
+            kept = ~short[new_rows]
+            new_ids, new_pools, new_cols = (
+                new_ids[kept], new_pools[kept], new_cols[kept]
             )
-        lineup = veterans + newcomers
-        if len(lineup) < 2:
-            self.done = True
-            return None
-        # Newcomers are never drawn twice and every veteran has played, so
-        # a lineup's first-time players are exactly its newcomers.
-        if newcomers:
-            self._notify_assigned(newcomers)
-        self._newcomers = newcomers
-        return lineup
+            pools, sizes = pools[~short], sizes[~short]
+            if not pools.size:
+                self.playing = pools
+                return None
+        if self.on_assign is not None and new_ids.size:
+            self.on_assign(new_ids.tolist(), new_pools.tolist())
+        self.playing = pools
+        self._round = (seat_ids, seat_cols, sizes, new_pools, new_ids, new_cols)
+        flat = seat_ids.tolist()
+        ends = np.cumsum(sizes).tolist()
+        return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+    def record_winners(self, winners: Sequence[int]) -> None:
+        """Fold the round's winners (one per lineup, in lineup order) into
+        every playing pool's champion, streak and played list."""
+        if self._round is None:
+            raise ReproError("no round is waiting for its winners")
+        seat_ids, seat_cols, sizes, new_pools, new_ids, new_cols = self._round
+        pools = self.playing
+        won = np.fromiter(winners, dtype=np.int64, count=len(winners))
+        if won.size != pools.size:
+            raise ReproError(
+                f"need one winner per lineup, got {won.size} for {pools.size}"
+            )
+        seat = np.flatnonzero(seat_ids == np.repeat(won, sizes))
+        if seat.size != pools.size:
+            raise ReproError("every winner must play in its own lineup")
+        self._round = None
+        self.playing = np.zeros(0, dtype=np.int64)
+
+        width = self._played.shape[1]
+        if new_cols.size and new_cols.max() >= width:  # the longest list
+            grown = np.zeros((self._count.size, new_cols.max() + 1), np.int64)
+            grown[:, :width] = self._played
+            self._played = grown
+        self._played[new_pools, new_cols] = new_ids
+        self._count += np.bincount(new_pools, minlength=self._count.size)
+        self._champion_at[pools] = seat_cols[seat]
+        self.games[pools] += 1
+        if not self._swiss:
+            self.champions[pools] = won
+            self._closed[pools] = True
+            return
+        streak = np.where(
+            won == self.champions[pools], self.streaks[pools] + 1, 1
+        )
+        self.champions[pools] = won
+        self.streaks[pools] = streak
+        dealt_out = self._dealt[pools] & (
+            self._dealt_count[pools] >= self._size[pools]
+        )
+        self._closed[pools] |= (streak >= self._win_streak) | dealt_out
 
     def pairings(self) -> Optional[Round]:
-        lineup = self.next_lineup()
-        if lineup is None:
+        """The round as one match per open pool (``None`` once done)."""
+        lineups = self.next_lineups()
+        if lineups is None:
             return None
-        return Round(matches=(Match(tuple(lineup)),))
+        return Round(matches=tuple(Match(tuple(lineup)) for lineup in lineups))
 
-    def advance(self, results) -> None:
-        """Book one played round (a single multi-player match) back in."""
-        (match,) = results
-        self.log.book(results)
-        self._observe(match.winner)
+    def advance(self, results: Sequence[RecordedMatch]) -> None:
+        """Book one played round: one result per match, in match order."""
+        self.record_winners([match.winner for match in results])
 
-    @property
-    def games(self) -> int:
-        """Games played so far (one multi-player game per round)."""
-        return self.log.games
 
-    def _observe(self, winner: int) -> None:
-        """Fold the played lineup's winner into the streak state."""
-        played, new = self._played, self._newcomers
-        played.update(zip(new, range(len(played), len(played) + len(new))))
-        self._played_list += new
-        self._newcomers = []
-        self.round_no += 1
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """Each entry's position within its row, for entries laid out row
+    after row, ``counts[r]`` of them in row ``r``."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-        if not self._swiss:
-            self.champion = winner
-            self.done = True
-            return
-        if winner == self.champion:
-            self.streak += 1
-        else:
-            self.champion = winner
-            self.streak = 1
-        if self.streak >= self._win_streak:
-            self.done = True
-        elif self._fresh is not None and not self._fresh:
-            self.done = True
-
-    @property
-    def played_players(self) -> List[int]:
-        """Everyone who has played a game, in first-appearance order."""
-        return self._played_list

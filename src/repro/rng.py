@@ -8,7 +8,7 @@ reproduction is bit-for-bit reproducible from a single integer.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -171,31 +171,69 @@ class SpawnReplay:
         ]
 
 
-def choice_without_replacement(
-    rng: np.random.Generator, p: np.ndarray, size: int
-) -> list[int]:
-    """``rng.choice(len(p), size, replace=False, p=p)`` without its call overhead.
+def choice_rows(
+    rngs: Sequence[np.random.Generator], p: np.ndarray, sizes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``rngs[r].choice(n, sizes[r], replace=False, p=p[r, :n])`` for every row.
 
-    Replays numpy's algorithm pass for pass: each pass draws
-    ``rng.random(size - found)``, zeroes the weights already picked,
-    normalises their cumulative sum and maps the draws through
-    ``searchsorted(side="right")``, keeping each new index at its first
-    occurrence.  The picks, and the generator's state afterwards, are
-    numpy's; what goes is the per-call validation and the sort behind
-    ``np.unique``.  Only the refusals that keep the loop finite stay:
-    non-finite weights, and fewer positive weights than picks.
+    ``p`` holds one row of probabilities per generator, padded with zeros
+    past its ``n`` entries.  Every row replays numpy's passes: draw
+    ``rng.random(size - found)``, zero the entries already picked,
+    normalise the cumulative sum by its last entry, map the draws through
+    ``searchsorted(side="right")`` and keep each new index at its first
+    occurrence.  Each pass runs over every row still short at once; only
+    the draws are made row by row.  A row's picks, and its generator's
+    state afterwards, are numpy's.  Refuses non-finite probabilities and
+    fewer positive ones than picks in a row, which keeps the passes finite.
+
+    Returns the picks' rows and columns, row after row, each row in pick
+    order.
     """
     p = np.array(p, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
-    if np.count_nonzero(p > 0) < size:
+    need = np.array(sizes, dtype=np.int64)
+    if (np.count_nonzero(p > 0, axis=1) < need).any():
         raise ValueError("fewer non-zero entries in p than size")
-    found: list[int] = []
-    while len(found) < size:
-        draws = rng.random(size - len(found))
-        if found:
-            p[found] = 0.0
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        found.extend(dict.fromkeys(cdf.searchsorted(draws, side="right").tolist()))
-    return found
+    n, width = p.shape
+    left = np.flatnonzero(need > 0)
+    none = np.zeros(0, dtype=np.int64)
+    found_rows, found_cols = [none], [none]
+    while left.size:
+        draws = np.concatenate([
+            rngs[r].random(m) for r, m in zip(left.tolist(), need[left].tolist())
+        ])
+        rows = np.repeat(np.arange(left.size), need[left])
+        cdf = p[left].cumsum(axis=1)
+        cdf /= cdf[:, -1:].copy()
+        cols = _row_searchsorted(cdf, rows, draws)
+        _, first = np.unique(rows * width + cols, return_index=True)
+        first.sort()
+        rows, cols = left[rows[first]], cols[first]
+        p[rows, cols] = 0.0
+        found_rows.append(rows)
+        found_cols.append(cols)
+        need -= np.bincount(rows, minlength=n)
+        left = left[need[left] > 0]
+    rows = np.concatenate(found_rows)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], np.concatenate(found_cols)[order]
+
+
+def _row_searchsorted(
+    cdf: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``cdf[r].searchsorted(v, side="right")`` for every ``(r, v)`` pair.
+
+    One search over the whole table: numpy orders complex numbers by their
+    real part, then their imaginary part, so the rows, keyed by their index
+    and holding their sorted values, form one sorted array.
+    """
+    n, width = cdf.shape
+    keys = np.empty(cdf.shape, dtype=complex)
+    keys.real = np.arange(n)[:, None]
+    keys.imag = cdf
+    query = np.empty(rows.size, dtype=complex)
+    query.real = rows
+    query.imag = values
+    return keys.ravel().searchsorted(query, side="right") - rows * width

@@ -301,7 +301,8 @@ def iter_jsonl_payloads(path: PathLike) -> Iterator[dict]:
     the surviving prefix of complete lines must still parse.  Reading with
     ``errors="replace"`` keeps a torn multi-byte character from raising
     ``UnicodeDecodeError`` before line splitting even starts; the mangled
-    line then fails JSON parsing and is skipped like any other tear.
+    line then fails JSON parsing and is skipped like any other tear, as is
+    a line nested past the JSON decoder's recursion limit.
     """
     path = Path(path)
     if not path.exists():
@@ -313,7 +314,7 @@ def iter_jsonl_payloads(path: PathLike) -> Iterator[dict]:
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 continue
             if isinstance(payload, dict):
                 yield payload

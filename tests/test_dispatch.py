@@ -117,6 +117,18 @@ class TestTaskLedger:
             handle.write('{"kind": "lease_event", "trunca')
         assert len(TaskLedger.read_events(path)) == 3
 
+    def test_deeply_nested_line_is_skipped(self, tmp_path):
+        """A line nested past the JSON decoder's limit (100,000 levels:
+        past it on every interpreter CI runs) is skipped as damage."""
+        path = tmp_path / "deep.ledger"
+        ledger = TaskLedger(["a", "b"], journal_path=path, max_retries=0)
+        ledger.lease("a", worker=1, now=0.0)
+        with path.open("ab") as handle:
+            handle.write(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        ledger.lease("b", worker=2, now=1.0)
+        events = TaskLedger.read_events(path)
+        assert [e["event"] for e in events] == ["leased", "leased"]
+
     def test_journal_truncated_at_every_byte_offset(self, tmp_path):
         """Regression: a journal cut at ANY byte offset must parse.
 

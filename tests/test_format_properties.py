@@ -26,7 +26,7 @@ from repro.formats import (
     SwissSystem,
     run_schedule,
 )
-from repro.space.regions import Region
+from repro.space.regions import partition_range
 
 
 def drive_with_audit(run, oracle):
@@ -198,34 +198,45 @@ class TestMatchCountFormulas:
 
 
 class TestStreakSwissPool:
-    """The regional playing style honours the same scheduling contract."""
+    """The regional playing style honours the same scheduling contract:
+    every open region pool seats one match per round, and no player sits
+    in two of a round's matches."""
 
-    @given(st.integers(2, 40), st.integers(0, 10_000))
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 10_000),
+           st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_terminates_with_a_champion(self, size, seed):
-        rng = np.random.default_rng(seed)
+    def test_terminates_with_a_champion(self, n_pools, size, seed, swiss_style):
+        pools = partition_range(0, n_pools * size, n_pools)
         batches = []
         run = StreakSwiss(
-            Region(0, 0, size),
-            rng,
+            pools,
+            [np.random.default_rng([seed, k]) for k in range(n_pools)],
             players_per_game=4,
             win_streak=3,
+            swiss_style=swiss_style,
             scores=lambda players: np.ones(len(players)),
-            on_assign=lambda new: batches.append(list(new)),
+            on_assign=lambda new, ks: batches.append(list(zip(new, ks))),
         )
-        oracle = oracle_for(size, seed)
+        oracle = oracle_for(n_pools * size, seed)
         rounds = drive_with_audit(run, oracle)
         assert run.done
-        if size == 1:
-            assert run.lone == 0
-            return
-        assert 0 <= run.champion < size
-        assert run.games == rounds
-        assert run.champion in run.played_players
+        played, counts = run.played()
+        members = np.split(played, np.cumsum(counts)[:-1])
+        for k, pool in enumerate(pools):
+            if pool.size == 1:
+                assert run.lone[k] and run.games[k] == 0
+                continue
+            assert 1 <= run.games[k] <= rounds
+            assert run.champions[k] in pool
+            assert run.champions[k] in members[k]
+            assert all(p in pool for p in members[k])
+        assert run.games.max() == rounds
         # Every player who appeared in a lineup was announced exactly once,
-        # in one non-empty call per lineup that brought newcomers.
-        assigned = [p for batch in batches for p in batch]
+        # with its own pool, in one non-empty call per round that brought
+        # newcomers (and one for the single-player pools).
+        assigned = [entry for batch in batches for entry in batch]
         assert all(batches)
-        assert len(batches) <= rounds
-        assert sorted(set(assigned)) == sorted(assigned)
-        assert set(run.played_players) <= set(assigned)
+        assert len(batches) <= rounds + 1
+        assert len({p for p, _ in assigned}) == len(assigned)
+        assert all(p in pools[k] for p, k in assigned)
+        assert set(played.tolist()) <= {p for p, _ in assigned}

@@ -67,3 +67,33 @@ def test_per_layer_table(perf_pairs, capsys):
     assert games.split()[1:3] == ["3491", "[3491-3491]"]
     assert games.split()[-3:] == ["0", "of", "2"]
     assert len(out) == 7  # no identical-results line for layer metrics
+
+
+_STATS = """\
+serve_jobs.setup_s                           0.3312 s
+serve_jobs.job_p50_s                          1.812 s        # median of 14
+serve_jobs.job_p90_s                          1.934 s
+serve_jobs.probe_loop_s                    0.00412 s        # 61 probe samples
+serve_jobs.gap_pct                            3.21 %        # mean of 16 campaigns, evaluated mean time
+{"correct": true, "failed": 0}
+"""
+
+
+def test_operations_parsed_from_the_stats_line(perf_pairs):
+    assert perf_pairs.operations(_STATS) == 14
+    # Other "# ... of N" comments are not the operation count.
+    assert perf_pairs.operations(_STATS.replace("job_p50_s", "job_mean_s")) is None
+    assert perf_pairs.operations("") is None
+
+
+def test_operations_row_beside_the_medians(perf_pairs, capsys):
+    pairs = _pairs([{"op_norm": v} for v in (100, 110, 120)],
+                   [{"op_norm": v} for v in (90, 95, 100)])
+    for pair, (parent, change) in zip(pairs, [(13, 16), (12, 15), (13, 16)]):
+        pair["parent"]["operations"] = parent
+        pair["change"]["operations"] = change
+    perf_pairs.report("serve_jobs", pairs)
+    row = capsys.readouterr().out.splitlines()[6]
+    assert row.split() == [
+        "operations/run", "13", "[12-13]", "16", "[15-16]", "0", "of", "3",
+    ]

@@ -98,7 +98,15 @@ _REMOVED_MEMBERS = {
     "repro.formats:GroupedDoubleElimination": ("schedule", "run"),
     "repro.formats:RoundRobin": ("schedule", "run"),
     "repro.formats:SingleElimination": ("schedule", "run"),
-    "repro.formats:StreakSwiss": ("schedule",),
+    # One StreakSwiss holds every region pool of a phase and chooses a
+    # round's lineups at once; the per-pool scheduler and its draw are the
+    # oracle in tests/oracle/swiss.py.
+    "repro.formats:StreakSwiss": (
+        "schedule", "next_lineup", "_draw_new", "_select_veterans",
+        "_observe", "_notify_assigned", "played_players", "log",
+    ),
+    "repro.rng": ("choice_without_replacement",),
+    "repro.core.executor:MatchExecutor": ("_regional_result", "_winner_band"),
     "repro.formats:SwissSystem": ("schedule", "run"),
     # A sweep's store is an argument of `submit_grid`, as of `JobHandle`.
     "repro.api:SweepOptions": ("store", "open_store"),

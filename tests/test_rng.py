@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.rng import (
-    SpawnReplay,
-    child,
-    choice_without_replacement,
-    ensure_rng,
-    spawn,
-)
+from oracle.swiss import choice_without_replacement
+from repro.rng import SpawnReplay, child, choice_rows, ensure_rng, spawn
 
 
 class TestEnsureRng:
@@ -67,20 +62,29 @@ def _weights(meta, case):
     return w
 
 
+def _weight_sets(n_cases=2000):
+    """(probabilities, size, seed) of the 2,000 weight sets the replays
+    are held to; a set without a positive weight is skipped."""
+    meta = ensure_rng(2024)
+    cases = []
+    for case in range(n_cases):
+        w = _weights(meta, case)
+        positive = int(np.count_nonzero(w > 0))
+        if positive == 0:
+            continue
+        # Every fifth case takes every positive weight: the draw loop
+        # then runs until the last, least likely index turns up.
+        size = positive if case % 5 == 0 else int(meta.integers(1, positive + 1))
+        cases.append((w / w.sum(), size, int(meta.integers(2**32))))
+    return cases
+
+
 class TestChoiceWithoutReplacement:
+    """The per-pool oracle's draw (``tests/oracle/swiss.py``) is numpy's."""
+
     def test_replays_generator_choice(self):
-        meta = ensure_rng(2024)
         checked = 0
-        for case in range(2000):
-            w = _weights(meta, case)
-            positive = int(np.count_nonzero(w > 0))
-            if positive == 0:
-                continue
-            # Every fifth case takes every positive weight: the draw loop
-            # then runs until the last, least likely index turns up.
-            size = positive if case % 5 == 0 else int(meta.integers(1, positive + 1))
-            p = w / w.sum()
-            seed = int(meta.integers(2**32))
+        for p, size, seed in _weight_sets():
             ours, numpys = ensure_rng(seed), ensure_rng(seed)
             picks = choice_without_replacement(ours, p, size)
             want = numpys.choice(len(p), size=size, replace=False, p=p)
@@ -102,6 +106,52 @@ class TestChoiceWithoutReplacement:
     def test_fewer_positive_weights_than_picks_refused(self):
         with pytest.raises(ValueError):
             choice_without_replacement(ensure_rng(0), np.array([1.0, 0.0, 0.0]), 2)
+
+
+class TestChoiceRows:
+    """``choice_rows`` replays ``Generator.choice(replace=False, p=...)``
+    for every row of a table at once, each row on its own generator."""
+
+    def test_every_row_replays_generator_choice(self):
+        cases = _weight_sets()
+        assert len(cases) > 1900
+        width = max(len(p) for p, _, _ in cases)
+        table = np.zeros((len(cases), width))
+        for row, (p, _, _) in enumerate(cases):
+            table[row, : len(p)] = p
+        ours = [ensure_rng(seed) for _, _, seed in cases]
+        rows, cols = choice_rows(ours, table, [size for _, size, _ in cases])
+        ends = np.cumsum(np.bincount(rows, minlength=len(cases)))
+        picks = np.split(cols, ends[:-1])
+        for (p, size, seed), mine, rng in zip(cases, picks, ours):
+            numpys = ensure_rng(seed)
+            want = numpys.choice(len(p), size=size, replace=False, p=p)
+            assert mine.tolist() == want.tolist()
+            assert rng.bit_generator.state == numpys.bit_generator.state
+
+    def test_rows_taking_nothing_draw_nothing(self):
+        rngs = [ensure_rng(1), ensure_rng(2)]
+        before = [r.bit_generator.state for r in rngs]
+        rows, cols = choice_rows(rngs, np.array([[0.5, 0.5], [1.0, 0.0]]), [0, 0])
+        assert rows.size == cols.size == 0
+        assert [r.bit_generator.state for r in rngs] == before
+
+    def test_does_not_modify_weights(self):
+        p = np.array([[0.5, 0.25, 0.25]])
+        choice_rows([ensure_rng(0)], p, [2])
+        assert p.tolist() == [[0.5, 0.25, 0.25]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_refused(self, bad):
+        with pytest.raises(ValueError):
+            choice_rows([ensure_rng(0)], np.array([[0.5, bad]]), [1])
+
+    def test_fewer_positive_weights_than_picks_refused(self):
+        with pytest.raises(ValueError):
+            choice_rows(
+                [ensure_rng(0), ensure_rng(1)],
+                np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]), [2, 2],
+            )
 
 
 class TestSpawnReplay:

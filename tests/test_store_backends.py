@@ -217,6 +217,47 @@ class TestNonStoreFiles:
         assert len(open_store(path)) == 1
 
 
+#: One JSON line nested past the decoder's limit on every interpreter CI
+#: runs: the recursion limit through Python 3.11, the C recursion limit
+#: (10,000 on Linux release builds) on 3.12.
+_DEEP_LINE = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+
+class TestDeeplyNestedLine:
+    """A line nested past the JSON decoder's limit is damage, as a torn
+    line is: readers skip it, and as a first line it is no store."""
+
+    def test_report_and_status_read_past_it(
+        self, tmp_path, small_grid, serial_records, capsys
+    ):
+        from repro.cli import main
+
+        printed = {}
+        for name, tail in (("clean", b""), ("deep", _DEEP_LINE)):
+            directory = tmp_path / name
+            directory.mkdir()
+            store = CampaignStore(directory / "s.jsonl")
+            store.write_grid(small_grid)
+            store.append(serial_records[0])
+            with open(store.path, "ab") as handle:
+                handle.write(tail)
+            for command in ("report", "status"):
+                assert main([command, str(store.path)]) == 0
+                printed[name, command] = capsys.readouterr().out.replace(
+                    str(directory), "<dir>"
+                )
+        for command in ("report", "status"):
+            assert printed["deep", command] == printed["clean", command]
+        assert len(open_store(tmp_path / "deep" / "s.jsonl")) == 1
+
+    def test_first_line_is_no_campaign_store(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(_DEEP_LINE)
+        with pytest.raises(ReproError, match="is not a campaign store"):
+            open_store(path)
+        assert path.read_bytes() == _DEEP_LINE
+
+
 class TestRemovedShardedLayout:
     def test_directory_converts_with_the_command_the_error_names(
         self, tmp_path, small_grid, serial_records

@@ -145,6 +145,16 @@ class TestEventBus:
             for payload in parsed:  # surviving lines are intact ones
                 assert payload["name"] in ("café.hit", "naïve.miss")
 
+    def test_reader_skips_a_deeply_nested_line(self, tmp_path):
+        """A line nested past the JSON decoder's limit (100,000 levels:
+        past it on every interpreter CI runs) is skipped as damage."""
+        path = tmp_path / "deep.telemetry"
+        line = json.dumps({"kind": "telemetry", "name": "app_cache.hit",
+                           "type": "counter", "value": 1}).encode() + b"\n"
+        deep = b"{\"a\": " * 100_000 + b"1" + b"}" * 100_000 + b"\n"
+        path.write_bytes(line + deep + line)
+        assert [e.name for e in read_telemetry(path)] == ["app_cache.hit"] * 2
+
     def test_restoring_previous_emitter(self):
         first = BufferEmitter()
         previous = set_emitter(first)
