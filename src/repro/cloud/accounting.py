@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict
+from functools import reduce
+from operator import add
+from typing import Dict, Union
+
+import numpy as np
 
 from repro.errors import CloudError
 
@@ -23,13 +27,26 @@ class CoreHourLedger:
     )
     _wall_seconds: float = 0.0
 
-    def book(self, *, vcpus: int, seconds: float, label: str = "tuning") -> None:
-        """Record ``vcpus`` busy for ``seconds`` under ``label``."""
+    def book(
+        self, *, vcpus: int, seconds: Union[float, np.ndarray], label: str = "tuning"
+    ) -> None:
+        """Record ``vcpus`` busy for ``seconds`` under ``label``.
+
+        ``seconds`` is one run's duration or an array of runs' durations;
+        the label's total adds the runs one at a time, in order, so a round
+        booked at once totals bit for bit what one call per run gives.
+        """
         if vcpus <= 0:
             raise CloudError(f"vcpus must be positive, got {vcpus}")
-        if seconds < 0:
-            raise CloudError(f"cannot book negative time: {seconds}")
-        self._core_seconds[label] += vcpus * seconds
+        runs = np.asarray(seconds, dtype=np.float64).ravel()
+        negative = runs < 0
+        if negative.any():
+            raise CloudError(f"cannot book negative time: {runs[negative][0]}")
+        # A left fold: ``sum`` may compensate on newer Pythons, and numpy's
+        # sums are pairwise.
+        self._core_seconds[label] = reduce(
+            add, (vcpus * runs).tolist(), self._core_seconds[label]
+        )
 
     def advance_wall(self, seconds: float) -> None:
         """Record simulated wall-clock time of the campaign."""

@@ -19,12 +19,14 @@ The kernel is *round-shaped*: :func:`simulate_colocated_batch` simulates one
 round — every game on its own VM, all under the round's interference
 process, start time, and early-termination setting — as padded
 ``(games, segments, players)`` tensor passes.  Every game draws from its own
-generator, so how a round is chunked never changes results.
+generator, so how a round is chunked never changes results.  The round's
+outcomes stay arrays too: a :class:`~repro.types.RoundOutcomes` sequence
+builds a game's :class:`~repro.types.GameOutcome` only when it is indexed
+or iterated.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import VMSpec
 from repro.errors import CloudError
-from repro.types import GameOutcome
+from repro.types import RoundOutcomes
 
 # Co-location pressure per competitor, relative to VM width.  At the paper's
 # operating point (32 players on 32 vCPUs) this contributes ~0.78 to the
@@ -137,28 +139,21 @@ class _Round:
         self.attempts = np.zeros(n_games, dtype=np.int64)
         self.level_sum = np.zeros(n_games)
 
-    def outcomes(self, start: float) -> List[GameOutcome]:
-        """Every game's outcome, in round order."""
+    def outcomes(self, start: float) -> RoundOutcomes:
+        """Every game's outcome, in round order, as arrays."""
         work = np.minimum(self.work, 1.0)
         finished = work >= 1.0 - 1e-9
         if self.inside is not None:
             work, finished = work[self.inside], finished[self.inside]
-        work_l, finished_l = work.ravel().tolist(), finished.ravel().tolist()
-        sizes = self.k.tolist()
-        return [
-            GameOutcome(
-                elapsed=elapsed,
-                work=tuple(work_l[end - k:end]),
-                finished=tuple(finished_l[end - k:end]),
-                early_terminated=early,
-                start_time=start,
-                mean_interference=level,
-            )
-            for elapsed, k, end, early, level in zip(
-                self.elapsed.tolist(), sizes, accumulate(sizes),
-                self.early.tolist(), (self.level_sum / self.attempts).tolist(),
-            )
-        ]
+        return RoundOutcomes(
+            elapsed=self.elapsed,
+            work=work.ravel(),
+            finished=finished.ravel(),
+            early=self.early,
+            mean_interference=self.level_sum / self.attempts,
+            sizes=self.k,
+            start_time=start,
+        )
 
 
 def simulate_colocated_batch(
@@ -173,7 +168,7 @@ def simulate_colocated_batch(
     work_deviation: Optional[float] = None,
     min_work_for_termination: float = 0.25,
     max_segments: int = 240,
-) -> List[GameOutcome]:
+) -> RoundOutcomes:
     """Simulate one *round* of co-located games as stacked tensors.
 
     ``true_times`` and ``sensitivities`` hold the round's players game after
@@ -189,6 +184,12 @@ def simulate_colocated_batch(
     heavy part — slowdown fields, work cumsums and the early-termination
     scan — runs once per horizon attempt on a padded ``(games, segments,
     players)`` tensor.
+
+    The outcomes come back as arrays (:class:`~repro.types.RoundOutcomes`):
+    elapsed time, early-termination flag and mean level per game, capped
+    work and finished flags per seat; a
+    :class:`~repro.types.GameOutcome` is built only for a game that is
+    indexed or iterated.
     """
     if len(rngs) != len(sizes):
         raise CloudError(
@@ -204,7 +205,7 @@ def simulate_colocated_batch(
     if k.size == 0:
         if t_flat.size:
             raise CloudError(f"{t_flat.size} players given for no game")
-        return []
+        return RoundOutcomes.empty(float(start_time))
     if k.ndim != 1 or k.min() < 1:
         raise CloudError("a game needs at least one player")
     if int(k.sum()) != t_flat.size:

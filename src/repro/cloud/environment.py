@@ -14,7 +14,7 @@ and does the bookkeeping.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.cloud.interference import InterferenceProcess
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.errors import CloudError
 from repro.rng import SeedLike, SpawnReplay, ensure_rng, spawn
-from repro.types import ChoiceEvaluation, GameOutcome, SoloOutcome
+from repro.types import ChoiceEvaluation, RoundOutcomes, SoloOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.apps.model import ApplicationModel
@@ -171,7 +171,7 @@ class CloudEnvironment:
         min_work_for_termination: float = 0.25,
         label: str = "game",
         advance_clock: bool = False,
-    ) -> List[GameOutcome]:
+    ) -> RoundOutcomes:
         """Run one *round* of co-located games, one parallel VM per game.
 
         All games start at the current simulated time and are simulated as
@@ -180,15 +180,19 @@ class CloudEnvironment:
         draws from its own child generator of the run stream, keyed by how
         many games the environment has played before it, so a round is
         seed-deterministic and splitting it into smaller batches does not
-        change outcomes.
+        change outcomes.  The outcomes come back as the kernel's arrays
+        (:class:`~repro.types.RoundOutcomes`); a game's
+        :class:`~repro.types.GameOutcome` is built when it is indexed.
 
-        Every game books the whole VM for its own duration.  With
-        ``advance_clock`` True the clock advances by the *longest* game of
-        the round — the paper's semantics of a round on parallel VMs.
+        Every game books the whole VM for its own duration: the ledger
+        books the round's elapsed array in game order, so its running sum
+        is the one per-game booking gives.  With ``advance_clock`` True the
+        clock advances by the *longest* game of the round — the paper's
+        semantics of a round on parallel VMs.
         """
         sizes = list(map(len, games))
         if not sizes:
-            return []
+            return RoundOutcomes.empty(self._now)
         for size in sizes:
             if size > self.vm.vcpus:
                 raise CloudError(
@@ -214,12 +218,11 @@ class CloudEnvironment:
             work_deviation=work_deviation,
             min_work_for_termination=min_work_for_termination,
         )
-        for outcome in outcomes:
-            self.ledger.book(
-                vcpus=self.vm.vcpus, seconds=outcome.elapsed, label=label
-            )
+        self.ledger.book(
+            vcpus=self.vm.vcpus, seconds=outcomes.elapsed, label=label
+        )
         if advance_clock:
-            self.advance(max(outcome.elapsed for outcome in outcomes))
+            self.advance(float(outcomes.elapsed.max()))
         return outcomes
 
     # -- post-hoc evaluation (the paper's quality metrics) -----------------

@@ -7,6 +7,7 @@ from repro.core.executor import (
     MatchExecutor,
     PlayoffResult,
     RegionalResult,
+    RoundReports,
     execution_scores_from_work,
 )
 from repro.core.records import RecordBook
@@ -25,6 +26,7 @@ __all__ = [
     "PlayoffResult",
     "RecordBook",
     "RegionalResult",
+    "RoundReports",
     "auto_regions",
     "execution_scores_from_work",
 ]

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.records import RecordBook, finishing_order
+from repro.core.records import RecordBook, finishing_order, index_array
 from repro.errors import TournamentError
 from repro.formats.barrage import Barrage
 from repro.formats.double_elimination import (
@@ -50,7 +49,7 @@ from repro.formats.single_elimination import SingleElimination
 from repro.formats.swiss import StreakSwiss
 from repro.space.regions import Region
 from repro.telemetry.events import emit_event, telemetry_enabled
-from repro.types import GameOutcome
+from repro.types import GameOutcome, GameSequence, RoundOutcomes
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,72 @@ class GameReport:
     @property
     def elapsed(self) -> float:
         return self.outcome.elapsed
+
+
+class RoundReports(GameSequence):
+    """A played round's :class:`GameReport` s as arrays, in lineup order.
+
+    ``indices`` and ``execution_scores`` hold every seat, game after game;
+    ``winner_positions`` holds each game's winner and ``outcomes`` the
+    kernel's :class:`~repro.types.RoundOutcomes`, whose ``sizes`` are the
+    games' seat counts.  A :class:`GameReport` is built only when an item
+    is indexed or iterated, and the games' finishing orders are sorted
+    then; the regional phase reads the arrays and builds none.
+    """
+
+    __slots__ = (
+        "indices", "execution_scores", "winner_positions", "outcomes",
+        "_lists",
+    )
+
+    def __init__(
+        self,
+        *,
+        indices: np.ndarray,
+        execution_scores: np.ndarray,
+        winner_positions: np.ndarray,
+        outcomes: RoundOutcomes,
+    ) -> None:
+        self.indices = indices
+        self.execution_scores = execution_scores
+        self.winner_positions = winner_positions
+        self.outcomes = outcomes
+        self._lists: Optional[List[list]] = None
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def elapsed(self) -> np.ndarray:
+        """Each game's simulated duration."""
+        return self.outcomes.elapsed
+
+    @property
+    def winner_indices(self) -> np.ndarray:
+        """Each game's execution-score winner, as a configuration index."""
+        sizes = self.outcomes.sizes
+        return self.indices[np.cumsum(sizes) - sizes + self.winner_positions]
+
+    def _item(self, i: int) -> GameReport:
+        if self._lists is None:
+            sizes = self.outcomes.sizes
+            self._lists = [
+                a.tolist() for a in (
+                    self.indices, self.execution_scores, self.winner_positions,
+                    finishing_order(self.execution_scores, sizes),
+                    np.cumsum(sizes), sizes,
+                )
+            ]
+        indices, scores, winners, ranking, ends, sizes = self._lists
+        end = ends[i]
+        start = end - sizes[i]
+        return GameReport(
+            indices=tuple(indices[start:end]),
+            execution_scores=tuple(scores[start:end]),
+            winner_position=winners[i],
+            outcome=self.outcomes[i],
+            ranking=tuple(ranking[start:end]),
+        )
 
 
 def execution_scores_from_work(
@@ -120,6 +185,32 @@ class PlayoffResult:
     games: int
 
 
+def _check_lineups(indices: np.ndarray, sizes: List[int]) -> None:
+    """Refuse an empty game or a player seated twice in one game.
+
+    One row sort of the round's ``(games, seats)`` table finds every
+    game's repeats at once; the padding past a game's size holds distinct
+    negative values, which no (non-negative) index can repeat.
+    """
+    if not sizes:
+        return
+    width = max(sizes)
+    if min(sizes) < 1:
+        raise TournamentError("a game needs at least one player")
+    if min(sizes) == width:
+        table = np.sort(indices.reshape(len(sizes), width), axis=1)
+    else:
+        table = np.tile(np.arange(-1, -1 - width, -1), (len(sizes), 1))
+        table[np.arange(width) < np.asarray(sizes)[:, None]] = indices
+        table.sort(axis=1)
+    repeats = table[:, 1:] == table[:, :-1]
+    if repeats.any():
+        game = int(repeats.any(axis=1).argmax())
+        start = sum(sizes[:game])
+        players = indices[start:start + sizes[game]].tolist()
+        raise TournamentError(f"duplicate players in game: {players}")
+
+
 class MatchExecutor:
     """Plays scheduler-emitted rounds as batched co-located cloud games."""
 
@@ -144,7 +235,7 @@ class MatchExecutor:
         label: str,
         allow_early_termination: bool = True,
         advance_clock: bool = False,
-    ) -> List[GameReport]:
+    ) -> RoundReports:
         """One round of co-located games (one parallel VM each), booked.
 
         The round is simulated as one batched tensor computation and booked,
@@ -154,32 +245,31 @@ class MatchExecutor:
         game.  ``allow_early_termination=False`` plays every game to
         completion, as the paper does for the playoffs and the final.
 
+        Before anything is played, the round's seats are checked in one
+        pass: every index a non-negative integer (not a float or a bool),
+        every game seated and no player twice in one game.  The reports
+        come back as arrays (:class:`RoundReports`), each game's
+        :class:`GameReport` built when it is indexed or iterated.
+
         With telemetry on, each round emits a ``round.play`` span: host
         wall time as the span value, plus the round's shape (label, game
         count, early terminations, simulated seconds) as fields.  Off, the
         cost is one clock read and one flag check.
         """
         t0 = time.perf_counter()
-        validated: List[List[int]] = []
-        for indices in lineups:
-            players = list(map(int, indices))
-            if len(players) < 1:
-                raise TournamentError("a game needs at least one player")
-            if len(set(players)) != len(players):
-                raise TournamentError(f"duplicate players in game: {players}")
-            validated.append(players)
-        reports: List[GameReport] = []
-        if validated:
-            early = allow_early_termination and self.config.early_termination
-            outcomes = self.env.run_colocated_batch(
-                self.app,
-                validated,
-                work_deviation=self.config.work_deviation if early else None,
-                min_work_for_termination=self.config.min_work_for_termination,
-                label=label,
-                advance_clock=advance_clock,
-            )
-            reports = self._book_round(validated, outcomes)
+        sizes = list(map(len, lineups))
+        indices = index_array(chain.from_iterable(lineups))
+        _check_lineups(indices, sizes)
+        early = allow_early_termination and self.config.early_termination
+        outcomes = self.env.run_colocated_batch(
+            self.app,
+            lineups,
+            work_deviation=self.config.work_deviation if early else None,
+            min_work_for_termination=self.config.min_work_for_termination,
+            label=label,
+            advance_clock=advance_clock,
+        )
+        reports = self._book_round(indices, outcomes)
         if telemetry_enabled():
             emit_event(
                 "round.play",
@@ -187,43 +277,35 @@ class MatchExecutor:
                 value=time.perf_counter() - t0,
                 label=label,
                 games=len(reports),
-                early_terminated=sum(
-                    1 for r in reports if r.outcome.early_terminated
-                ),
+                early_terminated=int(np.count_nonzero(outcomes.early)),
                 sim_seconds=round(self.round_elapsed(reports), 6),
             )
         return reports
 
     def _book_round(
-        self, lineups: List[List[int]], outcomes: Sequence[GameOutcome]
-    ) -> List[GameReport]:
+        self, indices: np.ndarray, outcomes: RoundOutcomes
+    ) -> RoundReports:
         """Score, book and rank a played round in whole-round passes.
 
-        Scores are computed over the round's seats at once, booked with one
-        :meth:`~repro.core.records.RecordBook.record_round` call, and every
+        Scores are computed over the round's seats at once and booked with
+        one :meth:`~repro.core.records.RecordBook.record_round` call; every
         game's finishing order comes from one stable row sort
-        (:func:`~repro.core.records.finishing_order`).
+        (:func:`~repro.core.records.finishing_order`) when a report is
+        first read.
         """
-        sizes = list(map(len, lineups))
-        work = np.fromiter(
-            chain.from_iterable(map(attrgetter("work"), outcomes)),
-            dtype=float, count=sum(sizes),
+        sizes = outcomes.sizes
+        if sizes.size:
+            scores = execution_scores_from_work(outcomes.work, sizes)
+            winners = self.records.record_round(indices, scores, sizes)
+        else:
+            scores = np.zeros(0)
+            winners = np.zeros(0, dtype=np.int64)
+        return RoundReports(
+            indices=indices,
+            execution_scores=scores,
+            winner_positions=winners,
+            outcomes=outcomes,
         )
-        scores = execution_scores_from_work(work, sizes)
-        winners = self.records.record_round(lineups, scores).tolist()
-        ranks = finishing_order(scores, sizes).tolist()
-        scores_l = scores.tolist()
-        return [
-            GameReport(
-                indices=tuple(players),
-                execution_scores=tuple(scores_l[end - len(players):end]),
-                winner_position=winner_pos,
-                outcome=outcome,
-                ranking=tuple(ranks[end - len(players):end]),
-            )
-            for players, outcome, winner_pos, end
-            in zip(lineups, outcomes, winners, accumulate(sizes))
-        ]
 
     def duel(self, a: int, b: int, *, label: str) -> GameReport:
         """A two-player game played to completion; the clock advances by it
@@ -247,9 +329,9 @@ class MatchExecutor:
         return RecordedMatch(players=report.indices, ranking=ranking)
 
     @staticmethod
-    def round_elapsed(reports: Sequence[GameReport]) -> float:
+    def round_elapsed(reports: RoundReports) -> float:
         """A parallel round lasts as long as its longest game."""
-        return max((r.elapsed for r in reports), default=0.0)
+        return float(reports.elapsed.max()) if len(reports) else 0.0
 
     # -- phase I: regions ----------------------------------------------------
 
@@ -265,9 +347,10 @@ class MatchExecutor:
         still-open region is one batched :meth:`play`; regions drop out as
         they terminate.  A round's newcomers are booked with one region
         write before it is played, and its winners go back to the scheduler
-        as one list.  The clock is *not* advanced here: each result carries
-        its region's elapsed time so the caller advances once by the
-        slowest region.
+        as one array: the round stays arrays from the scheduler's draws to
+        the score book, and no :class:`GameReport` is built.  The clock is
+        *not* advanced here: each result carries its region's elapsed time
+        so the caller advances once by the slowest region.
         """
         if len(regions) != len(rngs):
             raise TournamentError(
@@ -290,8 +373,8 @@ class MatchExecutor:
         elapsed = np.zeros(len(regions))
         while (lineups := run.next_lineups()) is not None:
             reports = self.play(lineups, label="regional")
-            elapsed[run.playing] += [report.elapsed for report in reports]
-            run.record_winners([report.winner_index for report in reports])
+            elapsed[run.playing] += reports.elapsed
+            run.record_winners(reports.winner_indices)
         return self._regional_results(regions, run, elapsed)
 
     def _regional_results(
@@ -314,7 +397,7 @@ class MatchExecutor:
         else:
             played, counts = run.played()
             pool = np.repeat(np.arange(len(regions)), counts)
-            scores = self.records.mean_execution_scores(played.tolist())
+            scores = self.records.mean_execution_scores(played)
             is_champion = played == run.champions[pool]
             champion_score = np.zeros(len(regions))
             champion_score[pool[is_champion]] = scores[is_champion]

@@ -11,25 +11,31 @@ Two scores drive DarwinGame's decisions (Figs. 5 and 7):
 
 Layout: the book is one table of per-slot arrays — ``region_id``,
 ``score_sum`` (summed execution scores), ``rank_sum`` (summed ``1 / rank``),
-``games`` and ``wins`` — plus a dict from configuration index to slot, the
-slot being the order in which the book first saw the player.  Both scores
-are running sums divided by the game count, so every score query is an
-array gather, no matter how many games have been played; no per-game
-history is kept.
+``games`` and ``wins`` — plus a dense ``int32`` map indexed by
+configuration index, holding 0 for an index the book has not seen and
+slot + 1 otherwise, the slot being the order in which the book first saw
+the player.  The map covers the highest index seen, 4 bytes an index: at
+most about 1.3 MB at bench scale (lammps, 312,500 configurations) and
+about 31 MB at full scale (redis, 7.68 million).  Both scores are running
+sums divided by the game count, so every score query is one gather into
+the map and one into the columns, no matter how many games have been
+played; no per-game history is kept.
 
 Writes come in bulk: :meth:`RecordBook.assign_region` registers a round's
 new players in one vectorised write, and :meth:`RecordBook.record_round`
-books a whole round from its flat seat scores — competition ranks
-segmented per game, then one unbuffered ``np.add.at`` per column, which
-applies a player's seats in lineup order and so accumulates exactly as
-booking the games one at a time (:meth:`RecordBook.record_game`) would.
+books a whole round from its flat seats — competition ranks segmented per
+game, then one unbuffered ``np.add.at`` per column, which applies a
+player's seats in lineup order and so accumulates exactly as booking the
+games one at a time (:meth:`RecordBook.record_game`) would.
+
+Every method takes configuration indices as a sequence or an integer
+array, and refuses a float, a bool or a negative index
+(:func:`index_array`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
-from typing import Dict, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +52,37 @@ _COLUMNS = (
 )
 
 
+def index_array(indices: Iterable[int]) -> np.ndarray:
+    """``indices`` as an ``int64`` array of configuration indices.
+
+    An integer array passes as it is; any other sequence is checked value
+    by value through one pass over its types.  A float, a bool or a
+    negative index is refused with a :class:`~repro.errors.TournamentError`
+    naming it: converted as they come, a float would be truncated, a bool
+    would read as configuration 0 or 1, and a negative index would read a
+    dense map from its end.
+    """
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+        keys = indices.astype(np.int64, copy=False)
+    else:
+        values = (
+            indices if isinstance(indices, (list, tuple, range))
+            else list(indices)
+        )
+        for kind in set(map(type, values)):
+            if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+                bad = next(value for value in values if type(value) is kind)
+                raise TournamentError(
+                    f"configuration index {bad!r} is not an integer"
+                )
+        keys = np.fromiter(values, dtype=np.int64, count=len(values))
+    if keys.size and keys.min() < 0:
+        raise TournamentError(
+            f"configuration index {keys[keys < 0][0]} is negative"
+        )
+    return keys
+
+
 def finishing_order(scores: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Each game's seat positions by execution score, best first.
 
@@ -55,12 +92,13 @@ def finishing_order(scores: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     row sort of the round's ``(games, seats)`` score table, padded past
     each game's size with seats that sort last.
     """
-    n_games, width = len(sizes), max(sizes)
-    if min(sizes) == width:
+    sizes = np.asarray(sizes)
+    n_games, width = sizes.size, int(sizes.max())
+    if sizes.min() == width:
         return np.argsort(
             -scores.reshape(n_games, width), axis=1, kind="stable"
         ).ravel()
-    inside = np.arange(width) < np.asarray(sizes)[:, None]
+    inside = np.arange(width) < sizes[:, None]
     keys = np.full((n_games, width), np.inf)
     keys[inside] = -scores
     return np.argsort(keys, axis=1, kind="stable")[inside]
@@ -77,94 +115,97 @@ class RecordBook:
     _INITIAL_CAPACITY = 64
 
     def __init__(self) -> None:
-        self._slots: Dict[int, int] = {}
+        # Slot + 1 per configuration index, 0 for an index not seen yet.
+        self._slot_of = np.zeros(0, dtype=np.int32)
+        self._count = 0
         for name, dtype, fresh in _COLUMNS:
             setattr(self, name, np.full(self._INITIAL_CAPACITY, fresh, dtype=dtype))
         self._total_evaluations = 0
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self._count
 
     def __contains__(self, index: int) -> bool:
-        return int(index) in self._slots
+        key = int(index_array([index])[0])
+        return key < self._slot_of.size and bool(self._slot_of[key])
 
     # -- slots ---------------------------------------------------------------
 
-    def _register(self, indices: Sequence[int]) -> np.ndarray:
-        """Slots of ``indices``, giving every not-yet-seen index the next
-        free slot, in first-appearance order."""
-        table = self._slots
-        keys = list(map(int, indices))
-        start = len(table)
-        new = [k for k in dict.fromkeys(keys) if k not in table]
-        table.update(zip(new, range(start, start + len(new))))
-        capacity = len(self._games)
-        if len(table) > capacity:
-            while capacity < len(table):
-                capacity *= 2
-            for name, dtype, fresh in _COLUMNS:
-                old = getattr(self, name)
-                grown = np.full(capacity, fresh, dtype=dtype)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-        if len(new) == len(keys):
-            return np.arange(start, start + len(keys))
-        return np.fromiter(
-            map(table.__getitem__, keys), dtype=np.int64, count=len(keys)
-        )
-
-    def _slots_of(self, indices: Sequence[int]) -> np.ndarray:
-        """Slots of ``indices``, registering any the book has not seen.
+    def _slots_of(self, indices: Iterable[int]) -> np.ndarray:
+        """Slots of ``indices``, giving every index the book has not seen
+        the next free slot, in first-appearance order.
 
         Registering may replace the column arrays, so take the slots before
         indexing a column with them.
         """
+        keys = index_array(indices)
         try:
-            # One C-level gather: the regional phase reads every selecting
-            # pool's played players once a round, so the per-element cost
-            # matters.  No int() per key — numpy integers hash like the
-            # plain-int keys.  (``itemgetter`` of one key returns the
-            # value, not a tuple.)
-            slots = (
-                itemgetter(*indices)(self._slots) if len(indices) > 1
-                else [self._slots[key] for key in indices]
+            slots = self._slot_of[keys]
+        except IndexError:  # an index past the map's end: cover it
+            grown = np.zeros(int(keys.max()) + 1, dtype=np.int32)
+            grown[: self._slot_of.size] = self._slot_of
+            self._slot_of = grown
+            slots = self._slot_of[keys]
+        if not slots.all():
+            unseen = slots == 0
+            missing = keys[unseen]
+            _, first = np.unique(missing, return_index=True)
+            first.sort()
+            start = self._count
+            self._count += first.size
+            self._slot_of[missing[first]] = np.arange(
+                start + 1, self._count + 1, dtype=np.int32
             )
-        except KeyError:
-            return self._register(indices)
-        return np.fromiter(slots, dtype=np.int64, count=len(indices))
+            slots[unseen] = self._slot_of[missing]
+            capacity = len(self._games)
+            if self._count > capacity:
+                while capacity < self._count:
+                    capacity *= 2
+                for name, dtype, fresh in _COLUMNS:
+                    old = getattr(self, name)
+                    grown = np.full(capacity, fresh, dtype=dtype)
+                    grown[: len(old)] = old
+                    setattr(self, name, grown)
+        slots -= 1
+        return slots
 
     # -- writes --------------------------------------------------------------
 
     def assign_region(
-        self, indices: Sequence[int], region_id: Union[int, Sequence[int]]
+        self, indices: Iterable[int], region_id: Union[int, Sequence[int]]
     ) -> None:
         """Record that ``indices`` were drawn from region ``region_id``
         (one region for all, or one per index)."""
-        # Assigned players are mostly new: register them up front rather
-        # than after a gather fails.  (Registering may grow the columns.)
-        slots = self._register(indices)
+        slots = self._slots_of(indices)
         self._region_id[slots] = region_id
 
     def record_round(
         self,
-        lineups: Sequence[Sequence[int]],
+        indices: Iterable[int],
         execution_scores: Sequence[float],
+        sizes: Sequence[int],
     ) -> np.ndarray:
         """Book a round of games; returns each game's winner position.
 
-        ``execution_scores`` holds every seat's score, game after game in
-        lineup order.  The winner of a *game* (before consistency enters
-        the picture) is the player with the highest execution score, the
-        first such seat on a tie.  Ranks are competition ranks within each
-        game (ties share the better rank).
+        ``indices`` and ``execution_scores`` hold every seat, game after
+        game in lineup order, and ``sizes`` each game's seat count.  The
+        winner of a *game* (before consistency enters the picture) is the
+        player with the highest execution score, the first such seat on a
+        tie.  Ranks are competition ranks within each game (ties share the
+        better rank).
         """
-        sizes = list(map(len, lineups))
+        keys = index_array(indices)
         scores = np.asarray(execution_scores, dtype=np.float64)
-        if scores.ndim != 1 or scores.size != sum(sizes):
+        if scores.ndim != 1 or scores.size != keys.size:
             raise TournamentError("indices and execution_scores length mismatch")
-        if not sizes:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.sum() != keys.size:
+            raise TournamentError(
+                f"the games seat {sizes.sum()} players, got {keys.size} indices"
+            )
+        if not sizes.size:
             return np.zeros(0, dtype=np.int64)
-        if 0 in sizes:
+        if sizes.min() < 1:
             raise TournamentError("cannot record an empty game")
         if np.isnan(scores).any():
             raise TournamentError("a NaN execution score has no rank")
@@ -174,7 +215,7 @@ class RecordBook:
         # score, and a seat's rank is 1 + its group's first position
         # within the game.
         seats = scores.size
-        starts = np.zeros(len(sizes), dtype=np.int64)
+        starts = np.zeros(sizes.size, dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
         game_start = np.repeat(starts, sizes)
         order = game_start + finishing_order(scores, sizes)
@@ -189,7 +230,7 @@ class RecordBook:
         ranks[order] = group_first - game_start + 1
         winner_seats = order[starts]
 
-        slots = self._slots_of(list(chain.from_iterable(lineups)))
+        slots = self._slots_of(keys)
         # ``np.add.at`` is unbuffered and applies duplicates in positional
         # order — bit-for-bit the game-by-game accumulation.
         np.add.at(self._score_sum, slots, scores)
@@ -203,7 +244,9 @@ class RecordBook:
         self, indices: Sequence[int], execution_scores: Sequence[float]
     ) -> int:
         """Book one game's scores and ranks; returns the winner's position."""
-        return int(self.record_round([indices], execution_scores)[0])
+        return int(
+            self.record_round(indices, execution_scores, [len(indices)])[0]
+        )
 
     # -- reads ---------------------------------------------------------------
 

@@ -180,11 +180,12 @@ class StreakSwiss:
             size.
         swiss_style: with ``False``, a single random game decides each pool
             (the paper's "w/o Swiss" ablation).
-        scores: maps players to their current mean execution scores; read
-            once per round, for every pool that selects veterans.
-        on_assign: called with players seen for the first time and each
-            one's pool: once with the single-player pools' players, then
-            once per round that brings newcomers.
+        scores: maps an array of players to their current mean execution
+            scores; read once per round, for every pool that selects
+            veterans.
+        on_assign: called with an array of players seen for the first time
+            and an array of each one's pool: once with the single-player
+            pools' players, then once per round that brings newcomers.
     """
 
     def __init__(
@@ -196,8 +197,8 @@ class StreakSwiss:
         win_streak: int,
         max_rounds: Optional[int] = None,
         swiss_style: bool = True,
-        scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[List[int], List[int]], None]] = None,
+        scores: Callable[[np.ndarray], np.ndarray],
+        on_assign: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
     ) -> None:
         if players_per_game < 2:
             raise ReproError(
@@ -221,8 +222,6 @@ class StreakSwiss:
         self._size = np.array(self._sizes, dtype=np.int64)
         self._start = np.array([pool.start for pool in pools], dtype=np.int64)
         self._stride = np.array([pool.stride for pool in pools], dtype=np.int64)
-        # ``pool * _key_base + offset`` names a pool's player uniquely.
-        self._key_base = max(self._sizes, default=1)
         self._width = np.maximum(2, np.minimum(players_per_game, self._size))
         self.champions = np.full(n, -1, dtype=np.int64)
         self.streaks = np.zeros(n, dtype=np.int64)
@@ -236,8 +235,6 @@ class StreakSwiss:
         self._played = np.zeros((n, 0), dtype=np.int64)
         self._count = np.zeros(n, dtype=np.int64)
         self._champion_at = np.zeros(n, dtype=np.int64)
-        # Keys of every player the lazily drawing pools drew.
-        self._drawn = np.zeros(0, dtype=np.int64)
         self._round: Optional[tuple] = None
 
         if self._swiss:
@@ -262,9 +259,15 @@ class StreakSwiss:
         self._deck_at = np.zeros(n, dtype=np.int64)
         self._deck_at[dealt] = np.cumsum(self._size[dealt]) - self._size[dealt]
         self._dealt_count = np.zeros(n, dtype=np.int64)
+        # The lazily drawing pools' players, pool after pool: player
+        # ``offset`` of pool ``k`` is key ``_key_at[k] + offset``, and
+        # ``_drawn`` marks every key drawn so far.
+        lazy = np.where(self._swiss & ~self.lone & ~self._dealt, self._size, 0)
+        self._key_at = np.cumsum(lazy) - lazy
+        self._drawn = np.zeros(int(lazy.sum()), dtype=bool)
         if on_assign is not None and self.lone.any():
             lone = np.flatnonzero(self.lone)
-            on_assign(self._start[lone].tolist(), lone.tolist())
+            on_assign(self._start[lone], lone)
 
     def _ids(
         self, pools: np.ndarray, offsets: List[np.ndarray], counts: np.ndarray
@@ -334,10 +337,11 @@ class StreakSwiss:
         Each attempt, every row still short draws ``max(2 * want, 8)``
         offsets from its own generator; over the whole round at once, each
         draw is kept at its first occurrence, the players its pool drew
-        before are dropped, and the first ones the row still needs are
-        taken.  Rows still short try again, up to ``_NEWCOMER_ATTEMPTS``.
+        before are dropped (one gather from the drawn mask), and the first
+        ones the row still needs are taken.  Rows still short try again,
+        up to ``_NEWCOMER_ATTEMPTS``.
         """
-        base, sizes, rngs = self._key_base, self._sizes, self.rngs
+        key_at, sizes, rngs = self._key_at, self._sizes, self.rngs
         batch = np.maximum(2 * want, 8)
         need = want.copy()
         found_keys, found_rows = [], []
@@ -349,15 +353,15 @@ class StreakSwiss:
                 for k, m in zip(pools[left].tolist(), batch[left].tolist())
             ])
             rows = np.repeat(left, batch[left])
-            keys = pools[rows] * base + draws
+            keys = key_at[pools[rows]] + draws
             _, first = np.unique(keys, return_index=True)
             first.sort()
             keys, rows = keys[first], rows[first]
-            fresh = ~np.isin(keys, self._drawn)
+            fresh = ~self._drawn[keys]
             keys, rows = keys[fresh], rows[fresh]
             take = _ranks(np.bincount(rows, minlength=pools.size)) < need[rows]
             keys, rows = keys[take], rows[take]
-            self._drawn = np.concatenate((self._drawn, keys))
+            self._drawn[keys] = True
             found_keys.append(keys)
             found_rows.append(rows)
             need -= np.bincount(rows, minlength=pools.size)
@@ -368,7 +372,7 @@ class StreakSwiss:
         keys = np.concatenate([np.zeros(0, dtype=np.int64), *found_keys])[order]
         rows = rows[order]
         pool = pools[rows]
-        return self._start[pool] + (keys - pool * base) * self._stride[pool], rows
+        return self._start[pool] + (keys - key_at[pool]) * self._stride[pool], rows
 
     # -- selecting veterans ------------------------------------------------
 
@@ -392,7 +396,7 @@ class StreakSwiss:
         width = int(counts.max())
         inside = np.arange(width) < counts[:, None]
         members = self._played[pools, :width][inside]
-        scores = self.scores(members.tolist())
+        scores = self.scores(members)
         weights = np.power(np.maximum(scores, 1e-6), SELECTION_SHARPNESS)
         # Every row sits behind a 0.0 in one flat buffer, so one reduceat
         # over (row start, row end) pairs sums each row as ``weights.sum()``
@@ -473,7 +477,7 @@ class StreakSwiss:
                 self.playing = pools
                 return None
         if self.on_assign is not None and new_ids.size:
-            self.on_assign(new_ids.tolist(), new_pools.tolist())
+            self.on_assign(new_ids, new_pools)
         self.playing = pools
         self._round = (seat_ids, seat_cols, sizes, new_pools, new_ids, new_cols)
         flat = seat_ids.tolist()
@@ -481,13 +485,14 @@ class StreakSwiss:
         return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     def record_winners(self, winners: Sequence[int]) -> None:
-        """Fold the round's winners (one per lineup, in lineup order) into
-        every playing pool's champion, streak and played list."""
+        """Fold the round's winners (one per lineup, in lineup order, as a
+        sequence or an array) into every playing pool's champion, streak
+        and played list."""
         if self._round is None:
             raise ReproError("no round is waiting for its winners")
         seat_ids, seat_cols, sizes, new_pools, new_ids, new_cols = self._round
         pools = self.playing
-        won = np.fromiter(winners, dtype=np.int64, count=len(winners))
+        won = np.asarray(winners, dtype=np.int64).ravel()
         if won.size != pools.size:
             raise ReproError(
                 f"need one winner per lineup, got {won.size} for {pools.size}"

@@ -46,11 +46,11 @@ class TestBatchMatchesSingle:
         ]
         env_whole, env_split = env(3), env(3)
         whole = env_whole.run_colocated_batch(app, lineups, work_deviation=0.1)
-        split = (
-            env_split.run_colocated_batch(app, lineups[:1], work_deviation=0.1)
-            + env_split.run_colocated_batch(app, lineups[1:3], work_deviation=0.1)
-            + env_split.run_colocated_batch(app, lineups[3:], work_deviation=0.1)
-        )
+        split = [
+            *env_split.run_colocated_batch(app, lineups[:1], work_deviation=0.1),
+            *env_split.run_colocated_batch(app, lineups[1:3], work_deviation=0.1),
+            *env_split.run_colocated_batch(app, lineups[3:], work_deviation=0.1),
+        ]
         assert whole == split
         assert env_whole.ledger.core_hours == pytest.approx(
             env_split.ledger.core_hours

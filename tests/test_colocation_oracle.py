@@ -5,7 +5,9 @@ same per-game generators.  Rounds here mix player counts and horizons (so
 the kernel pads), mix early-terminated and finished games, need more than
 one horizon, or replay a trace.  Stop decisions must be identical; work,
 elapsed time and mean level agree to 1e-12 (the kernel sums work per
-block, the oracle per segment).
+block, the oracle per segment).  Every outcome the kernel's array-backed
+sequence builds is also the one ``oracle.reports`` builds eagerly from the
+same arrays.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle.colocation import simulate_round
+from oracle.reports import eager_outcomes
 from repro.cloud.colocation import simulate_colocated_batch
 from repro.cloud.interference import InterferenceProcess
 from repro.cloud.traces import InterferenceTrace, ReplayedInterference
@@ -59,6 +62,7 @@ def play_both(games, make_interference, seed, start=0.0, **settings):
         **settings,
     )
     assert len(kernel) == len(oracle)
+    assert list(kernel) == eager_outcomes(kernel)
     for got, want in zip(kernel, oracle):
         assert got.early_terminated == want.early_terminated
         assert got.finished == tuple(want.finished)

@@ -56,6 +56,30 @@ class TestPlayGame:
         with pytest.raises(TournamentError):
             play_one(env, app, [1, 1], DarwinGameConfig(), RecordBook())
 
+    @pytest.mark.parametrize("players, named", [
+        ([1.5, 2], r"index 1\.5 is not an integer"),
+        ([True, 2], "index True is not an integer"),
+        ([-3, 2], "index -3 is negative"),
+    ], ids=["float", "bool", "negative"])
+    def test_non_index_refused_before_play(self, app, players, named):
+        """Nothing is played or booked: the clock, the ledger and the book
+        stay untouched."""
+        env, records = CloudEnvironment(seed=0), RecordBook()
+        with pytest.raises(TournamentError, match=named):
+            play_one(env, app, players, DarwinGameConfig(), records,
+                     advance_clock=True)
+        assert env.now == 0.0 and env.ledger.core_hours == 0.0
+        assert len(records) == 0
+
+    def test_duplicate_in_a_later_game_named(self, app):
+        executor = MatchExecutor(
+            CloudEnvironment(seed=0), app, DarwinGameConfig(), RecordBook()
+        )
+        with pytest.raises(TournamentError, match=r"game: \[4, 5, 4\]"):
+            executor.play([[1, 2], [3], [4, 5, 4]], label="game")
+        with pytest.raises(TournamentError, match=r"game: \[6, 6\]"):
+            executor.play([[1, 2], [6, 6]], label="game")
+
     def test_empty_game_rejected(self, app):
         env = CloudEnvironment(seed=0)
         with pytest.raises(TournamentError):

@@ -106,13 +106,62 @@ class TestRecordBook:
         assert len(book) == 102
 
 
+class TestIndexValidation:
+    """A float, a bool or a negative index is refused, naming it, and
+    nothing is booked."""
+
+    def test_float_index_refused(self):
+        book = RecordBook()
+        with pytest.raises(TournamentError, match=r"index 1\.5 is not an integer"):
+            book.record_game([1.5, 2], [1.0, 0.5])
+        assert len(book) == 0 and book.total_evaluations == 0
+
+    def test_negative_index_refused(self):
+        book = RecordBook()
+        with pytest.raises(TournamentError, match="index -3 is negative"):
+            book.record_game([-3, 2], [1.0, 0.5])
+        assert len(book) == 0 and book.total_evaluations == 0
+
+    def test_bool_index_refused(self):
+        book = RecordBook()
+        with pytest.raises(TournamentError, match="index True is not an integer"):
+            book.assign_region([True, 7], 1)
+        assert len(book) == 0
+
+    @pytest.mark.parametrize("indices", [
+        np.array([2.0, 3.0]), np.array([True, False]), [np.float64(4.0)],
+        [np.bool_(True)], ["3"],
+    ], ids=["float-array", "bool-array", "numpy-float", "numpy-bool", "str"])
+    def test_non_integers_refused_in_every_form(self, indices):
+        book = RecordBook()
+        with pytest.raises(TournamentError, match="is not an integer"):
+            book.region_ids(indices)
+        with pytest.raises(TournamentError, match="is not an integer"):
+            indices[0] in book  # noqa: B015 - the membership test raises
+
+    def test_negative_array_and_membership_refused(self):
+        book = RecordBook()
+        with pytest.raises(TournamentError, match="index -1 is negative"):
+            book.mean_execution_scores(np.array([4, -1]))
+        with pytest.raises(TournamentError, match="index -2 is negative"):
+            -2 in book  # noqa: B015 - the membership test raises
+
+    def test_integer_forms_accepted(self):
+        book = RecordBook()
+        book.assign_region(np.array([5, 3], dtype=np.uint32), 1)
+        book.assign_region([np.int16(7), 8], 2)
+        book.assign_region(range(9, 11), 3)
+        assert book.region_ids([3, 5, 7, 8, 9, 10]).tolist() == [1, 1, 2, 2, 3, 3]
+        assert 7 in book and np.int64(10) in book and 6 not in book
+
+
 class TestRecordRound:
     def test_segmented_ranks_and_winners(self):
         """Ranks restart per game; ties share the better rank and the
         first tied seat wins."""
         book = RecordBook()
         winners = book.record_round(
-            [[1, 2, 3], [4, 5]], [0.5, 1.0, 1.0, 1.0, 0.2]
+            [1, 2, 3, 4, 5], [0.5, 1.0, 1.0, 1.0, 0.2], [3, 2]
         )
         assert winners.tolist() == [1, 0]
         assert book.consistency_scores([1, 2, 3, 4, 5]).tolist() == [
@@ -123,7 +172,7 @@ class TestRecordRound:
 
     def test_player_in_two_games_of_a_round(self):
         book = RecordBook()
-        book.record_round([[1, 2], [1, 3]], [1.0, 0.5, 0.25, 1.0])
+        book.record_round([1, 2, 1, 3], [1.0, 0.5, 0.25, 1.0], [2, 2])
         assert book.games_played([1]).tolist() == [2]
         assert book.wins([1]).tolist() == [1]
         assert book.mean_execution_scores([1])[0] == 0.625
@@ -143,17 +192,19 @@ class TestRecordRound:
 
     def test_empty_round_books_nothing(self):
         book = RecordBook()
-        assert book.record_round([], []).tolist() == []
+        assert book.record_round([], [], []).tolist() == []
         assert len(book) == 0 and book.total_evaluations == 0
 
     def test_round_validation(self):
         book = RecordBook()
         with pytest.raises(TournamentError):
-            book.record_round([[1, 2]], [])
+            book.record_round([1, 2], [], [2])
         with pytest.raises(TournamentError):
-            book.record_round([[1, 2], [3]], [1.0, 0.5, 1.0, 0.5])
+            book.record_round([1, 2, 3], [1.0, 0.5, 1.0, 0.5], [2, 1])
         with pytest.raises(TournamentError):
-            book.record_round([[1, 2], []], [1.0, 0.5])
+            book.record_round([1, 2], [1.0, 0.5], [2, 0])
+        with pytest.raises(TournamentError, match="seat 3 players"):
+            book.record_round([1, 2], [1.0, 0.5], [2, 1])
         assert book.total_evaluations == 0
 
 

@@ -134,6 +134,15 @@ def round_histories(draw):
     return rounds
 
 
+def _record_round(book, games):
+    """Book ``(players, scores)`` games as one round of flat seats."""
+    return book.record_round(
+        [p for players, _ in games for p in players],
+        [score for _, scores in games for score in scores],
+        [len(players) for players, _ in games],
+    )
+
+
 def _book_state(book, players):
     return {
         "games": book.games_played(players).tolist(),
@@ -156,10 +165,7 @@ class TestAgainstOracle:
             book.assign_region(assigned, region)
             for p in assigned:
                 oracle.assign_region(p, region)
-            winners = book.record_round(
-                [players for players, _ in games],
-                [score for _, scores in games for score in scores],
-            )
+            winners = _record_round(book, games)
             expected = [oracle.record_game(p, s) for p, s in games]
             assert winners.tolist() == expected
 
@@ -181,12 +187,108 @@ class TestAgainstOracle:
         by_round, by_game = RecordBook(), RecordBook()
         seen = set()
         for _, _, games in rounds:
-            winners = by_round.record_round(
-                [players for players, _ in games],
-                [score for _, scores in games for score in scores],
-            )
+            winners = _record_round(by_round, games)
             singles = [by_game.record_game(p, s) for p, s in games]
             assert winners.tolist() == singles
             seen.update(p for players, _ in games for p in players)
         players = sorted(seen)
         assert _book_state(by_round, players) == _book_state(by_game, players)
+
+
+#: Forms a caller may pass indices in.
+_FORMS = ("list", "int64", "int32", "numpy scalars", "tuple")
+
+
+def _as_form(values, form):
+    if form == "int64":
+        return np.array(values, dtype=np.int64)
+    if form == "int32":
+        return np.array(values, dtype=np.int32)
+    if form == "numpy scalars":
+        return [np.int64(v) for v in values]
+    return tuple(values) if form == "tuple" else list(values)
+
+
+@st.composite
+def sparse_calls(draw):
+    """Calls into the book over a few ids spread up to 10**7, each call's
+    ids in one of the forms, so the dense map grows whenever a call brings
+    a larger id; plus ``range`` s for region writes and reads."""
+    ids = draw(st.lists(st.integers(0, 10**7), min_size=1, max_size=24,
+                        unique=True))
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["assign", "round", "read", "range"]))
+        if kind == "range":
+            start = draw(st.integers(0, 10**7))
+            step = draw(st.integers(1, 10**5))
+            calls.append((kind, range(start, start + step * draw(
+                st.integers(0, 6)), step), draw(st.integers(0, 5))))
+            continue
+        form = draw(st.sampled_from(_FORMS))
+        if kind == "round":
+            games = []
+            for _ in range(draw(st.integers(1, 3))):
+                players = draw(st.lists(st.sampled_from(ids), min_size=1,
+                                        max_size=len(ids), unique=True))
+                games.append((players, [draw(_TIED) for _ in players]))
+            calls.append((kind, games, form))
+        else:
+            chosen = draw(st.lists(st.sampled_from(ids), max_size=10))
+            calls.append((kind, chosen, form, draw(st.integers(0, 5))))
+    return calls
+
+
+class TestSparseIndices:
+    """The dense id -> slot map against the dict-of-lists reference, with
+    indices up to 10**7 in every form a caller passes them."""
+
+    @given(sparse_calls())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_in_every_form(self, calls):
+        book, oracle = RecordBook(), OracleRecordBook()
+        for call in calls:
+            kind = call[0]
+            if kind == "range":
+                _, indices, region = call
+                book.assign_region(indices, region)
+                for p in indices:
+                    oracle.assign_region(p, region)
+                assert book.region_ids(indices).tolist() == [region] * len(indices)
+            elif kind == "round":
+                _, games, form = call
+                winners = book.record_round(
+                    _as_form([p for players, _ in games for p in players], form),
+                    [score for _, scores in games for score in scores],
+                    [len(players) for players, _ in games],
+                )
+                assert winners.tolist() == [
+                    oracle.record_game(p, s) for p, s in games
+                ]
+            elif kind == "assign":
+                _, chosen, form, region = call
+                book.assign_region(_as_form(chosen, form), region)
+                for p in chosen:
+                    oracle.assign_region(p, region)
+            else:
+                _, chosen, form, _ = call
+                got = book.games_played(_as_form(chosen, form))
+                assert got.tolist() == [oracle.get(p).games_played for p in chosen]
+
+        # Slots in first-appearance order, whatever the form of each call.
+        seen = list(oracle.records)
+        assert book._slots_of(seen).tolist() == list(range(len(seen)))
+        assert len(book) == len(seen)
+        assert all(p in book for p in seen)
+        unseen = [p for p in (0, 1, 10**7, 10**7 + 1) if p not in oracle.records]
+        assert not any(p in book for p in unseen)
+        assert len(book) == len(seen)
+        records = [oracle.records[p] for p in seen]
+        assert _book_state(book, seen) == {
+            "games": [r.games_played for r in records],
+            "wins": [r.wins for r in records],
+            "regions": [r.region_id for r in records],
+            "mean": [r.mean_execution_score for r in records],
+            "consistency": [r.consistency_score for r in records],
+            "evaluations": oracle.total_evaluations,
+        }
