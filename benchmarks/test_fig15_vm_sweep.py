@@ -3,8 +3,10 @@
 from repro.experiments import paper_vs_measured, render_table, run_vm_sweep
 
 
-def test_fig15_vm_sweep(once):
-    result = once(lambda: run_vm_sweep("redis", scale="bench", seed=0))
+def test_fig15_vm_sweep(once, claims_runner):
+    result = once(lambda: run_vm_sweep(
+        "redis", scale="bench", seed=0, runner=claims_runner
+    ))
     print()
     print(render_table(
         ["VM", "vCPUs", "oracle (s)", "DarwinGame (s)", "gap %", "CoV %"],

@@ -20,12 +20,14 @@ REPEATS = 3
 SEED = 0
 
 
-def grid():
-    return run_statistical_comparison(APPS, scale="bench", repeats=REPEATS, seed=SEED)
+def grid(runner):
+    return run_statistical_comparison(
+        APPS, scale="bench", repeats=REPEATS, seed=SEED, runner=runner
+    )
 
 
-def test_sec32_statistical_methods(once):
-    result = once(grid)
+def test_sec32_statistical_methods(once, claims_runner):
+    result = once(lambda: grid(claims_runner))
     print()
     rows = []
     for app in APPS:

@@ -10,19 +10,19 @@ the standard evaluation protocol next to DarwinGame.
 
 import numpy as np
 
-from repro.campaigns import CampaignRunner, cached_application, repeat_specs
+from repro.campaigns import cached_application, repeat_specs
 from repro.experiments import paper_vs_measured, render_table
 
 STRATEGIES = ("DarwinGame", "GeneticAlgorithm", "SimulatedAnnealing")
 REPEATS = 3
 
 
-def grid():
+def grid(runner):
     optimal = cached_application("redis", "bench").optimal.true_time
     rows = []
     for strategy in STRATEGIES:
         specs = repeat_specs("redis", strategy, repeats=REPEATS, seed=0)
-        runs = CampaignRunner().run(specs).raise_on_failure().records
+        runs = runner.run(specs).raise_on_failure().records
         mean_time = float(np.mean([r.mean_time for r in runs]))
         rows.append({
             "strategy": strategy,
@@ -33,8 +33,8 @@ def grid():
     return rows
 
 
-def test_heuristic_baselines(once):
-    rows = once(grid)
+def test_heuristic_baselines(once, claims_runner):
+    rows = once(lambda: grid(claims_runner))
     print()
     print(render_table(
         ["strategy", "exec time (s)", "gap vs optimal %", "CoV %"],

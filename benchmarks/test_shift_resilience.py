@@ -13,9 +13,9 @@ from repro.experiments.shift_study import run_shift_study
 SHIFTS = (0.0, 0.25, 0.5, 1.0)
 
 
-def test_shift_resilience(once):
+def test_shift_resilience(once, claims_runner):
     result = once(lambda: run_shift_study(
-        "redis", shifts=SHIFTS, scale="bench", seed=0
+        "redis", shifts=SHIFTS, scale="bench", seed=0, runner=claims_runner
     ))
     print()
     rows = [

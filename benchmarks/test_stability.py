@@ -3,11 +3,15 @@
 from repro.experiments import paper_vs_measured, render_table, run_stability
 
 
-def test_pick_stability(once):
+def test_pick_stability(once, claims_runner):
     dg = once(lambda: run_stability(
-        "redis", strategy="DarwinGame", scale="bench", repeats=10, seed=0
+        "redis", strategy="DarwinGame", scale="bench", repeats=10, seed=0,
+        runner=claims_runner,
     ))
-    bliss = run_stability("redis", strategy="BLISS", scale="bench", repeats=10, seed=0)
+    bliss = run_stability(
+        "redis", strategy="BLISS", scale="bench", repeats=10, seed=0,
+        runner=claims_runner,
+    )
     print()
     print(render_table(
         ["strategy", "repeats", "distinct picks", "modal pick fraction"],

@@ -45,7 +45,7 @@ from repro.apps.registry import APPLICATION_NAMES
 from repro.apps.scaling import level_cap
 from repro.campaigns import CampaignGrid, open_store
 from repro.campaigns.dispatch import MAX_JOBS
-from repro.campaigns.runner import cached_application
+from repro.campaigns.runner import CampaignRunner, cached_application
 from repro.campaigns.store import SIDECAR_PROFILES, SIDECAR_TELEMETRY
 from repro.cloud.vm import PRESETS
 from repro.errors import ReproError, SpaceError
@@ -391,12 +391,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ReproError(f"{exc} (fix --scale)") from None
     if args.seed < 0:
         raise ReproError(f"seed must be >= 0, got {args.seed} (fix --seed)")
-    # Every study's runner or pool starts up to --jobs workers; refused
-    # here, before any study runs.
-    api.SweepOptions(jobs=args.jobs)
+    # The campaign studies run through this one runner, the others through
+    # a pool of up to --jobs workers; a bad --jobs is refused here, before
+    # any study runs.
+    runner = CampaignRunner(api.SweepOptions(jobs=args.jobs))
     if args.name in ("fig10", "fig11", "fig12"):
         result = run_headline(
-            scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs
+            scale=args.scale, repeats=args.repeats, seed=args.seed, runner=runner
         )
         metric = {
             "fig10": ("exec time (s)", lambda r: r.mean_time),
@@ -407,7 +408,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         rows = [(r.app_name, r.strategy, metric[1](r)) for r in result.rows]
         print(render_table(["app", "strategy", metric[0]], rows, title=args.name))
     elif args.name == "fig15":
-        result = run_vm_sweep(scale=args.scale, seed=args.seed, jobs=args.jobs)
+        result = run_vm_sweep(scale=args.scale, seed=args.seed, runner=runner)
         rows = [(r.vm_name, r.darwin_time, r.gap_percent, r.cov_percent)
                 for r in result.rows]
         print(render_table(
@@ -415,7 +416,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         ))
     elif args.name == "stability":
         result = run_stability(
-            scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs
+            scale=args.scale, repeats=args.repeats, seed=args.seed, runner=runner
         )
         print(render_table(
             ["repeats", "distinct picks", "modal fraction"],
@@ -444,9 +445,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             rows, title="tournament-format predictive power",
         ))
     elif args.name == "shift":
-        result = run_shift_study(
-            scale=args.scale, seed=args.seed, jobs=args.jobs
-        )
+        result = run_shift_study(scale=args.scale, seed=args.seed, runner=runner)
         rows = [
             (r.strategy, r.shift, r.mean_time, r.degradation_percent)
             for r in result.rows
@@ -461,12 +460,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         result = run_scenario_robustness(
             scale=args.scale,
             seeds=tuple(args.seed + k for k in range(args.repeats)),
-            jobs=args.jobs,
+            runner=runner,
         )
         print(result.table(title="tuner robustness across scenario packs"))
     elif args.name == "statistical":
         result = run_statistical_comparison(
-            scale=args.scale, repeats=args.repeats, seed=args.seed, jobs=args.jobs
+            scale=args.scale, repeats=args.repeats, seed=args.seed, runner=runner
         )
         rows = [
             (r.app_name, r.strategy, r.mean_time, r.gap_vs_optimal_percent,

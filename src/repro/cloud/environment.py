@@ -13,7 +13,6 @@ and does the bookkeeping.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -165,7 +164,8 @@ class CloudEnvironment:
     def run_colocated_batch(
         self,
         app: "ApplicationModel",
-        games: Sequence[Sequence[int]],
+        indices: Sequence[int],
+        sizes: Sequence[int],
         *,
         work_deviation: Optional[float] = None,
         min_work_for_termination: float = 0.25,
@@ -174,7 +174,9 @@ class CloudEnvironment:
     ) -> RoundOutcomes:
         """Run one *round* of co-located games, one parallel VM per game.
 
-        All games start at the current simulated time and are simulated as
+        The round comes flat: ``indices`` holds every game's players, game
+        after game, and ``sizes`` how many players each game seats.  All
+        games start at the current simulated time and are simulated as
         one batched tensor computation (see
         :func:`repro.cloud.colocation.simulate_colocated_batch`).  Each game
         draws from its own child generator of the run stream, keyed by how
@@ -190,8 +192,7 @@ class CloudEnvironment:
         clock advances by the *longest* game of the round — the paper's
         semantics of a round on parallel VMs.
         """
-        sizes = list(map(len, games))
-        if not sizes:
+        if not len(sizes):
             return RoundOutcomes.empty(self._now)
         for size in sizes:
             if size > self.vm.vcpus:
@@ -200,11 +201,8 @@ class CloudEnvironment:
                     f"({self.vm.vcpus} vCPUs)"
                 )
         # One vectorised surface evaluation for the whole round.
-        flat = np.fromiter(
-            chain.from_iterable(games), dtype=np.int64, count=sum(sizes)
-        )
-        t_true = app.true_time(flat)
-        sens = app.sensitivity(flat)
+        t_true = app.true_time(indices)
+        sens = app.sensitivity(indices)
         rngs = self._game_seeds.generators(self._games_spawned, len(sizes))
         self._games_spawned += len(sizes)
         outcomes = simulate_colocated_batch(

@@ -263,7 +263,8 @@ class MatchExecutor:
         early = allow_early_termination and self.config.early_termination
         outcomes = self.env.run_colocated_batch(
             self.app,
-            lineups,
+            indices,
+            sizes,
             work_deviation=self.config.work_deviation if early else None,
             min_work_for_termination=self.config.min_work_for_termination,
             label=label,

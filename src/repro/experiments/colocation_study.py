@@ -22,7 +22,7 @@ and DarwinGame itself, all on the same applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from repro.core.config import DarwinGameConfig
 from repro.core.tournament import DarwinGame
 from repro.errors import ReproError
 from repro.rng import ensure_rng
-
-_CACHE: Dict[tuple, "ColocationStudyResult"] = {}
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,6 @@ def run_colocation_study(
     """Compare mass co-location, solo exposure, and DarwinGame."""
     if repeats < 1:
         raise ReproError(f"repeats must be >= 1, got {repeats}")
-    key = (app_name, scale, repeats, mass_players, mass_games, vm.name, seed)
-    if key in _CACHE:
-        return _CACHE[key]
-
     app = cached_application(app_name, scale)
     optimal = app.optimal.true_time
     rng = np.random.default_rng(seed)
@@ -170,6 +164,4 @@ def run_colocation_study(
             ("DarwinGame", darwin),
         )
     ]
-    result = ColocationStudyResult(app_name=app_name, outcomes=outcomes)
-    _CACHE[key] = result
-    return result
+    return ColocationStudyResult(app_name=app_name, outcomes=outcomes)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.campaigns.runner import CampaignRunner, SweepOptions
+from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import repeat_specs, vm_to_field
 from repro.campaigns.store import CampaignRecord
 from repro.cloud.vm import DEFAULT_VM, VMSpec
@@ -37,8 +37,6 @@ STRATEGY_NAMES = (
     "OpenTuner",
     "ActiveHarmony",
 )
-
-_CACHE: Dict[tuple, "HeadlineResult"] = {}
 
 
 @dataclass(frozen=True)
@@ -109,19 +107,15 @@ def run_headline(
     vm: VMSpec = DEFAULT_VM,
     seed: int = 0,
     strategies: Tuple[str, ...] = STRATEGY_NAMES,
-    jobs: int = 1,
+    runner: Optional[CampaignRunner] = None,
 ) -> HeadlineResult:
-    """Produce the Figs. 10-12 grid (cached: the three figures share it).
+    """Produce the Figs. 10-12 grid (the three figures share it).
 
     The grid — every (application, strategy, repeat) cell — is enumerated
-    declaratively and submitted to the campaign runner, so ``jobs > 1``
-    spreads it over worker processes while reproducing serial results
-    exactly (the cache key therefore ignores ``jobs``).
+    declaratively and submitted to ``runner`` (``None`` is
+    ``CampaignRunner()``, serial and in memory).  A runner over a store
+    runs each campaign once: a grid it already holds is read back.
     """
-    key = (tuple(app_names), scale, repeats, vm.name, seed, tuple(strategies))
-    if key in _CACHE:
-        return _CACHE[key]
-
     specs = []
     for app_name in app_names:
         for strategy in strategies:
@@ -135,8 +129,7 @@ def run_headline(
                     vm=vm_to_field(vm), seed=seed,
                 )
             )
-    runner = CampaignRunner(SweepOptions(jobs=jobs))
-    records = runner.run(specs).raise_on_failure().records
+    records = (runner or CampaignRunner()).run(specs).raise_on_failure().records
 
     runs_by_cell: Dict[tuple, List[CampaignRecord]] = {}
     for record in records:
@@ -159,9 +152,7 @@ def run_headline(
                     exhaustive_hours,
                 )
             )
-    result = HeadlineResult(rows=rows, scale=scale, repeats=repeats)
-    _CACHE[key] = result
-    return result
+    return HeadlineResult(rows=rows, scale=scale, repeats=repeats)
 
 
 @dataclass(frozen=True)
@@ -183,21 +174,21 @@ def run_stability(
     repeats: int = 10,
     vm: VMSpec = DEFAULT_VM,
     seed: int = 0,
-    jobs: int = 1,
+    runner: Optional[CampaignRunner] = None,
 ) -> StabilityResult:
     """Repeat one tuner many times; report pick agreement.
 
     The tuner's internal seed is held fixed across repeats while the
     environment's interference realisation and the campaign start time vary
     — the paper's "tuning repeated at different periods of time in the
-    cloud" (the same tool re-run, under different noise).
+    cloud" (the same tool re-run, under different noise).  The campaigns
+    run through ``runner`` (``None`` is ``CampaignRunner()``).
     """
     specs = repeat_specs(
         app_name, strategy, repeats=repeats, scale=scale, vm=vm_to_field(vm),
         seed=seed, vary_tuner_seed=False,
     )
-    runner = CampaignRunner(SweepOptions(jobs=jobs))
-    records = runner.run(specs).raise_on_failure().records
+    records = (runner or CampaignRunner()).run(specs).raise_on_failure().records
     picks = Counter(r.best_index for r in records)
     return StabilityResult(
         app_name=app_name,

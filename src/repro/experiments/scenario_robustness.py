@@ -11,16 +11,15 @@ identical conditions.
 
 Like every grid experiment this enumerates a
 :class:`~repro.campaigns.spec.CampaignGrid` and submits it through the
-campaign runner, so it parallelises with ``jobs=`` and reproduces serial
-results bit for bit.
+campaign runner it is handed.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.campaigns.report import AxisSummary, summarise_by
-from repro.campaigns.runner import CampaignRunner, SweepOptions
+from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignGrid
 from repro.errors import ReproError
 from repro.scenarios import get_scenario
@@ -46,10 +45,13 @@ def run_scenario_robustness(
     scale: str = "bench",
     vm: str = "m5.8xlarge",
     eval_runs: int = 100,
-    jobs: int = 1,
+    runner: Optional[CampaignRunner] = None,
 ) -> AxisSummary:
     """Tune every strategy under every scenario and aggregate per scenario
-    (:func:`~repro.campaigns.report.summarise_by` along ``"scenario"``)."""
+    (:func:`~repro.campaigns.report.summarise_by` along ``"scenario"``).
+
+    The grid runs through ``runner`` (``None`` is ``CampaignRunner()``).
+    """
     if not seeds:
         raise ReproError("scenario robustness needs at least one seed")
     for name in scenarios:
@@ -63,6 +65,5 @@ def run_scenario_robustness(
         eval_runs=eval_runs,
         scenarios=tuple(scenarios),
     )
-    runner = CampaignRunner(SweepOptions(jobs=jobs))
-    report = runner.run(grid.specs()).raise_on_failure()
+    report = (runner or CampaignRunner()).run(grid.specs()).raise_on_failure()
     return summarise_by(report.records, "scenario")

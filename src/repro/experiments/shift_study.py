@@ -15,21 +15,15 @@ level raised by a delta), reporting the degradation curve per strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.campaigns.runner import (
-    CampaignRunner,
-    SweepOptions,
-    cached_application,
-)
+from repro.campaigns.runner import CampaignRunner, cached_application
 from repro.campaigns.spec import CampaignSpec, vm_to_field
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.errors import ReproError
-
-_CACHE: Dict[tuple, "ShiftStudyResult"] = {}
 
 
 @dataclass(frozen=True)
@@ -90,20 +84,16 @@ def run_shift_study(
     vm: VMSpec = DEFAULT_VM,
     seed: int = 0,
     eval_runs: int = 100,
-    jobs: int = 1,
+    runner: Optional[CampaignRunner] = None,
 ) -> ShiftStudyResult:
     """Tune under the nominal profile; evaluate picks under shifted profiles.
 
-    Each strategy tunes in one campaign through the campaign runner, on up
-    to ``jobs`` worker processes; its pick is then re-measured on VMs whose
-    mean interference level is raised by each shift.  The result does not
-    depend on ``jobs``.
+    Each strategy tunes in one campaign through ``runner`` (``None`` is
+    ``CampaignRunner()``); its pick is then re-measured on VMs whose mean
+    interference level is raised by each shift.
     """
     if not shifts or shifts[0] != 0.0:
         raise ReproError("shifts must start at 0.0 (the nominal baseline)")
-    key = (app_name, strategies, shifts, scale, vm.name, seed, eval_runs)
-    if key in _CACHE:
-        return _CACHE[key]
 
     specs = [
         CampaignSpec(
@@ -112,8 +102,7 @@ def run_shift_study(
         )
         for strategy in strategies
     ]
-    runner = CampaignRunner(SweepOptions(jobs=jobs))
-    records = runner.run(specs).raise_on_failure().records
+    records = (runner or CampaignRunner()).run(specs).raise_on_failure().records
     app = cached_application(app_name, scale)
     rows: List[ShiftRow] = []
     for strategy, tuned in zip(strategies, records):
@@ -135,6 +124,4 @@ def run_shift_study(
                     / baseline,
                 )
             )
-    result = ShiftStudyResult(app_name=app_name, rows=rows, shifts=shifts)
-    _CACHE[key] = result
-    return result
+    return ShiftStudyResult(app_name=app_name, rows=rows, shifts=shifts)

@@ -13,8 +13,9 @@ the headline figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
+from repro.campaigns.runner import CampaignRunner
 from repro.cloud.vm import DEFAULT_VM, VMSpec
 from repro.experiments.headline import run_headline
 
@@ -66,18 +67,18 @@ def run_statistical_comparison(
     repeats: int = 3,
     vm: VMSpec = DEFAULT_VM,
     seed: int = 0,
-    jobs: int = 1,
+    runner: Optional[CampaignRunner] = None,
 ) -> StatisticalResult:
     """Tune with every Sec. 3.2 strategy and aggregate the quality metrics.
 
     The comparison is the headline grid (:func:`~repro.experiments.
-    headline.run_headline`, cached there) over
+    headline.run_headline`, through ``runner``) over
     :data:`STATISTICAL_STRATEGIES`; each row's gap is taken against the
     grid's ``Optimal`` row, whose mean time is the oracle's true time.
     """
     grid = run_headline(
         tuple(app_names), scale=scale, repeats=repeats, vm=vm, seed=seed,
-        strategies=STATISTICAL_STRATEGIES, jobs=jobs,
+        strategies=STATISTICAL_STRATEGIES, runner=runner,
     )
     rows: List[StatisticalRow] = []
     for app_name in app_names:

@@ -9,13 +9,9 @@ VMs suffer much heavier interference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.campaigns.runner import (
-    CampaignRunner,
-    SweepOptions,
-    cached_application,
-)
+from repro.campaigns.runner import CampaignRunner, cached_application
 from repro.campaigns.spec import CampaignSpec
 from repro.cloud.vm import PRESETS, VMSpec
 
@@ -63,12 +59,12 @@ def run_vm_sweep(
     scale: str = "bench",
     seed: int = 0,
     vm_names: Tuple[str, ...] = FIG15_VMS,
-    jobs: int = 1,
+    runner: Optional[CampaignRunner] = None,
 ) -> VMSweepResult:
     """Tune with DarwinGame on each VM type; compare to the Oracle.
 
-    One campaign per VM preset, submitted through the campaign runner;
-    ``jobs > 1`` sweeps instance types in parallel with identical results.
+    One campaign per VM preset, submitted through ``runner`` (``None`` is
+    ``CampaignRunner()``).
     """
     oracle = cached_application(app_name, scale).optimal.true_time
     specs = [
@@ -78,8 +74,7 @@ def run_vm_sweep(
         )
         for vm_name in vm_names
     ]
-    runner = CampaignRunner(SweepOptions(jobs=jobs))
-    records = runner.run(specs).raise_on_failure().records
+    records = (runner or CampaignRunner()).run(specs).raise_on_failure().records
     rows: List[VMSweepRow] = []
     for vm_name, record in zip(vm_names, records):
         vm: VMSpec = PRESETS[vm_name]

@@ -37,6 +37,12 @@ def env(seed=0):
     return CloudEnvironment(VM, seed=seed)
 
 
+def flat(lineups):
+    """A round's lineups as ``run_colocated_batch`` takes them: the flat
+    seats and each game's size."""
+    return np.concatenate(lineups), [len(lineup) for lineup in lineups]
+
+
 class TestBatchMatchesSingle:
     def test_round_split_invariant(self, app):
         """Splitting a round into smaller batches cannot change outcomes:
@@ -45,11 +51,15 @@ class TestBatchMatchesSingle:
             app.space.sample_indices(6, seed=s, replace=False) for s in range(4)
         ]
         env_whole, env_split = env(3), env(3)
-        whole = env_whole.run_colocated_batch(app, lineups, work_deviation=0.1)
+        whole = env_whole.run_colocated_batch(
+            app, *flat(lineups), work_deviation=0.1
+        )
         split = [
-            *env_split.run_colocated_batch(app, lineups[:1], work_deviation=0.1),
-            *env_split.run_colocated_batch(app, lineups[1:3], work_deviation=0.1),
-            *env_split.run_colocated_batch(app, lineups[3:], work_deviation=0.1),
+            outcome
+            for part in (lineups[:1], lineups[1:3], lineups[3:])
+            for outcome in env_split.run_colocated_batch(
+                app, *flat(part), work_deviation=0.1
+            )
         ]
         assert whole == split
         assert env_whole.ledger.core_hours == pytest.approx(
@@ -95,7 +105,7 @@ class TestBatchMatchesSingle:
             app.space.sample_indices(4, seed=s, replace=False) for s in range(3)
         ]
         e = env(5)
-        outcomes = e.run_colocated_batch(app, lineups, advance_clock=True)
+        outcomes = e.run_colocated_batch(app, *flat(lineups), advance_clock=True)
         assert e.now == pytest.approx(max(o.elapsed for o in outcomes))
 
     def test_every_game_billed_in_full(self, app):
@@ -103,12 +113,12 @@ class TestBatchMatchesSingle:
             app.space.sample_indices(4, seed=s, replace=False) for s in range(3)
         ]
         e = env(5)
-        outcomes = e.run_colocated_batch(app, lineups, label="round")
+        outcomes = e.run_colocated_batch(app, *flat(lineups), label="round")
         expected = VM.vcpus * sum(o.elapsed for o in outcomes) / 3600.0
         assert e.ledger.core_hours == pytest.approx(expected)
 
     def test_empty_round(self, app):
-        assert env().run_colocated_batch(app, []) == []
+        assert env().run_colocated_batch(app, [], []) == []
 
 
 class TestTuneDeterminism:
@@ -226,12 +236,14 @@ class TestGameSeeds:
                 app.space.sample_indices(4, seed=10 * seed + g, replace=False)
                 for g in range(n_games)
             ]
-            got = played.run_colocated_batch(app, lineups, work_deviation=0.1)
-            flat = np.concatenate(lineups)
+            seats, sizes = flat(lineups)
+            got = played.run_colocated_batch(
+                app, seats, sizes, work_deviation=0.1
+            )
             want = colocation.simulate_colocated_batch(
-                true_times=app.true_time(flat),
-                sensitivities=app.sensitivity(flat),
-                sizes=[len(lineup) for lineup in lineups],
+                true_times=app.true_time(seats),
+                sensitivities=app.sensitivity(seats),
+                sizes=sizes,
                 vm=VM,
                 interference=reference.interference,
                 start_time=reference.now,

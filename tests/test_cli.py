@@ -252,29 +252,35 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", ["shift", "sensitivity"])
     def test_experiment_hands_jobs_to_the_study(self, name, monkeypatch):
-        """Both studies accepted --jobs and ran with one worker."""
+        """Both studies accepted --jobs and ran with one worker.  The
+        command builds one runner from --jobs, and a campaign study runs
+        through that runner, not one of its own."""
+        import repro.cli as cli
         import repro.experiments.sensitivity as sensitivity
-        import repro.experiments.shift_study as shift_study
         from repro.campaigns import CampaignRunner, parallel_map
 
-        seen = []
+        built, seen = [], []
 
         class RecordingRunner(CampaignRunner):
             def __init__(self, options=None, **kwargs):
                 super().__init__(options, **kwargs)
+                built.append(self)
+
+            def run(self, specs, **kwargs):
                 seen.append(self.options.jobs)
+                return super().run(specs, **kwargs)
 
         def recording_map(fn, items, *, jobs=1):
             seen.append(jobs)
             return parallel_map(fn, items, jobs=jobs)
 
-        monkeypatch.setattr(shift_study, "CampaignRunner", RecordingRunner)
-        monkeypatch.setattr(shift_study, "_CACHE", {})
+        monkeypatch.setattr(cli, "CampaignRunner", RecordingRunner)
         monkeypatch.setattr(sensitivity, "parallel_map", recording_map)
         code = main([
             "experiment", "--name", name, "--scale", "test", "--jobs", "2",
         ])
         assert code == 0 and seen == [2]
+        assert [runner.options.jobs for runner in built] == [2]
 
     def test_experiment_statistical(self, capsys):
         code = main([

@@ -56,15 +56,6 @@ class TestStudy:
             <= result.outcome("MassColocation").mean_pick_time
         )
 
-    def test_cached(self):
-        a = run_colocation_study(
-            "redis", scale="test", repeats=2, mass_players=64, mass_games=2
-        )
-        b = run_colocation_study(
-            "redis", scale="test", repeats=2, mass_players=64, mass_games=2
-        )
-        assert a is b
-
     def test_rejects_bad_repeats(self):
         with pytest.raises(ReproError):
             run_colocation_study("redis", scale="test", repeats=0)

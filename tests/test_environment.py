@@ -81,7 +81,9 @@ class TestColocated:
     def test_colocated_outcome(self, app):
         e = env()
         indices = app.space.sample_indices(8, seed=1, replace=False)
-        out = e.run_colocated_batch(app, [indices], advance_clock=True)[0]
+        out = e.run_colocated_batch(
+            app, indices, [len(indices)], advance_clock=True
+        )[0]
         assert out.num_players == 8
         assert max(out.work) == pytest.approx(1.0, abs=1e-6) or out.early_terminated
 
@@ -90,14 +92,17 @@ class TestColocated:
         with pytest.raises(CloudError):
             e.run_colocated_batch(
                 app,
-                [app.space.sample_indices(3, seed=0, replace=False)],
+                app.space.sample_indices(3, seed=0, replace=False),
+                [3],
                 advance_clock=True,
             )
 
     def test_books_whole_vm(self, app):
         e = env()
         indices = app.space.sample_indices(4, seed=1, replace=False)
-        out = e.run_colocated_batch(app, [indices], advance_clock=True)[0]
+        out = e.run_colocated_batch(
+            app, indices, [len(indices)], advance_clock=True
+        )[0]
         expected = e.vm.vcpus * out.elapsed / 3600.0
         assert e.ledger.core_hours == pytest.approx(expected)
 
@@ -105,7 +110,8 @@ class TestColocated:
         e = env()
         e.run_colocated_batch(
             app,
-            [app.space.sample_indices(4, seed=1, replace=False)],
+            app.space.sample_indices(4, seed=1, replace=False),
+            [4],
             advance_clock=False,
         )
         assert e.now == 0.0

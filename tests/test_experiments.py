@@ -5,19 +5,41 @@ import pytest
 
 from repro.apps import make_application
 from repro.campaigns import CampaignSpec, execute_campaign
+from repro.cloud.vm import DEFAULT_VM, PRESETS, VMSpec
 from repro.experiments import (
     render_table,
+    run_colocation_study,
     run_fig1_left,
     run_fig1_right,
     run_fig2,
     run_fig3,
     run_headline,
     run_sensitivity,
+    run_shift_study,
     run_stability,
     run_table1,
     run_vm_sweep,
 )
 from repro.experiments.ablations import run_ablations
+
+#: A custom VM under a preset's name: 8 vCPUs where the preset has 32.
+EIGHT_VCPU_M5_8XLARGE = VMSpec("m5.8xlarge", vcpus=8, family="general")
+
+#: Small studies that take a VM, each as a function of it.
+_VM_STUDIES = {
+    "headline": lambda vm: run_headline(
+        ("redis",), scale="test", repeats=2, seed=0, vm=vm,
+        strategies=("Optimal", "DarwinGame"),
+    ),
+    "shift": lambda vm: run_shift_study(
+        "redis", strategies=("DarwinGame",), shifts=(0.0, 0.5),
+        scale="test", vm=vm, eval_runs=20,
+    ),
+    "colocation": lambda vm: run_colocation_study(
+        "redis", scale="test", repeats=1, mass_players=64, mass_games=2,
+        vm=vm,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -94,17 +116,24 @@ class TestHeadline:
         assert row_dg.cov_percent < 3.0
         assert row_dg.time_low <= row_dg.mean_time <= row_dg.time_high
 
-    def test_headline_cached(self):
-        a = run_headline(("redis",), scale="test", repeats=2, seed=0,
-                         strategies=("Optimal", "DarwinGame", "BLISS"))
-        b = run_headline(("redis",), scale="test", repeats=2, seed=0,
-                         strategies=("Optimal", "DarwinGame", "BLISS"))
-        assert a is b
-
     def test_stability(self):
         result = run_stability("redis", scale="test", repeats=3, seed=0)
         assert result.repeats == 3
         assert 0 < result.modal_pick_fraction <= 1.0
+
+
+class TestCustomVM:
+    @pytest.mark.parametrize("study", sorted(_VM_STUDIES))
+    def test_a_custom_vm_named_like_a_preset_gets_its_own_results(self, study):
+        """A study's results follow what the VM is, not its name: after a
+        run on the default VM, an 8-vCPU VM named ``m5.8xlarge`` gets what
+        the 8-vCPU general-purpose preset (``m5.2xlarge``) gets, not the
+        32-vCPU results."""
+        run = _VM_STUDIES[study]
+        default = run(DEFAULT_VM)
+        custom = run(EIGHT_VCPU_M5_8XLARGE)
+        assert custom == run(PRESETS["m5.2xlarge"])
+        assert custom != default
 
 
 class TestSweeps:

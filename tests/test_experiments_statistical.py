@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.campaigns import CampaignRunner, open_store
+from repro.experiments.headline import run_headline
 from repro.experiments.statistical import (
     STATISTICAL_STRATEGIES,
     run_statistical_comparison,
@@ -31,19 +33,27 @@ class TestStatisticalComparison:
         assert grid.row("redis", "DarwinGame").repeats == 2
         assert grid.row("redis", "Optimal").repeats == 1
 
-    def test_cached(self, grid, monkeypatch):
-        """A repeated comparison is served from the headline grid's cache:
-        equal rows, and no campaign runs again."""
-        from repro.campaigns.runner import CampaignRunner
-
-        def no_run(self, *args, **kwargs):
-            raise AssertionError("the cached grid ran campaigns again")
-
-        monkeypatch.setattr(CampaignRunner, "run", no_run)
-        again = run_statistical_comparison(
-            ("redis",), scale="test", repeats=2, seed=0
+    def test_reads_the_headline_grid_back_from_the_store(self, grid, tmp_path):
+        """Through one store-backed runner, the comparison runs only the
+        campaigns the headline grid lacks, and its rows are the in-memory
+        runner's."""
+        store = open_store(tmp_path / "claims.jsonl")
+        runner = CampaignRunner(store=store)
+        run_headline(
+            ("redis",), scale="test", repeats=2, seed=0,
+            strategies=("Optimal", "DarwinGame", "BLISS"), runner=runner,
         )
-        assert again == grid
+        headline = len(store)
+        assert headline == 5
+        comparison = run_statistical_comparison(
+            ("redis",), scale="test", repeats=2, seed=0, runner=runner
+        )
+        added = store.records()[headline:]
+        assert sorted(r.spec.strategy for r in added) == [
+            "QuantileRegression", "QuantileRegression",
+            "ThompsonSampling", "ThompsonSampling",
+        ]
+        assert comparison == grid
 
     def test_unknown_cell(self, grid):
         with pytest.raises(KeyError):

@@ -91,6 +91,11 @@ _REMOVED_MEMBERS = {
     ),
     # The Sec. 3.2 comparison is read off the headline grid.
     "repro.experiments.statistical": ("_aggregate", "_CACHE"),
+    # A campaign store is the one cache of campaign results; the
+    # co-location study runs no campaigns and keeps nothing.
+    "repro.experiments.headline": ("_CACHE",),
+    "repro.experiments.shift_study": ("_CACHE",),
+    "repro.experiments.colocation_study": ("_CACHE",),
     # A format is built from its players and settings; `run_schedule` plays
     # it through a match oracle.
     "repro.formats:Barrage": ("schedule", "run"),
@@ -133,6 +138,13 @@ _REMOVED_PARAMETERS = {
         "profile",
     ),
     "repro.campaigns.runner:parallel_map": ("start_method",),
+    # A campaign-shaped driver runs through the runner it is handed.
+    "repro.experiments:run_headline": ("jobs",),
+    "repro.experiments:run_stability": ("jobs",),
+    "repro.experiments:run_statistical_comparison": ("jobs",),
+    "repro.experiments:run_vm_sweep": ("jobs",),
+    "repro.experiments:run_scenario_robustness": ("jobs",),
+    "repro.experiments:run_shift_study": ("jobs",),
 }
 
 

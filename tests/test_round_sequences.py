@@ -100,8 +100,9 @@ class TestRecordsMatchEagerConstruction:
 
     def test_sequence_protocol(self, app):
         env = CloudEnvironment(VM, seed=3)
-        lineups = [[1, 2, 3], [4, 5], [6]]
-        outcomes = env.run_colocated_batch(app, lineups, work_deviation=0.1)
+        outcomes = env.run_colocated_batch(
+            app, [1, 2, 3, 4, 5, 6], [3, 2, 1], work_deviation=0.1
+        )
         assert isinstance(outcomes, RoundOutcomes)
         eager = eager_outcomes(outcomes)
         assert outcomes[-1] == eager[2] and outcomes[np.int64(1)] == eager[1]

@@ -212,21 +212,21 @@ class TestDynamics:
     def test_games_run_under_scenarios(self):
         app = _redis()
         outcome = _env(seed=2, scenario="bursty").run_colocated_batch(
-            app, [[0, 3, 7]], advance_clock=True
+            app, [0, 3, 7], [3], advance_clock=True
         )[0]
         assert outcome.elapsed > 0.0
         again = _env(seed=2, scenario="bursty").run_colocated_batch(
-            app, [[0, 3, 7]], advance_clock=True
+            app, [0, 3, 7], [3], advance_clock=True
         )[0]
         assert outcome.elapsed == again.elapsed
         assert outcome.work == again.work
         # and an always-on scenario changes the game vs. the steady cloud
         # (bursty may roll no storm inside one short game's first window)
         steady = _env(seed=2).run_colocated_batch(
-            app, [[0, 3, 7]], advance_clock=True
+            app, [0, 3, 7], [3], advance_clock=True
         )[0]
         diurnal = _env(seed=2, scenario="diurnal").run_colocated_batch(
-            app, [[0, 3, 7]], advance_clock=True
+            app, [0, 3, 7], [3], advance_clock=True
         )[0]
         assert steady.elapsed != diurnal.elapsed
 
@@ -373,7 +373,7 @@ class TestScenarioRobustnessExperiment:
         result = run_scenario_robustness(
             apps=("redis",), strategies=("DarwinGame", "BLISS"),
             scenarios=("steady", "bursty"), seeds=(0,), scale="test",
-            eval_runs=10, jobs=1,
+            eval_runs=10,
         )
         assert result.total == 4
         assert {r.value for r in result.rows} == {"steady", "bursty"}

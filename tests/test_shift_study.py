@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaigns import CampaignRunner, SweepOptions
 from repro.cloud.vm import DEFAULT_VM
 from repro.errors import ReproError
 from repro.experiments.shift_study import _shifted_vm, run_shift_study
@@ -54,17 +55,15 @@ class TestShiftStudy:
         bliss = study.row("BLISS", 0.5).degradation_percent
         assert dg < bliss
 
-    def test_jobs_do_not_change_the_rows(self, monkeypatch):
-        import repro.experiments.shift_study as shift_study
-
-        monkeypatch.setattr(shift_study, "_CACHE", {})
-        rows = []
-        for jobs in (1, 2):
-            shift_study._CACHE.clear()
-            rows.append(run_shift_study(
+    def test_jobs_do_not_change_the_rows(self):
+        rows = [
+            run_shift_study(
                 "redis", strategies=("DarwinGame", "BLISS"), shifts=(0.0, 0.5),
-                scale="test", eval_runs=50, jobs=jobs,
-            ).rows)
+                scale="test", eval_runs=50,
+                runner=CampaignRunner(SweepOptions(jobs=jobs)),
+            ).rows
+            for jobs in (1, 2)
+        ]
         assert rows[0] == rows[1]
 
     def test_campaigns_run_at_the_study_eval_runs(self, monkeypatch):
@@ -72,7 +71,6 @@ class TestShiftStudy:
         100 runs, which the study then discarded."""
         import repro.experiments.shift_study as shift_study
 
-        monkeypatch.setattr(shift_study, "_CACHE", {})
         received = []
         run = shift_study.CampaignRunner.run
 

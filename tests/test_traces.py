@@ -154,6 +154,8 @@ class TestRecordReplay:
         for _ in range(2):
             env = CloudEnvironment(seed=0)
             env.interference = ReplayedInterference(trace, DEFAULT_VM.interference)
-            outcome = env.run_colocated_batch(app, [[1, 2, 3]], advance_clock=True)[0]
+            outcome = env.run_colocated_batch(
+                app, [1, 2, 3], [3], advance_clock=True
+            )[0]
             means.append(outcome.mean_interference)
         assert means[0] == pytest.approx(means[1], rel=1e-9)
