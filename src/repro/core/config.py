@@ -147,12 +147,9 @@ class DarwinGameConfig:
         read from :meth:`recipe` by the playoff phase directly.
         """
         recipe = self.recipe()
-        changes = {}
-        if not recipe.swiss_regional and self.swiss_style:
-            changes["swiss_style"] = False
         if not recipe.double_elimination_global and self.double_elimination:
-            changes["double_elimination"] = False
-        return replace(self, **changes) if changes else self
+            return replace(self, double_elimination=False)
+        return self
 
     def with_ablation(self, name: str) -> "DarwinGameConfig":
         """Return a copy with one named Fig. 16 ablation applied."""

@@ -34,7 +34,7 @@ import numpy as np
 from repro.apps.model import ApplicationModel
 from repro.cloud.environment import CloudEnvironment
 from repro.core.config import DarwinGameConfig
-from repro.core.records import RecordBook, finishing_order, index_array
+from repro.core.records import RecordBook, index_array
 from repro.errors import TournamentError
 from repro.formats.barrage import Barrage
 from repro.formats.double_elimination import (
@@ -42,9 +42,7 @@ from repro.formats.double_elimination import (
     GroupedDoubleElimination,
     GroupedDoubleEliminationResult,
 )
-from repro.formats.match import RecordedMatch
 from repro.formats.round_robin import RoundRobin
-from repro.formats.scheduler import Round
 from repro.formats.single_elimination import SingleElimination
 from repro.formats.swiss import StreakSwiss
 from repro.space.regions import Region
@@ -56,15 +54,14 @@ from repro.types import GameOutcome, GameSequence, RoundOutcomes
 class GameReport:
     """One played game: who took part, their scores, and the raw outcome.
 
-    ``ranking`` orders the players' positions by execution score, best
-    first (ties in seat order), so ``ranking[0]`` is ``winner_position``.
+    ``winner_position`` is the seat of the top execution score (the first
+    seat among equals).
     """
 
     indices: Tuple[int, ...]
     execution_scores: Tuple[float, ...]
     winner_position: int
     outcome: GameOutcome
-    ranking: Tuple[int, ...]
 
     @property
     def winner_index(self) -> int:
@@ -82,8 +79,8 @@ class RoundReports(GameSequence):
     ``winner_positions`` holds each game's winner and ``outcomes`` the
     kernel's :class:`~repro.types.RoundOutcomes`, whose ``sizes`` are the
     games' seat counts.  A :class:`GameReport` is built only when an item
-    is indexed or iterated, and the games' finishing orders are sorted
-    then; the regional phase reads the arrays and builds none.
+    is indexed or iterated; the regional and playoff phases read the
+    arrays and build none.
     """
 
     __slots__ = (
@@ -125,11 +122,10 @@ class RoundReports(GameSequence):
             self._lists = [
                 a.tolist() for a in (
                     self.indices, self.execution_scores, self.winner_positions,
-                    finishing_order(self.execution_scores, sizes),
                     np.cumsum(sizes), sizes,
                 )
             ]
-        indices, scores, winners, ranking, ends, sizes = self._lists
+        indices, scores, winners, ends, sizes = self._lists
         end = ends[i]
         start = end - sizes[i]
         return GameReport(
@@ -137,7 +133,6 @@ class RoundReports(GameSequence):
             execution_scores=tuple(scores[start:end]),
             winner_position=winners[i],
             outcome=self.outcomes[i],
-            ranking=tuple(ranking[start:end]),
         )
 
 
@@ -286,13 +281,11 @@ class MatchExecutor:
     def _book_round(
         self, indices: np.ndarray, outcomes: RoundOutcomes
     ) -> RoundReports:
-        """Score, book and rank a played round in whole-round passes.
+        """Score and book a played round in whole-round passes.
 
         Scores are computed over the round's seats at once and booked with
-        one :meth:`~repro.core.records.RecordBook.record_round` call; every
-        game's finishing order comes from one stable row sort
-        (:func:`~repro.core.records.finishing_order`) when a report is
-        first read.
+        one :meth:`~repro.core.records.RecordBook.record_round` call, which
+        also names each game's winning seat.
         """
         sizes = outcomes.sizes
         if sizes.size:
@@ -315,19 +308,6 @@ class MatchExecutor:
             [[a, b]], label=label, allow_early_termination=False,
             advance_clock=True,
         )[0]
-
-    @staticmethod
-    def recorded(report: GameReport, winner_pos: Optional[int] = None) -> RecordedMatch:
-        """A game report as the finishing order schedulers consume.
-
-        The judged winner (default: the execution-score leader the record
-        book booked) ranks first; everyone else follows in execution-score
-        order (stable, deterministic).
-        """
-        ranking = report.ranking
-        if winner_pos is not None and winner_pos != ranking[0]:
-            ranking = (winner_pos,) + tuple(i for i in ranking if i != winner_pos)
-        return RecordedMatch(players=report.indices, ranking=ranking)
 
     @staticmethod
     def round_elapsed(reports: RoundReports) -> float:
@@ -372,10 +352,10 @@ class MatchExecutor:
             ),
         )
         elapsed = np.zeros(len(regions))
-        while (lineups := run.next_lineups()) is not None:
+        while (lineups := run.pairings()) is not None:
             reports = self.play(lineups, label="regional")
             elapsed[run.playing] += reports.elapsed
-            run.record_winners(reports.winner_indices)
+            run.advance(reports.winner_indices)
         return self._regional_results(regions, run, elapsed)
 
     def _regional_results(
@@ -459,15 +439,13 @@ class MatchExecutor:
                 use_consistency=cfg.use_consistency_score,
             ),
         )
-        while (round_ := run.pairings()) is not None:
+        while (lineups := run.pairings()) is not None:
             in_groups = run.stage == "groups"
             reports = self.play(
-                round_.lineups, label="global", advance_clock=not in_groups
+                lineups, label="global", advance_clock=not in_groups
             )
             run.advance([
-                self.recorded(
-                    r, self.judge_game(r.indices, r.execution_scores)
-                )
+                r.indices[self.judge_game(r.indices, r.execution_scores)]
                 for r in reports
             ])
             if in_groups:
@@ -527,8 +505,8 @@ class MatchExecutor:
         if fmt == "barrage":
             # The paper's playoffs seat at most four qualifiers (Sec. 3.5).
             run = Barrage(seeded[:4], repechage=self.config.barrage_playoffs)
-            while (round_ := run.pairings()) is not None:
-                run.advance(play(round_))
+            while (lineups := run.pairings()) is not None:
+                run.advance(play(lineups))
             finalists = run.result().finalists
         elif fmt == "single_elimination":
             run = SingleElimination(seeded)
@@ -542,8 +520,8 @@ class MatchExecutor:
             finalists = run.finalists
         elif fmt == "round_robin":
             run = RoundRobin(seeded)
-            while (round_ := run.pairings()) is not None:
-                run.advance(play(round_))
+            while (lineups := run.pairings()) is not None:
+                run.advance(play(lineups))
             finalists = run.result().standings[:2]
         else:  # pragma: no cover - recipes validate at registration
             raise TournamentError(f"unknown playoff format {fmt!r}")
@@ -557,15 +535,15 @@ class MatchExecutor:
             games=run.log.games,
         )
 
-    def _playoff_round(self, round_: Round) -> List[RecordedMatch]:
-        """One playoff round: parallel VMs, full games, clock by the slowest."""
-        reports = self.play(
-            round_.lineups,
+    def _playoff_round(self, lineups: List[List[int]]) -> List[int]:
+        """One playoff round: parallel VMs, full games, clock by the slowest;
+        each game's execution-score winner."""
+        return self.play(
+            lineups,
             label="playoffs",
             allow_early_termination=False,
             advance_clock=True,
-        )
-        return [self.recorded(report) for report in reports]
+        ).winner_indices.tolist()
 
     def play_final(self, finalists: Tuple[int, int]) -> GameReport:
         """Play the final; the faster configuration wins the tournament."""

@@ -27,7 +27,7 @@ def _phase_styles(name: str) -> Tuple[str, str, str]:
         return name, name, name
     recipe = tournament_format(name)
     return (
-        "Swiss" if recipe.swiss_regional else "one game per region",
+        "Swiss",
         "double elimination" if recipe.double_elimination_global
         else "single elimination",
         recipe.playoffs.replace("_", " "),

@@ -4,10 +4,16 @@ DarwinGame's phases (Sec. 3) are built from three classic playing styles —
 Swiss, double elimination, and barrage — and the paper grounds its choices
 in the tournament-design literature (its refs. [26, 35, 44, 58, 64]).  This
 package provides those formats as *schedulers* over abstract player ids.
-Each format is one class, built from its players (or its region pool) and
-its settings: a pure state machine that emits rounds of matches and ingests
-results, with no opinion about how a match is decided (see
-:mod:`repro.formats.scheduler`).
+Each format is one class, built from its players (or its region pools) and
+its settings: a pure state machine with no opinion about how a game is
+decided.  All seven (:class:`SwissSystem`, :class:`StreakSwiss`,
+:class:`SingleElimination`, :class:`DoubleElimination`,
+:class:`GroupedDoubleElimination`, :class:`RoundRobin` and
+:class:`Barrage`) speak one protocol
+(:class:`~repro.formats.scheduler.ScheduledRun`): ``pairings()`` hands out
+a round's lineups as lists of player ids, or ``None`` once the format is
+done, and ``advance(winners)`` takes back one winner per lineup, in lineup
+order.
 
 One set of schedulers serves every consumer:
 
@@ -34,7 +40,7 @@ from repro.formats.double_elimination import (
     GroupedDoubleEliminationResult,
     form_groups,
 )
-from repro.formats.match import MatchOracle, NoisyStrengthOracle, RecordedMatch
+from repro.formats.match import MatchOracle, NoisyStrengthOracle
 from repro.formats.recipes import (
     DEFAULT_FORMAT,
     PLAYOFF_FORMATS,
@@ -45,13 +51,7 @@ from repro.formats.recipes import (
     tournament_format_names,
 )
 from repro.formats.round_robin import RoundRobin, RoundRobinResult
-from repro.formats.scheduler import (
-    Match,
-    PlayerPool,
-    Round,
-    ScheduledRun,
-    run_schedule,
-)
+from repro.formats.scheduler import PlayerPool, ScheduledRun, run_schedule
 from repro.formats.single_elimination import (
     SingleElimination,
     SingleEliminationResult,
@@ -66,13 +66,10 @@ __all__ = [
     "DoubleEliminationResult",
     "GroupedDoubleElimination",
     "GroupedDoubleEliminationResult",
-    "Match",
     "MatchOracle",
     "NoisyStrengthOracle",
     "PLAYOFF_FORMATS",
     "PlayerPool",
-    "RecordedMatch",
-    "Round",
     "RoundRobin",
     "RoundRobinResult",
     "ScheduledRun",

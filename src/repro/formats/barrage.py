@@ -16,7 +16,9 @@ games are skipped — a plain knockout where the bottom-half survivor simply
 becomes the second finalist (the paper's "w/o barrage" ablation).
 
 Games 1 and 2 (and generally all games of a barrage stage round) are
-independent, so each :class:`Round` batches them for parallel execution.
+independent, so one round hands out their lineups together for parallel
+execution.  The stage keeps the pairs it handed out: a pair's loser is the
+seat that did not win.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.formats.scheduler import (
-    Match,
-    Round,
     RunLog,
+    pair_off,
+    split_round,
     validated_players,
 )
 
@@ -71,6 +73,7 @@ class Barrage:
         self._first: Optional[int] = None
         self._second: Optional[int] = None
         self._pool: List[int] = []
+        self._pairs: List[Tuple[int, int]] = []
         self._reduce_byes: List[int] = []
         self._barrage_byes: List[int] = []
         if len(self.seeds) == 2:
@@ -83,34 +86,18 @@ class Barrage:
     def done(self) -> bool:
         return self._stage == self._STAGE_DONE
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         if self._stage == self._STAGE_HALVES:
             # The top half plays for direct final spots, the bottom half
             # for barrage berths — all pairs independent, one round.  The
-            # split is computed once here; advance() reads the stash.
+            # odd top seed drops to the barrage; the odd bottom seed
+            # advances into the barrage berths unplayed.
             half = (len(self.seeds) + 1) // 2
-            top, bottom = self.seeds[:half], self.seeds[half:]
-            self._top_pairs = [
-                (top[k], top[k + 1])
-                for k in range(0, len(top) - len(top) % 2, 2)
-            ]
-            self._bottom_pairs = [
-                (bottom[k], bottom[k + 1])
-                for k in range(0, len(bottom) - len(bottom) % 2, 2)
-            ]
-            # Odd top seed drops to the barrage; odd bottom seed advances
-            # into the barrage berths unplayed.
-            self._top_bye = top[-1] if len(top) % 2 == 1 else None
-            self._bottom_bye = bottom[-1] if len(bottom) % 2 == 1 else None
-            byes = [b for b in (self._top_bye, self._bottom_bye)
-                    if b is not None]
-            return Round(
-                matches=tuple(
-                    Match(p) for p in self._top_pairs + self._bottom_pairs
-                ),
-                byes=tuple(byes),
-            )
-        if self._stage == self._STAGE_BARRAGE:
+            top_pairs, self._top_bye = pair_off(self.seeds[:half])
+            bottom_pairs, self._bottom_bye = pair_off(self.seeds[half:])
+            self._top_games = len(top_pairs)
+            self._pairs = top_pairs + bottom_pairs
+        elif self._stage == self._STAGE_BARRAGE:
             # The barrage proper: top-half losers vs bottom-half winners.
             # Odd fields leave one berth unpaired; that player byes into
             # the survivor pool instead of silently dropping out.
@@ -118,37 +105,23 @@ class Barrage:
             self._barrage_byes = (
                 self.top_losers[paired:] + self.bottom_winners[paired:]
             )
-            return Round(
-                matches=tuple(
-                    Match((a, b))
-                    for a, b in zip(self.top_losers, self.bottom_winners)
-                ),
-                byes=tuple(self._barrage_byes),
-            )
-        if self._stage in (self._STAGE_REDUCE_SECOND, self._STAGE_REDUCE_FIRST):
-            pool = self._pool
-            self._reduce_byes = [pool[-1]] if len(pool) % 2 == 1 else []
-            return Round(
-                matches=tuple(
-                    Match((pool[k], pool[k + 1]))
-                    for k in range(0, len(pool) - len(pool) % 2, 2)
-                ),
-                byes=tuple(self._reduce_byes),
-            )
-        return None
+            self._pairs = list(zip(self.top_losers, self.bottom_winners))
+        elif self._stage in (self._STAGE_REDUCE_SECOND, self._STAGE_REDUCE_FIRST):
+            self._pairs, bye = pair_off(self._pool)
+            self._reduce_byes = [bye] if bye is not None else []
+        else:
+            return None
+        return [list(pair) for pair in self._pairs]
 
-    def advance(self, results) -> None:
-        self.log.book(results)
+    def advance(self, winners: Sequence[int]) -> None:
+        won, lost = split_round(self._pairs, winners)
+        self.log.book(won)
         if self._stage == self._STAGE_HALVES:
-            matches = iter(results)
-            for _ in self._top_pairs:
-                match = next(matches)
-                self.direct.append(match.winner)
-                self.top_losers.append(match.loser)
-            for _ in self._bottom_pairs:
-                match = next(matches)
-                self.bottom_winners.append(match.winner)
-                self.eliminated.append(match.loser)
+            top = self._top_games
+            self.direct.extend(won[:top])
+            self.top_losers.extend(lost[:top])
+            self.bottom_winners.extend(won[top:])
+            self.eliminated.extend(lost[top:])
             if self._bottom_bye is not None:
                 self.bottom_winners.append(self._bottom_bye)
             if self.repechage:
@@ -166,20 +139,14 @@ class Barrage:
                 )
                 self._begin_reduce(pool, self._STAGE_REDUCE_SECOND)
             return
+        self.eliminated.extend(lost)
         if self._stage == self._STAGE_BARRAGE:
-            survivors: List[int] = []
-            for match in results:
-                survivors.append(match.winner)
-                self.eliminated.append(match.loser)
-            survivors.extend(self._barrage_byes)
+            survivors = won + self._barrage_byes
             self._barrage_byes = []
             self._begin_reduce(survivors, self._STAGE_REDUCE_SECOND)
             return
         # Reduction rounds: knock a pool down to a single player.
-        pool: List[int] = list(self._reduce_byes)
-        for match in results:
-            pool.append(match.winner)
-            self.eliminated.append(match.loser)
+        pool = self._reduce_byes + won
         self._reduce_byes = []
         self._continue_reduce(pool)
 

@@ -27,25 +27,21 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ReproError
-from repro.formats.match import RecordedMatch
 from repro.formats.scheduler import (
-    Match,
-    Round,
     RunLog,
     pair_off,
+    split_round,
     validated_players,
 )
 
 
 @dataclass(frozen=True)
 class DoubleEliminationResult:
-    """Winner plus the bracket history of a double-elimination run."""
+    """Winner and runner-up of a double-elimination run."""
 
     winner: int
     runner_up: int
     games: int
-    main_rounds: Tuple[Tuple[int, ...], ...]    # main-bracket entrants per round
-    loser_rounds: Tuple[Tuple[int, ...], ...]   # loser-bracket entrants per round
     grand_final_needed_reset: bool
 
 
@@ -69,10 +65,9 @@ class DoubleElimination:
         )
         self.losers: List[int] = []
         self.log = RunLog()
-        self._main_rounds: List[Tuple[int, ...]] = []
-        self._loser_rounds: List[Tuple[int, ...]] = []
         self._stage = self._STAGE_BRACKETS
         self._pending: Optional[str] = None  # which bracket the open round is
+        self._pairs: List[Tuple[int, int]] = []
         self._turn = "main"  # brackets strictly alternate: main, loser, ...
         self._pending_bye: Optional[int] = None
         self._reset = False
@@ -101,7 +96,7 @@ class DoubleElimination:
             raise ReproError("degenerate field: no loser-bracket champion")
         return self.main[0], self.losers[0]
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         if self._stage == self._STAGE_BRACKETS:
             # Brackets strictly alternate — a main round (when two or more
             # remain), then a loser round (ditto).  Two idle turns in a row
@@ -111,28 +106,23 @@ class DoubleElimination:
                     self._turn = "loser"
                     if len(self.main) > 1:
                         self._pending = "main"
-                        self._main_rounds.append(tuple(self.main))
                         return self._bracket_round(self.main)
                 else:
                     self._turn = "main"
                     if len(self.losers) > 1:
                         self._pending = "loser"
-                        self._loser_rounds.append(tuple(self.losers))
                         return self._bracket_round(self.losers)
             return self._grand_final_round()
         if self._stage in (self._STAGE_GRAND_FINAL, self._STAGE_RESET):
-            return Round(matches=(Match((self.main[0], self.losers[0])),))
+            self._pairs = [(self.main[0], self.losers[0])]
+            return [list(pair) for pair in self._pairs]
         return None
 
-    def _bracket_round(self, bracket: List[int]) -> Round:
-        pairs, bye = pair_off(bracket)
-        self._pending_bye = bye
-        return Round(
-            matches=tuple(Match(pair) for pair in pairs),
-            byes=(bye,) if bye is not None else (),
-        )
+    def _bracket_round(self, bracket: List[int]) -> List[List[int]]:
+        self._pairs, self._pending_bye = pair_off(bracket)
+        return [list(pair) for pair in self._pairs]
 
-    def _grand_final_round(self) -> Optional[Round]:
+    def _grand_final_round(self) -> Optional[List[List[int]]]:
         if not self.losers:
             # Degenerate: the single loss already decided it (unreachable
             # for n >= 2 fields, kept as a safeguard).
@@ -143,18 +133,17 @@ class DoubleElimination:
         self._stage = self._STAGE_GRAND_FINAL
         return self.pairings()
 
-    def advance(self, results: Sequence[RecordedMatch]) -> None:
-        self.log.book(results)
+    def advance(self, winners: Sequence[int]) -> None:
+        won, dropped = split_round(self._pairs, winners)
+        self.log.book(won)
         if self._pending == "main" or self._pending == "loser":
             survivors: List[int] = []
             if self._pending_bye is not None:
                 survivors.append(self._pending_bye)
                 self._pending_bye = None
-            dropped: List[int] = []
-            for match in results:
-                survivors.append(match.winner)
-                dropped.append(match.loser)
-                self._last_loser = match.loser
+            survivors.extend(won)
+            if dropped:
+                self._last_loser = dropped[-1]
             if self._pending == "main":
                 self.main = survivors
                 self.losers.extend(dropped)
@@ -163,16 +152,16 @@ class DoubleElimination:
             self._pending = None
             return
 
-        (final,) = results
+        (winner,) = won
         main_champion, loser_champion = self.main[0], self.losers[0]
-        if self._stage == self._STAGE_GRAND_FINAL and final.winner == loser_champion:
+        if self._stage == self._STAGE_GRAND_FINAL and winner == loser_champion:
             # Main champion's first loss: the bracket resets to a rematch.
             self._reset = True
             self._stage = self._STAGE_RESET
             return
-        self._winner = final.winner
+        self._winner = winner
         self._runner_up = (
-            loser_champion if final.winner == main_champion else main_champion
+            loser_champion if winner == main_champion else main_champion
         )
         self._stage = self._STAGE_DONE
 
@@ -186,8 +175,6 @@ class DoubleElimination:
             winner=self._winner,
             runner_up=self._runner_up,
             games=self.log.games,
-            main_rounds=tuple(self._main_rounds),
-            loser_rounds=tuple(self._loser_rounds),
             grand_final_needed_reset=self._reset,
         )
 
@@ -238,8 +225,8 @@ class GroupedDoubleElimination:
     """One multi-player grouped double elimination (DarwinGame's global phase).
 
     Group winners are decided by the *executor* (DarwinGame judges by the
-    joint execution/consistency rank criterion, Fig. 7) and arrive here as
-    each match's ``ranking[0]``; the scheduler owns only who meets whom.
+    joint execution/consistency rank criterion, Fig. 7) and arrive here one
+    per lineup; the scheduler owns only who meets whom.
 
     Args:
         entrants: the players entering the main bracket.
@@ -294,6 +281,7 @@ class GroupedDoubleElimination:
         self.games = 0
         self._stage = self._STAGE_GROUPS
         self._groups: Optional[List[List[int]]] = None
+        self._lineups: List[List[int]] = []
         self._wildcard_pending = False
 
     @property
@@ -305,7 +293,7 @@ class GroupedDoubleElimination:
         """Current stage: ``"groups"``, ``"wildcard"``, or ``"done"``."""
         return self._stage
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         if self._stage == self._STAGE_GROUPS:
             if len(self.main) <= self.target:
                 return self._open_wildcard()
@@ -320,20 +308,18 @@ class GroupedDoubleElimination:
             self._groups = form_groups(
                 self.main, n_games, self.rng, group_key=self.group_key
             )
-            return Round(
-                matches=tuple(
-                    Match(tuple(g)) for g in self._groups if len(g) > 1
-                ),
-                byes=tuple(g[0] for g in self._groups if len(g) == 1),
-            )
-        if self._stage == self._STAGE_WILDCARD and self._wildcard_pending:
+            self._lineups = [g for g in self._groups if len(g) > 1]
+        elif self._stage == self._STAGE_WILDCARD and self._wildcard_pending:
             unique = list(dict.fromkeys(self.losers))
             order = self.seed_order(unique)
-            lineup = tuple(unique[int(p)] for p in order[: self.players_per_game])
-            return Round(matches=(Match(lineup),))
-        return None
+            self._lineups = [
+                [unique[int(p)] for p in order[: self.players_per_game]]
+            ]
+        else:
+            return None
+        return [list(lineup) for lineup in self._lineups]
 
-    def _open_wildcard(self) -> Optional[Round]:
+    def _open_wildcard(self) -> Optional[List[List[int]]]:
         self._stage = self._STAGE_WILDCARD
         if self.double_elimination and self.losers:
             unique = list(dict.fromkeys(self.losers))
@@ -352,22 +338,18 @@ class GroupedDoubleElimination:
         self._stage = self._STAGE_DONE
         return None
 
-    def advance(self, results: Sequence[RecordedMatch]) -> None:
+    def advance(self, winners: Sequence[int]) -> None:
+        won, lost = split_round(self._lineups, winners)
         if self._stage == self._STAGE_GROUPS:
             assert self._groups is not None
-            matches = iter(results)
-            round_winners: List[int] = []
-            for group in self._groups:
-                if len(group) == 1:
-                    round_winners.extend(group)  # bye
-                    continue
-                match = next(matches)
-                self.games += 1
-                winner = match.winner
-                round_winners.append(winner)
-                for player in group:
-                    if player != winner:
-                        self.losers.append(player)
+            # A single-player group is a bye: its player advances unplayed.
+            played = iter(won)
+            round_winners = [
+                group[0] if len(group) == 1 else next(played)
+                for group in self._groups
+            ]
+            self.games += len(won)
+            self.losers.extend(lost)
             self._groups = None
             self.rounds += 1
             if len(round_winners) >= len(self.main):
@@ -377,9 +359,8 @@ class GroupedDoubleElimination:
             self.main = round_winners
             return
         # The wild-card game.
-        (match,) = results
+        (self.wildcard,) = won
         self.games += 1
-        self.wildcard = match.winner
         self._wildcard_pending = False
         self._stage = self._STAGE_DONE
 

@@ -1,8 +1,8 @@
 """Match oracles: how a game between abstract players is decided.
 
 A format scheduler (Swiss, double elimination, ...) only needs a callable
-that, given a group of player ids, returns their finishing order.  The
-oracle abstracts *why* one player beats another; the provided
+that, given a lineup of player ids, returns its winner.  The oracle
+abstracts *why* one player beats another; the provided
 :class:`NoisyStrengthOracle` reproduces the setting of the tournament-design
 literature the paper cites (players have latent strengths, games observe
 them through noise), which is also exactly DarwinGame's situation: a game's
@@ -11,7 +11,6 @@ execution scores are the players' latent speeds seen through interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -20,40 +19,11 @@ from repro.errors import ReproError
 from repro.rng import SeedLike, ensure_rng
 
 
-@dataclass(frozen=True)
-class RecordedMatch:
-    """One decided game: the players and their finishing order.
-
-    ``ranking`` holds positions into ``players`` from best to worst, so
-    ``players[ranking[0]]`` is the winner.
-    """
-
-    players: Tuple[int, ...]
-    ranking: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.ranking) != list(range(len(self.players))):
-            raise ReproError(
-                f"ranking {self.ranking} is not a permutation of the "
-                f"{len(self.players)} player positions"
-            )
-
-    @property
-    def winner(self) -> int:
-        """Player id of the game's winner."""
-        return self.players[self.ranking[0]]
-
-    @property
-    def loser(self) -> int:
-        """Player id of the game's last finisher."""
-        return self.players[self.ranking[-1]]
-
-
 class MatchOracle(Protocol):
     """Decides the outcome of one game among player ids."""
 
-    def play(self, players: Sequence[int]) -> RecordedMatch:
-        """Play one game and return the finishing order."""
+    def play(self, players: Sequence[int]) -> int:
+        """Play one game and return its winner's id."""
         ...  # pragma: no cover - protocol
 
 
@@ -62,11 +32,12 @@ class NoisyStrengthOracle:
 
     A game among players ``p_1..p_k`` observes ``strength[p] + eps`` with
     ``eps ~ N(0, noise_std)`` drawn independently per player per game, and
-    ranks players by the observed value (higher is better).  With
+    the highest observed value wins (the first seat among equals).  With
     ``noise_std = 0`` the oracle is deterministic.
 
-    The ``games_played`` counter and ``history`` list allow studies to
-    charge formats for the games they schedule.
+    The ``games_played`` counter and the ``history`` of ``(lineup,
+    winner)`` pairs allow studies to charge formats for the games they
+    schedule.
     """
 
     def __init__(
@@ -83,7 +54,7 @@ class NoisyStrengthOracle:
         self.noise_std = float(noise_std)
         self._rng = ensure_rng(seed)
         self.games_played = 0
-        self.history: List[RecordedMatch] = []
+        self.history: List[Tuple[Tuple[int, ...], int]] = []
 
     @property
     def num_players(self) -> int:
@@ -94,8 +65,8 @@ class NoisyStrengthOracle:
         """The ground-truth strongest player id."""
         return int(np.argmax(self.strengths))
 
-    def play(self, players: Sequence[int]) -> RecordedMatch:
-        """Observe noisy strengths and rank the group (best first)."""
+    def play(self, players: Sequence[int]) -> int:
+        """Observe noisy strengths; the highest observation wins."""
         ids = [int(p) for p in players]
         if len(ids) < 2:
             raise ReproError(f"a match needs at least two players, got {ids}")
@@ -104,8 +75,7 @@ class NoisyStrengthOracle:
         observed = self.strengths[ids] + self._rng.normal(
             0.0, self.noise_std, size=len(ids)
         )
-        ranking = tuple(int(i) for i in np.argsort(-observed, kind="stable"))
-        match = RecordedMatch(players=tuple(ids), ranking=ranking)
+        winner = ids[int(np.argmax(observed))]
         self.games_played += 1
-        self.history.append(match)
-        return match
+        self.history.append((tuple(ids), winner))
+        return winner

@@ -3,7 +3,7 @@
 The paper's DarwinGame is one point in a design space the tournament
 literature spans: Swiss screening, a double-elimination global bracket,
 barrage playoffs.  A :class:`TournamentRecipe` names a point in that space
-— which playing styles the regional/global phases use and which scheduler
+— whether the global phase keeps its loser bracket and which scheduler
 decides the playoffs — and the registry makes ``format`` a first-class,
 sweepable axis: the same :class:`~repro.core.tournament.DarwinGame` engine
 runs every recipe, so formats can be compared per scenario pack with
@@ -37,8 +37,6 @@ class TournamentRecipe:
 
     Attributes:
         name: registry key (the sweepable ``format`` value).
-        swiss_regional: regional pools play Swiss-style streak rounds
-            (``False``: one random game per region decides it).
         double_elimination_global: the global phase keeps a loser pool and
             grants a wild card (``False``: losses eliminate outright).
         playoffs: which scheduler produces the two finalists
@@ -48,7 +46,6 @@ class TournamentRecipe:
 
     name: str
     description: str
-    swiss_regional: bool = True
     double_elimination_global: bool = True
     playoffs: str = "barrage"
 

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.formats.scheduler import (
-    Match,
-    Round,
-    RunLog,
-    validated_players,
-)
+from repro.formats.scheduler import RunLog, split_round, validated_players
 
 
 @dataclass(frozen=True)
@@ -65,18 +60,18 @@ class RoundRobin:
     def done(self) -> bool:
         return self._cursor >= len(self._pairs)
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         if self.done:
             return None
-        return Round(matches=(Match(self._pairs[self._cursor]),))
+        return [list(self._pairs[self._cursor])]
 
-    def advance(self, results) -> None:
-        (match,) = results
-        a, b = self._pairs[self._cursor]
-        self.wins[match.winner] += 1
-        self.head_to_head[(a, b)] = match.winner
+    def advance(self, winners: Sequence[int]) -> None:
+        pair = self._pairs[self._cursor]
+        (winner,), _ = split_round([pair], winners)
+        self.wins[winner] += 1
+        self.head_to_head[pair] = winner
         self._cursor += 1
-        self.log.book(results)
+        self.log.book([winner])
 
     def result(self) -> RoundRobinResult:
         standings: List[int] = sorted(self.ids, key=lambda p: (-self.wins[p], p))

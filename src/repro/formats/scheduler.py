@@ -2,30 +2,32 @@
 
 A *format* (Swiss, double elimination, barrage, ...) is pure scheduling
 logic: given what has happened so far, which groups of players should meet
-next?  Each format is one class, built from its players and its settings:
-a :class:`ScheduledRun` — an incremental state machine that emits one
-:class:`Round` of :class:`Match` es at a time and ingests the outcomes as
-:class:`~repro.formats.match.RecordedMatch` es:
+next?  Each format is one class, built from its players and its settings,
+and speaks one protocol (:class:`ScheduledRun`): ``pairings()`` hands out a
+round's lineups as lists of player ids (``None`` once the format is done),
+and ``advance(winners)`` takes back one winner per lineup, in lineup order:
 
     run = SwissSystem(players, rounds=3)
-    while (round_ := run.pairings()) is not None:
-        results = [play(match.players) for match in round_.matches]
-        run.advance(results)
+    while (lineups := run.pairings()) is not None:
+        run.advance([play(lineup) for lineup in lineups])
     result = run.result()
 
-Crucially the state machine never plays a game itself — *who wins* is the
-executor's business.  Two executors drive the same schedulers today:
+A scheduler keeps the lineups it handed out, so a winner is all it needs
+back: in a two-player game the loser is the other seat, and a group's
+losers are everyone but the winner.  It never plays a game itself — *who
+wins* is the executor's business.  Two executors drive the same
+schedulers:
 
-* :func:`run_schedule` plays matches through a
+* :func:`run_schedule` plays each lineup through a
   :class:`~repro.formats.match.MatchOracle` (the tournament-design-literature
   setting used by :mod:`repro.experiments.format_power`), and
-* :class:`repro.core.executor.MatchExecutor` plays them as co-located cloud
-  games through the batched ``(games, segments, players)`` tensor path,
-  which is how the real DarwinGame tuner runs these exact schedulers.
+* :class:`repro.core.executor.MatchExecutor` plays a round as co-located
+  cloud games through the batched ``(games, segments, players)`` tensor
+  path, which is how the real DarwinGame tuner runs these exact schedulers.
 
-All matches of one :class:`Round` are independent — no player appears twice
-in a round — so an executor may run them on parallel VMs and advance the
-simulated clock by the round's longest game.
+No player appears in two lineups of one round, so an executor may run them
+on parallel VMs and advance the simulated clock by the round's longest
+game.
 """
 
 from __future__ import annotations
@@ -34,62 +36,21 @@ from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.formats.match import MatchOracle, RecordedMatch
-
-
-@dataclass(frozen=True)
-class Match:
-    """One scheduled game: the lineup the format wants to see meet."""
-
-    players: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.players) < 2:
-            raise ReproError(f"a match needs at least two players: {self.players}")
-        if len(set(self.players)) != len(self.players):
-            raise ReproError(f"duplicate players in match: {self.players}")
-
-
-@dataclass(frozen=True)
-class Round:
-    """One batch of independent matches, playable on parallel VMs.
-
-    ``byes`` lists players who sit this round out but advance anyway; they
-    are informational (the state machine already accounts for them) so that
-    executors and tests can audit the schedule.
-    """
-
-    matches: Tuple[Match, ...]
-    byes: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen: set = set()
-        for match in self.matches:
-            for player in match.players:
-                if player in seen:
-                    raise ReproError(
-                        f"player {player} scheduled twice in one round"
-                    )
-                seen.add(player)
-
-    @property
-    def lineups(self) -> List[List[int]]:
-        """The round as plain lineups (what batched executors consume)."""
-        return [list(m.players) for m in self.matches]
+from repro.formats.match import MatchOracle
 
 
 class ScheduledRun(Protocol):
     """Incremental state machine of one tournament under some format.
 
-    ``pairings`` returns the next :class:`Round` (or ``None`` once the
-    format has terminated); ``advance`` books one result per match of that
-    round, in match order.  ``result()`` is format-specific.
+    ``pairings`` returns the next round's lineups (or ``None`` once the
+    format has terminated); ``advance`` takes one winner per lineup of that
+    round, in lineup order.  ``result()`` is format-specific.
     """
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         ...  # pragma: no cover - protocol
 
-    def advance(self, results: Sequence[RecordedMatch]) -> None:
+    def advance(self, winners: Sequence[int]) -> None:
         ...  # pragma: no cover - protocol
 
     @property
@@ -112,33 +73,53 @@ class PlayerPool(Protocol):
 
 @dataclass
 class RunLog:
-    """Shared bookkeeping every state machine keeps: games and rounds.
+    """Shared bookkeeping every state machine keeps: the games played.
 
-    Deliberately just counters — per-match history lives with the caller
+    Deliberately just a counter — per-game history lives with the caller
     (oracles keep their own; the cloud executor books the RecordBook).
     """
 
     games: int = 0
-    rounds: int = 0
 
-    def book(self, results: Sequence[RecordedMatch]) -> None:
-        self.games += len(results)
-        self.rounds += 1
+    def book(self, winners: Sequence[int]) -> None:
+        self.games += len(winners)
 
 
 def run_schedule(run: ScheduledRun, oracle: MatchOracle):
     """Drive a scheduled run to termination with a match oracle.
 
-    Matches are played sequentially in round order, then match order — the
+    Lineups are played sequentially in round order, then lineup order — the
     deterministic reference execution that
     :mod:`repro.experiments.format_power` charges formats by.  Returns
     ``run`` (terminated) for fluent use.
     """
-    while True:
-        round_ = run.pairings()
-        if round_ is None:
-            return run
-        run.advance([oracle.play(match.players) for match in round_.matches])
+    while (lineups := run.pairings()) is not None:
+        run.advance([oracle.play(lineup) for lineup in lineups])
+    return run
+
+
+def split_round(
+    lineups: Sequence[Sequence[int]], winners: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """A played round's winners and losers, lineup after lineup.
+
+    ``winners`` holds one winner per lineup, in lineup order; everyone else
+    in a lineup lost, in seat order.  A winner count that does not match
+    the lineups, or a winner who did not play in its lineup, is refused.
+    """
+    won = [int(w) for w in winners]
+    if len(won) != len(lineups):
+        raise ReproError(
+            f"need one winner per lineup, got {len(won)} for {len(lineups)}"
+        )
+    lost: List[int] = []
+    for lineup, winner in zip(lineups, won):
+        if winner not in lineup:
+            raise ReproError(
+                f"winner {winner} did not play in lineup {list(lineup)}"
+            )
+        lost.extend(p for p in lineup if p != winner)
+    return won, lost
 
 
 def validated_players(players: Sequence[int], *, minimum: int, what: str) -> List[int]:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.formats.scheduler import (
-    Match,
-    Round,
     RunLog,
     pair_off,
+    split_round,
     validated_players,
 )
 
@@ -44,32 +43,30 @@ class SingleElimination:
         self.log = RunLog()
         self.byes = 0
         self._round_fields: List[Tuple[int, ...]] = []
+        self._pairs: List[Tuple[int, int]] = []
         self._pending_bye: Optional[int] = None
 
     @property
     def done(self) -> bool:
         return len(self.alive) <= 1
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         if self.done:
             return None
         self._round_fields.append(tuple(self.alive))
-        pairs, bye = pair_off(self.alive)
-        self._pending_bye = bye
-        return Round(
-            matches=tuple(Match(pair) for pair in pairs),
-            byes=(bye,) if bye is not None else (),
-        )
+        self._pairs, self._pending_bye = pair_off(self.alive)
+        return [list(pair) for pair in self._pairs]
 
-    def advance(self, results) -> None:
+    def advance(self, winners: Sequence[int]) -> None:
+        won, _ = split_round(self._pairs, winners)
         survivors: List[int] = []
         if self._pending_bye is not None:
             survivors.append(self._pending_bye)  # bye for the odd one out
             self.byes += 1
             self._pending_bye = None
-        survivors.extend(match.winner for match in results)
+        survivors.extend(won)
         self.alive = survivors
-        self.log.book(results)
+        self.log.book(won)
 
     def result(self) -> SingleEliminationResult:
         return SingleEliminationResult(

@@ -20,12 +20,13 @@ Two schedulers share this module:
 
 Each is one class, built from its players (``SwissSystem``) or from a
 phase's region pools (``StreakSwiss``) and its settings: a pure scheduler
-over abstract player ids that emits rounds and ingests results.  The same
-objects are driven by the match-oracle executor (format studies, through
-:func:`~repro.formats.scheduler.run_schedule`) and by the cloud-game
-executor (the real tuner).  ``StreakSwiss`` chooses a round's lineups in
-whole-round array passes; per pool it makes only the pool's own generator
-calls, in the order the pool played alone would make them.
+over abstract player ids that hands out a round's lineups
+(``pairings()``) and takes back one winner per lineup (``advance()``).  The
+same objects are driven by the match-oracle executor (format studies,
+through :func:`~repro.formats.scheduler.run_schedule`) and by the
+cloud-game executor (the real tuner).  ``StreakSwiss`` chooses a round's
+lineups in whole-round array passes; per pool it makes only the pool's own
+generator calls, in the order the pool played alone would make them.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.formats.scheduler import (
-    Match,
     PlayerPool,
-    Round,
     RunLog,
+    split_round,
     validated_players,
 )
-from repro.formats.match import RecordedMatch
 from repro.rng import choice_rows
 
 
@@ -83,32 +82,31 @@ class SwissSystem:
         self.met: Set[Tuple[int, int]] = set()
         self.log = RunLog()
         self._round_no = 0
+        self._pairs: List[Tuple[int, int]] = []
         self._pending_bye: Optional[int] = None
 
     @property
     def done(self) -> bool:
         return self._round_no >= self.n_rounds
 
-    def pairings(self) -> Optional[Round]:
+    def pairings(self) -> Optional[List[List[int]]]:
         if self.done:
             return None
-        pairs, bye = self._pair(self.ids, self.scores, self.met)
-        self._pending_bye = bye
-        return Round(
-            matches=tuple(Match(pair) for pair in pairs),
-            byes=(bye,) if bye is not None else (),
+        self._pairs, self._pending_bye = self._pair(
+            self.ids, self.scores, self.met
         )
+        return [list(pair) for pair in self._pairs]
 
-    def advance(self, results) -> None:
+    def advance(self, winners: Sequence[int]) -> None:
+        won, _ = split_round(self._pairs, winners)
         if self._pending_bye is not None:
             self.scores[self._pending_bye] += 1.0  # a bye scores like a win
             self._pending_bye = None
-        for match in results:
-            self.scores[match.winner] += 1.0
-            a, b = match.players[0], match.players[-1]
+        for winner, (a, b) in zip(won, self._pairs):
+            self.scores[winner] += 1.0
             self.met.add((min(a, b), max(a, b)))
         self._round_no += 1
-        self.log.book(results)
+        self.log.book(won)
 
     def result(self) -> SwissResult:
         standings = sorted(self.ids, key=lambda p: (-self.scores[p], p))
@@ -159,9 +157,9 @@ class StreakSwiss:
     """DarwinGame's regional phase: every region pool's Swiss tournament.
 
     Each pool plays one multi-player lineup per round and the pools play in
-    lockstep: :meth:`next_lineups` chooses one round's lineups for every
-    open pool in whole-round passes, and :meth:`record_winners` folds the
-    round's winners back in.  Pool for pool the lineups and the draws are
+    lockstep: :meth:`pairings` chooses one round's lineups for every open
+    pool in whole-round passes, and :meth:`advance` folds the round's
+    winners back in.  Pool for pool the lineups and the draws are
     those of the pool played alone, because a pool draws only from its own
     generator and in the same order: the permutation a pool of at most four
     games' worth of players is dealt from (drawn here), then per round its
@@ -415,7 +413,7 @@ class StreakSwiss:
 
     # -- the round protocol ------------------------------------------------
 
-    def next_lineups(self) -> Optional[List[List[int]]]:
+    def pairings(self) -> Optional[List[List[int]]]:
         """The round's lineups, one per open pool in pool order (``playing``
         names the pools); ``None`` once every pool has terminated.
 
@@ -484,7 +482,7 @@ class StreakSwiss:
         ends = np.cumsum(sizes).tolist()
         return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
-    def record_winners(self, winners: Sequence[int]) -> None:
+    def advance(self, winners: Sequence[int]) -> None:
         """Fold the round's winners (one per lineup, in lineup order, as a
         sequence or an array) into every playing pool's champion, streak
         and played list."""
@@ -525,17 +523,6 @@ class StreakSwiss:
             self._dealt_count[pools] >= self._size[pools]
         )
         self._closed[pools] |= (streak >= self._win_streak) | dealt_out
-
-    def pairings(self) -> Optional[Round]:
-        """The round as one match per open pool (``None`` once done)."""
-        lineups = self.next_lineups()
-        if lineups is None:
-            return None
-        return Round(matches=tuple(Match(tuple(lineup)) for lineup in lineups))
-
-    def advance(self, results: Sequence[RecordedMatch]) -> None:
-        """Book one played round: one result per match, in match order."""
-        self.record_winners([match.winner for match in results])
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:

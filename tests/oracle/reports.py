@@ -5,9 +5,8 @@ build a game's record only when it is read.  These functions build every
 record of a round at once, the plain way: outcomes as the kernel used to
 return them (one ``.tolist()`` per array, sliced per game), and reports
 re-derived per game from the lineup and the outcome alone — scores by
-division by the game's best work, the winner as the first top score, the
-ranking as a stable sort — independent of the vectorised booking under
-test.
+division by the game's best work, the winner as the first top score —
+independent of the vectorised booking under test.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ def report_of(lineup: Sequence[int], outcome: GameOutcome) -> GameReport:
         execution_scores=scores,
         winner_position=scores.index(max(scores)),
         outcome=outcome,
-        ranking=tuple(sorted(range(len(scores)), key=lambda p: -scores[p])),
     )
 
 
@@ -62,5 +60,4 @@ def assert_plain_types(report: GameReport) -> None:
     assert all(type(f) is bool for f in outcome.finished)
     assert all(type(i) is int for i in report.indices)
     assert all(type(s) is float for s in report.execution_scores)
-    assert all(type(p) is int for p in report.ranking)
     assert type(report.winner_position) is int

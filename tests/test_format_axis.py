@@ -34,7 +34,7 @@ class TestRecipeRegistry:
         assert tournament_format_names()[0] == "darwin"
         recipe = tournament_format("darwin")
         assert recipe.playoffs == "barrage"
-        assert recipe.swiss_regional and recipe.double_elimination_global
+        assert recipe.double_elimination_global
 
     def test_unknown_name_raises(self):
         with pytest.raises(ReproError):

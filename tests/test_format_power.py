@@ -1,5 +1,8 @@
 """Tests for the format predictive-power study."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ReproError
@@ -7,6 +10,23 @@ from repro.experiments.format_power import (
     FORMAT_NAMES,
     run_format_power,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "format_power_test.json"
+
+
+def golden_rows():
+    """Every row of the 50-trial, seed-0 study: the values the golden pins."""
+    result = run_format_power(trials=50, seed=0)
+    return [
+        {
+            "format": row.format_name,
+            "noise_std": row.noise_std,
+            "predictive_power": row.predictive_power,
+            "top2_power": row.top2_power,
+            "mean_games": row.mean_games,
+        }
+        for row in result.rows
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +71,16 @@ class TestFormatPower:
             run_format_power(n_players=1)
         with pytest.raises(ReproError):
             run_format_power(trials=0)
+
+
+def test_study_matches_golden_bit_for_bit():
+    """Every format's power, top-2 power and mean games, exactly as the
+    snapshot holds them: the schedulers driven through ``run_schedule``
+    and a noisy-strength oracle to a winner, for every noise level."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden_rows() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(golden_rows(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

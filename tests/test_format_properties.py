@@ -1,11 +1,13 @@
 """Property tests for the format schedulers' structural invariants.
 
-Every format is an incremental scheduler emitting rounds of independent
-matches; these tests pin the invariants the unified engine relies on:
+Every format is an incremental scheduler handing out rounds of independent
+lineups and taking back one winner per lineup; these tests pin the
+invariants the unified engine relies on:
 
 * odd player counts are handled with byes, never dropped games;
-* no player is scheduled twice within one round (rounds run on parallel
-  VMs — a player cannot be in two places);
+* every lineup seats at least two distinct players, and no player is
+  scheduled twice within one round (rounds run on parallel VMs — a player
+  cannot be in two places);
 * double elimination eliminates a player only after two losses;
 * the classic match-count formulas hold.
 """
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.formats import (
     Barrage,
     DoubleElimination,
@@ -32,17 +35,15 @@ from repro.space.regions import partition_range
 def drive_with_audit(run, oracle):
     """Drive a scheduled run, asserting round-level invariants as we go."""
     rounds_seen = 0
-    while (round_ := run.pairings()) is not None:
+    while (lineups := run.pairings()) is not None:
         seen = set()
-        for match in round_.matches:
-            assert len(match.players) >= 2
-            assert len(set(match.players)) == len(match.players)
-            for p in match.players:
+        for lineup in lineups:
+            assert len(lineup) >= 2
+            assert len(set(lineup)) == len(lineup)
+            for p in lineup:
                 assert p not in seen, f"{p} scheduled twice in round {rounds_seen}"
                 seen.add(p)
-        for bye in round_.byes:
-            assert bye not in seen, f"bye {bye} also plays in round {rounds_seen}"
-        run.advance([oracle.play(match.players) for match in round_.matches])
+        run.advance([oracle.play(lineup) for lineup in lineups])
         rounds_seen += 1
     return rounds_seen
 
@@ -50,6 +51,86 @@ def drive_with_audit(run, oracle):
 def oracle_for(n, seed, noise=0.5):
     rng = np.random.default_rng(seed)
     return NoisyStrengthOracle(rng.uniform(0, 1, n), noise_std=noise, seed=seed)
+
+
+class _Emitted:
+    """A scheduler that keeps a copy of every lineup it hands out."""
+
+    def __init__(self, run):
+        self.run = run
+        self.lineups = []
+
+    def pairings(self):
+        lineups = self.run.pairings()
+        if lineups is not None:
+            self.lineups.extend(list(lineup) for lineup in lineups)
+        return lineups
+
+    def advance(self, winners):
+        self.run.advance(winners)
+
+    @property
+    def done(self):
+        return self.run.done
+
+
+#: One fresh instance of each of the seven schedulers, every player id
+#: below 40.
+SCHEDULERS = {
+    "SwissSystem": lambda: SwissSystem(range(9), rounds=3),
+    "StreakSwiss": lambda: StreakSwiss(
+        partition_range(0, 40, 3),
+        [np.random.default_rng(k) for k in range(3)],
+        players_per_game=4,
+        win_streak=2,
+        scores=lambda players: np.ones(len(players)),
+    ),
+    "SingleElimination": lambda: SingleElimination(range(9)),
+    "DoubleElimination": lambda: DoubleElimination(range(9)),
+    "GroupedDoubleElimination": lambda: GroupedDoubleElimination(
+        range(20), np.random.default_rng(0), players_per_game=4, target=3
+    ),
+    "RoundRobin": lambda: RoundRobin(range(5)),
+    "Barrage": lambda: Barrage(range(7)),
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULERS)
+class TestOneProtocol:
+    """Every scheduler hands out lineups and takes back winners."""
+
+    def test_lineups_are_lists_of_python_ints(self, name):
+        run, oracle = SCHEDULERS[name](), oracle_for(40, 0)
+        rounds = 0
+        while (lineups := run.pairings()) is not None:
+            assert type(lineups) is list and lineups
+            for lineup in lineups:
+                assert type(lineup) is list
+                assert all(type(p) is int for p in lineup)
+            run.advance([oracle.play(lineup) for lineup in lineups])
+            rounds += 1
+        assert rounds and run.done
+
+    def test_advance_takes_one_winner_per_lineup(self, name):
+        run = SCHEDULERS[name]()
+        lineups = run.pairings()
+        winners = [lineup[-1] for lineup in lineups]
+        with pytest.raises(ReproError, match="one winner per lineup"):
+            run.advance(winners + winners[:1])
+        with pytest.raises(ReproError, match="one winner per lineup"):
+            run.advance(winners[:-1])
+        with pytest.raises(ReproError):
+            run.advance([99] + winners[1:])  # nobody seated plays as 99
+        # A refused round leaves the scheduler as it was.
+        run.advance(winners)
+        assert run_schedule(run, oracle_for(40, 0)).done
+
+    def test_run_schedule_plays_exactly_the_emitted_lineups(self, name):
+        run = _Emitted(SCHEDULERS[name]())
+        oracle = oracle_for(40, 1)
+        run_schedule(run, oracle)
+        assert [list(lineup) for lineup, _ in oracle.history] == run.lineups
+        assert oracle.games_played == len(run.lineups) > 0
 
 
 class TestRoundDisjointness:
@@ -148,8 +229,9 @@ class TestDoubleEliminationLosses:
         drive_with_audit(run, oracle)
         result = run.result()
         losses = {p: 0 for p in range(n)}
-        for match in oracle.history:
-            losses[match.loser] += 1
+        for lineup, winner in oracle.history:
+            for p in lineup:
+                losses[p] += p != winner
         assert losses[result.winner] <= 1
         assert 1 <= losses[result.runner_up] <= 2
         for p in range(n):

@@ -10,7 +10,6 @@ from repro.formats import (
     Barrage,
     DoubleElimination,
     NoisyStrengthOracle,
-    RecordedMatch,
     RoundRobin,
     SingleElimination,
     SwissSystem,
@@ -22,30 +21,32 @@ def noiseless(strengths, seed=0):
     return NoisyStrengthOracle(strengths, noise_std=0.0, seed=seed)
 
 
-class TestRecordedMatch:
-    def test_winner_loser(self):
-        m = RecordedMatch(players=(5, 9), ranking=(1, 0))
-        assert m.winner == 9
-        assert m.loser == 5
-
-    def test_invalid_ranking(self):
-        with pytest.raises(ReproError):
-            RecordedMatch(players=(1, 2), ranking=(0, 0))
+def loss_counts(oracle, players):
+    """Each player's losses in the oracle's history: every seat of a
+    lineup but its winner lost."""
+    losses = {p: 0 for p in players}
+    for lineup, winner in oracle.history:
+        for p in lineup:
+            losses[p] += p != winner
+    return losses
 
 
 class TestNoisyStrengthOracle:
     def test_deterministic_without_noise(self):
         oracle = noiseless([1.0, 3.0, 2.0])
-        match = oracle.play([0, 1, 2])
-        assert match.winner == 1
-        assert match.ranking == (1, 2, 0)
+        assert oracle.play([0, 1, 2]) == 1
+
+    def test_ties_go_to_the_first_seat(self):
+        oracle = noiseless([2.0, 1.0, 2.0])
+        assert oracle.play([1, 2, 0]) == 2
+        assert oracle.play([0, 2]) == 0
 
     def test_counts_games(self):
         oracle = noiseless([1.0, 2.0])
         oracle.play([0, 1])
         oracle.play([1, 0])
         assert oracle.games_played == 2
-        assert len(oracle.history) == 2
+        assert oracle.history == [((0, 1), 1), ((1, 0), 1)]
 
     def test_best_player(self):
         assert noiseless([0.1, 0.9, 0.5]).best_player == 1
@@ -64,7 +65,7 @@ class TestNoisyStrengthOracle:
 
     def test_noise_flips_close_matches(self):
         oracle = NoisyStrengthOracle([0.50, 0.51], noise_std=1.0, seed=0)
-        winners = {oracle.play([0, 1]).winner for _ in range(50)}
+        winners = {oracle.play([0, 1]) for _ in range(50)}
         assert winners == {0, 1}
 
 
@@ -135,9 +136,7 @@ class TestDoubleElimination:
         strengths = np.linspace(0, 1, 8)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.5, seed=3)
         result = run_schedule(DoubleElimination(range(8)), oracle).result()
-        losses = {p: 0 for p in range(8)}
-        for match in oracle.history:
-            losses[match.loser] += 1
+        losses = loss_counts(oracle, range(8))
         assert losses[result.winner] <= 1
         for p in range(8):
             if p not in (result.winner, result.runner_up):
@@ -200,7 +199,7 @@ class TestSwissSystem:
     def test_no_rematch_when_avoidable(self):
         oracle = noiseless(np.arange(8.0))
         run_schedule(SwissSystem(range(8), rounds=3), oracle).result()
-        seen = [tuple(sorted(m.players)) for m in oracle.history]
+        seen = [tuple(sorted(lineup)) for lineup, _ in oracle.history]
         assert len(seen) == len(set(seen))
 
     def test_rejects_bad_rounds(self):
@@ -301,10 +300,7 @@ class TestFormatProperties:
         strengths = rng.uniform(0, 1, n)
         oracle = NoisyStrengthOracle(strengths, noise_std=0.5, seed=seed)
         result = run_schedule(DoubleElimination(range(n)), oracle).result()
-        losses = {p: 0 for p in range(n)}
-        for match in oracle.history:
-            losses[match.loser] += 1
-        assert losses[result.winner] <= 1
+        assert loss_counts(oracle, range(n))[result.winner] <= 1
 
     @given(st.integers(2, 24), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -314,8 +310,8 @@ class TestFormatProperties:
         oracle = NoisyStrengthOracle(strengths, noise_std=0.3, seed=seed)
         result = run_schedule(SwissSystem(range(n)), oracle).result()
         played = {p: 0 for p in range(n)}
-        for match in oracle.history:
-            for p in match.players:
+        for lineup, _ in oracle.history:
+            for p in lineup:
                 played[p] += 1
         # With byes a player may sit out a round, but nobody plays more than
         # one game per round.

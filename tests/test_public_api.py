@@ -1,5 +1,6 @@
 """The documented public API must stay importable: every package's ``__all__``."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -50,10 +51,12 @@ _REMOVED = {
     ),
     "repro.telemetry": ("profile_dir", "profile_dir_for", "set_profile_dir"),
     # Each tournament format is one class; its state machine took the name.
+    # Every scheduler hands out lineups and takes back winners: no match,
+    # round or finishing-order objects.
     "repro.formats": (
         "BarrageRun", "DoubleEliminationRun", "GroupedDoubleEliminationRun",
         "RoundRobinRun", "SingleEliminationRun", "StreakSwissRun",
-        "SwissSystemRun",
+        "SwissSystemRun", "Match", "Round", "RecordedMatch",
     ),
 }
 
@@ -109,12 +112,26 @@ _REMOVED_MEMBERS = {
     "repro.formats:StreakSwiss": (
         "schedule", "next_lineup", "_draw_new", "_select_veterans",
         "_observe", "_notify_assigned", "played_players", "log",
+        "next_lineups", "record_winners",
     ),
+    "repro.formats.scheduler": ("Match", "Round"),
+    "repro.formats.match": ("RecordedMatch",),
     "repro.rng": ("choice_without_replacement",),
-    "repro.core.executor:MatchExecutor": ("_regional_result", "_winner_band"),
+    "repro.core.executor:MatchExecutor": (
+        "_regional_result", "_winner_band", "recorded",
+    ),
     "repro.formats:SwissSystem": ("schedule", "run"),
     # A sweep's store is an argument of `submit_grid`, as of `JobHandle`.
     "repro.api:SweepOptions": ("store", "open_store"),
+}
+
+#: Fields deleted from a dataclass: nothing set or read them once every
+#: scheduler takes back one winner per lineup.
+_REMOVED_FIELDS = {
+    "repro.core.executor:GameReport": ("ranking",),
+    "repro.formats.recipes:TournamentRecipe": ("swiss_regional",),
+    "repro.formats:DoubleEliminationResult": ("main_rounds", "loser_rounds"),
+    "repro.formats.scheduler:RunLog": ("rounds",),
 }
 
 #: Parameters deleted from a callable: no caller set them, or (the
@@ -170,6 +187,17 @@ class TestPublicApi:
                 obj = getattr(obj, cls)
             for name in names:
                 assert not hasattr(obj, name), f"{owner}.{name} was removed"
+
+    def test_removed_fields_stay_gone(self):
+        for owner, names in _REMOVED_FIELDS.items():
+            module, _, cls = owner.partition(":")
+            fields = dataclasses.fields(
+                getattr(importlib.import_module(module), cls)
+            )
+            for name in names:
+                assert name not in {f.name for f in fields}, (
+                    f"{owner}.{name} was removed"
+                )
 
     def test_application_model_holds_no_cache_state(self):
         """The model keeps its surface tables and nothing of the cache

@@ -63,7 +63,7 @@ def _drive(pools, seeds, table, strength, **options):
     ]
     round_no = 0
     while True:
-        lineups = run.next_lineups()
+        lineups = run.pairings()
         expected, playing = [], []
         for k, oracle in enumerate(oracles):
             lineup = oracle.next_lineup()
@@ -77,7 +77,7 @@ def _drive(pools, seeds, table, strength, **options):
         assert lineups == expected, f"round {round_no}"
         assert run.playing.tolist() == playing
         winners = _winners(lineups, round_no, strength)
-        run.record_winners(winners)
+        run.advance(winners)
         for k, winner in zip(playing, winners):
             oracles[k].observe(winner)
         # Scores move between rounds, as the score book's do.
@@ -186,10 +186,10 @@ class TestPoolAloneOrAmongOthers:
             )
             seen = {k: [] for k in chosen}
             round_no = 0
-            while (lineups := run.next_lineups()) is not None:
+            while (lineups := run.pairings()) is not None:
                 for k, lineup in zip(run.playing.tolist(), lineups):
                     seen[chosen[k]].append(lineup)
-                run.record_winners(_winners(lineups, round_no, strength))
+                run.advance(_winners(lineups, round_no, strength))
                 round_no += 1
             return seen, {k: rng.bit_generator.state
                           for k, rng in zip(chosen, run.rngs)}
@@ -225,11 +225,11 @@ class TestPoolThatCannotSeatAGame:
             pools[0], _StuckGenerator(np.random.PCG64(3)), players_per_game=8,
             win_streak=2, scores=lambda players: np.ones(len(players)),
         )
-        lineups = run.next_lineups()
+        lineups = run.pairings()
         assert oracle.next_lineup() is None and oracle.done
         assert run.playing.tolist() == [1]
         assert len(lineups) == 1 and set(announced) == {1}
-        run.record_winners([lineups[0][0]])
+        run.advance([lineups[0][0]])
         assert run.games.tolist() == [0, 1]
         assert run.champions[0] == -1
         assert stuck.bit_generator.state == oracle.rng.bit_generator.state
